@@ -114,13 +114,6 @@ MANIFEST = [
                Flag("summary.labels_identical")],
     ),
     Bench(
-        "index", "bench_index.py", "BENCH_index.json",
-        metrics=[
-            Metric("build.str_speedup", "higher_is_better", False),
-        ],
-        flags=[Flag("summary.all_ok")],
-    ),
-    Bench(
         "service", "bench_service.py", "BENCH_service.json",
         metrics=[
             Metric("summary.peak_throughput_rps", "higher_is_better", False),

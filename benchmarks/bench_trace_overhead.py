@@ -56,7 +56,7 @@ def _pre_pr_add(op, point) -> None:
     The pre-PR body already carried the ``bag = self.metrics`` /
     ``if bag is not None`` counter guards; what the observability PR added
     to the disabled path is only the probe-latency timer plumbing around
-    ``neighbors`` and the ``maybe_span`` handles in ``add_many`` /
+    the probe and the ``maybe_span`` handles in ``add_many`` /
     ``finalize``.  Replicating the old body exactly (same per-call
     attribute lookups, same validation) makes the off/baseline ratio
     measure precisely that addition.
@@ -76,7 +76,7 @@ def _pre_pr_add(op, point) -> None:
         bag.incr("points")
         bag.incr("groups_created")
         before = op._uf.n_components
-    for nb in op._strategy.neighbors(pt):
+    for nb in op._strategy.probe(pt)[1]:
         op._uf.union(pid, nb)
     if bag is not None:
         bag.incr("groups_merged", before - op._uf.n_components)

@@ -4,7 +4,10 @@ Groups are the connected components of the ε-neighbourhood graph: a point
 belongs to a group if it is within ``ε`` of at least one other member.  When
 a new point touches several groups they merge, so no overlap clause exists.
 
-Strategies for ``FindCandidateGroups``:
+The operator is one loop (Procedures 7–9): probe an index over the points
+seen so far, union the new point with every ε-neighbour, insert it.  The
+index behind ``FindCandidateGroups`` is one of three strategies sharing a
+``probe`` / ``insert`` interface:
 
 * :class:`NaiveAnyStrategy` — scan every previously processed point (O(n²));
 * :class:`RTreeAnyStrategy` — Procedure 8: an R-tree over processed points
@@ -13,29 +16,17 @@ Strategies for ``FindCandidateGroups``:
 * :class:`GridAnyStrategy` — ablation: a uniform hash grid instead of the
   R-tree (same window-query contract).
 
-Because SGB-Any groups are the connected components of the ε-graph, they
-do not depend on the order points are processed in — which admits a
-second family of *batch* strategies that defer all probing to
-``finalize``: build a static index over the complete point set once,
-then answer every point's ε-neighborhood as vectorized blocks:
-
-* :class:`KDTreeAnyStrategy` — a bucketed k-d tree; each leaf's members
-  are verified against the leaf's ε-expanded window candidates in one
-  :func:`repro.kernels.batch_eps_neighbors` call;
-* :class:`STRBulkAnyStrategy` — an STR bulk-loaded (packed) R-tree
-  probed in Hilbert order with bulk leaf verification;
-* :class:`HilbertGridAnyStrategy` — a Hilbert-bulk-built uniform grid
-  probed in curve order.
-
-All strategies, incremental and batch, produce bit-identical group
-memberships; the batch ones exist purely to make the probe phase faster
-(see ``benchmarks/bench_index.py``).
+Because the components do not depend on the order points are processed in,
+the same strategies serve the batch :class:`SGBAnyOperator` and the
+incremental :class:`~repro.streaming.any_engine.StreamingSGBAny`
+(:func:`make_any_strategy` builds them for both), and all three produce
+bit-identical group memberships.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro import kernels
 from repro.core.distance import Metric, resolve_metric
@@ -52,72 +43,57 @@ Point = Tuple[float, ...]
 
 
 class _AnyStrategyBase:
-    """Finds ids of previously-seen points within ε of a probe point.
+    """An ε-neighbour index over the points seen so far.
 
-    ``metrics`` (set by the owning operator) receives ``index_probes`` —
-    one per :meth:`neighbors` call — and ``candidates`` — raw entries the
-    probe returned before exact verification (points scanned, for the
-    naive strategy).
+    ``probe`` answers one ε-range query as ``(n_candidates, neighbour
+    ids)`` — the raw entries the index returned before exact
+    verification (points scanned, for the naive strategy) and the ids
+    actually within ε; ``insert`` adds the probed point afterwards.  The
+    batch operator and :class:`~repro.streaming.any_engine.StreamingSGBAny`
+    run the same probe-union-insert loop over these classes.  Every
+    strategy verifies candidates against one backend-native point store
+    (vectorized under the numpy backend, ``within`` loops otherwise).
     """
 
     name = "abstract"
-    #: Batch strategies defer all probing to ``finalize`` — the operator
-    #: skips the per-point ``neighbors`` call and drains
-    #: :meth:`batch_neighbors` once every point has been inserted.
-    batch = False
 
     def __init__(self, eps: float, metric: Metric):
         self.eps = eps
         self.metric = metric
+        self._store = kernels.make_point_store()
+        #: Set by an owner that collects metrics: every bulk verification
+        #: pass is timed into its ``distance_batch_latency`` histogram.
         self.metrics: Optional[MetricBag] = None
+        #: Cleared by an owner that never reads the candidate tally (the
+        #: numpy grid probe then skips the extra box-count pass).
+        self.count_candidates = True
 
-    def neighbors(self, point: Point) -> List[int]:
+    def probe(self, point: Point) -> Tuple[int, List[int]]:
         raise NotImplementedError
 
     def insert(self, point_id: int, point: Point) -> None:
-        raise NotImplementedError
+        """Store the point; the indexed strategies also index it."""
+        stored = self._store.append(point)
+        assert point_id == stored, "ids must be dense and ordered"
 
-    def batch_neighbors(self) -> "Iterable[Tuple[int, List[int]]]":
-        """Yield ``(point_id, ε-neighbor ids)`` over all inserted points.
-
-        Only meaningful on batch strategies (``batch = True``).  Neighbor
-        lists are computed against the *complete* point set (self
-        excluded); since SGB-Any components are order-independent, the
-        resulting union-find forest matches the incremental strategies'
-        exactly.
-        """
-        raise NotImplementedError
+    def _verify(self, query: Callable[..., Any], *args: Any) -> Any:
+        """Run one bulk distance-verification pass of the point store."""
+        if self.metrics is None:
+            return query(*args)
+        with self.metrics.hist_timer("distance_batch_latency"):
+            return query(*args)
 
 
 class NaiveAnyStrategy(_AnyStrategyBase):
-    """All-pairs scan over processed points.
-
-    The scan is one :meth:`~repro.kernels.PointStore.query_all` over the
-    backend-native point store — a single vectorized distance expression
-    under the numpy backend, the original ``within`` loop otherwise.
-    """
+    """All-pairs scan over processed points (one
+    :meth:`~repro.kernels.PointStore.query_all` per probe)."""
 
     name = "all-pairs"
 
-    def __init__(self, eps: float, metric: Metric):
-        super().__init__(eps, metric)
-        self._store = kernels.make_point_store()
-
-    def neighbors(self, point: Point) -> List[int]:
-        if self.metrics is not None:
-            self.metrics.incr("index_probes")
-            self.metrics.incr("candidates", len(self._store))
-            t0 = time.perf_counter()
-            result = self._store.query_all(point, self.eps, self.metric)
-            self.metrics.observe(
-                "distance_batch_latency", time.perf_counter() - t0
-            )
-            return result
-        return self._store.query_all(point, self.eps, self.metric)
-
-    def insert(self, point_id: int, point: Point) -> None:
-        stored = self._store.append(point)
-        assert point_id == stored, "ids must be dense and ordered"
+    def probe(self, point: Point) -> Tuple[int, List[int]]:
+        return len(self._store), self._verify(
+            self._store.query_all, point, self.eps, self.metric
+        )
 
 
 class RTreeAnyStrategy(_AnyStrategyBase):
@@ -133,28 +109,14 @@ class RTreeAnyStrategy(_AnyStrategyBase):
     def __init__(self, eps: float, metric: Metric, rtree_max_entries: int = 16):
         super().__init__(eps, metric)
         self._rtree = RTree(max_entries=rtree_max_entries)
-        self._store = kernels.make_point_store()
 
-    def neighbors(self, point: Point) -> List[int]:
-        window = Rect.eps_box(point, self.eps)
-        hits = self._rtree.search_with_rects(window)
-        if self.metrics is not None:
-            self.metrics.incr("index_probes")
-            self.metrics.incr("candidates", len(hits))
+    def probe(self, point: Point) -> Tuple[int, List[int]]:
+        hits = self._rtree.search(Rect.eps_box(point, self.eps))
         if self.metric.name == "linf":
-            return [pid for _, pid in hits]
+            return len(hits), hits
         # VerifyPoints: one bulk predicate pass over the leaf hits.
-        if self.metrics is not None:
-            t0 = time.perf_counter()
-            result = self._store.query_ids(
-                [pid for _, pid in hits], point, self.eps, self.metric
-            )
-            self.metrics.observe(
-                "distance_batch_latency", time.perf_counter() - t0
-            )
-            return result
-        return self._store.query_ids(
-            [pid for _, pid in hits], point, self.eps, self.metric
+        return len(hits), self._verify(
+            self._store.query_ids, hits, point, self.eps, self.metric
         )
 
     def insert(self, point_id: int, point: Point) -> None:
@@ -174,223 +136,69 @@ class GridAnyStrategy(_AnyStrategyBase):
             )
         super().__init__(eps, metric)
         self._grid = GridIndex(cell_size=eps)
-        self._store = kernels.make_point_store()
 
-    def neighbors(self, point: Point) -> List[int]:
-        window = Rect.eps_box(point, self.eps)
+    def probe(self, point: Point) -> Tuple[int, List[int]]:
         # Gather candidate ids from the cell neighbourhood, then run the
         # window-containment + distance verification as one bulk pass.
-        ids = self._grid.items_in_cell_range(window)
-        # The box tally feeds the candidates counter and the CountingMetric
-        # charge; skip it entirely when neither collector is attached.
-        count = self.metrics is not None or hasattr(self.metric, "calls")
-        t0 = time.perf_counter() if self.metrics is not None else 0.0
-        result, n_window = self._store.query_ids_eps_box(
-            ids, point, self.eps, self.metric, count=count
+        ids = self._grid.items_in_cell_range(Rect.eps_box(point, self.eps))
+        neighbors, n_window = self._verify(
+            self._store.query_ids_eps_box,
+            ids, point, self.eps, self.metric, self.count_candidates,
         )
-        if self.metrics is not None:
-            self.metrics.observe(
-                "distance_batch_latency", time.perf_counter() - t0
-            )
-            self.metrics.incr("index_probes")
-            self.metrics.incr("candidates", n_window)
-        return result
+        return n_window, neighbors
 
     def insert(self, point_id: int, point: Point) -> None:
         self._grid.insert(point, point_id)
         self._store.append(point)
 
 
-class _BatchAnyStrategyBase(_AnyStrategyBase):
-    """Shared spool for the deferred (batch) strategies.
-
-    ``insert`` only appends; the index is built and probed in one pass
-    when the operator finalizes and drains :meth:`batch_neighbors`.
-    """
-
-    batch = True
-
-    def __init__(self, eps: float, metric: Metric):
-        super().__init__(eps, metric)
-        self._points: List[Point] = []
-
-    def insert(self, point_id: int, point: Point) -> None:
-        assert point_id == len(self._points), "ids must be dense and ordered"
-        self._points.append(point)
-
-    def neighbors(self, point: Point) -> List[int]:
-        raise RuntimeError(
-            f"strategy {self.name!r} is batch-only; probes run at finalize"
-        )
-
-
-class KDTreeAnyStrategy(_BatchAnyStrategyBase):
-    """Static bucketed k-d tree with leaf-grouped vectorized probes.
-
-    The tree is built once over all points (median splits, O(n log n)).
-    Probing walks the leaves in split order — already a spatial order —
-    and for each leaf gathers the candidates of the leaf MBR's ε-expanded
-    window *once*, then verifies every leaf member against that one
-    candidate block with a single :func:`repro.kernels.batch_eps_neighbors`
-    call.  Under the numpy backend that is one broadcasted distance
-    expression per leaf instead of one python-level probe per point.
-    """
-
-    name = "kdtree"
-
-    def __init__(self, eps: float, metric: Metric, leaf_size: int = 32):
-        super().__init__(eps, metric)
-        self._leaf_size = leaf_size
-
-    def batch_neighbors(self) -> Iterator[Tuple[int, List[int]]]:
-        from repro.index.kdtree import KDTree
-
-        pts = self._points
-        tree = KDTree.build(pts, leaf_size=self._leaf_size)
-        eps = self.eps
-        metric = self.metric
-        bag = self.metrics
-        for leaf_ids, lo, hi in tree.leaves():
-            wlo = tuple(v - eps for v in lo)
-            whi = tuple(v + eps for v in hi)
-            cand = tree.window_ids(wlo, whi)
-            cand_pts = [pts[i] for i in cand]
-            probes = [pts[i] for i in leaf_ids]
-            if bag is not None:
-                bag.incr("index_probes", len(leaf_ids))
-                bag.incr("candidates", len(cand) * len(leaf_ids))
-                t0 = time.perf_counter()
-                hits = kernels.batch_eps_neighbors(cand_pts, probes,
-                                                   eps, metric)
-                bag.observe(
-                    "distance_batch_latency", time.perf_counter() - t0
-                )
-            else:
-                hits = kernels.batch_eps_neighbors(cand_pts, probes,
-                                                   eps, metric)
-            for pid, local in zip(leaf_ids, hits):
-                yield pid, [cand[j] for j in local if cand[j] != pid]
-
-
-class STRBulkAnyStrategy(_BatchAnyStrategyBase):
-    """STR bulk-loaded R-tree probed in Hilbert order.
-
-    The packed tree replaces n Guttman inserts with one O(n log n)
-    build; probes then run in space-filling-curve order so consecutive
-    window queries descend largely the same subtrees, and each window's
-    leaf hits are verified with one vectorized pass over the point
-    store (the ``VerifyPoints`` step of Procedure 8).
-    """
-
-    name = "rtree-bulk"
-
-    def __init__(self, eps: float, metric: Metric,
-                 rtree_max_entries: int = 16):
-        super().__init__(eps, metric)
-        self._max_entries = rtree_max_entries
-
-    def batch_neighbors(self) -> Iterator[Tuple[int, List[int]]]:
-        from repro.index.hilbert import sort_indices
-
-        pts = self._points
-        tree = RTree.bulk_load(
-            [(Rect.from_point(p), i) for i, p in enumerate(pts)],
-            max_entries=self._max_entries,
-        )
-        store = kernels.make_point_store()
-        for p in pts:
-            store.append(p)
-        eps = self.eps
-        metric = self.metric
-        linf = metric.name == "linf"
-        bag = self.metrics
-        for pid in sort_indices(pts):
-            point = pts[pid]
-            hits = tree.search(Rect.eps_box(point, eps))
-            if bag is not None:
-                bag.incr("index_probes")
-                bag.incr("candidates", len(hits))
-            if linf:
-                yield pid, [i for i in hits if i != pid]
-                continue
-            if bag is not None:
-                t0 = time.perf_counter()
-                verified = store.query_ids(hits, point, eps, metric)
-                bag.observe(
-                    "distance_batch_latency", time.perf_counter() - t0
-                )
-            else:
-                verified = store.query_ids(hits, point, eps, metric)
-            yield pid, [i for i in verified if i != pid]
-
-
-class HilbertGridAnyStrategy(_BatchAnyStrategyBase):
-    """Hilbert-bulk-built uniform grid probed in curve order.
-
-    Same cell-neighbourhood probe as :class:`GridAnyStrategy`, but the
-    grid's buckets are allocated in space-filling-curve order and the
-    probe loop walks the same order, so the gather phase revisits
-    adjacent buckets instead of hopping across the hash table.
-    """
-
-    name = "hilbert-grid"
-
-    def __init__(self, eps: float, metric: Metric):
-        if eps <= 0:
-            raise InvalidParameterError(
-                "the hilbert-grid strategy requires eps > 0 (cell side is eps)"
-            )
-        super().__init__(eps, metric)
-
-    def batch_neighbors(self) -> Iterator[Tuple[int, List[int]]]:
-        from repro.index.hilbert import sort_indices
-
-        pts = self._points
-        grid = GridIndex.bulk_build(
-            [(p, i) for i, p in enumerate(pts)],
-            cell_size=self.eps, presort="hilbert",
-        )
-        store = kernels.make_point_store()
-        for p in pts:
-            store.append(p)
-        eps = self.eps
-        metric = self.metric
-        bag = self.metrics
-        count = bag is not None or hasattr(metric, "calls")
-        for pid in sort_indices(pts):
-            point = pts[pid]
-            ids = grid.items_in_cell_range(Rect.eps_box(point, eps))
-            if bag is not None:
-                t0 = time.perf_counter()
-                result, n_window = store.query_ids_eps_box(
-                    ids, point, eps, metric, count=count
-                )
-                bag.observe(
-                    "distance_batch_latency", time.perf_counter() - t0
-                )
-                bag.incr("index_probes")
-                bag.incr("candidates", n_window)
-            else:
-                result, _ = store.query_ids_eps_box(
-                    ids, point, eps, metric, count=count
-                )
-            yield pid, [i for i in result if i != pid]
-
-
+#: The one alias table: SQL / API strategy names and the streaming
+#: engine's ``index=`` kinds resolve through it.
 _STRATEGIES = {
     "all-pairs": NaiveAnyStrategy,
     "allpairs": NaiveAnyStrategy,
     "naive": NaiveAnyStrategy,
+    "linear": NaiveAnyStrategy,
     "index": RTreeAnyStrategy,
     "indexed": RTreeAnyStrategy,
     "rtree": RTreeAnyStrategy,
     "grid": GridAnyStrategy,
-    "kdtree": KDTreeAnyStrategy,
-    "kd-tree": KDTreeAnyStrategy,
-    "rtree-bulk": STRBulkAnyStrategy,
-    "str": STRBulkAnyStrategy,
-    "hilbert-grid": HilbertGridAnyStrategy,
 }
+
+
+def make_any_strategy(kind: str, eps: float, metric: Metric,
+                      rtree_max_entries: int = 16) -> _AnyStrategyBase:
+    """Build the ε-neighbour index named ``kind`` (see ``_STRATEGIES``)."""
+    try:
+        strategy_cls = _STRATEGIES[kind.strip().lower()]
+    except KeyError:
+        raise InvalidParameterError(
+            f"unknown strategy {kind!r}; expected one of "
+            f"{sorted(set(_STRATEGIES))}"
+        ) from None
+    if strategy_cls is GridAnyStrategy and eps == 0:
+        # eps == 0 degenerates to equality grouping, which the grid
+        # cannot express (the cell side is eps); the naive scan gives
+        # identical components, so quietly take that path instead.
+        strategy_cls = NaiveAnyStrategy
+    if strategy_cls is RTreeAnyStrategy:
+        return RTreeAnyStrategy(eps, metric, rtree_max_entries)
+    return strategy_cls(eps, metric)
+
+
+def component_labels(uf: UnionFind, n_points: int) -> List[int]:
+    """Dense labels for point ids ``0..n_points-1``, numbered in order of
+    first appearance over insertion order."""
+    labels: List[int] = []
+    root_to_label: dict = {}
+    find = uf.find
+    for pid in range(n_points):
+        root = find(pid)
+        label = root_to_label.get(root)
+        if label is None:
+            label = root_to_label[root] = len(root_to_label)
+        labels.append(label)
+    return labels
 
 
 class SGBAnyOperator:
@@ -423,31 +231,13 @@ class SGBAnyOperator:
 
             if not hasattr(self.metric, "calls"):
                 self.metric = CountingMetric(self.metric)
-        key = strategy.strip().lower()
-        try:
-            strategy_cls = _STRATEGIES[key]
-        except KeyError:
-            raise InvalidParameterError(
-                f"unknown strategy {strategy!r}; expected one of "
-                f"{sorted(set(_STRATEGIES))}"
-            ) from None
-        if (strategy_cls in (GridAnyStrategy, HilbertGridAnyStrategy)
-                and self.eps == 0):
-            # eps == 0 degenerates to equality grouping, which the grid
-            # cannot express (the cell side is eps); the naive scan gives
-            # identical components, so quietly take that path instead.
-            strategy_cls = NaiveAnyStrategy
-        if strategy_cls is RTreeAnyStrategy:
-            self._strategy: _AnyStrategyBase = RTreeAnyStrategy(
-                self.eps, self.metric, rtree_max_entries
-            )
-        elif strategy_cls is STRBulkAnyStrategy:
-            self._strategy = STRBulkAnyStrategy(
-                self.eps, self.metric, rtree_max_entries
-            )
-        else:
-            self._strategy = strategy_cls(self.eps, self.metric)
+        self._strategy = make_any_strategy(
+            strategy, self.eps, self.metric, rtree_max_entries
+        )
         self._strategy.metrics = metrics
+        # The candidate tally feeds the ``candidates`` counter and the
+        # CountingMetric charge; both imply a counting metric here.
+        self._strategy.count_candidates = hasattr(self.metric, "calls")
         self._uf = UnionFind()
         self._points: List[Point] = []
         self._dim: Optional[int] = None
@@ -485,21 +275,17 @@ class SGBAnyOperator:
         self._points.append(pt)
         self._uf.add(pid)
         bag = self.metrics
-        if bag is not None:
+        if bag is None:
+            _, neighbors = self._strategy.probe(pt)
+        else:
             bag.incr("points")
             bag.incr("groups_created")
-        if self._strategy.batch:
-            # Deferred strategy: probes run once, at finalize, over the
-            # complete point set (components are order-independent).
-            self._strategy.insert(pid, pt)
-            return
-        if bag is not None:
-            before = self._uf.n_components
             t0 = time.perf_counter()
-            neighbors = self._strategy.neighbors(pt)
+            n_candidates, neighbors = self._strategy.probe(pt)
             bag.observe("probe_latency", time.perf_counter() - t0)
-        else:
-            neighbors = self._strategy.neighbors(pt)
+            bag.incr("index_probes")
+            bag.incr("candidates", n_candidates)
+        before = self._uf.n_components
         for nb in neighbors:
             self._uf.union(pid, nb)
         if bag is not None:
@@ -519,37 +305,12 @@ class SGBAnyOperator:
         if self._finalized:
             raise RuntimeError("operator already finalized")
         self._finalized = True
-        if self._strategy.batch and self._points:
-            self._run_batch_probe()
         if self.metrics is not None:
             self.metrics.incr(
                 "distance_computations", getattr(self.metric, "calls", 0)
             )
         with maybe_span(self.tracer, "finalize",
                         points=len(self._points)) as sp:
-            labels: List[int] = []
-            root_to_label: dict = {}
-            for pid in range(len(self._points)):
-                root = self._uf.find(pid)
-                if root not in root_to_label:
-                    root_to_label[root] = len(root_to_label)
-                labels.append(root_to_label[root])
-            sp.set(groups=len(root_to_label))
+            labels = component_labels(self._uf, len(self._points))
+            sp.set(groups=self._uf.n_components)
         return GroupingResult(labels, self._points)
-
-    def _run_batch_probe(self) -> None:
-        """Drain a batch strategy's deferred probe pass into the forest."""
-        bag = self.metrics
-        uf = self._uf
-        with maybe_span(self.tracer, "probe_batch",
-                        strategy=self.strategy_name,
-                        points=len(self._points)):
-            if bag is not None:
-                before = uf.n_components
-                t0 = time.perf_counter()
-            for pid, neighbors in self._strategy.batch_neighbors():
-                for nb in neighbors:
-                    uf.union(pid, nb)
-            if bag is not None:
-                bag.observe("probe_latency", time.perf_counter() - t0)
-                bag.incr("groups_merged", before - uf.n_components)

@@ -33,6 +33,7 @@ from typing import (
 
 import datetime as _dt
 import decimal as _decimal
+import math
 import os
 
 from repro import kernels
@@ -50,7 +51,7 @@ from repro.engine.executor.aggregate import AggSpec, build_agg_specs
 from repro.engine.executor.base import PhysicalOperator
 from repro.engine.schema import Column, Schema
 from repro.engine.types import ANY
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, InvalidCoordinateError
 from repro.obs.trace import maybe_span
 from repro.sql.ast_nodes import AggCall, BindContext, Expr
 
@@ -229,6 +230,12 @@ class SGBAggregate(PhysicalOperator):
                     f"similarity grouping attributes must be numeric, "
                     f"got {coords!r}"
                 ) from None
+            if not all(map(math.isfinite, point)):
+                # Same rejection as ``repro.core.api.validate_point``: NaN
+                # compares false with everything and corrupts the index.
+                raise InvalidCoordinateError(
+                    f"point {coords!r} has a non-finite coordinate"
+                )
             pkey = tuple(f(row) for f in partition_fns)
             bucket = partitions.get(pkey)
             if bucket is None:

@@ -1,20 +1,12 @@
-"""Spatial access methods: R-tree (Guttman + STR/Hilbert bulk loading),
-a uniform hash grid, a static bucketed k-d tree, and space-filling-curve
-presorting helpers."""
+"""Access methods: R-tree (Guttman inserts + STR bulk loading), a uniform
+hash grid, and a B+tree for the engine's secondary indexes."""
 
 from repro.index.btree import BPlusTree
 from repro.index.grid import GridIndex
-from repro.index.hilbert import curve_keys, hilbert_key_2d, morton_key, sort_indices
-from repro.index.kdtree import KDTree
 from repro.index.rtree import RTree
 
 __all__ = [
     "RTree",
     "GridIndex",
     "BPlusTree",
-    "KDTree",
-    "curve_keys",
-    "hilbert_key_2d",
-    "morton_key",
-    "sort_indices",
 ]

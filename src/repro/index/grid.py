@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidCoordinateError, InvalidParameterError
 from repro.geometry.rectangle import Rect
 
 _Bucket = List[Tuple[Tuple[float, ...], Any]]
@@ -39,36 +39,23 @@ class GridIndex:
 
     @classmethod
     def bulk_build(cls, points_items: Sequence[Tuple[Sequence[float], Any]],
-                   cell_size: float, presort: str = "hilbert") -> "GridIndex":
-        """Build a grid from ``(point, item)`` pairs in one pass.
-
-        With ``presort="hilbert"`` (the default) points are inserted in
-        space-filling-curve order, so the buckets of neighbouring cells
-        are allocated back to back and each bucket's point list is
-        appended contiguously — the cell-neighbourhood scans that
-        dominate SGB-Any probe time then walk memory mostly in order.
-        ``presort="none"`` keeps the input order (ablation baseline).
-        """
-        if presort not in ("hilbert", "none"):
-            raise InvalidParameterError(
-                f"presort must be 'hilbert' or 'none', got {presort!r}"
-            )
+                   cell_size: float) -> "GridIndex":
+        """Build a grid from ``(point, item)`` pairs, in input order."""
         grid = cls(cell_size)
-        if not points_items:
-            return grid
-        pts = [tuple(float(v) for v in p) for p, _ in points_items]
-        if presort == "hilbert":
-            from repro.index.hilbert import sort_indices
-
-            order = sort_indices(pts)
-        else:
-            order = list(range(len(pts)))
-        for i in order:
-            grid.insert(pts[i], points_items[i][1])
+        for point, item in points_items:
+            grid.insert(point, item)
         return grid
 
     def _cell_of(self, p: Sequence[float]) -> Tuple[int, ...]:
-        return tuple(int(v // self.cell_size) for v in p)
+        try:
+            return tuple(int(v // self.cell_size) for v in p)
+        except (OverflowError, ValueError):
+            # inf/NaN, or a finite value whose cell number overflows a
+            # float (1e308 with cell side 0.5).
+            raise InvalidCoordinateError(
+                f"point {tuple(p)!r} has a coordinate the grid cannot "
+                f"index at cell side {self.cell_size}"
+            ) from None
 
     def insert(self, point: Sequence[float], item: Any) -> None:
         pt = tuple(float(v) for v in point)
@@ -96,21 +83,16 @@ class GridIndex:
 
     def search(self, window: Rect) -> List[Any]:
         """Items whose point lies inside ``window`` (closed boundaries)."""
-        return [item for _, item in self.search_with_points(window)]
-
-    def search_with_points(
-        self, window: Rect
-    ) -> List[Tuple[Tuple[float, ...], Any]]:
         lo_cell = self._cell_of(window.lo)
         hi_cell = self._cell_of(window.hi)
-        out: List[Tuple[Tuple[float, ...], Any]] = []
+        out: List[Any] = []
         for cell in _cell_range(lo_cell, hi_cell):
             bucket = self._cells.get(cell)
             if bucket is None:
                 continue
             for pt, item in bucket:
                 if window.contains_point(pt):
-                    out.append((pt, item))
+                    out.append(item)
         return out
 
     def items_in_cell_range(self, window: Rect) -> List[Any]:

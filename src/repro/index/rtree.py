@@ -105,27 +105,18 @@ class RTree:
     @classmethod
     def bulk_load(cls, entries: Iterable[Tuple[Rect, Any]],
                   max_entries: int = 8,
-                  min_entries: Optional[int] = None,
-                  presort: str = "str") -> "RTree":
+                  min_entries: Optional[int] = None) -> "RTree":
         """Build a packed tree from (Rect, item) pairs in one pass.
 
-        ``presort="str"`` (default) uses Sort-Tile-Recursive packing in
-        2-D: sort by x-centre, cut into vertical slices, sort each slice
-        by y-centre, fill nodes to capacity; higher dimensions fall back
-        to a first-dimension sort (still a valid tree, just less tightly
-        packed).  ``presort="hilbert"`` orders entries by the Hilbert key
-        of their rect centre instead (Morton above 2-D) and packs runs —
-        the classic Hilbert-packed R-tree, which also makes leaf order a
-        spatial order for cache-friendly sequential probes.  Bulk-built
-        trees are ~fully packed either way, so queries touch fewer nodes
-        than after one-at-a-time insertion.
+        Sort-Tile-Recursive packing in 2-D: sort by x-centre, cut into
+        vertical slices, sort each slice by y-centre, fill nodes to
+        capacity; higher dimensions fall back to a first-dimension sort
+        (still a valid tree, just less tightly packed).  Bulk-built trees
+        are ~fully packed, so queries touch fewer nodes than after
+        one-at-a-time insertion.
         """
         import math
 
-        if presort not in ("str", "hilbert"):
-            raise InvalidParameterError(
-                f"presort must be 'str' or 'hilbert', got {presort!r}"
-            )
         tree = cls(max_entries=max_entries, min_entries=min_entries)
         leaf_entries = [_Entry(rect, item=item) for rect, item in entries]
         if not leaf_entries:
@@ -133,16 +124,7 @@ class RTree:
 
         def pack_level(items: List[_Entry], leaf: bool) -> List[_Node]:
             dim = len(items[0].rect.lo)
-            if presort == "hilbert":
-                from repro.index.hilbert import sort_indices
-
-                centers = [
-                    tuple((lv + hv) / 2.0
-                          for lv, hv in zip(e.rect.lo, e.rect.hi))
-                    for e in items
-                ]
-                items = [items[i] for i in sort_indices(centers)]
-            elif dim >= 2:
+            if dim >= 2:
                 items = sorted(
                     items, key=lambda e: (e.rect.lo[0] + e.rect.hi[0])
                 )

@@ -135,12 +135,6 @@ def any_within(points: Sequence[Coords], q: Coords, eps: float,
     return _impl.any_within(points, q, eps, metric)
 
 
-def batch_window_query(points: Sequence[Coords], lo: Coords,
-                       hi: Coords) -> List[int]:
-    """Ascending indices of block points inside the closed box."""
-    return _impl.batch_window_query(points, lo, hi)
-
-
 def batch_eps_neighbors(points: Sequence[Coords], probes: Sequence[Coords],
                         eps: float, metric: MetricLike) -> List[List[int]]:
     """Per-probe ascending indices of block points within ``eps``."""
@@ -177,7 +171,6 @@ __all__ = [
     "points_in_rect",
     "all_within",
     "any_within",
-    "batch_window_query",
     "batch_eps_neighbors",
     "make_point_store",
     "make_rect_store",

@@ -116,26 +116,13 @@ def points_in_rect(points: Sequence[Coords], lo: Coords,
     return mask.tolist()
 
 
-def batch_window_query(points: Sequence[Coords], lo: Coords,
-                       hi: Coords) -> List[int]:
-    """Ascending indices of ``points`` inside the closed box ``[lo, hi]``."""
-    coords = np.asarray(points, dtype=np.float64)
-    if coords.size == 0:
-        return []
-    lo_a = np.asarray(lo, dtype=np.float64)
-    hi_a = np.asarray(hi, dtype=np.float64)
-    mask = ((coords >= lo_a) & (coords <= hi_a)).all(axis=1)
-    return np.flatnonzero(mask).tolist()
-
-
 def batch_eps_neighbors(points: Sequence[Coords], probes: Sequence[Coords],
                         eps: float, metric: MetricLike) -> List[List[int]]:
     """Per-probe ascending indices of ``points`` within ``eps``.
 
-    One broadcasted ``(m, n, d)`` distance expression per call — the
-    block shapes the batch strategies feed (a leaf's probes × its
-    ε-window candidates) stay small enough that the full matrix beats m
-    separate kernel launches.  Charges the counting metric ``m * n``
+    One broadcasted ``(m, n, d)`` distance expression per call, which
+    beats m separate kernel launches while the block stays small enough
+    for the full matrix.  Charges the counting metric ``m * n``
     pairs, matching the python backend's no-early-exit loops.
     """
     m = len(probes)

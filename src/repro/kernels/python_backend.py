@@ -46,37 +46,15 @@ def points_in_rect(points: Sequence[Coords], lo: Coords,
     ]
 
 
-def batch_window_query(points: Sequence[Coords], lo: Coords,
-                       hi: Coords) -> List[int]:
-    """Ascending indices of ``points`` inside the closed box ``[lo, hi]``.
-
-    The index-returning sibling of :func:`points_in_rect`: index gathers
-    (grid cell scans, k-d tree / R-tree leaf verification) consume ids,
-    not masks, so this saves callers a flatnonzero pass per probe.
-    """
-    if len(lo) == 2:
-        l0, l1 = lo
-        h0, h1 = hi
-        return [
-            i for i, p in enumerate(points)
-            if l0 <= p[0] <= h0 and l1 <= p[1] <= h1
-        ]
-    return [
-        i for i, p in enumerate(points)
-        if all(l <= v <= h for v, l, h in zip(p, lo, hi))
-    ]
-
-
 def batch_eps_neighbors(points: Sequence[Coords], probes: Sequence[Coords],
                         eps: float, metric: MetricLike) -> List[List[int]]:
     """Per-probe ascending indices of ``points`` within ``eps``.
 
-    The many-probes-at-once primitive behind the batch SGB-Any
-    strategies: one candidate block (a k-d tree window gather, an R-tree
-    leaf run) verified against a whole chunk of probe points.  Every
-    (probe, point) pair is evaluated — no early exit — so a
-    ``CountingMetric`` observes exactly ``len(probes) * len(points)``
-    calls, matching the numpy backend's bulk charge.
+    The many-probes-at-once primitive: one candidate block verified
+    against a whole chunk of probe points.  Every (probe, point) pair is
+    evaluated — no early exit — so a ``CountingMetric`` observes exactly
+    ``len(probes) * len(points)`` calls, matching the numpy backend's
+    bulk charge.
     """
     if not points or not probes:
         return [[] for _ in probes]

@@ -4,9 +4,8 @@ This is the piece the paper delegates to the PostgreSQL optimizer (§8.2):
 given the estimated input cardinality and the ε-neighbourhood density the
 ANALYZE histograms predict, pick the cheapest grouping strategy
 (All-Pairs vs Bounds-Checking vs R-tree for SGB-All; All-Pairs vs R-tree
-vs grid vs the batch index family — k-d tree, STR bulk R-tree,
-Hilbert grid — for SGB-Any) and the parallel worker count — instead of
-trusting user flags.  Flags still win when given: a concrete strategy string in
+vs grid for SGB-Any) and the parallel worker count — instead of trusting
+user flags.  Flags still win when given: a concrete strategy string in
 :class:`~repro.engine.executor.sgb.SGBConfig` is an override, and only
 the ``"auto"`` sentinel engages the chooser.
 
@@ -27,13 +26,8 @@ from repro.stats.model import sgb_strategy_cost
 #: Sentinel strategy / parallel values meaning "let the chooser decide".
 AUTO = "auto"
 
-#: Strategies the chooser ranks, per mode.  The last three Any entries
-#: are the batch family (points spooled during add, probed at finalize):
-#: a static k-d tree, an STR bulk-loaded R-tree, and a Hilbert-presorted
-#: grid — order-independence of SGB-Any components makes them legal.
-ANY_STRATEGIES: Tuple[str, ...] = (
-    "all-pairs", "index", "grid", "kdtree", "rtree-bulk", "hilbert-grid",
-)
+#: Strategies the chooser ranks, per mode.
+ANY_STRATEGIES: Tuple[str, ...] = ("all-pairs", "index", "grid")
 ALL_STRATEGIES: Tuple[str, ...] = ("all-pairs", "bounds-checking", "index")
 
 #: Fallbacks when the chooser has nothing to go on (no stats, tiny input).

@@ -17,6 +17,7 @@ importable from :mod:`repro.engine.table` without a cycle.
 from __future__ import annotations
 
 import datetime as _dt
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -226,7 +227,10 @@ def analyze_table(table: Any, buckets: int = DEFAULT_BUCKETS) -> TableStats:
         if coords and len(coords) == len(non_null):
             cstats.min_value = min(non_null)
             cstats.max_value = max(non_null)
-            cstats.histogram = _build_histogram(coords, buckets)
+            # NaN / ±inf fall in no bucket of a finite value range.
+            finite = [c for c in coords if math.isfinite(c)]
+            if finite:
+                cstats.histogram = _build_histogram(finite, buckets)
         elif non_null and not isinstance(non_null[0], (list, dict, set)):
             try:
                 cstats.min_value = min(non_null)

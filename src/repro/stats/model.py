@@ -136,27 +136,6 @@ def sgb_strategy_cost(mode: str, strategy: str, n: float,
             per_point = 16.0 + 0.45 * k
         elif strategy in ("index", "indexed", "rtree"):
             per_point = 12.5 * math.log2(n + 1.0) + 1.4 * k
-        elif strategy in ("kdtree", "kd-tree"):
-            # Static bucketed k-d tree probed leaf-at-a-time, one
-            # vectorized kernel call per leaf.  Three terms: a small
-            # flat dispatch cost, the O(log n) per-point python build
-            # (the grid inserts in O(1), so the tree loses ground as n
-            # grows), and a quadratic density term — ε-expanded leaf
-            # windows over-gather as the neighbourhood fills up.  Net:
-            # it owns the mid-density band at moderate n and yields to
-            # the grid at both density extremes and at large n, matching
-            # bench_planner measurements at n ∈ {800, 4000}.
-            per_point = 3.0 + 1.4 * math.log2(n + 1.0) + 0.016 * k * k
-        elif strategy in ("rtree-bulk", "str"):
-            # STR-packed R-tree: same logarithmic descent as the
-            # incremental R-tree but on a well-packed tree (smaller
-            # constant, less overlap), probed in Hilbert order.
-            per_point = 25.0 + 1.0 * math.log2(n + 1.0) + 1.6 * k
-        elif strategy == "hilbert-grid":
-            # Grid built in Hilbert insertion order: the same asymptotic
-            # shape as "grid" with a higher constant (bulk construction
-            # plus curve-ordered probing bookkeeping).
-            per_point = 28.0 + 0.85 * k
         else:
             per_point = n  # unknown: pessimistic quadratic
     return n * per_point * _SGB_UNIT

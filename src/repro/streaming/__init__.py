@@ -4,8 +4,9 @@ The batch operators answer one-shot queries; this package maintains SGB
 groups *online* as rows arrive, in micro-batches:
 
 * :class:`StreamingSGBAny` — connected ε-components under point insertion
-  (incremental Union-Find + grid/R-tree neighbor index).  Order-independent:
-  every snapshot equals the batch operator on the ingested point set.
+  (incremental Union-Find + the batch operator's ε-neighbour strategies).
+  Order-independent: every snapshot equals the batch operator on the
+  ingested point set.
 * :class:`StreamingSGBAll` — ε-All clique groups maintained incrementally
   (per-group ε-All rectangles, MBR index, hull refinement).  Snapshot
   equals the batch operator on the same prefix in the same order/seed.
@@ -20,13 +21,6 @@ The convenience entry point is :func:`repro.sgb_stream`.
 from repro.streaming.all_engine import StreamingSGBAll
 from repro.streaming.any_engine import StreamingSGBAny
 from repro.streaming.micro_batch import MicroBatcher
-from repro.streaming.neighbors import (
-    GridNeighborIndex,
-    LinearNeighborIndex,
-    NeighborIndex,
-    RTreeNeighborIndex,
-    make_neighbor_index,
-)
 from repro.streaming.stats import BatchRecord, StreamStats, total_of
 from repro.streaming.view import StreamingGroupView
 
@@ -38,9 +32,4 @@ __all__ = [
     "StreamStats",
     "BatchRecord",
     "total_of",
-    "NeighborIndex",
-    "GridNeighborIndex",
-    "RTreeNeighborIndex",
-    "LinearNeighborIndex",
-    "make_neighbor_index",
 ]

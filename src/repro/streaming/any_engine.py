@@ -8,12 +8,14 @@ for continuous ingestion — a snapshot after any prefix equals the batch
 operator run on that prefix, regardless of how the prefix was chopped into
 micro-batches.
 
-The engine keeps the same two structures the batch operator builds once:
+The engine keeps the same two structures as the batch operator, and runs
+the same probe-union-insert loop over them:
 
 * the incremental Union-Find forest (``repro/dsu/union_find.py``) holding
   the current components, and
-* a grid or R-tree neighbor index (:mod:`repro.streaming.neighbors`)
-  answering ε-range probes for each arriving point.
+* one of the batch operator's ε-neighbour strategies
+  (:func:`repro.core.sgb_any.make_any_strategy`: grid, R-tree or all-pairs
+  scan) answering ε-range probes for each arriving point.
 
 ``snapshot()`` is non-destructive and O(n α(n)); ``result()`` closes the
 stream and returns the final grouping.
@@ -26,9 +28,9 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 from repro.core.api import check_eps, validate_point
 from repro.core.distance import Metric, resolve_metric
 from repro.core.result import GroupingResult
+from repro.core.sgb_any import component_labels, make_any_strategy
 from repro.dsu.union_find import UnionFind
 from repro.errors import StreamStateError
-from repro.streaming.neighbors import make_neighbor_index
 from repro.streaming.stats import StreamStats
 
 Point = Tuple[float, ...]
@@ -40,13 +42,14 @@ class StreamingSGBAny:
     Parameters
     ----------
     eps:
-        Similarity threshold, strictly positive (the neighbor indexes are
-        sized by ε).
+        Similarity threshold, strictly positive (the grid index is sized
+        by ε).
     metric:
         ``"l2"``, ``"linf"``, ``"l1"``, or a Metric instance.
     index:
         ``"grid"`` (default; constant-cell probes), ``"rtree"``, or
-        ``"linear"`` (all-pairs baseline).
+        ``"linear"`` (all-pairs baseline) — any SGB-Any strategy name or
+        alias the batch operator accepts.
     count_distances:
         Wrap the metric in a counting proxy so
         ``stats.distance_computations`` is populated.
@@ -75,7 +78,7 @@ class StreamingSGBAny:
             from repro.core.stats import CountingMetric
 
             self.metric = CountingMetric(self.metric)
-        self._index = make_neighbor_index(
+        self._index = make_any_strategy(
             index, self.eps, self.metric, rtree_max_entries
         )
         self._uf = UnionFind()
@@ -108,6 +111,8 @@ class StreamingSGBAny:
         if self._closed:
             raise StreamStateError("streaming engine already closed by result()")
         pt, self._dim = validate_point(point, self._dim)
+        # Probe first: a point the index rejects leaves the engine as it was.
+        hits, neighbors = self._index.probe(pt)
         pid = len(self._points)
         self._points.append(pt)
         self._uf.add(pid)
@@ -115,7 +120,6 @@ class StreamingSGBAny:
         stats.points += 1
         stats.groups_created += 1
         stats.index_probes += 1
-        hits, neighbors = self._index.probe(pt)
         stats.candidates += hits
         before = self._uf.n_components
         for nb in neighbors:
@@ -138,15 +142,7 @@ class StreamingSGBAny:
         so a snapshot compares equal to the batch operator run on the same
         prefix.
         """
-        labels: List[int] = []
-        root_to_label: dict = {}
-        find = self._uf.find
-        for pid in range(len(self._points)):
-            root = find(pid)
-            label = root_to_label.get(root)
-            if label is None:
-                label = root_to_label[root] = len(root_to_label)
-            labels.append(label)
+        labels = component_labels(self._uf, len(self._points))
         return GroupingResult(labels, self._points)
 
     def result(self) -> GroupingResult:

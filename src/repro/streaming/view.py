@@ -103,8 +103,10 @@ class StreamingGroupView:
                 f"streaming view {self.name!r}: grouping attributes must be "
                 f"numeric, got {coords!r}"
             ) from None
-        self._row_ids.append(row_id)
+        # Record the row only once the batcher accepted the point: a
+        # rejected row (NaN coordinate, ...) must not shift later ids.
         self.batcher.insert(point)
+        self._row_ids.append(row_id)
 
     # ------------------------------------------------------------------
     @property

@@ -1,9 +1,8 @@
 """Bit-identical membership parity across every index strategy.
 
-The index layer (STR bulk loading, Hilbert presorting, the static k-d
-tree) buys raw speed only — group labels must stay *bit-identical* to
-the linear scan on every workload shape, under both kernel backends, for
-both SGB modes.  Strategy choice is purely a performance decision; this
+The index layer (R-tree, uniform grid) buys raw speed only — group
+labels must stay *bit-identical* to the linear scan on every workload
+shape, under both kernel backends, for both SGB modes.  Strategy choice is purely a performance decision; this
 file is the contract that keeps it that way.
 """
 
@@ -12,14 +11,12 @@ import pytest
 from repro import kernels
 from repro.bench.experiments import skewed_points, uniform_points
 from repro.core.api import sgb_all, sgb_any
+from repro.stats.chooser import ANY_STRATEGIES
 
-ANY_STRATEGIES = [
-    "all-pairs", "index", "grid", "kdtree", "rtree-bulk", "hilbert-grid",
-]
 ALL_STRATEGIES = ["all-pairs", "bounds-checking", "index"]
 
 #: (name, points, eps) — dense, sparse, and cluster-skewed ε-graphs,
-#: plus heavy duplicates (zero-spread k-d segments, stacked grid cells).
+#: plus heavy duplicates (stacked grid cells).
 WORKLOADS = [
     ("dense", uniform_points(300, seed=1, span=10.0), 1.2),
     ("sparse", uniform_points(300, seed=2, span=100.0), 0.8),
@@ -75,9 +72,7 @@ class TestAllStrategyParity:
 class TestCrossBackendParity:
     """The same strategy must also agree with itself across backends."""
 
-    @pytest.mark.parametrize(
-        "strategy", ["kdtree", "rtree-bulk", "hilbert-grid"]
-    )
+    @pytest.mark.parametrize("strategy", ANY_STRATEGIES)
     def test_new_strategies_match_python_reference(self, backend, strategy):
         points, eps = WORKLOADS[0][1], WORKLOADS[0][2]
         with kernels.use_backend("python"):

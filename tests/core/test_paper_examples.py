@@ -6,11 +6,9 @@ from repro.core.api import sgb_all, sgb_any
 from repro.core.distance import L2, LINF
 from repro.core.groups import Group
 from repro.geometry.rectangle import Rect
+from repro.stats.chooser import ANY_STRATEGIES
 
 ALL_STRATEGIES = ["all-pairs", "bounds-checking", "index"]
-ANY_STRATEGIES = [
-    "all-pairs", "index", "grid", "kdtree", "rtree-bulk", "hilbert-grid",
-]
 
 # Figure 1's points (read off the 6x6 grid): a-e form a clique under
 # L-inf <= 3; c also cliques with f and g.

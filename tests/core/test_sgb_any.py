@@ -5,10 +5,9 @@ import pytest
 from repro.core.api import sgb_any
 from repro.core.sgb_any import SGBAnyOperator
 from repro.errors import InvalidParameterError
+from repro.stats.chooser import ANY_STRATEGIES
 
-STRATEGIES = [
-    "all-pairs", "index", "grid", "kdtree", "rtree-bulk", "hilbert-grid",
-]
+STRATEGIES = list(ANY_STRATEGIES)
 
 
 class TestParameterValidation:
@@ -25,10 +24,6 @@ class TestParameterValidation:
         # cannot represent it (cell side is eps), so the operator silently
         # takes the naive path instead of raising.
         op = SGBAnyOperator(eps=0, strategy="grid")
-        assert op.strategy_name == "all-pairs"
-
-    def test_hilbert_grid_eps_zero_falls_back_to_naive(self):
-        op = SGBAnyOperator(eps=0, strategy="hilbert-grid")
         assert op.strategy_name == "all-pairs"
 
     def test_grid_strategy_itself_rejects_eps_zero(self):

@@ -13,15 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.api import sgb_any
+from repro.stats.chooser import ANY_STRATEGIES
 from tests.conftest import connected_components, dist
 
 coord = st.floats(0, 10, allow_nan=False)
 points_strategy = st.lists(st.tuples(coord, coord), min_size=0, max_size=35)
 eps_strategy = st.floats(0.2, 4, allow_nan=False)
 
-STRATEGIES = [
-    "all-pairs", "index", "grid", "kdtree", "rtree-bulk", "hilbert-grid",
-]
+STRATEGIES = list(ANY_STRATEGIES)
 METRICS = ["l2", "linf"]
 
 

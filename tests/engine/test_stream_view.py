@@ -5,7 +5,11 @@ import pytest
 from repro import Database
 from repro.core.api import sgb_any
 from repro.engine.shell import Shell
-from repro.errors import CatalogError, InvalidParameterError
+from repro.errors import (
+    CatalogError,
+    InvalidCoordinateError,
+    InvalidParameterError,
+)
 
 
 def make_db():
@@ -90,6 +94,28 @@ class TestStreamViewLifecycle:
         rows = view.group_rows()
         assert rows[0] == [0, 1]  # the two clustered rows
         assert rows[1] == [2]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejected_row_does_not_shift_later_row_ids(self, bad):
+        db = make_db()
+        view = db.create_stream_view("g", "pts", ["x", "y"], eps=1.0)
+        with pytest.raises(InvalidCoordinateError):
+            db.insert("pts", [(bad, 0.2)])  # table row 3, never ingested
+        db.insert("pts", [(20.0, 20.0), (20.5, 20.0)])  # rows 4 and 5
+        assert view.n_points == 5
+        assert view.group_rows() == [[0, 1], [4, 5], [2]]
+
+    def test_cell_overflow_is_a_typed_error(self):
+        # 1e308 // eps overflows the grid's cell number; the buffered row
+        # is rejected by the flush that reaches it.
+        db = make_db()
+        view = db.create_stream_view("g", "pts", ["x", "y"], eps=0.5)
+        with pytest.raises(InvalidCoordinateError):
+            db.insert("pts", [(1e308, 0.2)])
+            view.snapshot()
+        rtree = db.create_stream_view("r", "pts", ["x", "y"], eps=0.5,
+                                      index="rtree")
+        assert rtree.snapshot().n_points == 4
 
 
 class TestShellStreamCommand:

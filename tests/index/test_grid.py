@@ -104,14 +104,10 @@ class TestGridIndex:
         incremental = GridIndex(0.5)
         for pt, i in items:
             incremental.insert(pt, i)
-        for presort in ("hilbert", "none"):
-            bulk = GridIndex.bulk_build(items, cell_size=0.5,
-                                        presort=presort)
-            assert len(bulk) == len(incremental)
-            w = Rect((-5, -5), (5, 5))
-            assert sorted(bulk.search(w)) == sorted(incremental.search(w))
-        with pytest.raises(InvalidParameterError):
-            GridIndex.bulk_build(items, cell_size=0.5, presort="zorder")
+        bulk = GridIndex.bulk_build(items, cell_size=0.5)
+        assert len(bulk) == len(incremental)
+        w = Rect((-5, -5), (5, 5))
+        assert sorted(bulk.search(w)) == sorted(incremental.search(w))
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_fuzz_against_brute_force(self, seed):

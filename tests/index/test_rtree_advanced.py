@@ -78,34 +78,6 @@ class TestBulkLoad:
                       if w.contains_point(p))
         assert got == want
 
-    def test_hilbert_presort_same_answers(self):
-        rng = random.Random(8)
-        points = [(rng.uniform(0, 100), rng.uniform(0, 100))
-                  for _ in range(400)]
-        str_tree = RTree.bulk_load(point_entries(points), max_entries=8,
-                                   presort="str")
-        hil_tree = RTree.bulk_load(point_entries(points), max_entries=8,
-                                   presort="hilbert")
-        hil_tree.check_invariants()
-        for _ in range(25):
-            x, y = rng.uniform(0, 85), rng.uniform(0, 85)
-            w = Rect((x, y), (x + 12, y + 12))
-            assert sorted(hil_tree.search(w)) == sorted(str_tree.search(w))
-
-    def test_hilbert_presort_packs_shallow(self):
-        points = [(i % 40, i // 40) for i in range(800)]
-        t = RTree.bulk_load(point_entries(points), max_entries=8,
-                            presort="hilbert")
-        inc = RTree(max_entries=8)
-        for rect, i in point_entries(points):
-            inc.insert(rect, i)
-        assert t.height() <= inc.height()
-
-    def test_unknown_presort_rejected(self):
-        from repro.errors import InvalidParameterError
-
-        with pytest.raises(InvalidParameterError):
-            RTree.bulk_load(point_entries([(1, 1)]), presort="zorder")
 
 
 class TestNearest:

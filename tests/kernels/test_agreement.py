@@ -15,6 +15,7 @@ import pytest
 
 from repro import Database, kernels
 from repro.core.api import sgb_all, sgb_any
+from repro.stats.chooser import ANY_STRATEGIES
 
 HAS_NUMPY = "numpy" in kernels.available_backends()
 needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
@@ -34,9 +35,7 @@ class TestBackendAgreement:
         with kernels.use_backend(backend):
             return fn(_points(self.N, seed=13), self.EPS, **kwargs).labels
 
-    @pytest.mark.parametrize("strategy", [
-        "all-pairs", "grid", "index", "kdtree", "rtree-bulk", "hilbert-grid",
-    ])
+    @pytest.mark.parametrize("strategy", ANY_STRATEGIES)
     def test_sgb_any_labels_identical(self, strategy):
         kwargs = dict(strategy=strategy)
         assert self._labels("numpy", sgb_any, **kwargs) == \

@@ -146,33 +146,6 @@ class TestPrimitiveParity:
         assert list(got) == list(expected) == []
 
 
-class TestBatchWindowQuery:
-    def test_parity_2d_and_3d(self):
-        for dim in (2, 3):
-            pts = _random_points(120, dim=dim, seed=9)
-            lo = tuple(2.0 for _ in range(dim))
-            hi = tuple(7.5 for _ in range(dim))
-            with kernels.use_backend("python"):
-                expected = kernels.batch_window_query(pts, lo, hi)
-            assert list(expected) == sorted(expected)
-            assert all(
-                all(l <= v <= h for v, l, h in zip(pts[i], lo, hi))
-                for i in expected
-            )
-            if HAS_NUMPY:
-                with kernels.use_backend("numpy"):
-                    got = kernels.batch_window_query(pts, lo, hi)
-                assert list(got) == list(expected)
-
-    def test_closed_boundaries(self):
-        pts = [(2.0, 2.0), (7.0, 7.0), (1.999, 5.0), (7.001, 5.0)]
-        for backend in kernels.available_backends():
-            with kernels.use_backend(backend):
-                assert list(
-                    kernels.batch_window_query(pts, (2, 2), (7, 7))
-                ) == [0, 1]
-
-
 class TestPointsInRect:
     def test_parity_2d_and_3d(self):
         for dim in (2, 3):

@@ -69,8 +69,8 @@ class TestFingerprint:
         # The chooser's pick is volatile; the fingerprint hashes the plan
         # shape only, so strategy flips don't split the aggregation.
         fp_grid = plan_fingerprint(sgb_plan("grid", "cost"))
-        fp_kd = plan_fingerprint(sgb_plan("kdtree", "config"))
-        assert fp_grid == fp_kd
+        fp_index = plan_fingerprint(sgb_plan("index", "config"))
+        assert fp_grid == fp_index
         assert len(fp_grid) == 16
 
     def test_different_shapes_differ(self):
@@ -191,7 +191,7 @@ def skewed_log_records():
         log.record_query("SELECT * FROM skewed ...",
                          sgb_plan("grid", "cost", est_rows=10), 100, 0.004)
     log.record_query("SELECT * FROM skewed ...",
-                     sgb_plan("kdtree", "cost", est_rows=10), 90, 0.004)
+                     sgb_plan("index", "cost", est_rows=10), 90, 0.004)
     for _ in range(3):
         log.record_query("SELECT * FROM uniform ...",
                          FakeNode("Project(x)",
@@ -210,7 +210,7 @@ class TestAggregation:
         assert worst["median_ratio"] == pytest.approx(10.0)
         assert worst["worst_ratio"] == pytest.approx(10.0)
         # Strategy flips collapse into the same fingerprint group.
-        assert worst["strategies"] == ["grid/cost", "kdtree/cost"]
+        assert worst["strategies"] == ["grid/cost", "index/cost"]
         assert groups[1]["drifted"] == 0
         assert groups[1]["median_ratio"] == pytest.approx(1.1)
 

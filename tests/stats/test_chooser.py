@@ -1,6 +1,7 @@
 """Unit tests for the SGB strategy chooser (repro.stats.chooser)."""
 
 from repro.stats.chooser import (
+    ANY_STRATEGIES,
     AUTO,
     SMALL_INPUT,
     choose_parallel,
@@ -37,30 +38,11 @@ class TestChooseStrategy:
 
     def test_no_density_uses_moderate_default(self):
         strategy, _, _ = choose_strategy("any", 5000, None, 0.5)
-        assert strategy in ("all-pairs", "grid", "index", "kdtree")
-
-    def test_batch_strategies_ranked_for_any(self):
-        _, _, costs = choose_strategy("any", 5000, 4.0, 0.5)
-        for name in ("kdtree", "rtree-bulk", "hilbert-grid"):
-            assert name in costs
-
-    def test_mid_density_moderate_n_prefers_kdtree(self):
-        # n=800, k~17: the k-d tree's flat leaf-batch dispatch beats the
-        # grid's linear-in-k cell scans (bench_planner quick-cell regime).
-        strategy, _, costs = choose_strategy("any", 800, 17.0, 1.5)
-        assert strategy == "kdtree"
-        assert costs["kdtree"] < costs["grid"]
+        assert strategy in ANY_STRATEGIES
 
     def test_mid_density_large_n_prefers_grid(self):
-        # Same density at n=4000: the tree's O(log n) pure-python build
-        # has eaten the advantage; the grid takes over.
         strategy, _, _ = choose_strategy("any", 4000, 24.0, 0.3)
         assert strategy == "grid"
-
-    def test_high_density_prefers_grid_over_kdtree(self):
-        # k~84: the ε-expanded leaf windows over-gather quadratically.
-        _, _, costs = choose_strategy("any", 4000, 84.0, 1.5)
-        assert costs["grid"] < costs["kdtree"]
 
 
 class TestChooseParallel:

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from repro.engine.database import Database
+from repro.stats.chooser import ANY_STRATEGIES
 
 SGB_SQL = (
     "SELECT min(id), count(*) FROM pts "
@@ -103,31 +104,9 @@ class TestChooserSurface:
 
     def test_choice_invariant_memberships(self, db):
         auto_rows = sorted(db.execute(SGB_SQL).rows)
-        for forced in ("all-pairs", "index", "grid", "kdtree",
-                       "rtree-bulk", "hilbert-grid"):
+        for forced in ANY_STRATEGIES:
             forced_db = _populated(sgb_any_strategy=forced)
             assert sorted(forced_db.execute(SGB_SQL).rows) == auto_rows, forced
-
-    def test_chooser_picks_kdtree_on_mid_density(self):
-        # Mid-density band at moderate n is where the k-d tree's
-        # leaf-batched probes beat both the grid (whose model cost
-        # grows linearly with occupancy) and all-pairs — the chooser
-        # must pick it from stats alone, with provenance.
-        from repro.bench.experiments import uniform_points
-
-        db = Database()
-        db.execute("CREATE TABLE pts (id int, x float, y float)")
-        db.table("pts").insert_many(
-            [(i, x, y) for i, (x, y) in enumerate(uniform_points(800))]
-        )
-        db.execute("ANALYZE")
-        plan = db.explain(
-            "SELECT min(id), count(*) FROM pts "
-            "GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 1.5"
-        )
-        assert "strategy=kdtree/stats" in plan
-        forced = re.sub(r"\s+", " ", plan)
-        assert "SimilarityGroupBy" in forced
 
     def test_partition_parallel_flag_still_wins(self):
         db = _populated(parallel=1)

@@ -14,6 +14,10 @@ import zlib
 import pytest
 
 from repro.core.api import sgb_all, sgb_any, sgb_stream
+from repro.core.sgb_any import SGBAnyOperator
+from repro.obs.metrics import MetricBag
+from repro.stats.chooser import ANY_STRATEGIES
+from repro.streaming import StreamingSGBAny
 
 METRICS = ["l2", "linf", "l1"]
 EPS_VALUES = [0.3, 0.9, 2.5]
@@ -83,6 +87,25 @@ class TestAnyEquivalence:
         part_b = {frozenset(shuffled[i] for i in g)
                   for g in b.groups().values()}
         assert part_a == part_b
+
+    @pytest.mark.parametrize("kind", ANY_STRATEGIES)
+    @pytest.mark.parametrize("metric", ["l2", "linf"])
+    def test_same_index_same_work(self, kind, metric):
+        """Batch and streaming run one index: equal labels and equal
+        probe / candidate / distance counts, not merely equal groups.
+        eps 2.5 fills the probes past the kernels' vectorization
+        thresholds as the stream grows, so both code paths count."""
+        pts = random_points(400, seed=stable_seed(kind, metric))
+        bag = MetricBag()
+        batch = SGBAnyOperator(2.5, metric, strategy=kind, metrics=bag)
+        labels = batch.add_many(pts).finalize().labels
+        stream = StreamingSGBAny(2.5, metric, index=kind,
+                                 count_distances=True)
+        stream.extend(pts)
+        assert stream.snapshot().labels == labels
+        for counter in ("index_probes", "candidates",
+                        "distance_computations"):
+            assert getattr(stream.stats, counter) == bag.get(counter), counter
 
 
 class TestAllEquivalence:
