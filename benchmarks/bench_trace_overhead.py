@@ -3,10 +3,11 @@
 
 Three measurements over the same SGB-Any workload:
 
-* **baseline** — the pre-PR hot path, replicated verbatim: the operator's
-  ingest loop with every ``if bag is not None`` / ``maybe_span`` guard
-  *removed* (the add() body as it was before the instrumentation hooks
-  landed).  This is what the ≤5% acceptance bound compares against.
+* **baseline** — the operator's batch work with nothing around it: the
+  same input check, the kernel ε-join folded into components and the
+  result object, with every ``if bag is not None`` / ``maybe_span``
+  guard *removed*.  This is what the ≤5% acceptance bound compares
+  against.
 * **off** — the public path with tracing and metrics disabled (the
   default): identical work plus the guard branches.  The asserted claim
   is ``off/baseline <= threshold`` (default 1.05).
@@ -36,12 +37,16 @@ import argparse
 import json
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench.experiments import uniform_points  # noqa: E402
 from repro.bench.harness import bench_stamp  # noqa: E402
+from repro import kernels  # noqa: E402
+from repro.core.distance import L2  # noqa: E402
+from repro.core.result import GroupingResult  # noqa: E402
 from repro.core.sgb_any import SGBAnyOperator  # noqa: E402
 from repro.obs.metrics import MetricBag  # noqa: E402
 from repro.obs.trace import Tracer  # noqa: E402
@@ -50,45 +55,21 @@ EPS = 1.0  # uniform_points spans a 20x20 square; ~Fig. 9 mid-density.
 STRATEGY = "grid"
 
 
-def _pre_pr_add(op, point) -> None:
-    """``SGBAnyOperator.add`` as it was before this PR, verbatim.
-
-    The pre-PR body already carried the ``bag = self.metrics`` /
-    ``if bag is not None`` counter guards; what the observability PR added
-    to the disabled path is only the probe-latency timer plumbing around
-    the probe and the ``maybe_span`` handles in ``add_many`` /
-    ``finalize``.  Replicating the old body exactly (same per-call
-    attribute lookups, same validation) makes the off/baseline ratio
-    measure precisely that addition.
-    """
-    if op._finalized:
-        raise RuntimeError("operator already finalized")
-    pt = tuple(float(v) for v in point)
-    if op._dim is None:
-        op._dim = len(pt)
-    elif len(pt) != op._dim:
-        raise ValueError(f"point dimension {len(pt)} != {op._dim}")
-    pid = len(op._points)
-    op._points.append(pt)
-    op._uf.add(pid)
-    bag = op.metrics
-    if bag is not None:
-        bag.incr("points")
-        bag.incr("groups_created")
-        before = op._uf.n_components
-    for nb in op._strategy.probe(pt)[1]:
-        op._uf.union(pid, nb)
-    if bag is not None:
-        bag.incr("groups_merged", before - op._uf.n_components)
-    op._strategy.insert(pid, pt)
-
-
 def run_baseline(points) -> int:
-    """The pre-PR ingest hot loop (``add_many`` was a bare for-loop)."""
-    op = SGBAnyOperator(eps=EPS, strategy=STRATEGY)
-    for p in points:
-        _pre_pr_add(op, p)
-    return op.finalize().n_groups
+    """``SGBAnyOperator.add_many`` + ``finalize`` for the grid strategy
+    with the observability hooks taken out (no spans, no bag guards, no
+    counter tally); everything else — the float-tuple check, the join,
+    the component fold, the result — is the operator's own work."""
+    pts = points if isinstance(points, list) else list(points)
+    if not (set(map(type, pts)) <= {tuple}
+            and set(map(type, chain.from_iterable(pts))) <= {float}):
+        pts = [tuple(float(v) for v in p) for p in pts]
+    if len(set(map(len, pts))) > 1:
+        raise ValueError("mixed point dimensions")
+    components = kernels.make_components(len(pts))
+    for us, vs, _ in kernels.eps_self_join(pts, EPS, L2, False):
+        components.add_edges(us, vs)
+    return GroupingResult(components.labels(), pts).n_groups
 
 
 def run_off(points) -> int:

@@ -4,34 +4,52 @@ Groups are the connected components of the ε-neighbourhood graph: a point
 belongs to a group if it is within ``ε`` of at least one other member.  When
 a new point touches several groups they merge, so no overlap clause exists.
 
-The operator is one loop (Procedures 7–9): probe an index over the points
-seen so far, union the new point with every ε-neighbour, insert it.  The
-index behind ``FindCandidateGroups`` is one of three strategies sharing a
-``probe`` / ``insert`` interface:
+The components do not depend on the order points are processed in, so the
+operator has two forms over one family of ε-neighbour strategies:
+
+* streaming (Procedures 7–9,
+  :class:`~repro.streaming.any_engine.StreamingSGBAny`): ``probe`` an index
+  over the points seen so far, union the new point with every ε-neighbour,
+  ``insert`` it;
+* batch (:class:`SGBAnyOperator`, which only ever runs on a fully spooled
+  input): ask the strategy for every ε-edge of the whole input at once
+  (``edge_blocks``) and fold the blocks into components.
+
+The strategies (:func:`make_any_strategy` builds them for both forms):
 
 * :class:`NaiveAnyStrategy` — scan every previously processed point (O(n²));
 * :class:`RTreeAnyStrategy` — Procedure 8: an R-tree over processed points
-  answers the ε-box window query, L2 candidates are verified exactly, and a
-  Union-Find forest tracks created/merged groups (Procedure 9);
-* :class:`GridAnyStrategy` — ablation: a uniform hash grid instead of the
-  R-tree (same window-query contract).
+  answers the ε-box window query, L2 candidates are verified exactly;
+* :class:`GridAnyStrategy` — a uniform grid of cell side ε, the planner's
+  batch default on every check-in statement: in batch one set-at-a-time
+  ε-self-join over the binned input (:func:`repro.kernels.eps_self_join`),
+  in streaming a hash-grid window probe per arriving point.
 
-Because the components do not depend on the order points are processed in,
-the same strategies serve the batch :class:`SGBAnyOperator` and the
-incremental :class:`~repro.streaming.any_engine.StreamingSGBAny`
-(:func:`make_any_strategy` builds them for both), and all three produce
-bit-identical group memberships.
+The first two answer ``edge_blocks`` with their probe/insert loop.  All
+three produce bit-identical group memberships in both forms.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from itertools import chain
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro import kernels
+from repro.kernels import EdgeBlock
 from repro.core.distance import Metric, resolve_metric
 from repro.core.result import GroupingResult
-from repro.dsu.union_find import UnionFind
 from repro.errors import DimensionMismatchError, InvalidParameterError
 from repro.geometry.rectangle import Rect
 from repro.index.grid import GridIndex
@@ -41,18 +59,49 @@ from repro.obs.trace import Tracer, maybe_span
 
 Point = Tuple[float, ...]
 
+#: Edges a probe/insert loop buffers before handing a block on.
+EDGE_BLOCK = 1 << 16
+
+_nextafter = math.nextafter
+
+
+def _probe_window(point: Point, eps: float) -> Rect:
+    """The ε-box of a probe, widened (:data:`repro.kernels.EPS_WIDEN`) so
+    that it gathers every point the symmetric test ``|p_i - q_i| <= eps``
+    accepts, from whichever side the pair is probed; ``Rect.eps_box`` does
+    not.  The window only gathers, the symmetric test decides.
+    """
+    wide = eps * kernels.EPS_WIDEN
+    down, up = -math.inf, math.inf
+    if len(point) == 2:  # common case, unrolled for speed
+        x, y = point
+        return Rect._make(
+            (_nextafter(x - wide, down), _nextafter(y - wide, down)),
+            (_nextafter(x + wide, up), _nextafter(y + wide, up)),
+        )
+    return Rect._make(
+        tuple(_nextafter(v - wide, down) for v in point),
+        tuple(_nextafter(v + wide, up) for v in point),
+    )
+
 
 class _AnyStrategyBase:
-    """An ε-neighbour index over the points seen so far.
+    """An ε-neighbour index, in a streaming and a batch form.
 
-    ``probe`` answers one ε-range query as ``(n_candidates, neighbour
-    ids)`` — the raw entries the index returned before exact
-    verification (points scanned, for the naive strategy) and the ids
-    actually within ε; ``insert`` adds the probed point afterwards.  The
-    batch operator and :class:`~repro.streaming.any_engine.StreamingSGBAny`
-    run the same probe-union-insert loop over these classes.  Every
-    strategy verifies candidates against one backend-native point store
-    (vectorized under the numpy backend, ``within`` loops otherwise).
+    Streaming: ``probe`` answers one ε-range query over the points seen
+    so far as ``(n_candidates, neighbour ids)`` — the raw entries the
+    index returned before exact verification (points scanned, for the
+    naive strategy) and the ids actually within ε; ``insert`` adds the
+    probed point afterwards.
+    :class:`~repro.streaming.any_engine.StreamingSGBAny` runs that loop.
+
+    Batch: ``edge_blocks`` yields every ε-edge of a whole input, each
+    unordered pair once; :class:`SGBAnyOperator` folds the blocks into
+    components.  The default is the probe/insert loop over the input.
+
+    Every strategy verifies candidates against one backend-native point
+    store (vectorized under the numpy backend, ``within`` loops
+    otherwise).
     """
 
     name = "abstract"
@@ -61,11 +110,13 @@ class _AnyStrategyBase:
         self.eps = eps
         self.metric = metric
         self._store = kernels.make_point_store()
-        #: Set by an owner that collects metrics: every bulk verification
-        #: pass is timed into its ``distance_batch_latency`` histogram.
+        #: Set by an owner that collects metrics: every probe (every
+        #: verification block, for a join) is timed into ``probe_latency``
+        #: and every bulk verification pass into
+        #: ``distance_batch_latency``.
         self.metrics: Optional[MetricBag] = None
         #: Cleared by an owner that never reads the candidate tally (the
-        #: numpy grid probe then skips the extra box-count pass).
+        #: numpy grid then skips the extra box-count pass).
         self.count_candidates = True
 
     def probe(self, point: Point) -> Tuple[int, List[int]]:
@@ -76,12 +127,46 @@ class _AnyStrategyBase:
         stored = self._store.append(point)
         assert point_id == stored, "ids must be dense and ordered"
 
+    def edge_blocks(self, points: Sequence[Point]) -> Iterator[EdgeBlock]:
+        """Every ε-edge among ``points`` (ids are positions)."""
+        bag = self.metrics
+        us: List[int] = []
+        vs: List[int] = []
+        candidates = 0
+        for pid, point in enumerate(points):
+            if bag is None:
+                hits, neighbors = self.probe(point)
+            else:
+                t0 = time.perf_counter()
+                hits, neighbors = self.probe(point)
+                bag.observe("probe_latency", time.perf_counter() - t0)
+            candidates += hits
+            us.extend([pid] * len(neighbors))
+            vs.extend(neighbors)
+            self.insert(pid, point)
+            if len(us) >= EDGE_BLOCK:
+                yield us, vs, candidates
+                us, vs, candidates = [], [], 0
+        if us or candidates:
+            yield us, vs, candidates
+
     def _verify(self, query: Callable[..., Any], *args: Any) -> Any:
         """Run one bulk distance-verification pass of the point store."""
         if self.metrics is None:
             return query(*args)
         with self.metrics.hist_timer("distance_batch_latency"):
             return query(*args)
+
+    def _window_probe(self, gathered: List[int],
+                      point: Point) -> Tuple[int, List[int]]:
+        """The verify half of a window probe: keep the gathered ids whose
+        point passes ``|p_i - q_i| <= eps`` on every axis (the candidates),
+        then the metric (one bulk pass)."""
+        neighbors, n_window = self._verify(
+            self._store.query_ids_eps_box,
+            gathered, point, self.eps, self.metric, self.count_candidates,
+        )
+        return n_window, neighbors
 
 
 class NaiveAnyStrategy(_AnyStrategyBase):
@@ -111,12 +196,8 @@ class RTreeAnyStrategy(_AnyStrategyBase):
         self._rtree = RTree(max_entries=rtree_max_entries)
 
     def probe(self, point: Point) -> Tuple[int, List[int]]:
-        hits = self._rtree.search(Rect.eps_box(point, self.eps))
-        if self.metric.name == "linf":
-            return len(hits), hits
-        # VerifyPoints: one bulk predicate pass over the leaf hits.
-        return len(hits), self._verify(
-            self._store.query_ids, hits, point, self.eps, self.metric
+        return self._window_probe(
+            self._rtree.search(_probe_window(point, self.eps)), point
         )
 
     def insert(self, point_id: int, point: Point) -> None:
@@ -125,7 +206,8 @@ class RTreeAnyStrategy(_AnyStrategyBase):
 
 
 class GridAnyStrategy(_AnyStrategyBase):
-    """Uniform-grid variant (ablation; see DESIGN.md)."""
+    """Uniform grid of cell side ε: a whole-input ε-self-join in batch,
+    a hash-grid window probe per point in streaming."""
 
     name = "grid"
 
@@ -140,16 +222,38 @@ class GridAnyStrategy(_AnyStrategyBase):
     def probe(self, point: Point) -> Tuple[int, List[int]]:
         # Gather candidate ids from the cell neighbourhood, then run the
         # window-containment + distance verification as one bulk pass.
-        ids = self._grid.items_in_cell_range(Rect.eps_box(point, self.eps))
-        neighbors, n_window = self._verify(
-            self._store.query_ids_eps_box,
-            ids, point, self.eps, self.metric, self.count_candidates,
+        return self._window_probe(
+            self._grid.items_in_cell_range(_probe_window(point, self.eps)),
+            point,
         )
-        return n_window, neighbors
 
     def insert(self, point_id: int, point: Point) -> None:
         self._grid.insert(point, point_id)
         self._store.append(point)
+
+    def edge_blocks(self, points: Sequence[Point]) -> Iterator[EdgeBlock]:
+        blocks = kernels.eps_self_join(
+            points, self.eps, self.metric, self.count_candidates
+        )
+        bag = self.metrics
+        if bag is None:
+            return blocks
+        return _timed_blocks(blocks, bag)
+
+
+def _timed_blocks(blocks: Iterator[EdgeBlock],
+                  bag: MetricBag) -> Iterator[EdgeBlock]:
+    """Pass join blocks through, timing each (pair expansion and its one
+    verification pass) into both latency histograms."""
+    while True:
+        t0 = time.perf_counter()
+        block = next(blocks, None)
+        if block is None:
+            return
+        elapsed = time.perf_counter() - t0
+        bag.observe("probe_latency", elapsed)
+        bag.observe("distance_batch_latency", elapsed)
+        yield block
 
 
 #: The one alias table: SQL / API strategy names and the streaming
@@ -186,28 +290,14 @@ def make_any_strategy(kind: str, eps: float, metric: Metric,
     return strategy_cls(eps, metric)
 
 
-def component_labels(uf: UnionFind, n_points: int) -> List[int]:
-    """Dense labels for point ids ``0..n_points-1``, numbered in order of
-    first appearance over insertion order."""
-    labels: List[int] = []
-    root_to_label: dict = {}
-    find = uf.find
-    for pid in range(n_points):
-        root = find(pid)
-        label = root_to_label.get(root)
-        if label is None:
-            label = root_to_label[root] = len(root_to_label)
-        labels.append(label)
-    return labels
-
-
 class SGBAnyOperator:
-    """Streaming SGB-Any operator (Procedure 7).
+    """Batch SGB-Any operator: buffer the input, group it at ``finalize``.
 
-    Each arriving point is unioned with every ε-neighbour already seen; the
-    Union-Find forest merges groups on contact (Procedure 9,
-    ``MergeGroupsInsert``), so the final components are exactly the connected
-    components of the ε-graph regardless of input order.
+    The groups are the connected components of the ε-graph (Procedure 9's
+    ``MergeGroupsInsert`` applied to every ε-edge), which do not depend on
+    input order, so nothing is grouped until the whole input is buffered:
+    ``finalize`` asks the strategy for the ε-edges of the input and folds
+    them into a backend-native component structure.
     """
 
     def __init__(
@@ -238,7 +328,6 @@ class SGBAnyOperator:
         # The candidate tally feeds the ``candidates`` counter and the
         # CountingMetric charge; both imply a counting metric here.
         self._strategy.count_candidates = hasattr(self.metric, "calls")
-        self._uf = UnionFind()
         self._points: List[Point] = []
         self._dim: Optional[int] = None
         self._finalized = False
@@ -259,58 +348,65 @@ class SGBAnyOperator:
             )
         return calls
 
+    def _check_dims(self, dims: Iterable[int]) -> None:
+        for dim in dims:
+            if self._dim is None:
+                if dim < 1:
+                    raise InvalidParameterError(
+                        "points must have >= 1 dimension"
+                    )
+                self._dim = dim
+            elif dim != self._dim:
+                raise DimensionMismatchError(
+                    f"point dimension {dim} != {self._dim}"
+                )
+
     def add(self, point: Sequence[float]) -> None:
         if self._finalized:
             raise RuntimeError("operator already finalized")
         pt = tuple(float(v) for v in point)
-        if self._dim is None:
-            self._dim = len(pt)
-            if self._dim < 1:
-                raise InvalidParameterError("points must have >= 1 dimension")
-        elif len(pt) != self._dim:
-            raise DimensionMismatchError(
-                f"point dimension {len(pt)} != {self._dim}"
-            )
-        pid = len(self._points)
+        self._check_dims((len(pt),))
         self._points.append(pt)
-        self._uf.add(pid)
-        bag = self.metrics
-        if bag is None:
-            _, neighbors = self._strategy.probe(pt)
-        else:
-            bag.incr("points")
-            bag.incr("groups_created")
-            t0 = time.perf_counter()
-            n_candidates, neighbors = self._strategy.probe(pt)
-            bag.observe("probe_latency", time.perf_counter() - t0)
-            bag.incr("index_probes")
-            bag.incr("candidates", n_candidates)
-        before = self._uf.n_components
-        for nb in neighbors:
-            self._uf.union(pid, nb)
-        if bag is not None:
-            bag.incr("groups_merged", before - self._uf.n_components)
-        self._strategy.insert(pid, pt)
 
     def add_many(self, points: Iterable[Sequence[float]]) -> "SGBAnyOperator":
+        if self._finalized:
+            raise RuntimeError("operator already finalized")
         with maybe_span(self.tracer, "ingest",
                         strategy=self.strategy_name) as sp:
-            n0 = len(self._points)
-            for p in points:
-                self.add(p)
-            sp.set(points=len(self._points) - n0)
+            pts = points if isinstance(points, list) else list(points)
+            # A list of float tuples (what the SQL spool and the array API
+            # hand over) is taken as it is; anything else is coerced.
+            if not (set(map(type, pts)) <= {tuple}
+                    and set(map(type, chain.from_iterable(pts))) <= {float}):
+                pts = [tuple(float(v) for v in p) for p in pts]
+            self._check_dims(set(map(len, pts)))
+            self._points.extend(pts)
+            sp.set(points=len(pts))
         return self
 
     def finalize(self) -> GroupingResult:
         if self._finalized:
             raise RuntimeError("operator already finalized")
         self._finalized = True
-        if self.metrics is not None:
-            self.metrics.incr(
+        points = self._points
+        n = len(points)
+        with maybe_span(self.tracer, "finalize", points=n) as sp:
+            components = kernels.make_components(n)
+            candidates = 0
+            for us, vs, hits in self._strategy.edge_blocks(points):
+                candidates += hits
+                components.add_edges(us, vs)
+            labels = components.labels()
+            groups = components.n_components
+            sp.set(groups=groups)
+        bag = self.metrics
+        if bag is not None:
+            # One probe per point, each opening a group that edges merge.
+            for counter in ("points", "groups_created", "index_probes"):
+                bag.incr(counter, n)
+            bag.incr("candidates", candidates)
+            bag.incr("groups_merged", n - groups)
+            bag.incr(
                 "distance_computations", getattr(self.metric, "calls", 0)
             )
-        with maybe_span(self.tracer, "finalize",
-                        points=len(self._points)) as sp:
-            labels = component_labels(self._uf, len(self._points))
-            sp.set(groups=self._uf.n_components)
-        return GroupingResult(labels, self._points)
+        return GroupingResult(labels, points)

@@ -85,3 +85,18 @@ class UnionFind:
 
     def __iter__(self) -> Iterator[Hashable]:
         return iter(self._parent)
+
+
+def component_labels(uf: UnionFind, n_points: int) -> List[int]:
+    """Dense labels for point ids ``0..n_points-1``, numbered in order of
+    first appearance over insertion order."""
+    labels: List[int] = []
+    root_to_label: Dict[Hashable, int] = {}
+    find = uf.find
+    for pid in range(n_points):
+        root = find(pid)
+        label = root_to_label.get(root)
+        if label is None:
+            label = root_to_label[root] = len(root_to_label)
+        labels.append(label)
+    return labels

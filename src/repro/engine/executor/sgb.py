@@ -68,6 +68,8 @@ def _coordinate(value):
     so grouping-attribute failures stay inside the engine's error
     taxonomy wherever :func:`_coordinate` is called from.
     """
+    if type(value) is float:  # the common case, ahead of the type ladder
+        return value
     if isinstance(value, _dt.date):
         return float(value.toordinal())
     if isinstance(value, _decimal.Decimal):
@@ -216,7 +218,7 @@ class SGBAggregate(PhysicalOperator):
         bag = self._obs.bag if self._obs is not None else None
         for row in self.child:
             coords = tuple(f(row) for f in key_fns)
-            if any(c is None for c in coords):
+            if None in coords:
                 # NULL grouping attributes cannot satisfy a distance
                 # predicate; such rows are excluded from similarity grouping
                 # (diverges from vanilla GROUP BY — see docs/sql_dialect.md).
@@ -224,7 +226,7 @@ class SGBAggregate(PhysicalOperator):
                     bag.incr("rows_skipped_null")
                 continue
             try:
-                point = tuple(_coordinate(c) for c in coords)
+                point = tuple(map(_coordinate, coords))
             except (TypeError, ValueError):
                 raise ExecutionError(
                     f"similarity grouping attributes must be numeric, "

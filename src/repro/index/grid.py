@@ -1,10 +1,15 @@
-"""Uniform grid index over points — an ablation alternative to the R-tree.
+"""Uniform grid index over points: the streaming form of SGB-Any ``grid``.
 
 SGB-Any only ever issues fixed-size window queries (side ``2ε``), which a
 hash grid with cell side ``ε`` answers by probing a constant number of
-neighbouring cells.  The benchmark suite compares this against the R-tree
-(``benchmarks/bench_ablation.py``) to quantify how much of the paper's
-speed-up comes from indexing per se versus the specific index structure.
+neighbouring cells.  ``grid`` is the planner's choice on every check-in
+statement; this incremental index serves it where points arrive one at a
+time (:class:`~repro.streaming.any_engine.StreamingSGBAny`, stream views:
+probe, then insert).  The batch operator sees its whole input at once and
+runs the same grid as a set-at-a-time ε-self-join instead
+(:func:`repro.kernels.eps_self_join`), binning by this module's cell
+function ``v // cell_size``.  ``benchmarks/bench_ablation.py`` compares
+the grid with the R-tree.
 """
 
 from __future__ import annotations

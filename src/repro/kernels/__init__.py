@@ -32,7 +32,14 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidParameterError
 
-from repro.kernels._protocols import Coords, MetricLike, Point
+from repro.kernels._protocols import (
+    EPS_WIDEN,
+    ComponentsLike,
+    Coords,
+    EdgeBlock,
+    MetricLike,
+    Point,
+)
 from repro.kernels import python_backend as _python
 
 BACKEND_ENV_VAR = "REPRO_BACKEND"
@@ -141,6 +148,18 @@ def batch_eps_neighbors(points: Sequence[Coords], probes: Sequence[Coords],
     return _impl.batch_eps_neighbors(points, probes, eps, metric)
 
 
+def eps_self_join(points: Sequence[Coords], eps: float, metric: MetricLike,
+                  count: bool = True) -> Iterator[EdgeBlock]:
+    """ε-self-join of a whole point set: every unordered pair within
+    ``eps`` once, in bounded ``(us, vs, n_box)`` edge blocks."""
+    return _impl.eps_self_join(points, eps, metric, count)
+
+
+def make_components(n: int) -> ComponentsLike:
+    """Backend-native connected components over ids ``0..n-1``."""
+    return _impl.make_components(n)
+
+
 def make_point_store() -> Any:
     """Backend-native append-only point collection (dense ids)."""
     return _impl.make_point_store()
@@ -159,7 +178,10 @@ def make_group_block() -> Optional[Any]:
 
 __all__ = [
     "BACKEND_ENV_VAR",
+    "ComponentsLike",
     "Coords",
+    "EPS_WIDEN",
+    "EdgeBlock",
     "MetricLike",
     "Point",
     "active_backend",
@@ -172,6 +194,8 @@ __all__ = [
     "all_within",
     "any_within",
     "batch_eps_neighbors",
+    "eps_self_join",
+    "make_components",
     "make_point_store",
     "make_rect_store",
     "make_group_block",

@@ -20,11 +20,20 @@ amortized O(d) with no list→array conversion on the query path.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import itertools
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.kernels._protocols import Coords, MetricLike, Point
+from repro.errors import InvalidCoordinateError
+from repro.kernels import python_backend as _python
+from repro.kernels._protocols import (
+    EPS_WIDEN,
+    Coords,
+    EdgeBlock,
+    MetricLike,
+    Point,
+)
 
 name = "numpy"
 
@@ -37,6 +46,16 @@ SMALL_BLOCK = 24
 #: box test, metric only on box hits), so its vectorization threshold
 #: sits higher.
 _EPS_BOX_FALLBACK = 96
+
+#: Candidate pairs the ε-self-join expands and verifies at a time: its
+#: working memory is O(n + JOIN_BLOCK) however dense the input.  On 5000
+#: check-ins 4096 pays for its per-block calls and 65536 for its cache
+#: misses (and 5 MB of peak RSS); between them the time is flat.
+JOIN_BLOCK = 1 << 13
+
+#: Cap on the cell-offset vectors the join enumerates (3^(d-1) half-space
+#: offsets for d binned axes); axes beyond it are left to verification.
+_JOIN_MAX_OFFSETS = 3**6
 
 
 def _metric_kind(metric: MetricLike) -> Tuple[str, float]:
@@ -61,10 +80,11 @@ def _charge(metric: MetricLike, n: int) -> None:
         metric.calls += n  # type: ignore[attr-defined]
 
 
-def _within_mask(coords: "np.ndarray", q: Coords, eps: float,
+def _within_mask(coords: "np.ndarray", q: Any, eps: float,
                  metric: MetricLike) -> Optional["np.ndarray"]:
-    """Boolean mask of rows of ``coords`` within ``eps`` of ``q``, or
-    None when the metric has no vectorized form."""
+    """Boolean mask of rows of ``coords`` within ``eps`` of ``q`` (one
+    point, or one row per row of ``coords``), or None when the metric
+    has no vectorized form."""
     kind, p = _metric_kind(metric)
     diff = coords - np.asarray(q, dtype=np.float64)
     if kind == "l2":
@@ -173,6 +193,196 @@ def any_within(points: Sequence[Coords], q: Coords, eps: float,
         return any(within(p, q, eps) for p in points)
     _charge(metric, len(points))
     return bool(mask.any())
+
+
+# ----------------------------------------------------------------------
+# whole-input ε-self-join and its component structure
+# ----------------------------------------------------------------------
+def eps_self_join(points: Sequence[Coords], eps: float, metric: MetricLike,
+                  count: bool = True) -> Iterator[EdgeBlock]:
+    """Every unordered pair of ``points`` within ``eps``, as edge blocks.
+
+    The points are binned by ``v // eps`` (the grid index's cell
+    function), sorted by a row-major cell key, and each point is paired
+    with the points after it in its own cell row and with those of every
+    lexicographically greater row, inside the cell range of its ε-box
+    corners: per half-space cell offset one ``searchsorted`` over the
+    whole input, then ``repeat``/``cumsum`` pair expansion and one
+    ``_within_mask`` per block of at most :data:`JOIN_BLOCK` pairs.
+
+    Yields ``(us, vs, n_box)``: edge endpoint ids (input positions) and
+    the number of the block's pairs with ``|p_i - q_i| <= eps`` on every
+    axis (0 unless ``count``).  A counting metric is charged ``n_box``
+    for the non-L∞ metrics — the python backend's ``within`` calls.
+    """
+    kind, _ = _metric_kind(metric)
+    if kind == "other":
+        yield from _python.eps_self_join(points, eps, metric, count)
+        return
+    coords = np.asarray(points, dtype=np.float64)
+    if coords.size == 0:
+        return
+    n, dim = coords.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        cells = np.floor_divide(coords, eps)
+        finite = np.isfinite(cells).all(axis=1)
+        if not finite.all():
+            bad = tuple(coords[int(np.argmin(finite))].tolist())
+            raise InvalidCoordinateError(
+                f"point {bad!r} has a coordinate the grid cannot index "
+                f"at cell side {eps}"
+            )
+        # Widened ε-box corners (EPS_WIDEN), located with the same
+        # monotone cell function: a partner's cell is in the range.
+        big = np.finfo(np.float64).max
+        wide = eps * EPS_WIDEN
+        lo = np.maximum(np.nextafter(coords - wide, -np.inf), -big)
+        hi = np.minimum(np.nextafter(coords + wide, np.inf), big)
+        base = cells.min(axis=0)
+        cells -= base
+        lo_cells = np.floor_divide(lo, eps) - base
+        hi_cells = np.floor_divide(hi, eps) - base
+        reach = np.maximum((cells - lo_cells).max(axis=0),
+                           (hi_cells - cells).max(axis=0))
+        width = cells.max(axis=0) + 2.0 * reach + 1.0
+    # Bin greedily by axis while the linear key fits an int64 and the
+    # offset enumeration stays bounded; an axis left out is only verified.
+    binned: List[int] = []
+    n_offsets, key_size = 1.0, 1.0
+    for axis in range(dim):
+        grown = n_offsets * (2.0 * reach[binned[-1]] + 1.0) if binned else 1.0
+        if not grown <= _JOIN_MAX_OFFSETS:
+            break
+        if width[axis] < 2.0**53 and key_size * width[axis] < 2.0**62:
+            binned.append(axis)
+            n_offsets, key_size = grown, key_size * width[axis]
+    # Row-major key over the binned axes, each shifted by its reach so an
+    # offset row never goes negative; the last binned axis (stride 1) is
+    # searched as a range, the ones before it by enumerated offsets.
+    key = np.zeros(n, dtype=np.int64)
+    last = lo_last = hi_last = key  # no axis binned: one cell holds all
+    strides: List[int] = []
+    for axis in binned:
+        last, lo_last, hi_last = (
+            (c[:, axis] + reach[axis]).astype(np.int64)
+            for c in (cells, lo_cells, hi_cells)
+        )
+        key = key * int(width[axis]) + last
+        strides = [s * int(width[axis]) for s in strides] + [1]
+    order = np.argsort(key, kind="stable")
+    skey = key[order]
+    scoords = coords[order]
+    row = skey - last[order]
+    lo_key = row + lo_last[order]
+    hi_key = row + hi_last[order]
+    after = np.arange(1, n + 1)
+    spans = [range(-int(reach[a]), int(reach[a]) + 1) for a in binned[:-1]]
+    for offset in itertools.product(*spans):
+        if offset < (0,) * len(offset):
+            continue  # the lexicographically smaller row pairs with us
+        shift = sum(o * s for o, s in zip(offset, strides))
+        start = np.searchsorted(skey, lo_key + shift, side="left")
+        stop = np.searchsorted(skey, hi_key + shift, side="right")
+        if not any(offset):  # own row: only the points sorted after us
+            start = np.maximum(start, after)
+        for i, j in _pair_blocks(start, stop):
+            a, b = scoords[i], scoords[j]
+            mask = _within_mask(a, b, eps, metric)
+            assert mask is not None
+            n_box = 0
+            if count:
+                if kind == "linf":
+                    n_box = int(np.count_nonzero(mask))
+                else:
+                    n_box = int(np.count_nonzero(
+                        (np.abs(a - b) <= eps).all(axis=1)))
+                    _charge(metric, n_box)
+            yield order[i[mask]], order[j[mask]], n_box
+
+
+def _pair_blocks(start: "np.ndarray", stop: "np.ndarray",
+                 ) -> Iterator[Tuple["np.ndarray", "np.ndarray"]]:
+    """Index arrays ``(i, j)`` enumerating ``j in [start[i], stop[i])``
+    for every ``i``, at most :data:`JOIN_BLOCK` pairs at a time."""
+    rows = np.flatnonzero(stop > start)
+    if rows.size == 0:
+        return
+    first = start[rows]
+    ends = np.cumsum(stop[rows] - first)
+    begins = ends - (stop[rows] - first)
+    total = int(ends[-1])
+    for lo in range(0, total, JOIN_BLOCK):
+        hi = min(lo + JOIN_BLOCK, total)
+        k0 = int(np.searchsorted(ends, lo, side="right"))
+        k1 = int(np.searchsorted(ends, hi - 1, side="right")) + 1
+        counts = (np.minimum(ends[k0:k1], hi)
+                  - np.maximum(begins[k0:k1], lo))
+        i = np.repeat(rows[k0:k1], counts)
+        j = np.arange(lo, hi) + np.repeat(first[k0:k1] - begins[k0:k1],
+                                          counts)
+        yield i, j
+
+
+class Components:
+    """Connected components of ``n`` ids under edge blocks: a parent
+    array hooked larger-root-to-smaller, so every root is the smallest
+    (first inserted) id of its component."""
+
+    backend = name
+
+    def __init__(self, n: int) -> None:
+        self._parent = np.arange(n, dtype=np.intp)
+
+    def _roots(self, ids: "np.ndarray") -> "np.ndarray":
+        parent = self._parent
+        roots = parent[ids]
+        while True:
+            above = parent[roots]
+            if np.array_equal(above, roots):
+                break
+            roots = above
+        parent[ids] = roots
+        return roots
+
+    def add_edges(self, us: Sequence[int], vs: Sequence[int]) -> None:
+        parent = self._parent
+        u = self._roots(np.asarray(us, dtype=np.intp))
+        v = self._roots(np.asarray(vs, dtype=np.intp))
+        while True:
+            cross = u != v
+            if not cross.any():
+                return
+            u, v = u[cross], v[cross]
+            hooked = np.maximum(u, v)
+            parent[hooked] = np.minimum(u, v)
+            # Only hooked roots changed parent, so every new chain runs
+            # through them alone: pointer-double them flat.
+            while True:
+                above = parent[hooked]
+                grand = parent[above]
+                if np.array_equal(grand, above):
+                    break
+                parent[hooked] = grand
+            u, v = parent[u], parent[v]
+
+    def _flatten(self) -> "np.ndarray":
+        parent = self._parent
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                return parent
+            self._parent = parent = grand
+
+    @property
+    def n_components(self) -> int:
+        parent = self._parent
+        return int(np.count_nonzero(parent == np.arange(len(parent))))
+
+    def labels(self) -> List[int]:
+        """Dense labels numbered by first appearance over id order."""
+        parent = self._flatten()
+        is_root = parent == np.arange(len(parent))
+        return (np.cumsum(is_root) - 1)[parent].tolist()
 
 
 # ----------------------------------------------------------------------
@@ -323,20 +533,18 @@ class PointStore:
                       metric: MetricLike) -> Tuple[List[int], int]:
         """Pure-python fallback, byte-identical to the python backend."""
         tuples = self._coords.tuples
+        # The symmetric form of the window test: ``q - eps <= v`` rounds
+        # differently from ``v - eps <= q`` at an exact-eps tie.
         dim2 = len(q) == 2
         if dim2:
-            lo0, lo1 = q[0] - eps, q[1] - eps
-            hi0, hi1 = q[0] + eps, q[1] + eps
-        else:
-            lo = [v - eps for v in q]
-            hi = [v + eps for v in q]
+            q0, q1 = q
         in_window: List[int] = []
         for i in ids:
             pt = tuples[i]
             if dim2:
-                ok = lo0 <= pt[0] <= hi0 and lo1 <= pt[1] <= hi1
+                ok = abs(pt[0] - q0) <= eps and abs(pt[1] - q1) <= eps
             else:
-                ok = all(l <= v <= h for v, l, h in zip(pt, lo, hi))
+                ok = all(abs(v - c) <= eps for v, c in zip(pt, q))
             if ok:
                 in_window.append(i)
         if metric.name == "linf":
@@ -466,6 +674,10 @@ class RectStore:
 
 def make_point_store() -> PointStore:
     return PointStore()
+
+
+def make_components(n: int) -> Components:
+    return Components(n)
 
 
 def make_rect_store(dim: int) -> RectStore:

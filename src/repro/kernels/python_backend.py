@@ -10,11 +10,25 @@ or ``REPRO_BACKEND=python`` forces this backend.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+import itertools
+import math
+import sys
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.kernels._protocols import Coords, MetricLike, Point
+from repro.dsu.union_find import UnionFind, component_labels
+from repro.errors import InvalidCoordinateError
+from repro.kernels._protocols import (
+    EPS_WIDEN,
+    Coords,
+    EdgeBlock,
+    MetricLike,
+    Point,
+)
 
 name = "python"
+
+#: Edges the ε-self-join buffers before handing a block on.
+JOIN_BLOCK = 1 << 16
 
 
 # ----------------------------------------------------------------------
@@ -78,6 +92,119 @@ def any_within(points: Sequence[Coords], q: Coords, eps: float,
 
 
 # ----------------------------------------------------------------------
+# whole-input ε-self-join and its component structure
+# ----------------------------------------------------------------------
+_Cell = Tuple[int, ...]
+
+
+def _cell_of(point: Coords, eps: float) -> _Cell:
+    """``GridIndex._cell_of``: the monotone cell function ``v // eps``."""
+    try:
+        return tuple(int(v // eps) for v in point)
+    except (OverflowError, ValueError):
+        raise InvalidCoordinateError(
+            f"point {tuple(point)!r} has a coordinate the grid cannot "
+            f"index at cell side {eps}"
+        ) from None
+
+
+def _corner_cell(v: float, eps: float) -> int:
+    """Cell of an ε-box corner; a corner that overflowed is clamped to
+    the edge of the float range, past every indexable point."""
+    top = sys.float_info.max
+    cell = max(-top, min(v, top)) // eps
+    return int(max(-top, min(cell, top)))
+
+
+def eps_self_join(points: Sequence[Coords], eps: float, metric: MetricLike,
+                  count: bool = True) -> Iterator[EdgeBlock]:
+    """Every unordered pair of ``points`` within ``eps``, as edge blocks.
+
+    The loop form of the numpy backend's join over one cell table: each
+    occupied cell, in lexicographic order, is paired with itself and with
+    the greater occupied cells inside the cell range its members' ε-box
+    corners span; a pair is an edge when ``|p_i - q_i| <= eps`` on every
+    axis and (for the metrics whose ball is smaller than the box)
+    ``metric.within`` holds.
+
+    Yields ``(us, vs, n_box)``: edge endpoint ids and the number of pairs
+    that passed the box test since the last block (``count`` is a hint
+    for backends whose tally costs extra; here it is a free byproduct).
+    """
+    table: Dict[_Cell, List[int]] = {}
+    for pid, point in enumerate(points):
+        table.setdefault(_cell_of(point, eps), []).append(pid)
+    occupied = sorted(table)
+    wide = eps * EPS_WIDEN  # a partner's cell always lies in the range
+    exact_box = metric.name == "linf"
+    within = metric.within
+    us: List[int] = []
+    vs: List[int] = []
+    n_box = 0
+    for rank, cell in enumerate(occupied):
+        members = table[cell]
+        lo = list(cell)
+        hi = list(cell)
+        for pid in members:
+            for axis, v in enumerate(points[pid]):
+                lo[axis] = min(lo[axis], _corner_cell(
+                    math.nextafter(v - wide, -math.inf), eps))
+                hi[axis] = max(hi[axis], _corner_cell(
+                    math.nextafter(v + wide, math.inf), eps))
+        volume = math.prod(h - l + 1 for l, h in zip(lo, hi))
+        if volume <= len(occupied) - rank:
+            partners: Iterable[_Cell] = (
+                other for other in itertools.product(
+                    *(range(l, h + 1) for l, h in zip(lo, hi)))
+                if other >= cell and other in table
+            )
+        else:
+            partners = (
+                other for other in occupied[rank:]
+                if all(l <= c <= h for c, l, h in zip(other, lo, hi))
+            )
+        for other in partners:
+            others = table[other]
+            for k, i in enumerate(members):
+                p = points[i]
+                for j in (members[k + 1:] if other == cell else others):
+                    q = points[j]
+                    if all(abs(a - b) <= eps for a, b in zip(p, q)):
+                        n_box += 1
+                        if exact_box or within(p, q, eps):
+                            us.append(i)
+                            vs.append(j)
+                if len(us) >= JOIN_BLOCK:
+                    yield us, vs, n_box
+                    us, vs, n_box = [], [], 0
+    if us or n_box:
+        yield us, vs, n_box
+
+
+class Components:
+    """Connected components of ``n`` ids under edge blocks (Union-Find)."""
+
+    backend = name
+
+    def __init__(self, n: int) -> None:
+        self._n = n
+        self._uf = UnionFind(range(n))
+
+    def add_edges(self, us: Sequence[int], vs: Sequence[int]) -> None:
+        union = self._uf.union
+        for u, v in zip(us, vs):
+            union(u, v)
+
+    @property
+    def n_components(self) -> int:
+        return self._uf.n_components
+
+    def labels(self) -> List[int]:
+        """Dense labels numbered by first appearance over id order."""
+        return component_labels(self._uf, self._n)
+
+
+# ----------------------------------------------------------------------
 # incremental stores
 # ----------------------------------------------------------------------
 class PointStore:
@@ -132,20 +259,18 @@ class PointStore:
         tally is a free byproduct.
         """
         points = self._points
+        # The symmetric form of the window test: ``q - eps <= v`` rounds
+        # differently from ``v - eps <= q`` at an exact-eps tie.
         dim2 = len(q) == 2
         if dim2:
-            lo0, lo1 = q[0] - eps, q[1] - eps
-            hi0, hi1 = q[0] + eps, q[1] + eps
-        else:
-            lo = [v - eps for v in q]
-            hi = [v + eps for v in q]
+            q0, q1 = q
         in_window: List[int] = []
         for i in ids:
             p = points[i]
             if dim2:
-                ok = lo0 <= p[0] <= hi0 and lo1 <= p[1] <= hi1
+                ok = abs(p[0] - q0) <= eps and abs(p[1] - q1) <= eps
             else:
-                ok = all(l <= v <= h for v, l, h in zip(p, lo, hi))
+                ok = all(abs(v - c) <= eps for v, c in zip(p, q))
             if ok:
                 in_window.append(i)
         if metric.name == "linf":
@@ -159,6 +284,10 @@ class PointStore:
 
 def make_point_store() -> PointStore:
     return PointStore()
+
+
+def make_components(n: int) -> Components:
+    return Components(n)
 
 
 def make_rect_store(dim: int) -> Optional["object"]:

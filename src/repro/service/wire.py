@@ -17,6 +17,8 @@ value                     encoding
 row (tuple)               JSON array; decoded back to a tuple
 nested list               JSON array; decoded back to a list
 int/float/str/bool/None   native JSON
+other ``numbers.Real``    as the builtin ``int`` / ``float`` it equals
+(numpy scalars)           (``np.bool_`` as ``bool``)
 ========================  =======================================
 
 The module doubles as the repo's *shared* result-serialization helper:
@@ -33,6 +35,7 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import math
+import numbers
 from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from repro.engine.database import QueryResult, StatementResult
@@ -57,13 +60,23 @@ def encode_value(value: Any) -> Any:
             return {"$f": "nan"}
         if math.isinf(value):
             return {"$f": "inf" if value > 0 else "-inf"}
-        return value
+        return value if type(value) is float else float(value)
     if isinstance(value, int) or isinstance(value, str):
         return value
     if isinstance(value, _dt.date):
         return {"$d": value.isoformat()}
     if isinstance(value, (list, tuple)):
         return [encode_value(v) for v in value]
+    # Numeric-tower values that are not the builtin types (numpy scalars
+    # out of a vectorized kernel): a correct answer must not turn into a
+    # failed request at the last step.
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real):
+        return encode_value(float(value))
+    if getattr(getattr(value, "dtype", None), "kind", "") == "b" \
+            and getattr(value, "shape", None) == ():
+        return bool(value)  # np.bool_ sits outside the numeric tower
     raise ServiceError(
         f"value of type {type(value).__name__} is not wire-serializable"
     )

@@ -103,9 +103,11 @@ def sgb_strategy_cost(mode: str, strategy: str, n: float,
     ranking tracks real wall clock on a pure-python build:
 
     * SGB-Any all-pairs is a quadratic scan with a tiny per-pair
-      constant, the grid pays a flat per-probe cell-gather overhead plus
-      the ε-neighbourhood candidates, and the R-tree pays a logarithmic
-      descent with python-object constants per level.
+      constant, the grid runs as one set-at-a-time ε-join (a per-point
+      term for binning, sorting and the range searches, plus a
+      per-candidate-pair term for the vectorized verification and
+      component fold), and the R-tree pays a logarithmic descent with
+      python-object constants per level.
     * SGB-All strategies additionally walk candidate *groups*: all-pairs
       re-checks every stored member and scans the group list (dominant
       when groups ≈ n), bounds-checking rejects most groups with one
@@ -133,7 +135,10 @@ def sgb_strategy_cost(mode: str, strategy: str, n: float,
             # probe: a flat dispatch overhead plus a small per-point term.
             per_point = 15.0 + 0.014 * n
         elif strategy == "grid":
-            per_point = 16.0 + 0.45 * k
+            # Whole-input join: 4.9-7.3 per point at k < 10, 9.5 at
+            # k = 84 and 24.0 at k = 335 (bench_planner's generators,
+            # n = 4000 / 16000).
+            per_point = 5.5 + 0.055 * k
         elif strategy in ("index", "indexed", "rtree"):
             per_point = 12.5 * math.log2(n + 1.0) + 1.4 * k
         else:

@@ -28,8 +28,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 from repro.core.api import check_eps, validate_point
 from repro.core.distance import Metric, resolve_metric
 from repro.core.result import GroupingResult
-from repro.core.sgb_any import component_labels, make_any_strategy
-from repro.dsu.union_find import UnionFind
+from repro.core.sgb_any import make_any_strategy
+from repro.dsu.union_find import UnionFind, component_labels
 from repro.errors import StreamStateError
 from repro.streaming.stats import StreamStats
 

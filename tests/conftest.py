@@ -19,8 +19,12 @@ def linf(p: Sequence[float], q: Sequence[float]) -> float:
     return max(abs(a - b) for a, b in zip(p, q))
 
 
+def l1(p: Sequence[float], q: Sequence[float]) -> float:
+    return sum(abs(a - b) for a, b in zip(p, q))
+
+
 def dist(p, q, metric: str) -> float:
-    return l2(p, q) if metric == "l2" else linf(p, q)
+    return {"l2": l2, "linf": linf, "l1": l1}[metric](p, q)
 
 
 def is_clique(points: Sequence[Point], members: Sequence[int], eps: float,

@@ -8,7 +8,8 @@ strategy and every ON-OVERLAP clause.
 
 import pytest
 
-from repro.core.api import sgb_all, sgb_any
+from repro import kernels
+from repro.core.api import sgb_all, sgb_any, sgb_stream
 from repro.core.sgb_all import SGBAllOperator
 from repro.obs import MetricBag
 
@@ -41,6 +42,21 @@ class TestExactEpsBoundary:
         result = sgb_any([(0.0, 0.0), (3.0, 4.0)], eps=5.0,
                          strategy=strategy)
         assert result.labels == [0, 0]
+
+    @pytest.mark.parametrize("backend", kernels.available_backends())
+    @pytest.mark.parametrize("strategy", ANY_STRATEGIES)
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_any_tie_does_not_depend_on_order(self, strategy, backend,
+                                              order):
+        # |-5e-324 - 0.1| rounds to exactly eps, but ``0.1 - 0.1`` rounds
+        # the probe window of 0.1 to [0.0, 0.2] — which excludes the
+        # denormal — and ``v // eps`` puts the pair two cells apart.  The
+        # window test used to find the pair from one side only.
+        pts = [(-5e-324, 0.0), (0.1, 0.0)][::order]
+        with kernels.use_backend(backend):
+            assert sgb_any(pts, 0.1, strategy=strategy).labels == [0, 0]
+            stream = sgb_stream("any", eps=0.1, index=strategy, points=pts)
+            assert stream.snapshot().labels == [0, 0]
 
     @pytest.mark.parametrize("metric", ["l1", "l2", "linf"])
     def test_boundary_closed_for_every_metric(self, metric):

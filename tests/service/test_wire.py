@@ -46,6 +46,24 @@ class TestValues:
         assert wire.encode_value(True) is True
         assert wire.decode_value(False) is False
 
+    def test_numpy_scalars_encode_as_builtins(self):
+        # A vectorized kernel hands back np.int64 counts and labels; the
+        # wire must not turn a correct answer into a failed request.
+        np = pytest.importorskip("numpy")
+        for value, expected in [
+            (np.int64(3), 3), (np.int32(-7), -7), (np.float64(1.5), 1.5),
+            (np.float32(0.25), 0.25), (np.bool_(True), True),
+            (np.bool_(False), False),
+        ]:
+            out = wire.encode_value(value)
+            assert out == expected and type(out) is type(expected), value
+        assert wire.encode_value(np.float64("nan")) == {"$f": "nan"}
+        assert wire.encode_value(np.float32("-inf")) == {"$f": "-inf"}
+        row = wire.encode_rows([(np.int64(2), np.float64("inf"))])
+        assert wire.loads(wire.dumps({"rows": row}))["rows"] == [
+            [2, {"$f": "inf"}]
+        ]
+
     def test_unserializable_type_raises(self):
         with pytest.raises(ServiceError, match="not wire-serializable"):
             wire.encode_value(object())
