@@ -551,7 +551,7 @@ def cost_model_validation(
     The primitives differ per strategy (distances vs rectangle tests vs
     node visits), so the comparison is about orderings and magnitudes.
     """
-    from repro.core.analysis import CostModel
+    from repro.bench.cost_model import CostModel
     from repro.core.sgb_all import SGBAllOperator
 
     if quick:

@@ -18,12 +18,11 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro import kernels
 from repro.core.distance import Metric
 from repro.core.parallel import (
+    label_partitions as _label_partitions,
     partition_seed as _partition_seed,
     resolve_workers as _resolve_workers,
-    run_partitions as _run_partitions,
 )
 from repro.core.result import GroupingResult
 from repro.core.sgb_all import SGBAllOperator
@@ -133,32 +132,26 @@ def _run_partitioned(
         raise InvalidParameterError(
             f"partitions has {len(keys)} entries for {len(pts)} points"
         )
-    buckets: dict = {}
-    order: list = []
+    buckets: dict = {}  # key -> (points, original row indices)
     for index, (pt, key) in enumerate(zip(pts, keys)):
         bucket = buckets.get(key)
         if bucket is None:
-            bucket = ([], [])  # (points, original row indices)
-            buckets[key] = bucket
-            order.append(key)
+            bucket = buckets[key] = ([], [])
         bucket[0].append(pt)
         bucket[1].append(index)
     tasks = []
-    for key in order:
+    for key, (part_pts, _indices) in buckets.items():
         kwargs = dict(op_kwargs)
         if base_seed is not None:
             kwargs["seed"] = _partition_seed(base_seed, (key,))
-        tasks.append((mode, buckets[key][0], kwargs))
-    results = _run_partitions(
-        tasks,
-        _resolve_workers(parallel),
-        backend=kernels.active_backend(),
-    )
+        tasks.append((mode, part_pts, kwargs))
     labels: List[int] = [0] * len(pts)
     offset = 0
-    for key, (part_labels, _obs) in zip(order, results):
+    for (_pts, indices), part_labels in zip(
+        buckets.values(), _label_partitions(tasks, _resolve_workers(parallel))
+    ):
         local_max = -1
-        for index, label in zip(buckets[key][1], part_labels):
+        for index, label in zip(indices, part_labels):
             labels[index] = label + offset if label >= 0 else -1
             if label > local_max:
                 local_max = label

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.core.api import check_eps, validate_point
 from repro.core.distance import Metric, resolve_metric
 from repro.core.result import ELIMINATED, GroupingResult
-from repro.errors import DimensionMismatchError, InvalidParameterError
+from repro.errors import InvalidParameterError
 
 Point = Tuple[float, ...]
 
@@ -39,28 +40,20 @@ def sgb_around_nd(
     [0, -1, 1]
     """
     m = resolve_metric(metric)
-    center_pts: List[Point] = [
-        tuple(float(v) for v in c) for c in centers
-    ]
+    center_pts: List[Point] = []
+    dim = None
+    for c in centers:
+        center, dim = validate_point(c, dim)
+        center_pts.append(center)
     if not center_pts:
         raise InvalidParameterError("GROUP AROUND needs at least one centre")
-    dim = len(center_pts[0])
-    for c in center_pts[1:]:
-        if len(c) != dim:
-            raise DimensionMismatchError(
-                f"centres have mixed dimensions: {dim} vs {len(c)}"
-            )
-    if eps is not None and eps < 0:
-        raise InvalidParameterError(f"eps must be non-negative, got {eps}")
+    if eps is not None:
+        eps = check_eps(eps)
 
     labels: List[int] = []
     pts: List[Point] = []
     for p in points:
-        pt = tuple(float(v) for v in p)
-        if len(pt) != dim:
-            raise DimensionMismatchError(
-                f"point dimension {len(pt)} != centre dimension {dim}"
-            )
+        pt, _ = validate_point(p, dim)
         pts.append(pt)
         best = 0
         best_d = m.distance(pt, center_pts[0])

@@ -140,6 +140,35 @@ class MinkowskiMetric(Metric):
         return True
 
 
+class CountingMetric(Metric):
+    """Transparent proxy that counts similarity-predicate evaluations.
+
+    The paper's speedups are about *avoiding distance computations* (the
+    filter-refine structures replace member scans with O(1) rectangle
+    tests), and wall-clock numbers in Python carry interpreter noise; the
+    ``distance``/``within`` call count is the machine-independent way to
+    verify the claimed savings.  The SGB operators wrap their metric in
+    one under ``count_distance_computations=True`` (or a ``metrics=`` bag)
+    and expose the tally as ``distance_computations``.
+    """
+
+    def __init__(self, inner: Metric):
+        self.inner = inner
+        self.name = inner.name  # strategies dispatch on the name
+        self.calls = 0
+
+    def distance(self, p: PointLike, q: PointLike) -> float:
+        self.calls += 1
+        return self.inner.distance(p, q)
+
+    def within(self, p: PointLike, q: PointLike, eps: float) -> bool:
+        self.calls += 1
+        return self.inner.within(p, q, eps)
+
+    def reset(self) -> None:
+        self.calls = 0
+
+
 #: Singleton instances; operators accept either these or the string names.
 L2 = EuclideanMetric()
 LINF = ChebyshevMetric()

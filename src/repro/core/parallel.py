@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 Point = Tuple[float, ...]
 
@@ -83,25 +83,39 @@ def resolve_workers(parallel: Optional[int]) -> int:
     return max(1, n)
 
 
-def make_operator(mode: str, **op_kwargs):
-    """Instantiate the batch operator for ``mode`` ('all' or 'any').
+def group_partition(index: int, mode: str, points: Sequence[Point],
+                    op_kwargs: dict, bag=None, tracer=None) -> List[int]:
+    """Group one partition in this process and return its labels.
+
+    The single per-partition path: the SQL executor's serial loop, the
+    array API's serial loop and the pool worker (:func:`run_partition`)
+    all come through here, so they cannot drift — same operator, same
+    ``partition`` span, same counters.  ``bag`` / ``tracer`` are the
+    *caller's* collectors (a :class:`~repro.obs.metrics.MetricBag` and a
+    :class:`~repro.obs.trace.Tracer`), written to directly; either may be
+    None.
 
     Imports are local so worker processes spawned before the operator
     modules were touched stay cheap to start.
     """
     if mode == "all":
-        from repro.core.sgb_all import SGBAllOperator
+        from repro.core.sgb_all import SGBAllOperator as operator_cls
+    elif mode == "any":
+        from repro.core.sgb_any import SGBAnyOperator as operator_cls
+    else:
+        raise ValueError(f"unknown SGB mode {mode!r}")
+    from repro.obs.trace import maybe_span
 
-        return SGBAllOperator(**op_kwargs)
-    if mode == "any":
-        from repro.core.sgb_any import SGBAnyOperator
-
-        return SGBAnyOperator(**op_kwargs)
-    raise ValueError(f"unknown SGB mode {mode!r}")
+    with maybe_span(tracer, "partition", partition=index, points=len(points),
+                    mode=mode, pid=os.getpid()):
+        operator = operator_cls(metrics=bag, tracer=tracer, **op_kwargs)
+        operator.add_many(points)
+        return operator.finalize().labels
 
 
 def run_partition(task: PartitionTask):
-    """Group one partition (module-level so it pickles for the pool).
+    """Pool-side wrapper (module-level so it pickles): build this task's
+    collectors, call :func:`group_partition`, pack what they collected.
 
     Returns ``(index, labels, payload)``; the payload dict is empty when
     the parent attached neither a metric bag nor a tracer, so workers
@@ -140,17 +154,8 @@ def run_partition(task: PartitionTask):
         profiler = SamplingProfiler(
             interval_s=interval_s, tracer=tracer, prefix=prefix
         ).start()
-    operator = make_operator(mode, metrics=bag, tracer=tracer, **op_kwargs)
     try:
-        if tracer is not None:
-            with tracer.span("partition", partition=index,
-                             points=len(points), mode=mode,
-                             pid=os.getpid()):
-                operator.add_many(points)
-                result = operator.finalize()
-        else:
-            operator.add_many(points)
-            result = operator.finalize()
+        labels = group_partition(index, mode, points, op_kwargs, bag, tracer)
     finally:
         if profiler is not None:
             profiler.stop()
@@ -166,7 +171,7 @@ def run_partition(task: PartitionTask):
         payload["spans"] = tracer.export_records()
     if profiler is not None and profiler.samples:
         payload["profile"] = profiler.state()
-    return index, result.labels, payload
+    return index, labels, payload
 
 
 def run_partitions(
@@ -178,50 +183,45 @@ def run_partitions(
     cancel=None,
     profile_context: Optional[ProfileContext] = None,
 ) -> List[Tuple[List[int], ObsPayload]]:
-    """Group every ``(mode, points, operator kwargs)`` task, possibly in
-    parallel, and return ``(labels, obs payload)`` per task in input order.
+    """Group every ``(mode, points, operator kwargs)`` task on a pool of
+    ``workers`` processes and return ``(labels, obs payload)`` per task in
+    input order.
 
-    ``workers <= 1`` (or a single task) runs in-process — same code path,
-    no pool, so the serial executor and the parallel one cannot drift; in
-    particular a propagated ``trace_context`` produces the identical span
-    tree either way (worker spans parent onto ``trace_context[1]``).
+    This is the pool half of :func:`label_partitions`; the serial half
+    loops over :func:`group_partition` with the caller's own collectors.
+    Both run that one function per partition, so a propagated
+    ``trace_context`` gives the pool the serial span tree (worker spans
+    parent onto ``trace_context[1]``).
 
     ``cancel`` is an optional :class:`~repro.core.cancel.CancelToken`.
     The token itself never crosses the process boundary — dispatch checks
-    it between partitions (serial path) or between arriving results (pool
-    path): a tripped token cancels every not-yet-started future, lets
-    in-flight partitions run to completion (a worker cannot be
-    interrupted mid-group), and raises the token's typed error.
+    it between arriving results: a tripped token cancels every
+    not-yet-started future, lets in-flight partitions run to completion
+    (a worker cannot be interrupted mid-group), and raises the token's
+    typed error.
     """
+    from concurrent.futures import ProcessPoolExecutor
+
     payload: List[PartitionTask] = [
         (i, mode, backend, points, op_kwargs, want_metrics, trace_context,
          profile_context)
         for i, (mode, points, op_kwargs) in enumerate(tasks)
     ]
     results: List[Optional[Tuple[List[int], ObsPayload]]] = [None] * len(payload)
-    if workers <= 1 or len(payload) <= 1:
-        for task in payload:
-            if cancel is not None:
-                cancel.check()
-            index, labels, obs = run_partition(task)
-            results[index] = (labels, obs)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        if cancel is not None:
-            cancel.check()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_partition, task) for task in payload]
-            try:
-                for future in futures:
-                    if cancel is not None:
-                        cancel.check()
-                    index, labels, obs = future.result()
-                    results[index] = (labels, obs)
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
+    if cancel is not None:
+        cancel.check()
+    with ProcessPoolExecutor(max_workers=max(1, workers)) as pool:
+        futures = [pool.submit(run_partition, task) for task in payload]
+        try:
+            for future in futures:
+                if cancel is not None:
+                    cancel.check()
+                index, labels, obs = future.result()
+                results[index] = (labels, obs)
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            raise
     return results  # type: ignore[return-value]
 
 
@@ -248,3 +248,62 @@ def fold_obs_payload(payload: ObsPayload, bag=None, tracer=None,
         tracer.ingest(payload["spans"])
     if profiler is not None and payload.get("profile"):
         profiler.ingest(payload["profile"])
+
+
+def label_partitions(
+    tasks: Sequence[Tuple[str, Sequence[Point], dict]],
+    workers: int,
+    bag=None,
+    tracer=None,
+    cancel=None,
+    profiler=None,
+) -> Iterator[List[int]]:
+    """Labels of every ``(mode, points, operator kwargs)`` task, in order.
+
+    The one serial-or-pool decision, shared by the SQL executor and the
+    array API.  ``workers <= 1`` (or a single task) groups lazily in this
+    process — one :func:`group_partition` per ``next()``, writing into the
+    caller's ``bag`` / ``tracer``, with ``cancel`` checked at each
+    partition boundary (grouping one partition is the longest stretch
+    with nothing else to check at).  Otherwise every task goes to
+    :func:`run_partitions` under a ``parallel_dispatch`` span and each
+    worker's payload is folded back into ``bag`` / ``tracer`` / a running
+    ``profiler`` before the first labels are handed out, so counters and
+    span trees equal the serial ones (modulo pids and the dispatch span).
+    """
+    if workers <= 1 or len(tasks) <= 1:
+        for index, (mode, points, op_kwargs) in enumerate(tasks):
+            if cancel is not None:
+                cancel.check()
+            yield group_partition(index, mode, points, op_kwargs, bag, tracer)
+        return
+    from repro import kernels
+    from repro.obs.trace import maybe_span
+
+    if profiler is not None and not profiler.running:
+        profiler = None
+    profile_context = None
+    if profiler is not None:
+        from repro.obs.profile import span_prefix_of
+
+        # Workers prepend the dispatch-side span path to every sample so
+        # their stacks nest under the dispatching node in the profile.
+        profile_context = (profiler.interval_s, span_prefix_of(tracer))
+    with maybe_span(tracer, "parallel_dispatch", workers=workers,
+                    partitions=len(tasks)):
+        results = run_partitions(
+            tasks,
+            workers,
+            backend=kernels.active_backend(),
+            want_metrics=bag is not None,
+            trace_context=tracer.context() if tracer is not None else None,
+            cancel=cancel,
+            profile_context=profile_context,
+        )
+        for _labels, obs_payload in results:
+            if cancel is not None:
+                cancel.check()
+            fold_obs_payload(obs_payload, bag=bag, tracer=tracer,
+                             profiler=profiler)
+    for labels, _obs_payload in results:
+        yield labels

@@ -20,8 +20,10 @@ Both return a :class:`~repro.core.result.GroupingResult` with labels in
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
+from repro.core.api import validated_points
+from repro.core.around import sgb_around_nd
 from repro.core.result import ELIMINATED, GroupingResult
 from repro.errors import InvalidParameterError
 
@@ -45,17 +47,15 @@ def sgb_segment(
     if max_diameter is not None and max_diameter < 0:
         raise InvalidParameterError("max_diameter must be non-negative")
 
-    items = [(float(v), i) for i, v in enumerate(values)]
-    labels = [ELIMINATED] * len(items)
-    if not items:
+    points = list(validated_points((v,) for v in values))
+    if not points:
         return GroupingResult([], [])
-    items.sort()
+    items = sorted((p[0], i) for i, p in enumerate(points))
+    labels = [ELIMINATED] * len(points)
 
     group = 0
-    group_start = items[0][0]
-    prev = items[0][0]
-    labels[items[0][1]] = 0
-    for value, original_index in items[1:]:
+    group_start = prev = items[0][0]
+    for value, original_index in items:
         too_far = value - prev > max_separation
         too_wide = (
             max_diameter is not None and value - group_start > max_diameter
@@ -65,11 +65,7 @@ def sgb_segment(
             group_start = value
         labels[original_index] = group
         prev = value
-    # rebuild points in input order
-    ordered = [None] * len(items)
-    for v, i in items:
-        ordered[i] = (v,)
-    return GroupingResult(labels, ordered)
+    return GroupingResult(labels, points)
 
 
 def sgb_around(
@@ -87,27 +83,13 @@ def sgb_around(
     >>> sgb_around([1, 4, 6, 40], centers=[0, 5], max_diameter=4).labels
     [0, 1, 1, -1]
     """
-    center_list = [float(c) for c in centers]
-    if not center_list:
-        raise InvalidParameterError("GROUP AROUND needs at least one centre")
     if max_diameter is not None and max_diameter < 0:
         raise InvalidParameterError("max_diameter must be non-negative")
-    radius = max_diameter / 2.0 if max_diameter is not None else None
-
-    labels: List[int] = []
-    points = []
-    for v in values:
-        v = float(v)
-        points.append((v,))
-        best = 0
-        best_d = abs(v - center_list[0])
-        for c_index in range(1, len(center_list)):
-            d = abs(v - center_list[c_index])
-            if d < best_d:
-                best_d = d
-                best = c_index
-        if radius is not None and best_d > radius:
-            labels.append(ELIMINATED)
-        else:
-            labels.append(best)
-    return GroupingResult(labels, points)
+    # The d = 1 case of the N-D operator: every metric's 1-D distance is
+    # abs(v - c), and linf computes exactly that.
+    return sgb_around_nd(
+        ((v,) for v in values),
+        [(c,) for c in centers],
+        eps=None if max_diameter is None else max_diameter / 2.0,
+        metric="linf",
+    )

@@ -31,7 +31,7 @@ import time
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro import kernels
-from repro.core.distance import Metric, resolve_metric
+from repro.core.distance import CountingMetric, Metric, resolve_metric
 from repro.core.groups import Group, GroupRegistry
 from repro.core.result import ELIMINATED, GroupingResult
 from repro.errors import DimensionMismatchError, InvalidParameterError
@@ -409,8 +409,6 @@ class SGBAllOperator:
         self.metrics = metrics
         self.tracer = tracer
         if count_distance_computations or metrics is not None:
-            from repro.core.stats import CountingMetric
-
             if not hasattr(self.metric, "calls"):
                 self.metric = CountingMetric(self.metric)
         self.on_overlap = normalize_overlap(on_overlap)

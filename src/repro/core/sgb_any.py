@@ -48,7 +48,7 @@ from typing import (
 
 from repro import kernels
 from repro.kernels import EdgeBlock
-from repro.core.distance import Metric, resolve_metric
+from repro.core.distance import CountingMetric, Metric, resolve_metric
 from repro.core.result import GroupingResult
 from repro.errors import DimensionMismatchError, InvalidParameterError
 from repro.geometry.rectangle import Rect
@@ -317,8 +317,6 @@ class SGBAnyOperator:
         self.metrics = metrics
         self.tracer = tracer
         if count_distance_computations or metrics is not None:
-            from repro.core.stats import CountingMetric
-
             if not hasattr(self.metric, "calls"):
                 self.metric = CountingMetric(self.metric)
         self._strategy = make_any_strategy(

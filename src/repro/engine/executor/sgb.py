@@ -1,21 +1,27 @@
-"""The Similarity Group-By executor node (paper §8.2).
+"""The similarity aggregate nodes (paper §8.2; arXiv:1412.4842 §8.2).
 
-Grouping attributes must be numeric; DATE attributes are supported by
-mapping them to their ordinal day number, so ``WITHIN 7`` over a date
-column means "within a week".
+The engine-integrated counterpart of the modified hash-aggregate node the
+papers add to PostgreSQL: *one* aggregate with a tuple store, in which only
+the rule that draws group boundaries varies.  :class:`SimilarityAggregate`
+owns the three steps every similarity clause shares —
 
-This is the engine-integrated counterpart of the modified hash-aggregate
-node the paper adds to PostgreSQL: it consumes its child like a normal
-aggregate, but groups rows with :class:`~repro.core.sgb_all.SGBAllOperator`
-or :class:`~repro.core.sgb_any.SGBAnyOperator` over the (multi-dimensional)
-grouping attributes instead of an equality hash table.
+1. **spool**: consume the child, turn each row's grouping attributes into
+   a point (:func:`grouping_point`) and bucket ``(point, row)`` by the
+   PARTITION BY keys.  ELIMINATE / FORM-NEW-GROUP can only produce final
+   groups once the whole input is seen, so rows wait in a tuple store
+   (Python lists here), like PostgreSQL's version;
+2. **label**: the one hook, ``_labels`` — a group label per spooled row;
+3. **fold**: step each row's group accumulators, emit one row per group —
 
-Like PostgreSQL's version, the ELIMINATE / FORM-NEW-GROUP semantics can only
-produce final groups after the whole input is seen, so rows are spooled in a
-tuple store (a Python list here) and aggregated once the operator finalizes.
-Output rows contain the aggregate results only — a raw grouping attribute is
-not constant within a similarity group, so referencing one outside an
-aggregate is a planning error (caught upstream).
+and :class:`SGBAggregate` (DISTANCE-TO-ALL/ANY; the only clause with
+partitions and a process pool), :class:`SGBAroundAggregate` (N-D AROUND)
+and :class:`SGB1DAggregate` (the ICDE 2009 clauses) differ only in
+``_labels``.  ``HashAggregate`` stays apart on purpose: equality groups are
+final the moment a row arrives, so it streams and never spools.
+
+Output rows hold the partition keys and the aggregate results only — a raw
+grouping attribute is not constant within a similarity group, so
+referencing one outside an aggregate is a planning error (caught upstream).
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -34,19 +41,14 @@ from typing import (
 import datetime as _dt
 import decimal as _decimal
 import math
-import os
 
-from repro import kernels
 from repro.core.around import sgb_around_nd
 from repro.core.parallel import (
-    fold_obs_payload,
+    label_partitions,
     partition_seed,
     resolve_workers,
-    run_partitions,
 )
 from repro.core.sgb_1d import sgb_around, sgb_segment
-from repro.core.sgb_all import SGBAllOperator
-from repro.core.sgb_any import SGBAnyOperator
 from repro.engine.executor.aggregate import AggSpec, build_agg_specs
 from repro.engine.executor.base import PhysicalOperator
 from repro.engine.schema import Column, Schema
@@ -58,6 +60,11 @@ from repro.sql.ast_nodes import AggCall, BindContext, Expr
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.stats.chooser import SGBChoice
 
+Point = Tuple[float, ...]
+
+#: One spooled partition ``(key, points, rows)``; the lists are parallel.
+Partition = Tuple[tuple, List[Point], List[tuple]]
+
 
 def _coordinate(value):
     """Numeric coordinate for a grouping-attribute value.
@@ -66,7 +73,7 @@ def _coordinate(value):
     values are numeric like any other; bools are rejected along with
     every other non-numeric type — with a typed :class:`ExecutionError`,
     so grouping-attribute failures stay inside the engine's error
-    taxonomy wherever :func:`_coordinate` is called from.
+    taxonomy.
     """
     if type(value) is float:  # the common case, ahead of the type ladder
         return value
@@ -77,6 +84,32 @@ def _coordinate(value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ExecutionError(f"not a numeric grouping attribute: {value!r}")
     return float(value)
+
+
+def grouping_point(values: Sequence) -> Optional[Point]:
+    """The point a row's grouping-attribute ``values`` denote, or ``None``.
+
+    The one row → point rule of every similarity clause, batch or
+    streaming.  A NULL attribute cannot satisfy a distance predicate, so
+    the row has no point (callers skip and count it — unlike vanilla GROUP
+    BY, see docs/sql_dialect.md); a non-numeric one is an
+    :class:`ExecutionError`; NaN / ±inf is an
+    :class:`InvalidCoordinateError` as in
+    :func:`repro.core.api.validate_point` — NaN compares false with
+    everything and silently corrupts sorts, bounds tests and indexes.
+    """
+    if None in values:
+        return None
+    try:
+        point = tuple(map(_coordinate, values))
+        finite = all(map(math.isfinite, point))
+    except (OverflowError, ValueError):  # 10**400, Decimal('sNaN')
+        finite = False
+    if not finite:
+        raise InvalidCoordinateError(
+            f"point {tuple(values)!r} has a non-finite coordinate"
+        )
+    return point
 
 
 class SGBConfig:
@@ -116,8 +149,119 @@ class SGBConfig:
         self.profile = profile
 
 
-class SGBAggregate(PhysicalOperator):
+class SimilarityAggregate(PhysicalOperator):
+    """Spool → label → fold: the template every similarity clause runs.
+
+    Subclasses supply the clause parameters, ``describe()`` and
+    :meth:`_labels`; spooling, NULL / type / finiteness handling,
+    counters, cancel checkpoints and the aggregate fold live here once.
+    """
+
+    #: The node's ``SGBConfig``, for the clause that has one.
+    config: Optional[SGBConfig] = None
+
+    def __init__(self, child: PhysicalOperator, key_exprs: Sequence[Expr],
+                 agg_calls: Sequence[AggCall],
+                 ctx_factory: Callable[[Schema], BindContext],
+                 partition_exprs: Sequence[Expr] = ()):
+        self.child = child
+        ctx = ctx_factory(child.schema)
+        self._key_exprs = list(key_exprs)
+        self._partition_exprs = list(partition_exprs)
+        self._key_fns = [e.bind(ctx) for e in key_exprs]
+        self._partition_fns = [e.bind(ctx) for e in partition_exprs]
+        self._specs: List[AggSpec] = build_agg_specs(agg_calls, ctx)
+        columns = [Column(f"__part{i}", ANY)
+                   for i in range(len(partition_exprs))]
+        columns += [Column(f"__agg{i}", ANY) for i in range(len(agg_calls))]
+        self.schema = Schema(columns)
+
+    @property
+    def _active_tracer(self):
+        """The node's tracer: ``attach(plan, tracer=)`` wins, then the
+        config-level tracer the Database installs (``SGBConfig.trace``)."""
+        if self._tracer is not None or self.config is None:
+            return self._tracer
+        return self.config.trace
+
+    def _labels(self, partitions: List[Partition]) -> Iterable[Sequence[int]]:
+        """One label sequence per spooled partition, in order.
+
+        ``labels[j]`` is the group of the partition's ``j``-th row; a
+        negative label (ELIMINATE, outside every AROUND radius) drops the
+        row from the output.  May be lazy: partition ``i`` is folded
+        before partition ``i + 1`` is asked for.
+        """
+        raise NotImplementedError
+
+    def _spool(self) -> List[Partition]:
+        """Child rows → partitions in first-seen order; §8.2 tuple store.
+
+        Without PARTITION BY keys there is at most one partition, keyed
+        ``()``; an empty input spools no partition at all.
+        """
+        partitions: Dict[tuple, Partition] = {}
+        key_fns = self._key_fns
+        partition_fns = self._partition_fns
+        pkey: tuple = ()
+        skipped = 0
+        for row in self.child:
+            point = grouping_point([f(row) for f in key_fns])
+            if point is None:
+                skipped += 1
+                continue
+            if partition_fns:
+                pkey = tuple([f(row) for f in partition_fns])
+            bucket = partitions.get(pkey)
+            if bucket is None:
+                bucket = partitions[pkey] = (pkey, [], [])
+            bucket[1].append(point)
+            bucket[2].append(row)
+        spooled = list(partitions.values())
+        if self._obs is not None:
+            bag = self._obs.bag
+            if skipped:
+                bag.incr("rows_skipped_null", skipped)
+            if spooled:
+                bag.incr("rows_spooled", sum(len(p[2]) for p in spooled))
+        return spooled
+
+    def _fold(self, pkey: tuple, rows: List[tuple],
+              labels: Sequence[int]) -> Iterator[tuple]:
+        """Aggregate one labelled partition; one output row per group."""
+        specs = self._specs
+        group_accs: dict = {}
+        for j, (row, label) in enumerate(zip(rows, labels)):
+            # No row leaves this node until the whole partition is
+            # aggregated; without a mid-loop checkpoint a cancel or
+            # deadline fired here is only seen after the grind.
+            self._checkpoint(j)
+            if label < 0:
+                continue
+            accs = group_accs.get(label)
+            if accs is None:
+                accs = group_accs[label] = [s.new_accumulator() for s in specs]
+            for spec, acc in zip(specs, accs):
+                spec.step(acc, row)
+        for label in sorted(group_accs):
+            yield pkey + tuple(a.final() for a in group_accs[label])
+
+    def _execute(self) -> Iterator[tuple]:
+        with maybe_span(self._active_tracer, "spool") as sp:
+            partitions = self._spool()
+            sp.set(partitions=len(partitions))
+        for (pkey, _points, rows), labels in zip(partitions,
+                                                 self._labels(partitions)):
+            yield from self._fold(pkey, rows, labels)
+
+    def children(self) -> Tuple[PhysicalOperator, ...]:
+        return (self.child,)
+
+
+class SGBAggregate(SimilarityAggregate):
     """Similarity aggregation: mode 'all' (with an overlap clause) or 'any'."""
+
+    config: SGBConfig
 
     def __init__(self, child: PhysicalOperator, key_exprs: Sequence[Expr],
                  mode: str, metric: str, eps: float, on_overlap: str,
@@ -127,7 +271,8 @@ class SGBAggregate(PhysicalOperator):
                  partition_exprs: Sequence[Expr] = ()):
         if mode not in ("all", "any"):
             raise ExecutionError(f"unknown SGB mode {mode!r}")
-        self.child = child
+        super().__init__(child, key_exprs, agg_calls, ctx_factory,
+                         partition_exprs)
         self.mode = mode
         self.metric = metric
         self.eps = eps
@@ -144,16 +289,6 @@ class SGBAggregate(PhysicalOperator):
             config.parallel
         )
         self.choice: "Optional[SGBChoice]" = None
-        ctx = ctx_factory(child.schema)
-        self._key_exprs = list(key_exprs)
-        self._partition_exprs = list(partition_exprs)
-        self._key_fns = [e.bind(ctx) for e in key_exprs]
-        self._partition_fns = [e.bind(ctx) for e in partition_exprs]
-        self._specs: List[AggSpec] = build_agg_specs(agg_calls, ctx)
-        columns = [Column(f"__part{i}", ANY)
-                   for i in range(len(partition_exprs))]
-        columns += [Column(f"__agg{i}", ANY) for i in range(len(agg_calls))]
-        self.schema = Schema(columns)
 
     def apply_choice(self, choice: "SGBChoice") -> None:
         """Install the planner's resolved strategy / parallel decision.
@@ -167,191 +302,40 @@ class SGBAggregate(PhysicalOperator):
         self.workers_hint = choice.parallel
         self.choice = choice
 
-    def _partition_seed(self, pkey: tuple) -> int:
-        """Deterministic per-partition RNG seed (see
-        :func:`repro.core.parallel.partition_seed` for the rationale —
-        it is also what makes partitions safe to run in worker
-        processes)."""
-        return partition_seed(self.config.seed, pkey)
-
     def _operator_kwargs(self, pkey: tuple) -> dict:
-        """Picklable constructor arguments for one partition's operator."""
+        """Picklable constructor arguments for one partition's operator.
+
+        SGB-All draws from a deterministic per-partition RNG stream (see
+        :func:`repro.core.parallel.partition_seed`), which is also what
+        makes partitions safe to run in worker processes.
+        """
+        kwargs = dict(eps=self.eps, metric=self.metric,
+                      strategy=self.strategy)
         if self.mode == "all":
-            return dict(
-                eps=self.eps,
-                metric=self.metric,
+            kwargs.update(
                 on_overlap=self.on_overlap,
-                strategy=self.strategy,
                 tiebreak=self.config.tiebreak,
-                seed=self._partition_seed(pkey),
+                seed=partition_seed(self.config.seed, pkey),
             )
-        return dict(
-            eps=self.eps,
-            metric=self.metric,
-            strategy=self.strategy,
-        )
+        return kwargs
 
-    @property
-    def _active_tracer(self):
-        """The node's tracer: ``attach(plan, tracer=)`` wins, then the
-        config-level tracer the Database installs (``SGBConfig.trace``)."""
-        return self._tracer if self._tracer is not None else self.config.trace
+    def _labels(self, partitions: List[Partition]) -> Iterator[Sequence[int]]:
+        """Group each partition, in this process or on the pool.
 
-    def _make_operator(self, pkey: tuple = ()):
-        bag = self._obs.bag if self._obs is not None else None
-        tracer = self._active_tracer
-        if self.mode == "all":
-            return SGBAllOperator(metrics=bag, tracer=tracer,
-                                  **self._operator_kwargs(pkey))
-        return SGBAnyOperator(metrics=bag, tracer=tracer,
-                              **self._operator_kwargs(pkey))
-
-    def _spool_partitions(self) -> Tuple[Dict[tuple, tuple], List[tuple]]:
-        """Partition child rows by the equality keys; §8.2 tuple store.
-
-        Without a PARTITION BY clause there is exactly one partition.
+        Either way one :func:`~repro.core.parallel.group_partition` per
+        partition reports into this node's collectors, so EXPLAIN ANALYZE
+        totals and span trees do not depend on where it ran, and
+        per-partition seeds make the labels bit-identical.
         """
-        partitions: Dict[tuple, tuple] = {}
-        partition_order: List[tuple] = []
-        key_fns = self._key_fns
-        partition_fns = self._partition_fns
-        bag = self._obs.bag if self._obs is not None else None
-        for row in self.child:
-            coords = tuple(f(row) for f in key_fns)
-            if None in coords:
-                # NULL grouping attributes cannot satisfy a distance
-                # predicate; such rows are excluded from similarity grouping
-                # (diverges from vanilla GROUP BY — see docs/sql_dialect.md).
-                if bag is not None:
-                    bag.incr("rows_skipped_null")
-                continue
-            try:
-                point = tuple(map(_coordinate, coords))
-            except (TypeError, ValueError):
-                raise ExecutionError(
-                    f"similarity grouping attributes must be numeric, "
-                    f"got {coords!r}"
-                ) from None
-            if not all(map(math.isfinite, point)):
-                # Same rejection as ``repro.core.api.validate_point``: NaN
-                # compares false with everything and corrupts the index.
-                raise InvalidCoordinateError(
-                    f"point {coords!r} has a non-finite coordinate"
-                )
-            pkey = tuple(f(row) for f in partition_fns)
-            bucket = partitions.get(pkey)
-            if bucket is None:
-                bucket = ([], [])  # (points, spooled rows — §8.2 store)
-                partitions[pkey] = bucket
-                partition_order.append(pkey)
-            bucket[0].append(point)
-            bucket[1].append(row)
-            if bag is not None:
-                bag.incr("rows_spooled")
-        return partitions, partition_order
-
-    def _labels_parallel(
-        self, partitions, partition_order, workers: int
-    ) -> List[List[int]]:
-        """Group every partition on a process pool; merge worker payloads.
-
-        Per-partition seeds make the labels bit-identical to the serial
-        loop; each worker collects its own MetricBag (only when the parent
-        has one attached) whose counters, timings, and latency histograms
-        are folded back here so EXPLAIN ANALYZE reports the same totals
-        either way.  With tracing on, the current trace context
-        ``(trace_id, this node's span id)`` is propagated into every
-        worker, whose partition/phase spans come back already parented
-        onto it and are ingested into the parent tracer.
-        """
-        bag = self._obs.bag if self._obs is not None else None
-        tracer = self._active_tracer
-        profiler = self.config.profile
-        if profiler is not None and not profiler.running:
-            profiler = None
-        profile_context = None
-        if profiler is not None:
-            from repro.obs.profile import span_prefix_of
-
-            # Workers prepend the dispatch-side span path to every sample
-            # so their stacks nest under this node in the folded profile.
-            profile_context = (profiler.interval_s, span_prefix_of(tracer))
-        tasks = [
-            (self.mode, partitions[pkey][0], self._operator_kwargs(pkey))
-            for pkey in partition_order
-        ]
-        results = run_partitions(
-            tasks,
-            workers,
-            backend=kernels.active_backend(),
-            want_metrics=bag is not None,
-            trace_context=tracer.context() if tracer is not None else None,
+        return label_partitions(
+            [(self.mode, points, self._operator_kwargs(pkey))
+             for pkey, points, _rows in partitions],
+            resolve_workers(self.workers_hint),
+            bag=self._obs.bag if self._obs is not None else None,
+            tracer=self._active_tracer,
             cancel=self._cancel,
-            profile_context=profile_context,
+            profiler=self.config.profile,
         )
-        label_lists: List[List[int]] = []
-        for labels, obs_payload in results:
-            # Folding worker payloads is per-partition work with no row
-            # crossing a node edge; re-check the token between folds.
-            self._checkpoint(0)
-            label_lists.append(labels)
-            fold_obs_payload(obs_payload, bag=bag, tracer=tracer,
-                             profiler=profiler)
-        return label_lists
-
-    def _execute(self) -> Iterator[tuple]:
-        tracer = self._active_tracer
-        with maybe_span(tracer, "spool") as sp:
-            partitions, partition_order = self._spool_partitions()
-            sp.set(partitions=len(partition_order))
-        workers = resolve_workers(self.workers_hint)
-        label_lists: Optional[List[List[int]]] = None
-        if workers > 1 and len(partition_order) > 1:
-            with maybe_span(tracer, "parallel_dispatch", workers=workers,
-                            partitions=len(partition_order)):
-                label_lists = self._labels_parallel(
-                    partitions, partition_order, workers
-                )
-        specs = self._specs
-        for i, pkey in enumerate(partition_order):
-            if self._cancel is not None:
-                # Partition boundary: grouping one partition is the
-                # longest stretch with no iteration boundary to check at.
-                self._cancel.check()
-            points, spool = partitions[pkey]
-            if label_lists is not None:
-                labels = label_lists[i]
-            else:
-                # Same span shape as the worker-side run_partition, so a
-                # serial and a parallel execution of one query produce
-                # identical trace trees (modulo pids).
-                with maybe_span(tracer, "partition", partition=i,
-                                points=len(points), mode=self.mode,
-                                pid=os.getpid()):
-                    operator = self._make_operator(pkey)
-                    operator.add_many(points)
-                    labels = operator.finalize().labels
-            group_accs: dict = {}
-            order: List[int] = []
-            for j, (row, label) in enumerate(zip(spool, labels)):
-                # No row leaves this node until the whole partition is
-                # aggregated; without a mid-loop checkpoint a cancel or
-                # deadline fired here is only seen after the grind.
-                self._checkpoint(j)
-                if label < 0:  # eliminated by the ON-OVERLAP clause
-                    continue
-                accs = group_accs.get(label)
-                if accs is None:
-                    accs = [s.new_accumulator() for s in specs]
-                    group_accs[label] = accs
-                    order.append(label)
-                for spec, acc in zip(specs, accs):
-                    spec.step(acc, row)
-            for label in sorted(order):
-                yield pkey + tuple(a.final() for a in group_accs[label])
-
-    def children(self) -> Tuple[PhysicalOperator, ...]:
-        return (self.child,)
 
     def describe(self) -> str:
         clause = f" on-overlap={self.on_overlap}" if self.mode == "all" else ""
@@ -364,65 +348,22 @@ class SGBAggregate(PhysicalOperator):
         )
 
 
-class SGBAroundAggregate(PhysicalOperator):
+class SGBAroundAggregate(SimilarityAggregate):
     """Supervised multi-dimensional grouping around fixed centres."""
 
     def __init__(self, child: PhysicalOperator, key_exprs: Sequence[Expr],
                  centers: Sequence[Sequence[float]], metric: str,
                  radius, agg_calls: Sequence[AggCall],
                  ctx_factory: Callable[[Schema], BindContext]):
-        self.child = child
+        super().__init__(child, key_exprs, agg_calls, ctx_factory)
         self.centers = [tuple(c) for c in centers]
         self.metric = metric
         self.radius = radius
-        ctx = ctx_factory(child.schema)
-        self._key_fns = [e.bind(ctx) for e in key_exprs]
-        self._specs: List[AggSpec] = build_agg_specs(agg_calls, ctx)
-        self.schema = Schema(
-            [Column(f"__agg{i}", ANY) for i in range(len(agg_calls))]
-        )
 
-    def _execute(self) -> Iterator[tuple]:
-        spool: List[tuple] = []
-        points: List[tuple] = []
-        key_fns = self._key_fns
-        bag = self._obs.bag if self._obs is not None else None
-        for row in self.child:
-            coords = tuple(f(row) for f in key_fns)
-            if any(c is None for c in coords):
-                if bag is not None:
-                    bag.incr("rows_skipped_null")
-                continue
-            try:
-                points.append(tuple(_coordinate(c) for c in coords))
-            except (TypeError, ValueError):
-                raise ExecutionError(
-                    f"grouping attributes must be numeric, got {coords!r}"
-                ) from None
-            spool.append(row)
-            if bag is not None:
-                bag.incr("rows_spooled")
-        result = sgb_around_nd(points, self.centers, eps=self.radius,
-                               metric=self.metric)
-        specs = self._specs
-        group_accs: dict = {}
-        order: List[int] = []
-        for j, (row, label) in enumerate(zip(spool, result.labels)):
-            self._checkpoint(j)  # buffering loop: no per-row node edge
-            if label < 0:
-                continue
-            accs = group_accs.get(label)
-            if accs is None:
-                accs = [s.new_accumulator() for s in specs]
-                group_accs[label] = accs
-                order.append(label)
-            for spec, acc in zip(specs, accs):
-                spec.step(acc, row)
-        for label in sorted(order):
-            yield tuple(a.final() for a in group_accs[label])
-
-    def children(self) -> Tuple[PhysicalOperator, ...]:
-        return (self.child,)
+    def _labels(self, partitions: List[Partition]) -> Iterator[Sequence[int]]:
+        for _pkey, points, _rows in partitions:
+            yield sgb_around_nd(points, self.centers, eps=self.radius,
+                                metric=self.metric).labels
 
     def describe(self) -> str:
         within = f" within {self.radius}" if self.radius is not None else ""
@@ -432,7 +373,7 @@ class SGBAroundAggregate(PhysicalOperator):
         )
 
 
-class SGB1DAggregate(PhysicalOperator):
+class SGB1DAggregate(SimilarityAggregate):
     """The one-dimensional similarity aggregation node (ICDE 2009 clauses).
 
     ``kind='segment'`` implements MAXIMUM-ELEMENT-SEPARATION (with optional
@@ -450,71 +391,26 @@ class SGB1DAggregate(PhysicalOperator):
                  centers: Sequence[float] = ()):
         if kind not in ("segment", "around"):
             raise ExecutionError(f"unknown 1-D SGB kind {kind!r}")
-        self.child = child
+        super().__init__(child, [key_expr], agg_calls, ctx_factory)
         self.kind = kind
         self.separation = separation
         self.diameter = diameter
         self.centers = list(centers)
-        ctx = ctx_factory(child.schema)
-        self._key_fn = key_expr.bind(ctx)
-        self._specs: List[AggSpec] = build_agg_specs(agg_calls, ctx)
-        self.schema = Schema(
-            [Column(f"__agg{i}", ANY) for i in range(len(agg_calls))]
-        )
 
-    def _execute(self) -> Iterator[tuple]:
-        spool: List[tuple] = []
-        values: List[float] = []
-        key_fn = self._key_fn
-        bag = self._obs.bag if self._obs is not None else None
-        for row in self.child:
-            value = key_fn(row)
-            if value is None:
-                if bag is not None:
-                    bag.incr("rows_skipped_null")
-                continue
-            try:
-                values.append(_coordinate(value))
-            except (TypeError, ValueError):
-                raise ExecutionError(
-                    f"1-D similarity grouping attribute must be numeric, "
-                    f"got {value!r}"
-                ) from None
-            spool.append(row)
-            if bag is not None:
-                bag.incr("rows_spooled")
-        if self.kind == "segment":
-            result = sgb_segment(values, self.separation, self.diameter)
-        else:
-            result = sgb_around(values, self.centers, self.diameter)
-
-        specs = self._specs
-        group_accs: dict = {}
-        order: List[int] = []
-        for j, (row, label) in enumerate(zip(spool, result.labels)):
-            self._checkpoint(j)  # buffering loop: no per-row node edge
-            if label < 0:
-                continue
-            accs = group_accs.get(label)
-            if accs is None:
-                accs = [s.new_accumulator() for s in specs]
-                group_accs[label] = accs
-                order.append(label)
-            for spec, acc in zip(specs, accs):
-                spec.step(acc, row)
-        for label in sorted(order):
-            yield tuple(a.final() for a in group_accs[label])
-
-    def children(self) -> Tuple[PhysicalOperator, ...]:
-        return (self.child,)
+    def _labels(self, partitions: List[Partition]) -> Iterator[Sequence[int]]:
+        for _pkey, points, _rows in partitions:
+            values = [p[0] for p in points]
+            if self.kind == "segment":
+                result = sgb_segment(values, self.separation, self.diameter)
+            else:
+                result = sgb_around(values, self.centers, self.diameter)
+            yield result.labels
 
     def describe(self) -> str:
         if self.kind == "segment":
             extra = f"separation={self.separation}"
-            if self.diameter is not None:
-                extra += f" diameter={self.diameter}"
         else:
             extra = f"around {len(self.centers)} centre(s)"
-            if self.diameter is not None:
-                extra += f" diameter={self.diameter}"
+        if self.diameter is not None:
+            extra += f" diameter={self.diameter}"
         return f"SimilarityGroupBy1D ({extra})"

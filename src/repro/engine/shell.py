@@ -435,9 +435,9 @@ class Shell:
         if len(args) == 1:
             try:
                 view = self.db.stream_view(args[0])
+                snap = view.snapshot()  # flushes: a refused row surfaces here
             except ReproError as exc:
                 return f"ERROR: {exc}"
-            snap = view.snapshot()
             sizes = snap.group_sizes()
             shown = ", ".join(str(s) for s in sizes[:10])
             if len(sizes) > 10:

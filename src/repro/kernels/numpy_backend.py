@@ -7,7 +7,7 @@ vectorized expression over a contiguous ``float64`` buffer instead of a
 per-pair ``Metric.within`` call.
 
 Counting contract: the SGB operators observe predicate work through a
-:class:`~repro.core.stats.CountingMetric` (``metric.calls``).  Vectorized
+:class:`~repro.core.distance.CountingMetric` (``metric.calls``).  Vectorized
 kernels cannot route every pair through ``within``, so they *charge* the
 wrapped metric with the number of pairs evaluated.  For the SGB-Any paths
 this equals the pure-Python call count exactly (those loops never

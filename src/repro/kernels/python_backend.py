@@ -4,7 +4,7 @@ Every primitive here is semantically the ground truth the numpy backend
 must agree with — the hot-path strategies used exactly these loops inline
 before the kernel layer existed, so keeping them verbatim preserves the
 seed behaviour (including which ``Metric.within`` calls a
-:class:`~repro.core.stats.CountingMetric` observes) when numpy is absent
+:class:`~repro.core.distance.CountingMetric` observes) when numpy is absent
 or ``REPRO_BACKEND=python`` forces this backend.
 """
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.api import check_eps, validate_point
-from repro.core.distance import Metric, resolve_metric
+from repro.core.distance import CountingMetric, Metric, resolve_metric
 from repro.core.result import GroupingResult
 from repro.core.sgb_any import make_any_strategy
 from repro.dsu.union_find import UnionFind, component_labels
@@ -75,8 +75,6 @@ class StreamingSGBAny:
         self.eps = float(eps)
         self.metric = resolve_metric(metric)
         if count_distances:
-            from repro.core.stats import CountingMetric
-
             self.metric = CountingMetric(self.metric)
         self._index = make_any_strategy(
             index, self.eps, self.metric, rtree_max_entries

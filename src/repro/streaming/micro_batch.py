@@ -109,25 +109,40 @@ class MicroBatcher:
         self._skipped_unflushed += n
 
     def flush(self) -> None:
-        """Push buffered rows into the engine as one timed micro-batch."""
+        """Push buffered rows into the engine as one timed micro-batch.
+
+        The engines ingest row by row and a row they refuse (a finite
+        coordinate the ε-sized grid cannot cell, say) leaves them as they
+        were, so a failing flush loses exactly that row: the rows before
+        it are ingested and recorded as a (short) batch, the rows behind
+        it go back to the buffer for the next flush, and the engine's
+        error propagates.
+        """
         if not self._pending:
             return
         batch, self._pending = self._pending, []
         skipped, self._skipped_unflushed = self._skipped_unflushed, 0
         before = self.engine.stats.copy()
+        n_before = self.engine.n_points
         with maybe_span(self.tracer, "micro_batch",
                         batch=len(self.batches), size=len(batch),
                         backend=kernels.active_backend(),
                         rows_skipped_null=skipped) as sp:
             start = time.perf_counter()
-            self.engine.extend(batch)
-            elapsed = time.perf_counter() - start
-            self.engine.stats.wall_time_s += elapsed
-            delta = self.engine.stats - before
-            sp.set(**delta.span_attrs())
-        if self.metrics is not None:
-            self.metrics.observe("micro_batch_latency", elapsed)
-        self.batches.append(BatchRecord(len(self.batches), len(batch), delta))
+            try:
+                self.engine.extend(batch)
+            finally:
+                elapsed = time.perf_counter() - start
+                done = self.engine.n_points - n_before
+                self._pending = batch[done + 1:]
+                self.engine.stats.wall_time_s += elapsed
+                delta = self.engine.stats - before
+                sp.set(**delta.span_attrs())
+                if self.metrics is not None:
+                    self.metrics.observe("micro_batch_latency", elapsed)
+                self.batches.append(
+                    BatchRecord(len(self.batches), done, delta)
+                )
 
     # ------------------------------------------------------------------
     def snapshot(self) -> GroupingResult:

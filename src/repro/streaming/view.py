@@ -8,10 +8,11 @@ listeners.  Re-querying the view is then a snapshot of maintained state
 instead of a from-scratch recompute, which is the amortization the
 repeated-query literature (e.g. COMPARE, arXiv:2107.11967) motivates.
 
-Rows with a NULL grouping attribute are skipped, mirroring the SGB
-executor node's treatment of NULLs; DATE attributes map to ordinal days
-exactly like the batch SQL path, so a view over a date column groups
-"within ε days".
+A row becomes a point by the SQL executor's own rule
+(:func:`~repro.engine.executor.sgb.grouping_point`): a NULL grouping
+attribute skips the row, DATE attributes map to ordinal days — so a view
+over a date column groups "within ε days" — and a non-numeric or
+non-finite value fails the ``INSERT`` with the batch path's typed error.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.result import GroupingResult
-from repro.engine.executor.sgb import _coordinate
-from repro.errors import ExecutionError, InvalidParameterError
+from repro.engine.executor.sgb import grouping_point
+from repro.errors import InvalidCoordinateError, InvalidParameterError
 from repro.streaming.all_engine import StreamingSGBAll
 from repro.streaming.any_engine import StreamingSGBAny
 from repro.streaming.micro_batch import MicroBatcher
@@ -91,22 +92,29 @@ class StreamingGroupView:
 
     # ------------------------------------------------------------------
     def _on_insert(self, row: Tuple, row_id: int) -> None:
-        coords = tuple(row[i] for i in self._col_idx)
-        if any(c is None for c in coords):
+        point = grouping_point([row[i] for i in self._col_idx])
+        if point is None:
             self._skipped += 1
             self.batcher.note_skipped_null()
             return
-        try:
-            point = tuple(_coordinate(c) for c in coords)
-        except (TypeError, ValueError):
-            raise ExecutionError(
-                f"streaming view {self.name!r}: grouping attributes must be "
-                f"numeric, got {coords!r}"
-            ) from None
-        # Record the row only once the batcher accepted the point: a
-        # rejected row (NaN coordinate, ...) must not shift later ids.
-        self.batcher.insert(point)
         self._row_ids.append(row_id)
+        self._flushing(self.batcher.insert, point)
+
+    def _flushing(self, call, *args):
+        """Run a batcher call that may flush, keeping ``_row_ids`` aligned.
+
+        Every buffered point is finite and of the view's dimension, so an
+        :class:`InvalidCoordinateError` here is the engine refusing a row
+        at flush (a value the ε-sized grid cannot cell).  ``flush`` stops
+        at that row and keeps the ones behind it, so it is the row that
+        would have become the engine's next point: drop its id, so later
+        ids do not shift.
+        """
+        try:
+            return call(*args)
+        except InvalidCoordinateError:
+            del self._row_ids[self.batcher.engine.n_points]
+            raise
 
     # ------------------------------------------------------------------
     @property
@@ -124,7 +132,7 @@ class StreamingGroupView:
 
     def snapshot(self) -> GroupingResult:
         """Current grouping over the ingested rows."""
-        return self.batcher.snapshot()
+        return self._flushing(self.batcher.snapshot)
 
     def n_groups(self) -> int:
         return self.snapshot().n_groups

@@ -3,7 +3,7 @@ operation counts / growth exponents."""
 
 import pytest
 
-from repro.core.analysis import (
+from repro.bench.cost_model import (
     CostModel,
     expected_groups_uniform,
     predicted_growth_exponent,

@@ -193,10 +193,3 @@ class TestSQLIntegration:
             "MAXIMUM-ELEMENT-SEPARATION 1"
         )
         assert "SimilarityGroupBy1D" in plan
-
-    def test_null_values_skipped(self, db):
-        db.execute("INSERT INTO m VALUES (NULL, 'n')")
-        res = db.query(
-            "SELECT count(*) FROM m GROUP BY v MAXIMUM-ELEMENT-SEPARATION 1"
-        )
-        assert sum(r[0] for r in res) == 6

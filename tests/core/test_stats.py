@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.core.distance import L2, LINF, MinkowskiMetric
+from repro.core.distance import L2, LINF, CountingMetric, MinkowskiMetric
 from repro.core.sgb_all import SGBAllOperator
 from repro.core.sgb_any import SGBAnyOperator
-from repro.core.stats import CountingMetric
 from tests.conftest import random_points
 
 

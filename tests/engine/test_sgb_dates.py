@@ -70,13 +70,3 @@ class TestDateGrouping:
                 "SELECT count(*) FROM ev GROUP BY name "
                 "DISTANCE-TO-ANY L2 WITHIN 1"
             )
-
-    def test_bool_attribute_rejected(self):
-        d = Database()
-        d.execute("CREATE TABLE b (flag bool, x float)")
-        d.execute("INSERT INTO b VALUES (true, 1.0)")
-        with pytest.raises(ExecutionError, match="numeric"):
-            d.query(
-                "SELECT count(*) FROM b GROUP BY flag, x "
-                "DISTANCE-TO-ANY L2 WITHIN 1"
-            )

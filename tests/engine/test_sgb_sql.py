@@ -187,14 +187,6 @@ class TestErrorsAndEdgeCases:
                 "DISTANCE-TO-ANY L2 WITHIN 1"
             )
 
-    def test_null_grouping_attributes_excluded(self, db):
-        db.execute("INSERT INTO pts VALUES (99, NULL, 1.0, 'n')")
-        res = db.query(
-            "SELECT count(*) FROM pts GROUP BY x, y "
-            "DISTANCE-TO-ANY LINF WITHIN 3"
-        )
-        assert sum(r[0] for r in res) == 5  # the NULL row is not grouped
-
     def test_empty_input_no_groups(self):
         d = Database()
         d.execute("CREATE TABLE p (x float, y float)")

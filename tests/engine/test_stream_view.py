@@ -118,6 +118,29 @@ class TestStreamViewLifecycle:
         assert rtree.snapshot().n_points == 4
 
 
+    def test_engine_rejection_at_flush_loses_only_that_row(self):
+        # 1e308 is finite, so INSERT accepts it; only the flush that
+        # reaches it learns the ε-sized grid cannot cell it.  The row
+        # buffered behind it used to be dropped with it.
+        db = Database()
+        db.execute("CREATE TABLE pts (x float, y float)")
+        view = db.create_stream_view("g", "pts", ["x", "y"], eps=0.5,
+                                     batch_size=4, index="grid")
+        db.execute("INSERT INTO pts VALUES (0, 0), (1e308, 0), (0.1, 0)")
+        with pytest.raises(InvalidCoordinateError):
+            view.snapshot()
+        assert view.n_points == 2
+        assert view.group_rows() == [[0, 2]]  # (0.1, 0) kept, ids aligned
+        # ... also when the failing flush is triggered by a later INSERT
+        # (batch_size reached), whose own row must survive too
+        db.execute("INSERT INTO pts VALUES (9, 9), (1e308, 1)")
+        with pytest.raises(InvalidCoordinateError):
+            db.execute("INSERT INTO pts VALUES (9.2, 9), (9.4, 9)")
+        db.execute("INSERT INTO pts VALUES (0.3, 0)")
+        assert view.n_points == 6
+        assert view.group_rows() == [[0, 2, 7], [3, 5, 6]]
+
+
 class TestShellStreamCommand:
     def test_create_inspect_drop(self):
         shell = Shell(make_db())
@@ -138,3 +161,8 @@ class TestShellStreamCommand:
             "ERROR:"
         )
         assert "usage" in shell.feed("\\stream create g pts")
+        # a row the engine refuses at flush is an ERROR line, once
+        shell.feed("\\stream create g pts x,y any 0.5")
+        shell.feed("INSERT INTO pts VALUES (1e308, 0), (9.2, 9);")
+        assert shell.feed("\\stream g").startswith("ERROR:")
+        assert "4 points" in shell.feed("\\stream g")

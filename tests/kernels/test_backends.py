@@ -10,7 +10,7 @@ import pytest
 
 from repro import kernels
 from repro.core.distance import L1, L2, LINF
-from repro.core.stats import CountingMetric
+from repro.core.distance import CountingMetric
 from repro.errors import InvalidParameterError
 
 HAS_NUMPY = "numpy" in kernels.available_backends()

@@ -73,6 +73,20 @@ class TestBatching:
         assert mb.n_points == 1  # bad rows were never buffered
         assert mb.snapshot().n_points == 1  # and flush stays clean
 
+    def test_engine_rejection_at_flush_loses_only_that_row(self):
+        """A finite row only the engine can refuse (1e308 has no grid
+        cell at ε = 0.5) fails the flush that reaches it; the rows before
+        it are ingested and recorded, the rows behind it stay pending."""
+        mb = MicroBatcher(StreamingSGBAny(eps=0.5, index="grid"),
+                          batch_size=100)
+        mb.extend([(0, 0), (1e308, 0), (0.1, 0), (7, 7)])
+        with pytest.raises(InvalidCoordinateError):
+            mb.flush()
+        assert mb.engine.n_points == 1 and mb.n_pending == 2
+        assert [rec.size for rec in mb.batches] == [1]
+        assert mb.snapshot().points == [(0.0, 0.0), (0.1, 0.0), (7.0, 7.0)]
+        assert total_of(mb.batches).points == mb.stats.points == 3
+
     def test_insert_after_result_fails_immediately(self):
         mb = MicroBatcher(StreamingSGBAny(eps=1.0), batch_size=100)
         mb.extend([(0, 0), (9, 9)])
