@@ -1,7 +1,8 @@
 """SGB009: operator hot loops must reach a cancel checkpoint.
 
-``PhysicalOperator.__iter__`` checks the :class:`CancelToken` as each
-row crosses a node edge, so any loop that *yields* per iteration is
+``PhysicalOperator.__iter__`` hands each pass to the statement's
+``QueryContext``, which checks the :class:`CancelToken` as each row
+crosses a node edge, so any loop that *yields* per iteration is
 covered for free.  The gap is loops that buffer: spool-then-aggregate
 passes that run thousands of ``spec.step`` calls without a single row
 leaving the operator.  A cancel or timeout fired mid-aggregation is
@@ -34,7 +35,7 @@ _CHECK_TAIL = "CancelToken.check"
 
 def _is_cancel_check_call(node: ast.Call) -> bool:
     """Direct check: ``<chain>.check(...)`` where the chain mentions a
-    cancel token (``self._cancel.check()``, ``token.check()``)."""
+    cancel token (``self._ctx.cancel.check()``, ``token.check()``)."""
     func = node.func
     if not (isinstance(func, ast.Attribute) and func.attr == "check"):
         return False
@@ -72,7 +73,7 @@ class CancelCheckpointRule(ProjectRule):
     work on spooled data (aggregation passes, distance sweeps) where a
     cancel or deadline fired mid-loop goes unobserved until the loop
     ends.  Add ``self._checkpoint(i)`` (checks every N iterations, from
-    ``PhysicalOperator``) or a direct ``self._cancel.check()`` at a
+    ``PhysicalOperator``) or a direct ``self._ctx.cancel.check()`` at a
     sensible stride; deliberate tight loops too cheap to matter take a
     justified pragma.
     """

@@ -1,9 +1,10 @@
 """Cooperative cancellation and deadlines for query execution.
 
 The engine's execution model is a synchronous iterator tree, so a query
-cannot be interrupted preemptively — instead, a :class:`CancelToken` is
-attached to every plan node (``repro.engine.executor.base.attach_cancel``)
-and :meth:`CancelToken.check` is called at operator-iteration boundaries:
+cannot be interrupted preemptively — instead, a :class:`CancelToken`
+rides in the statement's :class:`~repro.obs.explain.QueryContext`, which
+is bound to every plan node, and :meth:`CancelToken.check` is called at
+operator-iteration boundaries:
 each row crossing a plan-node edge re-checks the token, so a spooling
 aggregate is interruptible while it consumes its child even though it
 yields nothing until finalize.

@@ -29,6 +29,8 @@ import hashlib
 import os
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.obs.explain import UNBOUND, QueryContext
+
 Point = Tuple[float, ...]
 
 #: Propagated trace context: ``(trace_id, parent_span_id)``.
@@ -253,35 +255,35 @@ def fold_obs_payload(payload: ObsPayload, bag=None, tracer=None,
 def label_partitions(
     tasks: Sequence[Tuple[str, Sequence[Point], dict]],
     workers: int,
+    ctx: QueryContext = UNBOUND,
     bag=None,
-    tracer=None,
-    cancel=None,
-    profiler=None,
 ) -> Iterator[List[int]]:
     """Labels of every ``(mode, points, operator kwargs)`` task, in order.
 
     The one serial-or-pool decision, shared by the SQL executor and the
-    array API.  ``workers <= 1`` (or a single task) groups lazily in this
-    process — one :func:`group_partition` per ``next()``, writing into the
-    caller's ``bag`` / ``tracer``, with ``cancel`` checked at each
-    partition boundary (grouping one partition is the longest stretch
-    with nothing else to check at).  Otherwise every task goes to
+    array API.  ``ctx`` is the statement's
+    :class:`~repro.obs.explain.QueryContext` (cancel token, tracer,
+    running profiler); ``bag`` is the calling node's counter bag —
+    node-scoped where the context is statement-scoped — or None.
+    ``workers <= 1`` (or a single task) groups lazily in this process —
+    one :func:`group_partition` per ``next()``, writing into ``bag`` and
+    the context's tracer, with the token checked at each partition
+    boundary (grouping one partition is the longest stretch with nothing
+    else to check at).  Otherwise every task goes to
     :func:`run_partitions` under a ``parallel_dispatch`` span and each
-    worker's payload is folded back into ``bag`` / ``tracer`` / a running
-    ``profiler`` before the first labels are handed out, so counters and
-    span trees equal the serial ones (modulo pids and the dispatch span).
+    worker's payload is folded back into ``bag`` / the tracer / a running
+    profiler before the first labels are handed out, so counters and span
+    trees equal the serial ones (modulo pids and the dispatch span).
     """
+    tracer, profiler = ctx.tracer, ctx.profiler
     if workers <= 1 or len(tasks) <= 1:
         for index, (mode, points, op_kwargs) in enumerate(tasks):
-            if cancel is not None:
-                cancel.check()
+            ctx.check()
             yield group_partition(index, mode, points, op_kwargs, bag, tracer)
         return
     from repro import kernels
     from repro.obs.trace import maybe_span
 
-    if profiler is not None and not profiler.running:
-        profiler = None
     profile_context = None
     if profiler is not None:
         from repro.obs.profile import span_prefix_of
@@ -297,12 +299,11 @@ def label_partitions(
             backend=kernels.active_backend(),
             want_metrics=bag is not None,
             trace_context=tracer.context() if tracer is not None else None,
-            cancel=cancel,
+            cancel=ctx.cancel,
             profile_context=profile_context,
         )
         for _labels, obs_payload in results:
-            if cancel is not None:
-                cancel.check()
+            ctx.check()
             fold_obs_payload(obs_payload, bag=bag, tracer=tracer,
                              profiler=profiler)
     for labels, _obs_payload in results:

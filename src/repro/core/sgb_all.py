@@ -66,13 +66,7 @@ def normalize_overlap(clause: str) -> str:
 # strategies
 # ----------------------------------------------------------------------
 class _StrategyBase:
-    """Owns the live groups and keeps auxiliary structures in sync.
-
-    ``metrics`` (a :class:`~repro.obs.metrics.MetricBag` or None) is set by
-    the owning operator; strategies count ``index_probes`` (FindCloseGroups
-    invocations — true window queries for :class:`IndexedStrategy`) and
-    ``candidates`` (raw entries examined before exact verification) into it.
-    """
+    """Owns the live groups and keeps auxiliary structures in sync."""
 
     name = "abstract"
 
@@ -81,12 +75,17 @@ class _StrategyBase:
         self.metric = metric
         self.use_hull = use_hull
         self.registry = GroupRegistry()
-        self.metrics: Optional[MetricBag] = None
 
     # -- FindCloseGroups -------------------------------------------------
     def find_close_groups(
         self, point: Point, need_overlap: bool
-    ) -> Tuple[List[Group], List[Group]]:
+    ) -> Tuple[int, List[Group], List[Group]]:
+        """``(examined, candidates, overlaps)`` for ``point``.
+
+        ``examined`` is how many raw entries the strategy looked at before
+        exact verification — every live group for the scans, the window
+        hits for :class:`IndexedStrategy`; the operator counts it.
+        """
         raise NotImplementedError
 
     # -- mutations ---------------------------------------------------------
@@ -128,10 +127,7 @@ class AllPairsStrategy(_StrategyBase):
 
     def find_close_groups(
         self, point: Point, need_overlap: bool
-    ) -> Tuple[List[Group], List[Group]]:
-        if self.metrics is not None:
-            self.metrics.incr("index_probes")
-            self.metrics.incr("candidates", len(self.registry))
+    ) -> Tuple[int, List[Group], List[Group]]:
         candidates: List[Group] = []
         overlaps: List[Group] = []
         for g in self.registry:
@@ -140,7 +136,7 @@ class AllPairsStrategy(_StrategyBase):
                 candidates.append(g)
             elif need_overlap and overlap:
                 overlaps.append(g)
-        return candidates, overlaps
+        return len(self.registry), candidates, overlaps
 
 
 #: Live-group count below which the bulk rectangle pass loses to the
@@ -188,10 +184,7 @@ class BoundsCheckingStrategy(_StrategyBase):
 
     def find_close_groups(
         self, point: Point, need_overlap: bool
-    ) -> Tuple[List[Group], List[Group]]:
-        if self.metrics is not None:
-            self.metrics.incr("index_probes")
-            self.metrics.incr("candidates", len(self.registry))
+    ) -> Tuple[int, List[Group], List[Group]]:
         if (
             self._rects is not None
             and len(self.registry) >= _VECTOR_MIN_GROUPS
@@ -212,11 +205,11 @@ class BoundsCheckingStrategy(_StrategyBase):
                 and g.any_within(point)
             ):
                 overlaps.append(g)
-        return candidates, overlaps
+        return len(self.registry), candidates, overlaps
 
     def _find_2d(
         self, point: Point, need_overlap: bool
-    ) -> Tuple[List[Group], List[Group]]:
+    ) -> Tuple[int, List[Group], List[Group]]:
         candidates: List[Group] = []
         overlaps: List[Group] = []
         x, y = point
@@ -241,11 +234,11 @@ class BoundsCheckingStrategy(_StrategyBase):
                         and mlo[1] <= whi1 and wlo1 <= mhi[1]
                         and g.any_within(point)):
                     overlaps.append(g)
-        return candidates, overlaps
+        return len(self.registry), candidates, overlaps
 
     def _find_vectorized(
         self, point: Point, need_overlap: bool
-    ) -> Tuple[List[Group], List[Group]]:
+    ) -> Tuple[int, List[Group], List[Group]]:
         """Bulk rectangle filters over every live group at once.
 
         Results are ordered by group id — identical to the linear scan,
@@ -276,7 +269,7 @@ class BoundsCheckingStrategy(_StrategyBase):
                 g = registry.get(gid)
                 if g.any_within(point):
                     overlaps.append(g)
-        return candidates, overlaps
+        return len(self.registry), candidates, overlaps
 
 
 class IndexedStrategy(_StrategyBase):
@@ -302,14 +295,11 @@ class IndexedStrategy(_StrategyBase):
 
     def find_close_groups(
         self, point: Point, need_overlap: bool
-    ) -> Tuple[List[Group], List[Group]]:
+    ) -> Tuple[int, List[Group], List[Group]]:
         candidates: List[Group] = []
         overlaps: List[Group] = []
         window = Rect.eps_box(point, self.eps)
         hits = self._rtree.search(window)
-        if self.metrics is not None:
-            self.metrics.incr("index_probes")
-            self.metrics.incr("candidates", len(hits))
         for gid in hits:
             g = self.registry.get(gid)
             if g.accepts(point):
@@ -320,7 +310,7 @@ class IndexedStrategy(_StrategyBase):
         # creation id so all strategies agree under deterministic tiebreaks.
         candidates.sort(key=lambda g: g.gid)
         overlaps.sort(key=lambda g: g.gid)
-        return candidates, overlaps
+        return len(hits), candidates, overlaps
 
     def _index_insert(self, group: Group) -> None:
         assert group.mbr is not None
@@ -461,13 +451,10 @@ class SGBAllOperator:
             and self._dim == 2
         )
         if self._strategy_cls is IndexedStrategy:
-            strat: _StrategyBase = IndexedStrategy(
+            return IndexedStrategy(
                 self.eps, self.metric, use_hull, self._rtree_max_entries
             )
-        else:
-            strat = self._strategy_cls(self.eps, self.metric, use_hull)
-        strat.metrics = self.metrics
-        return strat
+        return self._strategy_cls(self.eps, self.metric, use_hull)
 
     # ------------------------------------------------------------------
     def add(self, point: Sequence[float]) -> None:
@@ -511,10 +498,14 @@ class SGBAllOperator:
         bag = self.metrics
         if bag is not None:
             t0 = time.perf_counter()
-            candidates, overlaps = strat.find_close_groups(point, need_overlap)
+            examined, candidates, overlaps = strat.find_close_groups(
+                point, need_overlap)
             bag.observe("probe_latency", time.perf_counter() - t0)
+            bag.incr("index_probes")
+            bag.incr("candidates", examined)
         else:
-            candidates, overlaps = strat.find_close_groups(point, need_overlap)
+            _, candidates, overlaps = strat.find_close_groups(
+                point, need_overlap)
 
         # -- ProcessGroupingALL (Procedure 3) --------------------------
         if not candidates:

@@ -21,15 +21,21 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.cancel import CancelToken
 from repro.engine.catalog import Catalog
-from repro.engine.executor.base import attach_cancel
 from repro.engine.executor.sgb import SGBConfig
 from repro.engine.schema import Schema
 from repro.engine.table import Table
 from repro.errors import CatalogError, InvalidParameterError, PlanningError
+from repro.obs.explain import (
+    AnalyzeResult,
+    QueryContext,
+    memory_tracking,
+    plan_metrics,
+    render_analyze,
+)
 from repro.obs.metrics import MetricBag
 from repro.obs.profile import SamplingProfiler
 from repro.obs.querylog import QueryLog
-from repro.obs.trace import Tracer
+from repro.obs.trace import Tracer, maybe_span
 from repro.sql import ast_nodes as ast
 from repro.sql.parser import parse
 from repro.sql.planner import Planner
@@ -103,10 +109,11 @@ class Database:
         Results are bit-identical to serial execution.
     ``trace``
         Start with hierarchical span tracing enabled (see
-        :meth:`set_trace`).  Traced SELECTs run instrumented — every plan
-        node, SGB strategy phase, and worker partition emits a span into
-        :attr:`tracer`, and per-node counters/histograms fold into the
-        cumulative bag behind :meth:`metrics_snapshot`.
+        :meth:`set_trace`).  Traced SELECTs carry the tracer in their
+        query context — every plan node, SGB strategy phase, and worker
+        partition emits a span into :attr:`tracer`, and per-node
+        counters/histograms fold into the cumulative bag behind
+        :meth:`metrics_snapshot`.
     ``profile``
         Start with the sampling profiler running (see :meth:`set_profile`):
         collapsed stacks, attributed to trace spans when tracing is also
@@ -153,14 +160,16 @@ class Database:
         #: when taking ``_metrics_lock``, never the reverse.
         self._metrics_lock = threading.Lock()
         #: Cumulative engine metrics (counters / timings / histograms)
-        #: collected from every instrumented execution — traced SELECTs,
-        #: ``analyze()`` runs, and streaming micro-batch flushes.
+        #: collected from every collecting execution — traced SELECTs,
+        #: ``analyze()`` / EXPLAIN ANALYZE runs, and streaming micro-batch
+        #: flushes.
         self._metrics = MetricBag()
         self._queries = 0
         #: The database's tracer; ``None`` until tracing is first enabled,
         #: then kept (with its ring buffer) across :meth:`set_trace`
         #: toggles so a dump after ``set_trace(False)`` still works.
         self.tracer: Optional[Tracer] = None
+        self._trace_on = False
         #: The sampling profiler; ``None`` until first enabled, then kept
         #: (with its collected profile) across :meth:`set_profile` toggles
         #: so a report after ``set_profile(False)`` still works.
@@ -187,30 +196,32 @@ class Database:
     # ------------------------------------------------------------------
     @property
     def trace_enabled(self) -> bool:
-        return self.sgb_config.trace is not None
+        return self._trace_on
+
+    def _live_tracer(self) -> Optional[Tracer]:
+        """The tracer while tracing is on, else None."""
+        return self.tracer if self._trace_on else None
 
     def set_trace(self, enabled: bool = True) -> None:
         """Toggle span tracing for subsequent SELECTs and stream flushes.
 
-        Enabling installs the database tracer into the SGB executor config
-        (so operator phases and parallel workers emit spans) and into every
-        attached stream view's micro-batcher.  Disabling uninstalls it but
-        keeps the buffered spans, so :meth:`export_trace` still works.
+        While enabled, every SELECT's query context carries the database
+        tracer (so plan nodes, operator phases and parallel workers emit
+        spans) and so does every attached stream view's micro-batcher.
+        Disabling keeps the buffered spans, so :meth:`export_trace` still
+        works.
         """
         with self._lock:
-            if enabled:
-                if self.tracer is None:
-                    self.tracer = Tracer()
-                self.sgb_config.trace = self.tracer
-            else:
-                self.sgb_config.trace = None
+            if enabled and self.tracer is None:
+                self.tracer = Tracer()
+            self._trace_on = bool(enabled)
             for view in self._stream_views.values():
-                view.batcher.tracer = self.sgb_config.trace
+                view.batcher.tracer = self._live_tracer()
             if self.profiler is not None:
                 # Span attribution follows the *active* tracer: samples
                 # stop carrying span prefixes the moment tracing is
                 # turned off.
-                self.profiler.tracer = self.sgb_config.trace
+                self.profiler.tracer = self._live_tracer()
 
     def export_trace(self, path: str) -> int:
         """Dump buffered spans to ``path``; returns the span count.
@@ -248,16 +259,13 @@ class Database:
                 if interval_s is not None:
                     kwargs["interval_s"] = interval_s
                 self.profiler = SamplingProfiler(
-                    tracer=self.sgb_config.trace, **kwargs
+                    tracer=self._live_tracer(), **kwargs
                 )
-            self.profiler.tracer = self.sgb_config.trace
+            self.profiler.tracer = self._live_tracer()
             if not self.profiler.running:
                 self.profiler.start()
-            self.sgb_config.profile = self.profiler
-        else:
-            if self.profiler is not None and self.profiler.running:
-                self.profiler.stop()
-            self.sgb_config.profile = None
+        elif self.profiler is not None and self.profiler.running:
+            self.profiler.stop()
 
     def clear_profile(self) -> None:
         if self.profiler is not None:
@@ -388,7 +396,7 @@ class Database:
                 metric=metric,
                 batch_size=batch_size,
                 metrics=self._metrics,
-                tracer=self.sgb_config.trace,
+                tracer=self._live_tracer(),
                 **engine_options,
             )
             self._stream_views[key] = view
@@ -496,118 +504,99 @@ class Database:
     def explain_analyze(self, sql: str) -> str:
         """EXPLAIN with actual row counts and per-operator wall time.
 
-        The plan is executed exactly *once*: :func:`repro.obs.attach`
-        instruments every node, a single pass over the root drives the
-        whole tree, and each node reports its rows out, loop count, and
-        inclusive wall time (children run inside the parent's ``next()``,
-        like the inclusive times in PostgreSQL's EXPLAIN ANALYZE) plus any
-        SGB counters its operators recorded.
+        The plan is executed exactly *once*: a single pass over the root
+        drives the whole tree, and each node reports its rows out, loop
+        count, and inclusive wall time (children run inside the parent's
+        ``next()``, like the inclusive times in PostgreSQL's EXPLAIN
+        ANALYZE) plus any SGB counters its operators recorded.
         """
         return self.analyze(sql).plan_text
 
-    def analyze(self, sql: str):
-        """Run a SELECT instrumented and return an
+    def analyze(self, sql: str, *,
+                cancel: Optional[CancelToken] = None) -> AnalyzeResult:
+        """Run a SELECT collecting per-node metrics and return an
         :class:`~repro.obs.explain.AnalyzeResult` (rows + plan text +
-        per-node metrics tree for ``metrics_json()``)."""
-        from repro.obs import (
-            AnalyzeResult,
-            attach,
-            detach,
-            plan_metrics,
-            render_analyze,
-        )
-
+        per-node metrics tree for ``metrics_json()``).  ``cancel`` works
+        as in :meth:`execute`."""
         stmts = parse(sql)
         if len(stmts) != 1 or not isinstance(stmts[0], (ast.Select, ast.Union)):
             raise PlanningError("explain_analyze() expects a single SELECT")
-        from repro.obs.explain import memory_tracking
-
-        with self._lock:
+        if cancel is not None:
+            cancel.check()
+        self._acquire_statement_lock(cancel)
+        try:
             plan = self._planner().plan_query(stmts[0])
-            node_metrics = attach(plan, tracer=self.sgb_config.trace,
-                                  memory=True)
-            t0 = time.perf_counter()
-            try:
-                with memory_tracking():
-                    rows = list(plan)
-                latency_s = time.perf_counter() - t0
-                text = render_analyze(plan)
-                metrics = plan_metrics(plan)
-                self._log_query(sql, plan, len(rows), latency_s,
-                                node_metrics)
-            finally:
-                with self._metrics_lock:
-                    for nm in node_metrics:
-                        self._metrics.merge(nm.bag)
-                detach(plan)
-        return AnalyzeResult(plan.schema.names(), rows, text, metrics)
+            ctx = self._context(cancel, analyze=True)
+            rows = self._run_select(plan, ctx, sql)
+        finally:
+            self._lock.release()
+        return AnalyzeResult(plan.schema.names(), rows,
+                             plan_metrics(plan, ctx))
 
     # ------------------------------------------------------------------
     def _planner(self) -> Planner:
         return Planner(self.catalog, self.sgb_config)
 
-    def _log_query(self, sql: str, plan, actual_rows: int,
-                   latency_s: float, node_metrics=None) -> None:
-        """Record one executed SELECT into the query log (if enabled)."""
-        if not (self._query_log_on and self.query_log is not None):
-            return
-        counters: Optional[Dict[str, float]] = None
-        if node_metrics:
-            counters = {}
-            for nm in node_metrics:
-                for name, value in nm.bag.counters.items():
-                    counters[name] = counters.get(name, 0) + value
-        self.query_log.record_query(
-            sql, plan, actual_rows=actual_rows, latency_s=latency_s,
-            counters=counters,
+    def _context(self, cancel: Optional[CancelToken],
+                 analyze: bool = False) -> QueryContext:
+        """The query context of one SELECT-shaped statement.
+
+        Every entry point carries the caller's token, the tracer while
+        tracing is on and the profiler while it runs; ``analyze`` (the
+        ``analyze()`` / ``explain_analyze()`` methods and the EXPLAIN
+        ANALYZE statement) additionally keeps per-node metrics and
+        samples memory even when tracing is off.
+        """
+        return QueryContext(
+            cancel=cancel,
+            tracer=self._live_tracer(),
+            profiler=self.profiler if self.profile_enabled else None,
+            collect=analyze,
+            memory=analyze,
         )
 
-    def _run_select_plan(
-        self, plan, cancel: Optional[CancelToken] = None, sql: str = ""
-    ) -> QueryResult:
-        """Run a planned SELECT, instrumented when tracing is enabled.
+    def _run_select(self, plan, ctx: QueryContext, sql: str) -> List[tuple]:
+        """Run a freshly planned SELECT under ``ctx``: the one place a
+        plan root is iterated.
 
-        With tracing off this is the plain (near-zero-overhead) path:
-        no per-node instrumentation, just a latency clock read for the
-        query log.  With it on, the whole execution runs inside a root
-        ``query`` span, every plan node is attached with both a metric
-        bag and the tracer, and the node bags fold into the database's
-        cumulative metrics.
+        Counts the query, binds the context, materializes the rows
+        (inside a root ``query`` span when tracing), folds the node bags
+        into the database's cumulative metrics and writes the query log.
+        Callers differ only in the context they pass and in what they
+        return: the rows, or a rendering of ``plan_metrics(plan, ctx)``,
+        the run's plan-shaped record.
         """
         with self._metrics_lock:
             self._queries += 1
-        if cancel is not None:
-            attach_cancel(plan, cancel)
-        tracer = self.sgb_config.trace
-        if tracer is None:
-            t0 = time.perf_counter()
-            rows = plan.rows()
-            self._log_query(sql, plan, len(rows),
-                            time.perf_counter() - t0)
-            return QueryResult(plan.schema.names(), rows)
-        from repro.obs import attach, detach
-
-        node_metrics = attach(plan, tracer=tracer)
+        ctx.bind(plan)
         t0 = time.perf_counter()
         try:
-            with tracer.span("query", root=plan.describe()) as sp:
+            with memory_tracking(ctx.memory), \
+                    maybe_span(ctx.tracer, "query",
+                               root=plan.describe()) as sp:
                 rows = list(plan)
                 sp.set(rows=len(rows))
-            self._log_query(sql, plan, len(rows),
-                            time.perf_counter() - t0, node_metrics)
+            latency_s = time.perf_counter() - t0
         finally:
+            totals = MetricBag()
+            for nm in ctx.nodes.values():
+                totals.merge(nm.bag)
             with self._metrics_lock:
-                for nm in node_metrics:
-                    self._metrics.merge(nm.bag)
-            detach(plan)
-        return QueryResult(plan.schema.names(), rows)
+                self._metrics.merge(totals)
+        if self._query_log_on and self.query_log is not None:
+            self.query_log.record_query(
+                sql, plan, actual_rows=len(rows), latency_s=latency_s,
+                counters=totals.counters,
+            )
+        return rows
 
     def _execute_statement(self, stmt: Any,
                            cancel: Optional[CancelToken] = None,
                            sql: str = ""):
         if isinstance(stmt, (ast.Select, ast.Union)):
             plan = self._planner().plan_query(stmt)
-            return self._run_select_plan(plan, cancel, sql=sql)
+            rows = self._run_select(plan, self._context(cancel), sql)
+            return QueryResult(plan.schema.names(), rows)
         if isinstance(stmt, ast.CreateTable):
             self.catalog.create_table(
                 stmt.name,
@@ -631,7 +620,7 @@ class Database:
         if isinstance(stmt, ast.Insert):
             return self._execute_insert(stmt)
         if isinstance(stmt, ast.Explain):
-            return self._execute_explain(stmt)
+            return self._execute_explain(stmt, cancel, sql)
         if isinstance(stmt, ast.Analyze):
             self.update_statistics(stmt.table)
             return StatementResult("ANALYZE")
@@ -651,21 +640,15 @@ class Database:
                 for t in self.catalog:
                     t.analyze()
 
-    def _execute_explain(self, stmt: ast.Explain) -> QueryResult:
+    def _execute_explain(self, stmt: ast.Explain,
+                         cancel: Optional[CancelToken],
+                         sql: str) -> QueryResult:
         """EXPLAIN [ANALYZE] as a statement: one plan line per result row."""
         plan = self._planner().plan_query(stmt.query)
         if stmt.analyze:
-            from repro.obs import attach, detach, render_analyze
-            from repro.obs.explain import memory_tracking
-
-            attach(plan, memory=True)
-            try:
-                with memory_tracking():
-                    for _ in plan:
-                        pass
-                text = render_analyze(plan)
-            finally:
-                detach(plan)
+            ctx = self._context(cancel, analyze=True)
+            self._run_select(plan, ctx, sql)
+            text = render_analyze(plan_metrics(plan, ctx))
         else:
             text = plan.explain()
         return QueryResult(["QUERY PLAN"], [(line,) for line in text.splitlines()])

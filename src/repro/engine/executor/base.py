@@ -2,14 +2,13 @@
 
 Every operator exposes an output :class:`~repro.engine.schema.Schema` and an
 iterator of row tuples.  Plans are trees of operators; ``explain()`` renders
-the tree for tests and debugging, and :mod:`repro.obs` can attach a
-:class:`~repro.obs.explain.NodeMetrics` to every node for the full
-``EXPLAIN ANALYZE`` treatment.
+the tree for tests and debugging.
 
 Subclasses implement :meth:`_execute`; iteration always goes through the
 base ``__iter__``, which hands the raw iterator straight through when the
-node is uninstrumented (``_obs is None``, the default — one attribute check
-per query per node) and wraps it in the row/time recorder otherwise.
+node's :class:`~repro.obs.explain.QueryContext` has nothing to check or
+record (the unbound default — one attribute check per pass per node) and
+through the context's recorder otherwise.
 """
 
 from __future__ import annotations
@@ -17,27 +16,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 from repro.engine.schema import Schema
+from repro.obs.explain import UNBOUND, QueryContext
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.core.cancel import CancelToken
-    from repro.obs.explain import NodeMetrics
-    from repro.obs.trace import Tracer
     from repro.stats.model import PlanEstimate
-
-
-def _cancel_checked(it: Iterator[tuple],
-                    token: "CancelToken") -> Iterator[tuple]:
-    """Re-check the cancel token before every row crosses this node edge.
-
-    This is the operator-iteration-boundary check: a spooling parent
-    (e.g. the SGB aggregate's §8.2 tuple store) consumes its child row by
-    row, so a timeout or client cancel interrupts the spool long before
-    the parent yields anything.
-    """
-    check = token.check
-    for row in it:
-        check()
-        yield row
 
 
 class PhysicalOperator:
@@ -45,21 +28,11 @@ class PhysicalOperator:
 
     schema: Schema
 
-    #: Instrumentation slot filled by :func:`repro.obs.attach`; None means
-    #: execution is completely untouched.
-    _obs: "Optional[NodeMetrics]" = None
-
-    #: Trace slot filled by ``attach(plan, tracer=...)``; when set, each
-    #: execution pass of the node is wrapped in a span (lazily opened at
-    #: the first ``next()``, closed on exhaustion or early abandonment),
-    #: forming the plan-node layer of the query trace.
-    _tracer: "Optional[Tracer]" = None
-
-    #: Cooperative-cancellation slot filled by :func:`attach_cancel`; when
-    #: set, every row produced by this node re-checks the token, so
-    #: deadline expiry / client cancellation surface as typed errors at
-    #: the next iteration boundary anywhere in the tree.
-    _cancel: "Optional[CancelToken]" = None
+    #: The one instrumentation slot: the statement's
+    #: :class:`~repro.obs.explain.QueryContext` (cancel token, tracer,
+    #: per-node accounting), set on every node by ``QueryContext.bind``.
+    #: Unbound, execution is completely untouched.
+    _ctx: QueryContext = UNBOUND
 
     #: Cost-model slot filled by :func:`repro.stats.estimator.estimate_plan`
     #: (the planner runs it on every planned query): estimated output
@@ -78,38 +51,20 @@ class PhysicalOperator:
     def _checkpoint(self, i: int) -> None:
         """Cancel checkpoint for buffering loops inside ``_execute``.
 
-        The per-row check in :func:`_cancel_checked` only fires when a
-        row crosses a node edge; loops that spool-then-aggregate run
-        thousands of steps without yielding, so they call
-        ``self._checkpoint(i)`` with their loop index to re-check the
-        token every :attr:`CHECKPOINT_EVERY` iterations (a no-op when no
-        token is attached).
+        The context's per-row check only fires when a row crosses a
+        node edge; loops that spool-then-aggregate run thousands of
+        steps without yielding, so they call ``self._checkpoint(i)`` with
+        their loop index to re-check the token every
+        :attr:`CHECKPOINT_EVERY` iterations (a no-op without a token).
         """
-        if self._cancel is not None and i % self.CHECKPOINT_EVERY == 0:
-            self._cancel.check()
+        if i % self.CHECKPOINT_EVERY == 0:
+            self._ctx.check()
 
     def __iter__(self) -> Iterator[tuple]:
-        obs = self._obs
-        tracer = self._tracer
-        cancel = self._cancel
-        if obs is None and tracer is None and cancel is None:
+        ctx = self._ctx
+        if not ctx.wraps:
             return iter(self._execute())
-        it: Iterator[tuple] = self._execute()
-        if cancel is not None:
-            # Innermost wrapper: the typed error unwinds through the
-            # metrics/span recorders so their close paths still run.
-            it = _cancel_checked(it, cancel)
-        if obs is not None:
-            it = obs.record(it)
-        if tracer is not None:
-            from repro.obs.trace import traced_iter
-
-            attrs = {"node": type(self).__name__}
-            if self._estimate is not None:
-                attrs["est_rows"] = self._estimate.rows_int
-                attrs["est_cost"] = round(self._estimate.total_cost, 2)
-            it = traced_iter(tracer, self.describe(), it, **attrs)
-        return it
+        return ctx.record(self, self._execute())
 
     def rows(self) -> List[tuple]:
         """Materialize the full output."""
@@ -135,12 +90,10 @@ class PhysicalOperator:
 
 def attach_cancel(plan: PhysicalOperator,
                   token: "Optional[CancelToken]") -> None:
-    """Install (or clear, with ``None``) a cancel token on a whole plan.
+    """Bind a context carrying just this token to a whole plan.
 
-    Every node gets the same token, so the check fires at whichever
-    iteration boundary is active when the token trips — including deep
-    inside a blocking parent's input spool.
+    Kept only because ``benchmarks/e2e/layers.py`` (frozen by
+    BENCHMARK.json) calls it before ``plan.rows()``; everything else
+    builds the :class:`~repro.obs.explain.QueryContext` itself.
     """
-    plan._cancel = token
-    for child in plan.children():
-        attach_cancel(child, token)
+    QueryContext(cancel=token).bind(plan)

@@ -126,27 +126,18 @@ class SGBConfig:
     per CPU.  Results are bit-identical to serial execution (see
     :mod:`repro.core.parallel`).
 
-    ``trace`` is an optional :class:`~repro.obs.trace.Tracer`; when set
-    (the Database installs its tracer here when tracing is on), the SGB
-    node emits strategy-phase and per-partition spans, and propagates
-    trace context into parallel worker processes.
-
-    ``profile`` is an optional running
-    :class:`~repro.obs.profile.SamplingProfiler`; parallel dispatch uses
-    it to ship a profile context (interval + current span path) into
-    worker processes so their samples fold back into one flamegraph.
+    ``tiebreak`` / ``seed`` arbitrate JOIN-ANY, see
+    :class:`~repro.core.sgb_all.SGBAllOperator`.
     """
 
     def __init__(self, all_strategy: str = "auto", any_strategy: str = "auto",
                  tiebreak: str = "random", seed: int = 0,
-                 parallel: Optional[int] = None, trace=None, profile=None):
+                 parallel: Optional[int] = None):
         self.all_strategy = all_strategy
         self.any_strategy = any_strategy
         self.tiebreak = tiebreak
         self.seed = seed
         self.parallel = parallel
-        self.trace = trace
-        self.profile = profile
 
 
 class SimilarityAggregate(PhysicalOperator):
@@ -156,9 +147,6 @@ class SimilarityAggregate(PhysicalOperator):
     :meth:`_labels`; spooling, NULL / type / finiteness handling,
     counters, cancel checkpoints and the aggregate fold live here once.
     """
-
-    #: The node's ``SGBConfig``, for the clause that has one.
-    config: Optional[SGBConfig] = None
 
     def __init__(self, child: PhysicalOperator, key_exprs: Sequence[Expr],
                  agg_calls: Sequence[AggCall],
@@ -175,14 +163,6 @@ class SimilarityAggregate(PhysicalOperator):
                    for i in range(len(partition_exprs))]
         columns += [Column(f"__agg{i}", ANY) for i in range(len(agg_calls))]
         self.schema = Schema(columns)
-
-    @property
-    def _active_tracer(self):
-        """The node's tracer: ``attach(plan, tracer=)`` wins, then the
-        config-level tracer the Database installs (``SGBConfig.trace``)."""
-        if self._tracer is not None or self.config is None:
-            return self._tracer
-        return self.config.trace
 
     def _labels(self, partitions: List[Partition]) -> Iterable[Sequence[int]]:
         """One label sequence per spooled partition, in order.
@@ -218,8 +198,8 @@ class SimilarityAggregate(PhysicalOperator):
             bucket[1].append(point)
             bucket[2].append(row)
         spooled = list(partitions.values())
-        if self._obs is not None:
-            bag = self._obs.bag
+        bag = self._ctx.bag_of(self)
+        if bag is not None:
             if skipped:
                 bag.incr("rows_skipped_null", skipped)
             if spooled:
@@ -247,7 +227,7 @@ class SimilarityAggregate(PhysicalOperator):
             yield pkey + tuple(a.final() for a in group_accs[label])
 
     def _execute(self) -> Iterator[tuple]:
-        with maybe_span(self._active_tracer, "spool") as sp:
+        with maybe_span(self._ctx.tracer, "spool") as sp:
             partitions = self._spool()
             sp.set(partitions=len(partitions))
         for (pkey, _points, rows), labels in zip(partitions,
@@ -331,10 +311,8 @@ class SGBAggregate(SimilarityAggregate):
             [(self.mode, points, self._operator_kwargs(pkey))
              for pkey, points, _rows in partitions],
             resolve_workers(self.workers_hint),
-            bag=self._obs.bag if self._obs is not None else None,
-            tracer=self._active_tracer,
-            cancel=self._cancel,
-            profiler=self.config.profile,
+            self._ctx,
+            bag=self._ctx.bag_of(self),
         )
 
     def describe(self) -> str:

@@ -61,6 +61,18 @@ def point_in_convex_polygon(
     """True iff ``p`` lies inside or on the boundary of a CCW convex polygon.
 
     Works for degenerate "polygons" (a point or a segment) as well.
+
+    The error is one-sided on purpose.  Callers treat "inside" as "within
+    ε of every member, no distance check needed" and as "not an extreme
+    point, drop it"; a false "outside" only costs a hull rebuild or the
+    exact vertex scan, a false "inside" breaks the clique invariant.  So
+    a polygon tests the computed orientation against 0 with no slack: an
+    absolute slack makes every sliver hull narrower than it "contain"
+    the whole plane along its long edges.  A segment keeps its 1e-12
+    slack (a point between the endpoints rarely computes to exactly 0)
+    because there the bounding box confines the error: whatever passes
+    lies in the box of ``a``, ``b`` grown by 1e-12, hence within
+    ``|ab| + 3e-12`` of everything else in it.
     """
     n = len(hull)
     if n == 0:
@@ -78,7 +90,7 @@ def point_in_convex_polygon(
     for i in range(n):
         a = hull[i]
         b = hull[(i + 1) % n]
-        if cross(a, b, p) < -1e-12:
+        if cross(a, b, p) < 0:
             return False
     return True
 

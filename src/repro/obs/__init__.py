@@ -10,19 +10,18 @@ Three layers, cheapest first:
 * :mod:`repro.obs.trace` — hierarchical span tracing with ring-buffer
   retention and JSONL / Chrome ``trace_event`` export.
 
-:mod:`repro.obs.explain` holds the plan instrumentation behind
-``EXPLAIN ANALYZE``; :mod:`repro.obs.export` renders one Prometheus
-text-format snapshot over all of it; :mod:`repro.obs.profile` samples
-collapsed stacks attributed to the tracer's spans (flamegraph/folded
-export); :mod:`repro.obs.querylog` records executed queries with plan
-fingerprints and flags estimate drift.
+:mod:`repro.obs.explain` holds the per-statement query context and
+the plan record behind ``EXPLAIN ANALYZE``; :mod:`repro.obs.export`
+renders one Prometheus text-format snapshot over all of it;
+:mod:`repro.obs.profile` samples collapsed stacks attributed to the
+tracer's spans (flamegraph/folded export); :mod:`repro.obs.querylog`
+records executed queries with plan fingerprints and flags estimate drift.
 """
 
 from repro.obs.explain import (
     AnalyzeResult,
     NodeMetrics,
-    attach,
-    detach,
+    QueryContext,
     memory_tracking,
     plan_metrics,
     render_analyze,
@@ -62,6 +61,7 @@ __all__ = [
     "LatencyHistogram",
     "MetricBag",
     "NodeMetrics",
+    "QueryContext",
     "QueryLog",
     "QueryRecord",
     "SGB_COUNTER_FIELDS",
@@ -70,9 +70,7 @@ __all__ = [
     "SpanRecord",
     "TraceSpan",
     "Tracer",
-    "attach",
     "chrome_trace_payload",
-    "detach",
     "maybe_span",
     "memory_tracking",
     "parse_prometheus_text",

@@ -1,17 +1,21 @@
-"""Plan-level instrumentation behind ``EXPLAIN ANALYZE``.
+"""The per-statement query context and the plan record it produces.
 
-Every :class:`~repro.engine.executor.base.PhysicalOperator` funnels its
-iteration through ``__iter__``, which checks a per-instance ``_obs`` slot:
-``None`` (the default) returns the raw iterator untouched, so ordinary
-execution pays nothing.  :func:`attach` walks a plan tree and hangs a
-:class:`NodeMetrics` on every node; a single execution of the root then
-yields, per node, rows out, loop count, inclusive wall time (like
-PostgreSQL's EXPLAIN ANALYZE, times include the children), and whatever
-SGB counters the node's operators put into its :class:`MetricBag`.
+Every SELECT-shaped statement runs the same way: the Database builds one
+:class:`QueryContext` — cancel token, tracer, running profiler, and
+whether to keep per-node accounting and sample memory — and binds it to
+the freshly planned tree.  Every
+:class:`~repro.engine.executor.base.PhysicalOperator` funnels its
+iteration through ``__iter__``, which hands its raw iterator to
+:meth:`QueryContext.record`: one generator per node per pass that checks
+the token, charges rows / inclusive wall time / memory to the node's
+:class:`NodeMetrics` and covers the pass with a lazily opened span.  A
+plan nobody bound carries :data:`UNBOUND` and iterates bare.
 
-:func:`render_analyze` formats the annotated tree as text and
-:func:`plan_metrics` exports it as a JSON-ready dict — the
-``metrics_json()`` trajectory format the benchmark harness writes to disk.
+After the single pass over the root, :func:`plan_metrics` folds plan and
+context into one plan-shaped, JSON-ready record — estimate and actuals
+on the same node — and :func:`render_analyze` formats that record as
+``EXPLAIN ANALYZE`` text.  ``metrics_json()``, the query log's counters
+and the cumulative metric bag all read the same run.
 """
 
 from __future__ import annotations
@@ -19,26 +23,34 @@ from __future__ import annotations
 import json
 import time
 import tracemalloc
-from typing import Any, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
 from repro.obs.metrics import MetricBag
+from repro.obs.trace import NULL_TRACE_SPAN, Tracer
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; obs imports no engine code
+    from repro.core.cancel import CancelToken
+    from repro.obs.profile import SamplingProfiler
 
 
 class memory_tracking:
-    """Ensure tracemalloc is tracing within the block.
+    """Ensure tracemalloc is tracing within the block (unless disabled).
 
     Starts tracemalloc on entry if (and only if) it was not already
     running, and stops it again on exit in that case — so nesting, or a
-    caller that profiles allocations themselves, is safe.  Memory-aware
-    :class:`NodeMetrics` sample peaks only while tracing is active, so
-    wrapping an instrumented execution in this context is what turns the
-    ``mem_peak`` column on.
+    caller that profiles allocations themselves, is safe.  A
+    :class:`QueryContext` with ``memory=True`` samples peaks only while
+    tracing is active, so wrapping the execution in this context is what
+    turns the ``mem_peak`` column on.
     """
 
-    __slots__ = ("_started",)
+    __slots__ = ("_enabled", "_started")
+
+    def __init__(self, enabled: bool = True) -> None:
+        self._enabled = enabled
 
     def __enter__(self) -> "memory_tracking":
-        self._started = not tracemalloc.is_tracing()
+        self._started = self._enabled and not tracemalloc.is_tracing()
         if self._started:
             tracemalloc.start()
         return self
@@ -48,91 +60,43 @@ class memory_tracking:
             tracemalloc.stop()
 
 
+def _derived_ratios(counters: Dict[str, float]) -> Dict[str, float]:
+    """Candidate/refinement ratios from a node's SGB counters.
+
+    ``candidates_per_probe`` is the average index-probe fan-out;
+    ``refines_per_candidate`` how many exact distance checks each
+    candidate cost — together they say whether the index pruned
+    (low fan-out) and whether refinement amplified work.
+    """
+    probes = counters.get("index_probes", 0)
+    candidates = counters.get("candidates", 0)
+    distances = counters.get("distance_computations", 0)
+    out: Dict[str, float] = {}
+    if probes > 0 and candidates > 0:
+        out["candidates_per_probe"] = candidates / probes
+    if candidates > 0 and distances > 0:
+        out["refines_per_candidate"] = distances / candidates
+    return out
+
+
 class NodeMetrics:
-    """Per-plan-node execution accounting (rows, loops, time, counters)."""
+    """Per-plan-node execution accounting (rows, loops, time, counters).
 
-    __slots__ = ("rows_out", "loops", "time_s", "bag", "track_memory",
-                 "mem_peak_bytes")
+    Filled by :meth:`QueryContext.record`; ``bag`` is where the node's
+    own operators count (the SGB counters, ``rows_spooled``).
+    ``mem_peak_bytes`` is the peak traced-memory growth over the node's
+    start baseline (inclusive of children, like the times); ``None`` =
+    never measured.
+    """
 
-    def __init__(self, track_memory: bool = False) -> None:
+    __slots__ = ("rows_out", "loops", "time_s", "bag", "mem_peak_bytes")
+
+    def __init__(self) -> None:
         self.rows_out = 0
         self.loops = 0
         self.time_s = 0.0
         self.bag = MetricBag()
-        #: When True *and* tracemalloc is tracing, :meth:`record` samples
-        #: traced memory at row boundaries; ``mem_peak_bytes`` is then the
-        #: peak observed growth over the node's start baseline (inclusive
-        #: of children, like the times).  ``None`` = never measured.
-        self.track_memory = track_memory
         self.mem_peak_bytes: Optional[int] = None
-
-    def record(self, it: Iterator[tuple]) -> Iterator[tuple]:
-        """Wrap one pass over the node's output, timing time-to-next-row.
-
-        The accumulated time is *inclusive* of the node's children (they
-        run inside its ``next()``), mirroring PostgreSQL.  Time the
-        consumer spends between rows is not charged to the node.
-
-        Close/exception-safe: if the producer raises mid-``next()`` or
-        the consumer stops early (LIMIT closing the generator, an error
-        in a downstream node), the ``finally`` still charges the
-        in-flight ``next()`` to ``time_s`` instead of silently dropping
-        it.
-
-        With memory tracking on, traced bytes are sampled at the same
-        row boundaries the clock reads at: a blocking node's spool is
-        still alive when its first row emerges, so boundary sampling
-        observes materialization peaks without per-allocation hooks.
-        """
-        self.loops += 1
-        clock = time.perf_counter
-        track_mem = self.track_memory and tracemalloc.is_tracing()
-        if track_mem:
-            mem_base = tracemalloc.get_traced_memory()[0]
-            if self.mem_peak_bytes is None:
-                self.mem_peak_bytes = 0
-        t0 = clock()
-        charged = False  # is the segment since t0 already in time_s?
-        try:
-            for row in it:
-                self.time_s += clock() - t0
-                charged = True
-                self.rows_out += 1
-                if track_mem:
-                    grown = tracemalloc.get_traced_memory()[0] - mem_base
-                    if grown > self.mem_peak_bytes:
-                        self.mem_peak_bytes = grown
-                yield row
-                t0 = clock()
-                charged = False
-            # Exhaustion: charge the final next() that raised StopIteration.
-            self.time_s += clock() - t0
-            charged = True
-        finally:
-            if not charged:
-                self.time_s += clock() - t0
-            if track_mem:
-                grown = tracemalloc.get_traced_memory()[0] - mem_base
-                if grown > self.mem_peak_bytes:
-                    self.mem_peak_bytes = grown
-
-    def derived_ratios(self) -> Dict[str, float]:
-        """Candidate/refinement ratios from the node's SGB counters.
-
-        ``candidates_per_probe`` is the average index-probe fan-out;
-        ``refines_per_candidate`` how many exact distance checks each
-        candidate cost — together they say whether the index pruned
-        (low fan-out) and whether refinement amplified work.
-        """
-        probes = self.bag.get("index_probes")
-        candidates = self.bag.get("candidates")
-        distances = self.bag.get("distance_computations")
-        out: Dict[str, float] = {}
-        if probes > 0 and candidates > 0:
-            out["candidates_per_probe"] = candidates / probes
-        if candidates > 0 and distances > 0:
-            out["refines_per_candidate"] = distances / candidates
-        return out
 
     def as_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {
@@ -145,7 +109,7 @@ class NodeMetrics:
         counters = self.bag.as_dict()
         if counters:
             out["counters"] = counters
-        derived = self.derived_ratios()
+        derived = _derived_ratios(counters)
         if derived:
             out["derived"] = {k: round(v, 4) for k, v in derived.items()}
         histograms = self.bag.histogram_summaries()
@@ -154,76 +118,205 @@ class NodeMetrics:
         return out
 
 
-def attach(plan, tracer=None, memory: bool = False) -> List[NodeMetrics]:
-    """Hang a fresh NodeMetrics on every node of ``plan`` (pre-order).
+class QueryContext:
+    """What one statement's execution carries down its plan.
 
-    With ``tracer`` (a :class:`~repro.obs.trace.Tracer`) given, every
-    node additionally opens a span per execution pass — the plan-node
-    layer of the query span hierarchy.  With ``memory=True`` the nodes
-    sample tracemalloc at row boundaries (run the execution inside
-    :class:`memory_tracking` — otherwise the flag is inert).
+    ``cancel``
+        :class:`~repro.core.cancel.CancelToken` or None; re-checked as
+        each row crosses a node edge and at operator checkpoints.
+    ``tracer``
+        :class:`~repro.obs.trace.Tracer` or None; every node pass, SGB
+        phase and worker partition emits a span into it.
+    ``profiler``
+        A running :class:`~repro.obs.profile.SamplingProfiler` or None;
+        parallel dispatch ships its context to the workers.
+    ``collect``
+        Keep a :class:`NodeMetrics` per node (always on when tracing, so
+        traced queries feed the cumulative counters).
+    ``memory``
+        Sample tracemalloc at row boundaries (inert unless the pass runs
+        inside :class:`memory_tracking`).
+
+    ``nodes`` maps each bound plan node to its :class:`NodeMetrics`, in
+    pre-order; it stays empty unless ``collect``.  A context serves one
+    plan, once: plans are planned fresh per statement and never re-run,
+    so nothing is ever unbound.
     """
-    attached: List[NodeMetrics] = []
 
-    def walk(node) -> None:
-        node._obs = NodeMetrics(track_memory=memory)
-        node._tracer = tracer
-        attached.append(node._obs)
-        for child in node.children():
-            walk(child)
+    __slots__ = ("cancel", "tracer", "profiler", "collect", "memory",
+                 "nodes", "wraps")
 
-    walk(plan)
-    return attached
+    def __init__(self, cancel: "Optional[CancelToken]" = None,
+                 tracer: Optional[Tracer] = None,
+                 profiler: "Optional[SamplingProfiler]" = None,
+                 collect: bool = False, memory: bool = False) -> None:
+        self.cancel: "Optional[CancelToken]" = cancel
+        self.tracer = tracer
+        self.profiler = profiler
+        self.collect = collect or tracer is not None
+        self.memory = memory
+        self.nodes: Dict[Any, NodeMetrics] = {}
+        #: False when a node pass has nothing to check or record, so
+        #: ``PhysicalOperator.__iter__`` hands back the raw iterator.
+        self.wraps = cancel is not None or self.collect
+
+    def bind(self, plan) -> None:
+        """Point every node of ``plan`` at this context (pre-order)."""
+        plan._ctx = self
+        if self.collect:
+            self.nodes[plan] = NodeMetrics()
+        for child in plan.children():
+            self.bind(child)
+
+    def check(self) -> None:
+        """Raise the token's typed error once the statement is cancelled
+        or past its deadline; a no-op without a token."""
+        if self.cancel is not None:
+            self.cancel.check()
+
+    def bag_of(self, node) -> Optional[MetricBag]:
+        """The counter bag ``node``'s operators write to, or None."""
+        nm = self.nodes.get(node)
+        return nm.bag if nm is not None else None
+
+    def record(self, node, it: Iterator[tuple]) -> Iterator[tuple]:
+        """The one recorder: wrap one pass over ``node``'s output.
+
+        Per row: cancel check, then — when collecting — rows out and
+        time-to-next-row (and traced bytes with ``memory``); around the
+        pass, a span that opens at the first ``next()`` and closes on
+        exhaustion, error or abandonment (LIMIT closing the generator).
+
+        The check sits at the node edge so a spooling parent (the SGB
+        aggregate's §8.2 tuple store) that consumes its child row by row
+        is interrupted long before it yields anything.  Accumulated time
+        is *inclusive* of the node's children (they run inside its
+        ``next()``), mirroring PostgreSQL; time the consumer spends
+        between rows is not charged.  If the producer raises mid-
+        ``next()`` or the consumer stops early, the ``finally`` still
+        charges the in-flight ``next()`` instead of dropping it.  Memory
+        is sampled at the same row boundaries the clock reads at: a
+        blocking node's spool is still alive when its first row emerges,
+        so boundary sampling observes materialization peaks without
+        per-allocation hooks.
+        """
+        check = self.check if self.cancel is None else self.cancel.check
+        nm = self.nodes.get(node)
+        if nm is None:
+            # Token only — what the service runs every statement with.
+            for row in it:
+                check()
+                yield row
+            return
+        clock = time.perf_counter
+        track_mem = self.memory and tracemalloc.is_tracing()
+        if self.tracer is None:
+            span = NULL_TRACE_SPAN
+        else:
+            attrs = {"node": type(node).__name__}
+            if node._estimate is not None:
+                attrs["est_rows"] = node._estimate.rows_int
+                attrs["est_cost"] = round(node._estimate.total_cost, 2)
+            span = self.tracer.span(node.describe(), **attrs)
+        with span as sp:
+            nm.loops += 1
+            rows_before = nm.rows_out
+            if track_mem:
+                mem_base = tracemalloc.get_traced_memory()[0]
+                if nm.mem_peak_bytes is None:
+                    nm.mem_peak_bytes = 0
+            t0 = clock()
+            charged = False  # is the segment since t0 already in time_s?
+            try:
+                for row in it:
+                    check()
+                    nm.time_s += clock() - t0
+                    charged = True
+                    nm.rows_out += 1
+                    if track_mem:
+                        grown = tracemalloc.get_traced_memory()[0] - mem_base
+                        if grown > nm.mem_peak_bytes:
+                            nm.mem_peak_bytes = grown
+                    yield row
+                    t0 = clock()
+                    charged = False
+                # Exhaustion: charge the next() that raised StopIteration.
+                nm.time_s += clock() - t0
+                charged = True
+            finally:
+                if not charged:
+                    nm.time_s += clock() - t0
+                if track_mem:
+                    grown = tracemalloc.get_traced_memory()[0] - mem_base
+                    if grown > nm.mem_peak_bytes:
+                        nm.mem_peak_bytes = grown
+                sp.set(rows=nm.rows_out - rows_before)
 
 
-def detach(plan) -> None:
-    """Remove instrumentation so later executions run uninstrumented."""
-
-    def walk(node) -> None:
-        node._obs = None
-        node._tracer = None
-        for child in node.children():
-            walk(child)
-
-    walk(plan)
+#: The context of a plan nobody bound (hand-built, or planned and run
+#: outside the Database): no token, no tracer, nothing recorded.
+UNBOUND = QueryContext()
 
 
-def render_analyze(plan) -> str:
-    """Format an executed, instrumented plan like EXPLAIN ANALYZE output."""
+def plan_metrics(plan, ctx: QueryContext) -> Dict[str, Any]:
+    """The plan-shaped record of one run: a nested JSON-ready dict with,
+    per node, the planner's estimate and (for a collecting ``ctx``) what
+    the node actually did."""
+    nodes = ctx.nodes
+
+    def walk(node) -> Dict[str, Any]:
+        out: Dict[str, Any] = {"node": node.describe()}
+        est = node._estimate
+        if est is not None:
+            out["estimate"] = est.render()
+            out["estimated_rows"] = est.rows_int
+            out["estimated_cost"] = {
+                "startup": round(est.startup_cost, 4),
+                "total": round(est.total_cost, 4),
+            }
+        nm = nodes.get(node)
+        if nm is not None:
+            out.update(nm.as_dict())
+        kids = [walk(child) for child in node.children()]
+        if kids:
+            out["children"] = kids
+        return out
+
+    return walk(plan)
+
+
+def render_analyze(record: Dict[str, Any]) -> str:
+    """Format a collected :func:`plan_metrics` record like EXPLAIN
+    ANALYZE output."""
     lines: List[str] = []
 
-    def walk(node, indent: int) -> None:
-        obs: Optional[NodeMetrics] = getattr(node, "_obs", None)
-        est = getattr(node, "_estimate", None)
-        est_part = f"({est.render()})  " if est is not None else ""
+    def walk(rec: Dict[str, Any], indent: int) -> None:
         pad = "  " * indent
-        if obs is None:  # pragma: no cover - defensive
-            lines.append(f"{pad}-> {node.describe()}  {est_part}".rstrip())
-        else:
-            mem_part = ""
-            if obs.mem_peak_bytes is not None:
-                mem_part = f", mem_peak={_fmt_bytes(obs.mem_peak_bytes)}"
-            lines.append(
-                f"{pad}-> {node.describe()}  {est_part}"
-                f"(actual rows={obs.rows_out} loops={obs.loops}, "
-                f"time={obs.time_s * 1000.0:.2f} ms{mem_part})"
+        est_part = f"({rec['estimate']})  " if "estimate" in rec else ""
+        mem_part = ""
+        if "mem_peak_bytes" in rec:
+            mem_part = f", mem_peak={_fmt_bytes(rec['mem_peak_bytes'])}"
+        lines.append(
+            f"{pad}-> {rec['node']}  {est_part}"
+            f"(actual rows={rec['rows']} loops={rec['loops']}, "
+            f"time={rec['time_ms']:.2f} ms{mem_part})"
+        )
+        counters = rec.get("counters")
+        if counters:
+            body = " ".join(
+                f"{k}={_fmt(v)}" for k, v in sorted(counters.items())
             )
-            counters = obs.bag.as_dict()
-            if counters:
-                body = " ".join(
-                    f"{k}={_fmt(v)}" for k, v in sorted(counters.items())
-                )
-                lines.append(f"{pad}     {body}")
-            derived = obs.derived_ratios()
+            lines.append(f"{pad}     {body}")
+            derived = _derived_ratios(counters)
             if derived:
                 body = " ".join(
                     f"{k}={v:.2f}" for k, v in sorted(derived.items())
                 )
                 lines.append(f"{pad}     {body}")
-        for child in node.children():
+        for child in rec.get("children", ()):
             walk(child, indent + 1)
 
-    walk(plan, 0)
+    walk(record, 0)
     return "\n".join(lines)
 
 
@@ -245,42 +338,23 @@ def _fmt_bytes(n: int) -> str:
     return f"{int(value)} B"  # pragma: no cover - unreachable
 
 
-def plan_metrics(plan) -> Dict[str, Any]:
-    """Export an instrumented plan as a nested JSON-ready dict."""
-
-    def walk(node) -> Dict[str, Any]:
-        obs: Optional[NodeMetrics] = getattr(node, "_obs", None)
-        out: Dict[str, Any] = {"node": node.describe()}
-        est = getattr(node, "_estimate", None)
-        if est is not None:
-            out["estimated_rows"] = est.rows_int
-            out["estimated_cost"] = {
-                "startup": round(est.startup_cost, 4),
-                "total": round(est.total_cost, 4),
-            }
-        if obs is not None:
-            out.update(obs.as_dict())
-        kids = [walk(child) for child in node.children()]
-        if kids:
-            out["children"] = kids
-        return out
-
-    return walk(plan)
-
-
 class AnalyzeResult:
     """Rows plus execution metrics from :meth:`Database.analyze`.
 
-    ``rows``/``columns`` are the ordinary query result; ``plan_text`` is
-    the EXPLAIN ANALYZE rendering; ``metrics`` the nested per-node dict.
+    ``rows``/``columns`` are the ordinary query result; ``metrics`` is
+    the run's :func:`plan_metrics` record and ``plan_text`` its EXPLAIN
+    ANALYZE rendering.
     """
 
     def __init__(self, columns: List[str], rows: List[tuple],
-                 plan_text: str, metrics: Dict[str, Any]):
+                 metrics: Dict[str, Any]):
         self.columns = columns
         self.rows = rows
-        self.plan_text = plan_text
         self.metrics = metrics
+
+    @property
+    def plan_text(self) -> str:
+        return render_analyze(self.metrics)
 
     def metrics_json(self, indent: Optional[int] = None) -> str:
         """The per-node metrics tree as a JSON string (for bench output)."""

@@ -40,8 +40,16 @@ DEFAULT_ALL_STRATEGY = "index"
 #: before n=400 on sparse data.
 SMALL_INPUT = 128
 
-#: Minimum points per partition before a worker process pays for itself.
-PARALLEL_MIN_POINTS = 2000
+#: What handing partitions to the process pool costs, in the units of
+#: :func:`~repro.stats.model.sgb_strategy_cost` (about 0.03 ms each on
+#: the 2-core calibration box): forking and joining the workers, and
+#: pickling every point out and its label back.  Fitted to pool-minus-
+#: half-of-serial over brightkite at ε 0.1 through SQL (39 / 78 / 147 ms
+#: at 5k / 16k / 32k rows: 25 ms + 3.8 µs per row, paid against the half
+#: of the work a second core takes over); docs/architecture.md has the
+#: table.
+POOL_STARTUP_COST = 800.0
+POOL_COST_PER_POINT = 0.25
 
 
 @dataclass
@@ -87,21 +95,33 @@ def choose_strategy(mode: str, n: float, avg_neighbors: Optional[float],
     return best, reason, costs
 
 
-def choose_parallel(n: float, n_partitions: Optional[float],
+def choose_parallel(mode: str, strategy: str, n: float,
+                    avg_neighbors: Optional[float],
+                    n_partitions: Optional[float],
                     cpu_count: Optional[int] = None) -> int:
     """Worker-process count for PARTITION BY execution.
 
     Parallelism only pays when there are at least two partitions to farm
-    out, enough points for the fork/pickle overhead to amortize, and more
-    than one CPU to run them on.  Returns ``0`` (serial) otherwise; the
-    result feeds :func:`repro.core.parallel.resolve_workers` unchanged.
+    out, more than one CPU to run them on, and the modelled work the
+    extra workers take over — ``strategy``'s cost over every partition,
+    less the one worker's share that stays serial — exceeds what the
+    dispatch costs.  The set-at-a-time SGB-Any ``grid`` does less work
+    per point than pickling it costs and never gets a pool; SGB-All
+    earns one from a few thousand rows.  Returns ``0`` (serial)
+    otherwise; the result feeds
+    :func:`repro.core.parallel.resolve_workers` unchanged.
     """
     cpus = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
     if cpus <= 1 or not n_partitions or n_partitions < 2:
         return 0
-    if n < PARALLEL_MIN_POINTS * 2:
+    workers = int(min(cpus, n_partitions))
+    k = avg_neighbors if avg_neighbors is not None else min(n, 16.0)
+    serial = n_partitions * sgb_strategy_cost(
+        mode, strategy, n / n_partitions, k)
+    if serial * (1.0 - 1.0 / workers) <= (
+            POOL_STARTUP_COST + POOL_COST_PER_POINT * n):
         return 0
-    return int(min(cpus, n_partitions))
+    return workers
 
 
 def resolve_sgb_choice(
@@ -115,35 +135,29 @@ def resolve_sgb_choice(
 ) -> SGBChoice:
     """Resolve a (possibly ``"auto"``) configured strategy into a concrete
     :class:`SGBChoice`, demoting flags to overrides."""
+    costs: Optional[Dict[str, float]] = None
+    if configured != AUTO:
+        strategy, source = configured, "flag"
+        reason = "strategy forced by flag"
+    elif est_points is None:
+        strategy = (DEFAULT_ALL_STRATEGY if mode == "all"
+                    else DEFAULT_ANY_STRATEGY)
+        source, reason = "default", "no statistics available"
+    else:
+        strategy, reason, costs = choose_strategy(mode, est_points,
+                                                  avg_neighbors, eps)
+        source = "stats"
     if configured_parallel is None:
-        parallel = choose_parallel(est_points or 0.0, est_partitions)
+        parallel = choose_parallel(mode, strategy, est_points or 0.0,
+                                   avg_neighbors, est_partitions)
     else:
         parallel = configured_parallel
-    if configured != AUTO:
-        return SGBChoice(
-            strategy=configured,
-            parallel=parallel,
-            source="flag",
-            reason="strategy forced by flag",
-            est_points=est_points or 0.0,
-            est_neighbors=avg_neighbors if avg_neighbors is not None else -1.0,
-        )
-    if est_points is None:
-        default = DEFAULT_ALL_STRATEGY if mode == "all" else DEFAULT_ANY_STRATEGY
-        return SGBChoice(
-            strategy=default,
-            parallel=parallel,
-            source="default",
-            reason="no statistics available",
-        )
-    strategy, reason, costs = choose_strategy(mode, est_points,
-                                              avg_neighbors, eps)
     return SGBChoice(
         strategy=strategy,
         parallel=parallel,
-        source="stats",
+        source=source,
         reason=reason,
-        est_points=est_points,
+        est_points=est_points or 0.0,
         est_neighbors=avg_neighbors if avg_neighbors is not None else -1.0,
         costs=costs or None,
     )

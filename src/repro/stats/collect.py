@@ -190,7 +190,9 @@ class TableStats:
 def _build_histogram(coords: Sequence[float],
                      buckets: int) -> DensityHistogram:
     lo, hi = min(coords), max(coords)
-    if hi <= lo:
+    # A denormal spread overflows the scale to inf (then 0 * inf = NaN):
+    # such a column is one point as far as any ε is concerned.
+    if hi <= lo or math.isinf(buckets / (hi - lo)):
         return DensityHistogram(lo, lo, [len(coords)])
     counts = [0] * buckets
     scale = buckets / (hi - lo)

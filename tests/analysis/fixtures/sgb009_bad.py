@@ -4,7 +4,7 @@
 
 class PhysicalOperator:
     def __init__(self, child=None):
-        self._cancel = None
+        self._ctx = None
         self.child = child
 
 

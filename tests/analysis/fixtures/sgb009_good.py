@@ -8,18 +8,29 @@ class CancelToken:
         return None
 
 
+class QueryContext:
+    cancel: CancelToken
+
+    def __init__(self, cancel=None):
+        self.cancel = cancel
+
+    def check(self):
+        if self.cancel is not None:
+            self.cancel.check()
+
+
 class PhysicalOperator:
     CHECKPOINT_EVERY = 1024
 
-    _cancel: CancelToken
+    _ctx: QueryContext
 
     def __init__(self, child=None):
-        self._cancel = None
+        self._ctx = QueryContext()
         self.child = child
 
     def _checkpoint(self, i):
-        if self._cancel is not None and i % self.CHECKPOINT_EVERY == 0:
-            self._cancel.check()
+        if i % self.CHECKPOINT_EVERY == 0:
+            self._ctx.check()
 
 
 class CheckpointedAggregate(PhysicalOperator):
@@ -34,7 +45,7 @@ class CheckpointedAggregate(PhysicalOperator):
         acc = 0
         for i, row in enumerate(spool):
             if i % 256 == 0:
-                self._cancel.check()  # direct cancel check
+                self._ctx.cancel.check()  # direct cancel check
             acc = acc + row
         total = 0
         for j, row in enumerate(spool):

@@ -191,3 +191,21 @@ class TestUseHullToggle:
             off = sgb_all(pts, 1.0, "l2", clause, "index", tiebreak="first",
                           use_hull=False)
             assert on == off
+
+
+class TestSliverHull:
+    """A group whose hull is a sliver narrower than 1e-12 used to
+    "contain" (0, 2), so the hull never learnt it and (1, 0) — √5 from
+    (0, 2) — was refined against the wrong vertices and joined."""
+
+    @pytest.mark.parametrize("width", [8.55e-239, 1e-13])
+    @pytest.mark.parametrize("clause, expected", [
+        ("join-any", [0, 0, 0, 0, 1]),
+        ("eliminate", [ELIMINATED, ELIMINATED, ELIMINATED, 0, 1]),
+        ("form-new-group", [2, 2, 2, 0, 1]),
+    ])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_far_point_stays_out(self, width, clause, expected, strategy):
+        pts = [(0, 0), (width, 0), (0, 1), (0, 2), (1, 0)]
+        result = sgb_all(pts, 2, "l2", clause, strategy, tiebreak="first")
+        assert list(result.labels) == expected

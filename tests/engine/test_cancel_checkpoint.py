@@ -14,11 +14,12 @@ from repro.engine import functions
 from repro.engine.database import Database
 from repro.engine.executor.base import PhysicalOperator
 from repro.errors import QueryCancelledError
+from repro.obs import QueryContext
 
 
 class _Probe(PhysicalOperator):
     def __init__(self, cancel):
-        self._cancel = cancel
+        self._ctx = QueryContext(cancel=cancel)
 
     def _execute(self):
         yield from ()

@@ -80,7 +80,6 @@ class TestDatabaseProfiler:
             db.query(SGB_SQL)
         db.set_profile(False)
         assert not db.profile_enabled
-        assert db.sgb_config.profile is None
         collected = db.profiler.samples
         assert collected > 0
         db.query(SGB_SQL)  # unprofiled: no new samples

@@ -18,6 +18,19 @@ coord = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 point2 = st.tuples(coord, coord)
 
 
+def _distance_to_boundary(p, hull):
+    """Distance from ``p`` to the nearest edge of a polygon (n >= 2)."""
+    best = math.inf
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        ab = (b[0] - a[0], b[1] - a[1])
+        ap = (p[0] - a[0], p[1] - a[1])
+        den = ab[0] ** 2 + ab[1] ** 2  # 0 when a denormal edge underflows
+        t = (ap[0] * ab[0] + ap[1] * ab[1]) / den if den else 0.0
+        t = min(1.0, max(0.0, t))
+        best = min(best, math.hypot(ap[0] - t * ab[0], ap[1] - t * ab[1]))
+    return best
+
+
 class TestMonotoneChain:
     def test_triangle(self):
         hull = convex_hull([(0, 0), (4, 0), (2, 3)])
@@ -69,11 +82,15 @@ class TestMonotoneChain:
         }
         assert ours == theirs
 
+    # The containment test errs only towards "outside" (see its
+    # docstring), so an input point may be reported outside its own hull
+    # — but only when rounding put it there, i.e. on the boundary.
     @given(st.lists(point2, min_size=1, max_size=30))
     def test_all_points_inside_hull(self, pts):
         hull = convex_hull(pts)
         for p in pts:
-            assert point_in_convex_polygon(p, hull)
+            assert (point_in_convex_polygon(p, hull)
+                    or _distance_to_boundary(p, hull) <= 1e-9)
 
 
 class TestPointInPolygon:
@@ -90,6 +107,27 @@ class TestPointInPolygon:
         assert point_in_convex_polygon((1, 1), seg)
         assert not point_in_convex_polygon((1, 1.5), seg)
         assert not point_in_convex_polygon((3, 3), seg)
+
+    @pytest.mark.parametrize("width", [8.55e-239, 1e-13])
+    def test_sliver_does_not_contain_the_plane(self, width):
+        # Narrower than the old absolute 1e-12 slack: every cross product
+        # against the long edges is > -1e-12, so (0, 2) — above the apex —
+        # used to count as inside and IncrementalHull.add dropped it.
+        sliver = [(0.0, 0.0), (width, 0.0), (0.0, 1.0)]
+        assert point_in_convex_polygon((0.0, 0.5), sliver)
+        assert not point_in_convex_polygon((0.0, 2.0), sliver)
+        assert not point_in_convex_polygon((1.0, 0.0), sliver)
+        inc = IncrementalHull(sliver)
+        inc.add((0.0, 2.0))
+        assert (0.0, 2.0) in inc.vertices
+
+    def test_segment_slack_is_confined_to_its_box(self):
+        # The same sliver one vertex short: the collinearity slack lets
+        # every point of the y axis pass, the bounding box stops it.
+        seg = [(0.0, 0.0), (1e-13, 0.0)]
+        assert point_in_convex_polygon((5e-14, 0.0), seg)
+        assert not point_in_convex_polygon((0.0, 2.0), seg)
+        assert not point_in_convex_polygon((1.0, 0.0), seg)
 
     def test_degenerate_point(self):
         assert point_in_convex_polygon((1, 1), [(1.0, 1.0)])

@@ -6,8 +6,6 @@ import pytest
 
 from repro import Database
 from repro.errors import ParseError
-from repro.obs import attach, detach
-from repro.sql.parser import parse
 
 
 @pytest.fixture
@@ -160,24 +158,10 @@ class TestResourceAccounting:
 
 
 class TestInstrumentationOffByDefault:
-    def test_plan_nodes_uninstrumented_by_default(self, db):
-        plan = db._planner().plan_query(parse(ANY_SQL)[0])
-
-        def nodes(node):
-            yield node
-            for child in node.children():
-                yield from nodes(child)
-
-        assert all(n._obs is None for n in nodes(plan))
-        attach(plan)
-        assert all(n._obs is not None for n in nodes(plan))
-        detach(plan)
-        assert all(n._obs is None for n in nodes(plan))
-
     def test_analyze_detaches_afterwards(self, db):
         db.analyze(ANY_SQL)
-        # A later ordinary query must run the cheap uninstrumented path and
-        # still produce the same rows.
+        # A later ordinary query is planned afresh, runs the cheap
+        # unrecorded path and still produces the same rows.
         assert sorted(db.query(ANY_SQL).rows) == [(1,), (2,)]
 
     def test_uninstrumented_operator_does_not_wrap_metric(self):

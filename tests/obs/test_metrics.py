@@ -4,8 +4,28 @@ import time
 
 import pytest
 
-from repro.obs import MetricBag, NodeMetrics, span
+from repro.engine.executor.base import PhysicalOperator
+from repro.obs import MetricBag, QueryContext, span
 from repro.obs.metrics import EXEC_COUNTER_FIELDS, SGB_COUNTER_FIELDS
+
+
+class _Leaf(PhysicalOperator):
+    """A plan leaf whose every pass yields what ``make()`` returns."""
+
+    def __init__(self, make):
+        self._make = make
+
+    def _execute(self):
+        return self._make()
+
+
+def recorded(make, **flags):
+    """``(node, its NodeMetrics)`` for a leaf bound to a collecting
+    context — iterating the node goes through ``QueryContext.record``."""
+    node = _Leaf(make)
+    ctx = QueryContext(collect=True, **flags)
+    ctx.bind(node)
+    return node, ctx.nodes[node]
 
 
 class TestMetricBag:
@@ -75,11 +95,12 @@ class TestCounterVocabulary:
 
 class TestNodeMetrics:
     def test_record_counts_rows_and_loops(self):
-        nm = NodeMetrics()
-        assert list(nm.record(iter([(1,), (2,), (3,)]))) == [(1,), (2,), (3,)]
+        passes = [[(1,), (2,), (3,)], [(4,)]]
+        node, nm = recorded(lambda: iter(passes.pop(0)))
+        assert list(node) == [(1,), (2,), (3,)]
         assert nm.rows_out == 3
         assert nm.loops == 1
-        list(nm.record(iter([(4,)])))
+        list(node)
         assert nm.rows_out == 4
         assert nm.loops == 2
 
@@ -88,14 +109,14 @@ class TestNodeMetrics:
             yield (1,)
             yield (2,)
 
-        nm = NodeMetrics()
-        for _ in nm.record(rows()):
+        node, nm = recorded(rows)
+        for _ in node:
             time.sleep(0.01)  # consumer delay must not be charged
         assert nm.time_s < 0.01
 
     def test_as_dict_omits_empty_counters(self):
-        nm = NodeMetrics()
-        list(nm.record(iter([])))
+        node, nm = recorded(lambda: iter([]))
+        list(node)
         d = nm.as_dict()
         assert d["rows"] == 0
         assert d["loops"] == 1
@@ -183,8 +204,8 @@ class TestNodeMetricsCloseSafety:
             time.sleep(0.01)
             yield (2,)
 
-        nm = NodeMetrics()
-        it = nm.record(slow_rows())
+        node, nm = recorded(slow_rows)
+        it = iter(node)
         next(it)
         next(it)
         it.close()
@@ -197,17 +218,52 @@ class TestNodeMetricsCloseSafety:
             time.sleep(0.01)
             raise RuntimeError("producer died")
 
-        nm = NodeMetrics()
-        it = nm.record(exploding_rows())
+        node, nm = recorded(exploding_rows)
+        it = iter(node)
         next(it)
         with pytest.raises(RuntimeError):
             next(it)
         assert nm.time_s >= 0.01
         assert nm.rows_out == 1
 
+    def test_span_opens_lazily_and_survives_early_close(self):
+        from repro.obs import Tracer
+
+        tracer = Tracer()
+        node, nm = recorded(lambda: iter([(i,) for i in range(100)]),
+                            tracer=tracer)
+        it = iter(node)
+        assert len(tracer) == 0  # not opened until the first next()
+        with tracer.span("query"):
+            next(it)
+            next(it)
+            it.close()  # LIMIT-style abandonment
+        leaf, query = tracer.records()
+        assert leaf.name == "_Leaf" and leaf.attrs["rows"] == 2
+        assert leaf.parent_id == query.span_id
+        assert tracer.depth == 0 and nm.rows_out == 2
+
+    def test_cancel_unwinds_through_clock_and_span(self):
+        from repro.core.cancel import CancelToken
+        from repro.errors import QueryCancelledError
+        from repro.obs import Tracer
+
+        tracer, token = Tracer(), CancelToken()
+        node, nm = recorded(lambda: iter([(1,), (2,), (3,)]),
+                            tracer=tracer, cancel=token)
+        it = iter(node)
+        next(it)
+        token.cancel()
+        with pytest.raises(QueryCancelledError):
+            next(it)
+        (leaf,) = tracer.records()
+        assert leaf.attrs["rows"] == 1
+        assert leaf.attrs["error"] == "QueryCancelledError"
+        assert nm.rows_out == 1 and nm.time_s > 0
+
     def test_no_double_charge_on_clean_exhaustion(self):
-        nm = NodeMetrics()
-        rows = list(nm.record(iter([(1,)] * 5)))
+        node, nm = recorded(lambda: iter([(1,)] * 5))
+        rows = list(node)
         assert len(rows) == 5
         # A clean pass over a trivial iterator stays far under the 10 ms
         # sentinel used above — double charging the finally block would

@@ -69,6 +69,45 @@ class TestDeadlines:
             assert parsed[("repro_service_completed_total", ())] >= 0
 
 
+class TestExplainAnalyzeOverTheWire:
+    """``execute "EXPLAIN ANALYZE ..."`` used to ignore its deadline: it
+    ran to completion holding the statement lock and came back ok."""
+
+    #: All-pairs SGB-All over 1500 points: seconds if it ran to the end.
+    HEAVY_SQL = (
+        "EXPLAIN ANALYZE SELECT count(*) FROM big GROUP BY x, y "
+        "DISTANCE-TO-ALL L2 WITHIN 0.4 ON-OVERLAP ELIMINATE"
+    )
+
+    @pytest.fixture
+    def heavy_server(self):
+        db = Database(sgb_all_strategy="all-pairs")
+        db.execute("CREATE TABLE big (x float, y float, pad float)")
+        db.insert("big", [(float(i % 61) * 0.31, float(i % 67) * 0.29,
+                           float(i)) for i in range(1500)])
+        with ServerThread(db=db) as s:
+            yield s
+
+    def test_timeout_returned_and_worker_slot_reclaimed(self, heavy_server):
+        with ServiceClient(port=heavy_server.port) as c:
+            with pytest.raises(QueryTimeoutError, match="deadline"):
+                c.execute(self.HEAVY_SQL, timeout_s=0.05)
+            # Same session, same workers: the slot and the statement
+            # lock are free again for the next statement.
+            t0 = time.monotonic()
+            assert c.query("SELECT count(*) FROM big").rows == [(1500,)]
+            assert time.monotonic() - t0 < 5.0
+            parsed = parse_prometheus_text(c.metrics())
+            assert parsed[("repro_service_timeouts_total", ())] == 1
+            assert parsed[("repro_service_inflight", ())] == 0.0
+
+    def test_cheap_explain_analyze_still_answers(self, server):
+        with ServiceClient(port=server.port) as c:
+            plan = c.execute("EXPLAIN ANALYZE " + FAST_SQL, timeout_s=30.0)
+            assert plan.columns == ["QUERY PLAN"]
+            assert "actual rows=1 " in plan.rows[0][0]
+
+
 class TestClientCancel:
     def test_cancel_mid_query_raises_typed_error(self, server):
         with ServiceClient(port=server.port) as c:

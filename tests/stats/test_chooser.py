@@ -1,5 +1,9 @@
 """Unit tests for the SGB strategy chooser (repro.stats.chooser)."""
 
+import os
+
+import pytest
+
 from repro.stats.chooser import (
     ANY_STRATEGIES,
     AUTO,
@@ -46,19 +50,47 @@ class TestChooseStrategy:
 
 
 class TestChooseParallel:
+    # SGB-All bounds-checking at 0.2 ε-neighbours: ~1 cost unit per point.
+    HEAVY = ("all", "bounds-checking")
+
     def test_single_cpu_stays_serial(self):
-        assert choose_parallel(100_000, 16, cpu_count=1) == 0
+        assert choose_parallel(*self.HEAVY, 100_000, 0.2, 16,
+                               cpu_count=1) == 0
 
     def test_needs_multiple_partitions(self):
-        assert choose_parallel(100_000, 1, cpu_count=8) == 0
-        assert choose_parallel(100_000, None, cpu_count=8) == 0
+        assert choose_parallel(*self.HEAVY, 100_000, 0.2, 1,
+                               cpu_count=8) == 0
+        assert choose_parallel(*self.HEAVY, 100_000, 0.2, None,
+                               cpu_count=8) == 0
 
     def test_small_input_stays_serial(self):
-        assert choose_parallel(100, 16, cpu_count=8) == 0
+        assert choose_parallel(*self.HEAVY, 100, 0.2, 16, cpu_count=8) == 0
 
     def test_capped_by_cpus_and_partitions(self):
-        assert choose_parallel(100_000, 4, cpu_count=8) == 4
-        assert choose_parallel(100_000, 64, cpu_count=8) == 8
+        assert choose_parallel(*self.HEAVY, 100_000, 0.2, 4,
+                               cpu_count=8) == 4
+        assert choose_parallel(*self.HEAVY, 100_000, 0.2, 64,
+                               cpu_count=8) == 8
+
+    # The two sides of the measured table in docs/architecture.md
+    # (brightkite, ε 0.1, k ≈ 0.2, two cores).
+    @pytest.mark.parametrize("n, partitions", [(16_000, 8), (32_000, 16),
+                                               (5_000, 8), (64_000, 8)])
+    def test_grid_join_never_pays_for_its_pickling(self, n, partitions):
+        assert choose_parallel("any", "grid", n, 0.2, partitions,
+                               cpu_count=2) == 0
+
+    @pytest.mark.parametrize("n, partitions", [(16_000, 8), (5_000, 8)])
+    def test_sgb_all_earns_the_pool(self, n, partitions):
+        assert choose_parallel(*self.HEAVY, n, 0.2, partitions,
+                               cpu_count=2) == 2
+
+    def test_resolved_from_the_chosen_strategy(self):
+        args = (0.1, 16_000.0, 0.2, None, 8.0)
+        assert resolve_sgb_choice("any", "grid", *args).parallel == 0
+        if (os.cpu_count() or 1) > 1:
+            assert resolve_sgb_choice(
+                "all", "bounds-checking", *args).parallel > 0
 
 
 class TestResolveSGBChoice:

@@ -45,6 +45,16 @@ class TestAnalyzeTable:
         assert hist.n == 100
         assert hist.lo == 0.0 and hist.hi == 99.0
 
+    @pytest.mark.parametrize("rows", [[0.0, 2.225073858507e-311],
+                                      [2.225073858507e-311, 0.0]])
+    def test_denormal_spread_is_one_point(self, db, rows):
+        # buckets / (hi - lo) overflows to inf; the bucket index was then
+        # int(inf) or int(0 * inf) — Hypothesis found both through
+        # tests/engine/test_sql_properties.py.
+        t = _table(db, "CREATE TABLE t (x float)", "t", [(v,) for v in rows])
+        hist = analyze_table(t).column("x").histogram
+        assert hist.n == 2 and hist.lo == hist.hi == 0.0
+
     def test_date_column_uses_ordinal_coordinates(self, db):
         base = datetime.date(2020, 1, 1)
         t = _table(db, "CREATE TABLE t (d date)", "t",

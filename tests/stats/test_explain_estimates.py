@@ -66,19 +66,7 @@ class TestExplainEstimates:
         assert actual / 3 <= est <= actual * 3
 
     def test_plan_metrics_carry_estimates(self, db):
-        from repro.obs import attach, detach
-        from repro.obs.explain import plan_metrics
-        from repro.sql.parser import parse
-
-        stmt, = parse("SELECT count(*) FROM pts")
-        plan = db._planner().plan_query(stmt)
-        attach(plan)
-        try:
-            for _ in plan:
-                pass
-            metrics = plan_metrics(plan)
-        finally:
-            detach(plan)
+        metrics = db.analyze("SELECT count(*) FROM pts").metrics
 
         def walk(node):
             yield node
