@@ -27,7 +27,7 @@ class SpanSafetyRule(Rule):
     hand-called ``__enter__`` without a ``finally: __exit__`` leaks the
     tracer's span stack on the first exception, corrupting every parent
     id minted afterwards — which is why ``repro.obs`` ships ``with``-only
-    APIs and ``traced_iter`` for generator lifetimes.
+    APIs.
 
     Flagged shapes::
 

@@ -7,6 +7,7 @@ the corresponding paper table/figure series (methods × parameter axis).
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import time
@@ -15,7 +16,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 
 def time_call(fn: Callable[[], Any]) -> Tuple[float, Any]:
-    """Wall-clock one call; returns (seconds, result)."""
+    """Wall-clock one call; returns (seconds, result).
+
+    Garbage left by whatever ran before is collected first: a full
+    collection of somebody else's heap landing inside a 20 ms call is not
+    that call's time (it halved a fitted growth exponent in tier-1).
+    """
+    gc.collect()
     start = time.perf_counter()
     result = fn()
     return time.perf_counter() - start, result

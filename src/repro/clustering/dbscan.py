@@ -3,7 +3,8 @@
 The Figure 11 baseline: density-based clustering with ε-region queries.
 Region queries run as window queries on an R-tree over the input points
 (matching the "state-of-the-art implementation of DBSCAN with an R-tree"
-the paper compares against), followed by exact distance verification.
+the paper compares against); the window only gathers, the similarity
+predicate decides every hit, for every metric.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.distance import Metric, resolve_metric
 from repro.errors import InvalidParameterError
-from repro.geometry.rectangle import Rect
+from repro.geometry.rectangle import Rect, probe_window
 from repro.index.rtree import RTree
 
 Point = Tuple[float, ...]
@@ -60,12 +61,9 @@ def dbscan(
     )
 
     def region_query(i: int) -> List[int]:
-        window = Rect.eps_box(pts[i], eps)
-        hits = index.search_with_rects(window)
-        if m.name == "linf":
-            return [pid for _, pid in hits]
         p = pts[i]
-        return [pid for rect, pid in hits if m.within(p, rect.lo, eps)]
+        return [pid for pid in index.search(probe_window(p, eps))
+                if m.within(p, pts[pid], eps)]
 
     labels = [_UNVISITED] * n
     core_flags = [False] * n

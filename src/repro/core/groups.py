@@ -3,13 +3,15 @@
 A group owns its member point ids and coordinates and incrementally
 maintains the structures the bounds-checking strategies rely on:
 
-* ``mbr`` — minimum bounding rectangle of the members (OverlapRectangleTest,
-  R-tree entry geometry);
-* ``eps_rect`` — the ε-All bounding rectangle of Definition 5, maintained by
-  intersecting each new member's ε-box (it only ever shrinks on insert);
+* ``mbr`` — minimum bounding rectangle of the members, the one rectangle a
+  group stores: the OverlapRectangleTest and the R-tree entry geometry read
+  it as it is, the ε-All test of Definition 5 reads it through the
+  predicate's arithmetic (:meth:`~repro.geometry.rectangle.Rect.
+  eps_all_contains`, within :func:`eps_all_reach`);
 * ``hull`` — 2-D convex hull, maintained only when the metric is Euclidean
   (the §6.4 refinement); ``None`` otherwise.
 
+``eps_rect``, Definition 5's rectangle itself, is a derived read-only view.
 Member removal (ELIMINATE / FORM-NEW-GROUP semantics) rebuilds the affected
 structures from the surviving members.
 """
@@ -21,7 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro import kernels
 from repro.core.distance import Metric
 from repro.geometry.convex_hull import IncrementalHull
-from repro.geometry.rectangle import Rect, eps_all_rect
+from repro.geometry.rectangle import EPS_WIDEN, Rect, eps_all_rect
 
 Point = Tuple[float, ...]
 
@@ -30,20 +32,30 @@ Point = Tuple[float, ...]
 _VECTOR_MIN_MEMBERS = 24
 
 
+def eps_all_reach(eps: float, metric: Metric) -> float:
+    """How far from both MBR corners the ε-All test lets a point be.
+
+    L∞: ``eps`` itself — the test *is* the predicate on the two extreme
+    members per axis, hence the answer.  Any other metric: ``eps`` widened,
+    a filter whose survivors :meth:`Group.refine` decides.
+    """
+    return eps if metric.name == "linf" else eps * EPS_WIDEN
+
+
 class Group:
     """A candidate output group of SGB-All."""
 
-    __slots__ = ("gid", "eps", "metric", "member_ids", "points", "mbr",
-                 "eps_rect", "hull", "_block")
+    __slots__ = ("gid", "eps", "reach", "metric", "member_ids", "points",
+                 "mbr", "hull", "_block")
 
     def __init__(self, gid: int, eps: float, metric: Metric, use_hull: bool):
         self.gid = gid
         self.eps = eps
+        self.reach = eps_all_reach(eps, metric)
         self.metric = metric
         self.member_ids: List[int] = []
         self.points: List[Point] = []
         self.mbr: Optional[Rect] = None
-        self.eps_rect: Optional[Rect] = None
         self.hull: Optional[IncrementalHull] = IncrementalHull() if use_hull else None
         #: Backend-native member-coordinate block (None for the pure-
         #: python backend, which scans ``points`` directly).
@@ -59,18 +71,20 @@ class Group:
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
+    @property
+    def eps_rect(self) -> Optional[Rect]:
+        """Definition 5's ε-All rectangle of the members (Figure 5); the
+        membership test does not read it."""
+        return eps_all_rect(self.points, self.eps)
+
     def add(self, point_id: int, point: Point) -> None:
-        """Insert a member, updating MBR / ε-All rect / hull in O(d + h)."""
+        """Insert a member, updating MBR / hull in O(d + h)."""
         self.member_ids.append(point_id)
         self.points.append(point)
-        box = Rect.eps_box(point, self.eps)
         if self.mbr is None:
             self.mbr = Rect.from_point(point)
-            self.eps_rect = box
         else:
             self.mbr = self.mbr.extend_point(point)
-            assert self.eps_rect is not None
-            self.eps_rect = self.eps_rect.intersection(box)
         if self.hull is not None:
             self.hull.add(point)
         if self._block is not None:
@@ -90,14 +104,7 @@ class Group:
         self.points = [pt for _, pt in kept]
         if self._block is not None:
             self._block.rebuild(self.points)
-        if not self.points:
-            self.mbr = None
-            self.eps_rect = None
-            if self.hull is not None:
-                self.hull.rebuild([])
-            return
-        self.mbr = Rect.from_points(self.points)
-        self.eps_rect = eps_all_rect(self.points, self.eps)
+        self.mbr = Rect.from_points(self.points) if self.points else None
         if self.hull is not None:
             self.hull.rebuild(self.points)
 
@@ -107,21 +114,21 @@ class Group:
     def accepts(self, point: Point) -> bool:
         """Exact clique test: is ``point`` within ε of *every* member?
 
-        L∞: the ε-All rectangle answers exactly in O(d).
-        L2 (2-D): ε-All rectangle filter, then the Convex Hull Test of §6.4.
-        L2 (other dims) / other metrics: rectangle filter, then member scan.
+        L∞: the ε-All test on the MBR is the predicate on the extreme
+        members of each axis, which answers for all of them in O(d).
+        L2 (2-D): the same test as a filter, then the Convex Hull Test of
+        §6.4.  L2 (other dims) / other metrics: filter, then member scan.
         """
-        if self.eps_rect is None or not self.eps_rect.contains_point(point):
+        mbr = self.mbr
+        if mbr is None or not mbr.eps_all_contains(point, self.reach):
             return False
-        if self.metric.name == "linf":
-            return True
-        return self.refine(point)
+        return self.metric.name == "linf" or self.refine(point)
 
     def refine(self, point: Point) -> bool:
         """Exact post-rectangle test for non-L∞ metrics (paper §6.4).
 
-        Callers must have already established that ``point`` lies inside
-        the ε-All rectangle; this resolves the remaining false positives
+        Callers must have already established that ``point`` passes the
+        ε-All test on the MBR; this resolves the remaining false positives
         via the convex-hull test (2-D) or a member scan.
 
         A point inside the hull is within ε of every member (the hull of a

@@ -15,13 +15,17 @@ Three interchangeable strategies realize ``FindCloseGroups``:
 
 * :class:`AllPairsStrategy` — Procedure 2, O(n²) member scans;
 * :class:`BoundsCheckingStrategy` — Procedure 4, ε-All rectangle test per
-  group (exact for L∞, + convex-hull refinement for 2-D L2);
+  group (the answer for L∞, a filter + convex-hull refinement for 2-D L2);
 * :class:`IndexedStrategy` — Procedure 5, an R-tree window query over group
   MBRs replaces the linear scan of groups.
 
-All three produce the same grouping for the same input order (JOIN-ANY with
-``tiebreak="first"``; ELIMINATE and FORM-NEW-GROUP are deterministic), which
-the property-based tests exploit.
+Rectangles gather, the predicate decides: the strategies differ in which
+groups they look at, never in the test a group has to pass — the ε-All test
+on the group's MBR, written as the predicate writes it, then ``refine`` /
+``any_within``.  All three therefore produce the same grouping for the same
+input order, exact-ε ties included (JOIN-ANY with ``tiebreak="first"`` or a
+fixed seed; ELIMINATE and FORM-NEW-GROUP are deterministic), which the
+property-based tests exploit.
 """
 
 from __future__ import annotations
@@ -32,10 +36,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro import kernels
 from repro.core.distance import CountingMetric, Metric, resolve_metric
-from repro.core.groups import Group, GroupRegistry
+from repro.core.groups import Group, GroupRegistry, eps_all_reach
 from repro.core.result import ELIMINATED, GroupingResult
 from repro.errors import DimensionMismatchError, InvalidParameterError
-from repro.geometry.rectangle import Rect
+from repro.geometry.rectangle import Rect, probe_window
 from repro.index.rtree import RTree
 from repro.obs.metrics import MetricBag
 from repro.obs.trace import Tracer, maybe_span
@@ -147,21 +151,22 @@ _VECTOR_MIN_GROUPS = 16
 class BoundsCheckingStrategy(_StrategyBase):
     """Procedure 4: ε-All rectangle test per group, linear scan of groups.
 
-    The 2-D scan is hand-unrolled: the per-group work is two closed-box
-    tests, and doing them on raw corner tuples (no method dispatch) is what
-    keeps this strategy ahead of All-Pairs at bench sizes, matching the
-    paper's ordering.
+    The 2-D scan is hand-unrolled: the per-group work is two tests on the
+    group's MBR (ε-All for candidates, window overlap for overlap groups),
+    and doing them on raw corner tuples (no method dispatch) is what keeps
+    this strategy ahead of All-Pairs at bench sizes, matching the paper's
+    ordering.
 
-    Under the numpy backend the per-group rectangle tests become two bulk
-    array comparisons over a slotted :class:`~repro.kernels.numpy_backend.
-    RectStore` (ε-All containment for candidates, MBR intersection for
-    overlap groups), kept in sync through the strategy's index hooks.
+    Under the numpy backend the same two tests become bulk array
+    comparisons over a slotted :class:`~repro.kernels.numpy_backend.
+    RectStore` of MBRs, kept in sync through the strategy's index hooks.
     """
 
     name = "bounds-checking"
 
     def __init__(self, eps: float, metric: Metric, use_hull: bool):
         super().__init__(eps, metric, use_hull)
+        self._reach = eps_all_reach(eps, metric)
         self._rects = None
         self._rects_ready = False
 
@@ -172,11 +177,11 @@ class BoundsCheckingStrategy(_StrategyBase):
             self._rects = kernels.make_rect_store(group.mbr.dim)
             self._rects_ready = True
         if self._rects is not None:
-            self._rects.set(group.gid, group.eps_rect, group.mbr)
+            self._rects.set(group.gid, group.mbr)
 
     def _index_moved(self, group: Group, old_mbr: Optional[Rect]) -> None:
         if self._rects is not None:
-            self._rects.set(group.gid, group.eps_rect, group.mbr)
+            self._rects.set(group.gid, group.mbr)
 
     def _index_delete(self, group: Group, old_mbr: Optional[Rect]) -> None:
         if self._rects is not None:
@@ -194,7 +199,7 @@ class BoundsCheckingStrategy(_StrategyBase):
             return self._find_2d(point, need_overlap)
         candidates: List[Group] = []
         overlaps: List[Group] = []
-        window = Rect.eps_box(point, self.eps) if need_overlap else None
+        window = probe_window(point, self.eps) if need_overlap else None
         for g in self.registry:
             if g.accepts(point):
                 candidates.append(g)
@@ -213,27 +218,28 @@ class BoundsCheckingStrategy(_StrategyBase):
         candidates: List[Group] = []
         overlaps: List[Group] = []
         x, y = point
-        eps = self.eps
-        wlo0, wlo1 = x - eps, y - eps
-        whi0, whi1 = x + eps, y + eps
+        reach = self._reach
+        if need_overlap:
+            window = probe_window(point, self.eps)
+            wlo0, wlo1 = window.lo
+            whi0, whi1 = window.hi
         exact = self.metric.name == "linf"
         for g in self.registry:
-            rect = g.eps_rect
-            lo = rect.lo
-            hi = rect.hi
-            if lo[0] <= x <= hi[0] and lo[1] <= y <= hi[1]:
+            mbr = g.mbr
+            lo = mbr.lo
+            hi = mbr.hi
+            # Rect.eps_all_contains, unrolled
+            if (x - lo[0] <= reach and hi[0] - x <= reach
+                    and y - lo[1] <= reach and hi[1] - y <= reach):
                 if exact or g.refine(point):
                     candidates.append(g)
                     continue
                 # an L2 false positive may still partially overlap
-            if need_overlap:
-                mbr = g.mbr
-                mlo = mbr.lo
-                mhi = mbr.hi
-                if (mlo[0] <= whi0 and wlo0 <= mhi[0]
-                        and mlo[1] <= whi1 and wlo1 <= mhi[1]
-                        and g.any_within(point)):
-                    overlaps.append(g)
+            if (need_overlap
+                    and lo[0] <= whi0 and wlo0 <= hi[0]
+                    and lo[1] <= whi1 and wlo1 <= hi[1]
+                    and g.any_within(point)):
+                overlaps.append(g)
         return len(self.registry), candidates, overlaps
 
     def _find_vectorized(
@@ -251,7 +257,7 @@ class BoundsCheckingStrategy(_StrategyBase):
         exact = self.metric.name == "linf"
         candidates: List[Group] = []
         accepted = set()
-        for gid in sorted(self._rects.eps_contains(point)):
+        for gid in sorted(self._rects.eps_contains(point, self._reach)):
             g = registry.get(gid)
             if exact or g.refine(point):
                 candidates.append(g)
@@ -260,7 +266,7 @@ class BoundsCheckingStrategy(_StrategyBase):
             # eligible for the MBR-intersection pass below
         overlaps: List[Group] = []
         if need_overlap:
-            window = Rect.eps_box(point, self.eps)
+            window = probe_window(point, self.eps)
             for gid in sorted(
                 self._rects.mbr_intersects(window.lo, window.hi)
             ):
@@ -275,10 +281,11 @@ class BoundsCheckingStrategy(_StrategyBase):
 class IndexedStrategy(_StrategyBase):
     """Procedure 5: on-the-fly R-tree over group MBRs.
 
-    A window query with the point's ε-box returns every group that could be
-    a candidate *or* an overlap group (a member within ε of the point lies
-    inside the ε-box, hence the group MBR intersects it), so only returned
-    groups are tested.
+    A window query around the point returns every group that could be a
+    candidate *or* an overlap group (a member within ε of the point lies
+    inside the probe window, hence the group MBR intersects it), so only
+    returned groups are tested — each by ``accepts`` / ``any_within``, as
+    in the linear scans; the window answers nothing, for any metric.
     """
 
     name = "index"
@@ -298,8 +305,7 @@ class IndexedStrategy(_StrategyBase):
     ) -> Tuple[int, List[Group], List[Group]]:
         candidates: List[Group] = []
         overlaps: List[Group] = []
-        window = Rect.eps_box(point, self.eps)
-        hits = self._rtree.search(window)
+        hits = self._rtree.search(probe_window(point, self.eps))
         for gid in hits:
             g = self.registry.get(gid)
             if g.accepts(point):

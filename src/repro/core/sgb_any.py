@@ -19,7 +19,7 @@ The strategies (:func:`make_any_strategy` builds them for both forms):
 
 * :class:`NaiveAnyStrategy` — scan every previously processed point (O(n²));
 * :class:`RTreeAnyStrategy` — Procedure 8: an R-tree over processed points
-  answers the ε-box window query, L2 candidates are verified exactly;
+  gathers with a window query, the predicate verifies every hit;
 * :class:`GridAnyStrategy` — a uniform grid of cell side ε, the planner's
   batch default on every check-in statement: in batch one set-at-a-time
   ε-self-join over the binned input (:func:`repro.kernels.eps_self_join`),
@@ -31,7 +31,6 @@ three produce bit-identical group memberships in both forms.
 
 from __future__ import annotations
 
-import math
 import time
 from itertools import chain
 from typing import (
@@ -51,7 +50,7 @@ from repro.kernels import EdgeBlock
 from repro.core.distance import CountingMetric, Metric, resolve_metric
 from repro.core.result import GroupingResult
 from repro.errors import DimensionMismatchError, InvalidParameterError
-from repro.geometry.rectangle import Rect
+from repro.geometry.rectangle import Rect, probe_window
 from repro.index.grid import GridIndex
 from repro.index.rtree import RTree
 from repro.obs.metrics import MetricBag
@@ -61,29 +60,6 @@ Point = Tuple[float, ...]
 
 #: Edges a probe/insert loop buffers before handing a block on.
 EDGE_BLOCK = 1 << 16
-
-_nextafter = math.nextafter
-
-
-def _probe_window(point: Point, eps: float) -> Rect:
-    """The ε-box of a probe, widened (:data:`repro.kernels.EPS_WIDEN`) so
-    that it gathers every point the symmetric test ``|p_i - q_i| <= eps``
-    accepts, from whichever side the pair is probed; ``Rect.eps_box`` does
-    not.  The window only gathers, the symmetric test decides.
-    """
-    wide = eps * kernels.EPS_WIDEN
-    down, up = -math.inf, math.inf
-    if len(point) == 2:  # common case, unrolled for speed
-        x, y = point
-        return Rect._make(
-            (_nextafter(x - wide, down), _nextafter(y - wide, down)),
-            (_nextafter(x + wide, up), _nextafter(y + wide, up)),
-        )
-    return Rect._make(
-        tuple(_nextafter(v - wide, down) for v in point),
-        tuple(_nextafter(v + wide, up) for v in point),
-    )
-
 
 class _AnyStrategyBase:
     """An ε-neighbour index, in a streaming and a batch form.
@@ -163,7 +139,7 @@ class _AnyStrategyBase:
         point passes ``|p_i - q_i| <= eps`` on every axis (the candidates),
         then the metric (one bulk pass)."""
         neighbors, n_window = self._verify(
-            self._store.query_ids_eps_box,
+            self._store.query_gathered,
             gathered, point, self.eps, self.metric, self.count_candidates,
         )
         return n_window, neighbors
@@ -184,8 +160,9 @@ class NaiveAnyStrategy(_AnyStrategyBase):
 class RTreeAnyStrategy(_AnyStrategyBase):
     """Procedure 8: R-tree (``Points_IX``) over processed points.
 
-    The ε-box window query is exact for L∞ (the box *is* the L∞ ball); for
-    other metrics the returned set is verified with the actual distance
+    The window (:func:`~repro.geometry.rectangle.probe_window`) only
+    gathers; every hit is verified — ``|p_i - q_i| <= eps`` per axis, which
+    is the L∞ predicate itself, then the metric for any other
     (``VerifyPoints`` in the paper).
     """
 
@@ -197,7 +174,7 @@ class RTreeAnyStrategy(_AnyStrategyBase):
 
     def probe(self, point: Point) -> Tuple[int, List[int]]:
         return self._window_probe(
-            self._rtree.search(_probe_window(point, self.eps)), point
+            self._rtree.search(probe_window(point, self.eps)), point
         )
 
     def insert(self, point_id: int, point: Point) -> None:
@@ -223,7 +200,7 @@ class GridAnyStrategy(_AnyStrategyBase):
         # Gather candidate ids from the cell neighbourhood, then run the
         # window-containment + distance verification as one bulk pass.
         return self._window_probe(
-            self._grid.items_in_cell_range(_probe_window(point, self.eps)),
+            self._grid.items_in_cell_range(probe_window(point, self.eps)),
             point,
         )
 

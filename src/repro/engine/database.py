@@ -98,7 +98,8 @@ class Database:
         strategy per query from table statistics (``ANALYZE``); a concrete
         name — ``"all-pairs"`` | ``"bounds-checking"`` | ``"index"`` for
         All, ``"all-pairs"`` | ``"index"`` | ``"grid"`` for Any — is an
-        override that always wins.  Every strategy produces bit-identical
+        override that always wins.  For a given input order and
+        ``tiebreak``/``seed`` every strategy produces bit-identical
         groups, so the knob only moves time around.
     ``tiebreak`` / ``seed``
         JOIN-ANY arbitration, see :class:`~repro.core.sgb_all.SGBAllOperator`.

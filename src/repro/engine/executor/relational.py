@@ -8,6 +8,8 @@ from repro.engine.executor.base import PhysicalOperator
 from repro.engine.schema import Column, Schema
 from repro.engine.types import ANY, python_type_of
 from repro.errors import PlanningError
+from repro.geometry.rectangle import Rect, probe_window
+from repro.index.rtree import RTree
 from repro.sql.ast_nodes import BindContext, ColumnRef, Expr, Literal
 
 
@@ -267,16 +269,19 @@ class SimilarityJoin(PhysicalOperator):
     """ε-distance join: pairs of rows whose 2-D coordinates are within ε.
 
     The similarity-join operator of the SimDB line (paper §2): an R-tree is
-    built over the right side's points, each left row probes it with its
-    ε-box, and candidates are verified with the actual metric.  Rows with
-    NULL coordinates never match.  ``residual`` carries any extra join
-    conjuncts.
+    built over the right side's points and each left row gathers candidate
+    partners with the shared probe window.  The window decides nothing:
+    ``condition`` is the whole join condition, the ``dist_*(...) <= eps``
+    conjunct the planner recognized included, and it is evaluated on every
+    gathered pair — the join returns the rows of the predicate it replaces,
+    in that predicate's own arithmetic.  Rows with NULL coordinates never
+    match.
     """
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator,
                  left_coords: Sequence[Expr], right_coords: Sequence[Expr],
                  eps: float, metric: str,
-                 residual: Optional[Expr],
+                 condition: Expr,
                  ctx_factory: Callable[[Schema], BindContext]):
         if len(left_coords) != 2 or len(right_coords) != 2:
             raise PlanningError("similarity join needs 2-D coordinates")
@@ -291,17 +296,9 @@ class SimilarityJoin(PhysicalOperator):
         self._right_coord_exprs = list(right_coords)
         self._lcoord_fns = [e.bind(left_ctx) for e in left_coords]
         self._rcoord_fns = [e.bind(right_ctx) for e in right_coords]
-        self._residual = (
-            residual.bind(ctx_factory(self.schema))
-            if residual is not None else None
-        )
+        self._condition = condition.bind(ctx_factory(self.schema))
 
     def _execute(self) -> Iterator[tuple]:
-        from repro.core.distance import resolve_metric
-        from repro.geometry.rectangle import Rect
-        from repro.index.rtree import RTree
-
-        metric = resolve_metric(self.metric_name)
         eps = self.eps
         index = RTree(max_entries=16)
         right_rows: List[tuple] = []
@@ -313,20 +310,16 @@ class SimilarityJoin(PhysicalOperator):
             index.insert(Rect.from_point((float(x), float(y))),
                          len(right_rows))
             right_rows.append(rrow)
-        residual = self._residual
-        exact_box = metric.name == "linf"
+        condition = self._condition
         for lrow in self.left:
             x = self._lcoord_fns[0](lrow)
             y = self._lcoord_fns[1](lrow)
             if x is None or y is None:
                 continue
-            p = (float(x), float(y))
-            window = Rect.eps_box(p, eps)
-            for rect, rid in index.search_with_rects(window):
-                if not exact_box and not metric.within(p, rect.lo, eps):
-                    continue
+            window = probe_window((float(x), float(y)), eps)
+            for rid in index.search(window):
                 combined = lrow + right_rows[rid]
-                if residual is None or residual(combined) is True:
+                if condition(combined) is True:
                     yield combined
 
     def children(self) -> Tuple[PhysicalOperator, ...]:

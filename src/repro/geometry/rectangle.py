@@ -11,15 +11,34 @@ Two rectangle flavours appear in the paper:
 Both are represented by :class:`Rect`, an immutable-ish d-dimensional box
 with ``lo``/``hi`` corner vectors.  A rectangle may be *empty* (``lo > hi``
 in some dimension), which arises when a group's ε-All region vanishes.
+
+Rectangles gather, the predicate decides: a group stores its MBR only, and
+"is ``p`` inside the ε-All rectangle" is asked of the MBR in the predicate's
+own arithmetic (:meth:`Rect.eps_all_contains`); every index probe takes its
+window from :func:`probe_window`, and a window hit is never an answer.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+import math
+from typing import Iterable, Optional, Sequence, Tuple
 
 from repro.errors import DimensionMismatchError
 
 Point = Tuple[float, ...]
+
+#: Factor by which an ε-box is widened before it *gathers* candidates
+#: (a probe window, a join's cell range, the ε-All filter of a metric
+#: whose ball is smaller than its box).  The deciding test,
+#: ``|p_i - q_i| <= eps`` and the metric, is evaluated in floating point
+#: and absorbs a few ulps of ``eps`` (the difference, its square, the
+#: sum); a corner computed as ``v - eps`` rounds on its own (``0.1 - 0.1``
+#: is ``0.0``, which hides a neighbour at ``-5e-324``).  Widening by this
+#: factor and stepping one float further out (``nextafter``) covers both,
+#: so gathering never loses a pair the test would accept.
+EPS_WIDEN = 1.0 + 2.0**-48
+
+_nextafter = math.nextafter
 
 
 class Rect:
@@ -74,8 +93,8 @@ class Rect:
     def eps_box(cls, p: Sequence[float], eps: float) -> "Rect":
         """The ε-box around ``p``: side ``2ε`` centred at ``p``.
 
-        For a singleton group this *is* its ε-All rectangle (paper Fig. 5c),
-        and it is also the window used to query the on-the-fly index.
+        For a singleton group this *is* its ε-All rectangle (paper Fig. 5c).
+        Geometry only: an index is probed with :func:`probe_window`.
         """
         if len(p) == 2:
             x, y = float(p[0]), float(p[1])
@@ -99,6 +118,26 @@ class Rect:
         if len(lo) == 2:
             return lo[0] <= p[0] <= hi[0] and lo[1] <= p[1] <= hi[1]
         return all(l <= v <= h for v, l, h in zip(p, lo, hi))
+
+    def eps_all_contains(self, p: Sequence[float], reach: float) -> bool:
+        """Is ``p`` within ``reach`` of both corners on every axis?
+
+        Read on a group's MBR this is the ε-All rectangle test spelled as
+        the L∞ predicate spells it, ``p - lo <= reach and hi - p <= reach``:
+        both corners are coordinates of members and ``fl(p - q)`` is
+        monotone in ``q``, so the largest ``|p - q|`` over the members is
+        attained at one of them — bit-equal to scanning the members,
+        which the stored-rectangle form ``hi - reach <= p <= lo + reach``
+        is not.
+        """
+        lo, hi = self.lo, self.hi
+        if len(lo) == 2:
+            x, y = p
+            return (x - lo[0] <= reach and hi[0] - x <= reach
+                    and y - lo[1] <= reach and hi[1] - y <= reach)
+        return all(
+            v - l <= reach and h - v <= reach for v, l, h in zip(p, lo, hi)
+        )
 
     def contains_rect(self, other: "Rect") -> bool:
         return all(
@@ -204,27 +243,38 @@ class Rect:
 
 
 def eps_all_rect(points: Iterable[Sequence[float]], eps: float) -> Optional[Rect]:
-    """Build the ε-All rectangle of a point set from scratch.
+    """Build the ε-All rectangle of a point set (Definition 5).
 
     The ε-All rectangle is the intersection of every member's ε-box:
     per dimension ``[max_i x_i - eps, min_i x_i + eps]``.  Returns ``None``
-    for an empty point set; the result may be an *empty* rect when the group
-    spread exceeds ``2ε`` in some dimension (only possible transiently, e.g.
-    while rebuilding after deletions under the ELIMINATE semantics).
+    for an empty point set; the result may be an *empty* rect when the
+    spread exceeds ``2ε`` in some dimension.
     """
-    lo: Optional[List[float]] = None
-    hi: Optional[List[float]] = None
+    rect: Optional[Rect] = None
     for p in points:
-        if lo is None:
-            lo = [v - eps for v in p]
-            hi = [v + eps for v in p]
-            continue
-        assert hi is not None
-        for i, v in enumerate(p):
-            if v - eps > lo[i]:
-                lo[i] = v - eps
-            if v + eps < hi[i]:
-                hi[i] = v + eps
-    if lo is None or hi is None:
-        return None
-    return Rect(lo, hi)
+        box = Rect.eps_box(p, eps)
+        rect = box if rect is None else rect.intersection(box)
+    return rect
+
+
+def probe_window(point: Point, eps: float) -> Rect:
+    """The window every index probe around ``point`` gathers with.
+
+    The ε-box widened (:data:`EPS_WIDEN`, then one float further out) so
+    that it holds every point the symmetric test ``|p_i - q_i| <= eps``
+    accepts, from whichever side the pair is probed; :meth:`Rect.eps_box`
+    does not.  The window only gathers: the caller's predicate decides
+    each hit.
+    """
+    wide = eps * EPS_WIDEN
+    down, up = -math.inf, math.inf
+    if len(point) == 2:  # common case, unrolled for speed
+        x, y = point
+        return Rect._make(
+            (_nextafter(x - wide, down), _nextafter(y - wide, down)),
+            (_nextafter(x + wide, up), _nextafter(y + wide, up)),
+        )
+    return Rect._make(
+        tuple(_nextafter(v - wide, down) for v in point),
+        tuple(_nextafter(v + wide, up) for v in point),
+    )

@@ -264,25 +264,6 @@ class RTree:
                         stack.append(e.child)
         return out
 
-    def search_with_rects(self, window: Rect) -> List[Tuple[Rect, Any]]:
-        out: List[Tuple[Rect, Any]] = []
-        wlo, whi = window.lo, window.hi
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.leaf:
-                for e in node.entries:
-                    r = e.rect
-                    if _intersects(r.lo, r.hi, wlo, whi):
-                        out.append((r, e.item))
-            else:
-                for e in node.entries:
-                    r = e.rect
-                    if _intersects(r.lo, r.hi, wlo, whi):
-                        assert e.child is not None
-                        stack.append(e.child)
-        return out
-
     def items(self) -> Iterator[Tuple[Rect, Any]]:
         """Iterate every (rect, item) entry in the tree."""
         stack = [self._root]
@@ -470,17 +451,6 @@ class RTree:
     # ------------------------------------------------------------------
     # search / deletion internals
     # ------------------------------------------------------------------
-    def _search_entries(self, node: _Node, window: Rect) -> Iterator[_Entry]:
-        if node.leaf:
-            for e in node.entries:
-                if e.rect.intersects(window):
-                    yield e
-        else:
-            for e in node.entries:
-                if e.rect.intersects(window):
-                    assert e.child is not None
-                    yield from self._search_entries(e.child, window)
-
     def _find_leaf(self, node: _Node, rect: Rect, item: Any) -> Optional[_Node]:
         if node.leaf:
             for e in node.entries:

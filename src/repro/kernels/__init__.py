@@ -125,12 +125,6 @@ def neighbors_in_eps(points: Sequence[Coords], q: Coords, eps: float,
     return _impl.neighbors_in_eps(points, q, eps, metric)
 
 
-def points_in_rect(points: Sequence[Coords], lo: Coords,
-                   hi: Coords) -> List[bool]:
-    """Bulk closed-boundary point-in-rectangle tests."""
-    return _impl.points_in_rect(points, lo, hi)
-
-
 def all_within(points: Sequence[Coords], q: Coords, eps: float,
                metric: MetricLike) -> bool:
     """Clique test: is ``q`` within ``eps`` of every block point?"""
@@ -166,7 +160,7 @@ def make_point_store() -> Any:
 
 
 def make_rect_store(dim: int) -> Optional[Any]:
-    """Bulk (ε-All rect, MBR) store, or None when the backend prefers
+    """Bulk per-group MBR store, or None when the backend prefers
     the caller's per-group loops (python backend)."""
     return _impl.make_rect_store(dim)
 
@@ -190,7 +184,6 @@ __all__ = [
     "use_backend",
     "pairwise_within",
     "neighbors_in_eps",
-    "points_in_rect",
     "all_within",
     "any_within",
     "batch_eps_neighbors",

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Any, List, Protocol, Sequence, Tuple
 
+from repro.geometry.rectangle import EPS_WIDEN  # noqa: F401 - re-exported
+
 #: A point is an immutable coordinate tuple (the operators' row slice).
 Point = Tuple[float, ...]
 
@@ -28,16 +30,6 @@ class MetricLike(Protocol):
 
     def within(self, p: Coords, q: Coords, eps: float) -> bool: ...
 
-
-#: Factor by which an ε-box is widened before it *gathers* candidates
-#: (a probe window, a join's cell range).  The deciding test,
-#: ``|p_i - q_i| <= eps`` and the metric, is evaluated in floating point
-#: and absorbs a few ulps of ``eps`` (the difference, its square, the
-#: sum); a corner computed as ``v - eps`` rounds on its own (``0.1 - 0.1``
-#: is ``0.0``, which hides a neighbour at ``-5e-324``).  Widening by this
-#: factor and stepping one float further out (``nextafter``) covers both,
-#: so gathering never loses a pair the test would accept.
-EPS_WIDEN = 1.0 + 2.0**-48
 
 #: One block of ε-self-join output, ``(us, vs, n_box)``: parallel
 #: sequences of edge-endpoint ids (lists or integer arrays, whichever the

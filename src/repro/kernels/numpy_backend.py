@@ -80,20 +80,30 @@ def _charge(metric: MetricLike, n: int) -> None:
         metric.calls += n  # type: ignore[attr-defined]
 
 
+def _diff_mask(diff: "np.ndarray", eps: float, kind: str,
+               p: float) -> "np.ndarray":
+    """``δ <= eps`` over the last axis of a block of coordinate
+    differences, in the arithmetic of the reference ``Metric.within``
+    loops: the per-axis terms are accumulated left to right, so the two
+    backends round alike in every dimension (``einsum`` does not)."""
+    if kind == "linf":
+        return np.abs(diff).max(axis=-1) <= eps
+    terms = diff * diff if kind == "l2" else np.abs(diff) ** p
+    total = terms[..., 0]
+    for k in range(1, terms.shape[-1]):
+        total += terms[..., k]
+    return total <= (eps * eps if kind == "l2" else eps**p)
+
+
 def _within_mask(coords: "np.ndarray", q: Any, eps: float,
                  metric: MetricLike) -> Optional["np.ndarray"]:
     """Boolean mask of rows of ``coords`` within ``eps`` of ``q`` (one
     point, or one row per row of ``coords``), or None when the metric
     has no vectorized form."""
     kind, p = _metric_kind(metric)
-    diff = coords - np.asarray(q, dtype=np.float64)
-    if kind == "l2":
-        return np.einsum("ij,ij->i", diff, diff) <= eps * eps
-    if kind == "linf":
-        return np.abs(diff).max(axis=1) <= eps
-    if kind == "lp":
-        return (np.abs(diff) ** p).sum(axis=1) <= eps**p
-    return None
+    if kind == "other":
+        return None
+    return _diff_mask(coords - np.asarray(q, dtype=np.float64), eps, kind, p)
 
 
 # ----------------------------------------------------------------------
@@ -125,17 +135,6 @@ def neighbors_in_eps(points: Sequence[Coords], q: Coords, eps: float,
     return np.flatnonzero(mask).tolist()
 
 
-def points_in_rect(points: Sequence[Coords], lo: Coords,
-                   hi: Coords) -> List[bool]:
-    coords = np.asarray(points, dtype=np.float64)
-    if coords.size == 0:
-        return []
-    lo_a = np.asarray(lo, dtype=np.float64)
-    hi_a = np.asarray(hi, dtype=np.float64)
-    mask = ((coords >= lo_a) & (coords <= hi_a)).all(axis=1)
-    return mask.tolist()
-
-
 def batch_eps_neighbors(points: Sequence[Coords], probes: Sequence[Coords],
                         eps: float, metric: MetricLike) -> List[List[int]]:
     """Per-probe ascending indices of ``points`` within ``eps``.
@@ -158,13 +157,7 @@ def batch_eps_neighbors(points: Sequence[Coords], probes: Sequence[Coords],
         ]
     coords = np.asarray(points, dtype=np.float64)
     qs = np.asarray(probes, dtype=np.float64)
-    diff = qs[:, None, :] - coords[None, :, :]
-    if kind == "l2":
-        mask = np.einsum("ijk,ijk->ij", diff, diff) <= eps * eps
-    elif kind == "linf":
-        mask = np.abs(diff).max(axis=2) <= eps
-    else:  # lp
-        mask = (np.abs(diff) ** p).sum(axis=2) <= eps**p
+    mask = _diff_mask(qs[:, None, :] - coords[None, :, :], eps, kind, p)
     _charge(metric, m * n)
     return [np.flatnonzero(mask[j]).tolist() for j in range(m)]
 
@@ -478,27 +471,11 @@ class PointStore:
             if within(p, q, eps)
         ]
 
-    def query_ids(self, ids: Sequence[int], q: Coords, eps: float,
-                  metric: MetricLike) -> List[int]:
-        if not ids:
-            return []
-        if len(ids) >= SMALL_BLOCK:
-            ids_a = np.fromiter(ids, dtype=np.intp, count=len(ids))
-            mask = _within_mask(
-                self._coords.view()[ids_a], q, eps, metric
-            )
-            if mask is not None:
-                _charge(metric, len(ids))
-                return ids_a[mask].tolist()
-        tuples = self._coords.tuples
-        within = metric.within
-        return [i for i in ids if within(tuples[i], q, eps)]
-
-    def query_ids_eps_box(
+    def query_gathered(
         self, ids: Sequence[int], q: Coords, eps: float,
         metric: MetricLike, count: bool = True,
     ) -> Tuple[List[int], int]:
-        """ε-box-filter ``ids`` around ``q`` then metric-verify.
+        """Verify the ``ids`` a window gathered around ``q``.
 
         Every Minkowski ε-ball is contained in the ε-box, so the
         vectorized path needs only the metric mask; the box tally (the
@@ -510,27 +487,23 @@ class PointStore:
         if k == 0:
             return [], 0
         if k < _EPS_BOX_FALLBACK:
-            return self._eps_box_loop(ids, q, eps, metric)
+            return self._gathered_loop(ids, q, eps, metric)
         kind, p = _metric_kind(metric)
         if kind == "other":
-            return self._eps_box_loop(ids, q, eps, metric)
+            return self._gathered_loop(ids, q, eps, metric)
         ids_a = np.fromiter(ids, dtype=np.intp, count=k)
         diff = self._coords.view()[ids_a] - np.asarray(q, dtype=np.float64)
+        mask = _diff_mask(diff, eps, kind, p)
         if kind == "linf":
-            wmask = (np.abs(diff) <= eps).all(axis=1)
-            return ids_a[wmask].tolist(), int(wmask.sum()) if count else 0
-        if kind == "l2":
-            mask = np.einsum("ij,ij->i", diff, diff) <= eps * eps
-        else:  # lp
-            mask = (np.abs(diff) ** p).sum(axis=1) <= eps**p
+            return ids_a[mask].tolist(), int(mask.sum()) if count else 0
         if count:
             n_window = int((np.abs(diff) <= eps).all(axis=1).sum())
             _charge(metric, n_window)
             return ids_a[mask].tolist(), n_window
         return ids_a[mask].tolist(), 0
 
-    def _eps_box_loop(self, ids: Sequence[int], q: Coords, eps: float,
-                      metric: MetricLike) -> Tuple[List[int], int]:
+    def _gathered_loop(self, ids: Sequence[int], q: Coords, eps: float,
+                       metric: MetricLike) -> Tuple[List[int], int]:
         """Pure-python fallback, byte-identical to the python backend."""
         tuples = self._coords.tuples
         # The symmetric form of the window test: ``q - eps <= v`` rounds
@@ -596,11 +569,14 @@ class GroupBlock:
 
 
 class RectStore:
-    """Slotted (ε-All rect, MBR) arrays for the bounds-checking strategy.
+    """Slotted MBR array for the bounds-checking strategy.
 
-    One slot per live group; frees are recycled.  Dead slots are parked at
-    ``+inf`` lo / ``-inf`` hi corners so every vectorized test rejects
-    them without a separate liveness mask.
+    One slot per live group; frees are recycled.  A row holds the MBR as
+    ``(-lo | hi)``, its outward extents, so that both tests are one
+    subtraction or comparison of the whole array against one probe row
+    (``-lo - -q`` is ``q - lo``, the same real number rounded once).  Dead
+    slots are parked at NaN, which fails every comparison, so no separate
+    liveness mask is needed.
     """
 
     backend = name
@@ -608,10 +584,7 @@ class RectStore:
     def __init__(self, dim: int) -> None:
         self.dim = dim
         cap = 16
-        self._eps_lo = np.full((cap, dim), np.inf)
-        self._eps_hi = np.full((cap, dim), -np.inf)
-        self._mbr_lo = np.full((cap, dim), np.inf)
-        self._mbr_hi = np.full((cap, dim), -np.inf)
+        self._sides = np.full((cap, 2 * dim), np.nan)
         self._items: List[Any] = [None] * cap
         self._free: List[int] = list(range(cap - 1, -1, -1))
         self._slot_of: Dict[Any, int] = {}
@@ -620,19 +593,16 @@ class RectStore:
         return len(self._slot_of)
 
     def _grow(self) -> None:
-        old = self._eps_lo.shape[0]
+        old = self._sides.shape[0]
         new = old * 2
-        for attr in ("_eps_lo", "_eps_hi", "_mbr_lo", "_mbr_hi"):
-            arr = getattr(self, attr)
-            fill = np.inf if attr.endswith("lo") else -np.inf
-            grown = np.full((new, self.dim), fill)
-            grown[:old] = arr
-            setattr(self, attr, grown)
+        grown = np.full((new, 2 * self.dim), np.nan)
+        grown[:old] = self._sides
+        self._sides = grown
         self._items.extend([None] * (new - old))
         self._free.extend(range(new - 1, old - 1, -1))
 
-    def set(self, item: Any, eps_rect: Any, mbr: Any) -> None:
-        """Insert or update the rectangles for ``item`` (a group id)."""
+    def set(self, item: Any, mbr: Any) -> None:
+        """Insert or update the MBR of ``item`` (a group id)."""
         slot = self._slot_of.get(item)
         if slot is None:
             if not self._free:
@@ -640,36 +610,32 @@ class RectStore:
             slot = self._free.pop()
             self._slot_of[item] = slot
             self._items[slot] = item
-        self._eps_lo[slot] = eps_rect.lo
-        self._eps_hi[slot] = eps_rect.hi
-        self._mbr_lo[slot] = mbr.lo
-        self._mbr_hi[slot] = mbr.hi
+        self._sides[slot] = (*(-v for v in mbr.lo), *mbr.hi)
 
     def delete(self, item: Any) -> None:
         slot = self._slot_of.pop(item)
-        self._eps_lo[slot] = np.inf
-        self._eps_hi[slot] = -np.inf
-        self._mbr_lo[slot] = np.inf
-        self._mbr_hi[slot] = -np.inf
+        self._sides[slot] = np.nan
         self._items[slot] = None
         self._free.append(slot)
 
-    def eps_contains(self, point: Coords) -> List[Any]:
-        """Items whose ε-All rectangle contains ``point`` (closed)."""
-        q = np.asarray(point, dtype=np.float64)
-        mask = ((self._eps_lo <= q) & (q <= self._eps_hi)).all(axis=1)
+    def _matching(self, mask: "np.ndarray") -> List[Any]:
         items = self._items
-        return [items[s] for s in np.flatnonzero(mask)]
+        return [items[s] for s in np.flatnonzero(mask.all(axis=1))]
+
+    def eps_contains(self, point: Coords, reach: float) -> List[Any]:
+        """Items whose MBR passes the ε-All test for ``point``: within
+        ``reach`` of both corners on every axis, ``q - lo <= reach`` and
+        ``hi - q <= reach`` — the array form of
+        :meth:`repro.geometry.rectangle.Rect.eps_all_contains`."""
+        q = np.asarray(point, dtype=np.float64)
+        return self._matching(
+            self._sides - np.concatenate((-q, q)) <= reach)
 
     def mbr_intersects(self, lo: Coords, hi: Coords) -> List[Any]:
-        """Items whose MBR intersects the closed box ``[lo, hi]``."""
-        lo_a = np.asarray(lo, dtype=np.float64)
-        hi_a = np.asarray(hi, dtype=np.float64)
-        mask = (
-            (self._mbr_lo <= hi_a) & (lo_a <= self._mbr_hi)
-        ).all(axis=1)
-        items = self._items
-        return [items[s] for s in np.flatnonzero(mask)]
+        """Items whose MBR intersects the closed box ``[lo, hi]``:
+        ``mbr.lo <= hi`` and ``lo <= mbr.hi``."""
+        box = np.concatenate((np.negative(hi), lo))
+        return self._matching(self._sides >= box)
 
 
 def make_point_store() -> PointStore:

@@ -48,18 +48,6 @@ def neighbors_in_eps(points: Sequence[Coords], q: Coords, eps: float,
     return [i for i, p in enumerate(points) if within(p, q, eps)]
 
 
-def points_in_rect(points: Sequence[Coords], lo: Coords,
-                   hi: Coords) -> List[bool]:
-    """Bulk closed-boundary PointInRectangleTest."""
-    if len(lo) == 2:
-        l0, l1 = lo
-        h0, h1 = hi
-        return [l0 <= p[0] <= h0 and l1 <= p[1] <= h1 for p in points]
-    return [
-        all(l <= v <= h for v, l, h in zip(p, lo, hi)) for p in points
-    ]
-
-
 def batch_eps_neighbors(points: Sequence[Coords], probes: Sequence[Coords],
                         eps: float, metric: MetricLike) -> List[List[int]]:
     """Per-probe ascending indices of ``points`` within ``eps``.
@@ -136,7 +124,7 @@ def eps_self_join(points: Sequence[Coords], eps: float, metric: MetricLike,
         table.setdefault(_cell_of(point, eps), []).append(pid)
     occupied = sorted(table)
     wide = eps * EPS_WIDEN  # a partner's cell always lies in the range
-    exact_box = metric.name == "linf"
+    linf = metric.name == "linf"  # the per-axis test is the predicate
     within = metric.within
     us: List[int] = []
     vs: List[int] = []
@@ -171,7 +159,7 @@ def eps_self_join(points: Sequence[Coords], eps: float, metric: MetricLike,
                     q = points[j]
                     if all(abs(a - b) <= eps for a, b in zip(p, q)):
                         n_box += 1
-                        if exact_box or within(p, q, eps):
+                        if linf or within(p, q, eps):
                             us.append(i)
                             vs.append(j)
                 if len(us) >= JOIN_BLOCK:
@@ -237,26 +225,19 @@ class PointStore:
             i for i, p in enumerate(self._points) if within(p, q, eps)
         ]
 
-    def query_ids(self, ids: Iterable[int], q: Coords, eps: float,
-                  metric: MetricLike) -> List[int]:
-        """Subset of ``ids`` whose point is within ``eps`` of ``q``
-        (input order preserved)."""
-        within = metric.within
-        points = self._points
-        return [i for i in ids if within(points[i], q, eps)]
-
-    def query_ids_eps_box(
+    def query_gathered(
         self, ids: Iterable[int], q: Coords, eps: float,
         metric: MetricLike, count: bool = True,
     ) -> Tuple[List[int], int]:
-        """ε-box-filter ``ids`` around ``q`` then verify with the metric.
+        """Verify the ``ids`` a window gathered around ``q``: keep those
+        with ``|p_i - q_i| <= eps`` on every axis, then the metric.
 
-        Returns ``(matching ids, number that passed the box test)``.
-        The box test is exact for L∞ (the ε-box *is* the ball), so no
-        metric evaluation — hence no ``CountingMetric`` charge — happens
-        in that case, mirroring the pre-kernel grid strategy.  ``count``
-        is a hint for backends whose counting costs extra; here the box
-        tally is a free byproduct.
+        Returns ``(matching ids, number that passed the per-axis test)``.
+        The per-axis test *is* the L∞ predicate, so no further metric
+        evaluation — hence no ``CountingMetric`` charge — happens in that
+        case, mirroring the pre-kernel grid strategy.  ``count`` is a
+        hint for backends whose counting costs extra; here the tally is a
+        free byproduct.
         """
         points = self._points
         # The symmetric form of the window test: ``q - eps <= v`` rounds

@@ -48,7 +48,6 @@ from repro.obs.trace import (
     TraceSpan,
     chrome_trace_payload,
     maybe_span,
-    traced_iter,
     validate_chrome_trace,
 )
 
@@ -79,6 +78,5 @@ __all__ = [
     "prometheus_text",
     "render_analyze",
     "span",
-    "traced_iter",
     "validate_chrome_trace",
 ]

@@ -442,24 +442,3 @@ def validate_chrome_trace(payload: Dict[str, Any],
                 f"[{p_start:.1f}, {p_end:.1f}] µs"
             )
     return problems
-
-
-def traced_iter(tracer: Optional[Tracer], name: str, it, **attrs: Any):
-    """Wrap an iterator in a span covering first ``next()`` to exhaustion.
-
-    The span opens lazily (when iteration starts, not when the generator
-    is built) and closes on exhaustion, on error, or when the consumer
-    abandons the iterator (``GeneratorExit`` unwinds the ``with``), so
-    plan-node spans nest correctly even under LIMIT-style early stops.
-    """
-    if tracer is None:
-        yield from it
-        return
-    rows = 0
-    with tracer.span(name, **attrs) as sp:
-        try:
-            for row in it:
-                rows += 1
-                yield row
-        finally:
-            sp.set(rows=rows)

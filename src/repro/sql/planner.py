@@ -318,18 +318,18 @@ class Planner:
         left: PhysicalOperator,
         right: PhysicalOperator,
     ) -> Optional[PhysicalOperator]:
-        """Recognize ``dist_l2(lx, ly, rx, ry) <= eps`` join conjuncts and
-        plan an R-tree similarity join; remaining conjuncts become the
-        residual condition."""
-        for i, conj in enumerate(conjuncts):
+        """Recognize a ``dist_l2(lx, ly, rx, ry) <= eps`` join conjunct and
+        plan an R-tree similarity join.  The conjunct tells the node where
+        to look; it stays in the join condition, with the others, and
+        decides every pair the index gathers."""
+        for conj in conjuncts:
             bound = self._match_distance_predicate(conj, left, right)
             if bound is None:
                 continue
             left_coords, right_coords, eps, metric = bound
-            residual = [c for j, c in enumerate(conjuncts) if j != i]
             return SimilarityJoin(
                 left, right, left_coords, right_coords, eps, metric,
-                _and_all(residual), self._ctx_factory,
+                _and_all(conjuncts), self._ctx_factory,
             )
         return None
 

@@ -10,9 +10,9 @@ prefix into micro-batches cannot change the result because the engine
 processes points one at a time either way.
 
 Internally the engine drives the batch operator's own incremental
-machinery — per-group ε-All bounding rectangles (exact for L∞), the MBR
-R-tree / bounds-checking filters, and the 2-D convex-hull refinement that
-resolves L2 candidates exactly — and adds the two things the batch
+machinery — the per-group ε-All test on the MBR (the answer for L∞), the
+MBR R-tree / bounds-checking filters, and the 2-D convex-hull refinement
+that resolves L2 candidates exactly — and adds the two things the batch
 operator lacks:
 
 * non-destructive ``snapshot()`` (the batch operator can only

@@ -5,9 +5,11 @@ from collections import deque
 
 import pytest
 
+from repro import kernels
 from repro.clustering.dbscan import NOISE, dbscan
+from repro.core.api import sgb_any
 from repro.errors import InvalidParameterError
-from tests.conftest import dist
+from tests.conftest import decimal_lattice, dist, partition_of
 
 
 def reference_dbscan(points, eps, min_pts, metric="l2"):
@@ -137,3 +139,20 @@ def _core_partition(points, core, eps, metric):
                     queue.append(v)
         cluster += 1
     return labels
+
+
+class TestExactTies:
+    """With ``min_pts=1`` every point is a core point, so the clusters are
+    the ε-components — the same ones SGB-Any finds, on exact float ties
+    too: the R-tree window only gathers, ``within`` decides each hit."""
+
+    @pytest.mark.parametrize("backend", kernels.available_backends())
+    @pytest.mark.parametrize("metric", ["l2", "linf"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_min_pts_one_is_the_eps_components(self, seed, metric, backend):
+        points, eps = decimal_lattice(seed, n=250)
+        with kernels.use_backend(backend):
+            components = sgb_any(points, eps, metric=metric,
+                                 strategy="all-pairs").labels
+        clusters = dbscan(points, eps, min_pts=1, metric=metric).labels
+        assert partition_of(clusters) == partition_of(components)

@@ -7,6 +7,7 @@ import random
 from typing import List, Sequence, Set, Tuple
 
 import pytest
+from hypothesis import strategies as st
 
 Point = Tuple[float, ...]
 
@@ -64,6 +65,44 @@ def random_points(n: int, seed: int, span: float = 10.0,
                   dim: int = 2) -> List[Point]:
     rng = random.Random(seed)
     return [tuple(rng.uniform(0, span) for _ in range(dim)) for _ in range(n)]
+
+
+#: Decimal lattice steps: ``k * step`` is not a binary fraction, so points
+#: ``m`` steps apart are at an exact float tie with ``eps = m * step`` that
+#: ``v - eps <= q``, ``q - eps <= v`` and ``|q - v| <= eps`` round apart.
+LATTICE_STEPS = (0.1, 0.3, 0.7)
+
+
+def decimal_lattice(seed: int, n: int = 150) -> Tuple[List[Point], float]:
+    """``(points, eps)``: ``n`` seeded points on a decimal lattice in 2 or
+    3 dimensions, ``eps`` one to three steps."""
+    rng = random.Random(seed)
+    step = rng.choice(LATTICE_STEPS)
+    dim = rng.choice((2, 3))
+    span = rng.randint(6, 20)
+    eps = rng.randint(1, 3) * step
+    points = [tuple(rng.randrange(span) * step for _ in range(dim))
+              for _ in range(n)]
+    return points, eps
+
+
+@st.composite
+def decimal_lattices(draw, max_points: int = 40):
+    """Hypothesis form of :func:`decimal_lattice`."""
+    step = draw(st.sampled_from(LATTICE_STEPS))
+    dim = draw(st.sampled_from((2, 3)))
+    coord = st.integers(0, draw(st.integers(2, 12))).map(lambda k: k * step)
+    points = draw(st.lists(st.tuples(*[coord] * dim),
+                           min_size=2, max_size=max_points))
+    return points, draw(st.integers(1, 3)) * step
+
+
+def partition_of(labels: Sequence[int]) -> List[Tuple[int, ...]]:
+    """The grouping a label vector induces, label numbering removed."""
+    groups: dict = {}
+    for i, label in enumerate(labels):
+        groups.setdefault(label, []).append(i)
+    return sorted(map(tuple, groups.values()))
 
 
 @pytest.fixture

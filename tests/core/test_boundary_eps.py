@@ -4,14 +4,30 @@ distance-computation ordering the paper's pruning strategies promise.
 The similarity predicate is *closed* (``d(p, q) <= eps`` groups p and q),
 so points separated by exactly eps must land in one group under every
 strategy and every ON-OVERLAP clause.
+
+"Exactly eps" in floating point is decided by one arithmetic — the
+predicate's — however the pair is found: :class:`TestDecimalLattice` holds
+every SGB-All strategy, the streaming engine, partitioned execution and SQL
+to the all-pairs answer on decimal lattices, where ``v - eps <= q`` and
+``|q - v| <= eps`` round apart.
 """
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import kernels
 from repro.core.api import sgb_all, sgb_any, sgb_stream
+from repro.core.distance import LINF
+from repro.core.groups import Group
 from repro.core.sgb_all import SGBAllOperator
+from repro.engine.database import Database
+from repro.geometry.rectangle import Rect, probe_window
 from repro.obs import MetricBag
+from repro.streaming.all_engine import StreamingSGBAll
+from tests.conftest import decimal_lattice, decimal_lattices
 
 ALL_STRATEGIES = ["all-pairs", "bounds-checking", "index"]
 OVERLAP_CLAUSES = ["join-any", "eliminate", "form-new-group"]
@@ -64,6 +80,170 @@ class TestExactEpsBoundary:
         result = sgb_all([(0.0, 0.0), (1.0, 0.0)], eps=1.0, metric=metric,
                          tiebreak="first")
         assert result.labels == [0, 0]
+
+
+BACKENDS = kernels.available_backends()
+METRICS = ["l2", "linf"]
+FILTERING = ["bounds-checking", "index"]
+#: ``decimal_lattice`` seeds on which, before the ε-All test read the MBR
+#: in the predicate's arithmetic, the three strategies disagreed for both
+#: metrics under all three clauses.
+LATTICE_SEEDS = (13, 19)
+
+lattice_grid = pytest.mark.parametrize(
+    "backend,metric,clause",
+    [(b, m, c) for b in BACKENDS for m in METRICS for c in OVERLAP_CLAUSES],
+)
+
+
+def _labels(points, eps, strategy, **kwargs):
+    return sgb_all(points, eps, strategy=strategy, tiebreak="first",
+                   **kwargs).labels
+
+
+class TestDecimalLattice:
+    """One answer on exact float ties: every way of running SGB-All
+    equals the all-pairs scan of the same input order."""
+
+    @staticmethod
+    def _check_strategies(points, eps, metric, clause):
+        reference = _labels(points, eps, "all-pairs", metric=metric,
+                            on_overlap=clause)
+        for strategy in FILTERING:
+            assert _labels(points, eps, strategy, metric=metric,
+                           on_overlap=clause) == reference, strategy
+
+    @lattice_grid
+    @pytest.mark.parametrize("seed", LATTICE_SEEDS)
+    def test_strategies_equal_all_pairs_seeded(self, backend, metric,
+                                               clause, seed):
+        points, eps = decimal_lattice(seed)
+        with kernels.use_backend(backend):
+            self._check_strategies(points, eps, metric, clause)
+
+    @lattice_grid
+    @settings(max_examples=25, deadline=None)
+    @given(case=decimal_lattices())
+    def test_strategies_equal_all_pairs(self, backend, metric, clause, case):
+        with kernels.use_backend(backend):
+            self._check_strategies(*case, metric, clause)
+
+    @lattice_grid
+    @settings(max_examples=10, deadline=None)
+    @given(case=decimal_lattices(max_points=30), every=st.integers(1, 7))
+    def test_stream_snapshots_equal_all_pairs(self, backend, metric, clause,
+                                              case, every):
+        points, eps = case
+        with kernels.use_backend(backend):
+            for strategy in FILTERING:
+                stream = StreamingSGBAll(eps, metric=metric,
+                                         on_overlap=clause,
+                                         strategy=strategy, tiebreak="first")
+                for n, point in enumerate(points, 1):
+                    stream.insert(point)
+                    if n % every == 0:
+                        assert stream.snapshot().labels == _labels(
+                            points[:n], eps, "all-pairs", metric=metric,
+                            on_overlap=clause), (strategy, n)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("clause", OVERLAP_CLAUSES)
+    def test_partitioned_serial_equals_pool(self, metric, clause):
+        points, eps = decimal_lattice(LATTICE_SEEDS[0], n=300)
+        keys = [i % 3 for i in range(len(points))]
+        reference = _labels(points, eps, "all-pairs", metric=metric,
+                            on_overlap=clause, partitions=keys)
+        for strategy in FILTERING:
+            for parallel in (0, 2):
+                assert _labels(points, eps, strategy, metric=metric,
+                               on_overlap=clause, partitions=keys,
+                               parallel=parallel) == reference, \
+                    (strategy, parallel)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("clause", OVERLAP_CLAUSES)
+    @pytest.mark.parametrize("seed", LATTICE_SEEDS)
+    def test_sql_equals_all_pairs(self, metric, clause, seed):
+        points, eps = decimal_lattice(seed, n=100)
+        keys = ", ".join("xyz"[:len(points[0])])
+        rows = [(i,) + p + (None,) * (3 - len(p))
+                for i, p in enumerate(points)]
+        answers = []
+        for strategy in ["all-pairs"] + FILTERING:
+            db = Database(sgb_all_strategy=strategy, tiebreak="first")
+            db.execute("CREATE TABLE t (id int, x float, y float, z float)")
+            db.insert("t", rows)
+            answers.append(db.query(
+                f"SELECT array_agg(id) FROM t GROUP BY {keys} "
+                f"DISTANCE-TO-ALL {metric} WITHIN {eps!r} "
+                f"ON-OVERLAP {clause}").rows)
+        labels = _labels(points, eps, "all-pairs", metric=metric,
+                         on_overlap=clause)
+        groups = {}
+        for i, label in enumerate(labels):
+            if label >= 0:
+                groups.setdefault(label, []).append(i)
+        assert answers[0] == [(ids,) for _, ids in sorted(groups.items())]
+        assert answers[1] == answers[2] == answers[0]
+
+
+class TestRectanglesGatherThePredicateDecides:
+    """The two facts the one-rectangle design rests on."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @settings(max_examples=60, deadline=None)
+    @given(case=decimal_lattices(), doomed=st.sets(st.integers(0, 19)))
+    def test_linf_accepts_is_the_member_scan(self, backend, case, doomed):
+        # Any member set, clique or not: the MBR's corners are member
+        # coordinates and fl(p - q) is monotone in q.  Every drawn point
+        # probes a group made of the first half of them.
+        points, eps = case
+        with kernels.use_backend(backend):
+            group = Group(0, eps, LINF, use_hull=False)
+            for pid, point in enumerate(points[:len(points) // 2 + 1]):
+                group.add(pid, point)
+            for _ in range(2):
+                for q in points:
+                    scan = bool(group.points) and all(
+                        LINF.within(q, m, eps) for m in group.points)
+                    assert group.accepts(q) == scan, q
+                group.remove_members(doomed)
+
+    @pytest.mark.skipif("numpy" not in BACKENDS, reason="numpy backend")
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rect_store_equals_the_group_loop(self, seed):
+        from repro.kernels.numpy_backend import RectStore
+
+        rng = random.Random(seed)
+        step = 0.1
+
+        def mbr():
+            lo = [rng.randrange(30) * step for _ in range(2)]
+            return Rect(lo, [v + rng.randrange(4) * step for v in lo])
+
+        store, live = RectStore(2), {}
+        for gid in range(60):  # grows past the initial 16 slots
+            live[gid] = mbr()
+            store.set(gid, live[gid])
+        for gid in rng.sample(sorted(live), 35):
+            store.delete(gid)
+            del live[gid]
+        for gid in range(60, 80):  # recycled slots
+            live[gid] = mbr()
+            store.set(gid, live[gid])
+        for gid in rng.sample(sorted(live), 10):  # moved in place
+            live[gid] = mbr()
+            store.set(gid, live[gid])
+        assert len(store) == len(live)
+        for _ in range(200):
+            q = (rng.randrange(34) * step, rng.randrange(34) * step)
+            reach = rng.randint(1, 3) * step
+            assert sorted(store.eps_contains(q, reach)) == [
+                g for g, r in sorted(live.items())
+                if r.eps_all_contains(q, reach)]
+            window = probe_window(q, reach)
+            assert sorted(store.mbr_intersects(window.lo, window.hi)) == [
+                g for g, r in sorted(live.items()) if r.intersects(window)]
 
 
 class TestDuplicates:

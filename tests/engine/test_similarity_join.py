@@ -127,3 +127,34 @@ class TestAgainstNestedLoopOracle:
             if dist(p, q, "l2") <= eps
         )
         assert got == want
+
+
+class TestRewritePreservesThePredicate:
+    """The rewrite changes how pairs are found, never which pairs: the
+    R-tree window gathers, the recognized conjunct itself decides.  On a
+    0.1 lattice the pairs at exactly ε are where a window test, the
+    squared-distance compare and ``hypot`` round apart."""
+
+    @pytest.fixture(scope="class")
+    def lattice_db(self):
+        rng = random.Random(4)
+        d = Database()
+        for table in ("a", "b"):
+            d.execute(f"CREATE TABLE {table} (id int, x float, y float)")
+            d.insert(table, [(i, rng.randrange(40) * 0.1,
+                              rng.randrange(40) * 0.1) for i in range(150)])
+        return d
+
+    @pytest.mark.parametrize("fn", ["dist_l2", "dist_linf"])
+    @pytest.mark.parametrize("eps", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("tables", ["a, b", "b, a"])
+    def test_join_rows_equal_predicate_rows(self, lattice_db, fn, eps,
+                                            tables):
+        query = (f"SELECT a.id, b.id FROM {tables} "
+                 f"WHERE {fn}(a.x, a.y, b.x, b.y){{}} <= {eps}")
+        joined, filtered = query.format(""), query.format(" + 0")
+        assert "SimilarityJoin" in lattice_db.explain(joined)
+        assert "SimilarityJoin" not in lattice_db.explain(filtered)
+        rows = sorted(lattice_db.query(joined).rows)
+        assert rows == sorted(lattice_db.query(filtered).rows)
+        assert rows  # the lattice has pairs at every one of these radii

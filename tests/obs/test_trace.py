@@ -10,7 +10,6 @@ from repro.obs.trace import (
     Tracer,
     chrome_trace_payload,
     maybe_span,
-    traced_iter,
     validate_chrome_trace,
 )
 
@@ -205,32 +204,6 @@ class TestExports:
         problems = validate_chrome_trace(chrome_trace_payload(records))
         assert any("does not nest" in p for p in problems)
         assert any("unresolved parent" in p for p in problems)
-
-
-class TestTracedIter:
-    def test_counts_rows_and_parents_lazily(self):
-        t = Tracer()
-        wrapped = traced_iter(t, "scan", iter([1, 2, 3]))
-        assert len(t) == 0  # span not opened until iteration starts
-        with t.span("query"):
-            assert list(wrapped) == [1, 2, 3]
-        scan, query = t.records()
-        assert scan.name == "scan"
-        assert scan.attrs["rows"] == 3
-        assert scan.parent_id == query.span_id
-
-    def test_early_close_still_finishes_span(self):
-        t = Tracer()
-        it = traced_iter(t, "scan", iter(range(100)))
-        next(it)
-        next(it)
-        it.close()  # LIMIT-style abandonment
-        (rec,) = t.records()
-        assert rec.attrs["rows"] == 2
-        assert t.depth == 0
-
-    def test_none_tracer_passthrough(self):
-        assert list(traced_iter(None, "scan", iter([1, 2]))) == [1, 2]
 
 
 class TestMaybeSpan:
