@@ -20,6 +20,7 @@ Workflow:
 
 from __future__ import annotations
 
+import hashlib
 import json
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -32,6 +33,15 @@ DEFAULT_BASELINE_NAME = "sgblint.baseline.json"
 TODO_JUSTIFICATION = "TODO: justify"
 
 Key = Tuple[str, str, str]
+
+
+def _file_hash(path: str) -> Optional[str]:
+    """sha256 of the file's text; None when it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return hashlib.sha256(fh.read().encode("utf-8")).hexdigest()
+    except OSError:
+        return None
 
 
 class BaselineEntry:
@@ -156,13 +166,11 @@ class Baseline:
         hash (pre-hash baselines) are skipped, not failed — running
         ``--update-baseline`` once stamps them.
         """
-        from repro.analysis.cache import file_hash
-
         out: List[BaselineEntry] = []
         for entry in self.entries.values():
             if entry.content_hash is None:
                 continue
-            current = file_hash(entry.path)
+            current = _file_hash(entry.path)
             if current != entry.content_hash:
                 out.append(entry)
         return out
@@ -173,8 +181,6 @@ class Baseline:
                       previous: Optional["Baseline"] = None) -> "Baseline":
         """A baseline covering exactly ``findings``; justifications are
         carried over from ``previous`` where the identity persists."""
-        from repro.analysis.cache import file_hash
-
         counts: Dict[Key, int] = {}
         for f in findings:
             counts[f.key] = counts.get(f.key, 0) + 1
@@ -187,7 +193,7 @@ class Baseline:
                 if old is not None:
                     justification = old.justification
             if path not in hashes:
-                hashes[path] = file_hash(path)
+                hashes[path] = _file_hash(path)
             # Updating the baseline *is* the re-verification step, so
             # the hash is always refreshed to the current content.
             entries.append(

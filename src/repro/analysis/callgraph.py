@@ -231,16 +231,6 @@ class CallGraph:
                     queue.append((site.callee, chain + [site]))
         return None
 
-    # -- debug dump --------------------------------------------------------
-    def as_dict(self) -> Dict[str, List[Dict[str, object]]]:
-        out: Dict[str, List[Dict[str, object]]] = {}
-        for caller in sorted(self.calls):
-            out[caller] = [
-                {"callee": s.callee, "line": s.lineno}
-                for s in self.calls[caller]
-            ]
-        return out
-
 
 def format_chain(chain: Iterable[CallSite]) -> str:
     """``a -> b -> c`` rendering of a reachability chain for messages."""

@@ -18,11 +18,9 @@ from repro.analysis.baseline import (
     Baseline,
     BaselineEntry,
 )
-from repro.analysis.cache import DEFAULT_CACHE_PATH, AnalysisCache, CacheStats
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import all_rules, get_rule, rule_ids
-from repro.analysis.runner import lint_paths, load_contexts
-from repro.analysis.sarif import sarif_document
+from repro.analysis.runner import lint_paths
 
 PROG = "python -m repro.analysis"
 
@@ -79,21 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
              "directory walks by default; explicit file paths are "
              "always linted)",
     )
-    parser.add_argument(
-        "--cache", metavar="FILE", nargs="?", const=DEFAULT_CACHE_PATH,
-        default=None,
-        help="incremental analysis: serve unchanged files from FILE "
-             f"(default: ./{DEFAULT_CACHE_PATH}), re-analyze only "
-             "changed files plus their reverse-import cone",
-    )
-    parser.add_argument(
-        "--sarif", metavar="FILE", default=None,
-        help="additionally write findings as SARIF 2.1.0 to FILE",
-    )
-    parser.add_argument(
-        "--graph", metavar="FILE", default=None,
-        help="dump the project call graph as JSON to FILE and exit",
-    )
     return parser
 
 
@@ -131,16 +114,8 @@ def main(argv: Optional[Sequence[str]] = None,
             print(f"--select matched no rules of {rule_ids()}", file=out)
             return 2
 
-    if args.graph:
-        return _dump_graph(args, out)
-
-    cache: Optional[AnalysisCache] = None
-    if args.cache:
-        cache = AnalysisCache(args.cache)
-
     findings = lint_paths(
         args.paths, rules=rules, include_fixtures=args.include_fixtures,
-        cache=cache,
     )
 
     baseline_path = args.baseline or DEFAULT_BASELINE_NAME
@@ -184,49 +159,17 @@ def main(argv: Optional[Sequence[str]] = None,
                 f"{entry.rule} {entry.path}: {entry.message}"
             )
 
-    if args.sarif:
-        with open(args.sarif, "w", encoding="utf-8") as fh:
-            json.dump(sarif_document(findings, rules), fh, indent=2)
-            fh.write("\n")
-
-    stats = cache.stats if cache is not None else None
     if args.fmt == "json":
-        _emit_json(out, findings, suppressed, stale, baseline_problems,
-                   stats)
+        _emit_json(out, findings, suppressed, stale, baseline_problems)
     else:
-        _emit_text(out, findings, suppressed, stale, baseline_problems,
-                   stats)
+        _emit_text(out, findings, suppressed, stale, baseline_problems)
 
     return 1 if (gating or baseline_problems) else 0
 
 
-def _dump_graph(args, out) -> int:
-    """``--graph FILE``: write the whole-program call graph as JSON."""
-    from repro.analysis.project import Project
-
-    contexts, errors = load_contexts(
-        args.paths, include_fixtures=args.include_fixtures)
-    for f in errors:
-        print(f.format_text(), file=out)
-    project = Project(contexts)
-    payload = {
-        "version": 1,
-        "tool": "sgblint",
-        "modules": sorted(project.package_contexts),
-        "calls": project.graph.as_dict(),
-    }
-    with open(args.graph, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote call graph for {len(project.package_contexts)} "
-          f"module(s) to {args.graph}", file=out)
-    return 1 if errors else 0
-
-
 def _emit_text(out, findings: List[Finding], suppressed: int,
                stale: List[BaselineEntry],
-               problems: List[str],
-               stats: Optional[CacheStats] = None) -> None:
+               problems: List[str]) -> None:
     for f in findings:
         print(f.format_text(), file=out)
     for line in problems:
@@ -236,17 +179,12 @@ def _emit_text(out, findings: List[Finding], suppressed: int,
         tail += f", {suppressed} suppressed by baseline"
     if stale and not problems:
         tail += f", {len(stale)} stale baseline entr(y/ies)"
-    if stats is not None:
-        tail += (f" [cache: {len(stats.analyzed)} analyzed, "
-                 f"{len(stats.cached)} from cache, project "
-                 f"{'reused' if stats.project_reused else 'recomputed'}]")
     print(tail, file=out)
 
 
 def _emit_json(out, findings: List[Finding], suppressed: int,
                stale: List[BaselineEntry],
-               problems: List[str],
-               stats: Optional[CacheStats] = None) -> None:
+               problems: List[str]) -> None:
     by_rule: dict = {}
     for f in findings:
         by_rule[f.rule] = by_rule.get(f.rule, 0) + 1
@@ -256,8 +194,6 @@ def _emit_json(out, findings: List[Finding], suppressed: int,
         "stale_baseline_entries": len(stale),
         "by_rule": dict(sorted(by_rule.items())),
     }
-    if stats is not None:
-        summary["cache"] = stats.as_dict()
     payload = {
         "version": 1,
         "tool": "sgblint",

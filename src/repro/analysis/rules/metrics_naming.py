@@ -11,18 +11,18 @@ from repro.analysis.context import FileContext
 from repro.analysis.findings import Finding
 from repro.analysis.registry import Rule, register
 
-#: Methods whose first string argument is a metric/timing/histogram name
+#: Methods whose first string argument is a counter/histogram/span name
 #: that ends up as (part of) a Prometheus series name.
 NAME_METHODS = frozenset({
-    "incr", "observe", "histogram", "hist_timer", "add_time", "span",
+    "incr", "observe", "histogram", "hist_timer", "span",
 })
 
-#: Free functions taking ``(bag_or_tracer, name)``.
-NAME_FUNCTIONS = frozenset({"span", "maybe_span"})
+#: Free functions taking ``(tracer, name)``.
+NAME_FUNCTIONS = frozenset({"maybe_span"})
 
 #: Lower-snake, starting with a letter — the subset of Prometheus's
 #: ``[a-zA-Z_:][a-zA-Z0-9_:]*`` this repo standardizes on (the exporter
-#: prefixes ``sgb_`` and suffixes ``_s``/``_bucket`` itself, so colons,
+#: prefixes ``repro_`` and suffixes ``_total``/``_bucket`` itself, so colons,
 #: uppercase, and leading underscores in the raw name would produce
 #: inconsistent series).
 NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
@@ -30,28 +30,23 @@ NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 @register
 class MetricsNamingRule(Rule):
-    """String literals naming MetricBag counters, timings, histograms, or
-    trace spans must be lower-snake Prometheus-safe names not ending in
-    ``_s``.
+    """String literals naming MetricBag counters, histograms, or trace
+    spans must be lower-snake Prometheus-safe names not ending in ``_s``.
 
     The Prometheus exporter (``repro.obs.export``) emits every counter as
-    ``sgb_<name>_total`` and every timing as ``sgb_<name>_s``; names that
-    are not ``[a-z][a-z0-9_]*`` produce series that scrape targets
-    reject, and a *counter* ending in ``_s`` collides with the timing
-    namespace (``MetricBag.as_dict`` suffixes timings with ``_s``, and
-    ``MetricBag.incr`` raises on such names at runtime — this rule moves
-    that failure to lint time).
+    ``repro_<name>_total``; names that are not ``[a-z][a-z0-9_]*``
+    produce series that scrape targets reject, and ``_s`` is reserved
+    for durations in seconds (``wall_time_s``, ``time_s``, the histogram
+    summaries) — ``MetricBag.incr`` raises on such a counter name at
+    runtime, and this rule moves that failure to lint time.
 
     Checked call shapes::
 
         bag.incr("candidates")            # counters
         bag.observe("probe_latency", dt)  # histograms
         bag.hist_timer("probe_latency")
-        bag.add_time("finalize", dt)      # timings
-        bag.span("finalize")              # timing spans
         tracer.span("micro_batch")        # trace spans
-        span(bag, "finalize")             # free-function form
-        maybe_span(tracer, "ingest")
+        maybe_span(tracer, "ingest")      # free-function form
 
     Only literal names are checked; names built at runtime are the
     caller's responsibility (keep them rare).
@@ -78,8 +73,7 @@ class MetricsNamingRule(Rule):
                 yield self.finding(
                     ctx, node,
                     f"metric/span name {name!r} ends in '_s', which is "
-                    f"reserved for the timing-suffix namespace "
-                    f"(MetricBag.as_dict)",
+                    f"reserved for durations in seconds",
                 )
 
     @staticmethod

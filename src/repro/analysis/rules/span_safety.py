@@ -12,8 +12,8 @@ from repro.analysis.registry import Rule, register
 #: Attribute calls that mint a span/timer context manager.
 SPAN_METHODS = frozenset({"span", "hist_timer", "start_span"})
 
-#: Free-function forms (``span(bag, name)`` / ``maybe_span(tracer, name)``).
-SPAN_FUNCTIONS = frozenset({"span", "maybe_span"})
+#: Free-function form (``maybe_span(tracer, name)``).
+SPAN_FUNCTIONS = frozenset({"maybe_span"})
 
 
 @register
@@ -22,7 +22,7 @@ class SpanSafetyRule(Rule):
     a factory); never discarded, left un-entered, or ``__enter__``-ed by
     hand.
 
-    A ``TraceSpan`` or ``MetricBag.span``/``hist_timer`` only records on
+    A ``TraceSpan`` or ``MetricBag.hist_timer`` only records on
     ``__exit__``.  A span that is created and dropped records nothing; a
     hand-called ``__enter__`` without a ``finally: __exit__`` leaks the
     tracer's span stack on the first exception, corrupting every parent
@@ -32,7 +32,7 @@ class SpanSafetyRule(Rule):
     Flagged shapes::
 
         tracer.span("phase")              # discarded: records nothing
-        sp = bag.span("phase")            # assigned but never `with sp:`
+        sp = bag.hist_timer("phase")      # assigned but never `with sp:`
         sp = tracer.span("x").__enter__() # bypasses exception safety
 
     Accepted shapes::
@@ -41,7 +41,7 @@ class SpanSafetyRule(Rule):
             ...
         sp = tracer.span("phase")         # later: `with sp: ...`
         return tracer.span(name, **attrs) # factory functions
-        stack.enter_context(bag.span("x"))
+        stack.enter_context(bag.hist_timer("x"))
     """
 
     id = "SGB004"

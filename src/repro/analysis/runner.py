@@ -119,27 +119,20 @@ def load_contexts(paths: Sequence[str],
 
 def lint_paths(paths: Sequence[str],
                rules: Iterable[Rule] = (),
-               include_fixtures: bool = False,
-               cache=None) -> List[Finding]:
+               include_fixtures: bool = False) -> List[Finding]:
     """Lint every Python file under ``paths``; findings sorted by
     location.
 
-    Per-file rules run file by file (served from ``cache`` when one is
-    given and the file plus its import cone are unchanged); whole-program
-    rules run once over a project built from every parsed context.
+    Per-file rules run file by file; whole-program rules run once over a
+    project built from every parsed context.
     """
     contexts, findings = load_contexts(
         paths, include_fixtures=include_fixtures)
     file_rules, project_rules = split_rules(rules)
-    project = Project(contexts)
-    if cache is not None:
-        findings.extend(
-            cache.run(contexts, project, file_rules, project_rules))
-    else:
-        if file_rules:
-            for ctx in contexts:
-                findings.extend(run_rules(ctx, file_rules))
-        if project_rules:
-            findings.extend(run_project_rules(project, project_rules))
+    if file_rules:
+        for ctx in contexts:
+            findings.extend(run_rules(ctx, file_rules))
+    if project_rules:
+        findings.extend(run_project_rules(Project(contexts), project_rules))
     findings.sort(key=Finding.sort_key)
     return findings

@@ -346,8 +346,7 @@ class SymbolTable:
         """Module -> imported modules, restricted to the analyzed set.
 
         ``from repro.obs.trace import Tracer`` contributes an edge to
-        ``repro.obs.trace``; imports of unanalyzed modules are dropped
-        (the cache's dependency cone only needs edges it can hash).
+        ``repro.obs.trace``; imports of unanalyzed modules are dropped.
         """
         known = set(self.modules)
         edges: Dict[str, Set[str]] = {}

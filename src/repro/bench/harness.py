@@ -29,7 +29,7 @@ def time_call(fn: Callable[[], Any]) -> Tuple[float, Any]:
 
 
 def bench_stamp() -> Dict[str, Any]:
-    """Provenance stamp every ``BENCH_*.json`` payload carries.
+    """Provenance stamp every committed ``BENCH_`` values file carries.
 
     Numbers without the commit they came from, the kernel backend that
     produced them, and the core count of the machine are not comparable

@@ -9,7 +9,7 @@ depends on *where* a partition runs, so dispatching partitions to a
 ``ProcessPoolExecutor`` is bit-identical to the serial loop by
 construction — the only extra work is folding each worker's observability
 payload back into the parent: :class:`~repro.obs.metrics.MetricBag`
-counters/timings/histograms so ``EXPLAIN ANALYZE`` totals stay truthful,
+counters/histograms so ``EXPLAIN ANALYZE`` totals stay truthful,
 and (when tracing) the worker's span records, which arrive already
 parented onto the dispatching span via the propagated trace context
 (``(trace_id, parent_span_id)`` — see :meth:`repro.obs.trace.Tracer.for_context`),
@@ -49,8 +49,8 @@ PartitionTask = Tuple[int, str, str, Sequence[Point], dict, bool,
                       Optional[TraceContext], Optional[ProfileContext]]
 
 #: Observability payload returned per task (empty when uninstrumented):
-#: ``counters``/``timings`` fold into the parent MetricBag, ``histograms``
-#: maps name -> LatencyHistogram.state(), ``spans`` is a list of exported
+#: ``counters`` fold into the parent MetricBag, ``histograms`` maps
+#: name -> LatencyHistogram.state(), ``spans`` is a list of exported
 #: SpanRecord dicts ready for ``Tracer.ingest``, ``profile`` a
 #: SamplingProfiler.state() for ``SamplingProfiler.ingest``.
 ObsPayload = Dict[str, Any]
@@ -164,7 +164,6 @@ def run_partition(task: PartitionTask):
     payload: ObsPayload = {}
     if bag is not None:
         payload["counters"] = bag.counters
-        payload["timings"] = bag.timings
         if bag.histograms:
             payload["histograms"] = {
                 name: hist.state() for name, hist in bag.histograms.items()
@@ -231,7 +230,7 @@ def fold_obs_payload(payload: ObsPayload, bag=None, tracer=None,
                      profiler=None) -> None:
     """Fold one worker observability payload into parent collectors.
 
-    ``bag`` receives counters, timings, and (merged) histograms;
+    ``bag`` receives counters and (merged) histograms;
     ``tracer`` ingests the worker's span records; ``profiler`` (a
     :class:`~repro.obs.profile.SamplingProfiler`) ingests the worker's
     collapsed-stack samples.  Any of them may be None.
@@ -239,8 +238,6 @@ def fold_obs_payload(payload: ObsPayload, bag=None, tracer=None,
     if bag is not None:
         for name, value in payload.get("counters", {}).items():
             bag.incr(name, value)
-        for name, seconds in payload.get("timings", {}).items():
-            bag.add_time(name, seconds)
         if payload.get("histograms"):
             from repro.obs.hist import LatencyHistogram
 

@@ -160,7 +160,7 @@ class Database:
         #: holding the statement lock.  Lock order: ``_lock`` may be held
         #: when taking ``_metrics_lock``, never the reverse.
         self._metrics_lock = threading.Lock()
-        #: Cumulative engine metrics (counters / timings / histograms)
+        #: Cumulative engine metrics (counters / histograms)
         #: collected from every collecting execution — traced SELECTs,
         #: ``analyze()`` / EXPLAIN ANALYZE runs, and streaming micro-batch
         #: flushes.
@@ -321,8 +321,8 @@ class Database:
     def metrics_snapshot(self) -> str:
         """One Prometheus text-format snapshot of the engine's metrics.
 
-        Unifies the cumulative SGB/executor counters, accumulated
-        timings, and latency histograms with per-stream-view counters
+        Unifies the cumulative SGB/executor counters and latency
+        histograms with per-stream-view counters
         (labelled ``source="stream:<view>"``) and process-level extras
         (queries executed, trace-buffer occupancy).  The full counter and
         histogram vocabulary is always present, zero-valued when unused.

@@ -66,7 +66,7 @@ Point = Tuple[float, ...]
 Partition = Tuple[tuple, List[Point], List[tuple]]
 
 
-def _coordinate(value):
+def grouping_coordinate(value):
     """Numeric coordinate for a grouping-attribute value.
 
     Dates map to ordinal days (so ε is measured in days) and ``Decimal``
@@ -101,7 +101,7 @@ def grouping_point(values: Sequence) -> Optional[Point]:
     if None in values:
         return None
     try:
-        point = tuple(map(_coordinate, values))
+        point = tuple(map(grouping_coordinate, values))
         finite = all(map(math.isfinite, point))
     except (OverflowError, ValueError):  # 10**400, Decimal('sNaN')
         finite = False

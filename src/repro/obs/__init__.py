@@ -2,9 +2,8 @@
 
 Three layers, cheapest first:
 
-* :mod:`repro.obs.metrics` — flat counters and total-time spans
-  (``MetricBag``), the vocabulary shared with the streaming
-  ``StreamStats``;
+* :mod:`repro.obs.metrics` — flat counters (``MetricBag``), the
+  vocabulary shared with the streaming ``StreamStats``;
 * :mod:`repro.obs.hist` — fixed log-bucketed latency histograms
   (per-probe / per-distance-batch / per-micro-batch distributions);
 * :mod:`repro.obs.trace` — hierarchical span tracing with ring-buffer
@@ -39,8 +38,6 @@ from repro.obs.metrics import (
     EXEC_COUNTER_FIELDS,
     SGB_COUNTER_FIELDS,
     MetricBag,
-    Span,
-    span,
 )
 from repro.obs.trace import (
     SpanRecord,
@@ -65,7 +62,6 @@ __all__ = [
     "QueryRecord",
     "SGB_COUNTER_FIELDS",
     "SamplingProfiler",
-    "Span",
     "SpanRecord",
     "TraceSpan",
     "Tracer",
@@ -77,6 +73,5 @@ __all__ = [
     "plan_metrics",
     "prometheus_text",
     "render_analyze",
-    "span",
     "validate_chrome_trace",
 ]

@@ -7,7 +7,6 @@ single name scheme:
   counters (``SGB_COUNTER_FIELDS``) become ``repro_sgb_<name>_total``,
   executor counters (``EXEC_COUNTER_FIELDS``) ``repro_exec_<name>_total``,
   anything else ``repro_<name>_total``;
-* the bag's timings — ``repro_<name>_seconds_total``;
 * the bag's latency histograms — ``repro_<name>_seconds`` with cumulative
   ``_bucket{le="..."}`` series, ``_sum`` and ``_count`` (the ``le``
   boundaries are the fixed log-bucket scheme of :mod:`repro.obs.hist`);
@@ -166,12 +165,6 @@ def prometheus_text(
         w.sample(name, {"source": source},
                  getattr(stats, "wall_time_s", 0.0))
 
-    # -- timings -----------------------------------------------------------
-    for timing in sorted(bag.timings):
-        name = timing_metric_name(timing)
-        w.header(name, "counter", "Accumulated wall time.")
-        w.sample(name, {"source": _BATCH_SOURCE}, bag.time(timing))
-
     # -- histograms: well-known set always present, extras after -----------
     emitted = set()
     for hist_name in HISTOGRAM_FIELDS:
@@ -224,10 +217,6 @@ def prometheus_text_for_bag(
         name = gauge_metric_name(gauge)
         w.header(name, "gauge", f"Gauge '{gauge}'.")
         w.sample(name, {}, value)
-    for timing in sorted(bag.timings):
-        name = timing_metric_name(timing)
-        w.header(name, "counter", "Accumulated wall time.")
-        w.sample(name, {}, bag.time(timing))
     for hist_name in histograms:
         hist = bag.histograms.get(hist_name)
         _emit_histogram(w, histogram_metric_name(hist_name),

@@ -1,10 +1,10 @@
 """Fixed log-bucketed latency histograms (the ``HistogramTimer`` layer).
 
-The flat ``MetricBag`` timings added for EXPLAIN ANALYZE only report
-*totals* — good enough for "where did the time go", useless for "how is it
-distributed".  The paper's evaluation cares about per-probe behaviour (a
-single slow FindCloseGroups probe against a degenerate MBR forest looks
-identical to a thousand fast ones in a total), so this module provides the
+EXPLAIN ANALYZE's per-node times only report *totals* — good enough for
+"where did the time go", useless for "how is it distributed".  The
+paper's evaluation cares about per-probe behaviour (a single slow
+FindCloseGroups probe against a degenerate MBR forest looks identical to
+a thousand fast ones in a total), so this module provides the
 distribution-preserving counterpart:
 
 * :class:`LatencyHistogram` — a fixed set of base-2 log buckets from 1 µs
@@ -15,8 +15,7 @@ distribution-preserving counterpart:
   Prometheus style (the reported p99 is the smallest bucket boundary with
   at least 99 % of the mass at or below it, clamped to the observed max).
 * :class:`HistogramTimer` — the ``with`` adapter that records one elapsed
-  wall-time observation into a histogram, mirroring
-  :class:`~repro.obs.metrics.Span` for the flat timings.
+  wall-time observation into a histogram.
 
 The bucket scheme is *fixed* (not per-histogram) so that any two
 histograms anywhere in the system can be merged and so the Prometheus
@@ -203,8 +202,7 @@ class LatencyHistogram:
 class HistogramTimer:
     """Context manager recording one elapsed-time observation.
 
-    The histogram analogue of :class:`~repro.obs.metrics.Span`; like Span
-    it is single-use and guards against exiting unentered.
+    Single-use at a time, and guards against exiting unentered.
     """
 
     __slots__ = ("_hist", "_t0")

@@ -1,18 +1,15 @@
-"""Counter and span primitives for operator observability.
+"""Counter primitives for operator observability.
 
 The paper's evaluation (§8) argues for SGB through measured operator
 internals — distance computations avoided, index probes issued, groups
 touched — so the engine needs a uniform way to collect exactly those
-numbers.  This module provides the two primitives everything else is built
-on:
-
-* :class:`MetricBag` — a per-node bag of monotonic counters and wall-time
-  accumulators.  Operators hold ``metrics=None`` by default and guard every
-  counting site with ``if bag is not None``, so the instrumentation costs
-  nothing unless a caller (EXPLAIN ANALYZE, a benchmark harness) attaches a
-  bag.
-* :func:`span` / :class:`Span` — a context-manager timer that adds its
-  elapsed wall time to a named accumulator in a bag.
+numbers.  :class:`MetricBag` is a per-node bag of monotonic counters and
+latency histograms.  Operators hold ``metrics=None`` by default and guard
+every counting site with ``if bag is not None``, so the instrumentation
+costs nothing unless a caller (EXPLAIN ANALYZE, a benchmark harness)
+attaches a bag.  Wall time per plan node is
+:class:`~repro.obs.explain.NodeMetrics`'s business, per phase the
+tracer's.
 
 :data:`SGB_COUNTER_FIELDS` is the canonical counter vocabulary, shared by
 the streaming engines' :class:`~repro.streaming.stats.StreamStats` (which
@@ -24,8 +21,7 @@ per-query EXPLAIN ANALYZE rows report the same names for the same things.
 
 from __future__ import annotations
 
-import time
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.obs.hist import HistogramTimer, LatencyHistogram
 
@@ -77,17 +73,13 @@ EXEC_COUNTER_FIELDS = ("rows_skipped_null", "rows_spooled")
 
 
 class MetricBag:
-    """Monotonic counters plus named wall-time accumulators.
+    """Monotonic counters plus named latency histograms.
 
     >>> bag = MetricBag()
     >>> bag.incr("index_probes")
     >>> bag.incr("candidates", 4)
     >>> bag.get("candidates")
     4
-    >>> with bag.span("finalize"):
-    ...     pass
-    >>> bag.time("finalize") >= 0.0
-    True
 
     Latency *distributions* (per-probe, per-micro-batch, ...) go into
     log-bucketed :class:`~repro.obs.hist.LatencyHistogram` entries via
@@ -95,36 +87,26 @@ class MetricBag:
     worker processes) exactly like the flat counters.
     """
 
-    __slots__ = ("counters", "timings", "histograms")
+    __slots__ = ("counters", "histograms")
 
     def __init__(self) -> None:
         self.counters: Dict[str, int] = {}
-        self.timings: Dict[str, float] = {}
         self.histograms: Dict[str, LatencyHistogram] = {}
 
     # -- counters ----------------------------------------------------------
     def incr(self, name: str, n: int = 1) -> None:
         if name.endswith("_s"):
-            # ``as_dict()`` suffixes timings with ``_s``; a counter named
-            # ``foo_s`` would silently collide with the ``foo`` timing.
+            # ``_s`` names seconds everywhere a duration sits beside the
+            # counters (``StreamStats.wall_time_s``, ``NodeMetrics.time_s``,
+            # the histogram summaries); a bag entry is a count.
             raise ValueError(
                 f"counter name {name!r} ends with '_s', which is reserved "
-                f"for timing keys in as_dict()"
+                f"for durations in seconds"
             )
         self.counters[name] = self.counters.get(name, 0) + n
 
     def get(self, name: str, default: int = 0) -> int:
         return self.counters.get(name, default)
-
-    # -- timers ------------------------------------------------------------
-    def add_time(self, name: str, seconds: float) -> None:
-        self.timings[name] = self.timings.get(name, 0.0) + seconds
-
-    def time(self, name: str, default: float = 0.0) -> float:
-        return self.timings.get(name, default)
-
-    def span(self, name: str) -> "Span":
-        return Span(self, name)
 
     # -- histograms --------------------------------------------------------
     def histogram(self, name: str) -> LatencyHistogram:
@@ -144,27 +126,17 @@ class MetricBag:
 
     # -- aggregation -------------------------------------------------------
     def merge(self, other: "MetricBag") -> "MetricBag":
-        """Fold ``other``'s counters, timings, and histograms into this."""
+        """Fold ``other``'s counters and histograms into this."""
         for name, value in other.counters.items():
             self.incr(name, value)
-        for name, seconds in other.timings.items():
-            self.add_time(name, seconds)
         for name, hist in other.histograms.items():
             self.histogram(name).merge(hist)
         return self
 
-    def as_dict(self) -> Dict[str, float]:
-        """Flat dict: counters verbatim, timings suffixed with ``_s``.
-
-        The ``_s`` suffix is a reserved namespace: :meth:`incr` rejects
-        counter names ending in ``_s``, so a timing can never be shadowed
-        by (or shadow) a counter.  Histograms are *not* flattened here —
-        see :meth:`histogram_summaries` and the Prometheus exporter.
-        """
-        out: Dict[str, float] = dict(self.counters)
-        for name, seconds in self.timings.items():
-            out[f"{name}_s"] = seconds
-        return out
+    def as_dict(self) -> Dict[str, int]:
+        """The counters.  Histograms are *not* flattened here — see
+        :meth:`histogram_summaries` and the Prometheus exporter."""
+        return dict(self.counters)
 
     def histogram_summaries(self) -> Dict[str, Dict[str, float]]:
         """Per-histogram ``{count, sum_s, p50_s, p95_s, p99_s, max_s}``."""
@@ -173,66 +145,10 @@ class MetricBag:
         }
 
     def __bool__(self) -> bool:
-        return bool(self.counters or self.timings or self.histograms)
+        return bool(self.counters or self.histograms)
 
     def __repr__(self) -> str:
         body = ", ".join(
             f"{k}={v}" for k, v in sorted(self.as_dict().items())
         )
         return f"MetricBag({body})"
-
-
-class Span:
-    """Context manager adding its elapsed wall time to a bag entry.
-
-    Single-use at a time: nesting ``__enter__`` on one instance raises
-    (two overlapping timers sharing one ``_t0`` would corrupt both
-    measurements), and exiting an unentered Span raises instead of
-    relying on an ``assert`` that ``python -O`` strips — which would
-    have surfaced as a ``TypeError`` on the float subtraction.
-    Sequential reuse of a finished Span is fine.
-    """
-
-    __slots__ = ("_bag", "_name", "_t0")
-
-    def __init__(self, bag: MetricBag, name: str):
-        self._bag = bag
-        self._name = name
-        self._t0: Optional[float] = None
-
-    def __enter__(self) -> "Span":
-        if self._t0 is not None:
-            raise RuntimeError(
-                f"Span {self._name!r} is not re-entrant; it is already "
-                f"entered — create a new Span instead"
-            )
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._t0 is None:
-            raise RuntimeError(
-                f"Span {self._name!r} exited without being entered"
-            )
-        self._bag.add_time(self._name, time.perf_counter() - self._t0)
-        self._t0 = None
-
-
-def span(bag: Optional[MetricBag], name: str):
-    """``with span(bag, "phase"):`` — a no-op when ``bag`` is None."""
-    if bag is None:
-        return _NULL_SPAN
-    return Span(bag, name)
-
-
-class _NullSpan:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()

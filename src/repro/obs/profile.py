@@ -33,8 +33,9 @@ across processes.
 Overhead
 --------
 A stopped profiler is literally absent: no thread, no signal handler, no
-per-row hooks anywhere in the engine — the only cost on the query path is
-a ``None`` check, which ``bench_trace_overhead.py`` gates at ≤5%.
+per-row hooks anywhere in the engine, and ``Database`` hands the next
+statement's :class:`~repro.obs.explain.QueryContext` ``profiler=None``
+(``tests/engine/test_query_context.py`` pins that).
 """
 
 from __future__ import annotations

@@ -18,8 +18,7 @@ DBMS; this package is the serving layer in front of
 * an HTTP ``GET /metrics`` endpoint unifying the engine's Prometheus
   snapshot with service-level counters, gauges, and latency histograms;
 * :class:`~repro.service.client.ServiceClient` — the synchronous client
-  used by the tests, ``benchmarks/bench_service.py``, and the shell's
-  ``\\connect``.
+  used by the tests, ``benchmarks/e2e/``, and the shell's ``\\connect``.
 
 Run a server with ``python -m repro.service``; see ``docs/service.md``
 for the wire protocol and the knob/metric catalogs.

@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 DEFAULT_BUCKETS = 32
 
 
-def _coordinate(value: Any) -> Optional[float]:
+def column_coordinate(value: Any) -> Optional[float]:
     """Numeric coordinate of a column value, or None when it has none.
 
     Mirrors the SGB executor's coordinate mapping: dates count in
@@ -224,7 +224,7 @@ def analyze_table(table: Any, buckets: int = DEFAULT_BUCKETS) -> TableStats:
             null_count=null_count,
             ndv=ndv,
         )
-        coords = [c for c in (_coordinate(v) for v in non_null)
+        coords = [c for c in (column_coordinate(v) for v in non_null)
                   if c is not None]
         if coords and len(coords) == len(non_null):
             cstats.min_value = min(non_null)

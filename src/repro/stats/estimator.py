@@ -52,7 +52,7 @@ from repro.engine.executor.sgb import (
 )
 from repro.sql import ast_nodes as ast
 from repro.sql.exprutil import extract_const_comparison, split_conjuncts
-from repro.stats.collect import ColumnStats, TableStats, _coordinate
+from repro.stats.collect import ColumnStats, TableStats, column_coordinate
 from repro.stats.model import (
     CPU_OPERATOR_COST,
     CPU_TUPLE_COST,
@@ -139,8 +139,8 @@ def _comparison_selectivity(plan: PhysicalOperator,
         if cstats is not None and cstats.ndv > 0:
             return cstats.eq_selectivity()
         return DEFAULT_EQ_SELECTIVITY
-    lo_c = _coordinate(low)
-    hi_c = _coordinate(high) if high is not None else None
+    lo_c = column_coordinate(low)
+    hi_c = column_coordinate(high) if high is not None else None
     if cstats is not None and lo_c is not None:
         if op == "between" and hi_c is not None:
             sel = cstats.range_selectivity(lo_c, hi_c)
@@ -451,8 +451,8 @@ def _estimate_index_scan(plan: IndexScan) -> PlanEstimate:
             sel = DEFAULT_EQ_SELECTIVITY
     else:
         sel = None
-        lo_c = _coordinate(plan.low) if plan.low is not None else None
-        hi_c = _coordinate(plan.high) if plan.high is not None else None
+        lo_c = column_coordinate(plan.low) if plan.low is not None else None
+        hi_c = column_coordinate(plan.high) if plan.high is not None else None
         if cstats is not None and (
             (plan.low is None or lo_c is not None)
             and (plan.high is None or hi_c is not None)

@@ -5,6 +5,6 @@
 def record(bag, tracer):
     bag.incr("CandidatePairs")  # uppercase
     bag.observe("probe-latency", 0.5)  # dash
-    bag.add_time("finalize_s", 0.1)  # reserved _s suffix
+    bag.incr("finalize_s")  # reserved _s suffix
     with tracer.span("Micro Batch"):  # space + uppercase
         pass

@@ -5,6 +5,5 @@
 def record(bag, tracer):
     bag.incr("candidate_pairs")
     bag.observe("probe_latency", 0.5)
-    bag.add_time("finalize", 0.1)
     with tracer.span("micro_batch"):
         pass

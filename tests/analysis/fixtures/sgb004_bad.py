@@ -4,6 +4,6 @@
 
 def work(bag, tracer):
     tracer.span("phase")  # created and discarded
-    sp = bag.span("load")  # assigned but never entered
+    sp = bag.hist_timer("load")  # assigned but never entered
     tracer.span("probe").__enter__()  # bypasses exception safety
     return sp

@@ -5,10 +5,10 @@
 def work(bag, tracer, stack):
     with tracer.span("phase"):
         pass
-    sp = bag.span("load")
+    sp = bag.hist_timer("load")
     with sp:
         pass
-    stack.enter_context(bag.span("probe"))
+    stack.enter_context(bag.hist_timer("probe"))
 
 
 def make_span(tracer, name):

@@ -8,7 +8,11 @@ from repro.bench.cost_model import (
     expected_groups_uniform,
     predicted_growth_exponent,
 )
+from repro.bench.experiments import uniform_points
+from repro.bench.harness import fit_loglog_slope
+from repro.core.sgb_all import SGBAllOperator
 from repro.errors import InvalidParameterError
+from repro.obs import MetricBag
 
 
 class TestModelBasics:
@@ -88,17 +92,29 @@ class TestAgainstMeasurement:
             assert predicted / 4 <= measured <= predicted * 4
 
     def test_predicted_exponents_match_measured_slopes(self):
-        """Growth exponents fitted from wall-clock (Table 1 experiment)
-        must fall near the model's asymptotic classes."""
-        from repro.bench.experiments import table1
-
-        report = table1(sizes=(200, 400, 800), quick=False)
-        by_strategy = {}
-        for row in report.rows:
-            by_strategy.setdefault(row["strategy"], []).append(row["slope"])
-        # all-pairs ~2, index ~1; generous bands for wall-clock noise
-        assert all(1.5 <= s <= 2.5 for s in by_strategy["all-pairs"])
-        assert all(0.5 <= s <= 1.7 for s in by_strategy["index"])
-        avg_ap = sum(by_strategy["all-pairs"]) / 3
-        avg_ix = sum(by_strategy["index"]) / 3
-        assert avg_ix < avg_ap
+        """Growth exponents fitted on exact work counts over Table 1's
+        sweep (uniform points, ε = 0.05, L∞, every ON-OVERLAP clause) must
+        sit on the model's asymptotic classes.  Each strategy is counted
+        in its own dominant primitive (module docstring of the model):
+        predicate evaluations for all-pairs, rectangle tests — groups
+        scanned — for bounds-checking, window queries plus the entries
+        they return for the index."""
+        primitive = {
+            "all-pairs": ("distance_computations",),
+            "bounds-checking": ("candidates",),
+            "index": ("index_probes", "candidates"),
+        }
+        sizes = (200, 400, 800)
+        inputs = [uniform_points(n) for n in sizes]
+        for strategy, counters in primitive.items():
+            for clause in ("join-any", "eliminate", "form-new-group"):
+                work = []
+                for points in inputs:
+                    bag = MetricBag()
+                    op = SGBAllOperator(0.05, "linf", clause, strategy,
+                                        tiebreak="first", metrics=bag)
+                    op.add_many(points).finalize()
+                    work.append(sum(bag.get(c) for c in counters))
+                assert fit_loglog_slope(sizes, work) == pytest.approx(
+                    predicted_growth_exponent(strategy), abs=0.05
+                ), (strategy, clause, work)

@@ -56,6 +56,25 @@ class TestOperatorCounters:
             counts[strategy] = op.distance_computations
         assert counts["index"] * 20 < counts["all-pairs"]
 
+    @pytest.mark.parametrize("mode,strategies", [
+        (SGBAllOperator, ("bounds-checking", "index")),
+        (SGBAnyOperator, ("grid", "index")),
+    ])
+    @pytest.mark.parametrize("metric", ["l2", "linf"])
+    def test_no_pruning_strategy_outcounts_all_pairs(self, mode, strategies,
+                                                     metric):
+        pts = random_points(300, seed=6)
+        kwargs = {"tiebreak": "first"} if mode is SGBAllOperator else {}
+
+        def evaluations(strategy):
+            op = mode(eps=0.3, metric=metric, strategy=strategy,
+                      count_distance_computations=True, **kwargs)
+            op.add_many(pts).finalize()
+            return op.distance_computations
+
+        ceiling = evaluations("all-pairs")
+        assert all(evaluations(s) <= ceiling for s in strategies)
+
     def test_linf_indexed_any_needs_no_distances(self):
         pts = random_points(100, seed=4)
         op = SGBAnyOperator(eps=0.3, metric="linf", strategy="index",

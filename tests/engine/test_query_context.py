@@ -165,6 +165,33 @@ class TestUnboundPlanRunsBare:
         assert goes_through_recorder(leaf)
 
 
+class TestObservabilityOffLeavesNothingOnThePlan:
+    """"Off is free", as structure rather than a wall-clock ratio: with
+    tracing off, or a profiler that ran and was stopped, a statement's
+    context holds no recorder, no ``NodeMetrics``, no bag and no profiler,
+    so every node hands back ``_execute``'s own iterator."""
+
+    def test_untraced_statement_allocates_no_node_metrics(self):
+        db = make_db(parallel=1, trace=False)
+        plan = db._planner().plan_query(parse(PARTITIONED_SQL)[0])
+        ctx = db._context(None)
+        ctx.bind(plan)
+        assert ctx.nodes == {} and not ctx.wraps
+        assert ctx.tracer is None and ctx.profiler is None
+        assert all(ctx.bag_of(node) is None for node in nodes_of(plan))
+        assert not any(goes_through_recorder(n) for n in nodes_of(plan))
+
+    def test_stopped_profiler_is_not_handed_to_the_next_statement(self):
+        db = make_db(parallel=1, trace=False)
+        db.set_profile(True)
+        try:
+            assert db._context(None).profiler is db.profiler
+        finally:
+            db.set_profile(False)
+        assert not db.profiler.running
+        assert db._context(None).profiler is None
+
+
 #: 120 rows x 10 ms under the SGB node: ~1.2 s of spooling if left alone.
 SLOW_SPOOL_SQL = (
     "SELECT count(*) FROM (SELECT x, y, sleep(0.01) AS s FROM pts) q "

@@ -1,8 +1,9 @@
 """Grouping-attribute coordinate mapping: typed errors and Decimal support.
 
-Regression tests for the SGB006 taxonomy fix: ``_coordinate`` used to
-raise a bare ``TypeError`` for non-numeric grouping values, escaping the
-``ReproError`` contract that shells and services rely on to keep serving.
+Regression tests for the SGB006 taxonomy fix: ``grouping_coordinate``
+used to raise a bare ``TypeError`` for non-numeric grouping values,
+escaping the ``ReproError`` contract that shells and services rely on to
+keep serving.
 """
 
 import datetime
@@ -11,39 +12,40 @@ from decimal import Decimal
 import pytest
 
 from repro.engine.database import Database
-from repro.engine.executor.sgb import _coordinate
+from repro.engine.executor.sgb import grouping_coordinate
 from repro.errors import ExecutionError, InvalidCoordinateError, ReproError
 from repro.stats.chooser import ANY_STRATEGIES
 
 
 class TestCoordinate:
     def test_numeric_passthrough(self):
-        assert _coordinate(3) == 3.0
-        assert _coordinate(2.5) == 2.5
+        assert grouping_coordinate(3) == 3.0
+        assert grouping_coordinate(2.5) == 2.5
 
     def test_decimal_is_numeric(self):
-        assert _coordinate(Decimal("1.25")) == 1.25
+        assert grouping_coordinate(Decimal("1.25")) == 1.25
 
     def test_date_maps_to_ordinal_days(self):
         d = datetime.date(2020, 1, 8)
-        assert _coordinate(d) - _coordinate(datetime.date(2020, 1, 1)) == 7.0
+        week_before = datetime.date(2020, 1, 1)
+        assert grouping_coordinate(d) - grouping_coordinate(week_before) == 7.0
 
     def test_bool_rejected_with_execution_error(self):
         with pytest.raises(ExecutionError, match="not a numeric"):
-            _coordinate(True)
+            grouping_coordinate(True)
 
     def test_text_rejected_with_execution_error(self):
         with pytest.raises(ExecutionError, match="not a numeric"):
-            _coordinate("abc")
+            grouping_coordinate("abc")
 
     def test_none_rejected_with_execution_error(self):
         with pytest.raises(ExecutionError):
-            _coordinate(None)
+            grouping_coordinate(None)
 
     def test_error_stays_inside_taxonomy(self):
         # callers catching the documented family must see the failure
         with pytest.raises(ReproError):
-            _coordinate(object())
+            grouping_coordinate(object())
 
 
 class TestEndToEnd:

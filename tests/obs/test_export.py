@@ -51,14 +51,17 @@ class TestSnapshot:
         bag = MetricBag()
         bag.incr("points", 7)
         bag.incr("index_probes", 3)
-        bag.add_time("spool", 0.25)
         bag.observe("probe_latency", 1.5e-6)
         bag.observe("probe_latency", 3e-6)
-        parsed = parse_prometheus_text(prometheus_text(bag))
+        stats = StreamStats()
+        stats.wall_time_s = 0.25
+        parsed = parse_prometheus_text(
+            prometheus_text(bag, streams={"sv": stats}))
         batch = (("source", "batch"),)
         assert parsed[("repro_sgb_points_total", batch)] == 7
         assert parsed[("repro_sgb_index_probes_total", batch)] == 3
-        assert parsed[("repro_spool_seconds_total", batch)] == 0.25
+        assert parsed[("repro_ingest_wall_seconds_total",
+                       (("source", "stream:sv"),))] == 0.25
         assert parsed[("repro_probe_latency_seconds_count", batch)] == 2
         assert parsed[("repro_probe_latency_seconds_sum", batch)] == \
             pytest.approx(4.5e-6)

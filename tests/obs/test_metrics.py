@@ -1,11 +1,11 @@
-"""Unit tests for the repro.obs counter/span primitives."""
+"""Unit tests for the repro.obs counter primitives and node records."""
 
 import time
 
 import pytest
 
 from repro.engine.executor.base import PhysicalOperator
-from repro.obs import MetricBag, QueryContext, span
+from repro.obs import MetricBag, QueryContext
 from repro.obs.metrics import EXEC_COUNTER_FIELDS, SGB_COUNTER_FIELDS
 
 
@@ -43,41 +43,16 @@ class TestMetricBag:
         assert bag.get("missing", -1) == -1
         assert bag
 
-    def test_timings_suffixed_in_as_dict(self):
-        bag = MetricBag()
-        bag.add_time("ingest", 0.25)
-        bag.add_time("ingest", 0.25)
-        assert bag.time("ingest") == 0.5
-        assert bag.as_dict() == {"ingest_s": 0.5}
-
-    def test_merge_sums_counters_and_timings(self):
+    def test_merge_sums_counters(self):
         a = MetricBag()
         a.incr("candidates", 3)
-        a.add_time("probe", 1.0)
         b = MetricBag()
         b.incr("candidates", 2)
         b.incr("points")
-        b.add_time("probe", 0.5)
         a.merge(b)
         assert a.get("candidates") == 5
         assert a.get("points") == 1
-        assert a.time("probe") == 1.5
-
-    def test_span_context_manager_accumulates(self):
-        bag = MetricBag()
-        with bag.span("work"):
-            time.sleep(0.001)
-        assert bag.time("work") > 0
-
-    def test_module_span_tolerates_none_bag(self):
-        # The None-bag span is the zero-overhead path operators use when
-        # uninstrumented; it must be a no-op, not an error.
-        with span(None, "work"):
-            pass
-        bag = MetricBag()
-        with span(bag, "work"):
-            pass
-        assert "work_s" in bag.as_dict()
+        assert a.as_dict() == {"candidates": 5, "points": 1}
 
 
 class TestCounterVocabulary:
@@ -127,19 +102,11 @@ class TestNodeMetrics:
 
 class TestTimingNamespace:
     def test_counter_names_ending_in_s_rejected(self):
-        # as_dict() suffixes timings with `_s`; a counter named like one
-        # would silently collide with a timing in the flattened dict.
+        # `_s` names a duration in seconds (wall_time_s, time_s, p50_s);
+        # a bag entry is a count.
         bag = MetricBag()
         with pytest.raises(ValueError):
             bag.incr("wall_time_s")  # sgblint: disable=SGB003 -- rejection under test
-
-    def test_timing_and_counter_coexist_without_collision(self):
-        bag = MetricBag()
-        bag.incr("ingest", 2)
-        bag.add_time("ingest", 0.5)
-        d = bag.as_dict()
-        assert d["ingest"] == 2
-        assert d["ingest_s"] == 0.5
 
 
 class TestBagHistograms:
@@ -166,32 +133,6 @@ class TestBagHistograms:
         assert a.histogram("probe_latency").count == 2
         assert a.histogram("distance_batch_latency").count == 1
         assert b.histogram("probe_latency").count == 1  # source untouched
-
-
-class TestSpanGuards:
-    def test_span_exit_without_enter_raises(self):
-        bag = MetricBag()
-        sp = bag.span("work")  # sgblint: disable=SGB004 -- deliberately unentered
-        with pytest.raises(RuntimeError):
-            sp.__exit__(None, None, None)
-
-    def test_span_not_reentrant_while_open(self):
-        bag = MetricBag()
-        sp = bag.span("work")
-        with sp:
-            with pytest.raises(RuntimeError):
-                sp.__enter__()  # sgblint: disable=SGB004 -- re-entrancy guard test
-        # sequential reuse after a clean exit is fine
-        with sp:
-            pass
-
-    def test_span_records_time_despite_exception(self):
-        bag = MetricBag()
-        with pytest.raises(KeyError):
-            with bag.span("work"):
-                time.sleep(0.001)
-                raise KeyError("boom")
-        assert bag.time("work") > 0
 
 
 class TestNodeMetricsCloseSafety:
