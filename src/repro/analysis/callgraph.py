@@ -30,8 +30,12 @@ from __future__ import annotations
 import ast
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.astutil import dotted_name
-from repro.analysis.symbols import ClassSymbol, FunctionSymbol, SymbolTable
+from repro.analysis.symbols import (
+    ClassSymbol,
+    FunctionSymbol,
+    SymbolTable,
+    dotted_name,
+)
 
 
 class CallSite:

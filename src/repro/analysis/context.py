@@ -7,18 +7,13 @@ the parse tree, the dotted module name (rules scope themselves with
 
 Pragmas (in comments, anywhere on the offending line):
 
-``# sgblint: disable=SGB001[,SGB002]``
-    Suppress the listed rules on this line.  A justification in the same
-    comment is encouraged: ``# sgblint: disable=SGB002 -- scalar baseline``.
-``# sgblint: disable``
-    Suppress every rule on this line.
-``# sgblint: disable-next-line=SGB002``
+``# sgblint: disable=SGB006[,SGB007]``
+    Suppress the listed rules on this line, with the justification in
+    the same comment: ``# sgblint: disable=SGB006 -- converted by
+    coerce()``.
+``# sgblint: disable-next-line=SGB006``
     Same, but for the following line — for call sites too long to carry
     an inline comment.
-``# noqa: SGB001``
-    Accepted as an alias so editors that auto-insert ``noqa`` work.
-``# sgblint: skip-file``
-    (first 10 lines) Skip the whole file.
 ``# sgblint: module=repro.core.whatever``
     Override the module identity derived from the path.  Test fixtures
     use this to impersonate in-scope modules from ``tests/``.
@@ -32,10 +27,8 @@ from typing import Dict, List, Optional, Set
 
 _PRAGMA_RE = re.compile(
     r"#\s*sgblint:\s*disable(?P<next>-next-line)?"
-    r"(?:=(?P<rules>[A-Z0-9,\s]+))?"
+    r"=(?P<rules>[A-Z0-9,\s]+)"
 )
-_NOQA_RE = re.compile(r"#\s*noqa:\s*(?P<rules>SGB[0-9, ]+)")
-_SKIP_RE = re.compile(r"#\s*sgblint:\s*skip-file")
 _MODULE_RE = re.compile(r"#\s*sgblint:\s*module=(?P<module>[\w.]+)")
 
 #: Directory names that terminate the dotted-module walk (the module
@@ -79,9 +72,8 @@ class FileContext:
         self.source = source
         self.lines: List[str] = source.splitlines()
         self.tree: ast.Module = ast.parse(source, filename=path)
-        self.skip_file = False
-        #: line -> None (all rules disabled) or the set of disabled ids.
-        self.disabled: Dict[int, Optional[Set[str]]] = {}
+        #: line -> the rule ids disabled there.
+        self.disabled: Dict[int, Set[str]] = {}
         self._scan_pragmas()
         pragma_module = self._pragma_module()
         self.module = (
@@ -93,27 +85,15 @@ class FileContext:
     # -- pragma handling ---------------------------------------------------
     def _scan_pragmas(self) -> None:
         for lineno, text in enumerate(self.lines, start=1):
-            if "#" not in text:
+            match = _PRAGMA_RE.search(text)
+            if match is None:
                 continue
-            if lineno <= 10 and _SKIP_RE.search(text):
-                self.skip_file = True
-            for match in (_PRAGMA_RE.search(text), _NOQA_RE.search(text)):
-                if match is None:
-                    continue
-                target = lineno
-                if "next" in match.groupdict() and match.group("next"):
-                    target = lineno + 1
-                listed = match.group("rules")
-                if listed is None:
-                    self.disabled[target] = None
-                    continue
-                ids = {
-                    r.strip() for r in listed.split(",") if r.strip()
-                }
-                current = self.disabled.get(target, set())
-                if current is None:
-                    continue
-                self.disabled[target] = current | ids
+            target = lineno + 1 if match.group("next") else lineno
+            ids = {
+                r.strip() for r in match.group("rules").split(",")
+                if r.strip()
+            }
+            self.disabled.setdefault(target, set()).update(ids)
 
     def _pragma_module(self) -> Optional[str]:
         for text in self.lines[:10]:
@@ -123,10 +103,7 @@ class FileContext:
         return None
 
     def is_disabled(self, line: int, rule_id: str) -> bool:
-        entry = self.disabled.get(line, _MISSING)
-        if entry is _MISSING:
-            return False
-        return entry is None or rule_id in entry
+        return rule_id in self.disabled.get(line, ())
 
     # -- scoping -----------------------------------------------------------
     def in_package(self, *prefixes: str) -> bool:
@@ -136,5 +113,3 @@ class FileContext:
             for p in prefixes
         )
 
-
-_MISSING: Set[str] = set()

@@ -1,79 +1,32 @@
-"""Finding and severity types shared by every sgblint rule."""
+"""The finding type shared by every sgblint rule."""
 
 from __future__ import annotations
 
-import enum
-from typing import Any, Dict, Tuple
-
-
-class Severity(enum.Enum):
-    """How a finding affects the exit status.
-
-    ``ERROR`` findings fail the run (exit 1) unless baselined or disabled
-    by pragma; ``WARNING`` findings are reported but never gate.
-    """
-
-    ERROR = "error"
-    WARNING = "warning"
-
-    def __str__(self) -> str:
-        return self.value
+from typing import Tuple
 
 
 class Finding:
-    """One rule violation at a file/line/column.
+    """One rule violation at a file/line/column.  Any finding that is
+    not disabled by a line pragma fails the run."""
 
-    ``key`` (rule, path, message) is the identity used by the baseline:
-    line numbers shift too easily across refactors to participate, so a
-    baselined finding stays suppressed when its statement merely moves.
-    """
-
-    __slots__ = ("rule", "path", "line", "col", "message", "severity")
+    __slots__ = ("rule", "path", "line", "col", "message")
 
     def __init__(self, rule: str, path: str, line: int, col: int,
-                 message: str, severity: Severity = Severity.ERROR):
+                 message: str):
         self.rule = rule
         self.path = path
         self.line = line
         self.col = col
         self.message = message
-        self.severity = severity
-
-    @property
-    def key(self) -> Tuple[str, str, str]:
-        return (self.rule, self.path, self.message)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "severity": self.severity.value,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "Finding":
-        return cls(
-            d["rule"], d["path"], int(d.get("line", 0)),
-            int(d.get("col", 0)), d["message"],
-            Severity(d.get("severity", "error")),
-        )
 
     def format_text(self) -> str:
         return (
             f"{self.path}:{self.line}:{self.col}: "
-            f"{self.rule} {self.severity}: {self.message}"
+            f"{self.rule} {self.message}"
         )
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Finding):
-            return NotImplemented
-        return self.as_dict() == other.as_dict()
 
     def __repr__(self) -> str:
         return f"Finding({self.format_text()!r})"
@@ -83,14 +36,11 @@ def syntax_error_finding(path: str, exc: SyntaxError) -> Finding:
     """The pseudo-finding emitted when a target file does not parse.
 
     ``SGB000`` is reserved for this — it is not a registered rule (there
-    is nothing to ``--explain``) but it gates like an error: a file the
-    linter cannot read is a file whose invariants nobody checked.
+    is nothing to ``--explain``) but it fails the run like any other: a
+    file the linter cannot read is a file whose invariants nobody
+    checked.
     """
     return Finding(
         "SGB000", path, exc.lineno or 0, (exc.offset or 1) - 1,
         f"file does not parse: {exc.msg}",
     )
-
-
-#: Optional free-form severity override map hook point (reserved).
-SEVERITY_BY_NAME = {s.value: s for s in Severity}

@@ -1,4 +1,4 @@
-"""Intraprocedural flow pass: lock-held sets and resource lifetimes.
+"""Intraprocedural flow pass: lock-held sets.
 
 For each analyzed function this computes, by a sequential walk over the
 statement list (no full CFG — straight-line + ``with``/``try`` nesting
@@ -12,13 +12,11 @@ covers every pattern in this codebase):
 * :attr:`FunctionFlow.acquire_order` — ordered (outer, inner) pairs
   observed when a second lock is taken while one is already held; rule
   SGB007 cross-checks these pairs project-wide for inversions.
-* :attr:`FunctionFlow.leaves_held` — locks a function acquires and does
-  *not* release on the path to return (an "acquiring helper" such as
-  ``Database._acquire_statement_lock``); callers inherit these into
-  their held-set after the call.
-* :attr:`FunctionFlow.acquires` — explicit ``.acquire()``/``.start()``
-  style acquisitions with a flag for whether a matching release is
-  post-dominated by a ``finally`` (SGB010's raw material).
+
+A function that acquires a lock and does *not* release it on the path
+to return (an "acquiring helper" such as
+``Database._acquire_statement_lock``) leaves it held: callers inherit
+it into their held-set after the call.
 
 Lock names are ``self.<attr>`` attributes whose class assigns them a
 ``threading.Lock()``/``RLock()`` (from :attr:`ClassSymbol.lock_attrs`),
@@ -50,7 +48,7 @@ def _looks_like_lock(attr: str) -> bool:
 class AttrAccess:
     """One ``self.<attr>`` read or write with the locks held there."""
 
-    __slots__ = ("attr", "node", "is_write", "held", "lineno", "col")
+    __slots__ = ("attr", "node", "is_write", "held")
 
     def __init__(self, attr: str, node: ast.AST, is_write: bool,
                  held: FrozenSet[str]):
@@ -58,33 +56,13 @@ class AttrAccess:
         self.node = node
         self.is_write = is_write
         self.held = held
-        self.lineno = getattr(node, "lineno", 0)
-        self.col = getattr(node, "col_offset", 0)
-
-
-class Acquisition:
-    """An explicit ``self.<x>.acquire()`` (or resource ``.start()``)."""
-
-    __slots__ = ("attr", "method", "node", "released_in_finally",
-                 "released_anywhere")
-
-    def __init__(self, attr: str, method: str, node: ast.Call):
-        self.attr = attr
-        self.method = method
-        self.node = node
-        #: A matching release call appears inside a ``finally`` block
-        #: that encloses (or follows) this acquisition.
-        self.released_in_finally = False
-        #: A matching release appears anywhere later in the function.
-        self.released_anywhere = False
 
 
 class FunctionFlow:
     """Flow facts for one function."""
 
     __slots__ = ("sym", "lock_attrs", "attr_accesses", "call_sites_held",
-                 "acquire_order", "leaves_held", "acquires",
-                 "with_lock_lines")
+                 "acquire_order")
 
     def __init__(self, sym: FunctionSymbol, lock_attrs: Set[str]):
         self.sym = sym
@@ -94,10 +72,6 @@ class FunctionFlow:
         #: id(ast.Call) -> frozenset of lock names held at that call.
         self.call_sites_held: Dict[int, FrozenSet[str]] = {}
         self.acquire_order: List[Tuple[str, str, int]] = []
-        self.leaves_held: Set[str] = set()
-        self.acquires: List[Acquisition] = []
-        #: Lines where ``with self.<lock>`` blocks open (guard evidence).
-        self.with_lock_lines: List[Tuple[str, int]] = []
 
 
 _RELEASE_METHODS = frozenset({"release"})
@@ -106,13 +80,11 @@ _RELEASE_METHODS = frozenset({"release"})
 class FlowAnalyzer:
     """Builds :class:`FunctionFlow` for every method of analyzed classes.
 
-    Two passes: pass one computes per-function facts with an empty entry
-    held-set; pass two (driven by rules, see
-    :meth:`entry_held_for_private_methods` in the project layer) is not
-    needed here — ``leaves_held`` summaries are computed in pass one and
-    callers consult them when walking their own bodies, so helper-
-    acquired locks propagate one level without a fixpoint inside this
-    module.
+    Per-function facts are computed with an empty entry held-set (SGB007
+    adds the entry sets of private helpers itself); the leaves-held
+    summaries are computed first and callers consult them when walking
+    their own bodies, so helper-acquired locks propagate one level
+    without a fixpoint inside this module.
     """
 
     def __init__(self, table: SymbolTable):
@@ -138,7 +110,6 @@ class FlowAnalyzer:
         for sym in self.table.functions.values():
             if sym.nested:
                 continue
-            held: Set[str] = set()
             acquired: Set[str] = set()
             released: Set[str] = set()
             for node in ast.walk(sym.node):
@@ -164,11 +135,8 @@ class FlowAnalyzer:
             for klass in self.table.mro(cls_sym):
                 lock_attrs |= klass.lock_attrs
         flow = FunctionFlow(sym, lock_attrs)
-        flow.leaves_held = set(
-            self._leaves_held.get(sym.qualname, ()))
         body = sym.node.body  # type: ignore[attr-defined]
-        self._walk_block(flow, cls_sym, body, frozenset(), in_finally=[])
-        self._pair_releases(flow)
+        self._walk_block(flow, body, frozenset())
         return flow
 
     def _enclosing_class(self, sym: FunctionSymbol) -> Optional[ClassSymbol]:
@@ -180,92 +148,68 @@ class FlowAnalyzer:
         return attr in flow.lock_attrs or _looks_like_lock(attr)
 
     def _walk_block(self, flow: FunctionFlow,
-                    cls_sym: Optional[ClassSymbol],
                     stmts: List[ast.stmt],
-                    held: FrozenSet[str],
-                    in_finally: List[List[ast.stmt]]) -> FrozenSet[str]:
+                    held: FrozenSet[str]) -> FrozenSet[str]:
         """Walk statements in order, threading the held-set through
         acquire/release calls; returns the held-set at block exit."""
         for stmt in stmts:
-            held = self._walk_stmt(flow, cls_sym, stmt, held, in_finally)
+            held = self._walk_stmt(flow, stmt, held)
         return held
 
     def _walk_stmt(self, flow: FunctionFlow,
-                   cls_sym: Optional[ClassSymbol],
                    stmt: ast.stmt,
-                   held: FrozenSet[str],
-                   in_finally: List[List[ast.stmt]]) -> FrozenSet[str]:
+                   held: FrozenSet[str]) -> FrozenSet[str]:
         if isinstance(stmt, ast.With):
-            return self._walk_with(flow, cls_sym, stmt, held, in_finally)
+            return self._walk_with(flow, stmt, held)
         if isinstance(stmt, ast.Try):
-            # The finally body post-dominates the try; remember it so
-            # acquisitions inside the try can look for their release.
-            new_finally = in_finally + ([stmt.finalbody]
-                                        if stmt.finalbody else [])
-            inner = self._walk_block(
-                flow, cls_sym, stmt.body, held, new_finally)
+            inner = self._walk_block(flow, stmt.body, held)
             for handler in stmt.handlers:
-                self._walk_block(flow, cls_sym, handler.body, held,
-                                 new_finally)
-            if stmt.orelse:
-                inner = self._walk_block(
-                    flow, cls_sym, stmt.orelse, inner, new_finally)
-            if stmt.finalbody:
-                inner = self._walk_block(
-                    flow, cls_sym, stmt.finalbody, inner, in_finally)
-            return inner
+                self._walk_block(flow, handler.body, held)
+            inner = self._walk_block(flow, stmt.orelse, inner)
+            return self._walk_block(flow, stmt.finalbody, inner)
         if isinstance(stmt, (ast.If,)):
-            self._scan_expr(flow, cls_sym, stmt.test, held)
-            after = self._walk_block(
-                flow, cls_sym, stmt.body, held, in_finally)
-            after_else = self._walk_block(
-                flow, cls_sym, stmt.orelse, held, in_finally)
+            self._scan_expr(flow, stmt.test, held)
+            after = self._walk_block(flow, stmt.body, held)
+            after_else = self._walk_block(flow, stmt.orelse, held)
             # Merge conservatively: a lock counts as held after the If
             # only when both branches leave it held.
             return after & after_else if stmt.orelse else held
         if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._scan_expr(flow, cls_sym, stmt.iter, held)
-            self._walk_block(flow, cls_sym, stmt.body, held, in_finally)
-            self._walk_block(flow, cls_sym, stmt.orelse, held, in_finally)
+            self._scan_expr(flow, stmt.iter, held)
+            self._walk_block(flow, stmt.body, held)
+            self._walk_block(flow, stmt.orelse, held)
             return held
         if isinstance(stmt, ast.While):
-            held = self._scan_expr_held(flow, cls_sym, stmt.test, held,
-                                        in_finally)
-            self._walk_block(flow, cls_sym, stmt.body, held, in_finally)
-            self._walk_block(flow, cls_sym, stmt.orelse, held, in_finally)
+            held = self._scan_expr_held(flow, stmt.test, held)
+            self._walk_block(flow, stmt.body, held)
+            self._walk_block(flow, stmt.orelse, held)
             return held
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             return held  # nested scopes analyzed separately
         # Plain statement: scan expressions, updating held on
         # acquire/release calls in evaluation order.
-        return self._scan_stmt_exprs(flow, cls_sym, stmt, held, in_finally)
+        return self._scan_stmt_exprs(flow, stmt, held)
 
     def _walk_with(self, flow: FunctionFlow,
-                   cls_sym: Optional[ClassSymbol],
                    stmt: ast.With,
-                   held: FrozenSet[str],
-                   in_finally: List[List[ast.stmt]]) -> FrozenSet[str]:
+                   held: FrozenSet[str]) -> FrozenSet[str]:
         inner = set(held)
         for item in stmt.items:
             expr = item.context_expr
-            self._scan_expr(flow, cls_sym, expr, frozenset(inner))
+            self._scan_expr(flow, expr, frozenset(inner))
             lock = _self_attr(expr)
             if lock is not None and self._is_lock_name(flow, lock):
                 self._record_acquire_order(flow, frozenset(inner), lock,
                                            stmt.lineno)
-                flow.with_lock_lines.append((lock, stmt.lineno))
                 inner.add(lock)
-        self._walk_block(flow, cls_sym, stmt.body, frozenset(inner),
-                         in_finally)
+        self._walk_block(flow, stmt.body, frozenset(inner))
         return held  # with releases on exit
 
     # -- expression scanning ----------------------------------------------
     def _scan_stmt_exprs(self, flow: FunctionFlow,
-                         cls_sym: Optional[ClassSymbol],
                          stmt: ast.stmt,
-                         held: FrozenSet[str],
-                         in_finally: List[List[ast.stmt]]) -> FrozenSet[str]:
+                         held: FrozenSet[str]) -> FrozenSet[str]:
         writes: Set[int] = set()
         if isinstance(stmt, ast.Assign):
             for target in stmt.targets:
@@ -280,7 +224,7 @@ class FlowAnalyzer:
                     writes.add(id(node))
         for node in ast.walk(stmt):
             if isinstance(node, ast.Call):
-                held = self._handle_call(flow, node, held, in_finally)
+                held = self._handle_call(flow, node, held)
                 flow.call_sites_held[id(node)] = held
             attr = _self_attr(node)
             if attr is not None and not self._is_lock_name(flow, attr):
@@ -292,7 +236,6 @@ class FlowAnalyzer:
         return held
 
     def _scan_expr(self, flow: FunctionFlow,
-                   cls_sym: Optional[ClassSymbol],
                    expr: ast.expr,
                    held: FrozenSet[str]) -> None:
         for node in ast.walk(expr):
@@ -306,22 +249,19 @@ class FlowAnalyzer:
                     AttrAccess(attr, node, is_write, held))
 
     def _scan_expr_held(self, flow: FunctionFlow,
-                        cls_sym: Optional[ClassSymbol],
                         expr: ast.expr,
-                        held: FrozenSet[str],
-                        in_finally: List[List[ast.stmt]]) -> FrozenSet[str]:
+                        held: FrozenSet[str]) -> FrozenSet[str]:
         """Like :meth:`_scan_expr` but lets acquire calls extend the
         held-set — ``while not self._lock.acquire(timeout=...):`` loops
         hold the lock once the condition succeeds."""
         for node in ast.walk(expr):
             if isinstance(node, ast.Call):
-                held = self._handle_call(flow, node, held, in_finally)
+                held = self._handle_call(flow, node, held)
                 flow.call_sites_held[id(node)] = held
         return held
 
     def _handle_call(self, flow: FunctionFlow, node: ast.Call,
-                     held: FrozenSet[str],
-                     in_finally: List[List[ast.stmt]]) -> FrozenSet[str]:
+                     held: FrozenSet[str]) -> FrozenSet[str]:
         func = node.func
         if isinstance(func, ast.Attribute):
             lock = _self_attr(func.value)
@@ -329,10 +269,6 @@ class FlowAnalyzer:
                 if func.attr == "acquire":
                     self._record_acquire_order(flow, held, lock,
                                                node.lineno)
-                    acq = Acquisition(lock, "acquire", node)
-                    acq.released_in_finally = self._finally_releases(
-                        in_finally, lock)
-                    flow.acquires.append(acq)
                     return held | {lock}
                 if func.attr in _RELEASE_METHODS:
                     return held - {lock}
@@ -352,52 +288,3 @@ class FlowAnalyzer:
         for outer in held:
             if outer != lock:
                 flow.acquire_order.append((outer, lock, lineno))
-
-    def _finally_releases(self, in_finally: List[List[ast.stmt]],
-                          lock: str) -> bool:
-        for finalbody in in_finally:
-            for node in ast.walk(ast.Module(body=finalbody,
-                                            type_ignores=[])):
-                if (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr in _RELEASE_METHODS
-                        and _self_attr(node.func.value) == lock):
-                    return True
-        return False
-
-    # -- post: pair explicit acquires with later releases ------------------
-    def _pair_releases(self, flow: FunctionFlow) -> None:
-        released: Set[str] = set()
-        #: (lock, lineno of the try) for releases inside a finalbody —
-        #: covers the canonical ``acquire(); try: ... finally: release()``
-        #: idiom where the acquire precedes (is not enclosed by) the Try.
-        finally_released: List[Tuple[str, int]] = []
-        for node in ast.walk(flow.sym.node):
-            if isinstance(node, ast.Try) and node.finalbody:
-                for sub in ast.walk(ast.Module(body=node.finalbody,
-                                               type_ignores=[])):
-                    if (isinstance(sub, ast.Call)
-                            and isinstance(sub.func, ast.Attribute)
-                            and sub.func.attr in _RELEASE_METHODS):
-                        attr = _self_attr(sub.func.value)
-                        if attr is not None:
-                            finally_released.append((attr, node.lineno))
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _RELEASE_METHODS):
-                attr = _self_attr(node.func.value)
-                if attr is not None:
-                    released.add(attr)
-        for acq in flow.acquires:
-            acq.released_anywhere = acq.attr in released
-            if not acq.released_in_finally:
-                acq.released_in_finally = any(
-                    attr == acq.attr and lineno >= acq.node.lineno
-                    for attr, lineno in finally_released)
-
-
-def guarded_fraction(accesses: List[AttrAccess],
-                     lock: str) -> Tuple[int, int]:
-    """(guarded, total) counts of accesses holding ``lock``."""
-    guarded = sum(1 for a in accesses if lock in a.held)
-    return guarded, len(accesses)

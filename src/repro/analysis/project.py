@@ -1,6 +1,6 @@
 """Whole-program analysis container.
 
-A :class:`Project` owns the cross-file state the SGB007–SGB011 rules
+A :class:`Project` owns the cross-file state the SGB007–SGB009 rules
 share: parsed :class:`FileContext` objects, the
 :class:`~repro.analysis.symbols.SymbolTable`, the
 :class:`~repro.analysis.callgraph.CallGraph`, and the
@@ -67,9 +67,6 @@ class Project:
         return self._flow
 
     # -- helpers -----------------------------------------------------------
-    def ctx_for_path(self, path: str) -> Optional[FileContext]:
-        return self.contexts.get(path)
-
     def is_disabled(self, path: str, line: int, rule_id: str) -> bool:
         ctx = self.contexts.get(path)
         return ctx is not None and ctx.is_disabled(line, rule_id)

@@ -1,11 +1,12 @@
 """Rule base class and the global rule registry.
 
 A rule is a class with an ``id`` (``SGBnnn``), a one-line ``title``, a
-docstring (rendered by ``--explain``), and a ``check(ctx)`` generator
+``caught`` string naming the defect it found in this repo (PR number
+and the code fix — a rule without one is not admitted), a docstring
+(both rendered by ``--explain``), and a ``check(ctx)`` generator
 yielding :class:`~repro.analysis.findings.Finding` objects.  Importing
 :mod:`repro.analysis.rules` registers the built-in rules via the
-:func:`register` decorator; third-party checks could register the same
-way, which is why the registry is data, not a hard-coded list.
+:func:`register` decorator.
 """
 
 from __future__ import annotations
@@ -16,18 +17,21 @@ import re
 from typing import Dict, Iterable, Iterator, List, Type
 
 from repro.analysis.context import FileContext
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 
 _RULE_ID_RE = re.compile(r"SGB[0-9]{3}\Z")
 
 
 class Rule:
-    """Base class for sgblint rules.  Subclass, set ``id``/``title``,
-    implement :meth:`check`, and decorate with :func:`register`."""
+    """Base class for sgblint rules.  Subclass, set ``id``/``title``/
+    ``caught``, implement :meth:`check`, and decorate with
+    :func:`register`."""
 
     id: str = "SGB000"
     title: str = ""
-    severity: Severity = Severity.ERROR
+    #: The true positive that admits the rule: which PR ran it and what
+    #: code was fixed because of its finding.  A pragma is not one.
+    caught: str = ""
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
@@ -39,7 +43,7 @@ class Rule:
         return Finding(
             self.id, ctx.path,
             getattr(node, "lineno", 0), getattr(node, "col_offset", 0),
-            message, self.severity,
+            message,
         )
 
     @classmethod
@@ -75,7 +79,7 @@ class ProjectRule(Rule):
         return Finding(
             self.id, path,
             getattr(node, "lineno", 0), getattr(node, "col_offset", 0),
-            message, self.severity,
+            message,
         )
 
 

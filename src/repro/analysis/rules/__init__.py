@@ -3,29 +3,15 @@
 from __future__ import annotations
 
 from repro.analysis.rules import (  # noqa: F401  (import = register)
-    backend_discipline,
     blocking_async,
     cancel_coverage,
-    determinism,
     error_taxonomy,
-    foldback_safety,
     lock_discipline,
-    metrics_naming,
-    picklability,
-    resource_escape,
-    span_safety,
 )
 
 __all__ = [
-    "determinism",
-    "backend_discipline",
-    "metrics_naming",
-    "span_safety",
-    "picklability",
     "error_taxonomy",
     "lock_discipline",
     "blocking_async",
     "cancel_coverage",
-    "resource_escape",
-    "foldback_safety",
 ]

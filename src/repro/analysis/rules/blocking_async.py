@@ -96,6 +96,11 @@ class BlockingInAsyncRule(ProjectRule):
 
     id = "SGB008"
     title = "blocking call reachable from async def"
+    caught = (
+        "PR 10: SGBService.stop ran QueryScheduler.shutdown, a blocking "
+        "put on the bounded work queue, on the event loop; it now hops "
+        "off-loop through asyncio.to_thread"
+    )
 
     def check_project(self, project) -> Iterator[Finding]:
         graph = project.graph

@@ -80,6 +80,11 @@ class CancelCheckpointRule(ProjectRule):
 
     id = "SGB009"
     title = "operator hot loop without a reachable cancel checkpoint"
+    caught = (
+        "PR 10: the aggregate fold loops ran a whole partition past a "
+        "cancel or deadline; they now call PhysicalOperator._checkpoint "
+        "every CHECKPOINT_EVERY rows"
+    )
 
     def check_project(self, project) -> Iterator[Finding]:
         table = project.table

@@ -53,6 +53,12 @@ class ErrorTaxonomyRule(Rule):
 
     id = "SGB006"
     title = "bare builtin exception raised in engine/sql code"
+    caught = (
+        "PR 5: eight bare ValueError/RuntimeError raises in repro.engine "
+        "and repro.sql became PlanningError / InvalidParameterError / "
+        "ParseError (one regression test per site in "
+        "tests/engine/test_error_taxonomy.py)"
+    )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.in_package(*SCOPE):

@@ -31,7 +31,7 @@ EXCLUDED_PATH_FRAGMENTS = ("tests/analysis/fixtures",)
 
 def _norm(path: str) -> str:
     """Normalized, forward-slash, cwd-relative-when-possible path — the
-    spelling used in findings and baseline entries."""
+    spelling used in findings."""
     rel = os.path.relpath(path)
     if rel.startswith(".." + os.sep) or rel == "..":
         rel = path
@@ -80,8 +80,6 @@ def lint_source(source: str, path: str = "<string>",
         ctx = FileContext(path, source, module=module)
     except SyntaxError as exc:
         return [syntax_error_finding(path, exc)]
-    if ctx.skip_file:
-        return []
     file_rules, project_rules = split_rules(rules)
     findings = run_rules(ctx, file_rules) if file_rules else []
     if project_rules:
@@ -108,12 +106,9 @@ def load_contexts(paths: Sequence[str],
         with open(path, "r", encoding="utf-8") as fh:
             source = fh.read()
         try:
-            ctx = FileContext(path, source)
+            contexts.append(FileContext(path, source))
         except SyntaxError as exc:
             errors.append(syntax_error_finding(path, exc))
-            continue
-        if not ctx.skip_file:
-            contexts.append(ctx)
     return contexts, errors
 
 

@@ -10,8 +10,8 @@ and to dispatch method calls on known repro types.
 Resolution is deliberately conservative: anything dynamic (calls,
 subscripts, rebinding, ``*`` imports) resolves to ``None`` and the
 cross-module rules simply do not follow it.  A linter that guesses
-wrong is worse than one that abstains — false positives erode the
-baseline's signal.
+wrong is worse than one that abstains — every false positive costs a
+pragma.
 
 Names outside the analyzed set (``time``, ``queue``, ``asyncio``) still
 resolve *textually* through the import table: ``from queue import Queue``
@@ -26,8 +26,23 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, List, Optional, Set
 
-from repro.analysis.astutil import dotted_name
 from repro.analysis.context import FileContext
+
+
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for a Name/Attribute chain, else None.
+
+    Call nodes and subscripts break the chain (``a().b`` is not a static
+    dotted path), which is exactly the conservatism the rules want.
+    """
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
 
 
 class FunctionSymbol:
@@ -47,16 +62,12 @@ class FunctionSymbol:
         self.node = node
         self.path = path
         self.is_async = is_async
-        #: Defined inside another function (closures never pickle, and
-        #: the call graph treats them as part of the enclosing scope).
+        #: Defined inside another function (the call graph and the flow
+        #: pass treat them as part of the enclosing scope).
         self.nested = nested
         #: Parameter name -> dotted type name (from annotations), used
         #: for method dispatch on annotated parameters.
         self.param_types: Dict[str, str] = {}
-
-    @property
-    def lineno(self) -> int:
-        return getattr(self.node, "lineno", 0)
 
     def __repr__(self) -> str:
         return f"<FunctionSymbol {self.qualname}>"
@@ -85,10 +96,6 @@ class ClassSymbol:
         #: Attributes assigned a ``threading.Lock()`` / ``RLock()``.
         self.lock_attrs: Set[str] = set()
 
-    @property
-    def lineno(self) -> int:
-        return getattr(self.node, "lineno", 0)
-
     def __repr__(self) -> str:
         return f"<ClassSymbol {self.qualname}>"
 
@@ -96,8 +103,7 @@ class ClassSymbol:
 class ModuleSymbol:
     """One analyzed file, under its dotted module identity."""
 
-    __slots__ = ("name", "path", "ctx", "imports", "functions", "classes",
-                 "import_modules")
+    __slots__ = ("name", "path", "ctx", "imports", "functions", "classes")
 
     def __init__(self, name: str, path: str, ctx: FileContext):
         self.name = name
@@ -107,9 +113,6 @@ class ModuleSymbol:
         #: queue``; ``from repro.obs.trace import Tracer as T`` ->
         #: ``T: repro.obs.trace.Tracer``; ``import a.b`` -> ``a: a``.
         self.imports: Dict[str, str] = {}
-        #: Dotted module names this module imports (edges of the import
-        #: graph; includes targets outside the analyzed set).
-        self.import_modules: Set[str] = set()
         self.functions: Dict[str, FunctionSymbol] = {}
         self.classes: Dict[str, ClassSymbol] = {}
 
@@ -159,7 +162,6 @@ class SymbolTable:
                     target = alias.name if alias.asname else \
                         alias.name.split(".")[0]
                     mod.imports[local] = target
-                    mod.import_modules.add(alias.name)
             elif isinstance(node, ast.ImportFrom):
                 if node.module is None or node.level:
                     continue  # relative imports: abstain
@@ -168,7 +170,6 @@ class SymbolTable:
                         continue
                     local = alias.asname or alias.name
                     mod.imports[local] = f"{node.module}.{alias.name}"
-                mod.import_modules.add(node.module)
 
     def _add_function(self, mod: ModuleSymbol, node: ast.AST,
                       cls_sym: Optional[ClassSymbol]) -> FunctionSymbol:
@@ -193,8 +194,9 @@ class SymbolTable:
         else:
             cls_sym.methods[name] = sym
         self.functions[qualname] = sym
-        # Index nested definitions too (picklability checks want them),
-        # but under the enclosing function's qualname.
+        # Index nested definitions too (a private helper defined inside
+        # an operator method is still part of SGB009's cone), but under
+        # the enclosing function's qualname.
         for child in ast.walk(node):
             if child is node:
                 continue
@@ -287,12 +289,6 @@ class SymbolTable:
             return None
         return f"{target}.{rest}" if rest else target
 
-    def lookup_class(self, qualname: str) -> Optional[ClassSymbol]:
-        return self.classes.get(qualname)
-
-    def lookup_function(self, qualname: str) -> Optional[FunctionSymbol]:
-        return self.functions.get(qualname)
-
     def resolve_class(self, module: str, dotted: str) -> Optional[ClassSymbol]:
         qualname = self.resolve(module, dotted)
         if qualname is None:
@@ -340,32 +336,6 @@ class SymbolTable:
                         base.rsplit(".", 1)[-1] == base_name:
                     return True
         return False
-
-    # -- import graph ------------------------------------------------------
-    def import_edges(self) -> Dict[str, Set[str]]:
-        """Module -> imported modules, restricted to the analyzed set.
-
-        ``from repro.obs.trace import Tracer`` contributes an edge to
-        ``repro.obs.trace``; imports of unanalyzed modules are dropped.
-        """
-        known = set(self.modules)
-        edges: Dict[str, Set[str]] = {}
-        for name, mod in self.modules.items():
-            targets: Set[str] = set()
-            for imported in mod.import_modules:
-                if imported in known:
-                    targets.add(imported)
-                    continue
-                # ``from repro.engine.database import Database`` names a
-                # module; ``from repro.engine import database`` names a
-                # package whose *attribute* is the module.
-                for local_target in mod.imports.values():
-                    if local_target.startswith(imported + ".") and \
-                            local_target in known:
-                        targets.add(local_target)
-            targets.discard(name)
-            edges[name] = targets
-        return edges
 
 
 def _annotation_name(node: ast.AST) -> Optional[str]:

@@ -183,8 +183,6 @@ def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
         return float("nan")
     mean_x = sum(p[0] for p in pairs) / n
     mean_y = sum(p[1] for p in pairs) / n
-    # sgblint: disable-next-line=SGB002 -- log-log regression slope, not a distance
     num = sum((x - mean_x) * (y - mean_y) for x, y in pairs)
-    # sgblint: disable-next-line=SGB002 -- regression denominator, not a distance
     den = sum((x - mean_x) ** 2 for x, _ in pairs)
     return num / den if den else float("nan")

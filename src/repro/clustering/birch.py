@@ -54,8 +54,7 @@ class CF:
             ss += sum(v * v for v in p)
         centroid_sq = sum((v / n) ** 2 for v in ls)
         value = ss / n - centroid_sq
-        # CF radius from running sums — a clustering comparison baseline,
-        # sgblint: disable-next-line=SGB002 -- not a pairwise-distance hot path
+        # CF radius from running sums.
         return math.sqrt(max(0.0, value))
 
     def copy(self) -> "CF":
@@ -67,7 +66,6 @@ class CF:
 
 
 def _sq_dist(p: Sequence[float], q: Sequence[float]) -> float:
-    # sgblint: disable-next-line=SGB002 -- scalar clustering baseline, not an SGB hot path
     return sum((a - b) * (a - b) for a, b in zip(p, q))
 
 

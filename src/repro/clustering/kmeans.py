@@ -8,9 +8,8 @@ of per-point work the SGB operators do.
 
 from __future__ import annotations
 
-import math
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import InvalidParameterError
 
@@ -31,7 +30,6 @@ class KMeansResult:
 
 
 def _sq_dist(p: Sequence[float], q: Sequence[float]) -> float:
-    # sgblint: disable-next-line=SGB002 -- scalar clustering baseline, not an SGB hot path
     return sum((a - b) * (a - b) for a, b in zip(p, q))
 
 

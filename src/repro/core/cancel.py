@@ -19,8 +19,7 @@ Two trip conditions, two typed errors:
 Deadlines are measured on the monotonic clock (``time.monotonic``) — a
 deadline must keep meaning "n seconds from submission" across wall-clock
 steps, and nothing about a *grouping decision* ever reads the token, so
-determinism of results is untouched (see SGB001 in docs/static_analysis.md:
-``monotonic``/``perf_counter`` are the sanctioned measurement clocks).
+determinism of results is untouched.
 
 Tokens are thread-safe (the waiter that cancels and the worker thread
 that checks are different threads by construction) and are deliberately

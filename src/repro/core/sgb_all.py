@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Set, Tuple, Type, Union
 
 from repro import kernels
 from repro.core.distance import CountingMetric, Metric, resolve_metric
@@ -344,6 +344,19 @@ _STRATEGIES = {
 }
 
 
+def all_strategy_class(strategy: str) -> Type[_StrategyBase]:
+    """The strategy class ``strategy`` names, under any spelling of
+    ``_STRATEGIES``; its ``name`` is the canonical one the cost model
+    prices."""
+    try:
+        return _STRATEGIES[strategy.strip().lower()]
+    except KeyError:
+        raise InvalidParameterError(
+            f"unknown strategy {strategy!r}; expected one of "
+            f"{sorted(set(_STRATEGIES))}"
+        ) from None
+
+
 # ----------------------------------------------------------------------
 # the operator
 # ----------------------------------------------------------------------
@@ -417,13 +430,7 @@ class SGBAllOperator:
         self._rng = random.Random(seed)
         self._rtree_max_entries = rtree_max_entries
         self._use_hull_opt = use_hull
-        try:
-            self._strategy_cls = _STRATEGIES[strategy.strip().lower()]
-        except KeyError:
-            raise InvalidParameterError(
-                f"unknown strategy {strategy!r}; expected one of "
-                f"{sorted(set(_STRATEGIES))}"
-            ) from None
+        self._strategy_cls = all_strategy_class(strategy)
 
         self._points: List[Point] = []
         self._dim: Optional[int] = None

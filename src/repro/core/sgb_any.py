@@ -42,6 +42,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Type,
     Union,
 )
 
@@ -247,16 +248,23 @@ _STRATEGIES = {
 }
 
 
-def make_any_strategy(kind: str, eps: float, metric: Metric,
-                      rtree_max_entries: int = 16) -> _AnyStrategyBase:
-    """Build the ε-neighbour index named ``kind`` (see ``_STRATEGIES``)."""
+def any_strategy_class(kind: str) -> Type[_AnyStrategyBase]:
+    """The strategy class ``kind`` names, under any spelling of
+    ``_STRATEGIES``; its ``name`` is the canonical one the cost model
+    prices."""
     try:
-        strategy_cls = _STRATEGIES[kind.strip().lower()]
+        return _STRATEGIES[kind.strip().lower()]
     except KeyError:
         raise InvalidParameterError(
             f"unknown strategy {kind!r}; expected one of "
             f"{sorted(set(_STRATEGIES))}"
         ) from None
+
+
+def make_any_strategy(kind: str, eps: float, metric: Metric,
+                      rtree_max_entries: int = 16) -> _AnyStrategyBase:
+    """Build the ε-neighbour index named ``kind`` (see ``_STRATEGIES``)."""
+    strategy_cls = any_strategy_class(kind)
     if strategy_cls is GridAnyStrategy and eps == 0:
         # eps == 0 degenerates to equality grouping, which the grid
         # cannot express (the cell side is eps); the naive scan gives

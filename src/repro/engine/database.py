@@ -484,11 +484,12 @@ class Database:
     def _acquire_statement_lock(self,
                                 cancel: Optional[CancelToken]) -> None:
         """Take the statement lock, polling the cancel token while blocked
-        so a queued query can still time out behind a slow one."""
+        so a queued query can still time out behind a slow one.  The
+        caller owns the lock on return and releases it in its ``finally``."""
         if cancel is None:
-            self._lock.acquire()  # sgblint: disable=SGB010 -- ownership transfer: execute() releases in its finally
+            self._lock.acquire()
             return
-        while not self._lock.acquire(timeout=0.05):  # sgblint: disable=SGB010 -- ownership transfer: execute() releases in its finally
+        while not self._lock.acquire(timeout=0.05):
             cancel.check()
 
     def explain(self, sql: str) -> str:

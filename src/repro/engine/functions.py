@@ -77,7 +77,6 @@ _FUNCTIONS: Dict[Tuple[str, Optional[int]], Callable[..., Any]] = {
     # SQL scalar leaf; hot dist_l2(...) <= eps join conjuncts are rewritten
     # by the planner into the kernel-backed R-tree similarity join.
     ("dist_l2", 4): _null_prop(
-        # sgblint: disable-next-line=SGB002 -- scalar SQL function leaf
         lambda x1, y1, x2, y2: math.hypot(x1 - x2, y1 - y2)
     ),
     ("dist_linf", 4): _null_prop(

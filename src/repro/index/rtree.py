@@ -129,7 +129,6 @@ class RTree:
                     items, key=lambda e: (e.rect.lo[0] + e.rect.hi[0])
                 )
                 n_slices = max(1, math.ceil(
-                    # sgblint: disable-next-line=SGB002 -- STR packing fanout
                     math.sqrt(math.ceil(len(items) / tree._max))
                 ))
                 slice_size = math.ceil(len(items) / n_slices)

@@ -8,15 +8,21 @@ aggregate pay everything up front) and a *total* cost (startup + the cost
 of producing all rows).  Absolute values are meaningless; only ratios
 between alternative plans matter, which is all the chooser needs.
 
-This module is pure arithmetic: it knows nothing about operators or
-tables, so both the estimator (which walks physical plans) and the SGB
-strategy chooser can share it without import cycles.
+This module is arithmetic: it knows nothing about plans or tables, so
+both the estimator (which walks physical plans) and the SGB strategy
+chooser can share it without import cycles.  The one thing it asks of
+the operators is what a strategy name means
+(:func:`_canonical_strategy`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from repro.core.sgb_all import all_strategy_class
+from repro.core.sgb_any import any_strategy_class
+from repro.errors import InvalidParameterError
 
 #: Cost of emitting one tuple from a node (PostgreSQL: cpu_tuple_cost).
 CPU_TUPLE_COST = 0.01
@@ -89,6 +95,19 @@ def sort_cost(n: float) -> float:
 _SGB_UNIT = 10.0 * CPU_OPERATOR_COST
 
 
+def _canonical_strategy(mode: str, strategy: str) -> str:
+    """The name the operators' alias tables give ``strategy``
+    (``"linear"`` and ``" All-Pairs "`` are ``"all-pairs"``), so every
+    spelling the operators accept is priced as the strategy it runs.  A
+    name they do not know is returned as it came: it is priced
+    pessimistically here and refused by the operator."""
+    resolve = all_strategy_class if mode == "all" else any_strategy_class
+    try:
+        return resolve(strategy).name
+    except InvalidParameterError:
+        return strategy
+
+
 def sgb_strategy_cost(mode: str, strategy: str, n: float,
                       avg_neighbors: float) -> float:
     """Abstract cost of grouping ``n`` points with one SGB strategy.
@@ -113,24 +132,25 @@ def sgb_strategy_cost(mode: str, strategy: str, n: float,
       when groups ≈ n), bounds-checking rejects most groups with one
       cheap rectangle test, the R-tree probes group rectangles.
     """
+    strategy = _canonical_strategy(mode, strategy)
     n = max(1.0, n)
     k = max(0.0, avg_neighbors)
     groups = n / (k + 1.0)
     if mode == "all":
         groups *= 1.5  # DISTANCE-TO-ALL fragments into smaller groups
-        if strategy in ("all-pairs", "allpairs", "naive"):
+        if strategy == "all-pairs":
             # Every stored member distance-checked, plus a per-group
             # scan that dominates on sparse data (groups -> n).
             per_point = (n / 2.0) * (0.15 + 0.6 / (k + 1.0))
-        elif strategy in ("bounds-checking", "bounds"):
+        elif strategy == "bounds-checking":
             # Constant bookkeeping + one rectangle test per live group.
             per_point = 40.0 + 0.02 * groups
-        elif strategy in ("index", "indexed", "rtree"):
+        elif strategy == "index":
             per_point = 8.0 * math.log2(n + 1.0) + 0.025 * groups
         else:
             per_point = n  # unknown: pessimistic quadratic
     else:
-        if strategy in ("all-pairs", "allpairs", "naive"):
+        if strategy == "all-pairs":
             # One vectorized distance pass over all stored points per
             # probe: a flat dispatch overhead plus a small per-point term.
             per_point = 15.0 + 0.014 * n
@@ -139,7 +159,7 @@ def sgb_strategy_cost(mode: str, strategy: str, n: float,
             # k = 84 and 24.0 at k = 335 (bench_planner's generators,
             # n = 4000 / 16000).
             per_point = 5.5 + 0.055 * k
-        elif strategy in ("index", "indexed", "rtree"):
+        elif strategy == "index":
             per_point = 12.5 * math.log2(n + 1.0) + 1.4 * k
         else:
             per_point = n  # unknown: pessimistic quadratic

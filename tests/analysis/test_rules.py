@@ -1,11 +1,14 @@
 """Per-rule true-positive / true-negative tests over the fixture corpus,
 plus pragma and module-identity behavior."""
 
+import io
 import os
+import re
 
 import pytest
 
 from repro.analysis import lint_file, lint_source
+from repro.analysis.cli import main
 from repro.analysis.context import module_name_for_path
 from repro.analysis.registry import all_rules, get_rule
 
@@ -21,11 +24,16 @@ def rules_hit(path):
 
 
 class TestRuleRegistry:
-    def test_all_eleven_rules_registered(self):
-        assert [r.id for r in all_rules()] == [
-            "SGB001", "SGB002", "SGB003", "SGB004", "SGB005", "SGB006",
-            "SGB007", "SGB008", "SGB009", "SGB010", "SGB011",
-        ]
+    def test_every_rule_cites_what_it_caught(self):
+        """The admission test: a rule names the PR that ran it and the
+        code fix its finding caused, and ``--explain`` shows it."""
+        rules = all_rules()
+        assert rules
+        for rule in rules:
+            assert re.match(r"PR \d+: \S", rule.caught), rule.id
+            buf = io.StringIO()
+            assert main(["--explain", rule.id], stdout=buf) == 0
+            assert rule.caught in buf.getvalue(), rule.id
 
     def test_every_rule_has_an_explanation(self):
         for rule in all_rules():
@@ -38,17 +46,10 @@ class TestRuleRegistry:
 
 
 @pytest.mark.parametrize("rule_id,expected_bad_count", [
-    ("SGB001", 4),
-    ("SGB002", 3),
-    ("SGB003", 4),
-    ("SGB004", 3),
-    ("SGB005", 2),
     ("SGB006", 2),
     ("SGB007", 2),
     ("SGB008", 2),
     ("SGB009", 2),
-    ("SGB010", 5),
-    ("SGB011", 3),
 ])
 class TestFixtureCorpus:
     def test_bad_fixture_is_flagged(self, rule_id, expected_bad_count):
@@ -72,74 +73,6 @@ class TestFixtureCorpus:
 class TestRuleDetails:
     """Spot checks on shapes the fixtures do not cover."""
 
-    def test_sgb001_out_of_scope_module_ignored(self):
-        src = "import random\nrandom.random()\n"
-        assert lint_source(src, module="repro.obs.trace") == []
-
-    def test_sgb001_numpy_default_rng_seeded_ok(self):
-        src = (
-            "import numpy as np\n"
-            "def f(seed):\n"
-            "    return np.random.default_rng(seed)\n"
-        )
-        assert lint_source(src, module="repro.core.x") == []
-
-    def test_sgb001_numpy_global_rng_flagged(self):
-        src = "import numpy as np\nv = np.random.rand(3)\n"
-        findings = lint_source(src, module="repro.core.x")
-        assert [f.rule for f in findings] == ["SGB001"]
-
-    def test_sgb002_kernels_package_exempt(self):
-        src = "import math\nd = math.sqrt(2.0)\n"
-        assert lint_source(src, module="repro.kernels.python_backend") == []
-        assert lint_source(src, module="repro.geometry.hull") == []
-
-    def test_sgb002_from_import_alias_caught(self):
-        src = (
-            "from math import sqrt as root\n"
-            "def d(a, b):\n"
-            "    return root((a - b) ** 2)\n"
-        )
-        findings = lint_source(src, module="repro.streaming.x")
-        assert [f.rule for f in findings] == ["SGB002"]
-
-    def test_sgb003_applies_everywhere(self):
-        findings = lint_source(
-            "def f(bag):\n    bag.incr('Bad-Name')\n",
-            module="tests.obs.test_whatever",
-        )
-        assert [f.rule for f in findings] == ["SGB003"]
-
-    def test_sgb003_dynamic_names_not_checked(self):
-        src = "def f(bag, n):\n    bag.incr(n)\n"
-        assert lint_source(src, module="repro.core.x") == []
-
-    def test_sgb004_super_enter_allowed(self):
-        src = (
-            "class T:\n"
-            "    def __enter__(self):\n"
-            "        return super().__enter__()\n"
-        )
-        assert lint_source(src, module="repro.obs.x") == []
-
-    def test_sgb004_with_in_other_function_still_flagged(self):
-        # The assignment and the `with` live in different scopes, so the
-        # assigned span is never entered where it was created.
-        src = (
-            "def a(tracer):\n"
-            "    sp = tracer.span('phase')\n"
-            "    return None\n"
-            "def b(sp):\n"
-            "    with sp:\n"
-            "        pass\n"
-        )
-        findings = lint_source(src, module="repro.core.x")
-        assert [f.rule for f in findings] == ["SGB004"]
-
-    def test_sgb005_inactive_without_pool_import(self):
-        src = "def f(pool, tasks):\n    pool.submit(lambda t: t, tasks)\n"
-        assert lint_source(src, module="repro.core.x") == []
-
     def test_sgb006_out_of_scope_module_ignored(self):
         src = "def f():\n    raise ValueError('fine here')\n"
         assert lint_source(src, module="repro.clustering.kmeans") == []
@@ -158,58 +91,11 @@ class TestRuleDetails:
         assert "does not parse" in findings[0].message
 
 
-class TestSGB001WallclockScope:
-    """The wall-clock sub-check runs repo-wide with exemptions; the RNG
-    and set-iteration sub-checks keep the original core scope."""
-
-    def test_wallclock_bad_fixture_flags_exactly_the_clock_reads(self):
-        path = fixture("sgb001_wallclock_bad.py")
-        findings = [f for f in lint_file(path) if f.rule == "SGB001"]
-        assert len(findings) == 2
-        assert all("wall-clock" in f.message for f in findings)
-        assert rules_hit(path) == {"SGB001"}
-
-    def test_wallclock_good_fixture_is_clean(self):
-        assert lint_file(fixture("sgb001_wallclock_good.py")) == []
-
-    def test_wallclock_flagged_outside_core_scope(self):
-        src = "import time\nstamp = time.time()\n"
-        findings = lint_source(src, module="repro.sql.planner")
-        assert [f.rule for f in findings] == ["SGB001"]
-
-    def test_rng_still_ignored_outside_core_scope(self):
-        src = "import random\nv = random.random()\n"
-        assert lint_source(src, module="repro.sql.planner") == []
-
-    def test_set_iteration_still_ignored_outside_core_scope(self):
-        src = "def f(xs):\n    return [x for x in set(xs)]\n"
-        assert lint_source(src, module="repro.engine.executor.base") == []
-
-    @pytest.mark.parametrize("module", [
-        "repro.service.server", "repro.obs.trace", "repro.bench.harness",
-    ])
-    def test_exempt_packages_allow_wallclock(self, module):
-        src = "import time\nanchor = time.time()\n"
-        assert lint_source(src, module=module) == []
-
-    def test_monotonic_allowed_in_core_scope(self):
-        src = "import time\ndeadline = time.monotonic() + 1.0\n"
-        assert lint_source(src, module="repro.core.cancel") == []
-
-    def test_non_repro_modules_out_of_scope(self):
-        src = "import time\nstamp = time.time()\n"
-        assert lint_source(src, module="tests.engine.test_service") == []
-
-
 class TestPragmas:
     SRC = "def f():\n    raise ValueError('x')\n"
 
     def test_same_line_disable(self):
         src = "def f():\n    raise ValueError('x')  # sgblint: disable=SGB006\n"
-        assert lint_source(src, module="repro.engine.x") == []
-
-    def test_disable_all_rules_on_line(self):
-        src = "def f():\n    raise ValueError('x')  # sgblint: disable\n"
         assert lint_source(src, module="repro.engine.x") == []
 
     def test_disable_next_line(self):
@@ -220,18 +106,10 @@ class TestPragmas:
         )
         assert lint_source(src, module="repro.engine.x") == []
 
-    def test_noqa_alias(self):
-        src = "def f():\n    raise ValueError('x')  # noqa: SGB006\n"
-        assert lint_source(src, module="repro.engine.x") == []
-
     def test_wrong_rule_id_does_not_suppress(self):
-        src = "def f():\n    raise ValueError('x')  # sgblint: disable=SGB001\n"
+        src = "def f():\n    raise ValueError('x')  # sgblint: disable=SGB007\n"
         findings = lint_source(src, module="repro.engine.x")
         assert [f.rule for f in findings] == ["SGB006"]
-
-    def test_skip_file(self):
-        src = "# sgblint: skip-file\n" + self.SRC
-        assert lint_source(src, module="repro.engine.x") == []
 
     def test_module_pragma_overrides_path(self):
         src = "# sgblint: module=repro.engine.fake\n" + self.SRC

@@ -126,14 +126,6 @@ class TestSymbolTable:
         assert ping is not None
         assert ping.qualname == "repro.mini.engine.Engine.ping"
 
-    def test_import_edges_restricted_to_package(self, project):
-        edges = project.table.import_edges()
-        assert "repro.mini.core" in edges.get("repro.mini.engine", set())
-        assert "repro.mini.engine" in edges.get("repro.mini.app", set())
-        # stdlib imports never appear as analyzed-set edges
-        for imports in edges.values():
-            assert "queue" not in imports and "threading" not in imports
-
 
 class TestCallGraph:
     def test_constructor_call_maps_to_init(self, project):

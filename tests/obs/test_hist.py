@@ -141,7 +141,7 @@ class TestHistogramTimer:
         t = HistogramTimer(h)
         with t:
             with pytest.raises(RuntimeError):
-                t.__enter__()  # sgblint: disable=SGB004 -- re-entrancy guard test
+                t.__enter__()
         # reusable sequentially after a clean exit
         with t:
             pass

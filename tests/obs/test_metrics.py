@@ -106,7 +106,7 @@ class TestTimingNamespace:
         # a bag entry is a count.
         bag = MetricBag()
         with pytest.raises(ValueError):
-            bag.incr("wall_time_s")  # sgblint: disable=SGB003 -- rejection under test
+            bag.incr("wall_time_s")
 
 
 class TestBagHistograms:

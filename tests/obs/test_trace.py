@@ -71,7 +71,7 @@ class TestSpanParenting:
             sp.__exit__(None, None, None)  # never entered
         with sp:
             with pytest.raises(RuntimeError):
-                sp.__enter__()  # sgblint: disable=SGB004 -- re-entrancy guard test
+                sp.__enter__()
 
     def test_timestamps_monotone_and_nested(self):
         t = Tracer()

@@ -12,6 +12,7 @@ from repro.stats.chooser import (
     choose_strategy,
     resolve_sgb_choice,
 )
+from repro.stats.model import sgb_strategy_cost
 
 
 class TestChooseStrategy:
@@ -84,6 +85,20 @@ class TestChooseParallel:
     def test_sgb_all_earns_the_pool(self, n, partitions):
         assert choose_parallel(*self.HEAVY, n, 0.2, partitions,
                                cpu_count=2) == 2
+
+    # Every spelling the operators' alias tables accept runs the same
+    # strategy, so it is priced the same and gets the same pool decision.
+    @pytest.mark.parametrize("mode, spellings", [
+        ("any", ("all-pairs", "linear", "All-Pairs")),
+        ("all", ("bounds-checking", "bounds", " Bounds-Checking ")),
+    ], ids=["any", "all"])
+    def test_equal_cost_for_equal_strategy(self, mode, spellings):
+        costs = {sgb_strategy_cost(mode, s, 3000.0, 0.2) for s in spellings}
+        assert len(costs) == 1
+        assert costs.pop() < sgb_strategy_cost(mode, "no-such", 3000.0, 0.2)
+        pools = {choose_parallel(mode, s, 100_000, 0.2, 16, cpu_count=8)
+                 for s in spellings}
+        assert len(pools) == 1
 
     def test_resolved_from_the_chosen_strategy(self):
         args = (0.1, 16_000.0, 0.2, None, 8.0)
