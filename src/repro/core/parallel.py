@@ -36,23 +36,15 @@ Point = Tuple[float, ...]
 #: Propagated trace context: ``(trace_id, parent_span_id)``.
 TraceContext = Tuple[str, str]
 
-#: Propagated profiler context: ``(interval_s, folded-frame prefix)``.
-#: The prefix is the dispatching side's live span path (rendered as
-#: ``span:<name>`` frames), so worker samples land under the right part
-#: of the parent flamegraph — the profiling analogue of TraceContext.
-ProfileContext = Tuple[float, Tuple[str, ...]]
-
 #: Task tuple consumed by the worker: ``(index, mode, backend, points,
-#: operator kwargs, collect metrics?, trace context or None, profile
-#: context or None)``.
+#: operator kwargs, collect metrics?, trace context or None)``.
 PartitionTask = Tuple[int, str, str, Sequence[Point], dict, bool,
-                      Optional[TraceContext], Optional[ProfileContext]]
+                      Optional[TraceContext]]
 
 #: Observability payload returned per task (empty when uninstrumented):
 #: ``counters`` fold into the parent MetricBag, ``histograms`` maps
 #: name -> LatencyHistogram.state(), ``spans`` is a list of exported
-#: SpanRecord dicts ready for ``Tracer.ingest``, ``profile`` a
-#: SamplingProfiler.state() for ``SamplingProfiler.ingest``.
+#: SpanRecord dicts ready for ``Tracer.ingest``.
 ObsPayload = Dict[str, Any]
 
 
@@ -124,8 +116,7 @@ def run_partition(task: PartitionTask):
     skip the CountingMetric wrap and span bookkeeping exactly like the
     uninstrumented serial path.
     """
-    (index, mode, backend, points, op_kwargs, want_metrics, trace_ctx,
-     profile_ctx) = task
+    index, mode, backend, points, op_kwargs, want_metrics, trace_ctx = task
     from repro import kernels
     from repro.obs.metrics import MetricBag
 
@@ -145,22 +136,7 @@ def run_partition(task: PartitionTask):
         tracer = Tracer.for_context(
             trace_id, parent_span_id, tag=f"{parent_span_id}.p{index}."
         )
-    profiler = None
-    if profile_ctx is not None:
-        from repro.obs.profile import SamplingProfiler
-
-        interval_s, prefix = profile_ctx
-        # The worker profiler sees the *worker* tracer, so its samples
-        # carry the local span path (partition/ingest/finalize) appended
-        # to the dispatch-side prefix.
-        profiler = SamplingProfiler(
-            interval_s=interval_s, tracer=tracer, prefix=prefix
-        ).start()
-    try:
-        labels = group_partition(index, mode, points, op_kwargs, bag, tracer)
-    finally:
-        if profiler is not None:
-            profiler.stop()
+    labels = group_partition(index, mode, points, op_kwargs, bag, tracer)
     payload: ObsPayload = {}
     if bag is not None:
         payload["counters"] = bag.counters
@@ -170,8 +146,6 @@ def run_partition(task: PartitionTask):
             }
     if tracer is not None:
         payload["spans"] = tracer.export_records()
-    if profiler is not None and profiler.samples:
-        payload["profile"] = profiler.state()
     return index, labels, payload
 
 
@@ -182,7 +156,6 @@ def run_partitions(
     want_metrics: bool = False,
     trace_context: Optional[TraceContext] = None,
     cancel=None,
-    profile_context: Optional[ProfileContext] = None,
 ) -> List[Tuple[List[int], ObsPayload]]:
     """Group every ``(mode, points, operator kwargs)`` task on a pool of
     ``workers`` processes and return ``(labels, obs payload)`` per task in
@@ -204,8 +177,7 @@ def run_partitions(
     from concurrent.futures import ProcessPoolExecutor
 
     payload: List[PartitionTask] = [
-        (i, mode, backend, points, op_kwargs, want_metrics, trace_context,
-         profile_context)
+        (i, mode, backend, points, op_kwargs, want_metrics, trace_context)
         for i, (mode, points, op_kwargs) in enumerate(tasks)
     ]
     results: List[Optional[Tuple[List[int], ObsPayload]]] = [None] * len(payload)
@@ -226,14 +198,11 @@ def run_partitions(
     return results  # type: ignore[return-value]
 
 
-def fold_obs_payload(payload: ObsPayload, bag=None, tracer=None,
-                     profiler=None) -> None:
+def fold_obs_payload(payload: ObsPayload, bag=None, tracer=None) -> None:
     """Fold one worker observability payload into parent collectors.
 
-    ``bag`` receives counters and (merged) histograms;
-    ``tracer`` ingests the worker's span records; ``profiler`` (a
-    :class:`~repro.obs.profile.SamplingProfiler`) ingests the worker's
-    collapsed-stack samples.  Any of them may be None.
+    ``bag`` receives counters and (merged) histograms; ``tracer`` ingests
+    the worker's span records.  Either may be None.
     """
     if bag is not None:
         for name, value in payload.get("counters", {}).items():
@@ -245,8 +214,6 @@ def fold_obs_payload(payload: ObsPayload, bag=None, tracer=None,
                 bag.histogram(name).merge(LatencyHistogram.from_state(state))
     if tracer is not None and payload.get("spans"):
         tracer.ingest(payload["spans"])
-    if profiler is not None and payload.get("profile"):
-        profiler.ingest(payload["profile"])
 
 
 def label_partitions(
@@ -259,20 +226,20 @@ def label_partitions(
 
     The one serial-or-pool decision, shared by the SQL executor and the
     array API.  ``ctx`` is the statement's
-    :class:`~repro.obs.explain.QueryContext` (cancel token, tracer,
-    running profiler); ``bag`` is the calling node's counter bag —
-    node-scoped where the context is statement-scoped — or None.
+    :class:`~repro.obs.explain.QueryContext` (cancel token, tracer);
+    ``bag`` is the calling node's counter bag — node-scoped where the
+    context is statement-scoped — or None.
     ``workers <= 1`` (or a single task) groups lazily in this process —
     one :func:`group_partition` per ``next()``, writing into ``bag`` and
     the context's tracer, with the token checked at each partition
     boundary (grouping one partition is the longest stretch with nothing
     else to check at).  Otherwise every task goes to
     :func:`run_partitions` under a ``parallel_dispatch`` span and each
-    worker's payload is folded back into ``bag`` / the tracer / a running
-    profiler before the first labels are handed out, so counters and span
-    trees equal the serial ones (modulo pids and the dispatch span).
+    worker's payload is folded back into ``bag`` / the tracer before the
+    first labels are handed out, so counters and span trees equal the
+    serial ones (modulo pids and the dispatch span).
     """
-    tracer, profiler = ctx.tracer, ctx.profiler
+    tracer = ctx.tracer
     if workers <= 1 or len(tasks) <= 1:
         for index, (mode, points, op_kwargs) in enumerate(tasks):
             ctx.check()
@@ -281,13 +248,6 @@ def label_partitions(
     from repro import kernels
     from repro.obs.trace import maybe_span
 
-    profile_context = None
-    if profiler is not None:
-        from repro.obs.profile import span_prefix_of
-
-        # Workers prepend the dispatch-side span path to every sample so
-        # their stacks nest under the dispatching node in the profile.
-        profile_context = (profiler.interval_s, span_prefix_of(tracer))
     with maybe_span(tracer, "parallel_dispatch", workers=workers,
                     partitions=len(tasks)):
         results = run_partitions(
@@ -297,11 +257,9 @@ def label_partitions(
             want_metrics=bag is not None,
             trace_context=tracer.context() if tracer is not None else None,
             cancel=ctx.cancel,
-            profile_context=profile_context,
         )
         for _labels, obs_payload in results:
             ctx.check()
-            fold_obs_payload(obs_payload, bag=bag, tracer=tracer,
-                             profiler=profiler)
+            fold_obs_payload(obs_payload, bag=bag, tracer=tracer)
     for labels, _obs_payload in results:
         yield labels

@@ -439,6 +439,10 @@ class SGBAllOperator:
         self._strategy: Optional[_StrategyBase] = None
         self._finished_registries: List[GroupRegistry] = []
         self._finalized = False
+        #: Entries examined by the FindCloseGroups probes so far — the
+        #: ``candidates`` counter, kept without a bag so the streaming
+        #: engine can report it from the probe the operator makes anyway.
+        self.candidates_examined = 0
 
     # ------------------------------------------------------------------
     @property
@@ -511,14 +515,13 @@ class SGBAllOperator:
         bag = self.metrics
         if bag is not None:
             t0 = time.perf_counter()
-            examined, candidates, overlaps = strat.find_close_groups(
-                point, need_overlap)
+        examined, candidates, overlaps = strat.find_close_groups(
+            point, need_overlap)
+        self.candidates_examined += examined
+        if bag is not None:
             bag.observe("probe_latency", time.perf_counter() - t0)
             bag.incr("index_probes")
             bag.incr("candidates", examined)
-        else:
-            _, candidates, overlaps = strat.find_close_groups(
-                point, need_overlap)
 
         # -- ProcessGroupingALL (Procedure 3) --------------------------
         if not candidates:

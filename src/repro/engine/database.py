@@ -33,7 +33,6 @@ from repro.obs.explain import (
     render_analyze,
 )
 from repro.obs.metrics import MetricBag
-from repro.obs.profile import SamplingProfiler
 from repro.obs.querylog import QueryLog
 from repro.obs.trace import Tracer, maybe_span
 from repro.sql import ast_nodes as ast
@@ -115,10 +114,6 @@ class Database:
         partition emits a span into :attr:`tracer`, and per-node
         counters/histograms fold into the cumulative bag behind
         :meth:`metrics_snapshot`.
-    ``profile``
-        Start with the sampling profiler running (see :meth:`set_profile`):
-        collapsed stacks, attributed to trace spans when tracing is also
-        on, exportable as flamegraph "folded" lines.
     ``query_log``
         ``True`` (in-memory ring only), a path (append JSONL there too),
         or a pre-built :class:`~repro.obs.querylog.QueryLog`.  Every
@@ -135,7 +130,6 @@ class Database:
         seed: int = 0,
         parallel: Optional[int] = None,
         trace: bool = False,
-        profile: bool = False,
         query_log: Union[None, bool, str, QueryLog] = None,
     ):
         self.catalog = Catalog()
@@ -171,18 +165,12 @@ class Database:
         #: toggles so a dump after ``set_trace(False)`` still works.
         self.tracer: Optional[Tracer] = None
         self._trace_on = False
-        #: The sampling profiler; ``None`` until first enabled, then kept
-        #: (with its collected profile) across :meth:`set_profile` toggles
-        #: so a report after ``set_profile(False)`` still works.
-        self.profiler: Optional[SamplingProfiler] = None
         #: The query log; ``None`` until enabled via the ``query_log``
         #: ctor parameter or :meth:`set_query_log`.
         self.query_log: Optional[QueryLog] = None
         self._query_log_on = False
         if trace:
             self.set_trace(True)
-        if profile:
-            self.set_profile(True)
         if query_log is not None and query_log is not False:
             if isinstance(query_log, QueryLog):
                 self.query_log = query_log
@@ -218,11 +206,6 @@ class Database:
             self._trace_on = bool(enabled)
             for view in self._stream_views.values():
                 view.batcher.tracer = self._live_tracer()
-            if self.profiler is not None:
-                # Span attribution follows the *active* tracer: samples
-                # stop carrying span prefixes the moment tracing is
-                # turned off.
-                self.profiler.tracer = self._live_tracer()
 
     def export_trace(self, path: str) -> int:
         """Dump buffered spans to ``path``; returns the span count.
@@ -237,57 +220,6 @@ class Database:
         if str(path).endswith(".jsonl"):
             return self.tracer.to_jsonl(path)
         return self.tracer.to_chrome_trace_file(path)
-
-    @property
-    def profile_enabled(self) -> bool:
-        return self.profiler is not None and self.profiler.running
-
-    def set_profile(self, enabled: bool = True, *,
-                    interval_s: Optional[float] = None,
-                    mode: str = "thread") -> None:
-        """Start/stop the sampling profiler for subsequent executions.
-
-        The profiler samples collapsed Python stacks in the background
-        (see :class:`~repro.obs.profile.SamplingProfiler`); with tracing
-        also enabled, samples are attributed to the live span path, and
-        partition-parallel queries fold worker-process samples back into
-        one profile.  The collected profile accumulates across toggles —
-        use :meth:`clear_profile` to reset it.
-        """
-        if enabled:
-            if self.profiler is None:
-                kwargs: Dict[str, Any] = {"mode": mode}
-                if interval_s is not None:
-                    kwargs["interval_s"] = interval_s
-                self.profiler = SamplingProfiler(
-                    tracer=self._live_tracer(), **kwargs
-                )
-            self.profiler.tracer = self._live_tracer()
-            if not self.profiler.running:
-                self.profiler.start()
-        elif self.profiler is not None and self.profiler.running:
-            self.profiler.stop()
-
-    def clear_profile(self) -> None:
-        if self.profiler is not None:
-            self.profiler.clear()
-
-    def profile_report(self, top: int = 15) -> str:
-        """Human-readable profile summary (per-span and hottest frames)."""
-        if self.profiler is None:
-            raise PlanningError(
-                "profiling was never enabled on this Database"
-            )
-        return self.profiler.report(top=top)
-
-    def export_profile(self, path: str) -> int:
-        """Write the collected profile as flamegraph "folded" lines;
-        returns the number of distinct stacks written."""
-        if self.profiler is None:
-            raise PlanningError(
-                "profiling was never enabled on this Database"
-            )
-        return self.profiler.to_folded_file(path)
 
     @property
     def query_log_enabled(self) -> bool:
@@ -334,11 +266,15 @@ class Database:
             if self.tracer is not None:
                 extra["trace_spans_retained"] = float(len(self.tracer))
                 extra["trace_spans_dropped"] = float(self.tracer.dropped)
+            # One atomic copy (dict -> list runs no Python code): without
+            # the statement lock another thread may CREATE/DROP a view
+            # mid-scrape, and iterating the live dict would then raise.
+            views = list(self._stream_views.items())  # sgblint: disable=SGB007 -- same snapshot-over-consistency tradeoff as below
             return prometheus_text(
                 self._metrics,  # sgblint: disable=SGB007 -- deliberately under _metrics_lock only: scrapes must not queue behind a long query holding the statement lock
                 streams={
                     name: view.stats  # stats reads are point-in-time
-                    for name, view in self._stream_views.items()  # sgblint: disable=SGB007 -- same snapshot-over-consistency tradeoff as above
+                    for name, view in views
                 },
                 extra_counters=extra,
             )
@@ -543,16 +479,15 @@ class Database:
                  analyze: bool = False) -> QueryContext:
         """The query context of one SELECT-shaped statement.
 
-        Every entry point carries the caller's token, the tracer while
-        tracing is on and the profiler while it runs; ``analyze`` (the
-        ``analyze()`` / ``explain_analyze()`` methods and the EXPLAIN
-        ANALYZE statement) additionally keeps per-node metrics and
-        samples memory even when tracing is off.
+        Every entry point carries the caller's token and the tracer while
+        tracing is on; ``analyze`` (the ``analyze()`` /
+        ``explain_analyze()`` methods and the EXPLAIN ANALYZE statement)
+        additionally keeps per-node metrics and samples memory even when
+        tracing is off.
         """
         return QueryContext(
             cancel=cancel,
             tracer=self._live_tracer(),
-            profiler=self.profiler if self.profile_enabled else None,
             collect=analyze,
             memory=analyze,
         )
@@ -587,8 +522,8 @@ class Database:
                 self._metrics.merge(totals)
         if self._query_log_on and self.query_log is not None:
             self.query_log.record_query(
-                sql, plan, actual_rows=len(rows), latency_s=latency_s,
-                counters=totals.counters,
+                sql, plan_metrics(plan, ctx), actual_rows=len(rows),
+                latency_s=latency_s, counters=totals.counters,
             )
         return rows
 

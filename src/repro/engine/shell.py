@@ -191,8 +191,6 @@ class Shell:
             return self._stream(parts[1:])
         if head == "\\trace":
             return self._trace(parts[1:])
-        if head == "\\profile":
-            return self._profile(parts[1:])
         if head == "\\querylog":
             return self._querylog(parts[1:])
         if head == "\\metrics":
@@ -211,8 +209,6 @@ class Shell:
                 "\\stream ...  incremental SGB views "
                 "(\\stream for usage)\n"
                 "\\trace ...   span tracing: on | off | dump <path>\n"
-                "\\profile ... sampling profiler: on | off | report | "
-                "dump <path>\n"
                 "\\querylog .. query log: on [path] | off | drift "
                 "(\\querylog for recent)\n"
                 "\\metrics     Prometheus text snapshot of engine metrics\n"
@@ -300,48 +296,6 @@ class Shell:
             except (ReproError, OSError) as exc:
                 return f"ERROR: {exc}"
             return f"Wrote {n} span(s) to {args[1]}."
-        return usage
-
-    def _profile(self, args: List[str]) -> str:
-        """Control the embedded database's sampling profiler."""
-        usage = (
-            "usage: \\profile              show profiler state\n"
-            "       \\profile on|off      start / stop sampling\n"
-            "       \\profile report      per-span and hot-frame summary\n"
-            "       \\profile clear       drop collected samples\n"
-            "       \\profile dump <path> write flamegraph folded stacks"
-        )
-        if not args:
-            prof = self.db.profiler
-            if prof is None:
-                return "Profiling is off (never enabled)."
-            state = "on" if prof.running else "off"
-            return (
-                f"Profiling is {state} ({prof.samples} samples, "
-                f"{len(prof.counts)} distinct stacks, mode={prof.mode})."
-            )
-        if args[0] == "on":
-            self.db.set_profile(True)
-            return "Profiling is on."
-        if args[0] == "off":
-            self.db.set_profile(False)
-            return "Profiling is off."
-        if args[0] == "report":
-            try:
-                return self.db.profile_report()
-            except ReproError as exc:
-                return f"ERROR: {exc}"
-        if args[0] == "clear":
-            self.db.clear_profile()
-            return "Profile cleared."
-        if args[0] == "dump":
-            if len(args) != 2:
-                return usage
-            try:
-                n = self.db.export_profile(args[1])
-            except (ReproError, OSError) as exc:
-                return f"ERROR: {exc}"
-            return f"Wrote {n} folded stack(s) to {args[1]}."
         return usage
 
     def _querylog(self, args: List[str]) -> str:

@@ -12,9 +12,8 @@ Three layers, cheapest first:
 :mod:`repro.obs.explain` holds the per-statement query context and
 the plan record behind ``EXPLAIN ANALYZE``; :mod:`repro.obs.export`
 renders one Prometheus text-format snapshot over all of it;
-:mod:`repro.obs.profile` samples collapsed stacks attributed to the
-tracer's spans (flamegraph/folded export); :mod:`repro.obs.querylog`
-records executed queries with plan fingerprints and flags estimate drift.
+:mod:`repro.obs.querylog` renders that plan record as one query-log row
+per SELECT (plan fingerprint, estimate vs. actual rows, drift flag).
 """
 
 from repro.obs.explain import (
@@ -26,7 +25,6 @@ from repro.obs.explain import (
     render_analyze,
 )
 from repro.obs.export import parse_prometheus_text, prometheus_text
-from repro.obs.profile import SamplingProfiler
 from repro.obs.querylog import QueryLog, QueryRecord, plan_fingerprint
 from repro.obs.hist import (
     BUCKET_BOUNDS_S,
@@ -61,7 +59,6 @@ __all__ = [
     "QueryLog",
     "QueryRecord",
     "SGB_COUNTER_FIELDS",
-    "SamplingProfiler",
     "SpanRecord",
     "TraceSpan",
     "Tracer",

@@ -1,9 +1,9 @@
 """The per-statement query context and the plan record it produces.
 
 Every SELECT-shaped statement runs the same way: the Database builds one
-:class:`QueryContext` — cancel token, tracer, running profiler, and
-whether to keep per-node accounting and sample memory — and binds it to
-the freshly planned tree.  Every
+:class:`QueryContext` — cancel token, tracer, and whether to keep
+per-node accounting and sample memory — and binds it to the freshly
+planned tree.  Every
 :class:`~repro.engine.executor.base.PhysicalOperator` funnels its
 iteration through ``__iter__``, which hands its raw iterator to
 :meth:`QueryContext.record`: one generator per node per pass that checks
@@ -30,7 +30,6 @@ from repro.obs.trace import NULL_TRACE_SPAN, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; obs imports no engine code
     from repro.core.cancel import CancelToken
-    from repro.obs.profile import SamplingProfiler
 
 
 class memory_tracking:
@@ -38,7 +37,7 @@ class memory_tracking:
 
     Starts tracemalloc on entry if (and only if) it was not already
     running, and stops it again on exit in that case — so nesting, or a
-    caller that profiles allocations themselves, is safe.  A
+    caller that traces allocations themselves, is safe.  A
     :class:`QueryContext` with ``memory=True`` samples peaks only while
     tracing is active, so wrapping the execution in this context is what
     turns the ``mem_peak`` column on.
@@ -127,9 +126,6 @@ class QueryContext:
     ``tracer``
         :class:`~repro.obs.trace.Tracer` or None; every node pass, SGB
         phase and worker partition emits a span into it.
-    ``profiler``
-        A running :class:`~repro.obs.profile.SamplingProfiler` or None;
-        parallel dispatch ships its context to the workers.
     ``collect``
         Keep a :class:`NodeMetrics` per node (always on when tracing, so
         traced queries feed the cumulative counters).
@@ -143,16 +139,13 @@ class QueryContext:
     so nothing is ever unbound.
     """
 
-    __slots__ = ("cancel", "tracer", "profiler", "collect", "memory",
-                 "nodes", "wraps")
+    __slots__ = ("cancel", "tracer", "collect", "memory", "nodes", "wraps")
 
     def __init__(self, cancel: "Optional[CancelToken]" = None,
                  tracer: Optional[Tracer] = None,
-                 profiler: "Optional[SamplingProfiler]" = None,
                  collect: bool = False, memory: bool = False) -> None:
         self.cancel: "Optional[CancelToken]" = cancel
         self.tracer = tracer
-        self.profiler = profiler
         self.collect = collect or tracer is not None
         self.memory = memory
         self.nodes: Dict[Any, NodeMetrics] = {}
@@ -260,12 +253,21 @@ UNBOUND = QueryContext()
 
 def plan_metrics(plan, ctx: QueryContext) -> Dict[str, Any]:
     """The plan-shaped record of one run: a nested JSON-ready dict with,
-    per node, the planner's estimate and (for a collecting ``ctx``) what
-    the node actually did."""
+    per node, the planner's estimate, the SGB strategy decision where the
+    node made one, and (for a collecting ``ctx``) what the node actually
+    did.  Everything downstream — ``EXPLAIN ANALYZE`` text,
+    ``metrics_json()``, the query-log row — renders this record; nothing
+    else in :mod:`repro.obs` walks a plan."""
     nodes = ctx.nodes
 
     def walk(node) -> Dict[str, Any]:
         out: Dict[str, Any] = {"node": node.describe()}
+        strategy = getattr(node, "strategy", None)
+        if isinstance(strategy, str):
+            choice = getattr(node, "choice", None)
+            out["strategy"] = strategy
+            out["strategy_source"] = \
+                choice.source if choice is not None else "config"
         est = node._estimate
         if est is not None:
             out["estimate"] = est.render()

@@ -1,23 +1,24 @@
 """Prometheus text-format export for the engine's metrics.
 
-One snapshot (:func:`prometheus_text`) unifies three collections under a
-single name scheme:
+One writer renders every snapshot as a sequence of *sections* — one
+bag's worth of counters and histograms under one label set:
 
-* the flat :class:`~repro.obs.metrics.MetricBag` counters — SGB operator
-  counters (``SGB_COUNTER_FIELDS``) become ``repro_sgb_<name>_total``,
-  executor counters (``EXEC_COUNTER_FIELDS``) ``repro_exec_<name>_total``,
-  anything else ``repro_<name>_total``;
-* the bag's latency histograms — ``repro_<name>_seconds`` with cumulative
+* flat counters — SGB operator counters (``SGB_COUNTER_FIELDS``) become
+  ``repro_sgb_<name>_total``, executor counters (``EXEC_COUNTER_FIELDS``)
+  ``repro_exec_<name>_total``, anything else ``repro_<name>_total``;
+* latency histograms — ``repro_<name>_seconds`` with cumulative
   ``_bucket{le="..."}`` series, ``_sum`` and ``_count`` (the ``le``
-  boundaries are the fixed log-bucket scheme of :mod:`repro.obs.hist`);
-* per-view streaming counters (:class:`~repro.streaming.stats.StreamStats`)
-  — the *same* ``repro_sgb_*`` series, distinguished by the ``source``
-  label (``source="batch"`` vs ``source="stream:<view>"``), because they
-  deliberately share one counter vocabulary.
+  boundaries are the fixed log-bucket scheme of :mod:`repro.obs.hist`).
 
-Every ``SGB_COUNTER_FIELDS`` / ``EXEC_COUNTER_FIELDS`` counter and every
-``HISTOGRAM_FIELDS`` histogram is emitted even at zero, so a scrape target
-exposes a stable series set from the first scrape.
+The engine snapshot (:func:`prometheus_text`) is three kinds of section:
+the cumulative :class:`~repro.obs.metrics.MetricBag`
+(``source="batch"``), one per stream view's
+:class:`~repro.streaming.stats.StreamStats` (the *same* ``repro_sgb_*``
+series under ``source="stream:<view>"``, because they deliberately share
+one counter vocabulary) and the unlabelled process extras; the service's
+``/metrics`` section (:func:`prometheus_text_for_bag`) is one more.
+Every name in a section's vocabulary is emitted even at zero, so a scrape
+target exposes a stable series set from the first scrape.
 
 :func:`parse_prometheus_text` is a minimal exposition-format parser used
 by the round-trip tests and the CI smoke check — not a full Prometheus
@@ -27,7 +28,7 @@ client, but enough to read back everything this module writes.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.obs.hist import HISTOGRAM_FIELDS, LatencyHistogram
 from repro.obs.metrics import (
@@ -78,10 +79,6 @@ def counter_metric_name(counter: str) -> str:
     return f"{NAMESPACE}_{counter}_total"
 
 
-def timing_metric_name(timing: str) -> str:
-    return f"{NAMESPACE}_{timing}_seconds_total"
-
-
 def histogram_metric_name(hist: str) -> str:
     name = hist
     for suffix in ("_latency", "_seconds", "_time"):
@@ -92,31 +89,75 @@ def histogram_metric_name(hist: str) -> str:
 
 
 class _Writer:
+    """The one exposition writer.
+
+    Counter and gauge lines come out in call order; histogram lines are
+    held back and follow them, so a snapshot made of several sections
+    still lists every counter before the first bucket series.  HELP/TYPE
+    headers are written the first time a series name appears.
+    """
+
     def __init__(self) -> None:
-        self.lines: List[str] = []
-        self._typed: Dict[str, str] = {}
+        self._lines: List[str] = []
+        self._hist_lines: List[str] = []
+        self._typed: Set[str] = set()
 
-    def header(self, name: str, mtype: str, help_text: str) -> None:
+    def _header(self, lines: List[str], name: str, mtype: str,
+                help_text: str) -> None:
         if name not in self._typed:
-            self._typed[name] = mtype
-            self.lines.append(f"# HELP {name} {help_text}")
-            self.lines.append(f"# TYPE {name} {mtype}")
+            self._typed.add(name)
+            lines.append(f"# HELP {name} {help_text}")
+            lines.append(f"# TYPE {name} {mtype}")
 
-    def sample(self, name: str, labels: Mapping[str, str],
-               value: float) -> None:
-        self.lines.append(f"{name}{_labels(labels)} {_fmt_value(value)}")
+    def sample(self, name: str, mtype: str, help_text: str,
+               labels: Mapping[str, str], value: float) -> None:
+        """One counter or gauge line (with its header on first use)."""
+        self._header(self._lines, name, mtype, help_text)
+        self._lines.append(f"{name}{_labels(labels)} {_fmt_value(value)}")
 
+    def section(self, counters: Mapping[str, float],
+                histograms: Optional[Mapping[str, LatencyHistogram]] = None,
+                *, labels: Optional[Mapping[str, str]] = None,
+                counter_names: Tuple[str, ...] = (),
+                histogram_names: Tuple[str, ...] = (),
+                kind: str = "Counter") -> None:
+        """One bag under one label set: every name of the two
+        vocabularies (zero / empty when the bag lacks it), then the
+        bag's other entries sorted by name.  ``kind`` words the HELP
+        line of counters outside the SGB / executor vocabulary."""
+        labels = labels or {}
+        histograms = histograms or {}
+        for counter in (*counter_names,
+                        *sorted(set(counters) - set(counter_names))):
+            if counter in SGB_COUNTER_FIELDS:
+                help_kind = "SGB operator counter"
+            elif counter in EXEC_COUNTER_FIELDS:
+                help_kind = "Executor counter"
+            else:
+                help_kind = kind
+            self.sample(counter_metric_name(counter), "counter",
+                        f"{help_kind} '{counter}'.", labels,
+                        counters.get(counter, 0))
+        lines = self._hist_lines
+        for hist_name in (*histogram_names,
+                          *sorted(set(histograms) - set(histogram_names))):
+            hist = histograms.get(hist_name)
+            if hist is None:
+                hist = LatencyHistogram()
+            name = histogram_metric_name(hist_name)
+            self._header(lines, name, "histogram",
+                         "Latency distribution (fixed base-2 log buckets).")
+            for bound, cumulative in hist.bucket_items():
+                bucket_labels = {**labels, "le": _fmt_value(bound)}
+                lines.append(f"{name}_bucket{_labels(bucket_labels)} "
+                             f"{_fmt_value(cumulative)}")
+            lines.append(f"{name}_sum{_labels(labels)} "
+                         f"{_fmt_value(hist.sum_s)}")
+            lines.append(f"{name}_count{_labels(labels)} "
+                         f"{_fmt_value(hist.count)}")
 
-def _emit_histogram(w: _Writer, name: str, hist: LatencyHistogram,
-                    labels: Mapping[str, str]) -> None:
-    w.header(name, "histogram",
-             "Latency distribution (fixed base-2 log buckets).")
-    for bound, cumulative in hist.bucket_items():
-        sample_labels = dict(labels)
-        sample_labels["le"] = _fmt_value(bound)
-        w.sample(f"{name}_bucket", sample_labels, cumulative)
-    w.sample(f"{name}_sum", labels, hist.sum_s)
-    w.sample(f"{name}_count", labels, hist.count)
+    def text(self) -> str:
+        return "\n".join(self._lines + self._hist_lines) + "\n"
 
 
 def prometheus_text(
@@ -124,7 +165,7 @@ def prometheus_text(
     streams: Optional[Mapping[str, Any]] = None,
     extra_counters: Optional[Mapping[str, float]] = None,
 ) -> str:
-    """Render one Prometheus text-format snapshot.
+    """Render the engine's Prometheus text-format snapshot.
 
     ``bag`` is the engine's cumulative metric bag; ``streams`` maps view
     names to their :class:`~repro.streaming.stats.StreamStats` (duck-typed:
@@ -133,56 +174,19 @@ def prometheus_text(
     queries executed, trace spans dropped).
     """
     w = _Writer()
-
-    # -- counters: full SGB/EXEC vocabulary first, extras after ------------
-    for counter in SGB_COUNTER_FIELDS:
-        name = counter_metric_name(counter)
-        w.header(name, "counter", f"SGB operator counter '{counter}'.")
-        w.sample(name, {"source": _BATCH_SOURCE}, bag.get(counter))
-    for counter in EXEC_COUNTER_FIELDS:
-        name = counter_metric_name(counter)
-        w.header(name, "counter", f"Executor counter '{counter}'.")
-        w.sample(name, {"source": _BATCH_SOURCE}, bag.get(counter))
-    vocabulary = set(SGB_COUNTER_FIELDS) | set(EXEC_COUNTER_FIELDS)
-    for counter in sorted(set(bag.counters) - vocabulary):
-        name = counter_metric_name(counter)
-        w.header(name, "counter", f"Engine counter '{counter}'.")
-        w.sample(name, {"source": _BATCH_SOURCE}, bag.get(counter))
-    for counter, value in sorted((extra_counters or {}).items()):
-        name = counter_metric_name(counter)
-        w.header(name, "counter", f"Process counter '{counter}'.")
-        w.sample(name, {}, value)
-
-    # -- streaming views: same vocabulary, labelled by source --------------
+    w.section(bag.counters, bag.histograms,
+              labels={"source": _BATCH_SOURCE},
+              counter_names=SGB_COUNTER_FIELDS + EXEC_COUNTER_FIELDS,
+              histogram_names=HISTOGRAM_FIELDS, kind="Engine counter")
+    w.section(extra_counters or {}, kind="Process counter")
     for view_name, stats in sorted((streams or {}).items()):
-        source = f"stream:{view_name}"
-        for counter in SGB_COUNTER_FIELDS:
-            name = counter_metric_name(counter)
-            w.header(name, "counter", f"SGB operator counter '{counter}'.")
-            w.sample(name, {"source": source}, getattr(stats, counter, 0))
-        name = timing_metric_name("ingest_wall")
-        w.header(name, "counter", "Accumulated wall time.")
-        w.sample(name, {"source": source},
+        source = {"source": f"stream:{view_name}"}
+        w.section({c: getattr(stats, c, 0) for c in SGB_COUNTER_FIELDS},
+                  labels=source, counter_names=SGB_COUNTER_FIELDS)
+        w.sample(f"{NAMESPACE}_ingest_wall_seconds_total", "counter",
+                 "Accumulated wall time.", source,
                  getattr(stats, "wall_time_s", 0.0))
-
-    # -- histograms: well-known set always present, extras after -----------
-    emitted = set()
-    for hist_name in HISTOGRAM_FIELDS:
-        hist = bag.histograms.get(hist_name)
-        _emit_histogram(w, histogram_metric_name(hist_name),
-                        hist if hist is not None else LatencyHistogram(),
-                        {"source": _BATCH_SOURCE})
-        emitted.add(hist_name)
-    for hist_name in sorted(set(bag.histograms) - emitted):
-        _emit_histogram(w, histogram_metric_name(hist_name),
-                        bag.histograms[hist_name],
-                        {"source": _BATCH_SOURCE})
-
-    return "\n".join(w.lines) + "\n"
-
-
-def gauge_metric_name(gauge: str) -> str:
-    return f"{NAMESPACE}_{gauge}"
+    return w.text()
 
 
 def prometheus_text_for_bag(
@@ -191,41 +195,21 @@ def prometheus_text_for_bag(
     histograms: Tuple[str, ...] = (),
     gauges: Optional[Mapping[str, float]] = None,
 ) -> str:
-    """Render one *labelled-vocabulary* bag as exposition text.
+    """Render one unlabelled bag against a caller-supplied vocabulary.
 
-    Unlike :func:`prometheus_text` — which is welded to the engine's
-    SGB/EXEC vocabulary and stream-view labelling — this renders an
-    arbitrary bag against a caller-supplied vocabulary: every name in
-    ``counters`` / ``histograms`` is emitted even at zero (stable series
-    set from the first scrape), bag entries outside the vocabulary are
-    appended after it, and ``gauges`` carries point-in-time values
-    (queue depth, in-flight requests) that don't belong in a monotonic
-    bag.  :mod:`repro.service` uses it for the service section of
-    ``GET /metrics``; the output parses with
-    :func:`parse_prometheus_text` just like the engine snapshot.
+    ``gauges`` carries point-in-time values (queue depth, in-flight
+    requests) that don't belong in a monotonic bag.  :mod:`repro.service`
+    uses it for the service section of ``GET /metrics``; the output
+    parses with :func:`parse_prometheus_text` just like the engine
+    snapshot.
     """
     w = _Writer()
-    for counter in counters:
-        name = counter_metric_name(counter)
-        w.header(name, "counter", f"Counter '{counter}'.")
-        w.sample(name, {}, bag.get(counter))
-    for counter in sorted(set(bag.counters) - set(counters)):
-        name = counter_metric_name(counter)
-        w.header(name, "counter", f"Counter '{counter}'.")
-        w.sample(name, {}, bag.get(counter))
+    w.section(bag.counters, bag.histograms,
+              counter_names=counters, histogram_names=histograms)
     for gauge, value in sorted((gauges or {}).items()):
-        name = gauge_metric_name(gauge)
-        w.header(name, "gauge", f"Gauge '{gauge}'.")
-        w.sample(name, {}, value)
-    for hist_name in histograms:
-        hist = bag.histograms.get(hist_name)
-        _emit_histogram(w, histogram_metric_name(hist_name),
-                        hist if hist is not None else LatencyHistogram(),
-                        {})
-    for hist_name in sorted(set(bag.histograms) - set(histograms)):
-        _emit_histogram(w, histogram_metric_name(hist_name),
-                        bag.histograms[hist_name], {})
-    return "\n".join(w.lines) + "\n"
+        w.sample(f"{NAMESPACE}_{gauge}", "gauge", f"Gauge '{gauge}'.", {},
+                 value)
+    return w.text()
 
 
 # ----------------------------------------------------------------------

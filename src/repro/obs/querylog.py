@@ -10,10 +10,15 @@ configured band marks the record as **drifted**, which is the concrete
 evidence the cost-based chooser needs before anyone trusts (or fixes)
 its estimates.
 
+A row is a rendering of the run's plan record
+(:func:`repro.obs.explain.plan_metrics`, the dict ``EXPLAIN ANALYZE``
+and ``metrics_json()`` also render): this module reads that record and
+never a plan node, so the three cannot disagree.
+
 Plan fingerprints
 -----------------
 :func:`plan_fingerprint` hashes the plan *shape*: every node's
-``describe()`` line at its tree depth, with the volatile
+``node`` line (its ``describe()``) at its tree depth, with the volatile
 ``strategy=<name>/<source>`` suffix stripped.  Two executions of the
 same logical plan therefore share a fingerprint even when the chooser
 picked different strategies (the strategy is recorded separately), so
@@ -61,37 +66,33 @@ def _strip_strategy(describe_line: str) -> str:
     return describe_line
 
 
-def plan_signature(plan) -> List[str]:
+def plan_signature(record: Dict[str, Any]) -> List[str]:
     """The structural signature lines a fingerprint is hashed from."""
     lines: List[str] = []
 
-    def walk(node, depth: int) -> None:
-        lines.append(f"{depth}:{_strip_strategy(node.describe())}")
-        for child in node.children():
+    def walk(rec: Dict[str, Any], depth: int) -> None:
+        lines.append(f"{depth}:{_strip_strategy(rec['node'])}")
+        for child in rec.get("children", ()):
             walk(child, depth + 1)
 
-    walk(plan, 0)
+    walk(record, 0)
     return lines
 
 
-def plan_fingerprint(plan) -> str:
-    """Stable 16-hex-digit fingerprint of the plan's structure."""
-    blob = "\n".join(plan_signature(plan)).encode("utf-8")
+def plan_fingerprint(record: Dict[str, Any]) -> str:
+    """Stable 16-hex-digit fingerprint of the recorded plan's structure."""
+    blob = "\n".join(plan_signature(record)).encode("utf-8")
     return hashlib.blake2b(blob, digest_size=8).hexdigest()
 
 
-def _plan_decision(plan) -> Tuple[str, str]:
-    """``(strategy, source)`` from the first SGB node in the plan."""
-    nodes = [plan]
-    while nodes:
-        node = nodes.pop(0)
-        strategy = getattr(node, "strategy", None)
-        if isinstance(strategy, str):
-            choice = getattr(node, "choice", None)
-            source = getattr(choice, "source", "") if choice is not None \
-                else "config"
-            return strategy, source
-        nodes.extend(node.children())
+def _plan_decision(record: Dict[str, Any]) -> Tuple[str, str]:
+    """``(strategy, source)`` of the first SGB node, breadth first."""
+    level = [record]
+    while level:
+        for rec in level:
+            if "strategy" in rec:
+                return rec["strategy"], rec["strategy_source"]
+        level = [kid for rec in level for kid in rec.get("children", ())]
     return "", ""
 
 
@@ -207,20 +208,21 @@ class QueryLog:
         self.drifted = 0
 
     # -- recording ---------------------------------------------------------
-    def record_query(self, sql: str, plan, actual_rows: int,
-                     latency_s: float,
+    def record_query(self, sql: str, record: Dict[str, Any],
+                     actual_rows: int, latency_s: float,
                      counters: Optional[Dict[str, float]] = None
                      ) -> QueryRecord:
-        """Build, store, and return the record for one executed plan.
+        """Build, store, and return the log row for one executed plan.
 
         The caller (the Database) supplies what only it knows — the SQL,
-        the executed plan, the row count, and the latency it measured
-        with its monotonic clock; everything else (fingerprint, estimate
-        extraction, drift classification, wall timestamp) happens here.
+        the run's :func:`~repro.obs.explain.plan_metrics` record, the
+        row count, the latency it measured with its monotonic clock and
+        the statement's counter totals; everything else (fingerprint,
+        root, estimates, drift classification, wall timestamp) is read
+        off the record here.
         """
-        est = getattr(plan, "_estimate", None)
-        est_rows = est.rows_int if est is not None else None
-        est_cost = est.total_cost if est is not None else None
+        est_rows = record.get("estimated_rows")
+        est_cost = record.get("estimated_cost", {}).get("total")
         ratio: Optional[float] = None
         drift = False
         if est_rows is not None:
@@ -229,12 +231,12 @@ class QueryLog:
             ratio = max(actual_rows, 1) / max(est_rows, 1)
             low, high = self.band
             drift = ratio < low or ratio > high
-        strategy, source = _plan_decision(plan)
-        record = QueryRecord(
+        strategy, source = _plan_decision(record)
+        row = QueryRecord(
             ts=time.time(),
             sql=" ".join(sql.split()),
-            fingerprint=plan_fingerprint(plan),
-            root=_strip_strategy(plan.describe()),
+            fingerprint=plan_fingerprint(record),
+            root=_strip_strategy(record["node"]),
             strategy=strategy,
             strategy_source=source,
             est_rows=est_rows,
@@ -245,8 +247,8 @@ class QueryLog:
             drift=drift,
             counters=dict(counters or {}),
         )
-        self.append(record)
-        return record
+        self.append(row)
+        return row
 
     def append(self, record: QueryRecord) -> None:
         with self._lock:

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 from collections import deque
 from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -207,10 +206,6 @@ class Tracer:
         self._root_parent = _root_parent
         self._id_prefix = _id_prefix
         self._current_trace: Optional[str] = _trace_id
-        #: Thread id of the last thread to enter a span — how the
-        #: sampling profiler attributes a sampled stack to the span
-        #: stack (the tracer itself stays single-threaded by design).
-        self.owner_thread: Optional[int] = None
 
     # -- worker-process propagation ----------------------------------------
     def context(self) -> Tuple[str, str]:
@@ -252,18 +247,6 @@ class Tracer:
     def span(self, name: str, **attrs: Any) -> TraceSpan:
         return TraceSpan(self, name, attrs)
 
-    def current_span_id(self) -> str:
-        return self._stack[-1].span_id if self._stack else ""
-
-    def span_path(self) -> Tuple[str, ...]:
-        """Live span names, outermost first (empty outside any span).
-
-        Safe to call from *other* threads (the sampling profiler does):
-        the stack is snapshotted first, so a concurrent enter/exit can
-        at worst mis-attribute one sample, never raise.
-        """
-        return tuple(s.name for s in tuple(self._stack))
-
     @property
     def depth(self) -> int:
         return len(self._stack)
@@ -282,7 +265,6 @@ class Tracer:
         self._next_span += 1
         span.span_id = f"{self._id_prefix}{self._next_span}"
         span._start = self._now()
-        self.owner_thread = threading.get_ident()
         self._stack.append(span)
 
     def _exit(self, span: TraceSpan) -> None:

@@ -11,7 +11,7 @@ behind two listeners:
   engine's Prometheus snapshot concatenated with the service-level
   counters, gauges, and latency histograms — and ``GET /status`` — a
   JSON operational summary: uptime, sessions, scheduler depth, the
-  profiler's state, and the query log's slow-query ring.
+  trace buffer's occupancy, and the query log's slow-query ring.
 
 Wire protocol (one JSON object per line; see docs/service.md):
 
@@ -159,20 +159,10 @@ class SGBService:
                 "inflight": self.scheduler.inflight,
             },
             "trace": {"enabled": db.trace_enabled},
-            "profiler": {"enabled": db.profile_enabled},
         }
         if db.tracer is not None:
             out["trace"]["spans_retained"] = len(db.tracer)
             out["trace"]["spans_dropped"] = db.tracer.dropped
-        prof = db.profiler
-        if prof is not None:
-            out["profiler"].update({
-                "running": prof.running,
-                "mode": prof.mode,
-                "interval_s": prof.interval_s,
-                "samples": prof.samples,
-                "distinct_stacks": len(prof.counts),
-            })
         if db.query_log is not None:
             out["query_log"] = db.query_log.status()
             out["query_log"]["enabled"] = db.query_log_enabled

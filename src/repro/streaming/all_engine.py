@@ -127,6 +127,8 @@ class StreamingSGBAll:
         stats = self.stats
         stats.points += 1
         stats.index_probes += 1
+        # Cumulative on the operator, like the CountingMetric tally below.
+        stats.candidates = op.candidates_examined
         delta = len(op._strategy.registry) - groups_before
         if delta >= 0:
             stats.groups_created += delta

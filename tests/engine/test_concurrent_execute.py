@@ -5,6 +5,7 @@ about *correctness under interleaving* — no torn catalog state, no
 cross-talk between results, counts that add up exactly.
 """
 
+import sys
 import threading
 
 import pytest
@@ -154,3 +155,53 @@ class TestConcurrentStatements:
         assert errors == []
         # Only the fixture's table remains.
         assert db.query("SELECT count(*) FROM pts").scalar() == 0
+
+    def test_metrics_scrape_survives_stream_view_ddl(self, db):
+        """``metrics_snapshot()`` runs under the metrics lock only (a
+        scrape must not queue behind a long statement), so it used to
+        iterate the live stream-view dict while another thread created
+        and dropped views: ``RuntimeError: dictionary changed size
+        during iteration`` inside a ``/metrics`` scrape."""
+        stop = threading.Event()
+        errors = []
+
+        def ddl() -> None:
+            try:
+                while not stop.is_set():
+                    db.create_stream_view("v", "pts", ["x", "y"], eps=1.0)
+                    db.drop_stream_view("v")
+            except Exception as exc:  # noqa: BLE001 - recorded, asserted
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        thread = threading.Thread(target=ddl)
+        thread.start()
+        try:
+            for _ in range(3000):
+                db.metrics_snapshot()
+        finally:
+            stop.set()
+            thread.join(timeout=60.0)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert errors == []
+
+    def test_metrics_scrape_does_not_wait_on_the_statement_lock(self, db):
+        held = threading.Event()
+        release = threading.Event()
+
+        def statement() -> None:
+            with db._lock:
+                held.set()
+                release.wait(timeout=30.0)
+
+        thread = threading.Thread(target=statement)
+        thread.start()
+        try:
+            assert held.wait(timeout=10.0)
+            assert "repro_queries_total" in db.metrics_snapshot()
+        finally:
+            release.set()
+            thread.join(timeout=30.0)
+        assert not thread.is_alive()

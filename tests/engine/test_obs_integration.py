@@ -1,20 +1,15 @@
-"""Database-level profiling and query-log integration.
+"""Database-level query-log integration.
 
-Covers the wiring the unit tests cannot: ``Database(profile=,
-query_log=)`` construction, profiled queries attributing samples under
-query spans (including samples shipped back from ``parallel=`` worker
-processes), drift records produced by a skewed workload and surfaced by
-fingerprint through the CLI, and the shell's ``\\profile`` /
-``\\querylog`` meta-commands.
+Covers the wiring the unit tests cannot: ``Database(query_log=)``
+construction, log rows that agree with the run's plan record, drift
+records produced by a skewed workload and surfaced by fingerprint
+through the CLI, and the shell's ``\\querylog`` meta-command.
 """
 
 import json
 
-import pytest
-
 from repro.engine.database import Database
 from repro.engine.shell import Shell
-from repro.errors import PlanningError
 from repro.obs.querylog import QueryLog, main as querylog_main
 
 SGB_SQL = ("SELECT count(*) FROM pts GROUP BY x, y "
@@ -35,92 +30,6 @@ def make_db(n=400, **kwargs) -> Database:
                      cluster * 10.0 + (i % 5) * 0.05))
     db.insert("pts", rows)
     return db
-
-
-class TestDatabaseProfiler:
-    def test_off_by_default(self):
-        db = Database()
-        assert db.profiler is None
-        assert not db.profile_enabled
-        with pytest.raises(PlanningError):
-            db.profile_report()
-        with pytest.raises(PlanningError):
-            db.export_profile("/tmp/never-written.folded")
-
-    def test_profiled_query_attributes_samples_to_spans(self):
-        db = make_db(trace=True, profile=True)
-        db.set_profile(True, interval_s=0.0005)
-        try:
-            for _ in range(3):
-                db.query(SGB_SQL)
-            prof = db.profiler
-            assert prof.samples > 0
-            span_frames = {
-                frame for stack in prof.counts for frame in stack
-                if frame.startswith("span:")
-            }
-            assert "span:query" in span_frames
-        finally:
-            db.set_profile(False)
-
-    def test_profile_without_trace_still_samples(self):
-        db = make_db(profile=True)
-        db.set_profile(True, interval_s=0.0005)
-        try:
-            for _ in range(3):
-                db.query(SGB_SQL)
-            assert db.profiler.samples > 0
-        finally:
-            db.set_profile(False)
-
-    def test_set_profile_toggle_keeps_samples(self, tmp_path):
-        db = make_db(trace=True, profile=True)
-        db.set_profile(True, interval_s=0.0005)
-        for _ in range(3):
-            db.query(SGB_SQL)
-        db.set_profile(False)
-        assert not db.profile_enabled
-        collected = db.profiler.samples
-        assert collected > 0
-        db.query(SGB_SQL)  # unprofiled: no new samples
-        assert db.profiler.samples == collected
-        report = db.profile_report(top=3)
-        assert "samples" in report
-        path = tmp_path / "profile.folded"
-        n = db.export_profile(str(path))
-        assert n == len(path.read_text().splitlines()) > 0
-        db.clear_profile()
-        assert db.profiler.samples == 0
-
-    def test_parallel_worker_samples_fold_under_dispatch_prefix(self):
-        # Satellite: worker processes run their own sampler; the shipped
-        # states must fold back under the dispatch-side span path, so a
-        # flamegraph of a parallel query still hangs off span:query.
-        db = make_db(n=600, parallel=2, trace=True, profile=True)
-        db.set_profile(True, interval_s=0.0002)
-        try:
-            for _ in range(3):
-                db.query(PARTITIONED_SQL)
-            prof = db.profiler
-            worker_stacks = [
-                stack for stack in prof.counts
-                if any("parallel.py" in f and f.endswith(":run_partition")
-                       for f in stack)
-            ]
-            assert worker_stacks, "no worker samples were folded back"
-            for stack in worker_stacks:
-                assert stack[0] == "span:query"
-        finally:
-            db.set_profile(False)
-
-    def test_parallel_profiled_results_match_unprofiled(self):
-        profiled = make_db(n=600, parallel=2, profile=True)
-        plain = make_db(n=600, parallel=2)
-        try:
-            assert profiled.query(PARTITIONED_SQL).rows == \
-                plain.query(PARTITIONED_SQL).rows
-        finally:
-            profiled.set_profile(False)
 
 
 class TestDatabaseQueryLog:
@@ -175,6 +84,26 @@ class TestDatabaseQueryLog:
         rec = db.query_log.recent(1)[0]
         assert rec.counters.get("points") == 400
 
+    def test_log_row_is_a_rendering_of_the_plan_record(self):
+        """Row, EXPLAIN ANALYZE and ``metrics_json()`` read one record:
+        the row's root, estimates, strategy and counters are that
+        record's, for a serial and a pool run alike."""
+        for parallel in (1, 2):
+            db = make_db(parallel=parallel, query_log=True)
+            res = db.analyze(PARTITIONED_SQL)
+            row = db.query_log.recent(1)[0]
+            top = res.metrics
+            assert row.root == top["node"]
+            assert row.est_rows == top["estimated_rows"]
+            assert row.est_cost == top["estimated_cost"]["total"]
+            assert row.actual_rows == top["rows"] == len(res.rows)
+            sgb = top["children"][0]
+            assert (row.strategy, row.strategy_source) == \
+                (sgb["strategy"], sgb["strategy_source"])
+            assert f"strategy={row.strategy}/{row.strategy_source}" \
+                in sgb["node"]
+            assert row.counters == res.node_counters()
+
     def test_skewed_workload_drifts_and_cli_surfaces_it(self, tmp_path,
                                                         capsys):
         # The acceptance scenario: a skewed dataset the uniform-density
@@ -205,25 +134,6 @@ class TestDatabaseQueryLog:
 
 
 class TestShellObsCommands:
-    def test_profile_cycle(self, tmp_path):
-        sh = Shell(make_db())
-        assert "off" in sh.feed("\\profile")
-        assert "on" in sh.feed("\\profile on")
-        sh.feed(SGB_SQL + ";")
-        sh.feed(SGB_SQL + ";")
-        assert "off" in sh.feed("\\profile off")
-        out = sh.feed("\\profile report")
-        assert "samples" in out
-        path = tmp_path / "shell.folded"
-        assert "Wrote" in sh.feed(f"\\profile dump {path}")
-        assert path.exists()
-        sh.feed("\\profile clear")
-        assert "usage" in sh.feed("\\profile bogus")
-
-    def test_profile_report_before_enable_is_error(self):
-        sh = Shell()
-        assert sh.feed("\\profile report").startswith("ERROR:")
-
     def test_querylog_cycle(self, tmp_path):
         path = tmp_path / "ql.jsonl"
         sh = Shell(make_db())
@@ -238,4 +148,4 @@ class TestShellObsCommands:
 
     def test_help_mentions_obs_commands(self):
         out = Shell().feed("\\help")
-        assert "\\profile" in out and "\\querylog" in out
+        assert "\\trace" in out and "\\querylog" in out

@@ -167,9 +167,9 @@ class TestUnboundPlanRunsBare:
 
 class TestObservabilityOffLeavesNothingOnThePlan:
     """"Off is free", as structure rather than a wall-clock ratio: with
-    tracing off, or a profiler that ran and was stopped, a statement's
-    context holds no recorder, no ``NodeMetrics``, no bag and no profiler,
-    so every node hands back ``_execute``'s own iterator."""
+    tracing off a statement's context holds no recorder, no
+    ``NodeMetrics`` and no bag, so every node hands back ``_execute``'s
+    own iterator — and the context has no slot to carry anything else."""
 
     def test_untraced_statement_allocates_no_node_metrics(self):
         db = make_db(parallel=1, trace=False)
@@ -177,19 +177,13 @@ class TestObservabilityOffLeavesNothingOnThePlan:
         ctx = db._context(None)
         ctx.bind(plan)
         assert ctx.nodes == {} and not ctx.wraps
-        assert ctx.tracer is None and ctx.profiler is None
+        assert ctx.tracer is None
         assert all(ctx.bag_of(node) is None for node in nodes_of(plan))
         assert not any(goes_through_recorder(n) for n in nodes_of(plan))
 
-    def test_stopped_profiler_is_not_handed_to_the_next_statement(self):
-        db = make_db(parallel=1, trace=False)
-        db.set_profile(True)
-        try:
-            assert db._context(None).profiler is db.profiler
-        finally:
-            db.set_profile(False)
-        assert not db.profiler.running
-        assert db._context(None).profiler is None
+    def test_context_carries_six_things(self):
+        assert QueryContext.__slots__ == (
+            "cancel", "tracer", "collect", "memory", "nodes", "wraps")
 
 
 #: 120 rows x 10 ms under the SGB node: ~1.2 s of spooling if left alone.

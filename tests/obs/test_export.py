@@ -1,6 +1,7 @@
 """Prometheus text exporter: naming, stability, and parser round-trip."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +10,7 @@ from repro.obs.export import (
     histogram_metric_name,
     parse_prometheus_text,
     prometheus_text,
-    timing_metric_name,
+    prometheus_text_for_bag,
 )
 from repro.obs.hist import HISTOGRAM_FIELDS
 from repro.obs.metrics import (
@@ -28,9 +29,49 @@ class TestNaming:
         assert counter_metric_name("queries") == "repro_queries_total"
 
     def test_timing_and_histogram_names(self):
-        assert timing_metric_name("ingest") == "repro_ingest_seconds_total"
+        text = prometheus_text(MetricBag(), streams={"sv": StreamStats()})
+        assert 'repro_ingest_wall_seconds_total{source="stream:sv"} 0' \
+            in text.splitlines()
         assert histogram_metric_name("probe_latency") == \
             "repro_probe_latency_seconds"
+
+
+class TestGoldenBody:
+    def test_metrics_body_is_byte_identical(self):
+        """A whole ``/metrics`` body — engine snapshot (batch bag, two
+        stream views, process extras) plus the service section — against
+        ``metrics_golden.txt``, written by the exporter as it stood when
+        it had two renderers.  ``benchmarks/e2e/layers.py`` parses this
+        text; line order and HELP wording are part of the contract."""
+        bag = MetricBag()
+        bag.incr("points", 12)
+        bag.incr("candidates", 40)
+        bag.incr("rows_spooled", 12)
+        bag.incr("zz_other", 2)
+        bag.observe("probe_latency", 0.0005)
+        bag.observe("probe_latency", 0.004)
+        bag.observe("custom_time", 0.25)
+        stats = StreamStats()
+        stats.points = stats.index_probes = 7
+        stats.groups_created = 3
+        stats.candidates = 11
+        stats.wall_time_s = 0.125
+        service = MetricBag()
+        service.incr("service_requests", 9)
+        service.incr("service_zz", 1)
+        service.observe("service_exec_latency", 0.002)
+        service.observe("other_time", 0.1)
+        body = prometheus_text(
+            bag, streams={"sv": stats, "a": StreamStats()},
+            extra_counters={"queries": 5, "trace_spans_dropped": 0},
+        ) + prometheus_text_for_bag(
+            service,
+            counters=("service_requests", "service_errors"),
+            histograms=("service_exec_latency", "service_request_latency"),
+            gauges={"service_inflight": 2.0, "service_queue_depth": 0.0},
+        )
+        golden = Path(__file__).with_name("metrics_golden.txt").read_text()
+        assert body == golden
 
 
 class TestSnapshot:
@@ -160,8 +201,6 @@ class TestParser:
         # _fmt_value switches to exponent notation at >= 1e15; the
         # parser must read that form back (satellite regression against
         # prometheus_text_for_bag output).
-        from repro.obs.export import prometheus_text_for_bag
-
         bag = MetricBag()
         bag.incr("service_requests", 10 ** 16)
         bag.observe("service_request_latency", 5e-4)

@@ -1,9 +1,14 @@
-"""Query log: fingerprints, drift detection, JSONL round-trip, CLI."""
+"""Query log: fingerprints, drift detection, JSONL round-trip, CLI.
+
+The log reads the run's ``plan_metrics`` record, never a plan node, so
+every case here feeds it through :func:`record_of`.
+"""
 
 import json
 
 import pytest
 
+from repro.obs.explain import UNBOUND, plan_metrics
 from repro.obs.querylog import (
     DEFAULT_BAND,
     QueryLog,
@@ -19,7 +24,11 @@ from repro.obs.querylog import (
 class FakeEstimate:
     def __init__(self, rows_int, total_cost=1.0):
         self.rows_int = rows_int
+        self.startup_cost = 0.0
         self.total_cost = total_cost
+
+    def render(self):
+        return f"rows={self.rows_int}"
 
 
 class FakeChoice:
@@ -38,8 +47,7 @@ class FakeNode:
             self.strategy = strategy
         if choice is not None:
             self.choice = choice
-        if estimate is not None:
-            self._estimate = estimate
+        self._estimate = estimate
 
     def describe(self):
         return self._desc
@@ -48,14 +56,19 @@ class FakeNode:
         return self._children
 
 
+def record_of(plan):
+    """The plan record the Database hands the log for ``plan``."""
+    return plan_metrics(plan, UNBOUND)
+
+
 def sgb_plan(strategy="grid", source="cost", est_rows=100):
     scan = FakeNode("SeqScan(pts)")
     sgb = FakeNode(
         f"SGBAny(eps=1.0) strategy={strategy}/{source}",
         children=[scan], strategy=strategy, choice=FakeChoice(source),
     )
-    return FakeNode("Project(count)", children=[sgb],
-                    estimate=FakeEstimate(est_rows))
+    return record_of(FakeNode("Project(count)", children=[sgb],
+                              estimate=FakeEstimate(est_rows)))
 
 
 class TestFingerprint:
@@ -74,13 +87,32 @@ class TestFingerprint:
         assert len(fp_grid) == 16
 
     def test_different_shapes_differ(self):
-        other = FakeNode("Project(count)",
-                         children=[FakeNode("SeqScan(other)")])
+        other = record_of(FakeNode("Project(count)",
+                                   children=[FakeNode("SeqScan(other)")]))
         assert plan_fingerprint(sgb_plan()) != plan_fingerprint(other)
+
+    def test_fingerprints_are_the_ones_older_logs_carry(self):
+        # Literals computed before the log read the plan record (when it
+        # walked the plan itself): JSONL written then still aggregates
+        # with JSONL written now.
+        other = record_of(FakeNode("Project(count)",
+                                   children=[FakeNode("SeqScan(other)")]))
+        assert plan_fingerprint(sgb_plan()) == "2a255f5e250c0842"
+        assert plan_fingerprint(other) == "5cdce9dc94fd213b"
+
+    def test_decision_is_the_first_sgb_node_breadth_first(self):
+        deep = FakeNode("SGBAll(eps=2.0) strategy=index/config",
+                        strategy="index", choice=FakeChoice("config"))
+        shallow = FakeNode("SGBAny(eps=1.0) strategy=grid", strategy="grid")
+        plan = FakeNode("Join", children=[
+            FakeNode("Filter", children=[deep]), shallow])
+        rec = QueryLog().record_query("q", record_of(plan), 1, 0.001)
+        # No planner choice on the node: the strategy came from config.
+        assert (rec.strategy, rec.strategy_source) == ("grid", "config")
 
     def test_strategy_suffix_with_following_text_not_stripped(self):
         # Only a trailing suffix is volatile; an interior mention stays.
-        node = FakeNode("Filter(strategy= x > 1)")
+        node = record_of(FakeNode("Filter(strategy= x > 1)"))
         assert plan_signature(node) == ["0:Filter(strategy= x > 1)"]
 
 
@@ -103,7 +135,7 @@ class TestDrift:
         assert rec.ratio == pytest.approx(1.0) and not rec.drift
 
     def test_no_estimate_means_no_ratio(self):
-        plan = FakeNode("SeqScan(pts)")
+        plan = record_of(FakeNode("SeqScan(pts)"))
         rec = QueryLog().record_query("q", plan, 50, 0.001)
         assert rec.est_rows is None and rec.ratio is None
         assert not rec.drift
@@ -194,9 +226,9 @@ def skewed_log_records():
                      sgb_plan("index", "cost", est_rows=10), 90, 0.004)
     for _ in range(3):
         log.record_query("SELECT * FROM uniform ...",
-                         FakeNode("Project(x)",
-                                  children=[FakeNode("SeqScan(u)")],
-                                  estimate=FakeEstimate(50)),
+                         record_of(FakeNode("Project(x)",
+                                            children=[FakeNode("SeqScan(u)")],
+                                            estimate=FakeEstimate(50))),
                          55, 0.002)
     return list(log.recent(100))[::-1]
 

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from repro.core.api import sgb_all
+from repro.core.sgb_all import SGBAllOperator
 from repro.errors import InvalidParameterError, StreamStateError
+from repro.obs.metrics import MetricBag
 from repro.streaming import StreamingSGBAll
 
 
@@ -107,6 +109,30 @@ class TestLifecycleAndStats:
         batch = sgb_all([(0, 0), (2, 0), (1, 0)], 1.0,
                         on_overlap="eliminate", metric="linf")
         assert snap == batch
+
+    @pytest.mark.parametrize("strategy", ["all-pairs", "bounds-checking",
+                                          "index"])
+    @pytest.mark.parametrize("clause", CLAUSES)
+    def test_counters_equal_the_batch_operators_bag(self, clause, strategy):
+        """Streaming SGB-All used to report ``candidates`` = 0 for every
+        strategy and clause.  After any prefix the stream's counters are
+        the batch operator's ``MetricBag`` over that prefix: same probes,
+        same entries examined, same clause bookkeeping."""
+        pts = random_points(300, seed=3, span=5.0)
+        eng = StreamingSGBAll(eps=0.3, on_overlap=clause, strategy=strategy,
+                              seed=2)
+        bag = MetricBag()
+        op = SGBAllOperator(eps=0.3, on_overlap=clause, strategy=strategy,
+                            seed=2, metrics=bag)
+        for i, p in enumerate(pts):
+            eng.insert(p)
+            op.add(p)
+            if i in (0, 149, 299):
+                for counter in ("points", "index_probes", "candidates",
+                                "groups_created", "eliminated", "deferred"):
+                    assert getattr(eng.stats, counter) == bag.get(counter), \
+                        (counter, i)
+        assert eng.stats.candidates > 0
 
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(InvalidParameterError):
