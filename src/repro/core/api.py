@@ -254,8 +254,8 @@ def sgb_stream(
     """Open an incremental SGB stream and return a micro-batching handle.
 
     The handle (:class:`~repro.streaming.micro_batch.MicroBatcher`) exposes
-    ``insert`` / ``extend`` / ``snapshot`` / ``result`` and records
-    per-batch :class:`~repro.streaming.stats.StreamStats`.  ``mode="any"``
+    ``insert`` / ``extend`` / ``snapshot`` / ``result`` and the engine's
+    cumulative :class:`~repro.obs.metrics.StreamStats`.  ``mode="any"``
     maintains connected ε-components (order-independent: every snapshot
     equals the batch operator on the ingested prefix); ``mode="all"``
     maintains ε-All clique groups incrementally (snapshot equals the batch

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Iterable, List, Optional, Sequence, Set, Tuple, Type, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Type, Union
 
 from repro import kernels
 from repro.core.distance import CountingMetric, Metric, resolve_metric
@@ -41,7 +41,7 @@ from repro.core.result import ELIMINATED, GroupingResult
 from repro.errors import DimensionMismatchError, InvalidParameterError
 from repro.geometry.rectangle import Rect, probe_window
 from repro.index.rtree import RTree
-from repro.obs.metrics import MetricBag
+from repro.obs.metrics import MetricBag, StreamStats
 from repro.obs.trace import Tracer, maybe_span
 
 Point = Tuple[float, ...]
@@ -364,9 +364,17 @@ class SGBAllOperator:
     """Streaming SGB-All operator (Procedure 1).
 
     Feed points with :meth:`add` (or construct via
-    :func:`repro.core.api.sgb_all`), then call :meth:`finalize` to obtain a
-    :class:`~repro.core.result.GroupingResult`.  FORM-NEW-GROUP performs its
-    recursive re-grouping of the deferred set inside ``finalize``.
+    :func:`repro.core.api.sgb_all`); :meth:`snapshot` returns the
+    :class:`~repro.core.result.GroupingResult` of the prefix seen so far
+    and leaves the operator open, :meth:`finalize` returns it and closes.
+    Both are one label walk: FORM-NEW-GROUP's recursive re-grouping of the
+    deferred set happens there, on fresh registries, never on the live
+    groups.
+
+    The operator counts its own work into :attr:`stats` (a
+    :class:`~repro.obs.metrics.StreamStats`) wherever the event happens,
+    with or without a bag.  A snapshot's regroup passes count into a
+    scratch struct and are dropped; ``finalize``'s count.
 
     Parameters
     ----------
@@ -389,11 +397,10 @@ class SGBAllOperator:
         filter — still correct, benchmarked as an ablation.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricBag`.  When given, the
-        operator counts the shared SGB counter fields (``points``,
-        ``groups_created``, ``eliminated``, ``deferred``, ``groups_dropped``,
-        ``index_probes``, ``candidates``, ``distance_computations``) into
-        it, wrapping the metric in a CountingMetric if needed.  Default
-        None: zero instrumentation overhead.
+        metric is wrapped in a CountingMetric if needed (so
+        ``distance_computations`` is populated), every FindCloseGroups
+        probe is timed into ``probe_latency``, and ``finalize`` folds
+        :attr:`stats` into the bag.  Default None: timing only with a bag.
     """
 
     def __init__(
@@ -432,22 +439,32 @@ class SGBAllOperator:
         self._use_hull_opt = use_hull
         self._strategy_cls = all_strategy_class(strategy)
 
+        self.stats = StreamStats()
         self._points: List[Point] = []
         self._dim: Optional[int] = None
-        self._eliminated: Set[int] = set()
         self._deferred: List[int] = []
         self._strategy: Optional[_StrategyBase] = None
-        self._finished_registries: List[GroupRegistry] = []
         self._finalized = False
-        #: Entries examined by the FindCloseGroups probes so far — the
-        #: ``candidates`` counter, kept without a bag so the streaming
-        #: engine can report it from the probe the operator makes anyway.
-        self.candidates_examined = 0
 
     # ------------------------------------------------------------------
     @property
     def strategy_name(self) -> str:
         return self._strategy_cls.name
+
+    @property
+    def n_points(self) -> int:
+        return len(self._points)
+
+    @property
+    def n_groups(self) -> int:
+        """Live groups right now (deferred points not yet regrouped)."""
+        strat = self._strategy
+        return len(strat.registry) if strat is not None else 0
+
+    @property
+    def n_deferred(self) -> int:
+        """Points waiting in ``S'`` for FORM-NEW-GROUP's regroup."""
+        return len(self._deferred)
 
     @property
     def distance_computations(self) -> int:
@@ -461,17 +478,17 @@ class SGBAllOperator:
             )
         return calls
 
-    def _make_strategy(self) -> _StrategyBase:
+    def _make_strategy(self, metric: Metric) -> _StrategyBase:
         use_hull = (
             self._use_hull_opt
-            and self.metric.name != "linf"
+            and metric.name != "linf"
             and self._dim == 2
         )
         if self._strategy_cls is IndexedStrategy:
             return IndexedStrategy(
-                self.eps, self.metric, use_hull, self._rtree_max_entries
+                self.eps, metric, use_hull, self._rtree_max_entries
             )
-        return self._strategy_cls(self.eps, self.metric, use_hull)
+        return self._strategy_cls(self.eps, metric, use_hull)
 
     # ------------------------------------------------------------------
     def add(self, point: Sequence[float]) -> None:
@@ -483,7 +500,7 @@ class SGBAllOperator:
             self._dim = len(pt)
             if self._dim < 1:
                 raise InvalidParameterError("points must have >= 1 dimension")
-            self._strategy = self._make_strategy()
+            self._strategy = self._make_strategy(self.metric)
         elif len(pt) != self._dim:
             raise DimensionMismatchError(
                 f"point dimension {len(pt)} != {self._dim}"
@@ -491,9 +508,11 @@ class SGBAllOperator:
         pid = len(self._points)
         self._points.append(pt)
         assert self._strategy is not None
-        if self.metrics is not None:
-            self.metrics.incr("points")
-        self._process_point(self._strategy, pid, self._deferred)
+        stats = self.stats
+        stats.points += 1
+        self._process_point(self._strategy, pid, self._deferred, stats)
+        # The CountingMetric tally is cumulative; the struct mirrors it.
+        stats.distance_computations = getattr(self.metric, "calls", 0)
 
     def add_many(self, points: Iterable[Sequence[float]]) -> "SGBAllOperator":
         with maybe_span(self.tracer, "ingest",
@@ -506,28 +525,27 @@ class SGBAllOperator:
         return self
 
     # ------------------------------------------------------------------
-    def _process_point(
-        self, strat: _StrategyBase, pid: int, deferred_out: List[int]
-    ) -> None:
-        """One iteration of Procedure 1 for point ``pid``."""
+    def _process_point(self, strat: _StrategyBase, pid: int,
+                       deferred_out: List[int], stats: StreamStats) -> None:
+        """One iteration of Procedure 1 for point ``pid``, counted into
+        ``stats``: the live struct, or a snapshot's scratch one, whose
+        probes are not timed into the bag either."""
         point = self._points[pid]
         need_overlap = self.on_overlap != JOIN_ANY
-        bag = self.metrics
+        bag = self.metrics if stats is self.stats else None
         if bag is not None:
             t0 = time.perf_counter()
         examined, candidates, overlaps = strat.find_close_groups(
             point, need_overlap)
-        self.candidates_examined += examined
         if bag is not None:
             bag.observe("probe_latency", time.perf_counter() - t0)
-            bag.incr("index_probes")
-            bag.incr("candidates", examined)
+        stats.index_probes += 1
+        stats.candidates += examined
 
         # -- ProcessGroupingALL (Procedure 3) --------------------------
         if not candidates:
             strat.create_group(pid, point)
-            if bag is not None:
-                bag.incr("groups_created")
+            stats.groups_created += 1
         elif len(candidates) == 1:
             strat.add_member(candidates[0], pid, point)
         elif self.on_overlap == JOIN_ANY:
@@ -538,13 +556,10 @@ class SGBAllOperator:
             )
             strat.add_member(chosen, pid, point)
         elif self.on_overlap == ELIMINATE_CLAUSE:
-            self._eliminated.add(pid)
-            if bag is not None:
-                bag.incr("eliminated")
+            stats.eliminated += 1
         else:  # FORM-NEW-GROUP: defer to S'
             deferred_out.append(pid)
-            if bag is not None:
-                bag.incr("deferred")
+            stats.deferred += 1
 
         # -- ProcessOverlap --------------------------------------------
         if need_overlap and overlaps:
@@ -552,92 +567,99 @@ class SGBAllOperator:
                 doomed = g.members_within(point)
                 if not doomed:
                     continue
-                if bag is not None and len(doomed) == len(g.member_ids):
-                    bag.incr("groups_dropped")
+                if len(doomed) == len(g.member_ids):
+                    stats.groups_dropped += 1
                 strat.remove_members(g, doomed)
                 if self.on_overlap == ELIMINATE_CLAUSE:
-                    self._eliminated.update(doomed)
-                    if bag is not None:
-                        bag.incr("eliminated", len(doomed))
+                    stats.eliminated += len(doomed)
                 else:
                     deferred_out.extend(doomed)
-                    if bag is not None:
-                        bag.incr("deferred", len(doomed))
+                    stats.deferred += len(doomed)
 
     # ------------------------------------------------------------------
-    def finalize(self) -> GroupingResult:
-        """Close the input stream and return the grouping.
+    def snapshot(self) -> GroupingResult:
+        """The grouping of the points added so far; the operator stays open.
 
-        For FORM-NEW-GROUP this runs the recursive re-grouping of the
-        deferred set ``S'`` (a fresh SGB-All pass per recursion level) until
-        ``S'`` is empty.  A no-progress level (possible only in adversarial
-        configurations) degrades gracefully to singleton groups, which is
-        consistent with the clause's "create a new group for this tuple"
-        intent and guarantees termination.
+        Equals ``sgb_all(prefix, ...)`` with the same parameters, seed and
+        order.  JOIN-ANY / ELIMINATE resolve every point on arrival, so
+        this is an O(n) label read; FORM-NEW-GROUP regroups the deferred
+        set on fresh registries with the uncounted metric and a scratch
+        counter struct, so the live groups, the RNG (the regroup never
+        draws) and :attr:`stats` are as they were.
         """
+        metric = getattr(self.metric, "inner", self.metric)
+        return self._label_walk(StreamStats(), metric)[0]
+
+    def finalize(self) -> GroupingResult:
+        """Close the input stream and return the grouping: the
+        :meth:`snapshot` walk, counted into :attr:`stats`, which a
+        ``metrics=`` bag then receives."""
         if self._finalized:
             raise RuntimeError("operator already finalized")
         self._finalized = True
-        if self._strategy is not None:
-            self._finished_registries.append(self._strategy.registry)
-
+        stats = self.stats
         with maybe_span(self.tracer, "finalize",
                         points=len(self._points)) as fin:
-            pending = self._deferred
-            depth = 0
-            while pending:
-                if (self.max_recursion is not None
-                        and depth >= self.max_recursion):
-                    self._force_singletons(pending)
-                    break
-                strat = self._make_strategy()
-                next_deferred: List[int] = []
-                # Each FORM-NEW-GROUP recursion level is its own strategy
-                # phase — one span per re-grouping pass over S'.
-                with maybe_span(self.tracer, "regroup", depth=depth,
-                                pending=len(pending)):
-                    for pid in pending:
-                        self._process_point(strat, pid, next_deferred)
-                self._finished_registries.append(strat.registry)
-                if sorted(next_deferred) == sorted(pending):
-                    # No progress is possible; make each remaining point its
-                    # own group rather than looping forever.
-                    self._drop_registry_assignments(strat.registry)
-                    self._finished_registries.pop()
-                    self._force_singletons(pending)
-                    break
-                pending = next_deferred
-                depth += 1
-            fin.set(regroup_passes=depth)
+            result, passes = self._label_walk(stats, self.metric)
+            fin.set(regroup_passes=passes)
+        stats.distance_computations = getattr(self.metric, "calls", 0)
+        if self.metrics is not None:
+            self.metrics.add_stats(stats)
+        return result
+
+    def _label_walk(self, stats: StreamStats,
+                    metric: Metric) -> Tuple[GroupingResult, int]:
+        """``(grouping, regroup passes)`` of the current state.
+
+        Labels number the live groups in creation order, then each
+        FORM-NEW-GROUP recursion level's (a fresh SGB-All pass over ``S'``
+        per level, until ``S'`` is empty).  A no-progress level (possible
+        only in adversarial configurations) degrades gracefully to
+        singleton groups, which is consistent with the clause's "create a
+        new group for this tuple" intent and guarantees termination.
+        Eliminated points were never assigned and stay ``ELIMINATED``.
+        """
+        registries: List[GroupRegistry] = []
+        if self._strategy is not None:
+            registries.append(self._strategy.registry)
+        pending = self._deferred
+        depth = 0
+        while pending:
+            if (self.max_recursion is not None
+                    and depth >= self.max_recursion):
+                registries.append(self._singletons(pending, metric, stats))
+                break
+            strat = self._make_strategy(metric)
+            next_deferred: List[int] = []
+            # Each FORM-NEW-GROUP recursion level is its own strategy
+            # phase — one span per re-grouping pass over S'.
+            with maybe_span(self.tracer, "regroup", depth=depth,
+                            pending=len(pending)):
+                for pid in pending:
+                    self._process_point(strat, pid, next_deferred, stats)
+            if sorted(next_deferred) == sorted(pending):
+                # No progress is possible; make each remaining point its
+                # own group rather than looping forever.
+                registries.append(self._singletons(pending, metric, stats))
+                break
+            registries.append(strat.registry)
+            pending = next_deferred
+            depth += 1
 
         labels = [ELIMINATED] * len(self._points)
         next_label = 0
-        for registry in self._finished_registries:
-            for g in sorted(registry, key=lambda g: g.gid):
+        for registry in registries:
+            for g in registry:  # creation (gid) order
                 for pid in g.member_ids:
                     labels[pid] = next_label
                 next_label += 1
-        if self.metrics is not None:
-            # The CountingMetric tally is cumulative; publish it once the
-            # stream closes so the bag carries the final figure.
-            self.metrics.incr(
-                "distance_computations", getattr(self.metric, "calls", 0)
-            )
-        # Eliminated points stay -1; sanity: they were never assigned above.
-        return GroupingResult(labels, self._points)
+        return GroupingResult(labels, self._points), depth
 
-    def _force_singletons(self, pids: Iterable[int]) -> None:
-        strat = self._make_strategy()
-        registry = strat.registry
+    def _singletons(self, pids: List[int], metric: Metric,
+                    stats: StreamStats) -> GroupRegistry:
+        registry = GroupRegistry()
         for pid in pids:
-            g = registry.new_group(self.eps, self.metric, False)
-            g.add(pid, self._points[pid])
-            if self.metrics is not None:
-                self.metrics.incr("groups_created")
-        self._finished_registries.append(registry)
-
-    @staticmethod
-    def _drop_registry_assignments(registry: GroupRegistry) -> None:
-        for g in registry:
-            g.member_ids.clear()
-            g.points.clear()
+            registry.new_group(self.eps, metric, False).add(
+                pid, self._points[pid])
+        stats.groups_created += len(pids)
+        return registry

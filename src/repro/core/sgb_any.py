@@ -54,7 +54,7 @@ from repro.errors import DimensionMismatchError, InvalidParameterError
 from repro.geometry.rectangle import Rect, probe_window
 from repro.index.grid import GridIndex
 from repro.index.rtree import RTree
-from repro.obs.metrics import MetricBag
+from repro.obs.metrics import MetricBag, StreamStats
 from repro.obs.trace import Tracer, maybe_span
 
 Point = Tuple[float, ...]
@@ -311,6 +311,9 @@ class SGBAnyOperator:
         # The candidate tally feeds the ``candidates`` counter and the
         # CountingMetric charge; both imply a counting metric here.
         self._strategy.count_candidates = hasattr(self.metric, "calls")
+        #: Filled in by ``finalize`` (nothing is grouped before it); a
+        #: ``metrics=`` bag receives it there.
+        self.stats = StreamStats()
         self._points: List[Point] = []
         self._dim: Optional[int] = None
         self._finalized = False
@@ -375,21 +378,17 @@ class SGBAnyOperator:
         n = len(points)
         with maybe_span(self.tracer, "finalize", points=n) as sp:
             components = kernels.make_components(n)
-            candidates = 0
+            stats = self.stats
             for us, vs, hits in self._strategy.edge_blocks(points):
-                candidates += hits
+                stats.candidates += hits
                 components.add_edges(us, vs)
             labels = components.labels()
             groups = components.n_components
             sp.set(groups=groups)
-        bag = self.metrics
-        if bag is not None:
-            # One probe per point, each opening a group that edges merge.
-            for counter in ("points", "groups_created", "index_probes"):
-                bag.incr(counter, n)
-            bag.incr("candidates", candidates)
-            bag.incr("groups_merged", n - groups)
-            bag.incr(
-                "distance_computations", getattr(self.metric, "calls", 0)
-            )
+        # One probe per point, each opening a group that edges merge.
+        stats.points = stats.groups_created = stats.index_probes = n
+        stats.groups_merged = n - groups
+        stats.distance_computations = getattr(self.metric, "calls", 0)
+        if self.metrics is not None:
+            self.metrics.add_stats(stats)
         return GroupingResult(labels, points)

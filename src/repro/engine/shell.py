@@ -402,7 +402,7 @@ class Shell:
                 f"{snap.n_groups} groups, "
                 f"{snap.n_eliminated} eliminated\n"
                 f"group sizes: [{shown}]\n"
-                f"batches={len(view.batcher.batches)} "
+                f"batches={view.batcher.n_batches} "
                 f"probes={stats.index_probes} "
                 f"merges={stats.groups_merged} "
                 f"ingest={stats.wall_time_s * 1000:.1f} ms"

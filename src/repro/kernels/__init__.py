@@ -119,23 +119,6 @@ def pairwise_within(points: Sequence[Coords], q: Coords, eps: float,
     return _impl.pairwise_within(points, q, eps, metric)
 
 
-def neighbors_in_eps(points: Sequence[Coords], q: Coords, eps: float,
-                     metric: MetricLike) -> List[int]:
-    """Indices of block points within ``eps`` of ``q`` (ascending)."""
-    return _impl.neighbors_in_eps(points, q, eps, metric)
-
-
-def all_within(points: Sequence[Coords], q: Coords, eps: float,
-               metric: MetricLike) -> bool:
-    """Clique test: is ``q`` within ``eps`` of every block point?"""
-    return _impl.all_within(points, q, eps, metric)
-
-
-def any_within(points: Sequence[Coords], q: Coords, eps: float,
-               metric: MetricLike) -> bool:
-    return _impl.any_within(points, q, eps, metric)
-
-
 def batch_eps_neighbors(points: Sequence[Coords], probes: Sequence[Coords],
                         eps: float, metric: MetricLike) -> List[List[int]]:
     """Per-probe ascending indices of block points within ``eps``."""
@@ -183,9 +166,6 @@ __all__ = [
     "set_backend",
     "use_backend",
     "pairwise_within",
-    "neighbors_in_eps",
-    "all_within",
-    "any_within",
     "batch_eps_neighbors",
     "eps_self_join",
     "make_components",

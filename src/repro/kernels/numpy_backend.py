@@ -122,19 +122,6 @@ def pairwise_within(points: Sequence[Coords], q: Coords, eps: float,
     return mask.tolist()
 
 
-def neighbors_in_eps(points: Sequence[Coords], q: Coords, eps: float,
-                     metric: MetricLike) -> List[int]:
-    coords = np.asarray(points, dtype=np.float64)
-    if coords.size == 0:
-        return []
-    mask = _within_mask(coords, q, eps, metric)
-    if mask is None:
-        within = metric.within
-        return [i for i, p in enumerate(points) if within(p, q, eps)]
-    _charge(metric, len(coords))
-    return np.flatnonzero(mask).tolist()
-
-
 def batch_eps_neighbors(points: Sequence[Coords], probes: Sequence[Coords],
                         eps: float, metric: MetricLike) -> List[List[int]]:
     """Per-probe ascending indices of ``points`` within ``eps``.
@@ -160,32 +147,6 @@ def batch_eps_neighbors(points: Sequence[Coords], probes: Sequence[Coords],
     mask = _diff_mask(qs[:, None, :] - coords[None, :, :], eps, kind, p)
     _charge(metric, m * n)
     return [np.flatnonzero(mask[j]).tolist() for j in range(m)]
-
-
-def all_within(points: Sequence[Coords], q: Coords, eps: float,
-               metric: MetricLike) -> bool:
-    if len(points) < SMALL_BLOCK:
-        within = metric.within
-        return all(within(p, q, eps) for p in points)
-    mask = _within_mask(np.asarray(points, dtype=np.float64), q, eps, metric)
-    if mask is None:
-        within = metric.within
-        return all(within(p, q, eps) for p in points)
-    _charge(metric, len(points))
-    return bool(mask.all())
-
-
-def any_within(points: Sequence[Coords], q: Coords, eps: float,
-               metric: MetricLike) -> bool:
-    if len(points) < SMALL_BLOCK:
-        within = metric.within
-        return any(within(p, q, eps) for p in points)
-    mask = _within_mask(np.asarray(points, dtype=np.float64), q, eps, metric)
-    if mask is None:
-        within = metric.within
-        return any(within(p, q, eps) for p in points)
-    _charge(metric, len(points))
-    return bool(mask.any())
 
 
 # ----------------------------------------------------------------------

@@ -41,13 +41,6 @@ def pairwise_within(points: Sequence[Coords], q: Coords, eps: float,
     return [within(p, q, eps) for p in points]
 
 
-def neighbors_in_eps(points: Sequence[Coords], q: Coords, eps: float,
-                     metric: MetricLike) -> List[int]:
-    """Indices of ``points`` within ``eps`` of ``q`` (ascending)."""
-    within = metric.within
-    return [i for i, p in enumerate(points) if within(p, q, eps)]
-
-
 def batch_eps_neighbors(points: Sequence[Coords], probes: Sequence[Coords],
                         eps: float, metric: MetricLike) -> List[List[int]]:
     """Per-probe ascending indices of ``points`` within ``eps``.
@@ -65,18 +58,6 @@ def batch_eps_neighbors(points: Sequence[Coords], probes: Sequence[Coords],
         [i for i, p in enumerate(points) if within(p, q, eps)]
         for q in probes
     ]
-
-
-def all_within(points: Sequence[Coords], q: Coords, eps: float,
-               metric: MetricLike) -> bool:
-    within = metric.within
-    return all(within(p, q, eps) for p in points)
-
-
-def any_within(points: Sequence[Coords], q: Coords, eps: float,
-               metric: MetricLike) -> bool:
-    within = metric.within
-    return any(within(p, q, eps) for p in points)
 
 
 # ----------------------------------------------------------------------

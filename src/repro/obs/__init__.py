@@ -2,8 +2,9 @@
 
 Three layers, cheapest first:
 
-* :mod:`repro.obs.metrics` — flat counters (``MetricBag``), the
-  vocabulary shared with the streaming ``StreamStats``;
+* :mod:`repro.obs.metrics` — the counter struct the SGB operators write
+  (``StreamStats``) and the flat-counter bag that receives it
+  (``MetricBag``);
 * :mod:`repro.obs.hist` — fixed log-bucketed latency histograms
   (per-probe / per-distance-batch / per-micro-batch distributions);
 * :mod:`repro.obs.trace` — hierarchical span tracing with ring-buffer

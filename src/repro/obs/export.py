@@ -13,7 +13,7 @@ bag's worth of counters and histograms under one label set:
 The engine snapshot (:func:`prometheus_text`) is three kinds of section:
 the cumulative :class:`~repro.obs.metrics.MetricBag`
 (``source="batch"``), one per stream view's
-:class:`~repro.streaming.stats.StreamStats` (the *same* ``repro_sgb_*``
+:class:`~repro.obs.metrics.StreamStats` (the *same* ``repro_sgb_*``
 series under ``source="stream:<view>"``, because they deliberately share
 one counter vocabulary) and the unlabelled process extras; the service's
 ``/metrics`` section (:func:`prometheus_text_for_bag`) is one more.
@@ -168,7 +168,7 @@ def prometheus_text(
     """Render the engine's Prometheus text-format snapshot.
 
     ``bag`` is the engine's cumulative metric bag; ``streams`` maps view
-    names to their :class:`~repro.streaming.stats.StreamStats` (duck-typed:
+    names to their :class:`~repro.obs.metrics.StreamStats` (duck-typed:
     anything with the shared counter attributes plus ``wall_time_s``).
     ``extra_counters`` lets the caller add process-level counters (e.g.
     queries executed, trace spans dropped).

@@ -3,20 +3,23 @@
 The paper's evaluation (§8) argues for SGB through measured operator
 internals — distance computations avoided, index probes issued, groups
 touched — so the engine needs a uniform way to collect exactly those
-numbers.  :class:`MetricBag` is a per-node bag of monotonic counters and
-latency histograms.  Operators hold ``metrics=None`` by default and guard
-every counting site with ``if bag is not None``, so the instrumentation
-costs nothing unless a caller (EXPLAIN ANALYZE, a benchmark harness)
-attaches a bag.  Wall time per plan node is
-:class:`~repro.obs.explain.NodeMetrics`'s business, per phase the
-tracer's.
+numbers.  Two containers, one vocabulary (:data:`SGB_COUNTER_FIELDS`):
 
-:data:`SGB_COUNTER_FIELDS` is the canonical counter vocabulary, shared by
-the streaming engines' :class:`~repro.streaming.stats.StreamStats` (which
-imports its field tuple from here) and the batch
-:class:`~repro.core.sgb_all.SGBAllOperator` /
-:class:`~repro.core.sgb_any.SGBAnyOperator`, so per-batch stream deltas and
-per-query EXPLAIN ANALYZE rows report the same names for the same things.
+* :class:`StreamStats` — the slotted counter struct.  Whoever does the
+  work writes it: :class:`~repro.core.sgb_all.SGBAllOperator` and
+  :class:`~repro.core.sgb_any.SGBAnyOperator` own one as ``.stats`` and
+  count into it unconditionally (plain attribute adds), and so does
+  :class:`~repro.streaming.any_engine.StreamingSGBAny`;
+  :class:`~repro.streaming.all_engine.StreamingSGBAll`'s ``stats`` *is*
+  its operator's.
+* :class:`MetricBag` — a per-plan-node bag of monotonic counters and
+  latency histograms.  An operator given ``metrics=`` hands the bag its
+  struct once, at ``finalize()`` (:meth:`MetricBag.add_stats`); only
+  latency timing is guarded by ``if bag is not None``.  So EXPLAIN
+  ANALYZE rows, ``/metrics`` and per-batch stream deltas report the same
+  names for the same things.  Wall time per plan node is
+  :class:`~repro.obs.explain.NodeMetrics`'s business, per phase the
+  tracer's.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from typing import Dict
 from repro.obs.hist import HistogramTimer, LatencyHistogram
 
 
-#: Canonical SGB counter names, in reporting order.  Shared between the
-#: streaming StreamStats and the batch operators' MetricBag entries:
+#: Canonical SGB counter names, in reporting order — the fields of
+#: :class:`StreamStats` and the names a MetricBag receives them under:
 #:
 #: points
 #:     Points ingested by the operator.
@@ -48,8 +51,9 @@ from repro.obs.hist import HistogramTimer, LatencyHistogram
 #:     Entries returned by those probes before exact verification (groups
 #:     scanned, for the linear strategies).
 #: distance_computations
-#:     Similarity-predicate evaluations.  Attaching a MetricBag wraps the
-#:     operator's metric in a CountingMetric automatically.
+#:     Similarity-predicate evaluations, read off the operator's
+#:     CountingMetric (attaching a MetricBag wraps the metric in one
+#:     automatically; 0 when the metric is not counted).
 SGB_COUNTER_FIELDS = (
     "points",
     "groups_created",
@@ -70,6 +74,66 @@ SGB_COUNTER_FIELDS = (
 #: store (the SGB §8.2 spool) — the "rows materialized" column of
 #: EXPLAIN ANALYZE's resource accounting.
 EXEC_COUNTER_FIELDS = ("rows_skipped_null", "rows_spooled")
+
+
+class StreamStats:
+    """The SGB counter struct: one int per :data:`SGB_COUNTER_FIELDS` name.
+
+    Written by the code that does the work — the batch operators own one
+    as ``.stats`` and the streaming engines expose theirs under the same
+    name — and read by everything else (a ``metrics=`` bag at
+    ``finalize()``, the micro-batcher's per-flush delta, ``/metrics``).
+    Counters are plain ints so diffing two snapshots is exact and cheap.
+    ``wall_time_s`` is the ingest wall time the micro-batcher attributes;
+    nothing else writes it.
+    """
+
+    __slots__ = SGB_COUNTER_FIELDS + ("wall_time_s",)
+
+    def __init__(self) -> None:
+        for f in SGB_COUNTER_FIELDS:
+            setattr(self, f, 0)
+        self.wall_time_s = 0.0
+
+    def copy(self) -> "StreamStats":
+        out = StreamStats()
+        for f in self.__slots__:
+            setattr(out, f, getattr(self, f))
+        return out
+
+    def __sub__(self, earlier: "StreamStats") -> "StreamStats":
+        """Delta between two snapshots of the same counters."""
+        out = StreamStats()
+        for f in self.__slots__:
+            setattr(out, f, getattr(self, f) - getattr(earlier, f))
+        return out
+
+    def as_dict(self) -> Dict[str, float]:
+        return {f: getattr(self, f) for f in self.__slots__}
+
+    def nonzero(self) -> Dict[str, int]:
+        """The counters that moved (``wall_time_s`` is not a counter)."""
+        return {
+            f: getattr(self, f) for f in SGB_COUNTER_FIELDS
+            if getattr(self, f)
+        }
+
+    def span_attrs(self) -> Dict[str, float]:
+        """Compact attributes for a trace span: the non-zero counters
+        (a micro-batch delta is mostly zeros) plus ``wall_ms``."""
+        out: Dict[str, float] = dict(self.nonzero())
+        if self.wall_time_s:
+            out["wall_ms"] = round(self.wall_time_s * 1000.0, 3)
+        return out
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StreamStats):
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)}" for f in SGB_COUNTER_FIELDS)
+        return f"StreamStats({body}, wall_time_s={self.wall_time_s:.6f})"
 
 
 class MetricBag:
@@ -125,6 +189,11 @@ class MetricBag:
         return self.histogram(name).timer()
 
     # -- aggregation -------------------------------------------------------
+    def add_stats(self, stats: StreamStats) -> None:
+        """Fold an operator's counter struct in (the fields that moved)."""
+        for name, value in stats.nonzero().items():
+            self.incr(name, value)
+
     def merge(self, other: "MetricBag") -> "MetricBag":
         """Fold ``other``'s counters and histograms into this."""
         for name, value in other.counters.items():

@@ -31,7 +31,7 @@ from repro.core.result import GroupingResult
 from repro.core.sgb_any import make_any_strategy
 from repro.dsu.union_find import UnionFind, component_labels
 from repro.errors import StreamStateError
-from repro.streaming.stats import StreamStats
+from repro.obs.metrics import StreamStats
 
 Point = Tuple[float, ...]
 

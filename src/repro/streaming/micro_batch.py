@@ -1,12 +1,12 @@
 """Micro-batch ingestion wrapper around the streaming SGB engines.
 
 Rows are buffered and flushed into the wrapped engine in configurable
-batches; each flush is timed and its counter delta recorded as a
-:class:`~repro.streaming.stats.BatchRecord`, which is what the streaming
-benchmark aggregates into amortized per-point costs.  Batching changes
-*when* work happens, never *what* the result is: ``snapshot()`` and
-``result()`` flush the buffer first, so they always reflect every row
-handed to the batcher.
+batches; each flush is timed, and its counter delta goes where something
+reads it — onto the ``micro_batch`` span and the ``micro_batch_latency``
+histogram.  The batcher itself keeps a flush count, not a history, so its
+size does not grow with the stream.  Batching changes *when* work happens,
+never *what* the result is: ``snapshot()`` and ``result()`` flush the
+buffer first, so they always reflect every row handed to the batcher.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from repro import kernels
 from repro.core.api import validate_point
 from repro.core.result import GroupingResult
 from repro.errors import InvalidParameterError, StreamStateError
-from repro.obs.metrics import MetricBag
+from repro.obs.metrics import MetricBag, StreamStats
 from repro.obs.trace import Tracer, maybe_span
-from repro.streaming.stats import BatchRecord, StreamStats
 
 
 class MicroBatcher:
@@ -58,7 +57,8 @@ class MicroBatcher:
         self.tracer = tracer
         self._pending: List[Sequence[float]] = []
         self._dim = None
-        self.batches: List[BatchRecord] = []
+        #: Flushes so far (the ``batch=`` attribute of the next span).
+        self.n_batches = 0
         #: Upstream rows dropped for NULL grouping attributes (reported
         #: by the feeding view through :meth:`note_skipped_null`); the
         #: portion since the last flush tags the next ``micro_batch``
@@ -114,7 +114,7 @@ class MicroBatcher:
         The engines ingest row by row and a row they refuse (a finite
         coordinate the ε-sized grid cannot cell, say) leaves them as they
         were, so a failing flush loses exactly that row: the rows before
-        it are ingested and recorded as a (short) batch, the rows behind
+        it are ingested and reported as a (short) batch, the rows behind
         it go back to the buffer for the next flush, and the engine's
         error propagates.
         """
@@ -125,7 +125,7 @@ class MicroBatcher:
         before = self.engine.stats.copy()
         n_before = self.engine.n_points
         with maybe_span(self.tracer, "micro_batch",
-                        batch=len(self.batches), size=len(batch),
+                        batch=self.n_batches, size=len(batch),
                         backend=kernels.active_backend(),
                         rows_skipped_null=skipped) as sp:
             start = time.perf_counter()
@@ -136,13 +136,10 @@ class MicroBatcher:
                 done = self.engine.n_points - n_before
                 self._pending = batch[done + 1:]
                 self.engine.stats.wall_time_s += elapsed
-                delta = self.engine.stats - before
-                sp.set(**delta.span_attrs())
+                self.n_batches += 1
+                sp.set(**(self.engine.stats - before).span_attrs())
                 if self.metrics is not None:
                     self.metrics.observe("micro_batch_latency", elapsed)
-                self.batches.append(
-                    BatchRecord(len(self.batches), done, delta)
-                )
 
     # ------------------------------------------------------------------
     def snapshot(self) -> GroupingResult:
@@ -158,5 +155,5 @@ class MicroBatcher:
     def __repr__(self) -> str:
         return (
             f"MicroBatcher({self.engine!r}, batch_size={self.batch_size}, "
-            f"batches={len(self.batches)}, pending={len(self._pending)})"
+            f"batches={self.n_batches}, pending={len(self._pending)})"
         )

@@ -22,10 +22,10 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.result import GroupingResult
 from repro.engine.executor.sgb import grouping_point
 from repro.errors import InvalidCoordinateError, InvalidParameterError
+from repro.obs.metrics import StreamStats
 from repro.streaming.all_engine import StreamingSGBAll
 from repro.streaming.any_engine import StreamingSGBAny
 from repro.streaming.micro_batch import MicroBatcher
-from repro.streaming.stats import StreamStats
 
 
 class StreamingGroupView:

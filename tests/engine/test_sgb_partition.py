@@ -1,5 +1,7 @@
 """PARTITION BY extension: similarity grouping within equality partitions."""
 
+import random
+
 import pytest
 
 from repro.core.api import sgb_any
@@ -101,3 +103,35 @@ class TestPartitionedSGB:
             "DISTANCE-TO-ANY L2 WITHIN 1 PARTITION BY city"
         )
         assert (None, 1) in res.rows
+
+
+class TestSerialPoolCounterParity:
+    """Each partition's operator counts into its own struct and hands it
+    to a bag once, at ``finalize``; a pool worker's bag is folded back
+    into the node's.  Either way EXPLAIN ANALYZE reports the serial
+    totals, FORM-NEW-GROUP's regroup probes included."""
+
+    @pytest.mark.parametrize("clause", ["DISTANCE-TO-ANY LINF WITHIN 0.4",
+                                        "DISTANCE-TO-ALL L2 WITHIN 0.4 "
+                                        "ON-OVERLAP ELIMINATE",
+                                        "DISTANCE-TO-ALL L2 WITHIN 0.4 "
+                                        "ON-OVERLAP FORM-NEW-GROUP"],
+                             ids=["any", "eliminate", "form-new-group"])
+    def test_counters_do_not_depend_on_where_a_partition_runs(self, clause):
+        rng = random.Random(5)
+        rows = [(i % 3, rng.uniform(0, 4), rng.uniform(0, 4))
+                for i in range(240)]
+        sql = f"SELECT k, count(*) FROM p GROUP BY x, y {clause} PARTITION BY k"
+        counters = []
+        for parallel in (1, 2):
+            db = Database(parallel=parallel)
+            db.execute("CREATE TABLE p (k int, x float, y float)")
+            db.insert("p", rows)
+            counters.append(db.analyze(sql).node_counters())
+        serial, pool = counters
+        assert serial == pool
+        assert serial["points"] == 240
+        if "FORM-NEW-GROUP" in clause:
+            assert serial["index_probes"] > 240  # the regroup passes
+        else:
+            assert serial["index_probes"] == 240

@@ -111,20 +111,6 @@ class TestPrimitiveParity:
                                        metric)
             assert [list(r) for r in got] == [list(r) for r in expected]
 
-    def test_neighbors_in_eps(self, metric):
-        pts = _random_points(100, seed=2)
-        q = (5.0, 5.0)
-        expected, got = self._both("neighbors_in_eps", pts, q, 3.0, metric)
-        assert list(got) == list(expected)
-        assert list(got) == sorted(got)
-
-    def test_all_any_within(self, metric):
-        pts = _random_points(50, seed=3, span=1.0)
-        for q, eps in [((0.5, 0.5), 2.0), ((0.5, 0.5), 0.2), ((9, 9), 0.1)]:
-            for fn in ("all_within", "any_within"):
-                expected, got = self._both(fn, pts, q, eps, metric)
-                assert bool(got) == bool(expected)
-
     def test_empty_block(self, metric):
         expected, got = self._both("pairwise_within", [], (1.0, 1.0), 1.0,
                                    metric)

@@ -18,7 +18,7 @@ from repro.obs.metrics import (
     SGB_COUNTER_FIELDS,
     MetricBag,
 )
-from repro.streaming.stats import StreamStats
+from repro.obs.metrics import StreamStats
 
 
 class TestNaming:

@@ -58,7 +58,7 @@ class TestMetricBag:
 class TestCounterVocabulary:
     def test_sgb_fields_match_stream_stats(self):
         # StreamStats and the batch MetricBag share one field vocabulary.
-        from repro.streaming.stats import StreamStats
+        from repro.obs.metrics import StreamStats
 
         stats = StreamStats()
         for field in SGB_COUNTER_FIELDS:

@@ -1,6 +1,12 @@
-"""Micro-batcher mechanics: buffering, flush triggers, per-batch stats."""
+"""Micro-batcher mechanics: buffering, flush triggers, per-batch stats.
+
+The batcher keeps a flush count, not a history: per-batch sizes, sequence
+numbers and counter deltas are read off the ``micro_batch`` spans of a
+traced batcher, which is where they go.
+"""
 
 import random
+import sys
 
 import pytest
 
@@ -11,11 +17,9 @@ from repro.errors import (
     InvalidParameterError,
     StreamStateError,
 )
-from repro.streaming import (
-    MicroBatcher,
-    StreamingSGBAny,
-    total_of,
-)
+from repro.obs.metrics import SGB_COUNTER_FIELDS
+from repro.obs.trace import Tracer
+from repro.streaming import MicroBatcher, StreamingSGBAny
 
 
 def random_points(n, seed=0):
@@ -23,9 +27,20 @@ def random_points(n, seed=0):
     return [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(n)]
 
 
+def traced_batcher(batch_size, **engine_options):
+    tracer = Tracer()
+    engine = StreamingSGBAny(**{"eps": 1.0, **engine_options})
+    return MicroBatcher(engine, batch_size=batch_size, tracer=tracer), tracer
+
+
+def batch_spans(tracer):
+    """Attributes of the ``micro_batch`` spans, in flush order."""
+    return [r.attrs for r in tracer.records() if r.name == "micro_batch"]
+
+
 class TestBatching:
     def test_buffers_until_batch_size(self):
-        mb = MicroBatcher(StreamingSGBAny(eps=1.0), batch_size=3)
+        mb, tracer = traced_batcher(3)
         mb.insert((0, 0))
         mb.insert((1, 1))
         assert mb.n_pending == 2
@@ -33,8 +48,9 @@ class TestBatching:
         mb.insert((2, 2))  # triggers the flush
         assert mb.n_pending == 0
         assert mb.engine.n_points == 3
-        assert len(mb.batches) == 1
-        assert mb.batches[0].size == 3
+        assert mb.n_batches == 1
+        (span,) = batch_spans(tracer)
+        assert span["size"] == span["points"] == 3
 
     def test_snapshot_flushes_pending(self):
         mb = MicroBatcher(StreamingSGBAny(eps=1.0), batch_size=100)
@@ -55,7 +71,7 @@ class TestBatching:
     def test_flush_on_empty_buffer_is_noop(self):
         mb = MicroBatcher(StreamingSGBAny(eps=1.0), batch_size=2)
         mb.flush()
-        assert mb.batches == []
+        assert mb.n_batches == 0
 
     def test_rejects_bad_batch_size(self):
         with pytest.raises(InvalidParameterError):
@@ -76,16 +92,17 @@ class TestBatching:
     def test_engine_rejection_at_flush_loses_only_that_row(self):
         """A finite row only the engine can refuse (1e308 has no grid
         cell at ε = 0.5) fails the flush that reaches it; the rows before
-        it are ingested and recorded, the rows behind it stay pending."""
-        mb = MicroBatcher(StreamingSGBAny(eps=0.5, index="grid"),
-                          batch_size=100)
+        it are ingested and reported, the rows behind it stay pending."""
+        mb, tracer = traced_batcher(100, eps=0.5, index="grid")
         mb.extend([(0, 0), (1e308, 0), (0.1, 0), (7, 7)])
         with pytest.raises(InvalidCoordinateError):
             mb.flush()
         assert mb.engine.n_points == 1 and mb.n_pending == 2
-        assert [rec.size for rec in mb.batches] == [1]
+        assert [(a["size"], a["points"]) for a in batch_spans(tracer)] \
+            == [(4, 1)]
         assert mb.snapshot().points == [(0.0, 0.0), (0.1, 0.0), (7.0, 7.0)]
-        assert total_of(mb.batches).points == mb.stats.points == 3
+        assert sum(a["points"] for a in batch_spans(tracer)) \
+            == mb.stats.points == 3
 
     def test_insert_after_result_fails_immediately(self):
         mb = MicroBatcher(StreamingSGBAny(eps=1.0), batch_size=100)
@@ -97,51 +114,61 @@ class TestBatching:
     @pytest.mark.parametrize("batch_size", [1, 7, 64, 1000])
     def test_batch_partitioning(self, batch_size):
         pts = random_points(64)
-        mb = MicroBatcher(StreamingSGBAny(eps=0.8), batch_size=batch_size)
+        mb, tracer = traced_batcher(batch_size, eps=0.8)
         mb.extend(pts)
         mb.flush()
-        assert sum(rec.size for rec in mb.batches) == 64
-        full = [s for rec in mb.batches[:-1] for s in [rec.size]]
-        assert all(s == min(batch_size, 64) for s in full)
+        sizes = [a["size"] for a in batch_spans(tracer)]
+        assert len(sizes) == mb.n_batches
+        assert sum(sizes) == 64
+        assert all(s == min(batch_size, 64) for s in sizes[:-1])
 
 
 class TestPerBatchStats:
     def test_deltas_sum_to_engine_totals(self):
         pts = random_points(50, seed=3)
-        mb = MicroBatcher(StreamingSGBAny(eps=0.8), batch_size=7)
+        mb, tracer = traced_batcher(7, eps=0.8)
         mb.extend(pts)
         mb.flush()
-        summed = total_of(mb.batches)
-        assert summed.points == mb.stats.points == 50
-        assert summed.index_probes == mb.stats.index_probes == 50
-        assert summed.groups_merged == mb.stats.groups_merged
-        assert summed.candidates == mb.stats.candidates
-        assert summed.wall_time_s == pytest.approx(mb.stats.wall_time_s)
+        spans = batch_spans(tracer)
+        for counter in SGB_COUNTER_FIELDS:
+            assert sum(a.get(counter, 0) for a in spans) \
+                == getattr(mb.stats, counter), counter
+        assert mb.stats.points == mb.stats.index_probes == 50
+        assert sum(a["wall_ms"] for a in spans) == pytest.approx(
+            mb.stats.wall_time_s * 1000.0, abs=0.001 * len(spans))
 
     def test_batch_records_are_labeled(self):
-        mb = MicroBatcher(StreamingSGBAny(eps=1.0), batch_size=2)
+        mb, tracer = traced_batcher(2)
         mb.extend(random_points(5))
         mb.flush()
-        assert [rec.seq for rec in mb.batches] == [0, 1, 2]
-        assert [rec.size for rec in mb.batches] == [2, 2, 1]
-        assert all(rec.wall_time_s >= 0 for rec in mb.batches)
-        d = mb.batches[0].as_dict()
-        assert d["seq"] == 0 and d["size"] == 2
+        spans = batch_spans(tracer)
+        assert [a["batch"] for a in spans] == [0, 1, 2]
+        assert [a["size"] for a in spans] == [2, 2, 1]
+        assert all(a["wall_ms"] >= 0 for a in spans)
+        assert mb.n_batches == 3
+
+    def test_flushing_forever_keeps_the_batcher_the_same_size(self):
+        """A view behind the service flushes at least once per INSERT;
+        nothing the batcher holds may grow with the number of flushes."""
+        mb = MicroBatcher(StreamingSGBAny(eps=1.0), batch_size=1)
+
+        def attribute_sizes():
+            return {name: sys.getsizeof(value)
+                    for name, value in vars(mb).items() if name != "engine"}
+
+        mb.insert((0.0, 0.0))
+        before = attribute_sizes()
+        for i in range(10_000):
+            mb.insert((float(i % 7), 0.0))
+        assert mb.n_batches == 10_001
+        assert attribute_sizes() == before
 
 
 class TestBatchSpanTags:
-    def make_traced_batcher(self, batch_size=3):
-        from repro.obs.trace import Tracer
-
-        tracer = Tracer()
-        mb = MicroBatcher(StreamingSGBAny(eps=1.0), batch_size=batch_size,
-                          tracer=tracer)
-        return mb, tracer
-
     def test_span_carries_backend_and_null_skips(self):
         from repro import kernels
 
-        mb, tracer = self.make_traced_batcher()
+        mb, tracer = traced_batcher(3)
         mb.extend([(0, 0), (1, 1)])
         mb.note_skipped_null(2)
         mb.insert((2, 2))  # flush
@@ -151,7 +178,7 @@ class TestBatchSpanTags:
         assert span.attrs["size"] == 3
 
     def test_skip_counter_is_per_batch_delta_not_cumulative(self):
-        mb, tracer = self.make_traced_batcher(batch_size=2)
+        mb, tracer = traced_batcher(2)
         mb.note_skipped_null()
         mb.extend([(0, 0), (1, 1)])        # flush 1: one skip so far
         mb.note_skipped_null(3)

@@ -3,12 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
+from repro import kernels
 from repro.core.api import sgb_all
 from repro.core.sgb_all import SGBAllOperator
 from repro.errors import InvalidParameterError, StreamStateError
-from repro.obs.metrics import MetricBag
+from repro.obs.metrics import SGB_COUNTER_FIELDS, MetricBag
 from repro.streaming import StreamingSGBAll
+from tests.conftest import decimal_lattices
 
 
 def random_points(n, seed=11, span=10.0):
@@ -17,6 +20,7 @@ def random_points(n, seed=11, span=10.0):
 
 
 CLAUSES = ["join-any", "eliminate", "form-new-group"]
+STRATEGIES = ["all-pairs", "bounds-checking", "index"]
 
 
 class TestSnapshotEqualsBatchPrefix:
@@ -38,8 +42,9 @@ class TestSnapshotEqualsBatchPrefix:
 
     @pytest.mark.parametrize("clause", CLAUSES)
     def test_snapshot_does_not_disturb_the_stream(self, clause):
-        """Snapshotting mid-stream (deepcopy path for FORM-NEW-GROUP) must
-        leave the live state byte-identical to an unsnapshotted run."""
+        """Snapshotting mid-stream (FORM-NEW-GROUP regroups the deferred
+        set there) must leave the live state identical to an unsnapshotted
+        run."""
         pts = random_points(80, seed=23)
         plain = StreamingSGBAll(eps=0.9, on_overlap=clause, seed=1)
         probed = StreamingSGBAll(eps=0.9, on_overlap=clause, seed=1)
@@ -110,17 +115,17 @@ class TestLifecycleAndStats:
                         on_overlap="eliminate", metric="linf")
         assert snap == batch
 
-    @pytest.mark.parametrize("strategy", ["all-pairs", "bounds-checking",
-                                          "index"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("clause", CLAUSES)
     def test_counters_equal_the_batch_operators_bag(self, clause, strategy):
-        """Streaming SGB-All used to report ``candidates`` = 0 for every
-        strategy and clause.  After any prefix the stream's counters are
-        the batch operator's ``MetricBag`` over that prefix: same probes,
-        same entries examined, same clause bookkeeping."""
+        """One place counts.  At every prefix the stream's nine counters
+        are those of a batch operator fed that prefix, and after
+        ``result()`` they are the ``MetricBag`` the batch run publishes —
+        FORM-NEW-GROUP's regroup passes included, which the stream used
+        not to see (``index_probes`` 1500 vs 1609 on brightkite(1500))."""
         pts = random_points(300, seed=3, span=5.0)
         eng = StreamingSGBAll(eps=0.3, on_overlap=clause, strategy=strategy,
-                              seed=2)
+                              seed=2, count_distances=True)
         bag = MetricBag()
         op = SGBAllOperator(eps=0.3, on_overlap=clause, strategy=strategy,
                             seed=2, metrics=bag)
@@ -128,11 +133,32 @@ class TestLifecycleAndStats:
             eng.insert(p)
             op.add(p)
             if i in (0, 149, 299):
-                for counter in ("points", "index_probes", "candidates",
-                                "groups_created", "eliminated", "deferred"):
-                    assert getattr(eng.stats, counter) == bag.get(counter), \
-                        (counter, i)
+                eng.snapshot()  # a snapshot's regroup is not counted
+                assert eng.stats == op.stats, i
+                assert not bag.counters  # the bag sees the struct at finalize
         assert eng.stats.candidates > 0
+        assert eng.result() == op.finalize()
+        for counter in SGB_COUNTER_FIELDS:
+            assert getattr(eng.stats, counter) == bag.get(counter), counter
+        if clause == "form-new-group":
+            assert eng.stats.index_probes > eng.stats.points
+
+    @pytest.mark.parametrize("clause", CLAUSES)
+    def test_same_work_with_a_bag_or_without(self, clause):
+        """Always-on counting cannot drift from EXPLAIN ANALYZE's totals:
+        the struct is field-for-field the same with ``metrics=None`` and
+        with a bag (``distance_computations`` needs the counting metric a
+        bag brings)."""
+        pts = random_points(300, seed=3, span=5.0)
+        bare = SGBAllOperator(eps=0.3, on_overlap=clause, seed=2)
+        bagged = SGBAllOperator(eps=0.3, on_overlap=clause, seed=2,
+                                metrics=MetricBag())
+        assert bare.add_many(pts).finalize() == bagged.add_many(pts).finalize()
+        assert bare.stats.distance_computations == 0
+        assert bagged.stats.distance_computations > 0
+        bagged.stats.distance_computations = 0
+        assert bare.stats == bagged.stats
+        assert bagged.metrics.get("points") == bare.stats.points == 300
 
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(InvalidParameterError):
@@ -142,3 +168,50 @@ class TestLifecycleAndStats:
         eng = StreamingSGBAll(eps=1.0)
         snap = eng.snapshot()
         assert snap.n_points == 0 and snap.n_groups == 0
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+class TestOperatorSnapshot:
+    """``SGBAllOperator.snapshot()`` is the batch answer for the prefix and
+    leaves no trace on the operator."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("clause", CLAUSES)
+    def test_snapshots_leave_no_trace(self, backend, clause, strategy):
+        """Three snapshots in a row: ``stats``, ``n_groups``, ``n_deferred``
+        and the next 50 inserts' outcome are those of a twin stream that
+        never snapshotted."""
+        pts = random_points(250, seed=6, span=5.0)
+        with kernels.use_backend(backend):
+            twin, probed = (
+                StreamingSGBAll(eps=0.3, on_overlap=clause, seed=4,
+                                strategy=strategy, count_distances=True)
+                for _ in range(2))
+            twin.extend(pts[:200])
+            probed.extend(pts[:200])
+            snaps = [probed.snapshot() for _ in range(3)]
+            assert snaps[0] == snaps[1] == snaps[2]
+            assert probed.stats == twin.stats
+            assert (probed.n_groups, probed.n_deferred) \
+                == (twin.n_groups, twin.n_deferred)
+            twin.extend(pts[200:])
+            probed.extend(pts[200:])
+            assert probed.stats == twin.stats
+            assert probed.snapshot() == twin.snapshot()
+            assert probed.result() == twin.result()
+            assert probed.stats == twin.stats
+
+    @pytest.mark.parametrize("clause", CLAUSES)
+    @settings(max_examples=15, deadline=None)
+    @given(case=decimal_lattices(max_points=30))
+    def test_snapshot_equals_batch_at_every_prefix(self, backend, clause,
+                                                   case):
+        points, eps = case
+        with kernels.use_backend(backend):
+            op = SGBAllOperator(eps, on_overlap=clause, seed=3)
+            for n, point in enumerate(points, 1):
+                op.add(point)
+                assert op.snapshot() == sgb_all(
+                    points[:n], eps, on_overlap=clause, seed=3), n
+            assert op.finalize() == sgb_all(points, eps, on_overlap=clause,
+                                            seed=3)
