@@ -111,11 +111,14 @@ def predicted_growth_exponent(strategy: str) -> float:
     """The appendix's asymptotic exponent in n at fixed ε on uniform data
     (where |G| grows linearly in n until saturation): All-Pairs is
     quadratic, Bounds-Checking follows n·|G| ≈ n·min(n, cells), the index
-    is n·log|G| ≈ near-linear."""
+    is n·log|G| ≈ near-linear.  ``graph`` is not the paper's: one probe a
+    point plus one tally per placed ε-neighbour, linear while the average
+    neighbour count stays bounded."""
     table = {
         "all-pairs": 2.0,
         "bounds-checking": 2.0,  # pre-saturation, |G| ~ n
         "index": 1.0,
+        "graph": 1.0,
     }
     try:
         return table[strategy]

@@ -18,7 +18,7 @@ structures from the surviving members.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import kernels
 from repro.core.distance import Metric
@@ -225,13 +225,18 @@ class Group:
 
 
 class GroupRegistry:
-    """Id-ordered collection of live groups with stable id allocation."""
+    """Id-ordered collection of live groups with stable id allocation.
 
-    __slots__ = ("_groups", "_next_gid")
+    ``new_group(*args)`` builds ``make(gid, *args)``: a :class:`Group` by
+    default, the graph strategy's id-only cliques otherwise.
+    """
 
-    def __init__(self) -> None:
-        self._groups: Dict[int, Group] = {}
+    __slots__ = ("_groups", "_next_gid", "_make")
+
+    def __init__(self, make: Callable[..., Any] = Group) -> None:
+        self._groups: Dict[int, Any] = {}
         self._next_gid = 0
+        self._make = make
 
     def __len__(self) -> int:
         return len(self._groups)
@@ -242,8 +247,8 @@ class GroupRegistry:
     def get(self, gid: int) -> Group:
         return self._groups[gid]
 
-    def new_group(self, eps: float, metric: Metric, use_hull: bool) -> Group:
-        g = Group(self._next_gid, eps, metric, use_hull)
+    def new_group(self, *args: Any) -> Any:
+        g = self._make(self._next_gid, *args)
         self._groups[g.gid] = g
         self._next_gid += 1
         return g

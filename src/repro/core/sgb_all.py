@@ -11,32 +11,47 @@ groups; the ``ON-OVERLAP`` clause arbitrates:
   pulled from their groups) to a temporary set ``S'`` and re-run SGB-All on
   ``S'`` recursively until it is empty.
 
-Three interchangeable strategies realize ``FindCloseGroups``:
+Four interchangeable strategies realize ``FindCloseGroups``:
 
 * :class:`AllPairsStrategy` — Procedure 2, O(n²) member scans;
 * :class:`BoundsCheckingStrategy` — Procedure 4, ε-All rectangle test per
   group (the answer for L∞, a filter + convex-hull refinement for 2-D L2);
 * :class:`IndexedStrategy` — Procedure 5, an R-tree window query over group
-  MBRs replaces the linear scan of groups.
+  MBRs replaces the linear scan of groups;
+* :class:`GraphStrategy` — batch only: one ε-self-join over the whole
+  input, then FindCloseGroups as counting over a point's neighbours.
 
-Rectangles gather, the predicate decides: the strategies differ in which
-groups they look at, never in the test a group has to pass — the ε-All test
-on the group's MBR, written as the predicate writes it, then ``refine`` /
-``any_within``.  All three therefore produce the same grouping for the same
-input order, exact-ε ties included (JOIN-ANY with ``tiebreak="first"`` or a
-fixed seed; ELIMINATE and FORM-NEW-GROUP are deterministic), which the
-property-based tests exploit.
+Rectangles gather, the predicate decides: the paper's three strategies
+differ in which groups they look at, never in the test a group has to pass
+— the ε-All test on the group's MBR, written as the predicate writes it,
+then ``refine`` / ``any_within`` — and ``graph`` reads the same predicate
+off the join's edges.  All four therefore produce the same grouping for
+the same input order, exact-ε ties included (JOIN-ANY with
+``tiebreak="first"`` or a fixed seed; ELIMINATE and FORM-NEW-GROUP are
+deterministic), which the property-based tests exploit.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from typing import Iterable, List, Optional, Sequence, Tuple, Type, Union
+from operator import attrgetter
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    Union,
+)
 
 from repro import kernels
 from repro.core.distance import CountingMetric, Metric, resolve_metric
 from repro.core.groups import Group, GroupRegistry, eps_all_reach
+from repro.core.sgb_any import timed_blocks
 from repro.core.result import ELIMINATED, GroupingResult
 from repro.errors import DimensionMismatchError, InvalidParameterError
 from repro.geometry.rectangle import Rect, probe_window
@@ -73,6 +88,9 @@ class _StrategyBase:
     """Owns the live groups and keeps auxiliary structures in sync."""
 
     name = "abstract"
+    #: Whether the operator times each FindCloseGroups into
+    #: ``probe_latency`` (:class:`GraphStrategy`'s probe work is the join).
+    probe_timed = True
 
     def __init__(self, eps: float, metric: Metric, use_hull: bool):
         self.eps = eps
@@ -82,15 +100,22 @@ class _StrategyBase:
 
     # -- FindCloseGroups -------------------------------------------------
     def find_close_groups(
-        self, point: Point, need_overlap: bool
+        self, pid: int, point: Point, need_overlap: bool
     ) -> Tuple[int, List[Group], List[Group]]:
-        """``(examined, candidates, overlaps)`` for ``point``.
+        """``(examined, candidates, overlaps)`` for point ``pid``.
 
         ``examined`` is how many raw entries the strategy looked at before
         exact verification — every live group for the scans, the window
-        hits for :class:`IndexedStrategy`; the operator counts it.
+        hits for :class:`IndexedStrategy`, the neighbours tallied for
+        :class:`GraphStrategy`; the operator counts it.
         """
         raise NotImplementedError
+
+    def members_within(self, group: Group, pid: int,
+                       point: Point) -> List[int]:
+        """ProcessOverlap's doomed set: members of ``group`` within ε of
+        point ``pid``, in member order."""
+        return group.members_within(point)
 
     # -- mutations ---------------------------------------------------------
     def create_group(self, point_id: int, point: Point) -> Group:
@@ -130,7 +155,7 @@ class AllPairsStrategy(_StrategyBase):
     name = "all-pairs"
 
     def find_close_groups(
-        self, point: Point, need_overlap: bool
+        self, pid: int, point: Point, need_overlap: bool
     ) -> Tuple[int, List[Group], List[Group]]:
         candidates: List[Group] = []
         overlaps: List[Group] = []
@@ -188,7 +213,7 @@ class BoundsCheckingStrategy(_StrategyBase):
             self._rects.delete(group.gid)
 
     def find_close_groups(
-        self, point: Point, need_overlap: bool
+        self, pid: int, point: Point, need_overlap: bool
     ) -> Tuple[int, List[Group], List[Group]]:
         if (
             self._rects is not None
@@ -301,7 +326,7 @@ class IndexedStrategy(_StrategyBase):
         self._rtree = RTree(max_entries=rtree_max_entries)
 
     def find_close_groups(
-        self, point: Point, need_overlap: bool
+        self, pid: int, point: Point, need_overlap: bool
     ) -> Tuple[int, List[Group], List[Group]]:
         candidates: List[Group] = []
         overlaps: List[Group] = []
@@ -332,6 +357,90 @@ class IndexedStrategy(_StrategyBase):
         self._rtree.delete(old_mbr, group.gid)
 
 
+class _Clique:
+    """A group as :class:`GraphStrategy` keeps it: its member ids."""
+
+    __slots__ = ("gid", "member_ids")
+
+    def __init__(self, gid: int) -> None:
+        self.gid = gid
+        self.member_ids: List[int] = []
+
+
+_gid = attrgetter("gid")
+
+
+class GraphStrategy(_StrategyBase):
+    """FindCloseGroups as counting over the ε-graph (batch form only).
+
+    The operator joins its whole spooled input once
+    (:func:`repro.kernels.eps_self_join`) into a CSR adjacency and hands
+    it to every pass.  A point's neighbours that sit in a live group of
+    the pass are tallied per group: ``g`` is a candidate iff all its
+    members are neighbours (``hits == |g|``), an overlap group iff some
+    but not all are, and no other group can be either.  That is the
+    similarity predicate itself, decided once per pair by the join, so a
+    probe costs O(deg p) and needs no rectangle, hull or refinement.
+    """
+
+    name = "graph"
+    probe_timed = False
+
+    def __init__(self, eps: float, metric: Metric, use_hull: bool,
+                 adjacency: Tuple[List[int], List[int]]):
+        super().__init__(eps, metric, use_hull)
+        self.registry = GroupRegistry(_Clique)
+        self._indptr, self._indices = adjacency
+        self._group_of: List[Optional[_Clique]] = (
+            [None] * (len(self._indptr) - 1))
+
+    def _neighbours(self, pid: int) -> List[int]:
+        return self._indices[self._indptr[pid]:self._indptr[pid + 1]]
+
+    def find_close_groups(
+        self, pid: int, point: Point, need_overlap: bool
+    ) -> Tuple[int, List[Group], List[Group]]:
+        group_of = self._group_of
+        hits: Dict[_Clique, int] = {}
+        for q in self._neighbours(pid):
+            g = group_of[q]
+            if g is not None:
+                hits[g] = hits.get(g, 0) + 1
+        candidates: List[Any] = []
+        overlaps: List[Any] = []
+        for g, n_hits in hits.items():
+            if n_hits == len(g.member_ids):
+                candidates.append(g)
+            elif need_overlap:
+                overlaps.append(g)
+        # creation order, as the scans walk the registry
+        candidates.sort(key=_gid)
+        overlaps.sort(key=_gid)
+        return sum(hits.values()), candidates, overlaps
+
+    def members_within(self, group: Any, pid: int,
+                       point: Point) -> List[int]:
+        near = set(self._neighbours(pid))
+        return [m for m in group.member_ids if m in near]
+
+    def create_group(self, point_id: int, point: Point) -> Any:
+        g = self.registry.new_group()
+        self.add_member(g, point_id, point)
+        return g
+
+    def add_member(self, group: Any, point_id: int, point: Point) -> None:
+        group.member_ids.append(point_id)
+        self._group_of[point_id] = group
+
+    def remove_members(self, group: Any, point_ids: Iterable[int]) -> None:
+        doomed = set(point_ids)
+        for pid in doomed:
+            self._group_of[pid] = None
+        group.member_ids = [m for m in group.member_ids if m not in doomed]
+        if not group.member_ids:
+            self.registry.drop(group.gid)
+
+
 _STRATEGIES = {
     "all-pairs": AllPairsStrategy,
     "allpairs": AllPairsStrategy,
@@ -341,7 +450,12 @@ _STRATEGIES = {
     "index": IndexedStrategy,
     "indexed": IndexedStrategy,
     "rtree": IndexedStrategy,
+    "graph": GraphStrategy,
 }
+
+#: The strategies that place a point on arrival, hence the ones a stream
+#: can run; ``graph`` groups only at ``snapshot`` / ``finalize``.
+INCREMENTAL_STRATEGIES = ("all-pairs", "bounds-checking", "index")
 
 
 def all_strategy_class(strategy: str) -> Type[_StrategyBase]:
@@ -371,10 +485,15 @@ class SGBAllOperator:
     deferred set happens there, on fresh registries, never on the live
     groups.
 
+    Under ``strategy="graph"`` the operator is a batch one: ``add`` only
+    spools, and the walk first joins the spooled points into their ε-graph
+    and runs the Procedure 1 pass over them (:class:`GraphStrategy`),
+    before the same regroup passes.
+
     The operator counts its own work into :attr:`stats` (a
     :class:`~repro.obs.metrics.StreamStats`) wherever the event happens,
-    with or without a bag.  A snapshot's regroup passes count into a
-    scratch struct and are dropped; ``finalize``'s count.
+    with or without a bag.  A snapshot's passes count into a scratch
+    struct and are dropped; ``finalize``'s count.
 
     Parameters
     ----------
@@ -386,7 +505,8 @@ class SGBAllOperator:
     on_overlap:
         ``"join-any"`` | ``"eliminate"`` | ``"form-new-group"``.
     strategy:
-        ``"all-pairs"`` | ``"bounds-checking"`` | ``"index"``.
+        ``"all-pairs"`` | ``"bounds-checking"`` | ``"index"`` (the paper's,
+        :data:`INCREMENTAL_STRATEGIES`) | ``"graph"`` (``eps > 0``).
     tiebreak:
         JOIN-ANY arbitration: ``"random"`` (paper semantics, seeded) or
         ``"first"`` (deterministic lowest group id; used to compare
@@ -399,7 +519,8 @@ class SGBAllOperator:
         Optional :class:`~repro.obs.metrics.MetricBag`.  When given, the
         metric is wrapped in a CountingMetric if needed (so
         ``distance_computations`` is populated), every FindCloseGroups
-        probe is timed into ``probe_latency``, and ``finalize`` folds
+        probe (every join block, for ``graph``) is timed into
+        ``probe_latency``, and ``finalize`` folds
         :attr:`stats` into the bag.  Default None: timing only with a bag.
     """
 
@@ -438,6 +559,11 @@ class SGBAllOperator:
         self._rtree_max_entries = rtree_max_entries
         self._use_hull_opt = use_hull
         self._strategy_cls = all_strategy_class(strategy)
+        if self._strategy_cls is GraphStrategy and self.eps == 0:
+            raise InvalidParameterError(
+                "the graph strategy requires eps > 0 (its join bins "
+                "points by v // eps)"
+            )
 
         self.stats = StreamStats()
         self._points: List[Point] = []
@@ -457,7 +583,8 @@ class SGBAllOperator:
 
     @property
     def n_groups(self) -> int:
-        """Live groups right now (deferred points not yet regrouped)."""
+        """Live groups right now (deferred points not yet regrouped; none
+        under ``graph``, which groups nothing before the walk)."""
         strat = self._strategy
         return len(strat.registry) if strat is not None else 0
 
@@ -478,7 +605,10 @@ class SGBAllOperator:
             )
         return calls
 
-    def _make_strategy(self, metric: Metric) -> _StrategyBase:
+    def _make_strategy(
+        self, metric: Metric,
+        adjacency: Optional[Tuple[List[int], List[int]]] = None,
+    ) -> _StrategyBase:
         use_hull = (
             self._use_hull_opt
             and metric.name != "linf"
@@ -488,6 +618,9 @@ class SGBAllOperator:
             return IndexedStrategy(
                 self.eps, metric, use_hull, self._rtree_max_entries
             )
+        if self._strategy_cls is GraphStrategy:
+            assert adjacency is not None
+            return GraphStrategy(self.eps, metric, use_hull, adjacency)
         return self._strategy_cls(self.eps, metric, use_hull)
 
     # ------------------------------------------------------------------
@@ -500,17 +633,20 @@ class SGBAllOperator:
             self._dim = len(pt)
             if self._dim < 1:
                 raise InvalidParameterError("points must have >= 1 dimension")
-            self._strategy = self._make_strategy(self.metric)
+            if self._strategy_cls is not GraphStrategy:
+                self._strategy = self._make_strategy(self.metric)
         elif len(pt) != self._dim:
             raise DimensionMismatchError(
                 f"point dimension {len(pt)} != {self._dim}"
             )
         pid = len(self._points)
         self._points.append(pt)
-        assert self._strategy is not None
         stats = self.stats
         stats.points += 1
-        self._process_point(self._strategy, pid, self._deferred, stats)
+        if self._strategy is None:
+            return  # graph: spooled until the walk
+        self._process_point(self._strategy, pid, self._deferred, stats,
+                            self._rng)
         # The CountingMetric tally is cumulative; the struct mirrors it.
         stats.distance_computations = getattr(self.metric, "calls", 0)
 
@@ -526,17 +662,19 @@ class SGBAllOperator:
 
     # ------------------------------------------------------------------
     def _process_point(self, strat: _StrategyBase, pid: int,
-                       deferred_out: List[int], stats: StreamStats) -> None:
+                       deferred_out: List[int], stats: StreamStats,
+                       rng: random.Random) -> None:
         """One iteration of Procedure 1 for point ``pid``, counted into
         ``stats``: the live struct, or a snapshot's scratch one, whose
         probes are not timed into the bag either."""
         point = self._points[pid]
         need_overlap = self.on_overlap != JOIN_ANY
-        bag = self.metrics if stats is self.stats else None
+        bag = (self.metrics if stats is self.stats and strat.probe_timed
+               else None)
         if bag is not None:
             t0 = time.perf_counter()
         examined, candidates, overlaps = strat.find_close_groups(
-            point, need_overlap)
+            pid, point, need_overlap)
         if bag is not None:
             bag.observe("probe_latency", time.perf_counter() - t0)
         stats.index_probes += 1
@@ -550,7 +688,7 @@ class SGBAllOperator:
             strat.add_member(candidates[0], pid, point)
         elif self.on_overlap == JOIN_ANY:
             chosen = (
-                self._rng.choice(candidates)
+                rng.choice(candidates)
                 if self.tiebreak == "random"
                 else candidates[0]  # already sorted by gid
             )
@@ -564,7 +702,7 @@ class SGBAllOperator:
         # -- ProcessOverlap --------------------------------------------
         if need_overlap and overlaps:
             for g in overlaps:
-                doomed = g.members_within(point)
+                doomed = strat.members_within(g, pid, point)
                 if not doomed:
                     continue
                 if len(doomed) == len(g.member_ids):
@@ -584,11 +722,14 @@ class SGBAllOperator:
         order.  JOIN-ANY / ELIMINATE resolve every point on arrival, so
         this is an O(n) label read; FORM-NEW-GROUP regroups the deferred
         set on fresh registries with the uncounted metric and a scratch
-        counter struct, so the live groups, the RNG (the regroup never
-        draws) and :attr:`stats` are as they were.
+        counter struct, so the live groups, the RNG and :attr:`stats` are
+        as they were.  Under ``graph`` the whole walk runs here, its
+        JOIN-ANY draws on a copy of the RNG.
         """
         metric = getattr(self.metric, "inner", self.metric)
-        return self._label_walk(StreamStats(), metric)[0]
+        rng = random.Random()
+        rng.setstate(self._rng.getstate())
+        return self._label_walk(StreamStats(), metric, rng)[0]
 
     def finalize(self) -> GroupingResult:
         """Close the input stream and return the grouping: the
@@ -600,18 +741,20 @@ class SGBAllOperator:
         stats = self.stats
         with maybe_span(self.tracer, "finalize",
                         points=len(self._points)) as fin:
-            result, passes = self._label_walk(stats, self.metric)
+            result, passes = self._label_walk(stats, self.metric,
+                                              self._rng)
             fin.set(regroup_passes=passes)
         stats.distance_computations = getattr(self.metric, "calls", 0)
         if self.metrics is not None:
             self.metrics.add_stats(stats)
         return result
 
-    def _label_walk(self, stats: StreamStats,
-                    metric: Metric) -> Tuple[GroupingResult, int]:
+    def _label_walk(self, stats: StreamStats, metric: Metric,
+                    rng: random.Random) -> Tuple[GroupingResult, int]:
         """``(grouping, regroup passes)`` of the current state.
 
-        Labels number the live groups in creation order, then each
+        Labels number the live groups in creation order (under ``graph``,
+        those of one pass over the spooled points), then each
         FORM-NEW-GROUP recursion level's (a fresh SGB-All pass over ``S'``
         per level, until ``S'`` is empty).  A no-progress level (possible
         only in adversarial configurations) degrades gracefully to
@@ -620,23 +763,28 @@ class SGBAllOperator:
         Eliminated points were never assigned and stay ``ELIMINATED``.
         """
         registries: List[GroupRegistry] = []
+        pending = self._deferred
+        adjacency = None
         if self._strategy is not None:
             registries.append(self._strategy.registry)
-        pending = self._deferred
+        elif self._strategy_cls is GraphStrategy:
+            adjacency = self._adjacency(metric, stats is self.stats)
+            strat = self._make_strategy(metric, adjacency)
+            pending = self._pass(strat, range(len(self._points)), stats,
+                                 rng)
+            registries.append(strat.registry)
         depth = 0
         while pending:
             if (self.max_recursion is not None
                     and depth >= self.max_recursion):
                 registries.append(self._singletons(pending, metric, stats))
                 break
-            strat = self._make_strategy(metric)
-            next_deferred: List[int] = []
+            strat = self._make_strategy(metric, adjacency)
             # Each FORM-NEW-GROUP recursion level is its own strategy
             # phase — one span per re-grouping pass over S'.
             with maybe_span(self.tracer, "regroup", depth=depth,
                             pending=len(pending)):
-                for pid in pending:
-                    self._process_point(strat, pid, next_deferred, stats)
+                next_deferred = self._pass(strat, pending, stats, rng)
             if sorted(next_deferred) == sorted(pending):
                 # No progress is possible; make each remaining point its
                 # own group rather than looping forever.
@@ -654,6 +802,29 @@ class SGBAllOperator:
                     labels[pid] = next_label
                 next_label += 1
         return GroupingResult(labels, self._points), depth
+
+    def _pass(self, strat: _StrategyBase, pids: Iterable[int],
+              stats: StreamStats, rng: random.Random) -> List[int]:
+        """Procedure 1 over ``pids`` into ``strat``; returns its ``S'``."""
+        deferred: List[int] = []
+        for pid in pids:
+            self._process_point(strat, pid, deferred, stats, rng)
+        return deferred
+
+    def _adjacency(self, metric: Metric,
+                   timed: bool) -> Tuple[List[int], List[int]]:
+        """The ε-graph of the spooled points as CSR lists, from one
+        self-join; a counting ``metric`` is charged by the join, and its
+        blocks are timed into the bag when ``timed``."""
+        blocks = kernels.eps_self_join(self._points, self.eps, metric,
+                                       hasattr(metric, "calls"))
+        if timed and self.metrics is not None:
+            blocks = timed_blocks(blocks, self.metrics)
+        with maybe_span(self.tracer, "join",
+                        points=len(self._points)) as sp:
+            adjacency = kernels.csr_adjacency(len(self._points), blocks)
+            sp.set(edges=len(adjacency[1]) // 2)
+        return adjacency
 
     def _singletons(self, pids: List[int], metric: Metric,
                     stats: StreamStats) -> GroupRegistry:

@@ -216,11 +216,11 @@ class GridAnyStrategy(_AnyStrategyBase):
         bag = self.metrics
         if bag is None:
             return blocks
-        return _timed_blocks(blocks, bag)
+        return timed_blocks(blocks, bag)
 
 
-def _timed_blocks(blocks: Iterator[EdgeBlock],
-                  bag: MetricBag) -> Iterator[EdgeBlock]:
+def timed_blocks(blocks: Iterator[EdgeBlock],
+                 bag: MetricBag) -> Iterator[EdgeBlock]:
     """Pass join blocks through, timing each (pair expansion and its one
     verification pass) into both latency histograms."""
     while True:

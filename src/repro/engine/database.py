@@ -95,8 +95,9 @@ class Database:
     ``sgb_all_strategy`` / ``sgb_any_strategy``
         ``"auto"`` (default) lets the cost-based planner pick the cheapest
         strategy per query from table statistics (``ANALYZE``); a concrete
-        name — ``"all-pairs"`` | ``"bounds-checking"`` | ``"index"`` for
-        All, ``"all-pairs"`` | ``"index"`` | ``"grid"`` for Any — is an
+        name — ``"all-pairs"`` | ``"bounds-checking"`` | ``"index"`` |
+        ``"graph"`` for All, ``"all-pairs"`` | ``"index"`` | ``"grid"`` for
+        Any — is an
         override that always wins.  For a given input order and
         ``tiebreak``/``seed`` every strategy produces bit-identical
         groups, so the knob only moves time around.

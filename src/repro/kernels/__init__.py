@@ -28,7 +28,7 @@ from __future__ import annotations
 import contextlib
 import os
 import types
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidParameterError
 
@@ -132,6 +132,14 @@ def eps_self_join(points: Sequence[Coords], eps: float, metric: MetricLike,
     return _impl.eps_self_join(points, eps, metric, count)
 
 
+def csr_adjacency(n: int, blocks: Iterable[EdgeBlock],
+                  ) -> Tuple[List[int], List[int]]:
+    """The ε-graph over ids ``0..n-1`` from edge blocks, as CSR lists
+    ``(indptr, indices)``: the neighbours of ``i`` are
+    ``indices[indptr[i]:indptr[i + 1]]``, every edge listed both ways."""
+    return _impl.csr_adjacency(n, blocks)
+
+
 def make_components(n: int) -> ComponentsLike:
     """Backend-native connected components over ids ``0..n-1``."""
     return _impl.make_components(n)
@@ -168,6 +176,7 @@ __all__ = [
     "pairwise_within",
     "batch_eps_neighbors",
     "eps_self_join",
+    "csr_adjacency",
     "make_components",
     "make_point_store",
     "make_rect_store",

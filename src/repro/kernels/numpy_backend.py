@@ -21,7 +21,7 @@ amortized O(d) with no list→array conversion on the query path.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -275,6 +275,22 @@ def _pair_blocks(start: "np.ndarray", stop: "np.ndarray",
         j = np.arange(lo, hi) + np.repeat(first[k0:k1] - begins[k0:k1],
                                           counts)
         yield i, j
+
+
+def csr_adjacency(n: int, blocks: Iterable[EdgeBlock],
+                  ) -> Tuple[List[int], List[int]]:
+    """``(indptr, indices)`` of the graph the edge blocks list: both
+    directions of every edge, stably sorted by source."""
+    us: List["np.ndarray"] = []
+    vs: List["np.ndarray"] = []
+    for u, v, _ in blocks:
+        us.append(np.asarray(u, dtype=np.intp))
+        vs.append(np.asarray(v, dtype=np.intp))
+    src = np.concatenate(us + vs) if us else np.zeros(0, dtype=np.intp)
+    dst = np.concatenate(vs + us) if us else src
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr.tolist(), dst[np.argsort(src, kind="stable")].tolist()
 
 
 class Components:
@@ -532,10 +548,11 @@ class GroupBlock:
 class RectStore:
     """Slotted MBR array for the bounds-checking strategy.
 
-    One slot per live group; frees are recycled.  A row holds the MBR as
-    ``(-lo | hi)``, its outward extents, so that both tests are one
-    subtraction or comparison of the whole array against one probe row
-    (``-lo - -q`` is ``q - lo``, the same real number rounded once).  Dead
+    One slot per live group; frees are recycled.  A slot's column holds
+    the MBR as ``(-lo | hi)``, its outward extents, so that both tests are
+    one subtraction or comparison of the whole array against one probe
+    column (``-lo - -q`` is ``q - lo``, the same real number rounded
+    once), folded side by side with ``&`` over contiguous rows.  Dead
     slots are parked at NaN, which fails every comparison, so no separate
     liveness mask is needed.
     """
@@ -545,7 +562,7 @@ class RectStore:
     def __init__(self, dim: int) -> None:
         self.dim = dim
         cap = 16
-        self._sides = np.full((cap, 2 * dim), np.nan)
+        self._sides = np.full((2 * dim, cap), np.nan)
         self._items: List[Any] = [None] * cap
         self._free: List[int] = list(range(cap - 1, -1, -1))
         self._slot_of: Dict[Any, int] = {}
@@ -554,10 +571,10 @@ class RectStore:
         return len(self._slot_of)
 
     def _grow(self) -> None:
-        old = self._sides.shape[0]
+        old = self._sides.shape[1]
         new = old * 2
-        grown = np.full((new, 2 * self.dim), np.nan)
-        grown[:old] = self._sides
+        grown = np.full((2 * self.dim, new), np.nan)
+        grown[:, :old] = self._sides
         self._sides = grown
         self._items.extend([None] * (new - old))
         self._free.extend(range(new - 1, old - 1, -1))
@@ -571,17 +588,20 @@ class RectStore:
             slot = self._free.pop()
             self._slot_of[item] = slot
             self._items[slot] = item
-        self._sides[slot] = (*(-v for v in mbr.lo), *mbr.hi)
+        self._sides[:, slot] = (*(-v for v in mbr.lo), *mbr.hi)
 
     def delete(self, item: Any) -> None:
         slot = self._slot_of.pop(item)
-        self._sides[slot] = np.nan
+        self._sides[:, slot] = np.nan
         self._items[slot] = None
         self._free.append(slot)
 
     def _matching(self, mask: "np.ndarray") -> List[Any]:
+        hit = mask[0]
+        for side in mask[1:]:
+            hit &= side
         items = self._items
-        return [items[s] for s in np.flatnonzero(mask.all(axis=1))]
+        return [items[s] for s in np.flatnonzero(hit)]
 
     def eps_contains(self, point: Coords, reach: float) -> List[Any]:
         """Items whose MBR passes the ε-All test for ``point``: within
@@ -590,13 +610,13 @@ class RectStore:
         :meth:`repro.geometry.rectangle.Rect.eps_all_contains`."""
         q = np.asarray(point, dtype=np.float64)
         return self._matching(
-            self._sides - np.concatenate((-q, q)) <= reach)
+            self._sides - np.concatenate((-q, q))[:, None] <= reach)
 
     def mbr_intersects(self, lo: Coords, hi: Coords) -> List[Any]:
         """Items whose MBR intersects the closed box ``[lo, hi]``:
         ``mbr.lo <= hi`` and ``lo <= mbr.hi``."""
         box = np.concatenate((np.negative(hi), lo))
-        return self._matching(self._sides >= box)
+        return self._matching(self._sides >= box[:, None])
 
 
 def make_point_store() -> PointStore:

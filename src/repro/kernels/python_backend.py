@@ -150,6 +150,22 @@ def eps_self_join(points: Sequence[Coords], eps: float, metric: MetricLike,
         yield us, vs, n_box
 
 
+def csr_adjacency(n: int, blocks: Iterable[EdgeBlock],
+                  ) -> Tuple[List[int], List[int]]:
+    """``(indptr, indices)`` of the graph the edge blocks list."""
+    rows: List[List[int]] = [[] for _ in range(n)]
+    for us, vs, _ in blocks:
+        for u, v in zip(us, vs):
+            rows[u].append(v)
+            rows[v].append(u)
+    indptr = [0]
+    indices: List[int] = []
+    for row in rows:
+        indices.extend(row)
+        indptr.append(len(indices))
+    return indptr, indices
+
+
 class Components:
     """Connected components of ``n`` ids under edge blocks (Union-Find)."""
 

@@ -3,9 +3,9 @@
 This is the piece the paper delegates to the PostgreSQL optimizer (§8.2):
 given the estimated input cardinality and the ε-neighbourhood density the
 ANALYZE histograms predict, pick the cheapest grouping strategy
-(All-Pairs vs Bounds-Checking vs R-tree for SGB-All; All-Pairs vs R-tree
-vs grid for SGB-Any) and the parallel worker count — instead of trusting
-user flags.  Flags still win when given: a concrete strategy string in
+(All-Pairs vs Bounds-Checking vs R-tree vs ε-graph for SGB-All; All-Pairs
+vs R-tree vs grid for SGB-Any) and the parallel worker count — instead of
+trusting user flags.  Flags still win when given: a concrete strategy string in
 :class:`~repro.engine.executor.sgb.SGBConfig` is an override, and only
 the ``"auto"`` sentinel engages the chooser.
 
@@ -28,7 +28,8 @@ AUTO = "auto"
 
 #: Strategies the chooser ranks, per mode.
 ANY_STRATEGIES: Tuple[str, ...] = ("all-pairs", "index", "grid")
-ALL_STRATEGIES: Tuple[str, ...] = ("all-pairs", "bounds-checking", "index")
+ALL_STRATEGIES: Tuple[str, ...] = (
+    "all-pairs", "bounds-checking", "index", "graph")
 
 #: Fallbacks when the chooser has nothing to go on (no stats, tiny input).
 DEFAULT_ANY_STRATEGY = "index"
@@ -50,6 +51,12 @@ SMALL_INPUT = 128
 #: table.
 POOL_STARTUP_COST = 800.0
 POOL_COST_PER_POINT = 0.25
+
+#: Most directed ε-graph edges (``n·k``) SGB-All's ``graph`` may hold: its
+#: CSR adjacency peaks at about 70 bytes a directed edge (tracemalloc,
+#: uniform n = 4000 at ε 1.5: 266k edges, 18.8 MB), so this keeps it
+#: near 70 MB.
+MAX_GRAPH_EDGES = 1_000_000
 
 
 @dataclass
@@ -82,10 +89,13 @@ def choose_strategy(mode: str, n: float, avg_neighbors: Optional[float],
             {},
         )
     k = avg_neighbors if avg_neighbors is not None else min(n, 16.0)
-    if eps <= 0 and mode == "any":
-        # Degenerates to equality grouping; the grid cannot express a
-        # zero cell size (the operator falls back to all-pairs anyway).
-        candidates = ("all-pairs", "index")
+    if eps <= 0:
+        # Degenerates to equality grouping; neither the grid nor the
+        # ε-graph's join can bin by a zero ε.
+        candidates = tuple(s for s in candidates
+                           if s not in ("grid", "graph"))
+    elif mode == "all" and n * k > MAX_GRAPH_EDGES:
+        candidates = tuple(s for s in candidates if s != "graph")
     costs = {s: sgb_strategy_cost(mode, s, n, k) for s in candidates}
     best = min(costs, key=lambda s: costs[s])
     reason = (

@@ -130,7 +130,9 @@ def sgb_strategy_cost(mode: str, strategy: str, n: float,
     * SGB-All strategies additionally walk candidate *groups*: all-pairs
       re-checks every stored member and scans the group list (dominant
       when groups ≈ n), bounds-checking rejects most groups with one
-      cheap rectangle test, the R-tree probes group rectangles.
+      cheap rectangle test, the R-tree probes group rectangles.  The
+      batch-only ``graph`` joins the input once and counts over each
+      point's ε-neighbours, so it is priced like SGB-Any's grid.
     """
     strategy = _canonical_strategy(mode, strategy)
     n = max(1.0, n)
@@ -147,6 +149,12 @@ def sgb_strategy_cost(mode: str, strategy: str, n: float,
             per_point = 40.0 + 0.02 * groups
         elif strategy == "index":
             per_point = 8.0 * math.log2(n + 1.0) + 0.025 * groups
+        elif strategy == "graph":
+            # One ε-self-join, then a count over each point's neighbours
+            # (again per FORM-NEW-GROUP regroup pass): 9-17 µs a point at
+            # k < 2, 23-50 at k = 25, 26-128 at k = 94 through SQL at
+            # n = 1500 (a unit here is about 0.75 µs).
+            per_point = 10.0 + 0.3 * k
         else:
             per_point = n  # unknown: pessimistic quadratic
     else:

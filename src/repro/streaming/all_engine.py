@@ -18,18 +18,24 @@ from typing import Iterable, Optional, Sequence, Union
 from repro.core.api import check_eps, validate_point
 from repro.core.distance import Metric
 from repro.core.result import GroupingResult
-from repro.core.sgb_all import SGBAllOperator
-from repro.errors import StreamStateError
+from repro.core.sgb_all import (
+    INCREMENTAL_STRATEGIES,
+    SGBAllOperator,
+    all_strategy_class,
+)
+from repro.errors import InvalidParameterError, StreamStateError
 
 
 class StreamingSGBAll:
     """Maintains SGB-All groups online under point insertion.
 
     Parameters mirror :class:`~repro.core.sgb_all.SGBAllOperator`, except
-    that ``eps`` must be strictly positive and ``count_distances=True``
-    enables the distance-computation counter in :attr:`stats` — the
-    operator's own :class:`~repro.obs.metrics.StreamStats`, so after any
-    prefix, and after :meth:`result`, they are the batch operator's.
+    that ``eps`` must be strictly positive, ``strategy`` must be one that
+    places a point on arrival (not the batch-only ``"graph"``), and
+    ``count_distances=True`` enables the distance-computation counter in
+    :attr:`stats` — the operator's own
+    :class:`~repro.obs.metrics.StreamStats`, so after any prefix, and
+    after :meth:`result`, they are the batch operator's.
 
     >>> eng = StreamingSGBAll(eps=1.0, tiebreak="first")
     >>> eng.extend([(0, 0), (0.5, 0), (9, 9)])
@@ -51,6 +57,11 @@ class StreamingSGBAll:
         count_distances: bool = False,
     ):
         self.eps = check_eps(eps, require_positive=True)
+        if all_strategy_class(strategy).name not in INCREMENTAL_STRATEGIES:
+            raise InvalidParameterError(
+                f"strategy {strategy!r} groups only in batch; a stream "
+                f"runs one of {', '.join(INCREMENTAL_STRATEGIES)}"
+            )
         self._op = SGBAllOperator(
             eps=self.eps, metric=metric, on_overlap=on_overlap,
             strategy=strategy, tiebreak=tiebreak, seed=seed,

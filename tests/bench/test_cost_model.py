@@ -98,11 +98,13 @@ class TestAgainstMeasurement:
         in its own dominant primitive (module docstring of the model):
         predicate evaluations for all-pairs, rectangle tests — groups
         scanned — for bounds-checking, window queries plus the entries
-        they return for the index."""
+        they return for the index, probes plus neighbours tallied for the
+        ε-graph."""
         primitive = {
             "all-pairs": ("distance_computations",),
             "bounds-checking": ("candidates",),
             "index": ("index_probes", "candidates"),
+            "graph": ("index_probes", "candidates"),
         }
         sizes = (200, 400, 800)
         inputs = [uniform_points(n) for n in sizes]

@@ -26,12 +26,11 @@ from repro.core.sgb_all import SGBAllOperator
 from repro.engine.database import Database
 from repro.geometry.rectangle import Rect, probe_window
 from repro.obs import MetricBag
+from repro.stats.chooser import ALL_STRATEGIES, ANY_STRATEGIES
 from repro.streaming.all_engine import StreamingSGBAll
 from tests.conftest import decimal_lattice, decimal_lattices
 
-ALL_STRATEGIES = ["all-pairs", "bounds-checking", "index"]
 OVERLAP_CLAUSES = ["join-any", "eliminate", "form-new-group"]
-ANY_STRATEGIES = ["all-pairs", "index", "grid"]
 
 
 class TestExactEpsBoundary:
@@ -85,6 +84,8 @@ class TestExactEpsBoundary:
 BACKENDS = kernels.available_backends()
 METRICS = ["l2", "linf"]
 FILTERING = ["bounds-checking", "index"]
+#: Every batch strategy checked against the all-pairs scan.
+CHECKED = [s for s in ALL_STRATEGIES if s != "all-pairs"]
 #: ``decimal_lattice`` seeds on which, before the ε-All test read the MBR
 #: in the predicate's arithmetic, the three strategies disagreed for both
 #: metrics under all three clauses.
@@ -109,7 +110,7 @@ class TestDecimalLattice:
     def _check_strategies(points, eps, metric, clause):
         reference = _labels(points, eps, "all-pairs", metric=metric,
                             on_overlap=clause)
-        for strategy in FILTERING:
+        for strategy in CHECKED:
             assert _labels(points, eps, strategy, metric=metric,
                            on_overlap=clause) == reference, strategy
 
@@ -153,7 +154,7 @@ class TestDecimalLattice:
         keys = [i % 3 for i in range(len(points))]
         reference = _labels(points, eps, "all-pairs", metric=metric,
                             on_overlap=clause, partitions=keys)
-        for strategy in FILTERING:
+        for strategy in CHECKED:
             for parallel in (0, 2):
                 assert _labels(points, eps, strategy, metric=metric,
                                on_overlap=clause, partitions=keys,
@@ -169,7 +170,7 @@ class TestDecimalLattice:
         rows = [(i,) + p + (None,) * (3 - len(p))
                 for i, p in enumerate(points)]
         answers = []
-        for strategy in ["all-pairs"] + FILTERING:
+        for strategy in ["all-pairs"] + CHECKED:
             db = Database(sgb_all_strategy=strategy, tiebreak="first")
             db.execute("CREATE TABLE t (id int, x float, y float, z float)")
             db.insert("t", rows)
@@ -184,7 +185,7 @@ class TestDecimalLattice:
             if label >= 0:
                 groups.setdefault(label, []).append(i)
         assert answers[0] == [(ids,) for _, ids in sorted(groups.items())]
-        assert answers[1] == answers[2] == answers[0]
+        assert all(answer == answers[0] for answer in answers[1:])
 
 
 class TestRectanglesGatherThePredicateDecides:

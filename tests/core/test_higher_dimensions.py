@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.api import sgb_all, sgb_any
+from repro.stats.chooser import ALL_STRATEGIES
 from tests.conftest import connected_components, is_clique
 
 coord = st.floats(0, 6, allow_nan=False)
@@ -42,7 +43,7 @@ class TestThreeDimensional:
     @given(points=st.lists(point3, max_size=25),
            eps=st.floats(0.3, 3, allow_nan=False))
     def test_all_clique_invariant_3d(self, metric, clause, points, eps):
-        for strategy in ("all-pairs", "bounds-checking", "index"):
+        for strategy in ALL_STRATEGIES:
             res = sgb_all(points, eps, metric, clause, strategy,
                           tiebreak="first")
             for members in res.groups().values():

@@ -11,9 +11,7 @@ import pytest
 from repro import kernels
 from repro.bench.experiments import skewed_points, uniform_points
 from repro.core.api import sgb_all, sgb_any
-from repro.stats.chooser import ANY_STRATEGIES
-
-ALL_STRATEGIES = ["all-pairs", "bounds-checking", "index"]
+from repro.stats.chooser import ALL_STRATEGIES, ANY_STRATEGIES
 
 #: (name, points, eps) — dense, sparse, and cluster-skewed ε-graphs,
 #: plus heavy duplicates (stacked grid cells).

@@ -6,9 +6,7 @@ from repro.core.api import sgb_all, sgb_any
 from repro.core.distance import L2, LINF
 from repro.core.groups import Group
 from repro.geometry.rectangle import Rect
-from repro.stats.chooser import ANY_STRATEGIES
-
-ALL_STRATEGIES = ["all-pairs", "bounds-checking", "index"]
+from repro.stats.chooser import ALL_STRATEGIES, ANY_STRATEGIES
 
 # Figure 1's points (read off the 6x6 grid): a-e form a clique under
 # L-inf <= 3; c also cliques with f and g.

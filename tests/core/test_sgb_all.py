@@ -6,8 +6,7 @@ from repro.core.api import sgb_all
 from repro.core.result import ELIMINATED
 from repro.core.sgb_all import SGBAllOperator, normalize_overlap
 from repro.errors import InvalidParameterError
-
-STRATEGIES = ["all-pairs", "bounds-checking", "index"]
+from repro.stats.chooser import ALL_STRATEGIES as STRATEGIES
 
 
 class TestNormalizeOverlap:
@@ -76,6 +75,10 @@ class TestBasicGrouping:
 
     def test_eps_zero_is_equality_grouping(self, strategy):
         pts = [(1, 1), (2, 2), (1, 1), (3, 3), (2, 2), (1, 1)]
+        if strategy == "graph":  # its join bins by v // eps
+            with pytest.raises(InvalidParameterError, match="eps > 0"):
+                sgb_all(pts, eps=0, strategy=strategy)
+            return
         res = sgb_all(pts, eps=0, strategy=strategy, tiebreak="first")
         assert sorted(res.group_sizes()) == [1, 2, 3]
         groups = res.groups()
@@ -110,6 +113,18 @@ class TestJoinAny:
         b = sgb_all(pts, eps=2.6, on_overlap="join-any", strategy=strategy,
                     tiebreak="random", seed=123)
         assert a == b
+
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_random_draws_match_all_pairs(self, strategy, seed):
+        # Dense enough that many points have several candidate groups:
+        # every strategy draws from the RNG at the same points, over the
+        # same gid-ordered candidate lists.
+        pts = [((i * 37) % 41 / 10.0, (i * 53) % 43 / 10.0)
+               for i in range(160)]
+        kwargs = dict(eps=0.9, on_overlap="join-any", tiebreak="random",
+                      seed=seed)
+        assert (sgb_all(pts, strategy=strategy, **kwargs).labels
+                == sgb_all(pts, strategy="all-pairs", **kwargs).labels)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -209,3 +224,33 @@ class TestSliverHull:
         pts = [(0, 0), (width, 0), (0, 1), (0, 2), (1, 0)]
         result = sgb_all(pts, 2, "l2", clause, strategy, tiebreak="first")
         assert list(result.labels) == expected
+
+
+class TestGraphStrategy:
+    """``graph`` spools and groups at the walk: a snapshot runs it over
+    the prefix without touching the RNG the final walk draws from."""
+
+    @pytest.mark.parametrize("clause",
+                             ["join-any", "eliminate", "form-new-group"])
+    def test_snapshot_equals_batch_at_every_prefix(self, clause):
+        pts = [((i * 37) % 41 / 10.0, (i * 53) % 43 / 10.0)
+               for i in range(60)]
+        kwargs = dict(eps=0.9, on_overlap=clause, tiebreak="random", seed=5)
+        op = SGBAllOperator(strategy="graph", **kwargs)
+        for n, point in enumerate(pts, 1):
+            op.add(point)
+            assert op.snapshot() == sgb_all(pts[:n], strategy="graph",
+                                            **kwargs), n
+        assert op.finalize() == sgb_all(pts, strategy="all-pairs", **kwargs)
+
+    def test_counters(self):
+        pts = [(0, 0), (1, 0), (4, 0), (5, 0), (2.5, 0), (30, 30)]
+        op = SGBAllOperator(eps=2.6, strategy="graph", tiebreak="first",
+                            count_distance_computations=True)
+        op.add_many(pts).finalize()
+        stats = op.stats
+        assert stats.index_probes == len(pts)  # points placed
+        # placed neighbours tallied per point: 0, 1, 0, 1, 4 (x), 0
+        assert stats.candidates == 6
+        assert stats.groups_created == 3
+        assert stats.distance_computations == op.distance_computations > 0

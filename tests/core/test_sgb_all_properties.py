@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.api import sgb_all
+from repro.stats.chooser import ALL_STRATEGIES
 from tests.conftest import is_clique
 
 coord = st.floats(0, 10, allow_nan=False, allow_infinity=False)
@@ -32,7 +33,7 @@ class TestCliqueInvariant:
     @settings(max_examples=40, deadline=None)
     @given(points=points_strategy, eps=eps_strategy)
     def test_every_group_is_a_clique(self, clause, metric, points, eps):
-        for strategy in ("all-pairs", "bounds-checking", "index"):
+        for strategy in ALL_STRATEGIES:
             res = sgb_all(points, eps, metric, clause, strategy,
                           tiebreak="first")
             for members in res.groups().values():

@@ -9,6 +9,7 @@ persistence session must survive end to end.
 import pytest
 
 from repro.engine.database import Database
+from repro.stats.chooser import ALL_STRATEGIES
 from repro.workloads import queries as Q
 from repro.workloads.checkins import brightkite
 from repro.workloads.tpch import load_tpch
@@ -20,7 +21,7 @@ class TestStrategyConfigurationsAgree:
     def test_all_strategies_same_sql_results(self, clause):
         data = brightkite(600).points()
         results = []
-        for strategy in ("all-pairs", "bounds-checking", "index"):
+        for strategy in ALL_STRATEGIES:
             db = Database(sgb_all_strategy=strategy, tiebreak="first")
             db.execute("CREATE TABLE c (lat float, lon float)")
             db.insert("c", data)

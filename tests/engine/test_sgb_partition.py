@@ -135,3 +135,30 @@ class TestSerialPoolCounterParity:
             assert serial["index_probes"] > 240  # the regroup passes
         else:
             assert serial["index_probes"] == 240
+
+    @pytest.mark.parametrize("clause", ["JOIN-ANY", "ELIMINATE",
+                                        "FORM-NEW-GROUP"])
+    def test_graph_counters_do_not_depend_on_where_it_runs(self, clause):
+        # ``graph`` places every point once per pass (index_probes), tallies
+        # its placed neighbours (candidates) and charges the join's
+        # predicate evaluations (distance_computations).
+        rng = random.Random(5)
+        rows = [(i % 3, rng.uniform(0, 4), rng.uniform(0, 4))
+                for i in range(240)]
+        sql = ("SELECT k, count(*) FROM p GROUP BY x, y "
+               f"DISTANCE-TO-ALL L2 WITHIN 0.4 ON-OVERLAP {clause} "
+               "PARTITION BY k")
+        counters = []
+        for parallel in (1, 2):
+            db = Database(parallel=parallel, sgb_all_strategy="graph")
+            db.execute("CREATE TABLE p (k int, x float, y float)")
+            db.insert("p", rows)
+            counters.append(db.analyze(sql).node_counters())
+        serial, pool = counters
+        assert serial == pool
+        assert serial["candidates"] > 0
+        assert serial["distance_computations"] > 0
+        if clause == "FORM-NEW-GROUP":
+            assert serial["index_probes"] > 240
+        else:
+            assert serial["index_probes"] == 240

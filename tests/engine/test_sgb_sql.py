@@ -10,7 +10,8 @@ import pytest
 
 from repro.core.api import sgb_all, sgb_any
 from repro.engine.database import Database
-from repro.errors import ExecutionError, PlanningError
+from repro.errors import ExecutionError, InvalidParameterError, PlanningError
+from repro.stats.chooser import ALL_STRATEGIES
 
 POINTS = [(1, 6), (2, 7), (6, 4), (7, 5), (4, 5.5)]  # paper Example 1
 
@@ -96,7 +97,7 @@ class TestCrossCheckArrayAPI:
         )
 
     def test_strategy_configuration_respected(self):
-        for strategy in ("all-pairs", "bounds-checking", "index"):
+        for strategy in ALL_STRATEGIES:
             d = Database(sgb_all_strategy=strategy, tiebreak="first")
             d.execute("CREATE TABLE p (x float, y float)")
             d.insert("p", POINTS)
@@ -205,6 +206,29 @@ class TestErrorsAndEdgeCases:
             "DISTANCE-TO-ALL LINF WITHIN 1.5"
         )
         assert sorted(r[0] for r in res) == [1, 2]
+
+    ZERO_EPS_SQL = ("SELECT count(*) FROM p GROUP BY x, y "
+                    "DISTANCE-TO-ALL L2 WITHIN 0")
+
+    @staticmethod
+    def _zero_eps_db(strategy):
+        d = Database(sgb_all_strategy=strategy, tiebreak="first")
+        d.execute("CREATE TABLE p (x float, y float)")
+        d.insert("p", [(i % 7, i % 5) for i in range(300)])
+        d.execute("ANALYZE p")
+        return d
+
+    def test_forced_graph_refuses_zero_eps(self):
+        with pytest.raises(InvalidParameterError, match="eps > 0"):
+            self._zero_eps_db("graph").query(self.ZERO_EPS_SQL)
+
+    def test_auto_never_picks_graph_at_zero_eps(self):
+        d = self._zero_eps_db("auto")
+        plan = d.explain(self.ZERO_EPS_SQL)
+        assert "/stats" in plan and "strategy=graph" not in plan
+        assert (sorted(d.query(self.ZERO_EPS_SQL).rows)
+                == sorted(self._zero_eps_db("all-pairs")
+                          .query(self.ZERO_EPS_SQL).rows))
 
     def test_explain_shows_sgb_node(self, db):
         plan = db.explain(

@@ -15,7 +15,7 @@ import pytest
 
 from repro import Database, kernels
 from repro.core.api import sgb_all, sgb_any
-from repro.stats.chooser import ANY_STRATEGIES
+from repro.stats.chooser import ALL_STRATEGIES, ANY_STRATEGIES
 
 HAS_NUMPY = "numpy" in kernels.available_backends()
 needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
@@ -41,8 +41,7 @@ class TestBackendAgreement:
         assert self._labels("numpy", sgb_any, **kwargs) == \
             self._labels("python", sgb_any, **kwargs)
 
-    @pytest.mark.parametrize("strategy",
-                             ["all-pairs", "bounds-checking", "index"])
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     @pytest.mark.parametrize("on_overlap",
                              ["join-any", "eliminate", "form-new-group"])
     def test_sgb_all_labels_identical(self, strategy, on_overlap):

@@ -4,9 +4,11 @@ import os
 
 import pytest
 
+from repro.core.sgb_all import INCREMENTAL_STRATEGIES
 from repro.stats.chooser import (
     ANY_STRATEGIES,
     AUTO,
+    MAX_GRAPH_EDGES,
     SMALL_INPUT,
     choose_parallel,
     choose_strategy,
@@ -27,13 +29,40 @@ class TestChooseStrategy:
         assert costs["grid"] < costs["all-pairs"] < costs["index"]
 
     def test_sparse_all_prefers_bounds_checking(self):
+        # Of the paper's three, the one rectangle test per group is the
+        # cheapest; the ε-graph beats all three (below).
         strategy, _, costs = choose_strategy("all", 5000, 0.1, 0.05)
-        assert strategy == "bounds-checking"
+        assert min(INCREMENTAL_STRATEGIES, key=costs.get) == "bounds-checking"
         assert costs["bounds-checking"] < costs["all-pairs"]
 
     def test_dense_all_prefers_bounds_checking(self):
-        strategy, _, _ = choose_strategy("all", 5000, 100.0, 1.5)
+        # Past the edge bound the ε-graph is not ranked at all.
+        k = MAX_GRAPH_EDGES / 5000 + 1.0
+        strategy, _, costs = choose_strategy("all", 5000, k, 1.5)
         assert strategy == "bounds-checking"
+        assert "graph" not in costs
+
+    def test_sparse_all_prefers_graph(self):
+        # checkin_all's shape: 1500 check-ins, 0.6 ε-neighbours a point.
+        for k in (0.0, 0.6):
+            strategy, _, costs = choose_strategy("all", 1500, k, 0.1)
+            assert strategy == "graph"
+            assert costs["graph"] < costs["bounds-checking"] < costs["index"]
+
+    def test_edge_bound_drops_graph(self):
+        # Large enough that the bound, not density, decides: just below
+        # it the ε-graph is the cheapest strategy by far.
+        n = 100_000
+        below, _, _ = choose_strategy("all", n, MAX_GRAPH_EDGES / n, 0.5)
+        above, _, costs = choose_strategy("all", n,
+                                          MAX_GRAPH_EDGES / n + 1.0, 0.5)
+        assert below == "graph"
+        assert above != "graph" and "graph" not in costs
+
+    def test_zero_eps_all_never_picks_graph(self):
+        strategy, _, costs = choose_strategy("all", 1500, 0.0, 0.0)
+        assert strategy != "graph"
+        assert "graph" not in costs
 
     def test_zero_eps_any_never_picks_grid(self):
         # eps=0 degenerates to equality grouping; the grid has no cell size
@@ -86,6 +115,12 @@ class TestChooseParallel:
         assert choose_parallel(*self.HEAVY, n, 0.2, partitions,
                                cpu_count=2) == 2
 
+    @pytest.mark.parametrize("n, partitions", [(16_000, 8), (32_000, 16),
+                                               (5_000, 8), (64_000, 8)])
+    def test_graph_never_pays_for_its_pickling(self, n, partitions):
+        assert choose_parallel("all", "graph", n, 0.2, partitions,
+                               cpu_count=2) == 0
+
     # Every spelling the operators' alias tables accept runs the same
     # strategy, so it is priced the same and gets the same pool decision.
     @pytest.mark.parametrize("mode, spellings", [
@@ -124,7 +159,7 @@ class TestResolveSGBChoice:
         choice = resolve_sgb_choice("all", AUTO, 0.05, 5000.0, 0.1,
                                     None, None)
         assert choice.source == "stats"
-        assert choice.strategy == "bounds-checking"
+        assert choice.strategy == "graph"
         assert choice.costs  # ranked costs recorded for EXPLAIN / debugging
 
     def test_configured_parallel_respected(self):

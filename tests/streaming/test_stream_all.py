@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 
 from repro import kernels
-from repro.core.api import sgb_all
-from repro.core.sgb_all import SGBAllOperator
+from repro.core.api import sgb_all, sgb_stream
+from repro.core.sgb_all import INCREMENTAL_STRATEGIES, SGBAllOperator
 from repro.errors import InvalidParameterError, StreamStateError
 from repro.obs.metrics import SGB_COUNTER_FIELDS, MetricBag
 from repro.streaming import StreamingSGBAll
@@ -20,7 +20,7 @@ def random_points(n, seed=11, span=10.0):
 
 
 CLAUSES = ["join-any", "eliminate", "form-new-group"]
-STRATEGIES = ["all-pairs", "bounds-checking", "index"]
+STRATEGIES = INCREMENTAL_STRATEGIES
 
 
 class TestSnapshotEqualsBatchPrefix:
@@ -64,8 +64,7 @@ class TestSnapshotEqualsBatchPrefix:
         assert eng.snapshot().partition() == batch.partition()
 
     @pytest.mark.parametrize("metric", ["l2", "linf"])
-    @pytest.mark.parametrize("strategy", ["all-pairs", "bounds-checking",
-                                          "index"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_strategies_and_metrics(self, strategy, metric):
         pts = random_points(90, seed=8)
         eng = StreamingSGBAll(eps=0.8, metric=metric, strategy=strategy,
@@ -163,6 +162,13 @@ class TestLifecycleAndStats:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(InvalidParameterError):
             StreamingSGBAll(eps=0)
+
+    def test_rejects_the_batch_only_graph_strategy(self):
+        named = "all-pairs, bounds-checking, index"
+        with pytest.raises(InvalidParameterError, match=named):
+            StreamingSGBAll(eps=1.0, strategy="graph")
+        with pytest.raises(InvalidParameterError, match=named):
+            sgb_stream("all", eps=1.0, strategy=" Graph ")
 
     def test_empty_snapshot(self):
         eng = StreamingSGBAll(eps=1.0)
