@@ -1,8 +1,9 @@
 """Aggregate function implementations for the aggregation operators.
 
 Each aggregate is an accumulator factory with the classic
-``init`` / ``step`` / ``final`` protocol, so both the standard hash
-GROUP BY node and the SGB node drive them identically.  The registry
+``init`` / ``step`` / ``final`` protocol: the standard hash GROUP BY node
+steps a row at a time, the SGB node hands each group's argument columns
+to ``step_many``, whose default is the same ``step`` loop.  The registry
 includes the paper's user-defined aggregates: ``array_agg``/``list_id``
 (collect values) and ``st_polygon`` (enclosing polygon of the group's
 2-D grouping attributes — Section 5 queries).
@@ -10,6 +11,8 @@ includes the paper's user-defined aggregates: ``array_agg``/``list_id``
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import is_not
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import PlanningError
@@ -22,6 +25,21 @@ class Accumulator:
     def step(self, args: Tuple[Any, ...]) -> None:
         raise NotImplementedError
 
+    def step_many(self, n: int, columns: Sequence[Sequence[Any]]) -> None:
+        """Step ``n`` rows given as one column per argument.
+
+        The default is :meth:`step` per row, in row order, so a column
+        fold is bit-identical to a row fold (float sums keep their
+        left-to-right order).
+        """
+        step = self.step
+        if columns:
+            for args in zip(*columns):
+                step(args)
+        else:
+            for _ in range(n):
+                step(())
+
     def final(self) -> Any:
         raise NotImplementedError
 
@@ -33,6 +51,10 @@ class _Count(Accumulator):
     def step(self, args: Tuple[Any, ...]) -> None:
         if not args or args[0] is not None:
             self.n += 1
+
+    def step_many(self, n: int, columns: Sequence[Sequence[Any]]) -> None:
+        # COUNT(*) is the group size; COUNT(x) its non-NULL values.
+        self.n += sum(map(is_not, columns[0], repeat(None))) if columns else n
 
     def final(self) -> Any:
         return self.n

@@ -30,6 +30,12 @@ class AggSpec:
     def step(self, acc: Accumulator, row: tuple) -> None:
         acc.step(tuple(f(row) for f in self.arg_fns))
 
+    def fold(self, n: int, columns: Sequence[Sequence[Any]]) -> Any:
+        """The aggregate of ``n`` rows given as one column per argument."""
+        acc = self.new_accumulator()
+        acc.step_many(n, columns)
+        return acc.final()
+
 
 def build_agg_specs(
     calls: Sequence[AggCall], ctx: BindContext

@@ -5,13 +5,15 @@ papers add to PostgreSQL: *one* aggregate with a tuple store, in which only
 the rule that draws group boundaries varies.  :class:`SimilarityAggregate`
 owns the three steps every similarity clause shares —
 
-1. **spool**: consume the child, turn each row's grouping attributes into
-   a point (:func:`grouping_point`) and bucket ``(point, row)`` by the
-   PARTITION BY keys.  ELIMINATE / FORM-NEW-GROUP can only produce final
-   groups once the whole input is seen, so rows wait in a tuple store
-   (Python lists here), like PostgreSQL's version;
+1. **spool**: drain the child, evaluate the grouping attributes as one
+   column each, turn the columns into points (:func:`grouping_points`)
+   and bucket ``(point, row)`` by the PARTITION BY keys.  ELIMINATE /
+   FORM-NEW-GROUP can only produce final groups once the whole input is
+   seen, so rows wait in a tuple store (Python lists here), like
+   PostgreSQL's version;
 2. **label**: the one hook, ``_labels`` — a group label per spooled row;
-3. **fold**: step each row's group accumulators, emit one row per group —
+3. **fold**: group the rows by label, evaluate each aggregate argument
+   as one column, fold each group's slice, emit one row per group —
 
 and :class:`SGBAggregate` (DISTANCE-TO-ALL/ANY; the only clause with
 partitions and a process pool), :class:`SGBAroundAggregate` (N-D AROUND)
@@ -22,6 +24,11 @@ final the moment a row arrives, so it streams and never spools.
 Output rows hold the partition keys and the aggregate results only — a raw
 grouping attribute is not constant within a similarity group, so
 referencing one outside an aggregate is a planning error (caught upstream).
+
+Working a column at a time saves the per-row Python calls of a row loop,
+not arithmetic: each group's values still reach ``Accumulator.step_many``
+in row order, so there is no numpy fold and float sums keep the order of
+the row fold they replaced.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from typing import (
 import datetime as _dt
 import decimal as _decimal
 import math
+from itertools import accumulate, groupby
 
 from repro.core.around import sgb_around_nd
 from repro.core.parallel import (
@@ -89,11 +97,13 @@ def grouping_coordinate(value):
 def grouping_point(values: Sequence) -> Optional[Point]:
     """The point a row's grouping-attribute ``values`` denote, or ``None``.
 
-    The one row → point rule of every similarity clause, batch or
-    streaming.  A NULL attribute cannot satisfy a distance predicate, so
-    the row has no point (callers skip and count it — unlike vanilla GROUP
-    BY, see docs/sql_dialect.md); a non-numeric one is an
-    :class:`ExecutionError`; NaN / ±inf is an
+    The row → point rule of every similarity clause: a stream view calls
+    it per inserted row, and the batch spool's column rule
+    (:func:`grouping_points`) gives the same answer and falls back to it
+    to report a bad value.  A NULL attribute cannot satisfy a distance
+    predicate, so the row has no point (callers skip and count it —
+    unlike vanilla GROUP BY, see docs/sql_dialect.md); a non-numeric one
+    is an :class:`ExecutionError`; NaN / ±inf is an
     :class:`InvalidCoordinateError` as in
     :func:`repro.core.api.validate_point` — NaN compares false with
     everything and silently corrupts sorts, bounds tests and indexes.
@@ -110,6 +120,47 @@ def grouping_point(values: Sequence) -> Optional[Point]:
             f"point {tuple(values)!r} has a non-finite coordinate"
         )
     return point
+
+
+def grouping_points(columns: Sequence[list]) -> List[Optional[Point]]:
+    """The column form of :func:`grouping_point`: one point per row.
+
+    ``columns`` holds one list per grouping attribute.  A column of plain
+    finite floats is used as it is; any other column goes through
+    :func:`grouping_coordinate` value by value.  A row with a NULL
+    attribute gets ``None``.  If some value is not a finite number, the
+    row rule is rerun over the rows in order, so the error raised is the
+    first offending row's — or none, when a NULL in another attribute
+    already skips that row.
+    """
+    coords = [_coordinate_column(column) for column in columns]
+    if any(column is None for column in coords):
+        return [grouping_point(values) for values in zip(*columns)]
+    points: List[Optional[Point]] = list(zip(*coords))
+    if any(None in column for column in coords):
+        points = [None if None in p else p for p in points]
+    return points
+
+
+def _coordinate_column(column: list) -> Optional[list]:
+    """``column`` as coordinates (NULLs kept), or ``None`` when some value
+    is not a finite number and the row rule has to say why."""
+    if set(map(type, column)) != {float}:
+        try:
+            column = [v if v is None else grouping_coordinate(v)
+                      for v in column]
+        except (ExecutionError, OverflowError, ValueError):
+            return None
+    # filter(None, …) drops the NULLs (and zeros, which are finite).
+    return column if all(map(math.isfinite, filter(None, column))) else None
+
+
+def _label_runs(labels: Sequence[int]) -> List[Tuple[int, List[int]]]:
+    """``(label, row positions)`` per distinct label, labels ascending and
+    positions in row order (the sort is stable)."""
+    by_label = sorted(range(len(labels)), key=labels.__getitem__)
+    return [(label, list(run))
+            for label, run in groupby(by_label, labels.__getitem__)]
 
 
 class SGBConfig:
@@ -146,6 +197,10 @@ class SimilarityAggregate(PhysicalOperator):
     Subclasses supply the clause parameters, ``describe()`` and
     :meth:`_labels`; spooling, NULL / type / finiteness handling,
     counters, cancel checkpoints and the aggregate fold live here once.
+    Both the spool and the fold work a column at a time: every key,
+    PARTITION BY and aggregate-argument expression is evaluated by
+    :meth:`_column`, which checks the cancel token once per chunk of
+    :attr:`CHECKPOINT_EVERY` rows rather than once per row.
     """
 
     def __init__(self, child: PhysicalOperator, key_exprs: Sequence[Expr],
@@ -174,65 +229,89 @@ class SimilarityAggregate(PhysicalOperator):
         """
         raise NotImplementedError
 
+    def _column(self, fn: Callable[[tuple], object],
+                rows: List[tuple]) -> list:
+        """``fn`` over ``rows`` as one list.
+
+        No row leaves this node until the whole input is spooled and
+        folded, so the token is checked once per :attr:`CHECKPOINT_EVERY`
+        rows here, where expressions are evaluated.
+        """
+        stride = self.CHECKPOINT_EVERY
+        column: list = []
+        for start in range(0, len(rows), stride):
+            self._checkpoint(start)
+            column += map(fn, rows[start:start + stride])
+        return column
+
     def _spool(self) -> List[Partition]:
         """Child rows → partitions in first-seen order; §8.2 tuple store.
 
+        Each key and PARTITION BY expression is evaluated as one column
+        and the key columns become points by :func:`grouping_points`.
         Without PARTITION BY keys there is at most one partition, keyed
         ``()``; an empty input spools no partition at all.
         """
-        partitions: Dict[tuple, Partition] = {}
-        key_fns = self._key_fns
-        partition_fns = self._partition_fns
-        pkey: tuple = ()
+        rows = list(self.child)
+        points = grouping_points([self._column(f, rows)
+                                  for f in self._key_fns])
         skipped = 0
-        for row in self.child:
-            point = grouping_point([f(row) for f in key_fns])
-            if point is None:
-                skipped += 1
-                continue
-            if partition_fns:
-                pkey = tuple([f(row) for f in partition_fns])
-            bucket = partitions.get(pkey)
-            if bucket is None:
-                bucket = partitions[pkey] = (pkey, [], [])
-            bucket[1].append(point)
-            bucket[2].append(row)
-        spooled = list(partitions.values())
+        if None in points:
+            rows = [row for row, p in zip(rows, points) if p is not None]
+            skipped = len(points) - len(rows)
+            points = [p for p in points if p is not None]
+        if not rows:
+            spooled: List[Partition] = []
+        elif not self._partition_fns:
+            spooled = [((), points, rows)]
+        else:
+            pkeys = list(zip(*[self._column(f, rows)
+                               for f in self._partition_fns]))
+            first_seen: Dict[tuple, int] = {}
+            ids = [first_seen.setdefault(k, len(first_seen)) for k in pkeys]
+            spooled = [(pkeys[run[0]], [points[j] for j in run],
+                        [rows[j] for j in run])
+                       for _id, run in _label_runs(ids)]
         bag = self._ctx.bag_of(self)
         if bag is not None:
             if skipped:
                 bag.incr("rows_skipped_null", skipped)
-            if spooled:
-                bag.incr("rows_spooled", sum(len(p[2]) for p in spooled))
+            if rows:
+                bag.incr("rows_spooled", len(rows))
         return spooled
 
     def _fold(self, pkey: tuple, rows: List[tuple],
-              labels: Sequence[int]) -> Iterator[tuple]:
-        """Aggregate one labelled partition; one output row per group."""
+              labels: Sequence[int]) -> List[tuple]:
+        """Aggregate one labelled partition; one output row per group.
+
+        Rows are reordered group by group (label −1 rows dropped), each
+        aggregate argument is evaluated once as a column over them, and
+        each group's slice of the columns goes to one ``step_many``.
+        """
         specs = self._specs
-        group_accs: dict = {}
-        for j, (row, label) in enumerate(zip(rows, labels)):
-            # No row leaves this node until the whole partition is
-            # aggregated; without a mid-loop checkpoint a cancel or
-            # deadline fired here is only seen after the grind.
-            self._checkpoint(j)
-            if label < 0:
-                continue
-            accs = group_accs.get(label)
-            if accs is None:
-                accs = group_accs[label] = [s.new_accumulator() for s in specs]
-            for spec, acc in zip(specs, accs):
-                spec.step(acc, row)
-        for label in sorted(group_accs):
-            yield pkey + tuple(a.final() for a in group_accs[label])
+        runs = [run for label, run in _label_runs(labels) if label >= 0]
+        grouped = [rows[j] for run in runs for j in run]
+        columns = [[self._column(f, grouped) for f in spec.arg_fns]
+                   for spec in specs]
+        bounds = list(accumulate(map(len, runs), initial=0))
+        return [
+            pkey + tuple(spec.fold(end - start,
+                                   [col[start:end] for col in cols])
+                         for spec, cols in zip(specs, columns))
+            for start, end in zip(bounds, bounds[1:])
+        ]
 
     def _execute(self) -> Iterator[tuple]:
-        with maybe_span(self._ctx.tracer, "spool") as sp:
+        tracer = self._ctx.tracer
+        with maybe_span(tracer, "spool") as sp:
             partitions = self._spool()
             sp.set(partitions=len(partitions))
         for (pkey, _points, rows), labels in zip(partitions,
                                                  self._labels(partitions)):
-            yield from self._fold(pkey, rows, labels)
+            with maybe_span(tracer, "fold", rows=len(rows)) as sp:
+                out = self._fold(pkey, rows, labels)
+                sp.set(groups=len(out))
+            yield from out
 
     def children(self) -> Tuple[PhysicalOperator, ...]:
         return (self.child,)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.core import (
     sgb_all,
     sgb_any,
@@ -26,25 +27,30 @@ from repro.core import (
 )
 from repro.core.cancel import CancelToken
 from repro.engine import functions
+from repro.engine.aggregates import _AGGREGATES
 from repro.engine.database import Database
+from repro.engine.executor.aggregate import build_agg_specs
 from repro.engine.executor.base import PhysicalOperator
 from repro.errors import (
     ExecutionError,
     InvalidCoordinateError,
     QueryCancelledError,
 )
+from repro.sql.ast_nodes import BindContext
+from repro.sql.parser import parse_one
 from tests.engine.test_trace_integration import span_tree
 
-#: form -> (grouping clause over key expression(s) {a} [and b], the
+#: form -> (grouping clause over key expression(s) {a} [and {b}], the
 #: array-API call that draws the same boundaries, EXPLAIN node name).
 FORMS = {
     "eps-all": (
-        "GROUP BY {a}, b DISTANCE-TO-ALL L2 WITHIN 1.5 ON-OVERLAP ELIMINATE",
+        "GROUP BY {a}, {b} DISTANCE-TO-ALL L2 WITHIN 1.5 "
+        "ON-OVERLAP ELIMINATE",
         lambda pts: sgb_all(pts, 1.5, "l2", "eliminate"),
         "SimilarityGroupBy (distance-to-all",
     ),
     "eps-any": (
-        "GROUP BY {a}, b DISTANCE-TO-ANY L2 WITHIN 1.5",
+        "GROUP BY {a}, {b} DISTANCE-TO-ANY L2 WITHIN 1.5",
         lambda pts: sgb_any(pts, 1.5, "l2"),
         "SimilarityGroupBy (distance-to-any",
     ),
@@ -59,13 +65,16 @@ FORMS = {
         "SimilarityGroupBy1D (around",
     ),
     "around-nd": (
-        "GROUP BY {a}, b AROUND ((0, 0), (10, 0)) WITHIN 2",
+        "GROUP BY {a}, {b} AROUND ((0, 0), (10, 0)) WITHIN 2",
         lambda pts: sgb_around_nd(pts, [(0, 0), (10, 0)], eps=2),
         "SimilarityGroupAround",
     ),
 }
 
 form = pytest.mark.parametrize("form", sorted(FORMS))
+#: The forms that group on two keys, ``{a}`` and ``{b}``.
+two_key_form = pytest.mark.parametrize(
+    "form", sorted(f for f in FORMS if "{b}" in FORMS[f][0]))
 
 #: (a, b) per row; ``n`` is the row number.  0, 2, 1 in that order makes
 #: ε-All ELIMINATE drop rows; 3.5 and 30 are outside every AROUND radius.
@@ -83,8 +92,8 @@ PINNED = {
 }
 
 
-def sql_for(form, select="count(*), sum(n)", a="a", where=""):
-    return f"SELECT {select} FROM t {where} {FORMS[form][0].format(a=a)}"
+def sql_for(form, select="count(*), sum(n)", a="a", b="b", where=""):
+    return f"SELECT {select} FROM t {where} {FORMS[form][0].format(a=a, b=b)}"
 
 
 def make_db(rows=None, a_type="float"):
@@ -200,6 +209,158 @@ class TestContract:
             db.execute(sql_for(form, select="sum(cancel_poke(n))"),
                        cancel=token)
         assert 50 <= calls["n"] <= 50 + PhysicalOperator.CHECKPOINT_EVERY
+
+    @form
+    def test_cancel_mid_key_extraction_aborts_within_a_stride(
+            self, form, monkeypatch):
+        """A cancel fired while the spool evaluates a grouping key.
+
+        The key columns are evaluated in ``CHECKPOINT_EVERY``-row chunks
+        after the child is drained, away from the per-row check at the
+        node edge.  SGB009 does not look inside comprehensions, so it
+        cannot see whether a chunk is checked; this test is the guard.
+        """
+        n_rows = 4 * PhysicalOperator.CHECKPOINT_EVERY
+        db = make_db([(float(i % 3), 0.0, i) for i in range(n_rows)])
+        token = CancelToken()
+        calls = {"n": 0}
+
+        def poke(v):
+            calls["n"] += 1
+            if calls["n"] == 50:
+                token.cancel()
+            return v
+
+        monkeypatch.setitem(functions._FUNCTIONS, ("cancel_poke", 1), poke)
+        with pytest.raises(QueryCancelledError):
+            db.execute(sql_for(form, a="cancel_poke(a)"), cancel=token)
+        assert 50 <= calls["n"] <= 50 + PhysicalOperator.CHECKPOINT_EVERY
+
+
+class TestKeyErrorOrder:
+    """Which row a bad grouping key is reported for.
+
+    The spool validates whole key columns, but a failure is reported by
+    the one-row rule, rerun over the rows in order: the first offending
+    row names the error, and a row that a NULL key skips raises nothing.
+    Typed columns refuse mixed values at INSERT, so the keys are
+    ``key(a, n, 'a')`` / ``key(b, n, 'b')``, which return
+    ``bad[(column, n)]`` in place of row ``n``'s value where one is set.
+    """
+
+    @pytest.fixture
+    def bad(self, monkeypatch):
+        bad = {}
+        monkeypatch.setitem(functions._FUNCTIONS, ("key", 3),
+                            lambda v, n, column: bad.get((column, n), v))
+        return bad
+
+    @staticmethod
+    def analyze(form, db=None):
+        db = make_db() if db is None else db
+        return db.analyze(sql_for(form, a="key(a, n, 'a')",
+                                  b="key(b, n, 'b')"))
+
+    @two_key_form
+    @pytest.mark.parametrize("null_key", ["a", "b"])
+    def test_null_beside_text_is_skipped(self, form, null_key, bad):
+        db = make_db()
+        db.insert("t", [(0.0, 0.0, 99)])
+        text_key = "b" if null_key == "a" else "a"
+        bad.update({(null_key, 99): None, (text_key, 99): "x"})
+        result = self.analyze(form, db)
+        assert result.rows == PINNED[form]
+        assert result.node_counters()["rows_skipped_null"] == 1
+
+    @form
+    def test_nan_before_text_names_the_nan_row(self, form, bad):
+        bad.update({("a", 3): float("nan"), ("a", 7): "x"})
+        point = (float("nan"), KEYS[3][1])[:FORMS[form][0].count("{")]
+        with pytest.raises(InvalidCoordinateError) as info:
+            self.analyze(form)
+        assert str(info.value) == (
+            f"point {point!r} has a non-finite coordinate")
+
+    @form
+    def test_text_before_nan_names_the_text(self, form, bad):
+        bad.update({("a", 3): "x", ("a", 7): float("nan")})
+        with pytest.raises(ExecutionError) as info:
+            self.analyze(form)
+        assert not isinstance(info.value, InvalidCoordinateError)
+        assert str(info.value) == "not a numeric grouping attribute: 'x'"
+
+    @form
+    def test_bool_among_floats_is_rejected(self, form, bad):
+        bad[("a", 4)] = True
+        with pytest.raises(ExecutionError) as info:
+            self.analyze(form)
+        assert str(info.value) == "not a numeric grouping attribute: True"
+
+
+def row_fold(specs, pkey, rows, labels):
+    """The SGB node's fold before it folded by column, verbatim but for
+    the cancel checkpoint: one accumulator set per label, stepped a row
+    at a time in row order."""
+    group_accs: dict = {}
+    for row, label in zip(rows, labels):
+        if label < 0:
+            continue
+        accs = group_accs.get(label)
+        if accs is None:
+            accs = group_accs[label] = [s.new_accumulator() for s in specs]
+        for spec, acc in zip(specs, accs):
+            spec.step(acc, row)
+    for label in sorted(group_accs):
+        yield pkey + tuple(a.final() for a in group_accs[label])
+
+
+def every_aggregate():
+    """Each registered aggregate, plain and DISTINCT, over ``x`` (float)
+    and ``y`` (int); the two-argument ones over both."""
+    calls = ["count(*)"]
+    for name, (_factory, arities) in sorted(_AGGREGATES.items()):
+        for distinct in ("", "DISTINCT "):
+            if 1 in arities:
+                calls += [f"{name}({distinct}x)", f"{name}({distinct}y)"]
+            if name == "st_polygon":
+                calls.append(f"st_polygon({distinct}x, y)")
+            elif name == "string_agg":
+                calls.append(f"string_agg({distinct}y, '-')")
+    return calls
+
+
+class TestColumnFoldIsTheRowFold:
+    """Every aggregate, through the SQL node, equals the row fold over the
+    array API's labels with ``==``: no tolerance, so a float sum or
+    average folded in another order fails."""
+
+    AGGS = every_aggregate()
+    grid = st.integers(0, 24).map(lambda k: k / 2)
+    key = st.one_of(st.sampled_from(KEYS), st.tuples(grid, grid))
+    x = st.one_of(st.none(), st.floats(-1e6, 1e6),
+                  st.sampled_from([0.1, 0.2, 0.3, -0.0, 1e-310]))
+    y = st.one_of(st.none(), st.integers(-5, 5))
+
+    def test_every_aggregate_is_listed(self):
+        assert {call.split("(")[0] for call in self.AGGS} == set(_AGGREGATES)
+
+    @form
+    @pytest.mark.parametrize("backend", kernels.available_backends())
+    @given(rows=st.lists(st.tuples(key, x, y), min_size=1, max_size=30))
+    @settings(max_examples=25, deadline=None)
+    def test_bit_identical(self, form, backend, rows):
+        rows = [(a, b, x, y) for (a, b), x, y in rows]
+        db = Database()
+        db.execute("CREATE TABLE t (a float, b float, x float, y int)")
+        db.insert("t", rows)
+        sql = sql_for(form, select=", ".join(self.AGGS))
+        table = db.table("t")
+        specs = build_agg_specs([item.expr for item in parse_one(sql).items],
+                                BindContext(table.schema))
+        labels = FORMS[form][1]([row[:2] for row in table.rows]).labels
+        with kernels.use_backend(backend):
+            got = db.query(sql).rows
+        assert got == list(row_fold(specs, (), table.rows, labels))
 
 
 class TestHeadWrongAnswers:

@@ -129,7 +129,16 @@ class TestDatabaseTracing:
         assert names.count("partition") == 4
         assert names.count("ingest") == 4
         assert names.count("finalize") == 4
-        assert "spool" in names
+        assert names.count("spool") == 1
+        # one fold span per partition, a sibling of its `partition` span
+        # under the node's span
+        records = db.tracer.records()
+        folds = [r for r in records if r.name == "fold"]
+        assert [r.attrs for r in folds] == [{"rows": 30, "groups": 3}] * 4
+        by_id = {r.span_id: r for r in records}
+        parents = {r.parent_id for r in records
+                   if r.name in ("fold", "partition", "spool")}
+        assert [by_id[p].attrs["node"] for p in parents] == ["SGBAggregate"]
 
     def test_set_trace_toggles_but_keeps_buffer(self):
         db = make_db(parallel=1)
