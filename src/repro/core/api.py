@@ -22,7 +22,6 @@ from repro.core.distance import Metric
 from repro.core.parallel import (
     label_partitions as _label_partitions,
     partition_seed as _partition_seed,
-    resolve_workers as _resolve_workers,
 )
 from repro.core.result import GroupingResult
 from repro.core.sgb_all import SGBAllOperator
@@ -110,46 +109,43 @@ def validated_points(
 # ----------------------------------------------------------------------
 def _run_partitioned(
     mode: str,
-    points: Iterable[Sequence[float]],
+    pts: List[Point],
     partitions: Iterable,
-    parallel: int,
     op_kwargs: dict,
     base_seed: Optional[int] = None,
 ) -> GroupingResult:
-    """Group each partition independently, optionally on a process pool.
+    """Group each partition of ``pts`` independently.
 
     ``partitions`` assigns every point a hashable partition key; points
     never group across keys (the array-API analogue of SQL PARTITION BY).
     With ``base_seed`` set (SGB-All), each partition draws from its own
-    blake2b-derived RNG stream, so labels are bit-identical whatever
-    ``parallel`` is.  Global labels number groups in order of first
-    appearance of each partition, each partition's groups keeping their
-    local order; ``-1`` (eliminated) passes through.
+    blake2b-derived RNG stream.  Global labels number groups in order of
+    first appearance of each partition, each partition's groups keeping
+    their local order; ``-1`` (eliminated) passes through.
     """
-    pts = list(validated_points(points))
     keys = list(partitions)
     if len(keys) != len(pts):
         raise InvalidParameterError(
             f"partitions has {len(keys)} entries for {len(pts)} points"
         )
-    buckets: dict = {}  # key -> (points, original row indices)
-    for index, (pt, key) in enumerate(zip(pts, keys)):
-        bucket = buckets.get(key)
-        if bucket is None:
-            bucket = buckets[key] = ([], [])
-        bucket[0].append(pt)
-        bucket[1].append(index)
+    buckets: dict = {}  # key -> original row indices
+    for index, key in enumerate(keys):
+        try:
+            buckets.setdefault(key, []).append(index)
+        except TypeError:
+            raise InvalidParameterError(
+                f"partition key {key!r} at index {index} is not hashable"
+            ) from None
     tasks = []
-    for key, (part_pts, _indices) in buckets.items():
+    for key, indices in buckets.items():
         kwargs = dict(op_kwargs)
         if base_seed is not None:
             kwargs["seed"] = _partition_seed(base_seed, (key,))
-        tasks.append((mode, part_pts, kwargs))
+        tasks.append((mode, [pts[i] for i in indices], kwargs))
     labels: List[int] = [0] * len(pts)
     offset = 0
-    for (_pts, indices), part_labels in zip(
-        buckets.values(), _label_partitions(tasks, _resolve_workers(parallel))
-    ):
+    for indices, part_labels in zip(buckets.values(),
+                                    _label_partitions(tasks)):
         local_max = -1
         for index, label in zip(indices, part_labels):
             labels[index] = label + offset if label >= 0 else -1
@@ -157,6 +153,18 @@ def _run_partitioned(
                 local_max = label
         offset += local_max + 1
     return GroupingResult(labels, pts)
+
+
+def _strategy(mode: str, strategy: str, pts: List[Point], eps: float) -> str:
+    """``strategy``, or the chooser's pick for ``pts`` when it is
+    ``"auto"`` — the ranking SQL uses, given the exact point count and no
+    density statistics."""
+    if strategy != "auto":
+        return strategy
+    # Local: repro.stats imports the engine, which imports this module.
+    from repro.stats.chooser import choose_strategy
+
+    return choose_strategy(mode, len(pts), None, eps)[0]
 
 
 # ----------------------------------------------------------------------
@@ -167,14 +175,13 @@ def sgb_all(
     eps: float,
     metric: Union[str, Metric] = "l2",
     on_overlap: str = "join-any",
-    strategy: str = "index",
+    strategy: str = "auto",
     tiebreak: str = "random",
     seed: int = 0,
     use_hull: bool = True,
     rtree_max_entries: int = 8,
     max_recursion: Optional[int] = None,
     partitions: Optional[Iterable] = None,
-    parallel: int = 0,
 ) -> GroupingResult:
     """Group ``points`` under the distance-to-all (clique) semantics.
 
@@ -182,18 +189,21 @@ def sgb_all(
     paper's Section 6 for the algorithmics.  The result assigns every input
     point a group label (or ``-1`` when dropped by ``on_overlap="eliminate"``).
 
+    ``strategy="auto"`` (the default) lets :mod:`repro.stats.chooser`
+    pick from the number of points and ``eps``, as the SQL planner does;
+    a strategy name always wins.  Every strategy gives the same labels.
+
     ``partitions`` (one hashable key per point) confines grouping to
-    within each partition, and ``parallel`` dispatches the partitions to
-    worker processes (``0``/``1`` serial, ``n > 1`` a pool of ``n``,
-    negative one per CPU).  Each partition grouping is seeded from
-    ``seed`` and a digest of its key, so the labels do not depend on
-    ``parallel``.
+    within each partition.  Each partition grouping is seeded from
+    ``seed`` and a digest of its key.
     """
+    eps = check_eps(eps)
+    pts = list(validated_points(points))
     op_kwargs = dict(
-        eps=check_eps(eps),
+        eps=eps,
         metric=metric,
         on_overlap=on_overlap,
-        strategy=strategy,
+        strategy=_strategy("all", strategy, pts, eps),
         tiebreak=tiebreak,
         seed=seed,
         use_hull=use_hull,
@@ -201,42 +211,38 @@ def sgb_all(
         max_recursion=max_recursion,
     )
     if partitions is not None:
-        return _run_partitioned(
-            "all", points, partitions, parallel, op_kwargs, base_seed=seed
-        )
-    op = SGBAllOperator(**op_kwargs)
-    return op.add_many(validated_points(points)).finalize()
+        return _run_partitioned("all", pts, partitions, op_kwargs,
+                                base_seed=seed)
+    return SGBAllOperator(**op_kwargs).add_many(pts).finalize()
 
 
 def sgb_any(
     points: Iterable[Sequence[float]],
     eps: float,
     metric: Union[str, Metric] = "l2",
-    strategy: str = "index",
+    strategy: str = "auto",
     rtree_max_entries: int = 16,
     partitions: Optional[Iterable] = None,
-    parallel: int = 0,
 ) -> GroupingResult:
     """Group ``points`` under the distance-to-any (connectivity) semantics.
 
     Output groups are the connected components of the ε-neighbourhood graph
     (paper Section 7); the result is independent of input order.
 
-    ``partitions`` / ``parallel`` behave as in :func:`sgb_all`: one
-    hashable key per point confines components to a partition, and
-    ``parallel > 1`` runs partitions on a process pool with identical
-    output.
+    ``strategy`` and ``partitions`` behave as in :func:`sgb_all`: one
+    hashable key per point confines components to a partition.
     """
+    eps = check_eps(eps)
+    pts = list(validated_points(points))
     op_kwargs = dict(
-        eps=check_eps(eps),
+        eps=eps,
         metric=metric,
-        strategy=strategy,
+        strategy=_strategy("any", strategy, pts, eps),
         rtree_max_entries=rtree_max_entries,
     )
     if partitions is not None:
-        return _run_partitioned("any", points, partitions, parallel, op_kwargs)
-    op = SGBAnyOperator(**op_kwargs)
-    return op.add_many(validated_points(points)).finalize()
+        return _run_partitioned("any", pts, partitions, op_kwargs)
+    return SGBAnyOperator(**op_kwargs).add_many(pts).finalize()
 
 
 # ----------------------------------------------------------------------

@@ -21,11 +21,10 @@ deadline must keep meaning "n seconds from submission" across wall-clock
 steps, and nothing about a *grouping decision* ever reads the token, so
 determinism of results is untouched.
 
-Tokens are thread-safe (the waiter that cancels and the worker thread
-that checks are different threads by construction) and are deliberately
-**not** shipped to worker processes — the parallel executor checks the
-token between partition dispatches instead (see
-:func:`repro.core.parallel.run_partitions`).
+Tokens are thread-safe: the waiter that cancels and the worker thread
+that checks are different threads by construction.  A PARTITION BY
+statement also checks its token between partitions (see
+:func:`repro.core.parallel.label_partitions`).
 """
 
 from __future__ import annotations

@@ -103,15 +103,10 @@ class Database:
         groups, so the knob only moves time around.
     ``tiebreak`` / ``seed``
         JOIN-ANY arbitration, see :class:`~repro.core.sgb_all.SGBAllOperator`.
-    ``parallel``
-        Worker processes for PARTITION BY queries: ``None`` (default)
-        decided by the planner from estimated partition counts, ``0``/``1``
-        serial, ``n > 1`` a pool of ``n``, negative one per CPU.
-        Results are bit-identical to serial execution.
     ``trace``
         Start with hierarchical span tracing enabled (see
         :meth:`set_trace`).  Traced SELECTs carry the tracer in their
-        query context — every plan node, SGB strategy phase, and worker
+        query context — every plan node, SGB strategy phase, and
         partition emits a span into :attr:`tracer`, and per-node
         counters/histograms fold into the cumulative bag behind
         :meth:`metrics_snapshot`.
@@ -129,7 +124,6 @@ class Database:
         sgb_any_strategy: str = "auto",
         tiebreak: str = "random",
         seed: int = 0,
-        parallel: Optional[int] = None,
         trace: bool = False,
         query_log: Union[None, bool, str, QueryLog] = None,
     ):
@@ -139,7 +133,6 @@ class Database:
             any_strategy=sgb_any_strategy,
             tiebreak=tiebreak,
             seed=seed,
-            parallel=parallel,
         )
         self._stream_views: Dict[str, Any] = {}
         #: Statement lock: one statement executes at a time, so the
@@ -147,8 +140,7 @@ class Database:
         #: writer.  Re-entrant because nested execution helpers
         #: (``analyze`` → plan run) share it.  Concurrent callers — e.g.
         #: the :mod:`repro.service` worker pool — interleave *between*
-        #: statements; partition parallelism inside one statement still
-        #: fans out to worker processes.
+        #: statements.
         self._lock = threading.RLock()
         #: Guards the cumulative metric bag and query counter only, so
         #: ``metrics_snapshot()`` never has to wait behind a long query
@@ -196,7 +188,7 @@ class Database:
         """Toggle span tracing for subsequent SELECTs and stream flushes.
 
         While enabled, every SELECT's query context carries the database
-        tracer (so plan nodes, operator phases and parallel workers emit
+        tracer (so plan nodes, operator phases and partitions emit
         spans) and so does every attached stream view's micro-batcher.
         Disabling keeps the buffered spans, so :meth:`export_trace` still
         works.

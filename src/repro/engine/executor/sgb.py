@@ -16,7 +16,7 @@ owns the three steps every similarity clause shares —
    as one column, fold each group's slice, emit one row per group —
 
 and :class:`SGBAggregate` (DISTANCE-TO-ALL/ANY; the only clause with
-partitions and a process pool), :class:`SGBAroundAggregate` (N-D AROUND)
+partitions), :class:`SGBAroundAggregate` (N-D AROUND)
 and :class:`SGB1DAggregate` (the ICDE 2009 clauses) differ only in
 ``_labels``.  ``HashAggregate`` stays apart on purpose: equality groups are
 final the moment a row arrives, so it streams and never spools.
@@ -51,11 +51,7 @@ import math
 from itertools import accumulate, groupby
 
 from repro.core.around import sgb_around_nd
-from repro.core.parallel import (
-    label_partitions,
-    partition_seed,
-    resolve_workers,
-)
+from repro.core.parallel import label_partitions, partition_seed
 from repro.core.sgb_1d import sgb_around, sgb_segment
 from repro.engine.executor.aggregate import AggSpec, build_agg_specs
 from repro.engine.executor.base import PhysicalOperator
@@ -171,24 +167,16 @@ class SGBConfig:
     query (see :mod:`repro.stats.chooser`).  A concrete strategy name is
     an override that always wins.
 
-    ``parallel`` dispatches independent PARTITION BY partitions to a
-    process pool: ``None`` (default) lets the chooser decide, ``0``/``1``
-    force serial, ``n > 1`` a pool of ``n`` workers, negative one worker
-    per CPU.  Results are bit-identical to serial execution (see
-    :mod:`repro.core.parallel`).
-
     ``tiebreak`` / ``seed`` arbitrate JOIN-ANY, see
     :class:`~repro.core.sgb_all.SGBAllOperator`.
     """
 
     def __init__(self, all_strategy: str = "auto", any_strategy: str = "auto",
-                 tiebreak: str = "random", seed: int = 0,
-                 parallel: Optional[int] = None):
+                 tiebreak: str = "random", seed: int = 0):
         self.all_strategy = all_strategy
         self.any_strategy = any_strategy
         self.tiebreak = tiebreak
         self.seed = seed
-        self.parallel = parallel
 
 
 class SimilarityAggregate(PhysicalOperator):
@@ -340,17 +328,14 @@ class SGBAggregate(SimilarityAggregate):
         configured = (
             config.all_strategy if mode == "all" else config.any_strategy
         )
-        #: Resolved execution decisions.  Construction falls back to the
-        #: "index" default for an ``"auto"`` config; the planner upgrades
-        #: them via :meth:`apply_choice` once statistics are consulted.
+        #: The resolved strategy.  Construction falls back to the "index"
+        #: default for an ``"auto"`` config; the planner upgrades it via
+        #: :meth:`apply_choice` once statistics are consulted.
         self.strategy = configured if configured != "auto" else "index"
-        self.workers_hint: int = 0 if config.parallel is None else (
-            config.parallel
-        )
         self.choice: "Optional[SGBChoice]" = None
 
     def apply_choice(self, choice: "SGBChoice") -> None:
-        """Install the planner's resolved strategy / parallel decision.
+        """Install the planner's resolved strategy.
 
         Kept as node-level fields (the shared :class:`SGBConfig` is never
         mutated, so concurrent queries with different statistics cannot
@@ -358,15 +343,13 @@ class SGBAggregate(SimilarityAggregate):
         memberships, so this only moves time around.
         """
         self.strategy = choice.strategy
-        self.workers_hint = choice.parallel
         self.choice = choice
 
     def _operator_kwargs(self, pkey: tuple) -> dict:
-        """Picklable constructor arguments for one partition's operator.
+        """Constructor arguments for one partition's operator.
 
         SGB-All draws from a deterministic per-partition RNG stream (see
-        :func:`repro.core.parallel.partition_seed`), which is also what
-        makes partitions safe to run in worker processes.
+        :func:`repro.core.parallel.partition_seed`).
         """
         kwargs = dict(eps=self.eps, metric=self.metric,
                       strategy=self.strategy)
@@ -379,17 +362,12 @@ class SGBAggregate(SimilarityAggregate):
         return kwargs
 
     def _labels(self, partitions: List[Partition]) -> Iterator[Sequence[int]]:
-        """Group each partition, in this process or on the pool.
-
-        Either way one :func:`~repro.core.parallel.group_partition` per
-        partition reports into this node's collectors, so EXPLAIN ANALYZE
-        totals and span trees do not depend on where it ran, and
-        per-partition seeds make the labels bit-identical.
-        """
+        """Group each partition lazily, one
+        :func:`~repro.core.parallel.group_partition` per partition,
+        reporting into this node's collectors."""
         return label_partitions(
             [(self.mode, points, self._operator_kwargs(pkey))
              for pkey, points, _rows in partitions],
-            resolve_workers(self.workers_hint),
             self._ctx,
             bag=self._ctx.bag_of(self),
         )

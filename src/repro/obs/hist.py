@@ -10,8 +10,8 @@ distribution-preserving counterpart:
 * :class:`LatencyHistogram` — a fixed set of base-2 log buckets from 1 µs
   to ~9.5 h plus an overflow bucket.  Observations are O(log n_buckets)
   (a bisect over the precomputed bounds), merging two histograms is exact
-  (bucket-wise addition, which is what lets worker-process histograms fold
-  back into the parent), and quantiles are upper-bound estimates in the
+  (bucket-wise addition, which is how per-node bags fold into the
+  cumulative one), and quantiles are upper-bound estimates in the
   Prometheus style (the reported p99 is the smallest bucket boundary with
   at least 99 % of the mass at or below it, clamped to the observed max).
 * :class:`HistogramTimer` — the ``with`` adapter that records one elapsed
@@ -19,7 +19,7 @@ distribution-preserving counterpart:
 
 The bucket scheme is *fixed* (not per-histogram) so that any two
 histograms anywhere in the system can be merged and so the Prometheus
-``le`` label values are stable across processes and runs.
+``le`` label values are stable across runs.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ import time
 from bisect import bisect_left
 from types import TracebackType
 from typing import Dict, Iterator, List, Optional, Tuple, Type
-
-#: Picklable :meth:`LatencyHistogram.state` snapshot:
-#: ``(counts, count, sum_s, max_s, min_s)``.
-HistState = Tuple[List[int], int, float, float, float]
 
 #: First finite bucket boundary, in seconds (1 µs).
 BUCKET_START_S = 1e-6
@@ -163,19 +159,6 @@ class LatencyHistogram:
         if other.min_s < self.min_s:
             self.min_s = other.min_s
         return self
-
-    # -- (de)serialization for worker-process fold-back --------------------
-    def state(self) -> HistState:
-        """Picklable snapshot; inverse of :meth:`from_state`."""
-        return (list(self.counts), self.count, self.sum_s, self.max_s,
-                self.min_s)
-
-    @classmethod
-    def from_state(cls, state: HistState) -> "LatencyHistogram":
-        h = cls()
-        counts, h.count, h.sum_s, h.max_s, h.min_s = state
-        h.counts = list(counts)
-        return h
 
     def as_dict(self) -> Dict[str, float]:
         out: Dict[str, float] = {

@@ -11,19 +11,14 @@ Design points:
 
 * **Exact parenting.**  Every finished span is a :class:`SpanRecord` with
   a ``trace_id``, its own ``span_id``, and its parent's ``span_id`` (empty
-  for roots).  Ids are strings minted from a per-tracer counter; worker
-  processes derive theirs from the propagated parent id (see below), so
-  ids are globally unique without cross-process coordination.
+  for roots).  Ids are strings minted from a per-tracer counter.
 * **Ring-buffer sink.**  Finished spans land in a bounded deque; when the
   buffer is full the *oldest* spans are dropped (and counted in
   ``dropped``), so a long-lived traced Database has bounded memory.
-* **Cross-process propagation.**  :meth:`Tracer.context` captures
-  ``(trace_id, current span_id)``; a worker builds a tracer with
-  :meth:`Tracer.for_context` (its root spans parent onto the propagated
-  span id, its span ids are prefixed with a caller-chosen unique tag), and
-  ships ``export_records()`` back for the parent to :meth:`ingest`.  Worker
-  records carry the worker's OS pid, which the Chrome exporter surfaces as
-  a separate process track.
+* **Manufactured spans.**  :meth:`Tracer.ingest` appends finished
+  records built elsewhere — the service's per-request
+  ``service_request`` family, whose queue and exec times are known only
+  after the fact.
 * **Two export formats.**  JSONL (one record per line, for ad-hoc
   analysis) and the Chrome ``trace_event`` JSON loadable in Perfetto /
   ``chrome://tracing`` (``ph: "X"`` complete events plus ``process_name``
@@ -31,12 +26,11 @@ Design points:
 
 Timestamps are wall-clock anchored (``time.time`` at tracer creation)
 but advance with ``time.perf_counter``, so durations are monotonic-clock
-accurate while spans from different processes on the same machine still
-line up on a common axis.
+accurate while ingested records stamped with ``time.time`` still line up
+on a common axis.
 
-The tracer is deliberately single-threaded per process — the engine's
-execution model is a single-threaded iterator tree per process, with
-parallelism via *worker processes*, each of which gets its own tracer.
+The tracer is deliberately single-threaded — a statement executes as a
+single-threaded iterator tree under the database's statement lock.
 """
 
 from __future__ import annotations
@@ -45,7 +39,7 @@ import json
 import os
 import time
 from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence
 
 #: Default ring-buffer capacity (finished spans retained per tracer).
 DEFAULT_CAPACITY = 8192
@@ -184,10 +178,7 @@ class Tracer:
     True
     """
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY,
-                 _trace_id: Optional[str] = None,
-                 _root_parent: str = "",
-                 _id_prefix: str = "s"):
+    def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
@@ -197,47 +188,17 @@ class Tracer:
         self._next_trace = 0
         self.dropped = 0
         self.pid = os.getpid()
-        # Wall-anchored monotonic clock: comparable across same-machine
-        # processes, immune to wall-clock steps *within* a tracer's life.
+        # Wall-anchored monotonic clock: lines up with ``time.time``
+        # stamps, immune to wall-clock steps *within* a tracer's life.
         self._epoch_wall = time.time()
         self._epoch_perf = time.perf_counter()
-        # Fixed trace id / root parent for worker-side tracers.
-        self._fixed_trace_id = _trace_id
-        self._root_parent = _root_parent
-        self._id_prefix = _id_prefix
-        self._current_trace: Optional[str] = _trace_id
-
-    # -- worker-process propagation ----------------------------------------
-    def context(self) -> Tuple[str, str]:
-        """``(trace_id, current span_id)`` to hand to a worker process."""
-        if self._stack:
-            top = self._stack[-1]
-            return self._current_trace or "", top.span_id
-        return self._current_trace or "", ""
-
-    @classmethod
-    def for_context(cls, trace_id: str, parent_span_id: str, tag: str,
-                    capacity: int = DEFAULT_CAPACITY) -> "Tracer":
-        """A worker-side tracer whose roots parent onto ``parent_span_id``.
-
-        ``tag`` must be unique per dispatched task (the caller typically
-        uses the parent span id plus a task index) — it prefixes every
-        span id this tracer mints, which is what keeps ids collision-free
-        when a pool process handles several tasks.
-        """
-        return cls(capacity=capacity, _trace_id=trace_id,
-                   _root_parent=parent_span_id, _id_prefix=tag)
-
-    def export_records(self) -> List[Dict[str, Any]]:
-        """Finished spans as picklable dicts (for shipping to the parent)."""
-        return [r.as_dict() for r in self._buffer]
+        self._current_trace = ""
 
     def ingest(self, records: Sequence[Dict[str, Any]]) -> int:
-        """Fold records exported by a worker tracer into this buffer.
+        """Append finished records (:meth:`SpanRecord.as_dict` shape).
 
-        Records arrive with globally-unique ids already parented onto one
-        of *this* tracer's spans (via :meth:`for_context`), so folding is
-        a plain append; returns the number ingested.
+        The caller mints their ids and parents, so this is a plain
+        append; returns the number ingested.
         """
         for d in records:
             self._sink(SpanRecord.from_dict(d))
@@ -258,12 +219,10 @@ class Tracer:
         if self._stack:
             span.parent_id = self._stack[-1].span_id
         else:
-            span.parent_id = self._root_parent
-            if self._fixed_trace_id is None:
-                self._next_trace += 1
-                self._current_trace = f"t{self._next_trace}"
+            self._next_trace += 1
+            self._current_trace = f"t{self._next_trace}"
         self._next_span += 1
-        span.span_id = f"{self._id_prefix}{self._next_span}"
+        span.span_id = f"s{self._next_span}"
         span._start = self._now()
         self._stack.append(span)
 
@@ -276,7 +235,7 @@ class Tracer:
                 del self._stack[i]
                 break
         self._sink(SpanRecord(
-            self._current_trace or "", span.span_id, span.parent_id,
+            self._current_trace, span.span_id, span.parent_id,
             span.name, span._start, self._now(), self.pid, span.attrs,
         ))
 
@@ -314,13 +273,11 @@ class Tracer:
     def to_chrome_trace(self) -> Dict[str, Any]:
         """The retained spans as a Chrome ``trace_event`` payload.
 
-        Load the written JSON in Perfetto or ``chrome://tracing``: spans
-        from worker processes appear as separate process tracks (their
-        records carry the worker pid), named via ``process_name`` metadata
-        events.  Timestamps are microseconds relative to the earliest
-        retained span.
+        Load the written JSON in Perfetto or ``chrome://tracing``.
+        Timestamps are microseconds relative to the earliest retained
+        span.
         """
-        return chrome_trace_payload(self.records(), main_pid=self.pid)
+        return chrome_trace_payload(self.records())
 
     def to_chrome_trace_file(self, path) -> int:
         payload = self.to_chrome_trace()
@@ -336,9 +293,9 @@ class Tracer:
         )
 
 
-def chrome_trace_payload(records: Sequence[SpanRecord],
-                         main_pid: Optional[int] = None) -> Dict[str, Any]:
-    """Build a Chrome ``trace_event`` dict from finished span records."""
+def chrome_trace_payload(records: Sequence[SpanRecord]) -> Dict[str, Any]:
+    """Build a Chrome ``trace_event`` dict from finished span records,
+    with a ``process_name`` metadata event per pid."""
     events: List[Dict[str, Any]] = []
     pids: List[int] = []
     t0 = min((r.start_s for r in records), default=0.0)
@@ -362,14 +319,12 @@ def chrome_trace_payload(records: Sequence[SpanRecord],
             "args": args,
         })
     for pid in pids:
-        label = "sgb-main" if (main_pid is None or pid == main_pid) \
-            else f"sgb-worker-{pid}"
         events.append({
             "name": "process_name",
             "ph": "M",
             "pid": pid,
             "tid": 1,
-            "args": {"name": label},
+            "args": {"name": "sgb-main"},
         })
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
@@ -380,8 +335,9 @@ def validate_chrome_trace(payload: Dict[str, Any],
 
     Verifies that every ``X`` event carries span/parent ids, that parent
     ids resolve, and that each child's ``[ts, ts + dur]`` interval nests
-    inside its parent's (within ``tolerance_s``, which absorbs clock-
-    anchor skew between processes).  An empty list means the trace is
+    inside its parent's (within ``tolerance_s``, which absorbs the skew
+    between the tracer's clock anchor and ``time.time`` stamps on
+    ingested records).  An empty list means the trace is
     well-formed.
     """
     problems: List[str] = []

@@ -3,14 +3,11 @@
 Checks an exported Chrome ``trace_event`` JSON file structurally: every
 complete (``ph: "X"``) span must carry ``span_id``/``parent_id`` args,
 every parent id must resolve, and every child's ``[ts, ts + dur]``
-interval must nest inside its parent's (within a clock-skew tolerance for
-cross-process spans).  Optionally asserts a minimum number of distinct
-process tracks (``--min-pids 2`` proves worker spans actually crossed the
-process boundary).
+interval must nest inside its parent's (within a clock-skew tolerance).
 
 ``--demo OUT.json`` first *produces* a trace to check: it runs a
-partition-parallel ``sgb_any`` query on a traced in-memory
-:class:`~repro.engine.database.Database` (workers=2, partitions=4), dumps
+``PARTITION BY`` SGB-Any query (``--partitions`` of them, 4 by default)
+on a traced in-memory :class:`~repro.engine.database.Database`, dumps
 the Chrome trace to ``OUT.json``, and writes the Prometheus snapshot next
 to it (``OUT.prom``).  CI chains ``--demo`` with the validation to smoke-
 test the whole tracing path on every push.
@@ -26,12 +23,12 @@ from pathlib import Path
 from repro.obs.trace import validate_chrome_trace
 
 
-def build_demo_trace(out_path: Path, workers: int = 2,
-                     partitions: int = 4, n: int = 400) -> Path:
-    """Run a traced parallel SGB query and dump its Chrome trace."""
+def build_demo_trace(out_path: Path, partitions: int = 4,
+                     n: int = 400) -> Path:
+    """Run a traced PARTITION BY SGB query and dump its Chrome trace."""
     from repro.engine.database import Database
 
-    db = Database(parallel=workers, trace=True)
+    db = Database(trace=True)
     db.execute("CREATE TABLE pts (part int, x float, y float)")
     rows = []
     for i in range(n):
@@ -57,8 +54,7 @@ def build_demo_trace(out_path: Path, workers: int = 2,
     return out_path
 
 
-def check_file(path: Path, min_pids: int = 1,
-               tolerance_s: float = 0.005) -> int:
+def check_file(path: Path, tolerance_s: float = 0.005) -> int:
     """Validate one trace file; prints findings, returns exit status."""
     try:
         payload = json.loads(path.read_text())
@@ -66,20 +62,12 @@ def check_file(path: Path, min_pids: int = 1,
         print(f"ERROR: cannot read {path}: {exc}", file=sys.stderr)
         return 2
     problems = validate_chrome_trace(payload, tolerance_s=tolerance_s)
-    events = [e for e in payload.get("traceEvents", ())
-              if e.get("ph") == "X"]
-    pids = sorted({e.get("pid") for e in events})
-    if len(pids) < min_pids:
-        problems.append(
-            f"expected >= {min_pids} distinct pids, found {len(pids)}: "
-            f"{pids}"
-        )
     if problems:
         for p in problems:
             print(f"FAIL: {p}", file=sys.stderr)
         return 1
-    print(f"OK: {len(events)} spans across {len(pids)} process track(s) "
-          f"nest correctly")
+    spans = sum(1 for e in payload["traceEvents"] if e.get("ph") == "X")
+    print(f"OK: {spans} spans nest correctly")
     return 0
 
 
@@ -91,21 +79,15 @@ def main(argv=None) -> int:
                         help="trace file to validate (created by --demo)")
     parser.add_argument("--demo", action="store_true",
                         help="first generate the trace by running a traced "
-                             "parallel SGB query")
-    parser.add_argument("--min-pids", type=int, default=1,
-                        help="require at least this many process tracks")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="worker processes for --demo")
+                             "PARTITION BY SGB query")
     parser.add_argument("--partitions", type=int, default=4,
                         help="partition count for --demo")
     parser.add_argument("--tolerance-ms", type=float, default=5.0,
-                        help="cross-process nesting tolerance")
+                        help="nesting tolerance")
     args = parser.parse_args(argv)
     if args.demo:
-        build_demo_trace(args.path, workers=args.workers,
-                         partitions=args.partitions)
-    return check_file(args.path, min_pids=args.min_pids,
-                      tolerance_s=args.tolerance_ms / 1000.0)
+        build_demo_trace(args.path, partitions=args.partitions)
+    return check_file(args.path, tolerance_s=args.tolerance_ms / 1000.0)
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry

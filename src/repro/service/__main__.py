@@ -42,9 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--default-timeout", type=float, default=30.0,
                         help="per-request deadline when the request has "
                              "no timeout_s (0 = none)")
-    parser.add_argument("--parallel", type=int, default=0,
-                        help="engine worker processes for PARTITION BY "
-                             "(0 serial, -1 one per CPU)")
     parser.add_argument("--trace", action="store_true",
                         help="enable hierarchical span tracing")
     parser.add_argument("--demo", type=int, metavar="N", default=0,
@@ -72,7 +69,7 @@ async def _serve(service: SGBService) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    db = Database(parallel=args.parallel, trace=args.trace)
+    db = Database(trace=args.trace)
     if args.demo:
         from repro.workloads.checkins import brightkite
 

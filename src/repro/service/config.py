@@ -18,9 +18,7 @@ class ServiceConfig:
         Threads in the query scheduler's pool.  Engine statements
         serialize on the database's statement lock, so extra workers buy
         *queue concurrency* (admission, deadline checks, cancellation
-        responsiveness) rather than parallel compute — partition
-        parallelism inside one query still comes from the engine's
-        process pool (``parallel=`` on the Database).
+        responsiveness) rather than parallel compute.
     ``queue_depth``
         Admission queue capacity; a submit beyond it is shed immediately
         with :class:`~repro.errors.ServiceOverloadedError`.

@@ -537,7 +537,7 @@ class Planner:
     def _resolve_sgb_choice(self, plan: SGBAggregate,
                             child: PhysicalOperator, spec,
                             eps: float) -> None:
-        """Resolve the SGB strategy / parallel degree from statistics.
+        """Resolve the SGB strategy from statistics.
 
         The configured strategy is consulted first: anything but the
         ``"auto"`` sentinel is a user override and wins (provenance
@@ -549,9 +549,6 @@ class Planner:
         child_est = _estimator.estimate_plan(child)
         density = _estimator.sgb_density(
             child, plan._key_exprs, eps, n_rows=child_est.rows
-        )
-        partitions = _estimator.estimate_ndv_product(
-            child, plan._partition_exprs
         )
         configured = (
             self.sgb_config.all_strategy if spec.mode == "all"
@@ -567,8 +564,6 @@ class Planner:
             eps,
             child_est.rows if has_stats else None,
             density,
-            self.sgb_config.parallel,
-            partitions,
         )
         plan.apply_choice(choice)
 

@@ -12,14 +12,12 @@ Three layers, lowest first:
 :mod:`repro.stats.estimator` / :mod:`repro.stats.chooser`
     The plan walker that attaches a :class:`PlanEstimate` to every
     physical operator, and the chooser that turns those estimates into
-    execution decisions (SGB strategy, parallel degree) unless a user
-    flag overrides them.
+    an SGB strategy unless a user flag overrides it.
 """
 
 from repro.stats.chooser import (
     AUTO,
     SGBChoice,
-    choose_parallel,
     choose_strategy,
     resolve_sgb_choice,
 )
@@ -46,7 +44,6 @@ __all__ = [
     "SGBChoice",
     "TableStats",
     "analyze_table",
-    "choose_parallel",
     "choose_strategy",
     "column_stats_for",
     "estimate_plan",

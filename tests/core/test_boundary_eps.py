@@ -149,17 +149,15 @@ class TestDecimalLattice:
 
     @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize("clause", OVERLAP_CLAUSES)
-    def test_partitioned_serial_equals_pool(self, metric, clause):
+    def test_partitioned_equals_all_pairs(self, metric, clause):
         points, eps = decimal_lattice(LATTICE_SEEDS[0], n=300)
         keys = [i % 3 for i in range(len(points))]
         reference = _labels(points, eps, "all-pairs", metric=metric,
                             on_overlap=clause, partitions=keys)
         for strategy in CHECKED:
-            for parallel in (0, 2):
-                assert _labels(points, eps, strategy, metric=metric,
-                               on_overlap=clause, partitions=keys,
-                               parallel=parallel) == reference, \
-                    (strategy, parallel)
+            assert _labels(points, eps, strategy, metric=metric,
+                           on_overlap=clause, partitions=keys) == reference, \
+                strategy
 
     @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize("clause", OVERLAP_CLAUSES)

@@ -87,22 +87,21 @@ class TestDatabaseQueryLog:
     def test_log_row_is_a_rendering_of_the_plan_record(self):
         """Row, EXPLAIN ANALYZE and ``metrics_json()`` read one record:
         the row's root, estimates, strategy and counters are that
-        record's, for a serial and a pool run alike."""
-        for parallel in (1, 2):
-            db = make_db(parallel=parallel, query_log=True)
-            res = db.analyze(PARTITIONED_SQL)
-            row = db.query_log.recent(1)[0]
-            top = res.metrics
-            assert row.root == top["node"]
-            assert row.est_rows == top["estimated_rows"]
-            assert row.est_cost == top["estimated_cost"]["total"]
-            assert row.actual_rows == top["rows"] == len(res.rows)
-            sgb = top["children"][0]
-            assert (row.strategy, row.strategy_source) == \
-                (sgb["strategy"], sgb["strategy_source"])
-            assert f"strategy={row.strategy}/{row.strategy_source}" \
-                in sgb["node"]
-            assert row.counters == res.node_counters()
+        record's."""
+        db = make_db(query_log=True)
+        res = db.analyze(PARTITIONED_SQL)
+        row = db.query_log.recent(1)[0]
+        top = res.metrics
+        assert row.root == top["node"]
+        assert row.est_rows == top["estimated_rows"]
+        assert row.est_cost == top["estimated_cost"]["total"]
+        assert row.actual_rows == top["rows"] == len(res.rows)
+        sgb = top["children"][0]
+        assert (row.strategy, row.strategy_source) == \
+            (sgb["strategy"], sgb["strategy_source"])
+        assert f"strategy={row.strategy}/{row.strategy_source}" \
+            in sgb["node"]
+        assert row.counters == res.node_counters()
 
     def test_skewed_workload_drifts_and_cli_surfaces_it(self, tmp_path,
                                                         capsys):

@@ -6,8 +6,8 @@ with one per-statement :class:`~repro.obs.QueryContext`; they differ only
 in the flags of that context and in which rendering of the run they hand
 back.  So for one statement, whichever way it is submitted: same rows,
 one more query counted, one query-log record with the same fingerprint,
-the same counters in the cumulative bag, the same span tree — serial or
-on the pool — and the same typed error once the caller's token trips.
+the same counters in the cumulative bag, the same span tree, and the
+same typed error once the caller's token trips.
 """
 
 import functools
@@ -69,9 +69,9 @@ def nodes_of(plan):
 
 
 @functools.lru_cache(maxsize=None)
-def outcome(entry, trace, parallel):
+def outcome(entry, trace):
     """Submit PARTITIONED_SQL once through ``entry`` on a fresh database."""
-    db = make_db(parallel=parallel, trace=trace)
+    db = make_db(trace=trace)
     db.set_query_log(True)
     rows, text = ENTRY_POINTS[entry](db, PARTITIONED_SQL)
     return {
@@ -84,31 +84,30 @@ def outcome(entry, trace, parallel):
     }
 
 
-@pytest.mark.parametrize("parallel", [1, 2], ids=["serial", "pool"])
 @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
 @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
 class TestEveryEntryPointIsTheSameRun:
-    def test_same_rows(self, entry, trace, parallel):
-        got = outcome(entry, trace, parallel)
-        expected = outcome("query", trace, parallel)["rows"]
-        assert expected == outcome("query", False, 1)["rows"]
+    def test_same_rows(self, entry, trace):
+        got = outcome(entry, trace)
+        expected = outcome("query", trace)["rows"]
+        assert expected == outcome("query", False)["rows"]
         if got["rows"] is not None:
             assert got["rows"] == expected
         if got["text"] is not None:
             root = got["text"].splitlines()[0]
             assert f"actual rows={len(expected)} " in root
 
-    def test_counted_and_logged_once(self, entry, trace, parallel):
-        got = outcome(entry, trace, parallel)
+    def test_counted_and_logged_once(self, entry, trace):
+        got = outcome(entry, trace)
         assert got["counters"]["repro_queries_total"] == 1
-        assert got["log"] == outcome("query", trace, parallel)["log"]
+        assert got["log"] == outcome("query", trace)["log"]
         assert len(got["log"]) == 1
 
-    def test_same_node_counters(self, entry, trace, parallel):
-        got = outcome(entry, trace, parallel)["counters"]
+    def test_same_node_counters(self, entry, trace):
+        got = outcome(entry, trace)["counters"]
         # Collected by whoever collects: every entry point when tracing,
-        # the analyzing ones regardless; serial and pool alike.
-        reference = outcome("analyze", False, 1)["counters"]
+        # the analyzing ones regardless.
+        reference = outcome("analyze", False)["counters"]
         assert reference["repro_exec_rows_spooled_total"] == 120
         if trace or entry in ANALYZING:
             assert got == reference
@@ -116,17 +115,17 @@ class TestEveryEntryPointIsTheSameRun:
             assert not any(v for k, v in got.items()
                            if k != "repro_queries_total")
 
-    def test_same_span_tree(self, entry, trace, parallel):
-        got = outcome(entry, trace, parallel)
+    def test_same_span_tree(self, entry, trace):
+        got = outcome(entry, trace)
         if not trace:
             assert got["db"].tracer is None
             return
-        assert got["spans"] == outcome("query", True, 1)["spans"]
+        assert got["spans"] == outcome("query", True)["spans"]
         (root,) = got["spans"]
         assert root[0] == "query"
 
-    def test_nothing_left_behind(self, entry, trace, parallel):
-        db = outcome(entry, trace, parallel)["db"]
+    def test_nothing_left_behind(self, entry, trace):
+        db = outcome(entry, trace)["db"]
         before = work_counters(db)
         plan = db._planner().plan_query(parse(OTHER_SQL)[0])
         assert all(node._ctx is UNBOUND for node in nodes_of(plan))
@@ -142,7 +141,7 @@ class TestEveryEntryPointIsTheSameRun:
 
 class TestUnboundPlanRunsBare:
     def test_rows_and_child_iteration_bypass_the_recorder(self):
-        db = make_db(parallel=1, trace=True)
+        db = make_db(trace=True)
         plan = db._planner().plan_query(parse(PARTITIONED_SQL)[0])
         sgb = next(n for n in nodes_of(plan) if hasattr(n, "eps"))
         assert not goes_through_recorder(plan)
@@ -172,7 +171,7 @@ class TestObservabilityOffLeavesNothingOnThePlan:
     own iterator — and the context has no slot to carry anything else."""
 
     def test_untraced_statement_allocates_no_node_metrics(self):
-        db = make_db(parallel=1, trace=False)
+        db = make_db(trace=False)
         plan = db._planner().plan_query(parse(PARTITIONED_SQL)[0])
         ctx = db._context(None)
         ctx.bind(plan)
@@ -200,14 +199,14 @@ class TestEveryEntryPointHonoursTheToken:
     lock whatever the token said, and ``analyze()`` took no token."""
 
     def test_already_cancelled(self, entry):
-        db = make_db(parallel=1, trace=False)
+        db = make_db(trace=False)
         token = CancelToken()
         token.cancel()
         with pytest.raises(QueryCancelledError):
             ENTRY_POINTS[entry](db, SLOW_SPOOL_SQL, cancel=token)
 
     def test_deadline_expires_mid_spool(self, entry):
-        db = make_db(parallel=1, trace=False)
+        db = make_db(trace=False)
         token = CancelToken.with_timeout(0.05)
         t0 = time.monotonic()
         with pytest.raises(QueryTimeoutError):
@@ -217,7 +216,7 @@ class TestEveryEntryPointHonoursTheToken:
         assert db.query(OTHER_SQL).rows == [(30,)]
 
     def test_cancelled_run_still_counts_and_merges(self, entry):
-        db = make_db(parallel=1, trace=False)
+        db = make_db(trace=False)
         with pytest.raises(QueryTimeoutError):
             ENTRY_POINTS[entry](db, SLOW_SPOOL_SQL,
                                 cancel=CancelToken.with_timeout(0.05))
@@ -225,7 +224,7 @@ class TestEveryEntryPointHonoursTheToken:
 
 
 def test_explain_analyze_text_is_a_rendering_of_the_record():
-    db = make_db(parallel=1, trace=False)
+    db = make_db(trace=False)
     result = db.analyze(PARTITIONED_SQL)
     lines = result.plan_text.splitlines()
 

@@ -105,11 +105,23 @@ class TestPartitionedSGB:
         assert (None, 1) in res.rows
 
 
-class TestSerialPoolCounterParity:
+def partition_counters(clause, **db_kwargs):
+    """EXPLAIN ANALYZE counters of one 240-row, 3-partition query."""
+    rng = random.Random(5)
+    rows = [(i % 3, rng.uniform(0, 4), rng.uniform(0, 4)) for i in range(240)]
+    db = Database(**db_kwargs)
+    db.execute("CREATE TABLE p (k int, x float, y float)")
+    db.insert("p", rows)
+    return db.analyze(
+        f"SELECT k, count(*) FROM p GROUP BY x, y {clause} PARTITION BY k"
+    ).node_counters()
+
+
+class TestPartitionCounters:
     """Each partition's operator counts into its own struct and hands it
-    to a bag once, at ``finalize``; a pool worker's bag is folded back
-    into the node's.  Either way EXPLAIN ANALYZE reports the serial
-    totals, FORM-NEW-GROUP's regroup probes included."""
+    to the node's bag once, at ``finalize``, so EXPLAIN ANALYZE reports
+    the totals over every partition, FORM-NEW-GROUP's regroup probes
+    included."""
 
     @pytest.mark.parametrize("clause", ["DISTANCE-TO-ANY LINF WITHIN 0.4",
                                         "DISTANCE-TO-ALL L2 WITHIN 0.4 "
@@ -117,48 +129,26 @@ class TestSerialPoolCounterParity:
                                         "DISTANCE-TO-ALL L2 WITHIN 0.4 "
                                         "ON-OVERLAP FORM-NEW-GROUP"],
                              ids=["any", "eliminate", "form-new-group"])
-    def test_counters_do_not_depend_on_where_a_partition_runs(self, clause):
-        rng = random.Random(5)
-        rows = [(i % 3, rng.uniform(0, 4), rng.uniform(0, 4))
-                for i in range(240)]
-        sql = f"SELECT k, count(*) FROM p GROUP BY x, y {clause} PARTITION BY k"
-        counters = []
-        for parallel in (1, 2):
-            db = Database(parallel=parallel)
-            db.execute("CREATE TABLE p (k int, x float, y float)")
-            db.insert("p", rows)
-            counters.append(db.analyze(sql).node_counters())
-        serial, pool = counters
-        assert serial == pool
-        assert serial["points"] == 240
+    def test_counters_sum_over_partitions(self, clause):
+        counters = partition_counters(clause)
+        assert counters["points"] == 240
         if "FORM-NEW-GROUP" in clause:
-            assert serial["index_probes"] > 240  # the regroup passes
+            assert counters["index_probes"] > 240  # the regroup passes
         else:
-            assert serial["index_probes"] == 240
+            assert counters["index_probes"] == 240
 
     @pytest.mark.parametrize("clause", ["JOIN-ANY", "ELIMINATE",
                                         "FORM-NEW-GROUP"])
-    def test_graph_counters_do_not_depend_on_where_it_runs(self, clause):
+    def test_graph_counters_sum_over_partitions(self, clause):
         # ``graph`` places every point once per pass (index_probes), tallies
         # its placed neighbours (candidates) and charges the join's
         # predicate evaluations (distance_computations).
-        rng = random.Random(5)
-        rows = [(i % 3, rng.uniform(0, 4), rng.uniform(0, 4))
-                for i in range(240)]
-        sql = ("SELECT k, count(*) FROM p GROUP BY x, y "
-               f"DISTANCE-TO-ALL L2 WITHIN 0.4 ON-OVERLAP {clause} "
-               "PARTITION BY k")
-        counters = []
-        for parallel in (1, 2):
-            db = Database(parallel=parallel, sgb_all_strategy="graph")
-            db.execute("CREATE TABLE p (k int, x float, y float)")
-            db.insert("p", rows)
-            counters.append(db.analyze(sql).node_counters())
-        serial, pool = counters
-        assert serial == pool
-        assert serial["candidates"] > 0
-        assert serial["distance_computations"] > 0
+        counters = partition_counters(
+            f"DISTANCE-TO-ALL L2 WITHIN 0.4 ON-OVERLAP {clause}",
+            sgb_all_strategy="graph")
+        assert counters["candidates"] > 0
+        assert counters["distance_computations"] > 0
         if clause == "FORM-NEW-GROUP":
-            assert serial["index_probes"] > 240
+            assert counters["index_probes"] > 240
         else:
-            assert serial["index_probes"] == 240
+            assert counters["index_probes"] == 240

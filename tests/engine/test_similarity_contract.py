@@ -38,7 +38,6 @@ from repro.errors import (
 )
 from repro.sql.ast_nodes import BindContext
 from repro.sql.parser import parse_one
-from tests.engine.test_trace_integration import span_tree
 
 #: form -> (grouping clause over key expression(s) {a} [and {b}], the
 #: array-API call that draws the same boundaries, EXPLAIN node name).
@@ -434,32 +433,3 @@ class TestAround1DIsTheNDOperator:
 
     def test_value_on_the_radius_is_in(self):
         assert sgb_around([2.0, 2.0000001, -2.0], [0], 4).labels == [0, -1, 0]
-
-
-class TestSerialPoolParity:
-    """One ``group_partition`` per partition wherever it runs: a PARTITION
-    BY query traces the same span tree (modulo pids and the dispatch
-    span) and counts the same work serially and on two workers."""
-
-    SQL = ("SELECT part, count(*) FROM pts GROUP BY x, y "
-           "DISTANCE-TO-ALL L2 WITHIN 0.3 ON-OVERLAP JOIN-ANY "
-           "PARTITION BY part")
-
-    @staticmethod
-    def make_db(parallel):
-        db = Database(parallel=parallel, trace=True)
-        db.execute("CREATE TABLE pts (part int, x float, y float)")
-        db.insert("pts", [(i % 4, (i % 3) * 10.0 + (i % 7) * 0.05,
-                           (i % 3) * 10.0 + (i % 5) * 0.05)
-                          for i in range(120)])
-        return db
-
-    def test_span_trees_and_counters_equal(self):
-        serial, pool = self.make_db(1), self.make_db(2)
-        assert serial.query(self.SQL).rows == pool.query(self.SQL).rows
-        assert span_tree(serial.tracer) == span_tree(pool.tracer)
-        pool_names = [r.name for r in pool.tracer.records()]
-        assert pool_names.count("parallel_dispatch") == 1
-        assert pool_names.count("partition") == 4
-        assert (serial.analyze(self.SQL).node_counters()
-                == pool.analyze(self.SQL).node_counters())

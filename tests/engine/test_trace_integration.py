@@ -1,10 +1,9 @@
-"""End-to-end tracing: Database wiring, parallel parity, export, shell.
+"""End-to-end tracing: Database wiring, span tree, export, shell.
 
-The load-bearing property is *serial-vs-parallel trace parity*: the same
-PARTITION BY query must produce the same span tree (names, nesting, and
-phase attributes) whether partitions run in-process or on a worker pool —
-workers differ only in the pid stamped on their spans and the extra
-``parallel_dispatch`` node that models the fan-out itself.
+A traced PARTITION BY query yields one ``query`` root, one span per plan
+node, and under the SGB node a ``spool`` span plus a ``partition`` (with
+the operator's ``ingest`` / ``finalize``) and a ``fold`` span per
+partition.
 """
 
 import json
@@ -24,8 +23,8 @@ PARTITIONED_SQL = (
 )
 
 
-def make_db(parallel: int, trace: bool = True, n: int = 120) -> Database:
-    db = Database(parallel=parallel, trace=trace)
+def make_db(trace: bool = True, n: int = 120) -> Database:
+    db = Database(trace=trace)
     db.execute("CREATE TABLE pts (part int, x float, y float)")
     rows = []
     for i in range(n):
@@ -36,81 +35,26 @@ def make_db(parallel: int, trace: bool = True, n: int = 120) -> Database:
     return db
 
 
-def span_tree(tracer, prune=("parallel_dispatch",)):
-    """Canonical nested shape of a trace, pid-free and order-normalized.
-
-    ``prune`` names are spliced out (their children re-hang on the
-    grandparent) — the dispatch node exists only on the parallel path and
-    is exactly the difference parity allows.
-    """
+def span_tree(tracer):
+    """Canonical nested shape of a trace: names, attributes and nesting,
+    siblings order-normalized."""
     records = tracer.records()
-    by_id = {r.span_id: r for r in records}
-
-    def effective_parent(r):
-        parent = by_id.get(r.parent_id)
-        while parent is not None and parent.name in prune:
-            parent = by_id.get(parent.parent_id)
-        return parent.span_id if parent is not None else ""
-
     children = {}
     for r in records:
-        if r.name in prune:
-            continue
-        children.setdefault(effective_parent(r), []).append(r)
+        children.setdefault(r.parent_id, []).append(r)
 
     def shape(r):
-        attrs = {k: v for k, v in r.attrs.items() if k != "pid"}
         kids = sorted(
             (shape(c) for c in children.get(r.span_id, [])),
             key=lambda s: (s[0], sorted(s[1].items())),
         )
-        return (r.name, attrs, tuple(kids))
+        return (r.name, r.attrs, tuple(kids))
 
     roots = sorted(
         (shape(r) for r in children.get("", [])),
         key=lambda s: s[0],
     )
     return tuple(roots)
-
-
-class TestSerialParallelParity:
-    def test_span_trees_identical_modulo_dispatch(self):
-        serial = make_db(parallel=1)
-        parallel = make_db(parallel=2)
-        rows_serial = serial.query(PARTITIONED_SQL).rows
-        rows_parallel = parallel.query(PARTITIONED_SQL).rows
-        assert rows_serial == rows_parallel
-        assert span_tree(serial.tracer) == span_tree(parallel.tracer)
-
-    def test_parallel_spans_cross_process_boundary(self):
-        db = make_db(parallel=2)
-        db.query(PARTITIONED_SQL)
-        main_pid = db.tracer.pid
-        partition_pids = {r.pid for r in db.tracer.records()
-                          if r.name == "partition"}
-        assert partition_pids and main_pid not in partition_pids
-
-    def test_worker_spans_parent_onto_dispatch_span(self):
-        db = make_db(parallel=2)
-        db.query(PARTITIONED_SQL)
-        by_id = {r.span_id: r for r in db.tracer.records()}
-        partitions = [r for r in by_id.values() if r.name == "partition"]
-        assert len(partitions) == 4
-        for part in partitions:
-            parent = by_id[part.parent_id]
-            assert parent.name == "parallel_dispatch"
-            # and the whole chain resolves up to the query root
-            while parent.parent_id:
-                parent = by_id[parent.parent_id]
-            assert parent.name == "query"
-
-    def test_chrome_export_validates_with_worker_tracks(self):
-        db = make_db(parallel=2)
-        db.query(PARTITIONED_SQL)
-        payload = db.tracer.to_chrome_trace()
-        assert validate_chrome_trace(payload) == []
-        pids = {e["pid"] for e in payload["traceEvents"] if e["ph"] == "X"}
-        assert len(pids) >= 2
 
 
 class TestDatabaseTracing:
@@ -122,7 +66,7 @@ class TestDatabaseTracing:
             db.export_trace("/tmp/never-written.json")
 
     def test_query_span_hierarchy_and_phases(self):
-        db = make_db(parallel=1)
+        db = make_db()
         db.query(PARTITIONED_SQL)
         names = [r.name for r in db.tracer.records()]
         assert names.count("query") == 1
@@ -141,7 +85,7 @@ class TestDatabaseTracing:
         assert [by_id[p].attrs["node"] for p in parents] == ["SGBAggregate"]
 
     def test_set_trace_toggles_but_keeps_buffer(self):
-        db = make_db(parallel=1)
+        db = make_db()
         db.query(PARTITIONED_SQL)
         buffered = len(db.tracer)
         db.set_trace(False)
@@ -152,13 +96,13 @@ class TestDatabaseTracing:
         assert len(db.tracer) > buffered
 
     def test_traced_results_match_untraced(self):
-        traced = make_db(parallel=1, trace=True)
-        plain = make_db(parallel=1, trace=False)
+        traced = make_db(trace=True)
+        plain = make_db(trace=False)
         assert traced.query(PARTITIONED_SQL).rows == \
             plain.query(PARTITIONED_SQL).rows
 
     def test_export_trace_formats(self, tmp_path):
-        db = make_db(parallel=1)
+        db = make_db()
         db.query(PARTITIONED_SQL)
         chrome = tmp_path / "trace.json"
         jsonl = tmp_path / "trace.jsonl"
@@ -178,7 +122,7 @@ class TestMetricsSnapshot:
         assert any(name.endswith("_bucket") for name in names)
 
     def test_traced_query_populates_counters_and_histograms(self):
-        db = make_db(parallel=2)
+        db = make_db()
         db.query(PARTITIONED_SQL)
         parsed = parse_prometheus_text(db.metrics_snapshot())
         batch = (("source", "batch"),)
@@ -187,22 +131,8 @@ class TestMetricsSnapshot:
         assert parsed[("repro_probe_latency_seconds_count", batch)] == 120
         assert parsed[("repro_queries_total", ())] == 1
 
-    def test_parallel_and_serial_snapshots_agree_on_counters(self):
-        # Worker-side bags fold back into the parent, so the exported
-        # totals must not depend on where partitions ran.
-        dbs = [make_db(parallel=1), make_db(parallel=2)]
-        snapshots = []
-        for db in dbs:
-            db.query(PARTITIONED_SQL)
-            parsed = parse_prometheus_text(db.metrics_snapshot())
-            snapshots.append({
-                key: value for key, value in parsed.items()
-                if "_total" in key[0] and "trace_spans" not in key[0]
-            })
-        assert snapshots[0] == snapshots[1]
-
     def test_analyze_folds_into_cumulative_metrics(self):
-        db = make_db(parallel=1, trace=False)
+        db = make_db(trace=False)
         db.analyze(PARTITIONED_SQL)
         parsed = parse_prometheus_text(db.metrics_snapshot())
         assert parsed[("repro_sgb_points_total", (("source", "batch"),))] == 120
@@ -210,7 +140,7 @@ class TestMetricsSnapshot:
 
 class TestStreamingSpans:
     def test_micro_batch_spans_and_histogram(self):
-        db = make_db(parallel=1)
+        db = make_db()
         db.create_stream_view("sv", "pts", ["x", "y"], "any", eps=1.0,
                               batch_size=32)
         spans = [r for r in db.tracer.records() if r.name == "micro_batch"]
@@ -225,7 +155,7 @@ class TestStreamingSpans:
         assert parsed[("repro_sgb_points_total", stream)] == 96
 
     def test_set_trace_reaches_existing_views(self):
-        db = make_db(parallel=1, trace=False)
+        db = make_db(trace=False)
         view = db.create_stream_view("sv", "pts", ["x", "y"], "any",
                                      eps=1.0, batch_size=16)
         assert view.batcher.tracer is None
@@ -237,7 +167,7 @@ class TestStreamingSpans:
 
 class TestShellTrace:
     def test_trace_on_dump_off_cycle(self, tmp_path):
-        sh = Shell(make_db(parallel=1, trace=False))
+        sh = Shell(make_db(trace=False))
         assert "off" in sh.feed("\\trace")
         assert sh.feed("\\trace on") == "Tracing is on."
         sh.feed(PARTITIONED_SQL + ";")
@@ -255,7 +185,7 @@ class TestShellTrace:
         assert sh.feed("\\trace dump /nope/nope.json").startswith("ERROR:")
 
     def test_metrics_command_emits_prometheus_text(self):
-        sh = Shell(make_db(parallel=1))
+        sh = Shell(make_db())
         sh.feed(PARTITIONED_SQL + ";")
         parsed = parse_prometheus_text(sh.feed("\\metrics"))
         assert parsed[("repro_sgb_points_total", (("source", "batch"),))] > 0

@@ -1,20 +1,22 @@
-"""End-to-end agreement: numpy vs python backends, serial vs parallel.
+"""End-to-end agreement: numpy vs python backends, and partitioned runs.
 
 The contract (docs/architecture.md, "Execution backends"):
 
 * both kernel backends produce identical memberships — bit-identical
   labels, not merely equal partitions, because candidate lists are
   id-ordered under both so even random JOIN-ANY tiebreaks replay;
-* the partition-parallel path produces labels identical to serial and
-  EXPLAIN ANALYZE counter totals equal to the serial run's.
+* a partitioned array-API call groups each partition on its own, as
+  the same call on that partition's points would.
 """
 
 import random
 
 import pytest
 
-from repro import Database, kernels
+from repro import kernels
 from repro.core.api import sgb_all, sgb_any
+from repro.core.parallel import partition_seed
+from repro.errors import InvalidParameterError
 from repro.stats.chooser import ALL_STRATEGIES, ANY_STRATEGIES
 
 HAS_NUMPY = "numpy" in kernels.available_backends()
@@ -73,24 +75,12 @@ class TestBackendAgreement:
         assert counters["numpy"] == counters["python"]
 
 
-class TestParallelAgreement:
+class TestPartitionedAPI:
     def _keyed_points(self, n=240, n_parts=5, seed=21):
         rng = random.Random(seed)
         pts = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(n)]
         keys = [rng.randrange(n_parts) for _ in range(n)]
         return pts, keys
-
-    @pytest.mark.parametrize("mode,kwargs", [
-        ("any", dict(strategy="grid")),
-        ("all", dict(on_overlap="join-any", tiebreak="random", seed=5)),
-        ("all", dict(on_overlap="eliminate")),
-    ])
-    def test_api_labels_identical_across_workers(self, mode, kwargs):
-        pts, keys = self._keyed_points()
-        fn = sgb_any if mode == "any" else sgb_all
-        serial = fn(pts, 0.5, partitions=keys, parallel=0, **kwargs)
-        pooled = fn(pts, 0.5, partitions=keys, parallel=2, **kwargs)
-        assert serial.labels == pooled.labels
 
     def test_partitions_confine_groups(self):
         pts, keys = self._keyed_points()
@@ -103,8 +93,7 @@ class TestParallelAgreement:
 
     def test_partitions_eliminated_pass_through(self):
         pts, keys = self._keyed_points(n=120)
-        result = sgb_all(pts, 0.4, on_overlap="eliminate",
-                         partitions=keys, parallel=2)
+        result = sgb_all(pts, 0.4, on_overlap="eliminate", partitions=keys)
         unpartitioned_per_key = {}
         for key in set(keys):
             sub = [p for p, k in zip(pts, keys) if k == key]
@@ -116,60 +105,17 @@ class TestParallelAgreement:
                 [lab < 0 for lab in sub_result.labels]
 
     def test_partitions_length_mismatch_raises(self):
-        from repro.errors import InvalidParameterError
-
         with pytest.raises(InvalidParameterError):
             sgb_any([(0, 0), (1, 1)], 1.0, partitions=["a"])
 
-
-class TestEngineParallelAgreement:
-    SQL = ("SELECT k, count(*), avg(x) FROM t GROUP BY x, y "
-           "DISTANCE-TO-ALL L2 WITHIN 0.8 ON-OVERLAP JOIN-ANY "
-           "PARTITION BY k")
-
-    def _db(self, parallel):
-        rng = random.Random(11)
-        db = Database(seed=3, parallel=parallel)
-        db.execute("CREATE TABLE t (k int, x float, y float)")
-        db.insert("t", [(i % 4, rng.uniform(0, 10), rng.uniform(0, 10))
-                        for i in range(240)])
-        return db
-
-    def test_rows_identical(self):
-        assert self._db(0).execute(self.SQL).rows == \
-            self._db(3).execute(self.SQL).rows
-
-    def test_explain_analyze_counters_merge_to_serial_totals(self):
-        serial = self._db(0).analyze(self.SQL)
-        pooled = self._db(3).analyze(self.SQL)
-        assert serial.rows == pooled.rows
-
-        def counters(analyzed):
-            return {k: v for k, v in analyzed.node_counters().items()
-                    if not k.endswith("_s")}
-
-        assert counters(serial) == counters(pooled)
-
-    def test_single_partition_stays_serial(self):
-        # without PARTITION BY there is one partition; the pool must not
-        # engage (and results must still match)
-        sql = ("SELECT count(*) FROM t GROUP BY x, y "
-               "DISTANCE-TO-ANY L2 WITHIN 0.8")
-        assert self._db(0).execute(sql).rows == self._db(4).execute(sql).rows
-
-    def test_negative_parallel_means_cpu_count(self):
-        from repro.core.parallel import resolve_workers
-        import os
-
-        assert resolve_workers(-1) == max(1, os.cpu_count() or 1)
-        assert resolve_workers(0) == 1
-        assert resolve_workers(1) == 1
-        assert resolve_workers(6) == 6
-        assert resolve_workers(None) == 1
+    @pytest.mark.parametrize("fn", [sgb_all, sgb_any])
+    def test_unhashable_partition_key_names_its_index(self, fn):
+        # Used to escape as a bare ``TypeError: unhashable type: 'list'``
+        # from the partition bucketing.
+        with pytest.raises(InvalidParameterError, match="index 1"):
+            fn([(0, 0), (1, 1)], 1.0, partitions=[2, [1]])
 
     def test_partition_seed_stable_and_decorrelated(self):
-        from repro.core.parallel import partition_seed
-
         assert partition_seed(7, ()) == 7
         assert partition_seed(7, ("a",)) == partition_seed(7, ("a",))
         assert partition_seed(7, ("a",)) != partition_seed(7, ("b",))

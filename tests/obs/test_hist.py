@@ -106,16 +106,6 @@ class TestLatencyHistogram:
         assert a.max_s == pooled.max_s
         assert a.min_s == pooled.min_s
 
-    def test_state_round_trip(self):
-        h = LatencyHistogram()
-        for v in (1e-6, 1e-4, 2.0):
-            h.observe(v)
-        clone = LatencyHistogram.from_state(h.state())
-        assert clone.counts == h.counts
-        assert clone.count == h.count
-        assert clone.sum_s == h.sum_s
-        assert clone.percentiles() == h.percentiles()
-
     def test_percentiles_keys(self):
         h = LatencyHistogram()
         h.observe(1e-5)

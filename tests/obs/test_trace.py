@@ -108,42 +108,6 @@ class TestRingBuffer:
             Tracer(capacity=0)
 
 
-class TestWorkerPropagation:
-    def test_for_context_parents_onto_propagated_span(self):
-        parent = Tracer()
-        with parent.span("dispatch"):
-            trace_id, parent_span = parent.context()
-            worker = Tracer.for_context(trace_id, parent_span,
-                                        tag=f"{parent_span}.p0.")
-            with worker.span("partition", partition=0):
-                with worker.span("ingest"):
-                    pass
-            parent.ingest(worker.export_records())
-        names = {r.name: r for r in parent.records()}
-        assert names["partition"].parent_id == names["dispatch"].span_id
-        assert names["ingest"].parent_id == names["partition"].span_id
-        assert names["partition"].trace_id == names["dispatch"].trace_id
-
-    def test_task_tags_keep_ids_unique_across_tasks(self):
-        # A pool process reuses its tracer-id counter per task; the
-        # per-task tag prefix is what guarantees global uniqueness.
-        parent = Tracer()
-        with parent.span("dispatch"):
-            trace_id, psid = parent.context()
-            for index in range(3):
-                w = Tracer.for_context(trace_id, psid, tag=f"{psid}.p{index}.")
-                with w.span("partition"):
-                    pass
-                parent.ingest(w.export_records())
-        ids = [r.span_id for r in parent.records()]
-        assert len(ids) == len(set(ids))
-
-    def test_context_without_open_span_is_rootless(self):
-        t = Tracer()
-        trace_id, span_id = t.context()
-        assert span_id == ""
-
-
 class TestExports:
     def _sample_tracer(self):
         t = Tracer()
@@ -181,18 +145,6 @@ class TestExports:
         path = tmp_path / "trace.json"
         t.to_chrome_trace_file(path)
         payload = json.loads(path.read_text())
-        assert validate_chrome_trace(payload) == []
-
-    def test_worker_pids_become_separate_tracks(self):
-        records = [
-            SpanRecord("t1", "s1", "", "query", 0.0, 1.0, 100, {}),
-            SpanRecord("t1", "s1.p0.1", "s1", "partition", 0.1, 0.9, 200, {}),
-        ]
-        payload = chrome_trace_payload(records, main_pid=100)
-        names = {e["pid"]: e["args"]["name"]
-                 for e in payload["traceEvents"] if e["ph"] == "M"}
-        assert names[100] == "sgb-main"
-        assert names[200] == "sgb-worker-200"
         assert validate_chrome_trace(payload) == []
 
     def test_validator_flags_bad_nesting_and_orphans(self):

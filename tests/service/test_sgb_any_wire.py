@@ -2,7 +2,7 @@
 
 ``np.int64(3) == 3`` passes every in-process comparison, while the wire
 refuses to serialize it and the client sees a failed request: a result
-row, a counter or a pickled worker payload built from a numpy scalar is
+row or a counter built from a numpy scalar is
 invisible to the rest of the suite.  These tests run the planner's batch
 default (``grid``, a vectorized join under the numpy backend) through a
 real server and compare with the all-pairs scan.
@@ -68,10 +68,8 @@ def test_analyze_metrics_are_plain_json(server, eps):
     assert all(type(v) in (int, float) for v in counters.values())
 
 
-def test_partitioned_parallel_matches_all_pairs(oracle):
-    parallel = make_db(sgb_any_strategy="grid", parallel=2)
-    with ServerThread(db=parallel) as s, \
-            ServiceClient(port=s.port) as client:
+def test_partitioned_matches_all_pairs(server, oracle):
+    with ServiceClient(port=server.port) as client:
         for eps in EPS_VALUES:
             sql = partitioned(eps)
             rows = client.query(sql).rows

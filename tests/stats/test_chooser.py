@@ -1,7 +1,5 @@
 """Unit tests for the SGB strategy chooser (repro.stats.chooser)."""
 
-import os
-
 import pytest
 
 from repro.core.sgb_all import INCREMENTAL_STRATEGIES
@@ -10,7 +8,6 @@ from repro.stats.chooser import (
     AUTO,
     MAX_GRAPH_EDGES,
     SMALL_INPUT,
-    choose_parallel,
     choose_strategy,
     resolve_sgb_choice,
 )
@@ -78,51 +75,8 @@ class TestChooseStrategy:
         strategy, _, _ = choose_strategy("any", 4000, 24.0, 0.3)
         assert strategy == "grid"
 
-
-class TestChooseParallel:
-    # SGB-All bounds-checking at 0.2 ε-neighbours: ~1 cost unit per point.
-    HEAVY = ("all", "bounds-checking")
-
-    def test_single_cpu_stays_serial(self):
-        assert choose_parallel(*self.HEAVY, 100_000, 0.2, 16,
-                               cpu_count=1) == 0
-
-    def test_needs_multiple_partitions(self):
-        assert choose_parallel(*self.HEAVY, 100_000, 0.2, 1,
-                               cpu_count=8) == 0
-        assert choose_parallel(*self.HEAVY, 100_000, 0.2, None,
-                               cpu_count=8) == 0
-
-    def test_small_input_stays_serial(self):
-        assert choose_parallel(*self.HEAVY, 100, 0.2, 16, cpu_count=8) == 0
-
-    def test_capped_by_cpus_and_partitions(self):
-        assert choose_parallel(*self.HEAVY, 100_000, 0.2, 4,
-                               cpu_count=8) == 4
-        assert choose_parallel(*self.HEAVY, 100_000, 0.2, 64,
-                               cpu_count=8) == 8
-
-    # The two sides of the measured table in docs/architecture.md
-    # (brightkite, ε 0.1, k ≈ 0.2, two cores).
-    @pytest.mark.parametrize("n, partitions", [(16_000, 8), (32_000, 16),
-                                               (5_000, 8), (64_000, 8)])
-    def test_grid_join_never_pays_for_its_pickling(self, n, partitions):
-        assert choose_parallel("any", "grid", n, 0.2, partitions,
-                               cpu_count=2) == 0
-
-    @pytest.mark.parametrize("n, partitions", [(16_000, 8), (5_000, 8)])
-    def test_sgb_all_earns_the_pool(self, n, partitions):
-        assert choose_parallel(*self.HEAVY, n, 0.2, partitions,
-                               cpu_count=2) == 2
-
-    @pytest.mark.parametrize("n, partitions", [(16_000, 8), (32_000, 16),
-                                               (5_000, 8), (64_000, 8)])
-    def test_graph_never_pays_for_its_pickling(self, n, partitions):
-        assert choose_parallel("all", "graph", n, 0.2, partitions,
-                               cpu_count=2) == 0
-
     # Every spelling the operators' alias tables accept runs the same
-    # strategy, so it is priced the same and gets the same pool decision.
+    # strategy, so it is priced the same.
     @pytest.mark.parametrize("mode, spellings", [
         ("any", ("all-pairs", "linear", "All-Pairs")),
         ("all", ("bounds-checking", "bounds", " Bounds-Checking ")),
@@ -131,37 +85,22 @@ class TestChooseParallel:
         costs = {sgb_strategy_cost(mode, s, 3000.0, 0.2) for s in spellings}
         assert len(costs) == 1
         assert costs.pop() < sgb_strategy_cost(mode, "no-such", 3000.0, 0.2)
-        pools = {choose_parallel(mode, s, 100_000, 0.2, 16, cpu_count=8)
-                 for s in spellings}
-        assert len(pools) == 1
-
-    def test_resolved_from_the_chosen_strategy(self):
-        args = (0.1, 16_000.0, 0.2, None, 8.0)
-        assert resolve_sgb_choice("any", "grid", *args).parallel == 0
-        if (os.cpu_count() or 1) > 1:
-            assert resolve_sgb_choice(
-                "all", "bounds-checking", *args).parallel > 0
 
 
 class TestResolveSGBChoice:
     def test_flag_override_wins(self):
-        choice = resolve_sgb_choice("any", "grid", 0.5, 10_000.0, 2.0,
-                                    None, None)
+        choice = resolve_sgb_choice("any", "grid", 0.5, 10_000.0, 2.0)
         assert choice.strategy == "grid"
         assert choice.source == "flag"
 
     def test_no_stats_falls_back_to_default(self):
-        choice = resolve_sgb_choice("any", AUTO, 0.5, None, None, None, None)
+        choice = resolve_sgb_choice("any", AUTO, 0.5, None, None)
         assert choice.source == "default"
         assert choice.strategy == "index"
 
     def test_stats_drive_the_choice(self):
-        choice = resolve_sgb_choice("all", AUTO, 0.05, 5000.0, 0.1,
-                                    None, None)
+        choice = resolve_sgb_choice("all", AUTO, 0.05, 5000.0, 0.1)
         assert choice.source == "stats"
         assert choice.strategy == "graph"
         assert choice.costs  # ranked costs recorded for EXPLAIN / debugging
 
-    def test_configured_parallel_respected(self):
-        choice = resolve_sgb_choice("any", AUTO, 0.5, 5000.0, 1.0, 3, 8.0)
-        assert choice.parallel == 3

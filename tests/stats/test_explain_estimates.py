@@ -95,11 +95,3 @@ class TestChooserSurface:
         for forced in ANY_STRATEGIES:
             forced_db = _populated(sgb_any_strategy=forced)
             assert sorted(forced_db.execute(SGB_SQL).rows) == auto_rows, forced
-
-    def test_partition_parallel_flag_still_wins(self):
-        db = _populated(parallel=1)
-        sql = (
-            "SELECT count(*) FROM pts "
-            "GROUP BY x DISTANCE-TO-ANY WITHIN 0.5 PARTITION BY id"
-        )
-        assert db.execute(sql).rows  # runs serial, no chooser interference
