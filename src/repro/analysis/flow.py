@@ -19,10 +19,18 @@ to return (an "acquiring helper" such as
 it into their held-set after the call.
 
 Lock names are ``self.<attr>`` attributes whose class assigns them a
-``threading.Lock()``/``RLock()`` (from :attr:`ClassSymbol.lock_attrs`),
-plus any ``self._*lock*``-named attribute used in a ``with`` — the
-naming convention carries the intent even when the constructor is not
-seen (fixtures, condition variables).
+``threading.Lock()``/``RLock()``/``RWLock()`` (from
+:attr:`ClassSymbol.lock_attrs`), plus any ``self._*lock*``-named
+attribute used in a ``with`` — the naming convention carries the intent
+even when the constructor is not seen (fixtures, condition variables).
+
+Shared/exclusive locks hold ``<lock>`` in either mode: ``with
+self.<lock>``, ``with self.<lock>.<mode>()``, ``acquire()`` and
+``acquire_shared()`` all put it in the held-set.  The shared mode also
+adds the marker :func:`shared_marker` (``"<lock>:shared"``), meaning
+"held, and only shared here"; SGB007 flags a guarded write made under
+it.  Markers follow the held-set's must-semantics, so a site whose mode
+is unknown (an acquiring helper that takes either mode) carries none.
 """
 
 from __future__ import annotations
@@ -43,6 +51,15 @@ def _self_attr(node: ast.AST) -> Optional[str]:
 
 def _looks_like_lock(attr: str) -> bool:
     return "lock" in attr.lower() or "cond" in attr.lower()
+
+
+def shared_marker(lock: str) -> str:
+    """The held-set entry meaning ``lock`` is held in shared mode only."""
+    return f"{lock}:shared"
+
+
+def _is_marker(name: str) -> bool:
+    return name.endswith(shared_marker(""))
 
 
 class AttrAccess:
@@ -74,7 +91,9 @@ class FunctionFlow:
         self.acquire_order: List[Tuple[str, str, int]] = []
 
 
-_RELEASE_METHODS = frozenset({"release"})
+#: Acquire method -> whether it takes the shared mode.
+_ACQUIRE_METHODS = {"acquire": False, "acquire_shared": True}
+_RELEASE_METHODS = frozenset({"release", "release_shared"})
 
 
 class FlowAnalyzer:
@@ -110,7 +129,8 @@ class FlowAnalyzer:
         for sym in self.table.functions.values():
             if sym.nested:
                 continue
-            acquired: Set[str] = set()
+            exclusive: Set[str] = set()
+            shared: Set[str] = set()
             released: Set[str] = set()
             for node in ast.walk(sym.node):
                 if not isinstance(node, ast.Call) or \
@@ -119,11 +139,16 @@ class FlowAnalyzer:
                 lock = _self_attr(node.func.value)
                 if lock is None:
                     continue
-                if node.func.attr == "acquire":
-                    acquired.add(lock)
-                elif node.func.attr in _RELEASE_METHODS:
+                method = node.func.attr
+                if method in _ACQUIRE_METHODS:
+                    (shared if _ACQUIRE_METHODS[method] else
+                     exclusive).add(lock)
+                elif method in _RELEASE_METHODS:
                     released.add(lock)
-            held = acquired - released
+            held = (exclusive | shared) - released
+            # Shared only when no path takes the lock exclusive.
+            held |= {shared_marker(lock)
+                     for lock in shared - exclusive - released}
             if held:
                 self._leaves_held[sym.qualname] = held
 
@@ -198,11 +223,18 @@ class FlowAnalyzer:
         for item in stmt.items:
             expr = item.context_expr
             self._scan_expr(flow, expr, frozenset(inner))
+            # ``with self.L:`` or ``with self.L.<mode>():``.
+            mode = None
+            if isinstance(expr, ast.Call) and \
+                    isinstance(expr.func, ast.Attribute):
+                mode, expr = expr.func.attr, expr.func.value
             lock = _self_attr(expr)
             if lock is not None and self._is_lock_name(flow, lock):
                 self._record_acquire_order(flow, frozenset(inner), lock,
                                            stmt.lineno)
                 inner.add(lock)
+                if mode == "shared":
+                    inner.add(shared_marker(lock))
         self._walk_block(flow, stmt.body, frozenset(inner))
         return held  # with releases on exit
 
@@ -266,12 +298,14 @@ class FlowAnalyzer:
         if isinstance(func, ast.Attribute):
             lock = _self_attr(func.value)
             if lock is not None and self._is_lock_name(flow, lock):
-                if func.attr == "acquire":
+                if func.attr in _ACQUIRE_METHODS:
                     self._record_acquire_order(flow, held, lock,
                                                node.lineno)
+                    if _ACQUIRE_METHODS[func.attr]:
+                        return held | {lock, shared_marker(lock)}
                     return held | {lock}
                 if func.attr in _RELEASE_METHODS:
-                    return held - {lock}
+                    return held - {lock, shared_marker(lock)}
             # Calling an acquiring helper extends the held-set: the
             # helper's ``leaves_held`` summary names the lock attrs.
             if isinstance(func.value, ast.Name) and \
@@ -286,5 +320,5 @@ class FlowAnalyzer:
                               held: FrozenSet[str], lock: str,
                               lineno: int) -> None:
         for outer in held:
-            if outer != lock:
+            if outer != lock and not _is_marker(outer):
                 flow.acquire_order.append((outer, lock, lineno))

@@ -24,7 +24,7 @@ import ast
 from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
 
 from repro.analysis.findings import Finding
-from repro.analysis.flow import FunctionFlow
+from repro.analysis.flow import FunctionFlow, shared_marker
 from repro.analysis.registry import ProjectRule, register
 
 #: A guard is inferred when at least this many accesses are guarded ...
@@ -48,7 +48,11 @@ class LockDisciplineRule(ProjectRule):
     inside ``with self.L``, after ``self.L.acquire()``, inside a private
     method only ever called with ``L`` held, or downstream of an
     acquiring helper that leaves ``L`` held.  Remaining accesses are
-    unguarded reads/writes racing the guarded majority.
+    unguarded reads/writes racing the guarded majority.  For a
+    shared/exclusive ``RWLock`` either mode holds ``L`` (``with
+    self.L.shared()``, ``acquire_shared()``, any ``with self.L.<mode>()``),
+    and a write to a guarded attribute under the shared mode alone is
+    flagged: it races the other readers.
 
     Separately, every ordered pair of locks (``L1`` held while ``L2`` is
     acquired) is collected project-wide; a site acquiring them in the
@@ -169,6 +173,14 @@ class LockDisciplineRule(ProjectRule):
                         f"accesses hold self.{lock} — take the lock or "
                         f"justify with a pragma",
                     )
+                for access, held, flow in guarded:
+                    if access.is_write and shared_marker(lock) in held:
+                        yield self.finding_at(
+                            flow.sym.path, access.node,
+                            f"write to {cls_sym.name}.{attr} in "
+                            f"{flow.sym.name}() under the shared mode of "
+                            f"self.{lock} — writers need it exclusive",
+                        )
                 break  # one inferred guard per attribute is enough
 
     # -- lock-order inversions ---------------------------------------------

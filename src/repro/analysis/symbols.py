@@ -93,7 +93,8 @@ class ClassSymbol:
         #: ``self.x = ClassName(...)`` constructor assignments and
         #: ``x: ClassName`` annotations (module-local spelling).
         self.attr_types: Dict[str, str] = {}
-        #: Attributes assigned a ``threading.Lock()`` / ``RLock()``.
+        #: Attributes assigned a ``threading.Lock()`` / ``RLock()`` or a
+        #: shared/exclusive ``RWLock()``.
         self.lock_attrs: Set[str] = set()
 
     def __repr__(self) -> str:
@@ -121,7 +122,7 @@ class ModuleSymbol:
 
 
 #: Constructor names treated as lock factories for ``lock_attrs``.
-_LOCK_CTORS = frozenset({"Lock", "RLock"})
+_LOCK_CTORS = frozenset({"Lock", "RLock", "RWLock"})
 
 
 class SymbolTable:

@@ -22,6 +22,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from repro.core.cancel import CancelToken
 from repro.engine.catalog import Catalog
 from repro.engine.executor.sgb import SGBConfig
+from repro.engine.rwlock import RWLock
 from repro.engine.schema import Schema
 from repro.engine.table import Table
 from repro.errors import CatalogError, InvalidParameterError, PlanningError
@@ -116,6 +117,16 @@ class Database:
         SELECT records plan fingerprint, chosen strategy, estimated vs
         actual rows, and latency; estimate drift outside the log's band
         is flagged (see :meth:`set_query_log`).
+
+    Concurrent callers share one statement lock (:class:`RWLock`).
+    SELECT/UNION, plain EXPLAIN, :meth:`explain`, :meth:`table`,
+    :meth:`stream_view` and :meth:`stream_view_names` hold it shared and
+    run beside each other; every write — INSERT, DDL, ANALYZE, stream
+    snapshots, :meth:`set_trace` — and :meth:`analyze` / EXPLAIN ANALYZE
+    (whose ``mem_peak`` needs the process-global ``tracemalloc`` to
+    itself) hold it exclusive.  A reader arriving while a writer waits
+    queues behind it.  Public methods take the lock; private helpers
+    assume it is held, and the lock refuses re-entry.
     """
 
     def __init__(
@@ -135,13 +146,11 @@ class Database:
             seed=seed,
         )
         self._stream_views: Dict[str, Any] = {}
-        #: Statement lock: one statement executes at a time, so the
-        #: catalog, table storage, and stream-view state see a single
-        #: writer.  Re-entrant because nested execution helpers
-        #: (``analyze`` → plan run) share it.  Concurrent callers — e.g.
-        #: the :mod:`repro.service` worker pool — interleave *between*
-        #: statements.
-        self._lock = threading.RLock()
+        #: Statement lock: reads hold it shared, writes exclusive, so
+        #: the catalog, table storage and stream-view state see either
+        #: any number of readers or a single writer (see the class
+        #: docstring for the mode of every entry point).
+        self._lock = RWLock()
         #: Guards the cumulative metric bag and query counter only, so
         #: ``metrics_snapshot()`` never has to wait behind a long query
         #: holding the statement lock.  Lock order: ``_lock`` may be held
@@ -193,7 +202,7 @@ class Database:
         Disabling keeps the buffered spans, so :meth:`export_trace` still
         works.
         """
-        with self._lock:
+        with self._lock.exclusive():
             if enabled and self.tracer is None:
                 self.tracer = Tracer()
             self._trace_on = bool(enabled)
@@ -278,15 +287,15 @@ class Database:
     def create_table(
         self, name: str, columns: Sequence[Tuple[str, str]]
     ) -> Table:
-        with self._lock:
+        with self._lock.exclusive():
             return self.catalog.create_table(name, columns)
 
     def insert(self, table: str, rows: Sequence[Sequence[Any]]) -> int:
-        with self._lock:
+        with self._lock.exclusive():
             return self.catalog.get(table).insert_many(rows)
 
     def table(self, name: str) -> Table:
-        with self._lock:
+        with self._lock.shared():
             return self.catalog.get(name)
 
     # ------------------------------------------------------------------
@@ -314,7 +323,7 @@ class Database:
         from repro.streaming.view import StreamingGroupView
 
         key = name.lower()
-        with self._lock:
+        with self._lock.exclusive():
             if key in self._stream_views:
                 raise CatalogError(f"stream view {name!r} already exists")
             view = StreamingGroupView(
@@ -333,35 +342,41 @@ class Database:
         return view
 
     def stream_view(self, name: str):
-        with self._lock:
-            try:
-                return self._stream_views[name.lower()]
-            except KeyError:
-                raise CatalogError(
-                    f"stream view {name!r} does not exist"
-                ) from None
+        with self._lock.shared():
+            return self._stream_view(name)
+
+    def _stream_view(self, name: str):
+        try:
+            return self._stream_views[name.lower()]
+        except KeyError:
+            raise CatalogError(
+                f"stream view {name!r} does not exist"
+            ) from None
 
     def stream_snapshot(self, name: str):
         """A consistent snapshot of one stream view's grouping.
 
-        Taken under the statement lock so concurrent INSERTs (which feed
-        the view through the table's insert listeners) cannot interleave
-        with the snapshot — this is the read path the query service's
-        ``stream`` op uses.
+        Taken under the exclusive statement lock: the snapshot flushes
+        the view's micro-batcher, so it writes, and concurrent INSERTs
+        (which feed the view through the table's insert listeners)
+        cannot interleave with it — this is the read path the query
+        service's ``stream`` op uses.
         """
-        with self._lock:
-            return self.stream_view(name).snapshot()
+        with self._lock.exclusive():
+            return self._stream_view(name).snapshot()
 
     def stream_view_names(self) -> List[str]:
-        with self._lock:
+        with self._lock.shared():
             return sorted(self._stream_views)
 
     def drop_stream_view(self, name: str) -> None:
-        # Re-entrant statement lock: nested stream_view() re-acquires.
-        with self._lock:
-            view = self.stream_view(name)
-            view.detach()
-            del self._stream_views[view.name]
+        with self._lock.exclusive():
+            self._drop_stream_view(name)
+
+    def _drop_stream_view(self, name: str) -> None:
+        view = self._stream_view(name)
+        view.detach()
+        del self._stream_views[view.name]
 
     def _drop_views_of_table(self, table_name: str) -> None:
         doomed = [
@@ -370,7 +385,7 @@ class Database:
             if v.table.name == table_name.lower()
         ]
         for name in doomed:
-            self.drop_stream_view(name)
+            self._drop_stream_view(name)
 
     # ------------------------------------------------------------------
     # SQL API
@@ -381,10 +396,13 @@ class Database:
         Returns the result of the *last* statement: a :class:`QueryResult`
         for SELECT, a :class:`StatementResult` otherwise.
 
-        Safe under concurrent callers: statements from different threads
-        serialize on the database's statement lock (results are fully
-        materialized before the lock is released, so nothing lazy escapes
-        it).  ``cancel`` is an optional
+        Safe under concurrent callers: each statement holds the
+        database's statement lock — shared for SELECT/UNION and plain
+        EXPLAIN, so reads from different threads run side by side;
+        exclusive for everything else, so a write runs alone and a
+        SELECT sees all of it or none.  Results are fully materialized
+        before the lock is released, so nothing lazy escapes it.
+        ``cancel`` is an optional
         :class:`~repro.core.cancel.CancelToken`: it is re-checked before
         each statement, while *waiting* for the statement lock, and at
         every plan-node iteration boundary during SELECT execution, so a
@@ -395,11 +413,15 @@ class Database:
         for stmt in parse(sql):
             if cancel is not None:
                 cancel.check()
-            self._acquire_statement_lock(cancel)
+            shared = _reads_only(stmt)
+            self._acquire_statement_lock(cancel, shared=shared)
             try:
                 result = self._execute_statement(stmt, cancel, sql=sql)
             finally:
-                self._lock.release()
+                if shared:
+                    self._lock.release_shared()
+                else:
+                    self._lock.release()
         return result
 
     def query(self, sql: str, *,
@@ -410,16 +432,17 @@ class Database:
             raise PlanningError("query() expects a SELECT statement")
         return result
 
-    def _acquire_statement_lock(self,
-                                cancel: Optional[CancelToken]) -> None:
-        """Take the statement lock, polling the cancel token while blocked
-        so a queued query can still time out behind a slow one.  The
-        caller owns the lock on return and releases it in its ``finally``."""
-        if cancel is None:
-            self._lock.acquire()
-            return
-        while not self._lock.acquire(timeout=0.05):
-            cancel.check()
+    def _acquire_statement_lock(self, cancel: Optional[CancelToken],
+                                shared: bool = False) -> None:
+        """Take the statement lock in the given mode, polling the cancel
+        token while blocked so a queued query can still time out behind
+        a slow one.  The caller owns the lock on return and releases it
+        in its ``finally``."""
+        poll = None if cancel is None else cancel.check
+        if shared:
+            self._lock.acquire_shared(poll)
+        else:
+            self._lock.acquire(poll)
 
     def explain(self, sql: str) -> str:
         """Render the physical plan of a SELECT (like EXPLAIN)."""
@@ -428,7 +451,7 @@ class Database:
             raise PlanningError("explain() expects a single SELECT")
         # Plan under the statement lock: planning reads the catalog and
         # table statistics, which a concurrent DDL/INSERT may mutate.
-        with self._lock:
+        with self._lock.shared():
             plan = self._planner().plan_query(stmts[0])
             return plan.explain()
 
@@ -448,7 +471,9 @@ class Database:
         """Run a SELECT collecting per-node metrics and return an
         :class:`~repro.obs.explain.AnalyzeResult` (rows + plan text +
         per-node metrics tree for ``metrics_json()``).  ``cancel`` works
-        as in :meth:`execute`."""
+        as in :meth:`execute`.  Holds the statement lock exclusive: the
+        run samples the process-global ``tracemalloc`` for ``mem_peak``,
+        which a concurrent run would restart or pollute."""
         stmts = parse(sql)
         if len(stmts) != 1 or not isinstance(stmts[0], (ast.Select, ast.Union)):
             raise PlanningError("explain_analyze() expects a single SELECT")
@@ -552,7 +577,7 @@ class Database:
         if isinstance(stmt, ast.Explain):
             return self._execute_explain(stmt, cancel, sql)
         if isinstance(stmt, ast.Analyze):
-            self.update_statistics(stmt.table)
+            self._update_statistics(stmt.table)
             return StatementResult("ANALYZE")
         raise PlanningError(f"unsupported statement {type(stmt).__name__}")
 
@@ -563,12 +588,15 @@ class Database:
         in the catalog.  Statistics feed the planner's cardinality and
         cost estimates and the SGB strategy chooser.
         """
-        with self._lock:
-            if table is not None:
-                self.catalog.get(table).analyze()
-            else:
-                for t in self.catalog:
-                    t.analyze()
+        with self._lock.exclusive():
+            self._update_statistics(table)
+
+    def _update_statistics(self, table: Optional[str]) -> None:
+        if table is not None:
+            self.catalog.get(table).analyze()
+        else:
+            for t in self.catalog:
+                t.analyze()
 
     def _execute_explain(self, stmt: ast.Explain,
                          cancel: Optional[CancelToken],
@@ -605,3 +633,14 @@ class Database:
             table.insert(values)
             count += 1
         return StatementResult(f"INSERT {count}")
+
+
+def _reads_only(stmt: Any) -> bool:
+    """Whether ``stmt`` may run under the shared statement lock.
+
+    EXPLAIN ANALYZE is a write for the lock's purposes: its run owns the
+    process-global ``tracemalloc`` for the ``mem_peak`` it reports.
+    """
+    if isinstance(stmt, ast.Explain):
+        return not stmt.analyze
+    return isinstance(stmt, (ast.Select, ast.Union))

@@ -11,7 +11,12 @@ Design points:
 
 * **Exact parenting.**  Every finished span is a :class:`SpanRecord` with
   a ``trace_id``, its own ``span_id``, and its parent's ``span_id`` (empty
-  for roots).  Ids are strings minted from a per-tracer counter.
+  for roots).  Ids are strings minted from per-tracer
+  ``itertools.count`` counters, so they stay unique across threads.
+* **One span stack per thread.**  Concurrent statements (SELECTs share
+  the database's statement lock) each nest their spans on their own
+  thread's stack, so a span's parent and trace are always those of the
+  statement that opened it.
 * **Ring-buffer sink.**  Finished spans land in a bounded deque; when the
   buffer is full the *oldest* spans are dropped (and counted in
   ``dropped``), so a long-lived traced Database has bounded memory.
@@ -29,14 +34,16 @@ but advance with ``time.perf_counter``, so durations are monotonic-clock
 accurate while ingested records stamped with ``time.time`` still line up
 on a common axis.
 
-The tracer is deliberately single-threaded — a statement executes as a
-single-threaded iterator tree under the database's statement lock.
+A statement executes as a single-threaded iterator tree, so the span
+stack is per thread; any number of threads may trace into one tracer.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import threading
 import time
 from collections import deque
 from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence
@@ -102,16 +109,19 @@ class SpanRecord:
 class TraceSpan:
     """Live span handle (context manager) produced by :meth:`Tracer.span`."""
 
-    __slots__ = ("_tracer", "name", "span_id", "parent_id", "attrs",
-                 "_start", "_entered")
+    __slots__ = ("_tracer", "name", "trace_id", "span_id", "parent_id",
+                 "attrs", "_start", "_stack", "_entered")
 
     def __init__(self, tracer: "Tracer", name: str, attrs: Dict[str, Any]):
         self._tracer = tracer
         self.name = name
         self.attrs = attrs
+        self.trace_id = ""
         self.span_id = ""
         self.parent_id = ""
         self._start = 0.0
+        #: The opening thread's span stack, which the span leaves on exit.
+        self._stack: List["TraceSpan"] = []
         self._entered = False
 
     def set(self, **attrs: Any) -> "TraceSpan":
@@ -183,16 +193,16 @@ class Tracer:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._buffer: Deque[SpanRecord] = deque(maxlen=capacity)
-        self._stack: List[TraceSpan] = []
-        self._next_span = 0
-        self._next_trace = 0
+        self._sink_lock = threading.Lock()
+        self._local = threading.local()
+        self._span_ids = itertools.count(1)
+        self._trace_ids = itertools.count(1)
         self.dropped = 0
         self.pid = os.getpid()
         # Wall-anchored monotonic clock: lines up with ``time.time``
         # stamps, immune to wall-clock steps *within* a tracer's life.
         self._epoch_wall = time.time()
         self._epoch_perf = time.perf_counter()
-        self._current_trace = ""
 
     def ingest(self, records: Sequence[Dict[str, Any]]) -> int:
         """Append finished records (:meth:`SpanRecord.as_dict` shape).
@@ -208,41 +218,52 @@ class Tracer:
     def span(self, name: str, **attrs: Any) -> TraceSpan:
         return TraceSpan(self, name, attrs)
 
+    def _thread_stack(self) -> List[TraceSpan]:
+        stack = getattr(self._local, "stack", None)
+        if stack is None:
+            stack = self._local.stack = []
+        return stack
+
     @property
     def depth(self) -> int:
-        return len(self._stack)
+        """Open spans on the calling thread."""
+        return len(self._thread_stack())
 
     def _now(self) -> float:
         return self._epoch_wall + (time.perf_counter() - self._epoch_perf)
 
     def _enter(self, span: TraceSpan) -> None:
-        if self._stack:
-            span.parent_id = self._stack[-1].span_id
+        stack = self._thread_stack()
+        if stack:
+            span.parent_id = stack[-1].span_id
+            span.trace_id = stack[-1].trace_id
         else:
-            self._next_trace += 1
-            self._current_trace = f"t{self._next_trace}"
-        self._next_span += 1
-        span.span_id = f"s{self._next_span}"
+            span.trace_id = f"t{next(self._trace_ids)}"
+        span.span_id = f"s{next(self._span_ids)}"
         span._start = self._now()
-        self._stack.append(span)
+        span._stack = stack
+        stack.append(span)
 
     def _exit(self, span: TraceSpan) -> None:
         # Normal operation is strict LIFO; an abandoned generator whose
-        # span is closed late by GC must not corrupt unrelated frames, so
-        # remove by identity rather than popping blindly.
-        for i in range(len(self._stack) - 1, -1, -1):
-            if self._stack[i] is span:
-                del self._stack[i]
+        # span is closed late by GC (possibly on another thread) must not
+        # corrupt unrelated frames, so remove by identity from the stack
+        # the span was opened on rather than popping blindly.
+        stack = span._stack
+        for i in range(len(stack) - 1, -1, -1):
+            if stack[i] is span:
+                del stack[i]
                 break
         self._sink(SpanRecord(
-            self._current_trace, span.span_id, span.parent_id,
+            span.trace_id, span.span_id, span.parent_id,
             span.name, span._start, self._now(), self.pid, span.attrs,
         ))
 
     def _sink(self, record: SpanRecord) -> None:
-        if len(self._buffer) == self.capacity:
-            self.dropped += 1
-        self._buffer.append(record)
+        with self._sink_lock:
+            if len(self._buffer) == self.capacity:
+                self.dropped += 1
+            self._buffer.append(record)
 
     # -- sink access & management ------------------------------------------
     def records(self) -> List[SpanRecord]:
@@ -253,12 +274,13 @@ class Tracer:
         return len(self._buffer)
 
     def clear(self) -> None:
-        self._buffer.clear()
-        self.dropped = 0
+        with self._sink_lock:
+            self._buffer.clear()
+            self.dropped = 0
 
     # -- export ------------------------------------------------------------
     def jsonl_lines(self) -> Iterator[str]:
-        for r in self._buffer:
+        for r in self.records():
             yield json.dumps(r.as_dict(), sort_keys=True)
 
     def to_jsonl(self, path) -> int:

@@ -15,10 +15,13 @@ class ServiceConfig:
         exposed as ``SGBService.port`` / ``.metrics_port`` after start).
         ``metrics_port=None`` disables the HTTP metrics listener.
     ``workers``
-        Threads in the query scheduler's pool.  Engine statements
-        serialize on the database's statement lock, so extra workers buy
-        *queue concurrency* (admission, deadline checks, cancellation
-        responsiveness) rather than parallel compute.
+        Threads in the query scheduler's pool.  SELECTs hold the
+        database's statement lock shared, so extra workers run reads
+        side by side — parallel up to the GIL: a read that waits (on
+        I/O, a ``sleep``, a GIL hand-off) no longer holds others back,
+        but pure-Python compute still takes turns.  Writes hold the lock
+        exclusive and run alone.  Workers also buy queue concurrency
+        (admission, deadline checks, cancellation responsiveness).
     ``queue_depth``
         Admission queue capacity; a submit beyond it is shed immediately
         with :class:`~repro.errors.ServiceOverloadedError`.

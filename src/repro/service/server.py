@@ -34,8 +34,9 @@ When the database's tracer is enabled, every scheduled request also
 ingests a manufactured span family — ``service_request`` with
 ``service_queue`` / ``service_exec`` children — built from timestamps
 rather than live :class:`~repro.obs.trace.TraceSpan` handles, because
-the tracer's span stack is single-threaded by design and these
-timestamps are captured on the event loop and worker threads.
+a request's queue and exec times are captured on two different threads
+(the event loop and a worker), while a live span nests on the one
+thread that opened it.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Per-rule true-positive / true-negative tests over the fixture corpus,
 plus pragma and module-identity behavior."""
 
+import ast
 import io
 import os
 import re
@@ -11,6 +12,7 @@ from repro.analysis import lint_file, lint_source
 from repro.analysis.cli import main
 from repro.analysis.context import module_name_for_path
 from repro.analysis.registry import all_rules, get_rule
+from repro.engine import database as database_module
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -68,6 +70,41 @@ class TestFixtureCorpus:
     def test_good_fixture_is_clean(self, rule_id, expected_bad_count):
         path = fixture(f"sgb{rule_id[3:]}_good.py")
         assert lint_file(path) == []
+
+
+class TestSharedLockMode:
+    """SGB007 on a shared/exclusive lock (``RWLock``): either mode guards
+    a read, only the exclusive one a write."""
+
+    def test_bad_fixture_is_flagged(self):
+        findings = lint_file(fixture("sgb007_shared_bad.py"))
+        assert [f.rule for f in findings] == ["SGB007", "SGB007"]
+        read, write = findings
+        assert "unguarded read of Catalog._tables in peek()" in read.message
+        assert "put_quietly() under the shared mode" in write.message
+
+    def test_good_fixture_is_clean(self):
+        assert lint_file(fixture("sgb007_shared_good.py")) == []
+
+    def test_planted_catalog_read_in_database_is_flagged(self):
+        """Most ``Database.catalog`` reads hold the statement lock only
+        shared; if SGB007 stopped counting that mode as holding the lock,
+        no guard would be inferred and this straggler would go unseen."""
+        path = database_module.__file__
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        database = next(
+            node for node in ast.parse("".join(lines)).body
+            if isinstance(node, ast.ClassDef) and node.name == "Database")
+        lines.insert(database.end_lineno,
+                     "\n    def planted(self, name):\n"
+                     "        return self.catalog.get(name)\n")
+        source = "".join(lines)
+        findings = [f for f in lint_source(source, path=path)
+                    if f.rule == "SGB007"]
+        assert len(findings) == 1
+        assert "read of Database.catalog in planted()" in \
+            findings[0].message
 
 
 class TestRuleDetails:

@@ -1,8 +1,9 @@
 """Database thread-safety: statements hammered from many threads.
 
-The statement lock serializes execution, so the invariants here are
-about *correctness under interleaving* — no torn catalog state, no
-cross-talk between results, counts that add up exactly.
+Reads share the statement lock and writes take it exclusive, so the
+invariants here are about *correctness under interleaving* — no torn
+catalog state, no cross-talk between results, counts that add up
+exactly.
 """
 
 import sys
@@ -192,7 +193,7 @@ class TestConcurrentStatements:
         release = threading.Event()
 
         def statement() -> None:
-            with db._lock:
+            with db._lock.exclusive():
                 held.set()
                 release.wait(timeout=30.0)
 

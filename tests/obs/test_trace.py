@@ -170,3 +170,55 @@ class TestMaybeSpan:
         (rec,) = t.records()
         assert rec.name == "phase"
         assert rec.attrs == {"k": 1}
+
+
+class TestConcurrentTracing:
+    def test_two_threads_tracing_selects_keep_their_own_trees(self):
+        """Concurrent SELECTs share the statement lock, so their spans
+        interleave in one tracer: each must still nest under its own
+        ``query`` root, in its own trace."""
+        import sys
+        import threading
+
+        from repro import Database
+
+        db = Database(trace=True)
+        db.execute("CREATE TABLE pts (x float, y float)")
+        db.insert("pts", [(i % 7, i % 5) for i in range(60)])
+        sql = ("SELECT count(*) FROM pts "
+               "GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 1.5")
+        barrier = threading.Barrier(2)
+        errors = []
+
+        def worker():
+            try:
+                barrier.wait(timeout=10.0)
+                for _ in range(30):
+                    db.query(sql)
+            except Exception as exc:  # noqa: BLE001 - recorded, asserted
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+        records = db.tracer.records()
+        by_id = {r.span_id: r for r in records}
+        assert len(by_id) == len(records)  # span ids are unique
+        for r in records:
+            if r.parent_id:
+                assert by_id[r.parent_id].trace_id == r.trace_id, r
+        roots = [r for r in records if r.name == "query"]
+        assert len(roots) == 60
+        assert all(not r.parent_id for r in roots)
+        assert len({r.trace_id for r in roots}) == 60
+        assert validate_chrome_trace(db.tracer.to_chrome_trace()) == []
