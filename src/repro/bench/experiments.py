@@ -339,10 +339,9 @@ def table1(
 # ----------------------------------------------------------------------
 # Table 2: the evaluation query catalog
 # ----------------------------------------------------------------------
-def table2(scale_factor: float = 1.0, quick: bool = True) -> Report:
-    """Run all nine Table-2 queries end-to-end through the SQL engine."""
-    db = load_tpch(scale_factor)
-    catalog = [
+def table2_catalog() -> List[Tuple[str, str]]:
+    """The nine Table-2 queries as ``(name, sql)``, in the paper's order."""
+    return [
         ("GB1 (Q18)", Q.gb1(quantity_threshold=60)),
         ("GB2 (Q9)", Q.gb2()),
         ("GB3 (Q15)", Q.gb3()),
@@ -353,6 +352,12 @@ def table2(scale_factor: float = 1.0, quick: bool = True) -> Report:
         ("SGB5 all", Q.sgb5(eps=2000, on_overlap="form-new-group")),
         ("SGB6 any", Q.sgb6(eps=2000)),
     ]
+
+
+def table2(scale_factor: float = 1.0, quick: bool = True) -> Report:
+    """Run all nine Table-2 queries end-to-end through the SQL engine."""
+    db = load_tpch(scale_factor)
+    catalog = table2_catalog()
     report = Report(
         "Table 2",
         f"evaluation queries at SF={scale_factor}",

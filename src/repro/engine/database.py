@@ -612,11 +612,15 @@ class Database:
         return QueryResult(["QUERY PLAN"], [(line,) for line in text.splitlines()])
 
     def _execute_insert(self, stmt: ast.Insert) -> StatementResult:
+        """Evaluate every row once, then append them as one batch: a row
+        that fails, in evaluation or in the table's checks, inserts none.
+        """
         table = self.catalog.get(stmt.table)
         ctx = ast.BindContext(Schema([]))
-        count = 0
+        rows = []
         for row_exprs in stmt.rows:
-            values = [e.bind(ctx)(()) for e in row_exprs]
+            values = [e.value if type(e) is ast.Literal else e.bind(ctx)(())
+                      for e in row_exprs]
             if stmt.columns is not None:
                 by_name = dict(zip([c.lower() for c in stmt.columns], values))
                 ordered = []
@@ -630,9 +634,8 @@ class Database:
                         f"unknown insert columns: {sorted(by_name)}"
                     )
                 values = ordered
-            table.insert(values)
-            count += 1
-        return StatementResult(f"INSERT {count}")
+            rows.append(values)
+        return StatementResult(f"INSERT {table.append_rows(rows)}")
 
 
 def _reads_only(stmt: Any) -> bool:

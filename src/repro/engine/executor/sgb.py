@@ -93,10 +93,10 @@ def grouping_coordinate(value):
 def grouping_point(values: Sequence) -> Optional[Point]:
     """The point a row's grouping-attribute ``values`` denote, or ``None``.
 
-    The row → point rule of every similarity clause: a stream view calls
-    it per inserted row, and the batch spool's column rule
-    (:func:`grouping_points`) gives the same answer and falls back to it
-    to report a bad value.  A NULL attribute cannot satisfy a distance
+    The row → point rule of every similarity clause.  Its column form
+    (:func:`grouping_points`, used by the batch spool and by stream views
+    once per INSERT) gives the same answer and falls back to it to report
+    a bad value.  A NULL attribute cannot satisfy a distance
     predicate, so the row has no point (callers skip and count it —
     unlike vanilla GROUP BY, see docs/sql_dialect.md); a non-numeric one
     is an :class:`ExecutionError`; NaN / ±inf is an

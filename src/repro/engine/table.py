@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence,
 
 from repro.engine import types as T
 from repro.engine.schema import Column, Schema
-from repro.errors import CatalogError, InvalidParameterError
+from repro.errors import CatalogError, InvalidParameterError, ReproError
 from repro.index.btree import BPlusTree
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
@@ -83,27 +83,61 @@ class Table:
         return len(self.rows)
 
     def insert(self, row: Sequence[Any]) -> None:
-        if len(row) != len(self.schema):
-            raise InvalidParameterError(
-                f"table {self.name!r} expects {len(self.schema)} values, "
-                f"got {len(row)}"
-            )
-        coerced = tuple(
-            T.coerce(value, col.type) for value, col in zip(row, self.schema)
-        )
-        self.rows.append(coerced)
-        row_id = len(self.rows) - 1
-        if self.indexes:
-            for index in self.indexes.values():
-                index.note_insert(coerced, row_id)
-        for listener in self._insert_listeners:
-            listener(coerced, row_id)
+        self.append_rows([row])
+
+    def append_rows(self, rows: Sequence[Sequence[Any]]) -> int:
+        """Append ``rows`` as one batch, all or nothing; returns the count.
+
+        Every row is checked and coerced, and every insert listener
+        validates the batch, before anything is appended: a bad row
+        raises and leaves the table, its indexes and its listeners as
+        they were.  Then the rows are appended, the indexes updated and
+        each listener's commit step run once for the whole batch.
+        """
+        width = len(self.schema)
+        types = [col.type for col in self.schema]
+        coerce = T.coerce
+        coerced: List[Tuple[Any, ...]] = []
+        for row in rows:
+            if len(row) != width:
+                raise InvalidParameterError(
+                    f"table {self.name!r} expects {width} values, "
+                    f"got {len(row)}"
+                )
+            coerced.append(tuple(map(coerce, row, types)))
+        if not coerced:
+            return 0
+        first = len(self.rows)
+        commits = [listener(coerced, first)
+                   for listener in self._insert_listeners]
+        self.rows.extend(coerced)
+        for index in self.indexes.values():
+            for row_id, row in enumerate(coerced, first):
+                index.note_insert(row, row_id)
+        # A commit step raises only after ingesting the batch (a stream
+        # view's engine refusing a point at flush), so every listener
+        # still gets its commit before the first such error propagates.
+        failed: Optional[ReproError] = None
+        for commit in commits:
+            try:
+                commit()
+            except ReproError as exc:
+                failed = failed or exc
+        if failed is not None:
+            raise failed
+        return len(coerced)
 
     # ------------------------------------------------------------------
     # insert listeners (streaming views subscribe to new rows)
     # ------------------------------------------------------------------
     def add_insert_listener(self, listener) -> None:
-        """Register ``listener(row, row_id)`` to be called after inserts."""
+        """Register ``listener(rows, first_row_id)`` for appended batches.
+
+        It is called once per batch, before the rows are appended, with
+        the coerced rows and the position the first will get.  It raises
+        to refuse the batch, or returns a no-argument commit step that
+        the table calls once the rows are in.
+        """
         self._insert_listeners.append(listener)
 
     def remove_insert_listener(self, listener) -> None:
@@ -139,10 +173,7 @@ class Table:
         return None
 
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
-        count = 0
-        for row in rows:
-            self.insert(row)
-            count += 1
+        count = self.append_rows(list(rows))
         # Auto-analyze on bulk load: if the batch pushed previously
         # collected statistics past staleness, refresh them now so the
         # next query plans against the new reality instead of paying the

@@ -1,15 +1,27 @@
-"""SQL lexer.
+"""SQL lexer: one compiled master regex.
 
-Produces a flat token list consumed by the recursive-descent parser.  The
-similarity grammar's hyphenated keywords (``DISTANCE-TO-ALL``,
-``ON-OVERLAP``, ``JOIN-ANY`` …) are *not* special-cased here — they lex as
-``IDENT MINUS IDENT …`` and the parser reassembles them — so ``a-b`` in an
-arithmetic context still means subtraction.
+Each match of ``_TOKEN_RE`` is optional whitespace, then one named group
+per token kind, tried in order: ``op``, ``number``, ``word`` (ASCII
+start), ``uword`` (any other ``\\w`` run; it must start with a letter),
+``string`` (``''`` is an escaped quote), ``quoted`` (a ``"…"``
+identifier), ``skip`` (``--`` and ``/* */`` comments) and, last,
+``error``, which takes any non-space character the others refused.  So
+``finditer`` covers the text, a token's ``pos`` is its group's start, and
+the loop dispatches on the group's number (cheaper than its name).
+
+Lookaheads keep that order safe: ``-`` is no op before ``-``, nor ``/``
+before ``*``, nor ``.`` before a digit.  Numbers are ASCII digits only,
+so a unicode digit such as ``²`` is an unexpected character.  A ``/*``,
+``'`` or ``"`` that never closes reaches ``error`` and gets its own
+message.  Hyphenated keywords (``DISTANCE-TO-ALL``, ``ON-OVERLAP`` …) lex
+as ``IDENT OP(-) IDENT …`` and the parser reassembles them, so ``a-b``
+still means subtraction.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+import re
+from typing import Any, List
 
 from repro.errors import LexerError
 
@@ -20,8 +32,26 @@ STRING = "STRING"
 OP = "OP"
 EOF = "EOF"
 
-_MULTI_OPS = ("<=", ">=", "<>", "!=")
-_SINGLE_OPS = "+-*/%(),.<>=;"
+_TOKEN_RE = re.compile(r"""\s*(?:
+    (?P<op><=|>=|<>|!=|-(?!-)|/(?![*])|[+*%(),<>=;]|[.](?![0-9]))
+  | (?P<number>(?:[0-9]+(?:[.][0-9]*)?|[.][0-9]+)(?:[eE][+-]?[0-9]+)?)
+  | (?P<word>[A-Za-z_]\w*)
+  | (?P<uword>\w+)
+  | (?P<string>'[^']*(?:''[^']*)*')(?!')
+  | (?P<quoted>"[^"]*")
+  | (?P<skip>--[^\n]*|/[*].*?[*]/)
+  | (?P<error>\S)
+)""", re.VERBOSE | re.DOTALL)
+
+_OP, _NUMBER, _WORD, _UWORD, _STRING, _QUOTED, _ERROR = (
+    _TOKEN_RE.groupindex[name] for name in
+    ("op", "number", "word", "uword", "string", "quoted", "error"))
+
+_UNTERMINATED = {
+    "/": "unterminated block comment",
+    "'": "unterminated string literal",
+    '"': "unterminated quoted identifier",
+}
 
 
 class Token:
@@ -38,95 +68,36 @@ class Token:
 
 def tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "-" and i + 1 < n and text[i + 1] == "-":  # line comment
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "*":  # block comment
-            end = text.find("*/", i + 2)
-            if end == -1:
-                raise LexerError("unterminated block comment", i)
-            i = end + 2
-            continue
-        if ch == "'":
-            j = i + 1
-            buf = []
-            while True:
-                if j >= n:
-                    raise LexerError("unterminated string literal", i)
-                if text[j] == "'":
-                    if j + 1 < n and text[j + 1] == "'":  # escaped quote
-                        buf.append("'")
-                        j += 2
-                        continue
-                    break
-                buf.append(text[j])
-                j += 1
-            tokens.append(Token(STRING, "".join(buf), i))
-            i = j + 1
-            continue
-        if ch == '"':  # quoted identifier
-            j = text.find('"', i + 1)
-            if j == -1:
-                raise LexerError("unterminated quoted identifier", i)
-            tokens.append(Token(IDENT, text[i + 1:j].lower(), i))
-            i = j + 1
-            continue
-        # "0" <= ch <= "9" deliberately, not str.isdigit(): unicode digit
-        # characters (e.g. superscripts) are not valid SQL numbers.
-        if "0" <= ch <= "9" or (
-            ch == "." and i + 1 < n and "0" <= text[i + 1] <= "9"
-        ):
-            j = i
-            seen_dot = False
-            seen_exp = False
-            while j < n:
-                c = text[j]
-                if "0" <= c <= "9":
-                    j += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    j += 1
-                elif c in "eE" and not seen_exp and j > i:
-                    if j + 1 < n and "0" <= text[j + 1] <= "9":
-                        seen_exp = True
-                        j += 1
-                    elif (j + 2 < n and text[j + 1] in "+-"
-                          and "0" <= text[j + 2] <= "9"):
-                        seen_exp = True
-                        j += 2
-                    else:
-                        break
-                else:
-                    break
-            raw = text[i:j]
-            value: Any = float(raw) if (seen_dot or seen_exp) else int(raw)
-            tokens.append(Token(NUMBER, value, i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token(IDENT, text[i:j].lower(), i))
-            i = j
-            continue
-        two = text[i:i + 2]
-        if two in _MULTI_OPS:
-            tokens.append(Token(OP, two, i))
-            i += 2
-            continue
-        if ch in _SINGLE_OPS:
-            tokens.append(Token(OP, ch, i))
-            i += 1
-            continue
-        raise LexerError(f"unexpected character {ch!r}", i)
-    tokens.append(Token(EOF, None, n))
+    append = tokens.append
+    # The scan ends at the last non-space character: at the end of the text
+    # no alternative matches, and ``\s*`` would backtrack through trailing
+    # space from every start position, quadratic in its length.
+    for m in _TOKEN_RE.finditer(text, 0, len(text.rstrip())):
+        group = m.lastindex  # by number: a group name costs a lookup
+        if group == _OP:
+            append(Token(OP, m[group], m.start(group)))
+        elif group == _NUMBER:
+            raw = m[group]
+            value = float(raw) if "." in raw or "e" in raw or "E" in raw \
+                else int(raw)
+            append(Token(NUMBER, value, m.start(group)))
+        elif group == _WORD:
+            append(Token(IDENT, m[group].lower(), m.start(group)))
+        elif group == _UWORD:
+            word = m[group]
+            if not word[0].isalpha():
+                raise LexerError(f"unexpected character {word[0]!r}",
+                                 m.start(group))
+            append(Token(IDENT, word.lower(), m.start(group)))
+        elif group == _STRING:
+            append(Token(STRING, m[group][1:-1].replace("''", "'"),
+                         m.start(group)))
+        elif group == _QUOTED:
+            append(Token(IDENT, m[group][1:-1].lower(), m.start(group)))
+        elif group == _ERROR:
+            ch = m[group]
+            raise LexerError(
+                _UNTERMINATED.get(ch, f"unexpected character {ch!r}"),
+                m.start(group))
+    append(Token(EOF, None, len(text)))
     return tokens

@@ -4,6 +4,12 @@ Statements supported: ``CREATE TABLE``, ``DROP TABLE``, ``INSERT INTO …
 VALUES``, and a substantial ``SELECT`` (joins, subqueries in FROM,
 uncorrelated IN subqueries, GROUP BY / HAVING / ORDER BY / LIMIT).
 
+Statements and clauses descend one method each; expressions do not.
+:meth:`Parser._expr` is one precedence-climbing loop over the binary
+operator table :data:`_PRECEDENCE` (OR < AND < prefix NOT < comparisons
+and ``[NOT] IN / BETWEEN / LIKE``, ``IS [NOT] NULL`` < ``+ -`` < ``* / %``
+< unary minus), so a bare literal costs one primary and one table miss.
+
 The similarity grammar follows Section 4 of the paper:
 
     GROUP BY x, y DISTANCE-TO-ALL [L2 | LINF] WITHIN ε
@@ -32,6 +38,23 @@ _KEYWORDS = {
     "outer", "case", "when", "then", "else", "end",
 }
 
+#: Binary operator ``(token type, value)`` -> precedence level, loosest
+#: first: OR, AND, (prefix NOT at 3), the comparisons with their keyword
+#: forms, then the additive and multiplicative operators.  Keyed by type,
+#: so a quoted identifier such as ``"+"`` is no operator.  A ``NOT`` at
+#: level 4 only counts when ``IN``, ``BETWEEN`` or ``LIKE`` follows it.
+_PRECEDENCE = {
+    (IDENT, "or"): 1,
+    (IDENT, "and"): 2,
+    **{(OP, op): 4 for op in ("=", "<>", "!=", "<", "<=", ">", ">=")},
+    **{(IDENT, word): 4 for word in ("in", "between", "like", "is", "not")},
+    **{(OP, op): 5 for op in "+-"},
+    **{(OP, op): 6 for op in "*/%"},
+}
+_NOT_PREC = 3
+_ADDITIVE_PREC = 5
+_MAX_PREC = 6
+
 _METRIC_WORDS = {
     "l2": "l2",
     "ltwo": "l2",
@@ -50,7 +73,9 @@ class Parser:
     # token plumbing
     # ------------------------------------------------------------------
     def _peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        # No bounds check: the EOF token ends the list, ``_advance`` never
+        # moves past it, and every lookahead follows a non-EOF token.
+        return self.tokens[self.pos + offset]
 
     def _advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -80,8 +105,9 @@ class Parser:
         return tok.type == OP and tok.value == op
 
     def _accept_op(self, op: str) -> bool:
-        if self._check_op(op):
-            self._advance()
+        tok = self.tokens[self.pos]
+        if tok.type == OP and tok.value == op:
+            self.pos += 1
             return True
         return False
 
@@ -510,64 +536,56 @@ class Parser:
     # ------------------------------------------------------------------
     # expressions (precedence climbing)
     # ------------------------------------------------------------------
-    def _expr(self) -> ast.Expr:
-        return self._or_expr()
+    def _expr(self, min_prec: int = 1) -> ast.Expr:
+        """An expression whose operators bind at ``min_prec`` or tighter.
 
-    def _or_expr(self) -> ast.Expr:
-        left = self._and_expr()
-        while self._check_ident("or"):
+        One loop over :data:`_PRECEDENCE`: an operator at level p takes a
+        right operand of level p + 1, so chains associate to the left.
+        ``ceiling`` is the level of the last operator applied.  Only a
+        form without a right operand (``NOT x``, ``IS NULL``, ``LIKE 'p'``
+        …) can be followed by a tighter operator, and that ends the
+        expression, as the grammar's nesting did.
+        """
+        tok = self._peek()
+        if min_prec <= _NOT_PREC and tok.value == "not" and tok.type == IDENT:
             self._advance()
-            left = ast.BinaryOp("or", left, self._and_expr())
-        return left
-
-    def _and_expr(self) -> ast.Expr:
-        left = self._not_expr()
-        while self._check_ident("and"):
-            self._advance()
-            left = ast.BinaryOp("and", left, self._not_expr())
-        return left
-
-    def _not_expr(self) -> ast.Expr:
-        if self._accept_ident("not"):
-            return ast.UnaryOp("not", self._not_expr())
-        return self._comparison()
-
-    def _comparison(self) -> ast.Expr:
-        left = self._additive()
+            left: ast.Expr = ast.UnaryOp("not", self._expr(_NOT_PREC))
+            ceiling = _NOT_PREC
+        else:
+            left = self._unary()
+            ceiling = _MAX_PREC
         while True:
             tok = self._peek()
-            if tok.type == OP and tok.value in ("=", "<>", "!=", "<", "<=", ">", ">="):
-                op = self._advance().value
-                left = ast.BinaryOp(op, left, self._additive())
-                continue
-            negated = False
-            if self._check_ident("not") and self._check_ident(
-                "in", "between", "like", offset=1
-            ):
+            prec = _PRECEDENCE.get((tok.type, tok.value))
+            if prec is None or not min_prec <= prec <= ceiling:
+                return left
+            ceiling = prec
+            if tok.type == OP or tok.value in ("and", "or"):
                 self._advance()
-                negated = True
-            if self._accept_ident("in"):
+                left = ast.BinaryOp(tok.value, left, self._expr(prec + 1))
+                continue
+            negated = tok.value == "not"
+            if negated:
+                if not self._check_ident("in", "between", "like", offset=1):
+                    return left
+                self._advance()
+            word = self._advance().value
+            if word == "in":
                 left = self._in_rest(left, negated)
-                continue
-            if self._accept_ident("between"):
-                low = self._additive()
+            elif word == "between":
+                low = self._expr(_ADDITIVE_PREC)
                 self._expect_ident("and")
-                high = self._additive()
-                left = ast.Between(left, low, high, negated)
-                continue
-            if self._accept_ident("like"):
+                left = ast.Between(left, low, self._expr(_ADDITIVE_PREC),
+                                   negated)
+            elif word == "like":
                 tok = self._peek()
                 if tok.type != STRING:
                     raise ParseError("LIKE expects a string pattern")
                 left = ast.Like(left, self._advance().value, negated)
-                continue
-            if self._accept_ident("is"):
+            else:  # IS [NOT] NULL
                 neg = bool(self._accept_ident("not"))
                 self._expect_ident("null")
                 left = ast.IsNull(left, neg)
-                continue
-            break
-        return left
 
     def _in_rest(self, left: ast.Expr, negated: bool) -> ast.Expr:
         self._expect_op("(")
@@ -581,42 +599,12 @@ class Parser:
         self._expect_op(")")
         return ast.InList(left, items, negated)
 
-    def _additive(self) -> ast.Expr:
-        left = self._multiplicative()
-        while True:
-            if self._check_op("+"):
-                self._advance()
-                left = ast.BinaryOp("+", left, self._multiplicative())
-            elif self._check_op("-"):
-                # Don't eat the hyphen of a following similarity keyword;
-                # "GROUP BY x, y DISTANCE-TO-ALL" must stop at "distance".
-                self._advance()
-                left = ast.BinaryOp("-", left, self._multiplicative())
-            else:
-                break
-        return left
-
-    def _multiplicative(self) -> ast.Expr:
-        left = self._unary()
-        while True:
-            if self._check_op("*"):
-                self._advance()
-                left = ast.BinaryOp("*", left, self._unary())
-            elif self._check_op("/"):
-                self._advance()
-                left = ast.BinaryOp("/", left, self._unary())
-            elif self._check_op("%"):
-                self._advance()
-                left = ast.BinaryOp("%", left, self._unary())
-            else:
-                break
-        return left
-
     def _unary(self) -> ast.Expr:
-        if self._accept_op("-"):
-            return ast.UnaryOp("-", self._unary())
-        if self._accept_op("+"):
-            return self._unary()
+        tok = self._peek()
+        if tok.type == OP and tok.value in ("-", "+"):
+            self.pos += 1
+            operand = self._unary()
+            return ast.UnaryOp("-", operand) if tok.value == "-" else operand
         return self._primary()
 
     def _primary(self) -> ast.Expr:

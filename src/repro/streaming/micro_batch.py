@@ -17,7 +17,11 @@ from typing import Iterable, List, Optional, Sequence
 from repro import kernels
 from repro.core.api import validate_point
 from repro.core.result import GroupingResult
-from repro.errors import InvalidParameterError, StreamStateError
+from repro.errors import (
+    InvalidCoordinateError,
+    InvalidParameterError,
+    StreamStateError,
+)
 from repro.obs.metrics import MetricBag, StreamStats
 from repro.obs.trace import Tracer, maybe_span
 
@@ -82,6 +86,14 @@ class MicroBatcher:
         return self.engine.n_points + len(self._pending)
 
     # ------------------------------------------------------------------
+    def check_open(self) -> None:
+        """Raise :class:`StreamStateError` once ``result()`` closed the
+        engine."""
+        if getattr(self.engine, "closed", False):
+            raise StreamStateError(
+                "streaming engine already closed by result()"
+            )
+
     def insert(self, row: Sequence[float]) -> None:
         """Buffer one row; flushes automatically at ``batch_size``.
 
@@ -90,18 +102,38 @@ class MicroBatcher:
         flush triggered from ``snapshot()`` — buffering it would defer
         the error to whichever unrelated call happens to flush the batch.
         """
-        if getattr(self.engine, "closed", False):
-            raise StreamStateError(
-                "streaming engine already closed by result()"
-            )
-        pt, self._dim = validate_point(row, self._dim)
-        self._pending.append(pt)
-        if len(self._pending) >= self.batch_size:
-            self.flush()
+        self.extend([row])
 
     def extend(self, rows: Iterable[Sequence[float]]) -> None:
+        """Buffer many rows, flushing where one ``insert`` per row would.
+
+        Every row is validated before any is buffered, so a bad one
+        fails the call and leaves the batcher as it was.  A flush the
+        engine fails (see :meth:`flush`) loses only the refused row: the
+        rows behind it, this call's included, stay buffered.
+        """
+        rows = list(rows)
+        if not rows:
+            return
+        self.check_open()
+        dim = self._dim
+        points = []
         for row in rows:
-            self.insert(row)
+            pt, dim = validate_point(row, dim)
+            points.append(pt)
+        self._dim = dim
+        taken = 0
+        while taken < len(points):
+            room = max(self.batch_size - len(self._pending), 1)
+            self._pending.extend(points[taken:taken + room])
+            taken += room
+            if len(self._pending) < self.batch_size:
+                return
+            try:
+                self.flush()
+            except InvalidCoordinateError:
+                self._pending.extend(points[taken:])
+                raise
 
     def note_skipped_null(self, n: int = 1) -> None:
         """Count an upstream row dropped for a NULL grouping attribute."""

@@ -8,19 +8,21 @@ listeners.  Re-querying the view is then a snapshot of maintained state
 instead of a from-scratch recompute, which is the amortization the
 repeated-query literature (e.g. COMPARE, arXiv:2107.11967) motivates.
 
-A row becomes a point by the SQL executor's own rule
-(:func:`~repro.engine.executor.sgb.grouping_point`): a NULL grouping
-attribute skips the row, DATE attributes map to ordinal days — so a view
-over a date column groups "within ε days" — and a non-numeric or
-non-finite value fails the ``INSERT`` with the batch path's typed error.
+Rows become points by the SQL executor's own column rule
+(:func:`~repro.engine.executor.sgb.grouping_points`, once per INSERT): a
+NULL grouping attribute skips the row, DATE attributes map to ordinal
+days — so a view over a date column groups "within ε days" — and a
+non-numeric or non-finite value fails the whole ``INSERT`` with the
+batch path's typed error before the table appends any of its rows.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.result import GroupingResult
-from repro.engine.executor.sgb import grouping_point
+from repro.engine.executor.sgb import Point, grouping_points
 from repro.errors import InvalidCoordinateError, InvalidParameterError
 from repro.obs.metrics import StreamStats
 from repro.streaming.all_engine import StreamingSGBAll
@@ -85,20 +87,31 @@ class StreamingGroupView:
         self._row_ids: List[int] = []  # table positions of ingested rows
         self._skipped = 0
         self._attached = False
-        for row_id, row in enumerate(table.rows):
-            self._on_insert(row, row_id)
+        self._on_insert(table.rows, 0)()
         table.add_insert_listener(self._on_insert)
         self._attached = True
 
     # ------------------------------------------------------------------
-    def _on_insert(self, row: Tuple, row_id: int) -> None:
-        point = grouping_point([row[i] for i in self._col_idx])
-        if point is None:
-            self._skipped += 1
-            self.batcher.note_skipped_null()
-            return
-        self._row_ids.append(row_id)
-        self._flushing(self.batcher.insert, point)
+    def _on_insert(self, rows: Sequence[Tuple], first_row_id: int):
+        """The table's insert listener: turn a batch into points before
+        it is appended (a bad value refuses the whole batch) and return
+        the step that ingests them after."""
+        points = grouping_points(
+            [[row[i] for row in rows] for i in self._col_idx])
+        self.batcher.check_open()
+        return partial(self._ingest, points, first_row_id)
+
+    def _ingest(self, points: List[Optional[Point]], first_row_id: int) -> None:
+        # The batch's NULL skips are noted before its points are buffered,
+        # so they tag the first micro_batch span the batch flushes.
+        kept = [p for p in points if p is not None]
+        skipped = len(points) - len(kept)
+        if skipped:
+            self._skipped += skipped
+            self.batcher.note_skipped_null(skipped)
+        self._row_ids.extend(row_id for row_id, p in
+                             enumerate(points, first_row_id) if p is not None)
+        self._flushing(self.batcher.extend, kept)
 
     def _flushing(self, call, *args):
         """Run a batcher call that may flush, keeping ``_row_ids`` aligned.

@@ -100,10 +100,10 @@ class TestStreamViewLifecycle:
         db = make_db()
         view = db.create_stream_view("g", "pts", ["x", "y"], eps=1.0)
         with pytest.raises(InvalidCoordinateError):
-            db.insert("pts", [(bad, 0.2)])  # table row 3, never ingested
-        db.insert("pts", [(20.0, 20.0), (20.5, 20.0)])  # rows 4 and 5
-        assert view.n_points == 5
-        assert view.group_rows() == [[0, 1], [4, 5], [2]]
+            db.insert("pts", [(bad, 0.2)])  # refused: not appended
+        db.insert("pts", [(20.0, 20.0), (20.5, 20.0)])  # rows 3 and 4
+        assert len(db.table("pts")) == view.n_points == 5
+        assert view.group_rows() == [[0, 1], [3, 4], [2]]
 
     def test_cell_overflow_is_a_typed_error(self):
         # 1e308 // eps overflows the grid's cell number; the buffered row

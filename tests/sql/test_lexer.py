@@ -1,5 +1,7 @@
 """Lexer tests."""
 
+import time
+
 import pytest
 
 from repro.errors import LexerError
@@ -53,6 +55,18 @@ class TestBasics:
         with pytest.raises(LexerError) as err:
             tokenize("a @ b")
         assert err.value.position == 2
+
+    @pytest.mark.parametrize("tail", [" ", "\n\t", "　"])
+    def test_trailing_whitespace_is_linear(self, tail):
+        """A 1 MiB frame of ``SELECT 1`` and spaces must not stall the
+        server: the scan stays linear in the trailing whitespace."""
+        text = "SELECT 1" + tail * (200_000 // len(tail))
+        start = time.perf_counter()
+        toks = tokenize(text)
+        assert time.perf_counter() - start < 1.0
+        assert [(t.type, t.value) for t in toks] == [
+            (IDENT, "select"), (NUMBER, 1), (EOF, None)]
+        assert toks[-1].pos == len(text)
 
 
 class TestComments:

@@ -9,33 +9,37 @@ from repro.errors import SQLError
 from repro.sql.parser import parse
 
 
+#: Statements every parser must refuse with an SQLError.
+MALFORMED_SQL = [
+    "SELECT",
+    "SELECT FROM t",
+    "SELECT a FROM",
+    "SELECT a FROM t WHERE",
+    "SELECT a b c FROM t",
+    "INSERT INTO",
+    "INSERT INTO t VALUES",
+    "INSERT INTO t VALUES (1",
+    "CREATE TABLE t",
+    "CREATE TABLE t ()",
+    "SELECT * FROM t GROUP BY",
+    "SELECT * FROM t GROUP BY x DISTANCE-TO-ALL",
+    "SELECT * FROM t GROUP BY x DISTANCE-TO-ALL WITHIN",
+    "SELECT * FROM (SELECT 1)",          # missing alias
+    "SELECT a FROM t ORDER BY",
+    "SELECT a FROM t LIMIT many",
+    "SELECT CASE WHEN 1 THEN 2",          # missing END
+    "SELECT 1 UNION",
+    "SELECT 1 WHERE x IN ()",
+    "SELECT 1 WHERE x BETWEEN 1",
+    "DROP INDEX i",                       # missing ON table
+    ";;;SELECT",
+    "(((((",
+    "'unterminated",
+]
+
+
 class TestMalformedInputs:
-    @pytest.mark.parametrize("sql", [
-        "SELECT",
-        "SELECT FROM t",
-        "SELECT a FROM",
-        "SELECT a FROM t WHERE",
-        "SELECT a b c FROM t",
-        "INSERT INTO",
-        "INSERT INTO t VALUES",
-        "INSERT INTO t VALUES (1",
-        "CREATE TABLE t",
-        "CREATE TABLE t ()",
-        "SELECT * FROM t GROUP BY",
-        "SELECT * FROM t GROUP BY x DISTANCE-TO-ALL",
-        "SELECT * FROM t GROUP BY x DISTANCE-TO-ALL WITHIN",
-        "SELECT * FROM (SELECT 1)",          # missing alias
-        "SELECT a FROM t ORDER BY",
-        "SELECT a FROM t LIMIT many",
-        "SELECT CASE WHEN 1 THEN 2",          # missing END
-        "SELECT 1 UNION",
-        "SELECT 1 WHERE x IN ()",
-        "SELECT 1 WHERE x BETWEEN 1",
-        "DROP INDEX i",                       # missing ON table
-        ";;;SELECT",
-        "(((((",
-        "'unterminated",
-    ])
+    @pytest.mark.parametrize("sql", MALFORMED_SQL)
     def test_raises_sql_error(self, sql):
         with pytest.raises(SQLError):
             parse(sql)

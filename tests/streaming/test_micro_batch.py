@@ -104,6 +104,28 @@ class TestBatching:
         assert sum(a["points"] for a in batch_spans(tracer)) \
             == mb.stats.points == 3
 
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_extend_validates_every_row_first(self, k):
+        """A bad row anywhere in an extend buffers none of its rows."""
+        mb, tracer = traced_batcher(3)
+        mb.insert((9, 9))
+        rows = [(float(i), 0.0) for i in range(5)]
+        rows[k] = (1.0, float("inf"))
+        with pytest.raises(InvalidCoordinateError):
+            mb.extend(rows)
+        assert mb.n_points == mb.n_pending == 1
+        assert batch_spans(tracer) == []
+
+    def test_extend_keeps_rows_behind_a_failed_flush(self):
+        """The engine refusing a row mid-extend loses that row only: the
+        rest of the call's rows stay buffered for the next flush."""
+        mb, tracer = traced_batcher(2, eps=0.5, index="grid")
+        with pytest.raises(InvalidCoordinateError):
+            mb.extend([(0, 0), (1e308, 0), (0.1, 0), (7, 7), (7.2, 7)])
+        assert mb.engine.n_points == 1 and mb.n_pending == 3
+        assert mb.snapshot().points == [(0.0, 0.0), (0.1, 0.0), (7.0, 7.0),
+                                        (7.2, 7.0)]
+
     def test_insert_after_result_fails_immediately(self):
         mb = MicroBatcher(StreamingSGBAny(eps=1.0), batch_size=100)
         mb.extend([(0, 0), (9, 9)])
