@@ -1,4 +1,4 @@
-"""The Group data structure shared by every SGB-All strategy.
+"""The Group data structure shared by SGB-All's paper strategies.
 
 A group owns its member point ids and coordinates and incrementally
 maintains the structures the bounds-checking strategies rely on:
@@ -14,22 +14,21 @@ maintains the structures the bounds-checking strategies rely on:
 ``eps_rect``, Definition 5's rectangle itself, is a derived read-only view.
 Member removal (ELIMINATE / FORM-NEW-GROUP semantics) rebuilds the affected
 structures from the surviving members.
+
+Every member test is a python loop over ``points`` (or the hull vertices),
+whichever kernel backend is active, so a counting metric observes the same
+``within`` calls under both.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro import kernels
 from repro.core.distance import Metric
 from repro.geometry.convex_hull import IncrementalHull
 from repro.geometry.rectangle import EPS_WIDEN, Rect, eps_all_rect
 
 Point = Tuple[float, ...]
-
-#: Member count below which a vectorized group scan loses to the plain
-#: loop (buffer slicing + ufunc launch overhead dominates tiny blocks).
-_VECTOR_MIN_MEMBERS = 24
 
 
 def eps_all_reach(eps: float, metric: Metric) -> float:
@@ -46,7 +45,7 @@ class Group:
     """A candidate output group of SGB-All."""
 
     __slots__ = ("gid", "eps", "reach", "metric", "member_ids", "points",
-                 "mbr", "hull", "_block")
+                 "mbr", "hull")
 
     def __init__(self, gid: int, eps: float, metric: Metric, use_hull: bool):
         self.gid = gid
@@ -57,9 +56,6 @@ class Group:
         self.points: List[Point] = []
         self.mbr: Optional[Rect] = None
         self.hull: Optional[IncrementalHull] = IncrementalHull() if use_hull else None
-        #: Backend-native member-coordinate block (None for the pure-
-        #: python backend, which scans ``points`` directly).
-        self._block = kernels.make_group_block()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -87,8 +83,6 @@ class Group:
             self.mbr = self.mbr.extend_point(point)
         if self.hull is not None:
             self.hull.add(point)
-        if self._block is not None:
-            self._block.append(point)
 
     def remove_members(self, point_ids: Iterable[int]) -> None:
         """Drop members by id and rebuild the derived structures."""
@@ -102,8 +96,6 @@ class Group:
         ]
         self.member_ids = [mid for mid, _ in kept]
         self.points = [pt for _, pt in kept]
-        if self._block is not None:
-            self._block.rebuild(self.points)
         self.mbr = Rect.from_points(self.points) if self.points else None
         if self.hull is not None:
             self.hull.rebuild(self.points)
@@ -149,44 +141,20 @@ class Group:
             )
         return self.all_within(point)
 
-    def _block_mask(self):
-        """Vectorized member predicate mask, or None to use the loops."""
-        block = self._block
-        if block is None or len(self.points) < _VECTOR_MIN_MEMBERS:
-            return None
-        return block  # caller invokes within_mask with its probe point
-
     def all_within(self, point: Point) -> bool:
         """Brute-force clique test (used by the All-Pairs strategy)."""
-        block = self._block_mask()
-        if block is not None:
-            mask = block.within_mask(point, self.eps, self.metric)
-            if mask is not None:
-                return bool(mask.all())
         within = self.metric.within
         eps = self.eps
         return all(within(point, q, eps) for q in self.points)
 
     def any_within(self, point: Point) -> bool:
         """True iff some member satisfies the similarity predicate."""
-        block = self._block_mask()
-        if block is not None:
-            mask = block.within_mask(point, self.eps, self.metric)
-            if mask is not None:
-                return bool(mask.any())
         within = self.metric.within
         eps = self.eps
         return any(within(point, q, eps) for q in self.points)
 
     def members_within(self, point: Point) -> List[int]:
         """Ids of members within ε of ``point`` (overlap processing)."""
-        block = self._block_mask()
-        if block is not None:
-            mask = block.within_mask(point, self.eps, self.metric)
-            if mask is not None:
-                return [
-                    mid for mid, hit in zip(self.member_ids, mask) if hit
-                ]
         within = self.metric.within
         eps = self.eps
         return [
@@ -198,16 +166,10 @@ class Group:
     def scan_flags(self, point: Point, need_overlap: bool) -> Tuple[bool, bool]:
         """One all-pairs member scan: ``(is_candidate, has_overlap)``.
 
-        This is FindCloseGroups' inner loop for the naive strategy; the
-        pure-python form keeps its early exits (JOIN-ANY bails on the
-        first miss), while large groups under the numpy backend answer
-        both flags from a single vectorized predicate mask.
+        This is FindCloseGroups' inner loop for the naive strategy, with
+        its early exits: JOIN-ANY bails on the first miss, the overlap
+        clauses once both flags are settled.
         """
-        block = self._block_mask()
-        if block is not None:
-            mask = block.within_mask(point, self.eps, self.metric)
-            if mask is not None:
-                return bool(mask.all()), bool(mask.any())
         candidate = True
         overlap = False
         within = self.metric.within

@@ -168,11 +168,6 @@ class AllPairsStrategy(_StrategyBase):
         return len(self.registry), candidates, overlaps
 
 
-#: Live-group count below which the bulk rectangle pass loses to the
-#: plain per-group loop (array setup overhead over a handful of groups).
-_VECTOR_MIN_GROUPS = 16
-
-
 class BoundsCheckingStrategy(_StrategyBase):
     """Procedure 4: ε-All rectangle test per group, linear scan of groups.
 
@@ -180,11 +175,8 @@ class BoundsCheckingStrategy(_StrategyBase):
     group's MBR (ε-All for candidates, window overlap for overlap groups),
     and doing them on raw corner tuples (no method dispatch) is what keeps
     this strategy ahead of All-Pairs at bench sizes, matching the paper's
-    ordering.
-
-    Under the numpy backend the same two tests become bulk array
-    comparisons over a slotted :class:`~repro.kernels.numpy_backend.
-    RectStore` of MBRs, kept in sync through the strategy's index hooks.
+    ordering.  Other dimensions walk the registry through ``Group``'s
+    methods.
     """
 
     name = "bounds-checking"
@@ -192,34 +184,10 @@ class BoundsCheckingStrategy(_StrategyBase):
     def __init__(self, eps: float, metric: Metric, use_hull: bool):
         super().__init__(eps, metric, use_hull)
         self._reach = eps_all_reach(eps, metric)
-        self._rects = None
-        self._rects_ready = False
-
-    # -- rect-store maintenance (via the _StrategyBase mutation hooks) ---
-    def _index_insert(self, group: Group) -> None:
-        if not self._rects_ready:
-            assert group.mbr is not None
-            self._rects = kernels.make_rect_store(group.mbr.dim)
-            self._rects_ready = True
-        if self._rects is not None:
-            self._rects.set(group.gid, group.mbr)
-
-    def _index_moved(self, group: Group, old_mbr: Optional[Rect]) -> None:
-        if self._rects is not None:
-            self._rects.set(group.gid, group.mbr)
-
-    def _index_delete(self, group: Group, old_mbr: Optional[Rect]) -> None:
-        if self._rects is not None:
-            self._rects.delete(group.gid)
 
     def find_close_groups(
         self, pid: int, point: Point, need_overlap: bool
     ) -> Tuple[int, List[Group], List[Group]]:
-        if (
-            self._rects is not None
-            and len(self.registry) >= _VECTOR_MIN_GROUPS
-        ):
-            return self._find_vectorized(point, need_overlap)
         if len(point) == 2:
             return self._find_2d(point, need_overlap)
         candidates: List[Group] = []
@@ -265,41 +233,6 @@ class BoundsCheckingStrategy(_StrategyBase):
                     and lo[1] <= whi1 and wlo1 <= hi[1]
                     and g.any_within(point)):
                 overlaps.append(g)
-        return len(self.registry), candidates, overlaps
-
-    def _find_vectorized(
-        self, point: Point, need_overlap: bool
-    ) -> Tuple[int, List[Group], List[Group]]:
-        """Bulk rectangle filters over every live group at once.
-
-        Results are ordered by group id — identical to the linear scan,
-        which walks the registry in creation order — so JOIN-ANY
-        tiebreaks (random *and* first) see the same candidate lists as
-        the pure-python path.
-        """
-        assert self._rects is not None
-        registry = self.registry
-        exact = self.metric.name == "linf"
-        candidates: List[Group] = []
-        accepted = set()
-        for gid in sorted(self._rects.eps_contains(point, self._reach)):
-            g = registry.get(gid)
-            if exact or g.refine(point):
-                candidates.append(g)
-                accepted.add(gid)
-            # an L2 false positive may still partially overlap: it stays
-            # eligible for the MBR-intersection pass below
-        overlaps: List[Group] = []
-        if need_overlap:
-            window = probe_window(point, self.eps)
-            for gid in sorted(
-                self._rects.mbr_intersects(window.lo, window.hi)
-            ):
-                if gid in accepted:
-                    continue
-                g = registry.get(gid)
-                if g.any_within(point):
-                    overlaps.append(g)
         return len(self.registry), candidates, overlaps
 
 

@@ -1,9 +1,9 @@
 """Batch distance-kernel backends for the SGB hot paths.
 
-Every SGB strategy ultimately evaluates the similarity predicate against a
-*block* of points: the naive all-pairs scan, a grid cell neighbourhood,
-the R-tree window hits, a group's member list, or the per-group ε-All /
-MBR rectangle filters.  This package is the seam between those call sites
+The SGB-Any strategies and SGB-All's ``graph`` strategy evaluate the
+similarity predicate against a *block* of points: the naive all-pairs
+scan, a grid cell neighbourhood, the R-tree window hits, or the whole
+input's ε-self-join.  This package is the seam between those call sites
 and two interchangeable implementations:
 
 * ``numpy`` — vectorized array-at-a-time kernels over contiguous buffers
@@ -11,16 +11,20 @@ and two interchangeable implementations:
 * ``python`` — the original dependency-free loops
   (:mod:`repro.kernels.python_backend`).
 
+SGB-All's paper strategies (all-pairs, bounds-checking, index) scan a
+group's members and MBR with :class:`repro.core.groups.Group`'s own loops
+and do not come through here.
+
 Selection happens once at import: numpy if importable, else python.  The
 ``REPRO_BACKEND`` environment variable (``numpy`` | ``python``) overrides
 auto-detection, and :func:`set_backend` / :func:`use_backend` switch at
 runtime (tests, benchmarks).  Both backends produce identical group
-memberships; see docs/architecture.md ("Execution backends") for the one
-place their observability counters may legitimately differ.
+memberships and identical observability counters; see
+docs/architecture.md ("Execution backends").
 
 The module-level functions re-dispatch on every call, so a backend switch
-affects operators constructed afterwards (stores and blocks are created
-by the backend that was active at operator construction).
+affects operators constructed afterwards (a point store is created by the
+backend that was active at operator construction).
 """
 
 from __future__ import annotations
@@ -150,17 +154,6 @@ def make_point_store() -> Any:
     return _impl.make_point_store()
 
 
-def make_rect_store(dim: int) -> Optional[Any]:
-    """Bulk per-group MBR store, or None when the backend prefers
-    the caller's per-group loops (python backend)."""
-    return _impl.make_rect_store(dim)
-
-
-def make_group_block() -> Optional[Any]:
-    """Per-group contiguous member-coordinate block, or None."""
-    return _impl.make_group_block()
-
-
 __all__ = [
     "BACKEND_ENV_VAR",
     "ComponentsLike",
@@ -179,6 +172,4 @@ __all__ = [
     "csr_adjacency",
     "make_components",
     "make_point_store",
-    "make_rect_store",
-    "make_group_block",
 ]

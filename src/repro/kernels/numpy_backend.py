@@ -1,27 +1,28 @@
 """Numpy kernel backend: array-at-a-time similarity primitives.
 
-The strategies' hot loops evaluate the similarity predicate against a
-*block* of points (every processed point, a grid neighbourhood, the R-tree
-window hits, a group's members).  This backend turns each block into one
-vectorized expression over a contiguous ``float64`` buffer instead of a
-per-pair ``Metric.within`` call.
+The SGB-Any strategies and the ε-self-join evaluate the similarity
+predicate against a *block* of points (every processed point, a grid
+neighbourhood, the R-tree window hits, the whole input).  This backend
+turns each block into one vectorized expression over a contiguous
+``float64`` buffer instead of a per-pair ``Metric.within`` call.  The
+SGB-All group scans have no array form: ``Group`` runs the python loops
+under both backends.
 
 Counting contract: the SGB operators observe predicate work through a
 :class:`~repro.core.distance.CountingMetric` (``metric.calls``).  Vectorized
 kernels cannot route every pair through ``within``, so they *charge* the
-wrapped metric with the number of pairs evaluated.  For the SGB-Any paths
-this equals the pure-Python call count exactly (those loops never
-early-exit between pairs); for SGB-All member scans the python backend may
-count fewer thanks to first-miss early exits — see docs/architecture.md.
+wrapped metric with the number of pairs the python backend's loops would
+have evaluated, which those loops do without early exits between pairs.
+Every counter therefore agrees across the two backends.
 
-Incremental stores grow by capacity doubling so per-append cost stays
+The point store grows by capacity doubling so per-append cost stays
 amortized O(d) with no list→array conversion on the query path.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,9 +38,9 @@ from repro.kernels._protocols import (
 
 name = "numpy"
 
-#: Below this many points a vectorized member scan loses to the plain
-#: loop (array slicing + ufunc launch overhead); group-level helpers fall
-#: back to the python loop under it.
+#: Below this many points a vectorized scan loses to the plain loop
+#: (array slicing + ufunc launch overhead); the point store and
+#: ``batch_eps_neighbors`` fall back to the python loop under it.
 SMALL_BLOCK = 24
 
 #: The ε-box grid probe has a cheaper python loop per candidate (inline
@@ -356,95 +357,69 @@ class Components:
 
 
 # ----------------------------------------------------------------------
-# lazily-synced coordinate buffer (shared by PointStore / GroupBlock)
+# the point store
 # ----------------------------------------------------------------------
-class _LazyCoords:
-    """Tuple list + contiguous ``float64`` mirror, synced on first use.
-
-    Appends only touch the python list; the array mirror catches up in
-    bulk (one ``np.asarray`` over the pending slice) the next time a
-    vectorized query actually needs it.  Workloads whose blocks stay
-    under the fallback thresholds therefore never pay any array
-    maintenance at all.
-    """
-
-    __slots__ = ("tuples", "_buf", "_synced")
-
-    def __init__(self) -> None:
-        self.tuples: List[Point] = []
-        self._buf: Optional[np.ndarray] = None
-        self._synced = 0
-
-    def __len__(self) -> int:
-        return len(self.tuples)
-
-    def append(self, point: Point) -> int:
-        self.tuples.append(point)
-        return len(self.tuples) - 1
-
-    def rebuild(self, points: Sequence[Point]) -> None:
-        self.tuples = list(points)
-        self._buf = None
-        self._synced = 0
-
-    def view(self) -> "np.ndarray":
-        n = len(self.tuples)
-        buf = self._buf
-        if self._synced < n:
-            if buf is None or buf.shape[0] < n:
-                cap = max(16, 2 * n)
-                grown = np.empty(
-                    (cap, len(self.tuples[0])), dtype=np.float64
-                )
-                if buf is not None and self._synced:
-                    grown[: self._synced] = buf[: self._synced]
-                self._buf = buf = grown
-            buf[self._synced : n] = np.asarray(
-                self.tuples[self._synced : n], dtype=np.float64
-            )
-            self._synced = n
-        assert buf is not None
-        return buf[:n]
-
-
 class PointStore:
-    """Dense-id point collection over a doubling ``float64`` buffer.
+    """Dense-id point collection: the original float tuples plus a
+    doubling ``float64`` mirror, synced on first use.
 
-    Points are stored twice: as rows of the contiguous array the
-    vectorized queries run over, and as the original float tuples so that
-    small batches — where ufunc launch overhead exceeds the loop cost —
-    can take the exact pure-python path, ``CountingMetric`` semantics
-    included.
+    Appends only touch the tuple list; the mirror catches up in bulk (one
+    ``np.asarray`` over the pending slice) the next time a vectorized
+    query needs it.  Small batches — where ufunc launch overhead exceeds
+    the loop cost — take the exact pure-python path over the tuples,
+    ``CountingMetric`` semantics included, and never pay for the mirror.
     """
 
     backend = name
 
     def __init__(self) -> None:
-        self._coords = _LazyCoords()
+        self._tuples: List[Point] = []
+        self._buf: Optional[np.ndarray] = None
+        self._synced = 0
 
     def __len__(self) -> int:
-        return len(self._coords)
+        return len(self._tuples)
 
     def append(self, point: Point) -> int:
-        return self._coords.append(point)
+        self._tuples.append(point)
+        return len(self._tuples) - 1
 
     def get(self, i: int) -> Point:
-        return self._coords.tuples[i]
+        return self._tuples[i]
+
+    def _view(self) -> "np.ndarray":
+        n = len(self._tuples)
+        buf = self._buf
+        if self._synced < n:
+            if buf is None or buf.shape[0] < n:
+                cap = max(16, 2 * n)
+                grown = np.empty(
+                    (cap, len(self._tuples[0])), dtype=np.float64
+                )
+                if buf is not None and self._synced:
+                    grown[: self._synced] = buf[: self._synced]
+                self._buf = buf = grown
+            buf[self._synced : n] = np.asarray(
+                self._tuples[self._synced : n], dtype=np.float64
+            )
+            self._synced = n
+        assert buf is not None
+        return buf[:n]
 
     def query_all(self, q: Coords, eps: float,
                   metric: MetricLike) -> List[int]:
-        n = len(self._coords)
+        n = len(self._tuples)
         if n == 0:
             return []
         if n >= SMALL_BLOCK:
-            mask = _within_mask(self._coords.view(), q, eps, metric)
+            mask = _within_mask(self._view(), q, eps, metric)
             if mask is not None:
                 _charge(metric, n)
                 return np.flatnonzero(mask).tolist()
         within = metric.within
         return [
             i
-            for i, p in enumerate(self._coords.tuples)
+            for i, p in enumerate(self._tuples)
             if within(p, q, eps)
         ]
 
@@ -469,7 +444,7 @@ class PointStore:
         if kind == "other":
             return self._gathered_loop(ids, q, eps, metric)
         ids_a = np.fromiter(ids, dtype=np.intp, count=k)
-        diff = self._coords.view()[ids_a] - np.asarray(q, dtype=np.float64)
+        diff = self._view()[ids_a] - np.asarray(q, dtype=np.float64)
         mask = _diff_mask(diff, eps, kind, p)
         if kind == "linf":
             return ids_a[mask].tolist(), int(mask.sum()) if count else 0
@@ -482,7 +457,7 @@ class PointStore:
     def _gathered_loop(self, ids: Sequence[int], q: Coords, eps: float,
                        metric: MetricLike) -> Tuple[List[int], int]:
         """Pure-python fallback, byte-identical to the python backend."""
-        tuples = self._coords.tuples
+        tuples = self._tuples
         # The symmetric form of the window test: ``q - eps <= v`` rounds
         # differently from ``v - eps <= q`` at an exact-eps tie.
         dim2 = len(q) == 2
@@ -506,119 +481,6 @@ class PointStore:
         )
 
 
-# ----------------------------------------------------------------------
-# group-side stores
-# ----------------------------------------------------------------------
-class GroupBlock:
-    """Per-group member coordinates kept as a contiguous array.
-
-    ``Group`` mirrors every ``add``/``remove_members`` into this block so
-    clique scans over large groups become single vectorized expressions.
-    """
-
-    backend = name
-    __slots__ = ("_coords",)
-
-    def __init__(self) -> None:
-        self._coords = _LazyCoords()
-
-    def __len__(self) -> int:
-        return len(self._coords)
-
-    def append(self, point: Sequence[float]) -> None:
-        self._coords.append(tuple(point))
-
-    def rebuild(self, points: Sequence[Sequence[float]]) -> None:
-        self._coords.rebuild([tuple(p) for p in points])
-
-    def within_mask(
-        self, q: Coords, eps: float, metric: MetricLike,
-    ) -> "Optional[np.ndarray]":
-        """Boolean mask over members (empty for an empty block), or None
-        if not vectorizable."""
-        if len(self._coords) == 0:
-            return np.zeros(0, dtype=bool)
-        mask = _within_mask(self._coords.view(), q, eps, metric)
-        if mask is None:
-            return None
-        _charge(metric, len(self._coords))
-        return mask
-
-
-class RectStore:
-    """Slotted MBR array for the bounds-checking strategy.
-
-    One slot per live group; frees are recycled.  A slot's column holds
-    the MBR as ``(-lo | hi)``, its outward extents, so that both tests are
-    one subtraction or comparison of the whole array against one probe
-    column (``-lo - -q`` is ``q - lo``, the same real number rounded
-    once), folded side by side with ``&`` over contiguous rows.  Dead
-    slots are parked at NaN, which fails every comparison, so no separate
-    liveness mask is needed.
-    """
-
-    backend = name
-
-    def __init__(self, dim: int) -> None:
-        self.dim = dim
-        cap = 16
-        self._sides = np.full((2 * dim, cap), np.nan)
-        self._items: List[Any] = [None] * cap
-        self._free: List[int] = list(range(cap - 1, -1, -1))
-        self._slot_of: Dict[Any, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._slot_of)
-
-    def _grow(self) -> None:
-        old = self._sides.shape[1]
-        new = old * 2
-        grown = np.full((2 * self.dim, new), np.nan)
-        grown[:, :old] = self._sides
-        self._sides = grown
-        self._items.extend([None] * (new - old))
-        self._free.extend(range(new - 1, old - 1, -1))
-
-    def set(self, item: Any, mbr: Any) -> None:
-        """Insert or update the MBR of ``item`` (a group id)."""
-        slot = self._slot_of.get(item)
-        if slot is None:
-            if not self._free:
-                self._grow()
-            slot = self._free.pop()
-            self._slot_of[item] = slot
-            self._items[slot] = item
-        self._sides[:, slot] = (*(-v for v in mbr.lo), *mbr.hi)
-
-    def delete(self, item: Any) -> None:
-        slot = self._slot_of.pop(item)
-        self._sides[:, slot] = np.nan
-        self._items[slot] = None
-        self._free.append(slot)
-
-    def _matching(self, mask: "np.ndarray") -> List[Any]:
-        hit = mask[0]
-        for side in mask[1:]:
-            hit &= side
-        items = self._items
-        return [items[s] for s in np.flatnonzero(hit)]
-
-    def eps_contains(self, point: Coords, reach: float) -> List[Any]:
-        """Items whose MBR passes the ε-All test for ``point``: within
-        ``reach`` of both corners on every axis, ``q - lo <= reach`` and
-        ``hi - q <= reach`` — the array form of
-        :meth:`repro.geometry.rectangle.Rect.eps_all_contains`."""
-        q = np.asarray(point, dtype=np.float64)
-        return self._matching(
-            self._sides - np.concatenate((-q, q))[:, None] <= reach)
-
-    def mbr_intersects(self, lo: Coords, hi: Coords) -> List[Any]:
-        """Items whose MBR intersects the closed box ``[lo, hi]``:
-        ``mbr.lo <= hi`` and ``lo <= mbr.hi``."""
-        box = np.concatenate((np.negative(hi), lo))
-        return self._matching(self._sides >= box[:, None])
-
-
 def make_point_store() -> PointStore:
     return PointStore()
 
@@ -626,10 +488,3 @@ def make_point_store() -> PointStore:
 def make_components(n: int) -> Components:
     return Components(n)
 
-
-def make_rect_store(dim: int) -> RectStore:
-    return RectStore(dim)
-
-
-def make_group_block() -> GroupBlock:
-    return GroupBlock()

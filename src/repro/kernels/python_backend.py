@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.dsu.union_find import UnionFind, component_labels
 from repro.errors import InvalidCoordinateError
@@ -266,14 +266,3 @@ def make_point_store() -> PointStore:
 
 def make_components(n: int) -> Components:
     return Components(n)
-
-
-def make_rect_store(dim: int) -> Optional["object"]:
-    """The python backend has no bulk rectangle store; callers fall back
-    to their per-group loops (the seed behaviour)."""
-    return None
-
-
-def make_group_block() -> Optional["object"]:
-    """No per-group coordinate block either; ``Group`` keeps its loops."""
-    return None

@@ -12,8 +12,6 @@ to the all-pairs answer on decimal lattices, where ``v - eps <= q`` and
 ``|q - v| <= eps`` round apart.
 """
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +22,6 @@ from repro.core.distance import LINF
 from repro.core.groups import Group
 from repro.core.sgb_all import SGBAllOperator
 from repro.engine.database import Database
-from repro.geometry.rectangle import Rect, probe_window
 from repro.obs import MetricBag
 from repro.stats.chooser import ALL_STRATEGIES, ANY_STRATEGIES
 from repro.streaming.all_engine import StreamingSGBAll
@@ -187,7 +184,7 @@ class TestDecimalLattice:
 
 
 class TestRectanglesGatherThePredicateDecides:
-    """The two facts the one-rectangle design rests on."""
+    """The fact the one-rectangle design rests on."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=60, deadline=None)
@@ -207,42 +204,6 @@ class TestRectanglesGatherThePredicateDecides:
                         LINF.within(q, m, eps) for m in group.points)
                     assert group.accepts(q) == scan, q
                 group.remove_members(doomed)
-
-    @pytest.mark.skipif("numpy" not in BACKENDS, reason="numpy backend")
-    @pytest.mark.parametrize("seed", range(5))
-    def test_rect_store_equals_the_group_loop(self, seed):
-        from repro.kernels.numpy_backend import RectStore
-
-        rng = random.Random(seed)
-        step = 0.1
-
-        def mbr():
-            lo = [rng.randrange(30) * step for _ in range(2)]
-            return Rect(lo, [v + rng.randrange(4) * step for v in lo])
-
-        store, live = RectStore(2), {}
-        for gid in range(60):  # grows past the initial 16 slots
-            live[gid] = mbr()
-            store.set(gid, live[gid])
-        for gid in rng.sample(sorted(live), 35):
-            store.delete(gid)
-            del live[gid]
-        for gid in range(60, 80):  # recycled slots
-            live[gid] = mbr()
-            store.set(gid, live[gid])
-        for gid in rng.sample(sorted(live), 10):  # moved in place
-            live[gid] = mbr()
-            store.set(gid, live[gid])
-        assert len(store) == len(live)
-        for _ in range(200):
-            q = (rng.randrange(34) * step, rng.randrange(34) * step)
-            reach = rng.randint(1, 3) * step
-            assert sorted(store.eps_contains(q, reach)) == [
-                g for g, r in sorted(live.items())
-                if r.eps_all_contains(q, reach)]
-            window = probe_window(q, reach)
-            assert sorted(store.mbr_intersects(window.lo, window.hi)) == [
-                g for g, r in sorted(live.items()) if r.intersects(window)]
 
 
 class TestDuplicates:

@@ -28,6 +28,19 @@ def _points(n, seed=0, span=10.0):
     return [(rng.uniform(0, span), rng.uniform(0, span)) for _ in range(n)]
 
 
+def _clusters(n_clusters=40, size=30, seed=5):
+    """``size`` points around each of ``n_clusters`` centres, shuffled:
+    at ε 0.5 most clusters are one clique, and neighbouring ones overlap."""
+    rng = random.Random(seed)
+    points = []
+    for _ in range(n_clusters):
+        cx, cy = rng.uniform(0, 20), rng.uniform(0, 20)
+        points += [(rng.gauss(cx, 0.1), rng.gauss(cy, 0.1))
+                   for _ in range(size)]
+    rng.shuffle(points)
+    return points
+
+
 @needs_numpy
 class TestBackendAgreement:
     N = 500
@@ -70,6 +83,27 @@ class TestBackendAgreement:
                 bag = MetricBag()
                 op = SGBAnyOperator(self.EPS, strategy="grid", metrics=bag)
                 op.add_many(_points(self.N, seed=13))
+                op.finalize()
+            counters[backend] = dict(bag.counters)
+        assert counters["numpy"] == counters["python"]
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    @pytest.mark.parametrize("on_overlap",
+                             ["join-any", "eliminate", "form-new-group"])
+    def test_sgb_all_counters_identical(self, strategy, on_overlap):
+        # Groups of 24+ members among 16+ live groups: every member and
+        # rectangle scan runs the same loops, distance_computations included.
+        from repro.core.sgb_all import SGBAllOperator
+        from repro.obs.metrics import MetricBag
+
+        counters = {}
+        for backend in ("python", "numpy"):
+            with kernels.use_backend(backend):
+                bag = MetricBag()
+                op = SGBAllOperator(0.5, strategy=strategy,
+                                    on_overlap=on_overlap, tiebreak="random",
+                                    seed=3, metrics=bag)
+                op.add_many(_clusters())
                 op.finalize()
             counters[backend] = dict(bag.counters)
         assert counters["numpy"] == counters["python"]
