@@ -4,10 +4,11 @@
 ``QueryContext``, which checks the :class:`CancelToken` as each row
 crosses a node edge, so any loop that *yields* per iteration is
 covered for free.  The gap is loops that buffer: spool-then-aggregate
-passes that run thousands of ``spec.step`` calls without a single row
-leaving the operator.  A cancel or timeout fired mid-aggregation is
-only observed after the whole partition is ground through — on a large
-group that is seconds of dead burn past the deadline.
+passes that evaluate thousands of key and argument expressions and fold
+them without a single row leaving the operator.  A cancel or timeout
+fired mid-aggregation is only observed after the whole partition is
+ground through — on a large group that is seconds of dead burn past the
+deadline.
 
 This rule walks ``_execute`` (and same-class private helpers it calls)
 of every ``PhysicalOperator`` subclass, and flags outermost loops that

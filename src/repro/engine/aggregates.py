@@ -1,9 +1,11 @@
 """Aggregate function implementations for the aggregation operators.
 
 Each aggregate is an accumulator factory with the classic
-``init`` / ``step`` / ``final`` protocol: the standard hash GROUP BY node
-steps a row at a time, the SGB node hands each group's argument columns
-to ``step_many``, whose default is the same ``step`` loop.  The registry
+``init`` / ``step`` / ``final`` protocol (Gray et al.'s Init/Iter/Final).
+The aggregation nodes hand each group's argument columns to
+``step_many``, whose default is the ``step`` loop; ``count``, ``sum``,
+``avg``, ``min`` and ``max`` override it with a C-level pass that gives
+the loop's result bit for bit.  The registry
 includes the paper's user-defined aggregates: ``array_agg``/``list_id``
 (collect values) and ``st_polygon`` (enclosing polygon of the group's
 2-D grouping attributes — Section 5 queries).
@@ -11,8 +13,9 @@ includes the paper's user-defined aggregates: ``array_agg``/``list_id``
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import is_not
+from functools import reduce
+from itertools import chain, repeat
+from operator import add, is_not
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import PlanningError
@@ -60,6 +63,15 @@ class _Count(Accumulator):
         return self.n
 
 
+def _non_null(column: Sequence[Any]) -> List[Any]:
+    return [v for v in column if v is not None]
+
+
+# The step_many overrides below add and compare in row order, as the step
+# loop does: builtin sum() is not used, since from Python 3.12 it
+# compensates float sums and so changes their bits.
+
+
 class _Sum(Accumulator):
     def __init__(self) -> None:
         self.total: Any = None
@@ -69,6 +81,12 @@ class _Sum(Accumulator):
         if v is None:
             return
         self.total = v if self.total is None else self.total + v
+
+    def step_many(self, n: int, columns: Sequence[Sequence[Any]]) -> None:
+        values = _non_null(columns[0])
+        if values:
+            self.total = (reduce(add, values) if self.total is None
+                          else reduce(add, values, self.total))
 
     def final(self) -> Any:
         return self.total
@@ -86,6 +104,11 @@ class _Avg(Accumulator):
         self.total += v
         self.n += 1
 
+    def step_many(self, n: int, columns: Sequence[Sequence[Any]]) -> None:
+        values = _non_null(columns[0])
+        self.total = reduce(add, values, self.total)
+        self.n += len(values)
+
     def final(self) -> Any:
         return self.total / self.n if self.n else None
 
@@ -101,6 +124,12 @@ class _Min(Accumulator):
         if self.value is None or v < self.value:
             self.value = v
 
+    def step_many(self, n: int, columns: Sequence[Sequence[Any]]) -> None:
+        values = _non_null(columns[0])
+        if values:
+            self.value = min(values if self.value is None
+                             else chain((self.value,), values))
+
     def final(self) -> Any:
         return self.value
 
@@ -115,6 +144,12 @@ class _Max(Accumulator):
             return
         if self.value is None or v > self.value:
             self.value = v
+
+    def step_many(self, n: int, columns: Sequence[Sequence[Any]]) -> None:
+        values = _non_null(columns[0])
+        if values:
+            self.value = max(values if self.value is None
+                             else chain((self.value,), values))
 
     def final(self) -> Any:
         return self.value
@@ -271,7 +306,10 @@ def is_aggregate_name(name: str) -> bool:
     return name.lower() in _AGGREGATES
 
 
-def make_accumulator(name: str, n_args: int, distinct: bool = False) -> Accumulator:
+def accumulator_factory(name: str, n_args: int,
+                        distinct: bool = False) -> Callable[[], Accumulator]:
+    """A no-argument constructor of ``name``'s accumulator, checked once:
+    an unknown name or a wrong arity is a :class:`PlanningError`."""
     name = name.lower()
     try:
         cls, arities = _AGGREGATES[name]
@@ -281,5 +319,10 @@ def make_accumulator(name: str, n_args: int, distinct: bool = False) -> Accumula
         raise PlanningError(
             f"aggregate {name} takes {arities} argument(s), got {n_args}"
         )
-    acc: Accumulator = cls()
-    return _DistinctWrapper(acc) if distinct else acc
+    if distinct:
+        return lambda: _DistinctWrapper(cls())
+    return cls
+
+
+def make_accumulator(name: str, n_args: int, distinct: bool = False) -> Accumulator:
+    return accumulator_factory(name, n_args, distinct)()

@@ -1,15 +1,19 @@
-"""Hash-based standard GROUP BY (the operator the SGB node extends).
+"""Aggregation: the base every aggregation node shares, and equality
+GROUP BY, whose output rows are ``(key values…, aggregate results…)``.
 
-Output rows are ``(key values…, aggregate results…)`` in the internal
-schema laid down by the planner; a Project above maps them onto the select
-list via :class:`~repro.sql.ast_nodes.PostAggRef` rewrites.
+Every node drains its child, labels each row with its group and folds
+each group's argument columns (paper §8.2: one aggregate with a tuple
+store); only the labelling differs.  Working a column at a time saves
+per-row Python calls, not arithmetic: a group's values reach
+``Accumulator.step_many`` in row order, so float sums are a row fold's.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, groupby
 from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
-from repro.engine.aggregates import Accumulator, make_accumulator
+from repro.engine.aggregates import Accumulator, accumulator_factory
 from repro.engine.executor.base import PhysicalOperator
 from repro.engine.schema import Column, Schema
 from repro.engine.types import ANY
@@ -17,18 +21,14 @@ from repro.sql.ast_nodes import AggCall, BindContext, Expr
 
 
 class AggSpec:
-    """A planned aggregate call with bound argument evaluators."""
+    """A planned aggregate call with bound argument evaluators (its name
+    and arity checked now rather than mid-execution)."""
 
     def __init__(self, call: AggCall, arg_fns: Sequence[Callable[[tuple], Any]]):
         self.call = call
         self.arg_fns = list(arg_fns)
-
-    def new_accumulator(self) -> Accumulator:
-        return make_accumulator(self.call.name, len(self.arg_fns),
-                                self.call.distinct)
-
-    def step(self, acc: Accumulator, row: tuple) -> None:
-        acc.step(tuple(f(row) for f in self.arg_fns))
+        self.new_accumulator: Callable[[], Accumulator] = accumulator_factory(
+            call.name, len(self.arg_fns), call.distinct)
 
     def fold(self, n: int, columns: Sequence[Sequence[Any]]) -> Any:
         """The aggregate of ``n`` rows given as one column per argument."""
@@ -40,58 +40,103 @@ class AggSpec:
 def build_agg_specs(
     calls: Sequence[AggCall], ctx: BindContext
 ) -> List[AggSpec]:
-    specs = []
-    for call in calls:
-        arg_fns = [a.bind(ctx) for a in call.args]
-        # Validate the aggregate name/arity now rather than mid-execution.
-        make_accumulator(call.name, len(arg_fns), call.distinct)
-        specs.append(AggSpec(call, arg_fns))
-    return specs
+    return [AggSpec(call, [a.bind(ctx) for a in call.args])
+            for call in calls]
 
 
-class HashAggregate(PhysicalOperator):
-    """Equality GROUP BY; with no keys, a single group over all input
-    (and exactly one output row even for empty input, per SQL)."""
+def label_runs(labels: Sequence[int]) -> List[Tuple[int, List[int]]]:
+    """``(label, row positions)`` per distinct label, labels ascending and
+    positions in row order (the sort is stable)."""
+    by_label = sorted(range(len(labels)), key=labels.__getitem__)
+    return [(label, list(run))
+            for label, run in groupby(by_label, labels.__getitem__)]
+
+
+def key_runs(keys: Sequence[tuple]) -> List[List[int]]:
+    """Row positions per distinct key tuple, in first-seen order.  A dict
+    tells keys apart: NULL is a key of its own, ``1``/``1.0``/``True``
+    share one."""
+    first_seen: Dict[tuple, int] = {}
+    labels = [first_seen.setdefault(k, len(first_seen)) for k in keys]
+    return [run for _label, run in label_runs(labels)]
+
+
+class Aggregate(PhysicalOperator):
+    """Bound key and aggregate expressions, their column evaluation and
+    the fold.  No row leaves the node before the fold is over, so
+    :meth:`_column` checks the cancel token between chunks of rows."""
+
+    def __init__(self, child: PhysicalOperator, key_exprs: Sequence[Expr],
+                 agg_calls: Sequence[AggCall], ctx: BindContext):
+        self.child = child
+        self._key_exprs = list(key_exprs)
+        self._key_fns = [e.bind(ctx) for e in key_exprs]
+        self._specs: List[AggSpec] = build_agg_specs(agg_calls, ctx)
+
+    def _column(self, fn: Callable[[tuple], object],
+                rows: List[tuple]) -> list:
+        """``fn`` over ``rows`` as one list.  Chunks grow 1, 2, 4, … up to
+        :attr:`CHECKPOINT_EVERY` rows, so a cancel is seen within a
+        stride, or, when each value is slow (``sleep(s)``), within as
+        many rows again as were evaluated before it."""
+        column: list = []
+        start, stride = 0, 1
+        while start < len(rows):
+            self._ctx.check()
+            column += map(fn, rows[start:start + stride])
+            start += stride
+            stride = min(2 * stride, self.CHECKPOINT_EVERY)
+        return column
+
+    def _fold(self, rows: List[tuple],
+              runs: Sequence[Sequence[int]]) -> List[tuple]:
+        """The aggregate results of each run of row positions.  Rows are
+        reordered run by run; one aggregate at a time (so one aggregate's
+        columns are held at once), each argument is evaluated as a column
+        and each run's slice goes to one ``step_many``."""
+        if len(runs) == 1 and len(runs[0]) == len(rows):
+            grouped = rows  # one group of every row, already in order
+        else:
+            grouped = [rows[j] for run in runs for j in run]
+        bounds = list(accumulate(map(len, runs), initial=0))
+        spans = list(zip(bounds, bounds[1:]))
+        results = []
+        for spec in self._specs:
+            cols = [self._column(f, grouped) for f in spec.arg_fns]
+            results.append([spec.fold(end - start,
+                                      [col[start:end] for col in cols])
+                            for start, end in spans])
+        return list(zip(*results)) if results else [()] * len(spans)
+
+    def children(self) -> Tuple[PhysicalOperator, ...]:
+        return (self.child,)
+
+
+class HashAggregate(Aggregate):
+    """Equality GROUP BY: rows labelled by :func:`key_runs`, groups in
+    first-seen order with their first row's key values; with no keys, a
+    single group (one output row even for empty input, per SQL)."""
 
     def __init__(self, child: PhysicalOperator, key_exprs: Sequence[Expr],
                  agg_calls: Sequence[AggCall],
                  ctx_factory: Callable[[Schema], BindContext]):
-        self.child = child
-        ctx = ctx_factory(child.schema)
-        self._key_exprs = list(key_exprs)
-        self._key_fns = [e.bind(ctx) for e in key_exprs]
-        self._specs = build_agg_specs(agg_calls, ctx)
+        super().__init__(child, key_exprs, agg_calls,
+                         ctx_factory(child.schema))
         self._n_keys = len(key_exprs)
         columns = [Column(f"__key{i}", ANY) for i in range(len(key_exprs))]
         columns += [Column(f"__agg{i}", ANY) for i in range(len(agg_calls))]
         self.schema = Schema(columns)
 
     def _execute(self) -> Iterator[tuple]:
-        groups: Dict[tuple, List[Accumulator]] = {}
-        order: List[tuple] = []
-        key_fns = self._key_fns
-        specs = self._specs
-        for row in self.child:
-            key = tuple(f(row) for f in key_fns)
-            accs = groups.get(key)
-            if accs is None:
-                accs = [s.new_accumulator() for s in specs]
-                groups[key] = accs
-                order.append(key)
-            for spec, acc in zip(specs, accs):
-                spec.step(acc, row)
-        if not groups and self._n_keys == 0:
-            # SQL scalar aggregate over empty input: one row of finals.
-            accs = [s.new_accumulator() for s in specs]
-            yield tuple(a.final() for a in accs)
+        rows = list(self.child)
+        if not self._key_fns:
+            # SQL scalar aggregate: one row of finals, even for no input.
+            yield from self._fold(rows, [range(len(rows))])
             return
-        for key in order:
-            yield key + tuple(a.final() for a in groups[key])
-
-    def children(self) -> Tuple[PhysicalOperator, ...]:
-        return (self.child,)
+        keys = list(zip(*[self._column(f, rows) for f in self._key_fns]))
+        runs = key_runs(keys)
+        for run, results in zip(runs, self._fold(rows, runs)):
+            yield keys[run[0]] + results
 
     def describe(self) -> str:
-        return (
-            f"HashAggregate (keys={self._n_keys}, aggs={len(self._specs)})"
-        )
+        return f"HashAggregate (keys={self._n_keys}, aggs={len(self._specs)})"

@@ -18,17 +18,11 @@ owns the three steps every similarity clause shares —
 and :class:`SGBAggregate` (DISTANCE-TO-ALL/ANY; the only clause with
 partitions), :class:`SGBAroundAggregate` (N-D AROUND)
 and :class:`SGB1DAggregate` (the ICDE 2009 clauses) differ only in
-``_labels``.  ``HashAggregate`` stays apart on purpose: equality groups are
-final the moment a row arrives, so it streams and never spools.
+``_labels``; the fold is their base's, shared with ``HashAggregate``.
 
 Output rows hold the partition keys and the aggregate results only — a raw
 grouping attribute is not constant within a similarity group, so
 referencing one outside an aggregate is a planning error (caught upstream).
-
-Working a column at a time saves the per-row Python calls of a row loop,
-not arithmetic: each group's values still reach ``Accumulator.step_many``
-in row order, so there is no numpy fold and float sums keep the order of
-the row fold they replaced.
 """
 
 from __future__ import annotations
@@ -36,7 +30,6 @@ from __future__ import annotations
 from typing import (
     TYPE_CHECKING,
     Callable,
-    Dict,
     Iterable,
     Iterator,
     List,
@@ -48,12 +41,11 @@ from typing import (
 import datetime as _dt
 import decimal as _decimal
 import math
-from itertools import accumulate, groupby
 
 from repro.core.around import sgb_around_nd
 from repro.core.parallel import label_partitions, partition_seed
 from repro.core.sgb_1d import sgb_around, sgb_segment
-from repro.engine.executor.aggregate import AggSpec, build_agg_specs
+from repro.engine.executor.aggregate import Aggregate, key_runs, label_runs
 from repro.engine.executor.base import PhysicalOperator
 from repro.engine.schema import Column, Schema
 from repro.engine.types import ANY
@@ -151,14 +143,6 @@ def _coordinate_column(column: list) -> Optional[list]:
     return column if all(map(math.isfinite, filter(None, column))) else None
 
 
-def _label_runs(labels: Sequence[int]) -> List[Tuple[int, List[int]]]:
-    """``(label, row positions)`` per distinct label, labels ascending and
-    positions in row order (the sort is stable)."""
-    by_label = sorted(range(len(labels)), key=labels.__getitem__)
-    return [(label, list(run))
-            for label, run in groupby(by_label, labels.__getitem__)]
-
-
 class SGBConfig:
     """Execution knobs for the SGB node (set on the Database).
 
@@ -179,29 +163,22 @@ class SGBConfig:
         self.seed = seed
 
 
-class SimilarityAggregate(PhysicalOperator):
+class SimilarityAggregate(Aggregate):
     """Spool → label → fold: the template every similarity clause runs.
 
     Subclasses supply the clause parameters, ``describe()`` and
-    :meth:`_labels`; spooling, NULL / type / finiteness handling,
-    counters, cancel checkpoints and the aggregate fold live here once.
-    Both the spool and the fold work a column at a time: every key,
-    PARTITION BY and aggregate-argument expression is evaluated by
-    :meth:`_column`, which checks the cancel token once per chunk of
-    :attr:`CHECKPOINT_EVERY` rows rather than once per row.
+    :meth:`_labels`; spooling, NULL / type / finiteness handling, the
+    ``spool`` / ``fold`` spans and the counters live here once.
     """
 
     def __init__(self, child: PhysicalOperator, key_exprs: Sequence[Expr],
                  agg_calls: Sequence[AggCall],
                  ctx_factory: Callable[[Schema], BindContext],
                  partition_exprs: Sequence[Expr] = ()):
-        self.child = child
         ctx = ctx_factory(child.schema)
-        self._key_exprs = list(key_exprs)
+        super().__init__(child, key_exprs, agg_calls, ctx)
         self._partition_exprs = list(partition_exprs)
-        self._key_fns = [e.bind(ctx) for e in key_exprs]
         self._partition_fns = [e.bind(ctx) for e in partition_exprs]
-        self._specs: List[AggSpec] = build_agg_specs(agg_calls, ctx)
         columns = [Column(f"__part{i}", ANY)
                    for i in range(len(partition_exprs))]
         columns += [Column(f"__agg{i}", ANY) for i in range(len(agg_calls))]
@@ -216,21 +193,6 @@ class SimilarityAggregate(PhysicalOperator):
         before partition ``i + 1`` is asked for.
         """
         raise NotImplementedError
-
-    def _column(self, fn: Callable[[tuple], object],
-                rows: List[tuple]) -> list:
-        """``fn`` over ``rows`` as one list.
-
-        No row leaves this node until the whole input is spooled and
-        folded, so the token is checked once per :attr:`CHECKPOINT_EVERY`
-        rows here, where expressions are evaluated.
-        """
-        stride = self.CHECKPOINT_EVERY
-        column: list = []
-        for start in range(0, len(rows), stride):
-            self._checkpoint(start)
-            column += map(fn, rows[start:start + stride])
-        return column
 
     def _spool(self) -> List[Partition]:
         """Child rows → partitions in first-seen order; §8.2 tuple store.
@@ -255,11 +217,9 @@ class SimilarityAggregate(PhysicalOperator):
         else:
             pkeys = list(zip(*[self._column(f, rows)
                                for f in self._partition_fns]))
-            first_seen: Dict[tuple, int] = {}
-            ids = [first_seen.setdefault(k, len(first_seen)) for k in pkeys]
             spooled = [(pkeys[run[0]], [points[j] for j in run],
                         [rows[j] for j in run])
-                       for _id, run in _label_runs(ids)]
+                       for run in key_runs(pkeys)]
         bag = self._ctx.bag_of(self)
         if bag is not None:
             if skipped:
@@ -267,27 +227,6 @@ class SimilarityAggregate(PhysicalOperator):
             if rows:
                 bag.incr("rows_spooled", len(rows))
         return spooled
-
-    def _fold(self, pkey: tuple, rows: List[tuple],
-              labels: Sequence[int]) -> List[tuple]:
-        """Aggregate one labelled partition; one output row per group.
-
-        Rows are reordered group by group (label −1 rows dropped), each
-        aggregate argument is evaluated once as a column over them, and
-        each group's slice of the columns goes to one ``step_many``.
-        """
-        specs = self._specs
-        runs = [run for label, run in _label_runs(labels) if label >= 0]
-        grouped = [rows[j] for run in runs for j in run]
-        columns = [[self._column(f, grouped) for f in spec.arg_fns]
-                   for spec in specs]
-        bounds = list(accumulate(map(len, runs), initial=0))
-        return [
-            pkey + tuple(spec.fold(end - start,
-                                   [col[start:end] for col in cols])
-                         for spec, cols in zip(specs, columns))
-            for start, end in zip(bounds, bounds[1:])
-        ]
 
     def _execute(self) -> Iterator[tuple]:
         tracer = self._ctx.tracer
@@ -297,12 +236,13 @@ class SimilarityAggregate(PhysicalOperator):
         for (pkey, _points, rows), labels in zip(partitions,
                                                  self._labels(partitions)):
             with maybe_span(tracer, "fold", rows=len(rows)) as sp:
-                out = self._fold(pkey, rows, labels)
+                # Label −1 rows (ELIMINATE, outside every radius) drop out.
+                runs = [run for label, run in label_runs(labels)
+                        if label >= 0]
+                out = [pkey + results
+                       for results in self._fold(rows, runs)]
                 sp.set(groups=len(out))
             yield from out
-
-    def children(self) -> Tuple[PhysicalOperator, ...]:
-        return (self.child,)
 
 
 class SGBAggregate(SimilarityAggregate):

@@ -1,6 +1,12 @@
 """Aggregate accumulator tests."""
 
+import math
+import struct
+from decimal import Decimal
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.aggregates import is_aggregate_name, make_accumulator
 from repro.errors import PlanningError
@@ -102,3 +108,85 @@ class TestDistinct:
 
     def test_array_agg_distinct(self):
         assert run("array_agg", [1, 1, 2], distinct=True) == [1, 2]
+
+
+def bits(value):
+    """``value`` with every float replaced by its IEEE bits, so -0.0 and
+    0.0 differ.  A NaN is only NaN: which operand's sign and payload
+    ``nan + -nan`` carries differs between CPython's specialised float
+    add and ``float.__add__``, so not even the ``step`` loop repeats it
+    once the interpreter has warmed up."""
+    if isinstance(value, float):
+        return ("float", "nan" if math.isnan(value)
+                else struct.pack("d", value))
+    return (type(value).__name__, repr(value))
+
+
+def outcome(fn):
+    try:
+        return bits(fn())
+    except Exception as exc:  # the type is compared
+        return ("raised", type(exc).__name__)
+
+
+class TestStepManyIsTheStepLoop:
+    """``step_many`` over a column, in one or two calls, gives what the
+    ``step`` loop gives, to the bit: same float additions in the same
+    order, the same first-seen minimum or maximum, the same error."""
+
+    NAMES = ["count", "sum", "avg", "min", "max"]
+    special = st.sampled_from([None, -0.0, 0.0, math.nan, math.inf,
+                               -math.inf, 1, 1.0, 1e-310])
+    numbers = st.one_of(
+        st.none(), special, st.integers(-10**20, 10**20), st.floats())
+    decimals = st.one_of(
+        st.none(), st.integers(-100, 100),
+        st.decimals(allow_nan=False, places=3, min_value=-1000,
+                    max_value=1000))
+
+    def loop(self, name, column):
+        acc = make_accumulator(name, 1)
+        for v in column:
+            acc.step((v,))
+        return acc.final()
+
+    def column(self, name, column, cut):
+        acc = make_accumulator(name, 1)
+        acc.step_many(cut, [column[:cut]])
+        acc.step_many(len(column) - cut, [column[cut:]])
+        return acc.final()
+
+    @pytest.mark.parametrize("name", NAMES)
+    @given(column=st.one_of(st.lists(numbers, max_size=12),
+                            st.lists(decimals, max_size=12),
+                            st.lists(st.one_of(decimals, numbers),
+                                     max_size=6)),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical(self, name, column, data):
+        cut = data.draw(st.integers(0, len(column)))
+        assert outcome(lambda: self.column(name, column, cut)) == outcome(
+            lambda: self.loop(name, column))
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_empty_column(self, name):
+        assert bits(self.column(name, [], 0)) == bits(self.loop(name, []))
+
+    def test_float_sum_is_not_compensated(self):
+        column = [1e16, 1.0, -1e16]
+        assert self.column("sum", column, 0) == self.loop("sum", column)
+        assert self.column("sum", column, 0) == 0.0  # fsum would say 1.0
+
+    @pytest.mark.parametrize("name", ["min", "max"])
+    def test_a_nan_compares_against_the_running_value(self, name):
+        # The loop keeps 5.0 past the NaN (NaN < 5.0 is false) and then
+        # takes 3.0 or 7.0; min/max of the tail alone would return NaN.
+        for column in ([5.0, math.nan, 3.0], [5.0, math.nan, 7.0]):
+            for cut in range(len(column) + 1):
+                assert bits(self.column(name, column, cut)) == bits(
+                    self.loop(name, column))
+
+    def test_first_of_equal_minima_is_kept(self):
+        column = [0.0, -0.0, Decimal("0"), 0]
+        for name in ("min", "max"):
+            assert bits(self.column(name, column, 1)) == bits(0.0)

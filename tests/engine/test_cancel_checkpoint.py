@@ -1,10 +1,12 @@
 """Regression tests for SGB009 fixes: buffering operator loops must
-observe cancellation mid-loop via ``PhysicalOperator._checkpoint``.
+observe cancellation mid-loop, via ``PhysicalOperator._checkpoint`` or
+the aggregation nodes' chunked column evaluation.
 
 Before the fix, the spool-then-aggregate passes in the SGB operators ran
 their whole fold loop before the next iteration-boundary token check —
 a cancel fired mid-aggregation burned through the entire partition
-first.
+first.  The equality GROUP BY node folds through the same base, so it
+must stop as soon.
 """
 
 import pytest
@@ -61,19 +63,23 @@ class TestCheckpointUnit:
 
 
 class TestMidAggregationCancel:
-    def test_cancel_during_fold_aborts_before_loop_ends(self, monkeypatch):
+    N_ROWS = 4000
+
+    def calls_before_cancel(self, monkeypatch, sql):
+        """Run ``sql`` over ``pts`` with ``cancel_poke`` tripping the token
+        on its 50th call; how many calls ran before the typed error."""
         db = Database()
         db.execute("CREATE TABLE pts (x float, y float)")
-        n_rows = 4000
         db.insert("pts", [(float(i % 23), float(i % 17))
-                          for i in range(n_rows)])
+                          for i in range(self.N_ROWS)])
 
         token = CancelToken()
         calls = {"n": 0}
 
         def poke(v):
-            # Evaluated by spec.step inside the fold loop — cancelling
-            # here lands mid-aggregation, after spooling completed.
+            # Evaluated as an aggregate-argument column in the fold —
+            # cancelling here lands mid-aggregation, after the child is
+            # drained and no row crosses a node edge until the fold ends.
             calls["n"] += 1
             if calls["n"] == 50:
                 token.cancel()
@@ -83,11 +89,21 @@ class TestMidAggregationCancel:
                             poke)
 
         with pytest.raises(QueryCancelledError):
-            db.execute(
-                "SELECT sum(cancel_poke(x)) FROM pts "
-                "GROUP BY x, y DISTANCE-TO-ANY LINF WITHIN 100",
-                cancel=token,
-            )
-        # The next _checkpoint stride observed the cancel; without it the
-        # fold would grind through all rows before the token is seen.
-        assert calls["n"] < n_rows
+            db.execute(sql, cancel=token)
+        return calls["n"]
+
+    def test_cancel_during_fold_aborts_before_loop_ends(self, monkeypatch):
+        calls = self.calls_before_cancel(
+            monkeypatch,
+            "SELECT sum(cancel_poke(x)) FROM pts "
+            "GROUP BY x, y DISTANCE-TO-ANY LINF WITHIN 100")
+        # The next chunk's token check observed the cancel; without it
+        # the fold would grind through all rows before the token is seen.
+        assert calls < self.N_ROWS
+
+    @pytest.mark.parametrize("group_by", ["GROUP BY y", ""],
+                             ids=["keyed", "scalar"])
+    def test_cancel_during_plain_group_by_fold(self, monkeypatch, group_by):
+        calls = self.calls_before_cancel(
+            monkeypatch, f"SELECT sum(cancel_poke(x)) FROM pts {group_by}")
+        assert 50 <= calls <= 50 + PhysicalOperator.CHECKPOINT_EVERY

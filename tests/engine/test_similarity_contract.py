@@ -196,8 +196,9 @@ class TestContract:
         calls = {"n": 0}
 
         def poke(v):
-            # Evaluated by spec.step inside the fold loop: spooling and
-            # labelling are over by the time this trips the token.
+            # Evaluated as an aggregate-argument column in the fold:
+            # spooling and labelling are over by the time this trips the
+            # token.
             calls["n"] += 1
             if calls["n"] == 50:
                 token.cancel()
@@ -298,8 +299,9 @@ class TestKeyErrorOrder:
 
 def row_fold(specs, pkey, rows, labels):
     """The SGB node's fold before it folded by column, verbatim but for
-    the cancel checkpoint: one accumulator set per label, stepped a row
-    at a time in row order."""
+    the cancel checkpoint and ``AggSpec.step`` (since deleted), inlined as
+    its one line: one accumulator set per label, stepped a row at a time
+    in row order."""
     group_accs: dict = {}
     for row, label in zip(rows, labels):
         if label < 0:
@@ -308,7 +310,7 @@ def row_fold(specs, pkey, rows, labels):
         if accs is None:
             accs = group_accs[label] = [s.new_accumulator() for s in specs]
         for spec, acc in zip(specs, accs):
-            spec.step(acc, row)
+            acc.step(tuple(f(row) for f in spec.arg_fns))
     for label in sorted(group_accs):
         yield pkey + tuple(a.final() for a in group_accs[label])
 
