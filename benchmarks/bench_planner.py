@@ -7,13 +7,17 @@ the same similarity GROUP BY query:
 
 * once per *forced* strategy — the legacy flag path
   (``sgb_any_strategy=`` / ``sgb_all_strategy=``), timing each; and
-* once with the default ``"auto"`` configuration, where the planner
-  chooses a strategy from ``ANALYZE`` statistics.
+* once with the default ``"auto"`` configuration, where the SGB node
+  picks a strategy at run time from the input's size and the ``ANALYZE``
+  density (read back from EXPLAIN ANALYZE).
 
 The gate, per cell: the strategy the chooser picked must be the fastest
 forced strategy, or within ``--tolerance`` (default 10%) of it — with no
 flags set.  Group memberships must be bit-identical across every forced
-run and the auto run (strategy is a pure performance decision).
+run and the auto run (strategy is a pure performance decision).  Each
+cell also records ``chosen_without_density``, the pick at the same n with
+the density unknown (as for a subquery or a join), and the run prints
+how many cells it would change.
 
 Usage::
 
@@ -36,7 +40,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.bench.experiments import skewed_points, uniform_points  # noqa: E402
 from repro.bench.harness import bench_stamp  # noqa: E402
 from repro.engine.database import Database  # noqa: E402
-from repro.stats.chooser import ALL_STRATEGIES, ANY_STRATEGIES  # noqa: E402
+from repro.stats.chooser import (  # noqa: E402
+    ALL_STRATEGIES,
+    ANY_STRATEGIES,
+    choose_strategy,
+)
 
 #: eps per workload is what separates the cells: dense neighborhoods
 #: (many points within eps of each other), sparse ones (eps below the
@@ -47,7 +55,7 @@ WORKLOADS = {
     "skewed": {"generator": skewed_points, "eps": 0.3},
 }
 
-_STRATEGY_RE = re.compile(r"strategy=([a-z-]+)/(\w+)")
+_STRATEGY_RE = re.compile(r"strategy=([a-z,-]+)/(\w+)")
 
 
 def _make_db(points, mode, strategy=None):
@@ -103,10 +111,7 @@ def _run_cell(points, mode, eps, repeats):
     finally:
         gc.enable()
 
-    plan_text = "\n".join(
-        row[0] for row in auto_db.execute("EXPLAIN " + sql).rows
-    )
-    match = _STRATEGY_RE.search(plan_text)
+    match = _STRATEGY_RE.search(auto_db.explain_analyze(sql))
     chosen, source = match.groups() if match else (None, None)
     auto_membership = tuple(sorted(auto_result.rows))
 
@@ -119,6 +124,8 @@ def _run_cell(points, mode, eps, repeats):
         "fastest_forced": fastest,
         "chosen": chosen,
         "choice_source": source,
+        "chosen_without_density": choose_strategy(
+            mode, len(points), None, eps)[0],
         "auto_time_s": best_auto,
         "n_groups": len(auto_membership),
         "memberships_identical": (
@@ -171,7 +178,7 @@ def main(argv=None) -> int:
                 chosen_time is not None
                 and chosen_time <= limit
                 and cell["memberships_identical"]
-                and cell["choice_source"] == "stats"
+                and cell["choice_source"] == "auto"
             )
             cell["within_tolerance"] = ok
             if not ok:
@@ -179,7 +186,8 @@ def main(argv=None) -> int:
             print(
                 f"[{name:>6}/{mode}] chose {cell['chosen']}/"
                 f"{cell['choice_source']} "
-                f"(fastest {cell['fastest_forced']}): "
+                f"(fastest {cell['fastest_forced']}, without density "
+                f"{cell['chosen_without_density']}): "
                 + " ".join(
                     f"{s}={t * 1000:.1f}ms"
                     for s, t in cell["forced_times_s"].items()
@@ -206,10 +214,15 @@ def main(argv=None) -> int:
             "memberships_identical": all(
                 c["memberships_identical"] for c in cells
             ),
+            "density_changes_pick": sum(
+                c["chosen"] != c["chosen_without_density"] for c in cells
+            ),
             "all_ok": not failures,
         },
     }
     out_path.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"{payload['summary']['density_changes_pick']} of {len(cells)} "
+          f"cells pick differently without density")
     print(f"wrote {out_path}")
     if failures:
         for cell in failures:

@@ -150,9 +150,9 @@ class CallGraph:
         if (isinstance(recv, ast.Attribute)
                 and isinstance(recv.value, ast.Name)
                 and recv.value.id == "self" and cls_sym is not None):
-            attr_type = self._attr_type(cls_sym, recv.attr)
-            if attr_type is not None:
-                return self._dispatch_on_type(sym.module, attr_type, attr)
+            declared = self._attr_type(cls_sym, recv.attr)
+            if declared is not None:
+                return self._dispatch_on_type(*declared, attr)
             return f"?{attr}"
         # -- var.method(...) -----------------------------------------------
         if isinstance(recv, ast.Name) and recv.id in local_types:
@@ -168,10 +168,12 @@ class CallGraph:
         return f"?{attr}"
 
     def _attr_type(self, cls_sym: ClassSymbol,
-                   attr: str) -> Optional[str]:
+                   attr: str) -> Optional[Tuple[str, str]]:
+        """``(module, type name)`` of ``self.<attr>``: the type as spelled
+        in the module of the class (or base) that declares it."""
         for klass in self.table.mro(cls_sym):
             if attr in klass.attr_types:
-                return klass.attr_types[attr]
+                return klass.module, klass.attr_types[attr]
         return None
 
     def _dispatch_on_type(self, module: str, type_name: str,

@@ -10,13 +10,14 @@ fired mid-aggregation is only observed after the whole partition is
 ground through — on a large group that is seconds of dead burn past the
 deadline.
 
-This rule walks ``_execute`` (and same-class private helpers it calls)
-of every ``PhysicalOperator`` subclass, and flags outermost loops that
-do per-row work (contain calls), never yield, do not iterate a child
-operator (the child's own iterator checks), and reach no cancel check
-— neither a direct ``*.check()`` on a cancel/token chain nor a call
-into a function that reaches ``CancelToken.check`` via the call graph
-(``self._checkpoint(i)`` counts).
+This rule walks ``_execute`` (and the private helpers it calls that the
+class defines or inherits) of every ``PhysicalOperator`` subclass, and
+flags outermost loops that do per-row work (contain calls), never
+yield, do not iterate a child operator (the child's own iterator
+checks) or a ``self`` attribute (sized by the query), and reach no
+cancel check — neither a direct ``*.check()`` on a cancel/token chain
+nor a call into a function that reaches ``CancelToken.check`` via the
+call graph (``self._checkpoint(i)`` counts).
 """
 
 from __future__ import annotations
@@ -49,6 +50,13 @@ def _is_cancel_check_call(node: ast.Call) -> bool:
         chain.append(value.id)
     text = ".".join(chain).lower()
     return "cancel" in text or "token" in text
+
+
+def _is_self_attribute(node: ast.AST) -> bool:
+    """``node`` is ``self.<attr>``."""
+    return (isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self")
 
 
 def _loop_body_nodes(loop: ast.AST) -> Iterator[ast.AST]:
@@ -89,6 +97,7 @@ class CancelCheckpointRule(ProjectRule):
 
     def check_project(self, project) -> Iterator[Finding]:
         table = project.table
+        checked: Set[str] = set()  # an inherited helper is checked once
         for cls_qualname in sorted(table.classes):
             cls_sym = table.classes[cls_qualname]
             if cls_sym.name == _OPERATOR_BASE:
@@ -98,12 +107,15 @@ class CancelCheckpointRule(ProjectRule):
             if "_execute" not in cls_sym.methods:
                 continue
             for sym in self._execute_cone(project, cls_sym):
-                yield from self._check_function(project, cls_sym, sym)
+                if sym.qualname not in checked:
+                    checked.add(sym.qualname)
+                    yield from self._check_function(project, cls_sym, sym)
 
     def _execute_cone(self, project, cls_sym):
-        """``_execute`` plus same-class private helpers it (transitively)
-        calls — the operator's hot path."""
+        """``_execute`` plus the private helpers it (transitively) calls
+        on this class or a base — the operator's hot path."""
         start = cls_sym.methods["_execute"]
+        own = {klass.name for klass in project.table.mro(cls_sym)}
         out = [start]
         seen: Set[str] = {start.qualname}
         queue = [start.qualname]
@@ -113,7 +125,7 @@ class CancelCheckpointRule(ProjectRule):
                 sym = project.table.functions.get(site.callee)
                 if sym is None or sym.qualname in seen:
                     continue
-                if sym.cls != cls_sym.name or not sym.name.startswith("_"):
+                if sym.cls not in own or not sym.name.startswith("_"):
                     continue
                 seen.add(sym.qualname)
                 out.append(sym)
@@ -122,12 +134,11 @@ class CancelCheckpointRule(ProjectRule):
 
     def _check_function(self, project, cls_sym, sym) -> Iterator[Finding]:
         child_attrs = self._child_operator_attrs(project, cls_sym)
-        shape_names = self._shape_bounded_names(sym.node)
         loops = self._all_loops(sym.node)
         uncovered = [
             loop for loop in loops
             if self._check_loop(project, cls_sym, sym, loop,
-                                child_attrs, shape_names) is not None
+                                child_attrs) is not None
         ]
         # Flag innermost offenders only: a checkpoint inserted in the
         # per-row loop also covers every enclosing loop that was only
@@ -137,26 +148,9 @@ class CancelCheckpointRule(ProjectRule):
                    for other in uncovered):
                 continue
             finding = self._check_loop(project, cls_sym, sym, loop,
-                                       child_attrs, shape_names)
+                                       child_attrs)
             if finding is not None:
                 yield finding
-
-    @staticmethod
-    def _shape_bounded_names(func_node: ast.AST) -> Set[str]:
-        """Locals aliasing a plain ``self`` attribute (``specs =
-        self._specs``) — sequences sized by the *query shape* (number of
-        aggregates, sort keys, centres), not by the data.  Loops over
-        them run a handful of iterations and don't need checkpoints."""
-        names: Set[str] = set()
-        for node in ast.walk(func_node):
-            if (isinstance(node, ast.Assign)
-                    and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)
-                    and isinstance(node.value, ast.Attribute)
-                    and isinstance(node.value.value, ast.Name)
-                    and node.value.value.id == "self"):
-                names.add(node.targets[0].id)
-        return names
 
     @staticmethod
     def _contains(outer: ast.AST, inner: ast.AST) -> bool:
@@ -191,17 +185,16 @@ class CancelCheckpointRule(ProjectRule):
         return attrs
 
     def _check_loop(self, project, cls_sym, sym, loop,
-                    child_attrs: Set[str],
-                    shape_names: Set[str]) -> Optional[Finding]:
+                    child_attrs: Set[str]) -> Optional[Finding]:
         # Exempt: iterating the child operator (its iterator checks).
         if isinstance(loop, ast.For) and self._iterates_child(
                 loop.iter, child_attrs):
             return None
         # Exempt: trip count bounded by the query shape — iterating a
-        # ``self`` attribute or a local alias of one (spec lists, sort
-        # keys, centres), not spooled data.
-        if isinstance(loop, ast.For) and self._shape_bounded(
-                loop.iter, shape_names):
+        # ``self`` attribute itself (spec lists, sort keys, centres).  A
+        # local that aliases one is not enough: the name may be rebound
+        # to spooled data.
+        if isinstance(loop, ast.For) and _is_self_attribute(loop.iter):
             return None
         calls: List[ast.Call] = []
         yields = False
@@ -229,23 +222,11 @@ class CancelCheckpointRule(ProjectRule):
                 return None
         return self.finding_at(
             sym.path, loop,
-            f"{cls_sym.name}.{sym.name}() loop does per-row work with no "
+            f"{sym.cls}.{sym.name}() loop does per-row work with no "
             f"reachable CancelToken.check and no yield per iteration — "
             f"insert self._checkpoint(i) so cancellation and deadlines "
             f"are observed mid-loop",
         )
-
-    @staticmethod
-    def _shape_bounded(iter_expr: ast.expr,
-                       shape_names: Set[str]) -> bool:
-        for node in ast.walk(iter_expr):
-            if isinstance(node, ast.Name) and node.id in shape_names:
-                return True
-            if (isinstance(node, ast.Attribute)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "self"):
-                return True
-        return False
 
     def _iterates_child(self, iter_expr: ast.expr,
                         child_attrs: Set[str]) -> bool:

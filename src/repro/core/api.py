@@ -22,6 +22,7 @@ from repro.core.distance import Metric
 from repro.core.parallel import (
     label_partitions as _label_partitions,
     partition_seed as _partition_seed,
+    resolve_strategy as _resolve_strategy,
 )
 from repro.core.result import GroupingResult
 from repro.core.sgb_all import SGBAllOperator
@@ -118,6 +119,7 @@ def _run_partitioned(
 
     ``partitions`` assigns every point a hashable partition key; points
     never group across keys (the array-API analogue of SQL PARTITION BY).
+    Each partition resolves an ``"auto"`` strategy for its own points.
     With ``base_seed`` set (SGB-All), each partition draws from its own
     blake2b-derived RNG stream.  Global labels number groups in order of
     first appearance of each partition, each partition's groups keeping
@@ -141,7 +143,8 @@ def _run_partitioned(
         kwargs = dict(op_kwargs)
         if base_seed is not None:
             kwargs["seed"] = _partition_seed(base_seed, (key,))
-        tasks.append((mode, [pts[i] for i in indices], kwargs))
+        part = [pts[i] for i in indices]
+        tasks.append((mode, part, _resolve_strategy(mode, part, kwargs)))
     labels: List[int] = [0] * len(pts)
     offset = 0
     for indices, part_labels in zip(buckets.values(),
@@ -153,18 +156,6 @@ def _run_partitioned(
                 local_max = label
         offset += local_max + 1
     return GroupingResult(labels, pts)
-
-
-def _strategy(mode: str, strategy: str, pts: List[Point], eps: float) -> str:
-    """``strategy``, or the chooser's pick for ``pts`` when it is
-    ``"auto"`` — the ranking SQL uses, given the exact point count and no
-    density statistics."""
-    if strategy != "auto":
-        return strategy
-    # Local: repro.stats imports the engine, which imports this module.
-    from repro.stats.chooser import choose_strategy
-
-    return choose_strategy(mode, len(pts), None, eps)[0]
 
 
 # ----------------------------------------------------------------------
@@ -190,8 +181,9 @@ def sgb_all(
     point a group label (or ``-1`` when dropped by ``on_overlap="eliminate"``).
 
     ``strategy="auto"`` (the default) lets :mod:`repro.stats.chooser`
-    pick from the number of points and ``eps``, as the SQL planner does;
-    a strategy name always wins.  Every strategy gives the same labels.
+    pick from the number of points and ``eps``, per partition, by the
+    rule SQL uses (:func:`repro.core.parallel.resolve_strategy`); a
+    strategy name always wins.  Every strategy gives the same labels.
 
     ``partitions`` (one hashable key per point) confines grouping to
     within each partition.  Each partition grouping is seeded from
@@ -203,7 +195,7 @@ def sgb_all(
         eps=eps,
         metric=metric,
         on_overlap=on_overlap,
-        strategy=_strategy("all", strategy, pts, eps),
+        strategy=strategy,
         tiebreak=tiebreak,
         seed=seed,
         use_hull=use_hull,
@@ -213,7 +205,8 @@ def sgb_all(
     if partitions is not None:
         return _run_partitioned("all", pts, partitions, op_kwargs,
                                 base_seed=seed)
-    return SGBAllOperator(**op_kwargs).add_many(pts).finalize()
+    return SGBAllOperator(
+        **_resolve_strategy("all", pts, op_kwargs)).add_many(pts).finalize()
 
 
 def sgb_any(
@@ -237,12 +230,13 @@ def sgb_any(
     op_kwargs = dict(
         eps=eps,
         metric=metric,
-        strategy=_strategy("any", strategy, pts, eps),
+        strategy=strategy,
         rtree_max_entries=rtree_max_entries,
     )
     if partitions is not None:
         return _run_partitioned("any", pts, partitions, op_kwargs)
-    return SGBAnyOperator(**op_kwargs).add_many(pts).finalize()
+    return SGBAnyOperator(
+        **_resolve_strategy("any", pts, op_kwargs)).add_many(pts).finalize()
 
 
 # ----------------------------------------------------------------------

@@ -94,12 +94,12 @@ class Database:
     the algorithm choices evaluated in the paper):
 
     ``sgb_all_strategy`` / ``sgb_any_strategy``
-        ``"auto"`` (default) lets the cost-based planner pick the cheapest
-        strategy per query from table statistics (``ANALYZE``); a concrete
-        name — ``"all-pairs"`` | ``"bounds-checking"`` | ``"index"`` |
-        ``"graph"`` for All, ``"all-pairs"`` | ``"index"`` | ``"grid"`` for
-        Any — is an
-        override that always wins.  For a given input order and
+        ``"auto"`` (default) runs, in each partition, the strategy the
+        chooser ranks cheapest for that partition's point count and, when
+        ``ANALYZE`` histograms cover the grouping columns, its density; a
+        concrete name — ``"all-pairs"`` | ``"bounds-checking"`` |
+        ``"index"`` | ``"graph"`` for All, ``"all-pairs"`` | ``"index"`` |
+        ``"grid"`` for Any — is an override that always wins.  For a given input order and
         ``tiebreak``/``seed`` every strategy produces bit-identical
         groups, so the knob only moves time around.
     ``tiebreak`` / ``seed``

@@ -28,7 +28,6 @@ referencing one outside an aggregate is a planning error (caught upstream).
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Iterable,
     Iterator,
@@ -43,7 +42,11 @@ import decimal as _decimal
 import math
 
 from repro.core.around import sgb_around_nd
-from repro.core.parallel import label_partitions, partition_seed
+from repro.core.parallel import (
+    label_partitions,
+    partition_seed,
+    resolve_strategy,
+)
 from repro.core.sgb_1d import sgb_around, sgb_segment
 from repro.engine.executor.aggregate import Aggregate, key_runs, label_runs
 from repro.engine.executor.base import PhysicalOperator
@@ -52,9 +55,6 @@ from repro.engine.types import ANY
 from repro.errors import ExecutionError, InvalidCoordinateError
 from repro.obs.trace import maybe_span
 from repro.sql.ast_nodes import AggCall, BindContext, Expr
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.stats.chooser import SGBChoice
 
 Point = Tuple[float, ...]
 
@@ -146,10 +146,11 @@ def _coordinate_column(column: list) -> Optional[list]:
 class SGBConfig:
     """Execution knobs for the SGB node (set on the Database).
 
-    ``all_strategy`` / ``any_strategy`` default to ``"auto"``: the
-    planner's statistics-driven chooser picks the cheapest strategy per
-    query (see :mod:`repro.stats.chooser`).  A concrete strategy name is
-    an override that always wins.
+    ``all_strategy`` / ``any_strategy`` default to ``"auto"``: each
+    partition runs the strategy :mod:`repro.stats.chooser` ranks cheapest
+    for its spooled points (see
+    :func:`repro.core.parallel.resolve_strategy`).  A concrete strategy
+    name is an override that always wins.
 
     ``tiebreak`` / ``seed`` arbitrate JOIN-ANY, see
     :class:`~repro.core.sgb_all.SGBAllOperator`.
@@ -255,7 +256,8 @@ class SGBAggregate(SimilarityAggregate):
                  agg_calls: Sequence[AggCall],
                  ctx_factory: Callable[[Schema], BindContext],
                  config: SGBConfig,
-                 partition_exprs: Sequence[Expr] = ()):
+                 partition_exprs: Sequence[Expr] = (),
+                 eps_fraction: Optional[float] = None):
         if mode not in ("all", "any"):
             raise ExecutionError(f"unknown SGB mode {mode!r}")
         super().__init__(child, key_exprs, agg_calls, ctx_factory,
@@ -265,25 +267,17 @@ class SGBAggregate(SimilarityAggregate):
         self.eps = eps
         self.on_overlap = on_overlap
         self.config = config
-        configured = (
+        #: ``"auto"`` or the forced strategy name.
+        self.configured = (
             config.all_strategy if mode == "all" else config.any_strategy
         )
-        #: The resolved strategy.  Construction falls back to the "index"
-        #: default for an ``"auto"`` config; the planner upgrades it via
-        #: :meth:`apply_choice` once statistics are consulted.
-        self.strategy = configured if configured != "auto" else "index"
-        self.choice: "Optional[SGBChoice]" = None
-
-    def apply_choice(self, choice: "SGBChoice") -> None:
-        """Install the planner's resolved strategy.
-
-        Kept as node-level fields (the shared :class:`SGBConfig` is never
-        mutated, so concurrent queries with different statistics cannot
-        race each other's choices).  All strategies produce bit-identical
-        memberships, so this only moves time around.
-        """
-        self.strategy = choice.strategy
-        self.choice = choice
+        self.strategy_source = "auto" if self.configured == "auto" else "flag"
+        #: What runs: the configured value until a run of ``"auto"``
+        #: names each distinct pick, in partition order.
+        self.strategy = self.configured
+        #: Fraction of points within ε of a point, from the ANALYZE
+        #: histograms (set by the planner), or None when unknown.
+        self.eps_fraction = eps_fraction
 
     def _operator_kwargs(self, pkey: tuple) -> dict:
         """Constructor arguments for one partition's operator.
@@ -292,7 +286,7 @@ class SGBAggregate(SimilarityAggregate):
         :func:`repro.core.parallel.partition_seed`).
         """
         kwargs = dict(eps=self.eps, metric=self.metric,
-                      strategy=self.strategy)
+                      strategy=self.configured)
         if self.mode == "all":
             kwargs.update(
                 on_overlap=self.on_overlap,
@@ -304,19 +298,24 @@ class SGBAggregate(SimilarityAggregate):
     def _labels(self, partitions: List[Partition]) -> Iterator[Sequence[int]]:
         """Group each partition lazily, one
         :func:`~repro.core.parallel.group_partition` per partition,
-        reporting into this node's collectors."""
-        return label_partitions(
-            [(self.mode, points, self._operator_kwargs(pkey))
-             for pkey, points, _rows in partitions],
-            self._ctx,
-            bag=self._ctx.bag_of(self),
-        )
+        reporting into this node's collectors, each with the strategy
+        :func:`~repro.core.parallel.resolve_strategy` picks for it."""
+        tasks = [(self.mode, points,
+                  resolve_strategy(self.mode, points,
+                                   self._operator_kwargs(pkey),
+                                   self.eps_fraction))
+                 for pkey, points, _rows in partitions]
+        if tasks:
+            self.strategy = ",".join(dict.fromkeys(
+                kwargs["strategy"] for _mode, _points, kwargs in tasks))
+        return label_partitions(tasks, self._ctx,
+                                bag=self._ctx.bag_of(self))
 
     def describe(self) -> str:
         clause = f" on-overlap={self.on_overlap}" if self.mode == "all" else ""
         suffix = f" strategy={self.strategy}"
-        if self.choice is not None:
-            suffix += f"/{self.choice.source}"
+        if self.strategy != "auto":
+            suffix += f"/{self.strategy_source}"
         return (
             f"SimilarityGroupBy (distance-to-{self.mode} {self.metric} "
             f"within {self.eps}{clause})" + suffix

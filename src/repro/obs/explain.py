@@ -253,8 +253,9 @@ UNBOUND = QueryContext()
 
 def plan_metrics(plan, ctx: QueryContext) -> Dict[str, Any]:
     """The plan-shaped record of one run: a nested JSON-ready dict with,
-    per node, the planner's estimate, the SGB strategy decision where the
-    node made one, and (for a collecting ``ctx``) what the node actually
+    per node, the planner's estimate, the SGB strategy (``"auto"`` or
+    what ran, with its ``flag`` / ``auto`` provenance) where the node
+    has one, and (for a collecting ``ctx``) what the node actually
     did.  Everything downstream — ``EXPLAIN ANALYZE`` text,
     ``metrics_json()``, the query-log row — renders this record; nothing
     else in :mod:`repro.obs` walks a plan."""
@@ -262,12 +263,10 @@ def plan_metrics(plan, ctx: QueryContext) -> Dict[str, Any]:
 
     def walk(node) -> Dict[str, Any]:
         out: Dict[str, Any] = {"node": node.describe()}
-        strategy = getattr(node, "strategy", None)
-        if isinstance(strategy, str):
-            choice = getattr(node, "choice", None)
-            out["strategy"] = strategy
-            out["strategy_source"] = \
-                choice.source if choice is not None else "config"
+        source = getattr(node, "strategy_source", None)
+        if source is not None:
+            out["strategy"] = node.strategy
+            out["strategy_source"] = source
         est = node._estimate
         if est is not None:
             out["estimate"] = est.render()

@@ -1,8 +1,8 @@
 """Structured query log with plan fingerprints and a drift detector.
 
 Every executed SELECT can be recorded as one :class:`QueryRecord`:
-what ran (SQL, plan fingerprint, chosen SGB strategy + provenance), what
-the planner *expected* (estimated rows / cost from the
+what ran (SQL, plan fingerprint, the SGB strategy that ran + its
+provenance), what the planner *expected* (estimated rows / cost from the
 :mod:`repro.stats` cost model), and what actually happened (rows,
 latency, resource counters).  The record's ``ratio`` — actual rows over
 estimated rows — is the planner's report card: a ratio outside the
@@ -19,7 +19,8 @@ Plan fingerprints
 -----------------
 :func:`plan_fingerprint` hashes the plan *shape*: every node's
 ``node`` line (its ``describe()``) at its tree depth, with the volatile
-``strategy=<name>/<source>`` suffix stripped.  Two executions of the
+``strategy=…`` suffix (``auto``, ``grid/flag``, ``grid,all-pairs/auto``)
+stripped.  Two executions of the
 same logical plan therefore share a fingerprint even when the chooser
 picked different strategies (the strategy is recorded separately), so
 aggregating misestimates by fingerprint groups them by *plan*, which is
@@ -59,7 +60,7 @@ _STRATEGY_SUFFIX = " strategy="
 
 
 def _strip_strategy(describe_line: str) -> str:
-    """Drop the volatile ``strategy=<name>/<source>`` describe suffix."""
+    """Drop the volatile ``strategy=…`` describe suffix."""
     i = describe_line.rfind(_STRATEGY_SUFFIX)
     if i >= 0 and " " not in describe_line[i + len(_STRATEGY_SUFFIX):]:
         return describe_line[:i]

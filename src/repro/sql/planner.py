@@ -52,7 +52,6 @@ from repro.sql.exprutil import (
     resolvable as _resolvable,
     split_conjuncts as _split_conjuncts,
 )
-from repro.stats import chooser as _chooser
 from repro.stats import estimator as _estimator
 
 
@@ -522,8 +521,9 @@ class Planner:
             ctx_factory=self._ctx_factory,
             config=self.sgb_config,
             partition_exprs=spec.partition_by,
+            eps_fraction=_estimator.sgb_eps_fraction(
+                child, select.group_by, eps),
         )
-        self._resolve_sgb_choice(plan, child, spec, eps)
         # partition keys are constant within an output group, so the select
         # list may reference them directly (like plain GROUP BY keys)
         key_map = {k.key(): i for i, k in enumerate(spec.partition_by)}
@@ -533,39 +533,6 @@ class Planner:
         }
         rewriter = _make_post_agg_rewriter(key_map, agg_map, sgb=True)
         return plan, rewriter
-
-    def _resolve_sgb_choice(self, plan: SGBAggregate,
-                            child: PhysicalOperator, spec,
-                            eps: float) -> None:
-        """Resolve the SGB strategy from statistics.
-
-        The configured strategy is consulted first: anything but the
-        ``"auto"`` sentinel is a user override and wins (provenance
-        ``"flag"``).  Otherwise the chooser ranks the mode's strategies
-        by modelled cost using the estimated input cardinality and the
-        ε-density from the ANALYZE histograms.  All strategies produce
-        bit-identical memberships, so this is purely a cost decision.
-        """
-        child_est = _estimator.estimate_plan(child)
-        density = _estimator.sgb_density(
-            child, plan._key_exprs, eps, n_rows=child_est.rows
-        )
-        configured = (
-            self.sgb_config.all_strategy if spec.mode == "all"
-            else self.sgb_config.any_strategy
-        )
-        has_stats = (
-            density is not None
-            or _estimator.table_stats_for(child) is not None
-        )
-        choice = _chooser.resolve_sgb_choice(
-            spec.mode,
-            configured,
-            eps,
-            child_est.rows if has_stats else None,
-            density,
-        )
-        plan.apply_choice(choice)
 
     def _plan_around_nd_aggregate(
         self, select: ast.Select, child: PhysicalOperator

@@ -11,16 +11,11 @@ Three layers, lowest first:
     formulas).
 :mod:`repro.stats.estimator` / :mod:`repro.stats.chooser`
     The plan walker that attaches a :class:`PlanEstimate` to every
-    physical operator, and the chooser that turns those estimates into
-    an SGB strategy unless a user flag overrides it.
+    physical operator, and the chooser that ranks the SGB strategies for
+    one partition's size and density (unless a user flag names one).
 """
 
-from repro.stats.chooser import (
-    AUTO,
-    SGBChoice,
-    choose_strategy,
-    resolve_sgb_choice,
-)
+from repro.stats.chooser import AUTO, choose_strategy
 from repro.stats.collect import (
     ColumnStats,
     DensityHistogram,
@@ -31,7 +26,7 @@ from repro.stats.estimator import (
     column_stats_for,
     estimate_plan,
     predicate_selectivity,
-    sgb_density,
+    sgb_eps_fraction,
     table_stats_for,
 )
 from repro.stats.model import PlanEstimate
@@ -41,14 +36,12 @@ __all__ = [
     "ColumnStats",
     "DensityHistogram",
     "PlanEstimate",
-    "SGBChoice",
     "TableStats",
     "analyze_table",
     "choose_strategy",
     "column_stats_for",
     "estimate_plan",
     "predicate_selectivity",
-    "resolve_sgb_choice",
-    "sgb_density",
+    "sgb_eps_fraction",
     "table_stats_for",
 ]

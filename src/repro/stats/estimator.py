@@ -10,11 +10,11 @@ when they are available and from PostgreSQL-style default selectivities
 when they are not, so every plan gets estimates even on never-analyzed
 data.
 
-The same machinery answers the two questions the SGB strategy chooser
-asks: how many points reach the aggregate (:func:`estimate_plan` on its
-child) and how dense they are (:func:`sgb_density`, the expected
-ε-neighbourhood occupancy from the per-column density histograms under
-an independence assumption).
+The same statistics tell the SGB node how dense its input is
+(:func:`sgb_eps_fraction`, the expected fraction of points within ε of a
+point, from the per-column density histograms under an independence
+assumption); the node's strategy is picked at run time, per partition,
+from that fraction and the partition's exact size.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from repro.engine.executor.sgb import (
 )
 from repro.sql import ast_nodes as ast
 from repro.sql.exprutil import extract_const_comparison, split_conjuncts
+from repro.stats.chooser import AUTO, choose_strategy
 from repro.stats.collect import ColumnStats, TableStats, column_coordinate
 from repro.stats.model import (
     CPU_OPERATOR_COST,
@@ -217,20 +218,18 @@ def predicate_selectivity(plan: PhysicalOperator,
 # ----------------------------------------------------------------------
 # SGB density / partition estimates
 # ----------------------------------------------------------------------
-def sgb_density(child: PhysicalOperator, key_exprs, eps: float,
-                n_rows: Optional[float] = None) -> Optional[float]:
-    """Expected ε-neighbourhood occupancy for an SGB over ``key_exprs``.
+def sgb_eps_fraction(child: PhysicalOperator, key_exprs,
+                     eps: float) -> Optional[float]:
+    """Expected fraction of an SGB's input within ε of one of its points.
 
     Multiplies each grouping dimension's density-weighted ε-fraction
-    (from the ANALYZE histogram) under an independence assumption, then
-    scales by the input cardinality.  None when any grouping expression
-    is not a plain column or lacks a histogram — the chooser then falls
-    back to its no-stats default.
+    (from the ANALYZE histogram) under an independence assumption; times
+    a partition's n it is the expected ε-neighbourhood occupancy.  None
+    when any grouping expression is not a plain column or lacks a
+    histogram — the chooser then treats the occupancy as unknown.
     """
     if not key_exprs:
         return None
-    if n_rows is None:
-        n_rows = estimate_plan(child).rows
     fraction = 1.0
     for expr in key_exprs:
         if not isinstance(expr, ast.ColumnRef):
@@ -239,7 +238,7 @@ def sgb_density(child: PhysicalOperator, key_exprs, eps: float,
         if cstats is None or cstats.histogram is None:
             return None
         fraction *= cstats.histogram.eps_fraction(eps)
-    return max(0.0, n_rows * fraction)
+    return fraction
 
 
 def estimate_ndv_product(plan: PhysicalOperator, exprs) -> Optional[float]:
@@ -526,16 +525,24 @@ def _estimate_similarity_join(plan: SimilarityJoin, left: PlanEstimate,
 
 
 def _estimate_sgb(plan: SGBAggregate, child: PlanEstimate) -> PlanEstimate:
+    """Priced per estimated partition, an ``"auto"`` node at the
+    strategy :func:`~repro.stats.chooser.choose_strategy` would run."""
     n = child.rows
-    density = sgb_density(plan.child, plan._key_exprs, plan.eps, n_rows=n)
     partitions = estimate_ndv_product(plan.child, plan._partition_exprs)
     if partitions is None or partitions < 1.0:
         partitions = 1.0
     per_partition = n / partitions
-    k = density if density is not None else min(per_partition, 16.0)
+    k = None
+    if plan.eps_fraction is not None:
+        k = plan.eps_fraction * per_partition
+    strategy = plan.configured
+    if strategy == AUTO:
+        strategy = choose_strategy(plan.mode, per_partition, k, plan.eps)[0]
+    if k is None:
+        k = min(per_partition, 16.0)  # the chooser's unknown-k assumption
     groups = partitions * sgb_group_estimate(plan.mode, per_partition, k)
     grouping = partitions * sgb_strategy_cost(
-        plan.mode, plan.strategy, per_partition, k
+        plan.mode, strategy, per_partition, k
     )
     rows = clamp_rows(groups, n)
     startup = child.total_cost + n * CPU_TUPLE_COST + grouping

@@ -1,6 +1,6 @@
 # sgblint: module=repro.engine.executor.fixture_cancel_good
-"""SGB009 true negatives: checkpointed, yielding, and shape-bounded
-loops."""
+"""SGB009 true negatives: checkpointed (also in an inherited helper),
+yielding, and shape-bounded loops."""
 
 
 class CancelToken:
@@ -51,13 +51,29 @@ class CheckpointedAggregate(PhysicalOperator):
         for j, row in enumerate(spool):
             self._checkpoint(j)  # indirect: reaches CancelToken.check
             total = total + self._fold(row)
-        specs = self._specs
-        for spec in specs:  # shape-bounded: one iteration per aggregate
+        for spec in self._specs:  # shape-bounded: one per aggregate
             total = total + self._fold(spec)
         yield total + acc
 
     def _fold(self, value):
         return value * 2
+
+
+class ColumnBase(PhysicalOperator):
+    """A base whose helper the subclass's ``_execute`` calls."""
+
+    def _column(self, rows):
+        out = []
+        for i, row in enumerate(rows):
+            self._checkpoint(i)  # inherited helper, checkpointed
+            out.append(row * 2)
+        return out
+
+
+class InheritingAggregate(ColumnBase):
+    def _execute(self):
+        rows = list(self.child)
+        yield sum(self._column(rows))
 
 
 class StreamingProject(PhysicalOperator):

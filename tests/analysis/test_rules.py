@@ -72,6 +72,18 @@ class TestFixtureCorpus:
         assert lint_file(path) == []
 
 
+class TestCancelCheckpointCone:
+    """SGB009 follows ``_execute`` into helpers a base class defines, and
+    exempts only loops over a ``self`` attribute itself."""
+
+    def test_bad_fixture_is_flagged(self):
+        findings = lint_file(fixture("sgb009_cone_bad.py"))
+        assert [f.rule for f in findings] == ["SGB009", "SGB009"]
+        inherited, alias = sorted(findings, key=lambda f: f.line)
+        assert "ColumnBase._column() loop" in inherited.message
+        assert "KeyedAggregate._execute() loop" in alias.message
+
+
 class TestSharedLockMode:
     """SGB007 on a shared/exclusive lock (``RWLock``): either mode guards
     a read, only the exclusive one a write."""

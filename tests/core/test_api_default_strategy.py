@@ -43,10 +43,13 @@ def _constructed(monkeypatch, mode, *args, **kwargs):
 
 @pytest.mark.parametrize("mode", ["any", "all"])
 class TestDefaultStrategy:
+    # Without density statistics the ε-graph's edge guard assumes every
+    # pair is an edge, so SGB-All gives ``graph`` up above 1000 points.
     @pytest.mark.parametrize("n, expected", [
         (64, {"any": "all-pairs", "all": "all-pairs"}),
-        (1500, {"any": "grid", "all": "graph"}),
-    ], ids=["n64", "n1500"])
+        (1000, {"any": "grid", "all": "graph"}),
+        (1500, {"any": "grid", "all": "bounds-checking"}),
+    ], ids=["n64", "n1000", "n1500"])
     def test_default_is_the_choosers_pick(self, monkeypatch, mode, n,
                                           expected):
         seen = _constructed(monkeypatch, mode, _points(n), 0.1)

@@ -6,6 +6,8 @@ ORDER BY — the composability argument the paper makes against standalone
 clustering.
 """
 
+import re
+
 import pytest
 
 from repro.core.api import sgb_all, sgb_any
@@ -224,8 +226,9 @@ class TestErrorsAndEdgeCases:
 
     def test_auto_never_picks_graph_at_zero_eps(self):
         d = self._zero_eps_db("auto")
-        plan = d.explain(self.ZERO_EPS_SQL)
-        assert "/stats" in plan and "strategy=graph" not in plan
+        plan = d.explain_analyze(self.ZERO_EPS_SQL)
+        ran = re.search(r"strategy=([a-z,-]+)/auto", plan)
+        assert ran and "graph" not in ran.group(1).split(","), plan
         assert (sorted(d.query(self.ZERO_EPS_SQL).rows)
                 == sorted(self._zero_eps_db("all-pairs")
                           .query(self.ZERO_EPS_SQL).rows))

@@ -1,13 +1,18 @@
-"""sqlite3 as an oracle for the engine's equality aggregation.
+"""sqlite3 as an oracle for the engine's relational core.
 
 The same rows go into a :class:`~repro.engine.database.Database` and an
-in-memory sqlite3 database, the same GROUP BY statement runs on both, and
-the two results must be equal as multisets.  Two kinds of input:
+in-memory sqlite3 database, the same statement runs on both, and the two
+results must be equal as multisets (and, under ORDER BY, in the order of
+their sort keys).  The inputs:
 
 * generated tables of an int, a float and a text column, with NULLs,
   duplicates, ``-0.0`` / ``0.0`` and ``±inf``; statements group over 0, 1
   and 2 keys (plain columns and expressions), with every aggregate plain
   and DISTINCT, with HAVING, and over empty input;
+* two such tables joined (inner, LEFT, hash and nested-loop, NULL join
+  keys), chained by ``UNION`` / ``UNION ALL`` (mixed chains too), and
+  sorted by ORDER BY over NULLs, ascending and descending, with and
+  without LIMIT;
 * the Table 2 statements without a similarity clause (Q1, GB1–GB3) on a
   small TPC-H scale.
 
@@ -144,6 +149,107 @@ class TestGeneratedTables:
             assert_same_multiset(db.query(engine_sql).rows, want, engine_sql)
             assert len(want) == (0 if "GROUP BY" in engine_sql
                                  or "HAVING" in engine_sql else 1)
+
+
+ROWS = st.lists(st.tuples(TestGeneratedTables.ints, TestGeneratedTables.floats,
+                          TestGeneratedTables.texts), max_size=12)
+
+
+def _two_tables(t_rows, u_rows):
+    """``t`` and ``u`` (both ``i int, x float, s text``) in both engines."""
+    db = Database()
+    lite = sqlite3.connect(":memory:")
+    for name, rows in (("t", t_rows), ("u", u_rows)):
+        db.execute(f"CREATE TABLE {name} (i int, x float, s text)")
+        db.insert(name, rows)
+        lite.execute(f"CREATE TABLE {name} (i INTEGER, x REAL, s TEXT)")
+        lite.executemany(f"INSERT INTO {name} VALUES (?, ?, ?)", rows)
+    return db, lite
+
+
+JOINS = [
+    # equi-joins (hash joins), NULL keys never match
+    "SELECT t.i, t.x, u.s FROM t JOIN u ON t.i = u.i",
+    "SELECT t.s, u.x FROM t INNER JOIN u ON t.x = u.x",
+    "SELECT t.i, u.i, u.x FROM t JOIN u ON t.i = u.i AND t.s = u.s",
+    "SELECT t.i, u.s FROM t, u WHERE t.i = u.i AND u.x > 0",
+    # LEFT joins: unmatched and NULL-keyed left rows pad with NULLs
+    "SELECT t.i, t.s, u.i, u.x FROM t LEFT JOIN u ON t.i = u.i",
+    "SELECT t.i, u.x FROM t LEFT OUTER JOIN u ON t.i = u.i AND u.x > 0",
+    "SELECT t.x, u.s FROM t LEFT JOIN u ON t.x = u.x WHERE u.s IS NULL",
+    # non-equi conditions (nested loops)
+    "SELECT t.i, u.i FROM t JOIN u ON t.i < u.i",
+    "SELECT t.i, u.i FROM t LEFT JOIN u ON t.x <= u.x",
+    # an equality between an int and a float column
+    "SELECT t.i, u.x FROM t JOIN u ON t.i = u.x",
+]
+
+UNIONS = [
+    "SELECT i FROM t UNION SELECT i FROM u",
+    "SELECT i FROM t UNION ALL SELECT i FROM u",
+    "SELECT i, s FROM t UNION SELECT i, s FROM u",
+    "SELECT x FROM t UNION SELECT x FROM u UNION SELECT x FROM t",
+    # mixed chains associate to the left
+    "SELECT i FROM t UNION SELECT i FROM u UNION ALL SELECT i FROM t",
+    "SELECT i FROM t UNION ALL SELECT i FROM u UNION SELECT i FROM t",
+    "SELECT s FROM t UNION ALL SELECT s FROM u UNION ALL SELECT s FROM t "
+    "UNION SELECT s FROM u",
+    "SELECT i, x FROM t WHERE i > 0 UNION ALL SELECT i, x FROM u "
+    "UNION SELECT i, x FROM t WHERE x < 0",
+]
+
+#: ``(statement, positions of its ORDER BY keys in the select list)``.
+ORDERS = [
+    ("SELECT i, x, s FROM t ORDER BY i", [0]),
+    ("SELECT i, x, s FROM t ORDER BY i DESC", [0]),
+    ("SELECT i, x, s FROM t ORDER BY x", [1]),
+    ("SELECT i, x, s FROM t ORDER BY x DESC, i", [1, 0]),
+    ("SELECT i, x, s FROM t ORDER BY s DESC, i DESC, x", [2, 0, 1]),
+    ("SELECT i, x, s FROM t ORDER BY 3, 2 DESC", [2, 1]),
+    ("SELECT i, x FROM t ORDER BY i DESC LIMIT 4", [0]),
+    ("SELECT s, i FROM t ORDER BY s LIMIT 3", [0]),
+    ("SELECT t.i, u.x FROM t LEFT JOIN u ON t.i = u.i ORDER BY u.x, t.i",
+     [1, 0]),
+]
+
+
+def assert_same_order(got, want, keys, sql):
+    """Both results list their sort keys in the same sequence."""
+    assert len(got) == len(want), (sql, got, want)
+    for g, w in zip(got, want):
+        assert all(same_value(g[k], w[k]) for k in keys), (sql, got, want)
+
+
+class TestJoinsUnionsOrder:
+    @given(t_rows=ROWS, u_rows=ROWS)
+    @settings(max_examples=40, deadline=None)
+    def test_joins_agree(self, t_rows, u_rows):
+        db, lite = _two_tables(t_rows, u_rows)
+        for sql in JOINS:
+            assert_same_multiset(db.query(sql).rows,
+                                 lite.execute(sql).fetchall(), sql)
+        lite.close()
+
+    @given(t_rows=ROWS, u_rows=ROWS)
+    @settings(max_examples=40, deadline=None)
+    def test_unions_agree(self, t_rows, u_rows):
+        db, lite = _two_tables(t_rows, u_rows)
+        for sql in UNIONS:
+            assert_same_multiset(db.query(sql).rows,
+                                 lite.execute(sql).fetchall(), sql)
+        lite.close()
+
+    @given(t_rows=ROWS, u_rows=ROWS)
+    @settings(max_examples=40, deadline=None)
+    def test_order_by_agrees_on_nulls(self, t_rows, u_rows):
+        db, lite = _two_tables(t_rows, u_rows)
+        for sql, keys in ORDERS:
+            got = db.query(sql).rows
+            want = lite.execute(sql).fetchall()
+            assert_same_order(got, want, keys, sql)
+            if "LIMIT" not in sql:
+                assert_same_multiset(got, want, sql)
+        lite.close()
 
 
 def sqlite_spelling(sql: str) -> str:

@@ -31,22 +31,16 @@ class FakeEstimate:
         return f"rows={self.rows_int}"
 
 
-class FakeChoice:
-    def __init__(self, source):
-        self.source = source
-
-
 class FakeNode:
     """Minimal stand-in for a physical plan node."""
 
-    def __init__(self, desc, children=(), strategy=None, choice=None,
+    def __init__(self, desc, children=(), strategy=None, source=None,
                  estimate=None):
         self._desc = desc
         self._children = list(children)
         if strategy is not None:
             self.strategy = strategy
-        if choice is not None:
-            self.choice = choice
+            self.strategy_source = source
         self._estimate = estimate
 
     def describe(self):
@@ -61,11 +55,11 @@ def record_of(plan):
     return plan_metrics(plan, UNBOUND)
 
 
-def sgb_plan(strategy="grid", source="cost", est_rows=100):
+def sgb_plan(strategy="grid", source="auto", est_rows=100):
     scan = FakeNode("SeqScan(pts)")
     sgb = FakeNode(
         f"SGBAny(eps=1.0) strategy={strategy}/{source}",
-        children=[scan], strategy=strategy, choice=FakeChoice(source),
+        children=[scan], strategy=strategy, source=source,
     )
     return record_of(FakeNode("Project(count)", children=[sgb],
                               estimate=FakeEstimate(est_rows)))
@@ -81,8 +75,8 @@ class TestFingerprint:
     def test_stable_across_strategy_choice(self):
         # The chooser's pick is volatile; the fingerprint hashes the plan
         # shape only, so strategy flips don't split the aggregation.
-        fp_grid = plan_fingerprint(sgb_plan("grid", "cost"))
-        fp_index = plan_fingerprint(sgb_plan("index", "config"))
+        fp_grid = plan_fingerprint(sgb_plan("grid", "auto"))
+        fp_index = plan_fingerprint(sgb_plan("index", "flag"))
         assert fp_grid == fp_index
         assert len(fp_grid) == 16
 
@@ -101,14 +95,15 @@ class TestFingerprint:
         assert plan_fingerprint(other) == "5cdce9dc94fd213b"
 
     def test_decision_is_the_first_sgb_node_breadth_first(self):
-        deep = FakeNode("SGBAll(eps=2.0) strategy=index/config",
-                        strategy="index", choice=FakeChoice("config"))
-        shallow = FakeNode("SGBAny(eps=1.0) strategy=grid", strategy="grid")
+        deep = FakeNode("SGBAll(eps=2.0) strategy=index/auto",
+                        strategy="index", source="auto")
+        shallow = FakeNode("SGBAny(eps=1.0) strategy=grid/flag",
+                           strategy="grid", source="flag")
         plan = FakeNode("Join", children=[
             FakeNode("Filter", children=[deep]), shallow])
         rec = QueryLog().record_query("q", record_of(plan), 1, 0.001)
-        # No planner choice on the node: the strategy came from config.
-        assert (rec.strategy, rec.strategy_source) == ("grid", "config")
+        # The shallower node, though it is the later child, decides.
+        assert (rec.strategy, rec.strategy_source) == ("grid", "flag")
 
     def test_strategy_suffix_with_following_text_not_stripped(self):
         # Only a trailing suffix is volatile; an interior mention stays.
@@ -221,9 +216,9 @@ def skewed_log_records():
     log = QueryLog()
     for _ in range(4):
         log.record_query("SELECT * FROM skewed ...",
-                         sgb_plan("grid", "cost", est_rows=10), 100, 0.004)
+                         sgb_plan("grid", "auto", est_rows=10), 100, 0.004)
     log.record_query("SELECT * FROM skewed ...",
-                     sgb_plan("index", "cost", est_rows=10), 90, 0.004)
+                     sgb_plan("index", "auto", est_rows=10), 90, 0.004)
     for _ in range(3):
         log.record_query("SELECT * FROM uniform ...",
                          record_of(FakeNode("Project(x)",
@@ -242,7 +237,7 @@ class TestAggregation:
         assert worst["median_ratio"] == pytest.approx(10.0)
         assert worst["worst_ratio"] == pytest.approx(10.0)
         # Strategy flips collapse into the same fingerprint group.
-        assert worst["strategies"] == ["grid/cost", "index/cost"]
+        assert worst["strategies"] == ["grid/auto", "index/auto"]
         assert groups[1]["drifted"] == 0
         assert groups[1]["median_ratio"] == pytest.approx(1.1)
 

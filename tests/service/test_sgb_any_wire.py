@@ -51,7 +51,9 @@ def oracle():
 def test_checkin_sgb_any_over_the_wire(server, oracle, eps):
     sql = Q.checkin_sgb_any(eps)
     with ServiceClient(port=server.port) as client:
-        assert "strategy=grid" in client.explain(sql)
+        assert "strategy=auto" in client.explain(sql)
+        plan = client.execute("EXPLAIN ANALYZE " + sql).rows
+        assert "strategy=grid/auto" in "\n".join(r[0] for r in plan)
         rows = client.query(sql).rows
     assert sorted(rows) == sorted(oracle.query(sql).rows)
     assert all(type(v) is int for row in rows for v in row)

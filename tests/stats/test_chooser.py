@@ -5,11 +5,9 @@ import pytest
 from repro.core.sgb_all import INCREMENTAL_STRATEGIES
 from repro.stats.chooser import (
     ANY_STRATEGIES,
-    AUTO,
     MAX_GRAPH_EDGES,
     SMALL_INPUT,
     choose_strategy,
-    resolve_sgb_choice,
 )
 from repro.stats.model import sgb_strategy_cost
 
@@ -56,6 +54,16 @@ class TestChooseStrategy:
         assert below == "graph"
         assert above != "graph" and "graph" not in costs
 
+    def test_unknown_density_bounds_graph_edges_by_every_pair(self):
+        # Without statistics the cost model assumes k = 16, but 4000
+        # uniform points in the unit square at ε 0.2 have ~500
+        # ε-neighbours each: the guard must assume n·(n−1) edges.
+        strategy, _, costs = choose_strategy("all", 4000, None, 0.2)
+        assert strategy != "graph" and "graph" not in costs
+        # n·(n−1) first exceeds the bound above n = 1000.
+        assert choose_strategy("all", 1000, None, 0.2)[0] == "graph"
+        assert "graph" not in choose_strategy("all", 1001, None, 0.2)[2]
+
     def test_zero_eps_all_never_picks_graph(self):
         strategy, _, costs = choose_strategy("all", 1500, 0.0, 0.0)
         assert strategy != "graph"
@@ -85,22 +93,3 @@ class TestChooseStrategy:
         costs = {sgb_strategy_cost(mode, s, 3000.0, 0.2) for s in spellings}
         assert len(costs) == 1
         assert costs.pop() < sgb_strategy_cost(mode, "no-such", 3000.0, 0.2)
-
-
-class TestResolveSGBChoice:
-    def test_flag_override_wins(self):
-        choice = resolve_sgb_choice("any", "grid", 0.5, 10_000.0, 2.0)
-        assert choice.strategy == "grid"
-        assert choice.source == "flag"
-
-    def test_no_stats_falls_back_to_default(self):
-        choice = resolve_sgb_choice("any", AUTO, 0.5, None, None)
-        assert choice.source == "default"
-        assert choice.strategy == "index"
-
-    def test_stats_drive_the_choice(self):
-        choice = resolve_sgb_choice("all", AUTO, 0.05, 5000.0, 0.1)
-        assert choice.source == "stats"
-        assert choice.strategy == "graph"
-        assert choice.costs  # ranked costs recorded for EXPLAIN / debugging
-

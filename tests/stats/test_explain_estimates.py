@@ -79,11 +79,14 @@ class TestExplainEstimates:
 
 
 class TestChooserSurface:
-    def test_auto_choice_logged_with_stats_provenance(self, db):
-        plan = db.explain(SGB_SQL)
-        match = re.search(r"strategy=([a-z-]+)/(\w+)", plan)
+    def test_auto_choice_logged_with_auto_provenance(self, db):
+        # EXPLAIN names the rule; EXPLAIN ANALYZE what it picked.
+        assert re.search(r"strategy=auto\b(?!/)", db.explain(SGB_SQL))
+        plan = db.explain_analyze(SGB_SQL)
+        match = re.search(r"strategy=([a-z,-]+)/(\w+)", plan)
         assert match, plan
-        assert match.group(2) == "stats"
+        assert match.group(2) == "auto"
+        assert set(match.group(1).split(",")) <= set(ANY_STRATEGIES)
 
     def test_flag_override_logged_with_flag_provenance(self):
         db = _populated(sgb_any_strategy="grid")
