@@ -1,9 +1,10 @@
 """One function per paper table/figure (see DESIGN.md experiments index).
 
 Every function returns a :class:`~repro.bench.harness.Report` whose rows are
-the series the paper plots.  ``quick=True`` (the default used by the pytest
-benchmarks) shrinks data sizes so the whole suite runs in minutes; the CLI's
-``--full`` flag lifts them for more separation between methods.
+the series the paper plots.  ``quick=True`` (the CLI's default) shrinks
+data sizes so every experiment runs in well under a minute; the CLI's
+``--full`` flag lifts them for more separation between methods.  The
+:data:`EXPERIMENTS` registry is the one place an experiment is defined.
 
 Absolute runtimes are Python-scale, not the paper's C-inside-PostgreSQL
 scale; what must (and does) reproduce is the *shape*: method orderings,
@@ -340,7 +341,11 @@ def table1(
 # Table 2: the evaluation query catalog
 # ----------------------------------------------------------------------
 def table2_catalog() -> List[Tuple[str, str]]:
-    """The nine Table-2 queries as ``(name, sql)``, in the paper's order."""
+    """The nine Table-2 queries as ``(name, sql)``, in the paper's order.
+
+    The e2e benchmark's ``tpch_table2`` workload runs its own list: SGB1
+    and SGB2 at ε = 50000 there (500 here), and Q1, which runs only
+    there.  ``experiment_results.txt`` records the values below."""
     return [
         ("GB1 (Q18)", Q.gb1(quantity_threshold=60)),
         ("GB2 (Q9)", Q.gb2()),
@@ -495,6 +500,68 @@ def ablation_fanout(
                                 rtree_max_entries=m)
         )
         report.add_row(max_entries=m, seconds=secs)
+    return report
+
+
+def ablation_tiebreak(
+    sizes: Sequence[int] = (1000, 2000, 4000),
+    eps: float = 0.3,
+    quick: bool = True,
+) -> Report:
+    """SGB-All JOIN-ANY: deterministic (``first``) vs ``random`` tie-break."""
+    if quick:
+        sizes = tuple(s for s in sizes if s <= 2000)
+    report = Report(
+        "Ablation E",
+        f"JOIN-ANY tie-breaking for L2 SGB-All, eps={eps}",
+        ["n_points", "first", "random"],
+        notes="random draws one candidate group per ambiguous point",
+    )
+    for n in sizes:
+        points = uniform_points(n)
+        row: Dict[str, object] = {"n_points": n}
+        for tiebreak in ("first", "random"):
+            secs, _ = time_call(
+                lambda t=tiebreak: sgb_all(points, eps, "l2", "join-any",
+                                           "index", tiebreak=t)
+            )
+            row[tiebreak] = secs
+        report.add_row(**row)
+    return report
+
+
+def ablation_rtree_build(
+    sizes: Sequence[int] = (1000, 2000, 4000),
+    quick: bool = True,
+) -> Report:
+    """R-tree construction: STR bulk loading vs one-at-a-time insertion,
+    each timed as build plus one window query."""
+    from repro.geometry.rectangle import Rect
+    from repro.index.rtree import RTree
+
+    if quick:
+        sizes = tuple(s for s in sizes if s <= 2000)
+    report = Report(
+        "Ablation F",
+        "R-tree build (max_entries=8) + one window query",
+        ["n_points", "incremental", "bulk"],
+        notes="STR packs ~full nodes in one pass; insertion splits as it goes",
+    )
+    window = Rect((5, 5), (8, 8))
+
+    def incremental(entries):
+        tree = RTree(max_entries=8)
+        for rect, i in entries:
+            tree.insert(rect, i)
+        return tree.search(window)
+
+    for n in sizes:
+        entries = [(Rect.from_point(p), i)
+                   for i, p in enumerate(uniform_points(n))]
+        t_incremental, _ = time_call(lambda e=entries: incremental(e))
+        t_bulk, _ = time_call(
+            lambda e=entries: RTree.bulk_load(e, max_entries=8).search(window))
+        report.add_row(n_points=n, incremental=t_incremental, bulk=t_bulk)
     return report
 
 
@@ -665,4 +732,6 @@ EXPERIMENTS: Dict[str, Callable[..., Report]] = {
     "ablation-hull": lambda quick=True: ablation_hull(quick=quick),
     "ablation-fanout": lambda quick=True: ablation_fanout(quick=quick),
     "ablation-skew": lambda quick=True: ablation_skew(quick=quick),
+    "ablation-tiebreak": lambda quick=True: ablation_tiebreak(quick=quick),
+    "ablation-rtree-build": lambda quick=True: ablation_rtree_build(quick=quick),
 }

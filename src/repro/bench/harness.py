@@ -7,7 +7,9 @@ the corresponding paper table/figure series (methods × parameter axis).
 
 from __future__ import annotations
 
+import csv
 import gc
+import io
 import os
 import subprocess
 import time
@@ -111,10 +113,12 @@ class Report:
         return "\n".join(header + ["", line, sep] + body)
 
     def to_csv(self) -> str:
-        out = [",".join(self.columns)]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(self.columns)
         for row in self.rows:
-            out.append(",".join(_fmt(row.get(c)) for c in self.columns))
-        return "\n".join(out)
+            writer.writerow(_fmt(row.get(c)) for c in self.columns)
+        return buf.getvalue().rstrip("\n")
 
     def ascii_chart(self, x_column: str, series: List[str],
                     width: int = 50, log: bool = True) -> str:

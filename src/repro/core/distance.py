@@ -179,18 +179,12 @@ _METRICS = {
     "euclidean": L2,
     "ltwo": L2,
     "linf": LINF,
-    "lone": L2,  # Table 2 of the paper spells Euclidean "ltwo" and L∞... see note
+    "lone": LINF,  # Table 2 shorthand, as in the SQL parser's _METRIC_WORDS
     "chebyshev": LINF,
     "max": LINF,
     "l1": L1,
     "manhattan": L1,
 }
-# Note: Table 2 in the paper writes "USING lone/ltwo".  "lone" there denotes
-# L-one-...-infinity shorthand is ambiguous in the text; the SQL syntax in
-# Section 4 uses the unambiguous [L2 | LINF], which we treat as canonical.
-# We map "ltwo" -> L2 and, to be safe, resolve "lone" to L2 as well at the
-# array API level while the SQL parser handles LONE explicitly as LINF.
-_METRICS["lone"] = LINF
 
 
 def resolve_metric(metric: Union[str, Metric]) -> Metric:

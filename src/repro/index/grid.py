@@ -8,8 +8,8 @@ time (:class:`~repro.streaming.any_engine.StreamingSGBAny`, stream views:
 probe, then insert).  The batch operator sees its whole input at once and
 runs the same grid as a set-at-a-time ε-self-join instead
 (:func:`repro.kernels.eps_self_join`), binning by this module's cell
-function ``v // cell_size``.  ``benchmarks/bench_ablation.py`` compares
-the grid with the R-tree.
+function ``v // cell_size``.  ``python -m repro.bench ablation-indexes``
+compares the grid with the R-tree.
 """
 
 from __future__ import annotations

@@ -1,13 +1,18 @@
 """Smoke tests: every experiment in the registry produces a sane report.
 
-These run each experiment at tiny sizes — the full-size runs live under
-``benchmarks/`` and the ``python -m repro.bench`` CLI.
+These run each experiment at tiny sizes; ``python -m repro.bench <id>``
+runs them at quick (default) or ``--full`` size.
 """
+
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.bench import experiments as ex
 from repro.bench.experiments import EXPERIMENTS
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestRegistry:
@@ -19,9 +24,42 @@ class TestRegistry:
             "fig11a", "fig11b", "fig12a", "fig12b",
             "quality", "distance-counts", "cost-model",
             "ablation-indexes", "ablation-hull", "ablation-fanout",
-            "ablation-skew",
+            "ablation-skew", "ablation-tiebreak", "ablation-rtree-build",
         }
         assert expected <= set(EXPERIMENTS)
+
+
+class TestDocReferences:
+    """The docs name only benchmark files and experiment ids that exist.
+    ROADMAP.md and CHANGES.md are history and may name deleted ones."""
+
+    DOCS = [*(ROOT / name for name in ("README.md", "CONTRIBUTING.md",
+                                       "DESIGN.md", "EXPERIMENTS.md")),
+            *sorted(ROOT.glob("docs/*.md"))]
+
+    def test_benchmark_paths_exist(self):
+        for doc in self.DOCS:
+            text = doc.read_text(encoding="utf-8")
+            for path in re.findall(r"benchmarks/[\w/]+\.py", text):
+                assert (ROOT / path).is_file(), f"{doc.name} names {path}"
+
+    def test_cli_ids_are_registered(self):
+        for doc in self.DOCS:
+            runs = re.findall(r"python -m repro\.bench((?:\s+[a-z][\w-]*)+)",
+                              doc.read_text(encoding="utf-8"))
+            for exp_id in " ".join(runs).split():
+                assert exp_id == "all" or exp_id in EXPERIMENTS, (
+                    f"{doc.name}: python -m repro.bench {exp_id}")
+
+    def test_design_index_ids_are_registered(self):
+        text = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+        index = text.split("## Experiments index")[1].split("\n\n**")[0]
+        ids = [i for row in index.splitlines()[3:]
+               for i in re.findall(r"`([^`]+)`", row.split("|")[-2])]
+        ablations = text.split("## Design choices worth ablating")[1]
+        ids += re.findall(r"`(ablation-[\w-]+)`", ablations.split("\n## ")[0])
+        assert "table1" in ids and "ablation-rtree-build" in ids
+        assert set(ids) <= set(EXPERIMENTS), set(ids) - set(EXPERIMENTS)
 
 
 class TestSmallRuns:
@@ -85,6 +123,12 @@ class TestSmallRuns:
         assert len(d.rows) == 4
         assert all(row["groups-skewed"] <= row["groups-uniform"] + 50
                    for row in d.rows)
+        e = ex.ablation_tiebreak(sizes=(150,), quick=True)
+        assert e.rows[0]["first"] > 0 and e.rows[0]["random"] > 0
+        f = ex.ablation_rtree_build(sizes=(150, 300), quick=True)
+        assert f.column("n_points") == [150, 300]
+        assert all(row["incremental"] > 0 and row["bulk"] > 0
+                   for row in f.rows)
 
     def test_quality_experiment(self):
         report = ex.quality_comparison(n_points=200, eps_values=(0.2,),

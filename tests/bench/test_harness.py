@@ -55,6 +55,18 @@ class TestReport:
         assert csv.splitlines()[0] == "a,b"
         assert csv.splitlines()[2] == "2,-"
 
+    def test_csv_quotes_commas_in_column_names(self):
+        import csv
+        import io
+
+        r = Report("Quality", "demo", ["eps", "ari(any,dbscan)"])
+        r.add_row(**{"eps": 0.1, "ari(any,dbscan)": 0.9})
+        r.add_row(**{"eps": 0.2, "ari(any,dbscan)": None})
+        header, *rows = csv.reader(io.StringIO(r.to_csv()))
+        assert header == ["eps", "ari(any,dbscan)"]
+        assert len(rows) == 2
+        assert all(len(row) == len(header) for row in rows)
+
     def test_column(self):
         r = Report("t", "t", ["a"])
         r.add_row(a=1)

@@ -109,6 +109,13 @@ class TestResolve:
     def test_names(self, name, expected):
         assert resolve_metric(name) is expected
 
+    def test_sql_metric_words_agree(self):
+        # the array API and the SQL dialect read the same words alike
+        from repro.sql.parser import _METRIC_WORDS
+
+        for word, name in _METRIC_WORDS.items():
+            assert resolve_metric(word) is resolve_metric(name), word
+
     def test_passthrough(self):
         assert resolve_metric(L2) is L2
 
