@@ -5,7 +5,8 @@ including the relational-engine substrate they are integrated into:
 
 * :func:`repro.sgb_all` / :func:`repro.sgb_any` — array-level operators;
 * :func:`repro.sgb_stream` / :mod:`repro.streaming` — incremental SGB
-  engines with micro-batch ingestion and batch-equivalent snapshots;
+  streams: a micro-batching handle over an incremental operator, with
+  batch-equivalent snapshots;
 * :class:`repro.Database` — an embeddable relational engine whose SQL
   dialect includes the paper's ``DISTANCE-TO-ALL`` / ``DISTANCE-TO-ANY``
   GROUP BY extension;
@@ -37,8 +38,6 @@ from repro.engine.database import Database
 from repro.streaming import (
     MicroBatcher,
     StreamingGroupView,
-    StreamingSGBAll,
-    StreamingSGBAny,
     StreamStats,
 )
 
@@ -62,8 +61,6 @@ __all__ = [
     "L2",
     "LINF",
     "Database",
-    "StreamingSGBAny",
-    "StreamingSGBAll",
     "MicroBatcher",
     "StreamingGroupView",
     "StreamStats",

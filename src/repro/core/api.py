@@ -25,7 +25,11 @@ from repro.core.parallel import (
     resolve_strategy as _resolve_strategy,
 )
 from repro.core.result import GroupingResult
-from repro.core.sgb_all import SGBAllOperator
+from repro.core.sgb_all import (
+    INCREMENTAL_STRATEGIES,
+    SGBAllOperator,
+    all_strategy_class,
+)
 from repro.core.sgb_any import SGBAnyOperator
 from repro.errors import (
     DimensionMismatchError,
@@ -171,7 +175,6 @@ def sgb_all(
     seed: int = 0,
     use_hull: bool = True,
     rtree_max_entries: int = 8,
-    max_recursion: Optional[int] = None,
     partitions: Optional[Iterable] = None,
 ) -> GroupingResult:
     """Group ``points`` under the distance-to-all (clique) semantics.
@@ -200,7 +203,6 @@ def sgb_all(
         seed=seed,
         use_hull=use_hull,
         rtree_max_entries=rtree_max_entries,
-        max_recursion=max_recursion,
     )
     if partitions is not None:
         return _run_partitioned("all", pts, partitions, op_kwargs,
@@ -251,33 +253,54 @@ def sgb_stream(
     points: Optional[Iterable[Sequence[float]]] = None,
     **engine_options,
 ):
-    """Open an incremental SGB stream and return a micro-batching handle.
+    """Open an incremental SGB stream and return its handle.
 
-    The handle (:class:`~repro.streaming.micro_batch.MicroBatcher`) exposes
-    ``insert`` / ``extend`` / ``snapshot`` / ``result`` and the engine's
-    cumulative :class:`~repro.obs.metrics.StreamStats`.  ``mode="any"``
-    maintains connected ε-components (order-independent: every snapshot
-    equals the batch operator on the ingested prefix); ``mode="all"``
-    maintains ε-All clique groups incrementally (snapshot equals the batch
-    operator run on the same prefix in the same order and seed).
+    The one place a stream is built.  The handle
+    (:class:`~repro.streaming.micro_batch.MicroBatcher`) validates each
+    row as it is handed over and exposes ``insert`` / ``extend`` /
+    ``snapshot`` / ``result``, the engine's cumulative
+    :class:`~repro.obs.metrics.StreamStats` and the engine itself as
+    ``engine``.  ``mode="any"`` maintains connected ε-components
+    (:class:`~repro.streaming.any_engine.StreamingSGBAny`;
+    order-independent: every snapshot equals the batch operator on the
+    ingested prefix); ``mode="all"`` runs
+    :class:`~repro.core.sgb_all.SGBAllOperator` itself, with one of its
+    :data:`~repro.core.sgb_all.INCREMENTAL_STRATEGIES` (a snapshot equals
+    the batch operator run on the same prefix in the same order and seed).
+    ``eps`` must be strictly positive.
 
-    Extra keyword arguments are forwarded to the engine constructor
-    (``index=``, ``rtree_max_entries=``, ``on_overlap=``, ``tiebreak=``,
-    ``seed=``, ...).  When ``points`` is given the rows are ingested
-    immediately.
+    Extra keyword arguments are the operators' own (``strategy=``,
+    ``count_distance_computations=``, ``rtree_max_entries=``,
+    ``on_overlap=``, ``tiebreak=``, ``seed=``, ...).  When ``points`` is
+    given the rows are ingested immediately.
 
     >>> stream = sgb_stream("any", eps=1.0, batch_size=2)
     >>> stream.extend([(0, 0), (0.5, 0), (9, 9)])
     >>> stream.snapshot().group_sizes()
     [2, 1]
+    >>> clique = sgb_stream("all", eps=1.0, tiebreak="first")
+    >>> clique.extend([(0, 0), (0.5, 0), (9, 9)])
+    >>> clique.result().group_sizes()
+    [2, 1]
     """
-    from repro.streaming import MicroBatcher, StreamingSGBAll, StreamingSGBAny
+    from repro.streaming.any_engine import StreamingSGBAny
+    from repro.streaming.micro_batch import MicroBatcher
 
+    eps = check_eps(eps, require_positive=True)
     key = mode.strip().lower()
     if key == "any":
         engine = StreamingSGBAny(eps=eps, metric=metric, **engine_options)
     elif key == "all":
-        engine = StreamingSGBAll(eps=eps, metric=metric, **engine_options)
+        if not engine_options.keys().isdisjoint(("metrics", "tracer")):
+            raise TypeError("a stream's metrics and tracer belong to the "
+                            "returned handle, not to sgb_stream()")
+        strategy = engine_options.get("strategy", "index")
+        if all_strategy_class(strategy).name not in INCREMENTAL_STRATEGIES:
+            raise InvalidParameterError(
+                f"strategy {strategy!r} groups only in batch; a stream "
+                f"runs one of {', '.join(INCREMENTAL_STRATEGIES)}"
+            )
+        engine = SGBAllOperator(eps=eps, metric=metric, **engine_options)
     else:
         raise InvalidParameterError(
             f"unknown streaming mode {mode!r}; expected 'any' or 'all'"

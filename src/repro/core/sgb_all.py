@@ -467,7 +467,6 @@ class SGBAllOperator:
         seed: int = 0,
         rtree_max_entries: int = 8,
         use_hull: bool = True,
-        max_recursion: Optional[int] = None,
         count_distance_computations: bool = False,
         metrics: Optional[MetricBag] = None,
         tracer: Optional[Tracer] = None,
@@ -487,7 +486,6 @@ class SGBAllOperator:
                 f"tiebreak must be 'random' or 'first', got {tiebreak!r}"
             )
         self.tiebreak = tiebreak
-        self.max_recursion = max_recursion
         self._rng = random.Random(seed)
         self._rtree_max_entries = rtree_max_entries
         self._use_hull_opt = use_hull
@@ -689,11 +687,15 @@ class SGBAllOperator:
         Labels number the live groups in creation order (under ``graph``,
         those of one pass over the spooled points), then each
         FORM-NEW-GROUP recursion level's (a fresh SGB-All pass over ``S'``
-        per level, until ``S'`` is empty).  A no-progress level (possible
-        only in adversarial configurations) degrades gracefully to
-        singleton groups, which is consistent with the clause's "create a
-        new group for this tuple" intent and guarantees termination.
-        Eliminated points were never assigned and stay ``ELIMINATED``.
+        per level, until ``S'`` is empty).  Eliminated points were never
+        assigned and stay ``ELIMINATED``.
+
+        The walk ends within ``|S'|`` passes, because no pass can defer
+        all of ``S'``: its last point either joins a group (it has 0 or 1
+        candidates) or is deferred with >= 2 candidate groups.  Those
+        groups took points of this pass, and no later point of the pass
+        exists to pull those points back out.  So each pass groups at
+        least one point and ``S'`` strictly shrinks.
         """
         registries: List[GroupRegistry] = []
         pending = self._deferred
@@ -708,21 +710,12 @@ class SGBAllOperator:
             registries.append(strat.registry)
         depth = 0
         while pending:
-            if (self.max_recursion is not None
-                    and depth >= self.max_recursion):
-                registries.append(self._singletons(pending, metric, stats))
-                break
             strat = self._make_strategy(metric, adjacency)
             # Each FORM-NEW-GROUP recursion level is its own strategy
             # phase — one span per re-grouping pass over S'.
             with maybe_span(self.tracer, "regroup", depth=depth,
                             pending=len(pending)):
                 next_deferred = self._pass(strat, pending, stats, rng)
-            if sorted(next_deferred) == sorted(pending):
-                # No progress is possible; make each remaining point its
-                # own group rather than looping forever.
-                registries.append(self._singletons(pending, metric, stats))
-                break
             registries.append(strat.registry)
             pending = next_deferred
             depth += 1
@@ -758,12 +751,3 @@ class SGBAllOperator:
             adjacency = kernels.csr_adjacency(len(self._points), blocks)
             sp.set(edges=len(adjacency[1]) // 2)
         return adjacency
-
-    def _singletons(self, pids: List[int], metric: Metric,
-                    stats: StreamStats) -> GroupRegistry:
-        registry = GroupRegistry()
-        for pid in pids:
-            registry.new_group(self.eps, metric, False).add(
-                pid, self._points[pid])
-        stats.groups_created += len(pids)
-        return registry

@@ -7,7 +7,7 @@ a new point touches several groups they merge, so no overlap clause exists.
 The components do not depend on the order points are processed in, so the
 operator has two forms over one family of ε-neighbour strategies:
 
-* streaming (Procedures 7–9,
+* streaming (Procedures 7–9, the engine of ``sgb_stream("any")``,
   :class:`~repro.streaming.any_engine.StreamingSGBAny`): ``probe`` an index
   over the points seen so far, union the new point with every ε-neighbour,
   ``insert`` it;
@@ -234,8 +234,8 @@ def timed_blocks(blocks: Iterator[EdgeBlock],
         yield block
 
 
-#: The one alias table: SQL / API strategy names and the streaming
-#: engine's ``index=`` kinds resolve through it.
+#: The one alias table: SQL, batch-API and stream ``strategy=`` names
+#: resolve through it.
 _STRATEGIES = {
     "all-pairs": NaiveAnyStrategy,
     "allpairs": NaiveAnyStrategy,

@@ -4,8 +4,9 @@ SGB-Any only ever issues fixed-size window queries (side ``2ε``), which a
 hash grid with cell side ``ε`` answers by probing a constant number of
 neighbouring cells.  ``grid`` is the planner's choice on every check-in
 statement; this incremental index serves it where points arrive one at a
-time (:class:`~repro.streaming.any_engine.StreamingSGBAny`, stream views:
-probe, then insert).  The batch operator sees its whole input at once and
+time (an SGB-Any stream's engine,
+:class:`~repro.streaming.any_engine.StreamingSGBAny`, behind
+:func:`repro.sgb_stream` and stream views: probe, then insert).  The batch operator sees its whole input at once and
 runs the same grid as a set-at-a-time ε-self-join instead
 (:func:`repro.kernels.eps_self_join`), binning by this module's cell
 function ``v // cell_size``.  ``python -m repro.bench ablation-indexes``

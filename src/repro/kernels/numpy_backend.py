@@ -33,7 +33,6 @@ from repro.kernels._protocols import (
     Coords,
     EdgeBlock,
     MetricLike,
-    Point,
 )
 
 name = "numpy"
@@ -117,8 +116,7 @@ def pairwise_within(points: Sequence[Coords], q: Coords, eps: float,
         return []
     mask = _within_mask(coords, q, eps, metric)
     if mask is None:
-        within = metric.within
-        return [within(p, q, eps) for p in points]
+        return _python.pairwise_within(points, q, eps, metric)
     _charge(metric, len(coords))
     return mask.tolist()
 
@@ -134,15 +132,9 @@ def batch_eps_neighbors(points: Sequence[Coords], probes: Sequence[Coords],
     """
     m = len(probes)
     n = len(points)
-    if m == 0 or n == 0:
-        return [[] for _ in range(m)]
     kind, p = _metric_kind(metric)
     if kind == "other" or m * n < SMALL_BLOCK:
-        within = metric.within
-        return [
-            [i for i, pt in enumerate(points) if within(pt, q, eps)]
-            for q in probes
-        ]
+        return _python.batch_eps_neighbors(points, probes, eps, metric)
     coords = np.asarray(points, dtype=np.float64)
     qs = np.asarray(probes, dtype=np.float64)
     mask = _diff_mask(qs[:, None, :] - coords[None, :, :], eps, kind, p)
@@ -359,48 +351,39 @@ class Components:
 # ----------------------------------------------------------------------
 # the point store
 # ----------------------------------------------------------------------
-class PointStore:
-    """Dense-id point collection: the original float tuples plus a
-    doubling ``float64`` mirror, synced on first use.
+class PointStore(_python.PointStore):
+    """The python store's point tuples plus a doubling ``float64``
+    mirror, synced on first use.
 
     Appends only touch the tuple list; the mirror catches up in bulk (one
     ``np.asarray`` over the pending slice) the next time a vectorized
     query needs it.  Small batches — where ufunc launch overhead exceeds
-    the loop cost — take the exact pure-python path over the tuples,
-    ``CountingMetric`` semantics included, and never pay for the mirror.
+    the loop cost — and metrics with no vectorized form take the python
+    store's loops, ``CountingMetric`` semantics included, and never pay
+    for the mirror.
     """
 
     backend = name
 
     def __init__(self) -> None:
-        self._tuples: List[Point] = []
+        super().__init__()
         self._buf: Optional[np.ndarray] = None
         self._synced = 0
 
-    def __len__(self) -> int:
-        return len(self._tuples)
-
-    def append(self, point: Point) -> int:
-        self._tuples.append(point)
-        return len(self._tuples) - 1
-
-    def get(self, i: int) -> Point:
-        return self._tuples[i]
-
     def _view(self) -> "np.ndarray":
-        n = len(self._tuples)
+        n = len(self._points)
         buf = self._buf
         if self._synced < n:
             if buf is None or buf.shape[0] < n:
                 cap = max(16, 2 * n)
                 grown = np.empty(
-                    (cap, len(self._tuples[0])), dtype=np.float64
+                    (cap, len(self._points[0])), dtype=np.float64
                 )
                 if buf is not None and self._synced:
                     grown[: self._synced] = buf[: self._synced]
                 self._buf = buf = grown
             buf[self._synced : n] = np.asarray(
-                self._tuples[self._synced : n], dtype=np.float64
+                self._points[self._synced : n], dtype=np.float64
             )
             self._synced = n
         assert buf is not None
@@ -408,20 +391,13 @@ class PointStore:
 
     def query_all(self, q: Coords, eps: float,
                   metric: MetricLike) -> List[int]:
-        n = len(self._tuples)
-        if n == 0:
-            return []
+        n = len(self._points)
         if n >= SMALL_BLOCK:
             mask = _within_mask(self._view(), q, eps, metric)
             if mask is not None:
                 _charge(metric, n)
                 return np.flatnonzero(mask).tolist()
-        within = metric.within
-        return [
-            i
-            for i, p in enumerate(self._tuples)
-            if within(p, q, eps)
-        ]
+        return super().query_all(q, eps, metric)
 
     def query_gathered(
         self, ids: Sequence[int], q: Coords, eps: float,
@@ -436,13 +412,11 @@ class PointStore:
         only when ``count`` is requested.
         """
         k = len(ids)
-        if k == 0:
-            return [], 0
         if k < _EPS_BOX_FALLBACK:
-            return self._gathered_loop(ids, q, eps, metric)
+            return super().query_gathered(ids, q, eps, metric, count)
         kind, p = _metric_kind(metric)
         if kind == "other":
-            return self._gathered_loop(ids, q, eps, metric)
+            return super().query_gathered(ids, q, eps, metric, count)
         ids_a = np.fromiter(ids, dtype=np.intp, count=k)
         diff = self._view()[ids_a] - np.asarray(q, dtype=np.float64)
         mask = _diff_mask(diff, eps, kind, p)
@@ -453,32 +427,6 @@ class PointStore:
             _charge(metric, n_window)
             return ids_a[mask].tolist(), n_window
         return ids_a[mask].tolist(), 0
-
-    def _gathered_loop(self, ids: Sequence[int], q: Coords, eps: float,
-                       metric: MetricLike) -> Tuple[List[int], int]:
-        """Pure-python fallback, byte-identical to the python backend."""
-        tuples = self._tuples
-        # The symmetric form of the window test: ``q - eps <= v`` rounds
-        # differently from ``v - eps <= q`` at an exact-eps tie.
-        dim2 = len(q) == 2
-        if dim2:
-            q0, q1 = q
-        in_window: List[int] = []
-        for i in ids:
-            pt = tuples[i]
-            if dim2:
-                ok = abs(pt[0] - q0) <= eps and abs(pt[1] - q1) <= eps
-            else:
-                ok = all(abs(v - c) <= eps for v, c in zip(pt, q))
-            if ok:
-                in_window.append(i)
-        if metric.name == "linf":
-            return in_window, len(in_window)
-        within = metric.within
-        return (
-            [i for i in in_window if within(tuples[i], q, eps)],
-            len(in_window),
-        )
 
 
 def make_point_store() -> PointStore:

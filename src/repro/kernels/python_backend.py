@@ -223,7 +223,7 @@ class PointStore:
         ]
 
     def query_gathered(
-        self, ids: Iterable[int], q: Coords, eps: float,
+        self, ids: Sequence[int], q: Coords, eps: float,
         metric: MetricLike, count: bool = True,
     ) -> Tuple[List[int], int]:
         """Verify the ``ids`` a window gathered around ``q``: keep those

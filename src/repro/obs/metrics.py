@@ -9,9 +9,10 @@ numbers.  Two containers, one vocabulary (:data:`SGB_COUNTER_FIELDS`):
   work writes it: :class:`~repro.core.sgb_all.SGBAllOperator` and
   :class:`~repro.core.sgb_any.SGBAnyOperator` own one as ``.stats`` and
   count into it unconditionally (plain attribute adds), and so does
-  :class:`~repro.streaming.any_engine.StreamingSGBAny`;
-  :class:`~repro.streaming.all_engine.StreamingSGBAll`'s ``stats`` *is*
-  its operator's.
+  the SGB-Any stream engine,
+  :class:`~repro.streaming.any_engine.StreamingSGBAny`; an SGB-All
+  stream's engine *is* ``SGBAllOperator``.  A stream handle's ``stats``
+  is its engine's.
 * :class:`MetricBag` — a per-plan-node bag of monotonic counters and
   latency histograms.  An operator given ``metrics=`` hands the bag its
   struct once, at ``finalize()`` (:meth:`MetricBag.add_stats`); only
@@ -127,9 +128,11 @@ class StreamStats:
         return out
 
     def __eq__(self, other: object) -> bool:
+        """Equal counters: the same work, however long it took (two runs
+        never share a ``wall_time_s``)."""
         if not isinstance(other, StreamStats):
             return NotImplemented
-        return self.as_dict() == other.as_dict()
+        return self.nonzero() == other.nonzero()
 
     def __repr__(self) -> str:
         body = ", ".join(f"{f}={getattr(self, f)}" for f in SGB_COUNTER_FIELDS)

@@ -289,6 +289,9 @@ class IsNull(Expr):
     def key(self) -> tuple:
         return ("isnull", self.negated, self.operand.key())
 
+    def __repr__(self) -> str:
+        return f"IsNull({self.operand!r}, negated={self.negated})"
+
 
 class Between(Expr):
     def __init__(self, operand: Expr, low: Expr, high: Expr, negated: bool = False):
@@ -319,6 +322,10 @@ class Between(Expr):
         return ("between", self.negated, self.operand.key(), self.low.key(),
                 self.high.key())
 
+    def __repr__(self) -> str:
+        return (f"Between({self.operand!r}, {self.low!r}, {self.high!r}, "
+                f"negated={self.negated})")
+
 
 class Like(Expr):
     def __init__(self, operand: Expr, pattern: str, negated: bool = False):
@@ -346,6 +353,10 @@ class Like(Expr):
 
     def key(self) -> tuple:
         return ("like", self.negated, self.pattern, self.operand.key())
+
+    def __repr__(self) -> str:
+        return (f"Like({self.operand!r}, {self.pattern!r}, "
+                f"negated={self.negated})")
 
 
 def _like_to_regex(pattern: str) -> "re.Pattern":
@@ -391,19 +402,27 @@ class InList(Expr):
             tuple(i.key() for i in self.items),
         )
 
+    def __repr__(self) -> str:
+        return (f"InList({self.operand!r}, {self.items!r}, "
+                f"negated={self.negated})")
+
 
 class InSubquery(Expr):
     """Uncorrelated ``expr IN (SELECT …)``.
 
     Bound by materializing the subquery once into a set (the planner passes
     a ``subquery_runner`` in the context); correlated subqueries are not
-    supported and fail at bind time with a clear message.
+    supported and fail at bind time with a clear message.  ``sql`` is the
+    subquery's source text: ``key()`` identifies the subquery by it, and
+    ``repr`` shows it on one line.
     """
 
-    def __init__(self, operand: Expr, subquery: "Select", negated: bool = False):
+    def __init__(self, operand: Expr, subquery: "Select", negated: bool = False,
+                 sql: str = ""):
         self.operand = operand
         self.subquery = subquery
         self.negated = negated
+        self.sql = sql
 
     def children(self) -> Sequence[Expr]:
         return (self.operand,)
@@ -428,7 +447,11 @@ class InSubquery(Expr):
         return fn
 
     def key(self) -> tuple:
-        return ("insub", self.negated, self.operand.key(), id(self.subquery))
+        return ("insub", self.negated, self.operand.key(), self.sql)
+
+    def __repr__(self) -> str:
+        text = " ".join(self.sql.split())  # one line, for EXPLAIN
+        return f"InSubquery({self.operand!r}, {text!r}, negated={self.negated})"
 
 
 class FuncCall(Expr):
@@ -527,6 +550,9 @@ class Case(Expr):
             self.else_.key() if self.else_ is not None else None,
         )
 
+    def __repr__(self) -> str:
+        return f"Case({self.whens!r}, else_={self.else_!r})"
+
 
 class PostAggRef(Expr):
     """Reference into the aggregate operator's output row (planner-internal)."""
@@ -540,6 +566,9 @@ class PostAggRef(Expr):
 
     def key(self) -> tuple:
         return ("postagg", self.index)
+
+    def __repr__(self) -> str:
+        return f"PostAggRef({self.index})"
 
 
 # ----------------------------------------------------------------------

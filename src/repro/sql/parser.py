@@ -66,6 +66,7 @@ _METRIC_WORDS = {
 
 class Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
 
@@ -590,9 +591,11 @@ class Parser:
     def _in_rest(self, left: ast.Expr, negated: bool) -> ast.Expr:
         self._expect_op("(")
         if self._check_ident("select"):
+            start = self._peek().pos
             sub = self._select_expr()
+            sql = self.text[start:self._peek().pos].strip()
             self._expect_op(")")
-            return ast.InSubquery(left, sub, negated)
+            return ast.InSubquery(left, sub, negated, sql)
         items = [self._expr()]
         while self._accept_op(","):
             items.append(self._expr())

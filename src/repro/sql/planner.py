@@ -706,7 +706,8 @@ def _rebuild(expr: ast.Expr, fn: Callable[[ast.Expr], ast.Expr]) -> ast.Expr:
         return ast.InList(fn(expr.operand), [fn(i) for i in expr.items],
                           expr.negated)
     if isinstance(expr, ast.InSubquery):
-        return ast.InSubquery(fn(expr.operand), expr.subquery, expr.negated)
+        return ast.InSubquery(fn(expr.operand), expr.subquery, expr.negated,
+                              expr.sql)
     if isinstance(expr, ast.FuncCall):
         return ast.FuncCall(expr.name, [fn(a) for a in expr.args])
     if isinstance(expr, ast.Case):

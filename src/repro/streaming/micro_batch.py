@@ -1,4 +1,11 @@
-"""Micro-batch ingestion wrapper around the streaming SGB engines.
+"""The stream handle: micro-batch ingestion in front of an SGB engine.
+
+A stream is a :class:`MicroBatcher` over an incremental operator —
+:class:`~repro.streaming.any_engine.StreamingSGBAny` for SGB-Any,
+:class:`~repro.core.sgb_all.SGBAllOperator` itself for SGB-All — built by
+:func:`repro.sgb_stream`.  The batcher is the stream's one input gate
+(each row is validated here, once, when it is handed over) and owns its
+closed state; the engine trusts it.
 
 Rows are buffered and flushed into the wrapped engine in configurable
 batches; each flush is timed, and its counter delta goes where something
@@ -15,7 +22,7 @@ import time
 from typing import Iterable, List, Optional, Sequence
 
 from repro import kernels
-from repro.core.api import validate_point
+from repro.core.api import Point, validate_point
 from repro.core.result import GroupingResult
 from repro.errors import (
     InvalidCoordinateError,
@@ -27,14 +34,14 @@ from repro.obs.trace import Tracer, maybe_span
 
 
 class MicroBatcher:
-    """Buffers rows and feeds a streaming engine one batch at a time.
+    """Buffers rows and feeds an incremental SGB engine one batch at a time.
 
     Parameters
     ----------
     engine:
-        A :class:`~repro.streaming.any_engine.StreamingSGBAny` or
-        :class:`~repro.streaming.all_engine.StreamingSGBAll` (anything with
-        ``extend`` / ``snapshot`` / ``result`` and a ``stats`` counter).
+        Anything with the batch operators' protocol: ``add_many`` (points
+        in order; one it refuses leaves it as it was), ``snapshot``,
+        ``finalize``, ``n_points`` and a ``stats`` counter struct.
     batch_size:
         Rows per flush; ``1`` degenerates to point-at-a-time ingestion and
         a value >= the stream length to one giant batch.
@@ -59,8 +66,10 @@ class MicroBatcher:
         self.batch_size = int(batch_size)
         self.metrics = metrics
         self.tracer = tracer
-        self._pending: List[Sequence[float]] = []
-        self._dim = None
+        self._pending: List[Point] = []
+        self._dim: Optional[int] = None
+        #: Set by :meth:`result`; the stream takes no rows after it.
+        self.closed = False
         #: Flushes so far (the ``batch=`` attribute of the next span).
         self.n_batches = 0
         #: Upstream rows dropped for NULL grouping attributes (reported
@@ -88,17 +97,15 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     def check_open(self) -> None:
         """Raise :class:`StreamStateError` once ``result()`` closed the
-        engine."""
-        if getattr(self.engine, "closed", False):
-            raise StreamStateError(
-                "streaming engine already closed by result()"
-            )
+        stream."""
+        if self.closed:
+            raise StreamStateError("stream already closed by result()")
 
     def insert(self, row: Sequence[float]) -> None:
         """Buffer one row; flushes automatically at ``batch_size``.
 
         Validation is eager: a bad row (non-finite coordinate, wrong
-        dimension) or a closed engine fails *this* call, not a later
+        dimension) or a closed stream fails *this* call, not a later
         flush triggered from ``snapshot()`` — buffering it would defer
         the error to whichever unrelated call happens to flush the batch.
         """
@@ -162,7 +169,7 @@ class MicroBatcher:
                         rows_skipped_null=skipped) as sp:
             start = time.perf_counter()
             try:
-                self.engine.extend(batch)
+                self.engine.add_many(batch)
             finally:
                 elapsed = time.perf_counter() - start
                 done = self.engine.n_points - n_before
@@ -180,12 +187,18 @@ class MicroBatcher:
         return self.engine.snapshot()
 
     def result(self) -> GroupingResult:
-        """Flush, close the engine, and return the final grouping."""
+        """Flush, close the stream, and return the final grouping."""
+        self.check_open()
         self.flush()
-        return self.engine.result()
+        self.closed = True
+        return self.engine.finalize()
 
     def __repr__(self) -> str:
+        engine = self.engine
         return (
-            f"MicroBatcher({self.engine!r}, batch_size={self.batch_size}, "
-            f"batches={self.n_batches}, pending={len(self._pending)})"
+            f"MicroBatcher({type(engine).__name__}(eps={engine.eps}, "
+            f"metric={engine.metric.name!r}, "
+            f"strategy={engine.strategy_name!r}), "
+            f"batch_size={self.batch_size}, batches={self.n_batches}, "
+            f"pending={len(self._pending)}, points={self.n_points})"
         )

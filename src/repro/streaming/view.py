@@ -1,7 +1,7 @@
 """Streaming SGB views over engine tables (the INSERT-then-requery path).
 
-A :class:`StreamingGroupView` attaches an incremental SGB engine to a
-table: existing rows are back-filled through a
+A :class:`StreamingGroupView` attaches a stream (:func:`repro.sgb_stream`)
+to a table: existing rows are back-filled through its
 :class:`~repro.streaming.micro_batch.MicroBatcher`, and every subsequent
 ``INSERT`` — SQL or Python API — feeds the engine via the table's insert
 listeners.  Re-querying the view is then a snapshot of maintained state
@@ -21,13 +21,11 @@ from __future__ import annotations
 from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
+from repro.core.api import sgb_stream
 from repro.core.result import GroupingResult
 from repro.engine.executor.sgb import Point, grouping_points
 from repro.errors import InvalidCoordinateError, InvalidParameterError
 from repro.obs.metrics import StreamStats
-from repro.streaming.all_engine import StreamingSGBAll
-from repro.streaming.any_engine import StreamingSGBAny
-from repro.streaming.micro_batch import MicroBatcher
 
 
 class StreamingGroupView:
@@ -44,7 +42,7 @@ class StreamingGroupView:
     mode:
         ``"any"`` or ``"all"`` — which SGB semantics to maintain.
     eps / metric / batch_size / engine_options:
-        Forwarded to the streaming engine and micro-batcher.
+        Forwarded to :func:`repro.sgb_stream`.
     metrics / tracer:
         Observability collectors handed to the micro-batcher (the owning
         Database passes its cumulative bag and, when tracing, its tracer).
@@ -73,19 +71,12 @@ class StreamingGroupView:
         self.columns = [c.lower() for c in columns]
         self.mode = mode.strip().lower()
         self._col_idx = [table.schema.resolve(c) for c in self.columns]
-        if self.mode == "any":
-            engine = StreamingSGBAny(eps=eps, metric=metric, **engine_options)
-        elif self.mode == "all":
-            engine = StreamingSGBAll(eps=eps, metric=metric, **engine_options)
-        else:
-            raise InvalidParameterError(
-                f"unknown streaming mode {mode!r}; expected 'any' or 'all'"
-            )
-        self.eps = engine.eps
-        self.batcher = MicroBatcher(engine, batch_size=batch_size,
-                                    metrics=metrics, tracer=tracer)
+        self.batcher = sgb_stream(mode, eps=eps, metric=metric,
+                                  batch_size=batch_size, **engine_options)
+        self.batcher.metrics = metrics
+        self.batcher.tracer = tracer
+        self.eps = self.batcher.engine.eps
         self._row_ids: List[int] = []  # table positions of ingested rows
-        self._skipped = 0
         self._attached = False
         self._on_insert(table.rows, 0)()
         table.add_insert_listener(self._on_insert)
@@ -107,7 +98,6 @@ class StreamingGroupView:
         kept = [p for p in points if p is not None]
         skipped = len(points) - len(kept)
         if skipped:
-            self._skipped += skipped
             self.batcher.note_skipped_null(skipped)
         self._row_ids.extend(row_id for row_id, p in
                              enumerate(points, first_row_id) if p is not None)
@@ -137,7 +127,8 @@ class StreamingGroupView:
 
     @property
     def n_skipped(self) -> int:
-        return self._skipped
+        """Rows skipped for a NULL grouping attribute."""
+        return self.batcher.rows_skipped_null
 
     @property
     def stats(self) -> StreamStats:

@@ -24,7 +24,6 @@ from repro.core.sgb_all import SGBAllOperator
 from repro.engine.database import Database
 from repro.obs import MetricBag
 from repro.stats.chooser import ALL_STRATEGIES, ANY_STRATEGIES
-from repro.streaming.all_engine import StreamingSGBAll
 from tests.conftest import decimal_lattice, decimal_lattices
 
 OVERLAP_CLAUSES = ["join-any", "eliminate", "form-new-group"]
@@ -67,7 +66,7 @@ class TestExactEpsBoundary:
         pts = [(-5e-324, 0.0), (0.1, 0.0)][::order]
         with kernels.use_backend(backend):
             assert sgb_any(pts, 0.1, strategy=strategy).labels == [0, 0]
-            stream = sgb_stream("any", eps=0.1, index=strategy, points=pts)
+            stream = sgb_stream("any", eps=0.1, strategy=strategy, points=pts)
             assert stream.snapshot().labels == [0, 0]
 
     @pytest.mark.parametrize("metric", ["l1", "l2", "linf"])
@@ -134,9 +133,9 @@ class TestDecimalLattice:
         points, eps = case
         with kernels.use_backend(backend):
             for strategy in FILTERING:
-                stream = StreamingSGBAll(eps, metric=metric,
-                                         on_overlap=clause,
-                                         strategy=strategy, tiebreak="first")
+                stream = sgb_stream("all", eps=eps, metric=metric,
+                                    on_overlap=clause, strategy=strategy,
+                                    tiebreak="first", batch_size=1)
                 for n, point in enumerate(points, 1):
                     stream.insert(point)
                     if n % every == 0:

@@ -1,12 +1,15 @@
 """SGB-All unit tests: semantics of the three ON-OVERLAP clauses."""
 
 import pytest
+from hypothesis import given, settings
 
 from repro.core.api import sgb_all
 from repro.core.result import ELIMINATED
 from repro.core.sgb_all import SGBAllOperator, normalize_overlap
 from repro.errors import InvalidParameterError
+from repro.obs.trace import Tracer
 from repro.stats.chooser import ALL_STRATEGIES as STRATEGIES
+from tests.conftest import decimal_lattices
 
 
 class TestNormalizeOverlap:
@@ -184,14 +187,24 @@ class TestFormNewGroup:
                     assert max(abs(a[0] - b[0]), abs(a[1] - b[1])) <= 2.5
 
 
-class TestMaxRecursion:
-    def test_recursion_cap_forces_singletons(self):
-        pts = [(i * 0.8, 0) for i in range(10)]
-        res = sgb_all(pts, eps=2, metric="linf",
-                      on_overlap="form-new-group", max_recursion=0)
-        # still a total grouping, nothing lost
+class TestFormNewGroupTerminates:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @settings(max_examples=25, deadline=None)
+    @given(case=decimal_lattices(max_points=30))
+    def test_every_point_labelled_in_fewer_than_n_passes(self, strategy,
+                                                         case):
+        """Each regroup pass groups at least one point of ``S'``, so the
+        walk labels every point and runs fewer passes than there are
+        points."""
+        points, eps = case
+        tracer = Tracer()
+        op = SGBAllOperator(eps, on_overlap="form-new-group",
+                            strategy=strategy, tracer=tracer)
+        res = op.add_many(points).finalize()
         assert res.n_eliminated == 0
-        assert sum(res.group_sizes()) == len(pts)
+        assert sum(res.group_sizes()) == len(points)
+        (fin,) = [r for r in tracer.records() if r.name == "finalize"]
+        assert fin.attrs["regroup_passes"] < len(points)
 
 
 class TestUseHullToggle:

@@ -141,9 +141,9 @@ def test_a_view_refusing_at_flush_leaves_the_other_views_whole():
     db = Database()
     db.execute("CREATE TABLE u (x float, y float)")
     grid = db.create_stream_view("grid", "u", ["x", "y"], eps=0.5,
-                                 batch_size=2, index="grid")
+                                 batch_size=2, strategy="grid")
     rtree = db.create_stream_view("rtree", "u", ["x", "y"], eps=0.5,
-                                  batch_size=2, index="rtree")
+                                  batch_size=2, strategy="rtree")
     with pytest.raises(InvalidCoordinateError):
         db.execute("INSERT INTO u VALUES (0, 0), (1e308, 0), (0.1, 0)")
     assert len(db.table("u")) == 3

@@ -114,7 +114,7 @@ class TestStreamViewLifecycle:
             db.insert("pts", [(1e308, 0.2)])
             view.snapshot()
         rtree = db.create_stream_view("r", "pts", ["x", "y"], eps=0.5,
-                                      index="rtree")
+                                      strategy="rtree")
         assert rtree.snapshot().n_points == 4
 
 
@@ -125,7 +125,7 @@ class TestStreamViewLifecycle:
         db = Database()
         db.execute("CREATE TABLE pts (x float, y float)")
         view = db.create_stream_view("g", "pts", ["x", "y"], eps=0.5,
-                                     batch_size=4, index="grid")
+                                     batch_size=4, strategy="grid")
         db.execute("INSERT INTO pts VALUES (0, 0), (1e308, 0), (0.1, 0)")
         with pytest.raises(InvalidCoordinateError):
             view.snapshot()

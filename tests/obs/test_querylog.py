@@ -288,3 +288,44 @@ class TestCLI:
     def test_missing_file_is_error(self, tmp_path, capsys):
         assert querylog_main([str(tmp_path / "nope.jsonl")]) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestFingerprintStability:
+    """A statement's EXPLAIN text and plan fingerprint are the same in
+    every process: no predicate prints a memory address."""
+
+    PREDICATES = [
+        "b BETWEEN 0 AND 5",
+        "s LIKE 'x%'",
+        "s IS NOT NULL",
+        "a IN (1, 2)",
+        "a IN (SELECT k FROM u WHERE k > 0)",
+        "CASE WHEN a > 1 THEN TRUE ELSE FALSE END",
+    ]
+
+    @staticmethod
+    def explain_and_fingerprint(sql):
+        from repro.engine.database import Database
+
+        db = Database(query_log=True)
+        db.execute("CREATE TABLE t (a int, b float, s text)")
+        db.execute("CREATE TABLE u (k int)")
+        db.insert("t", [(1, 2.0, "x"), (2, 7.0, None)])
+        db.insert("u", [(1,)])
+        db.query(sql)
+        (record,) = db.query_log.recent(1)
+        return db.explain(sql), record.fingerprint
+
+    @pytest.mark.parametrize("predicate", PREDICATES)
+    def test_where_predicate(self, predicate):
+        sql = f"SELECT a FROM t WHERE {predicate}"
+        first = self.explain_and_fingerprint(sql)
+        second = self.explain_and_fingerprint(sql)
+        assert "object at 0x" not in first[0]
+        assert first == second
+
+    def test_having_reads_the_aggregate_row(self):
+        sql = "SELECT a, count(*) FROM t GROUP BY a HAVING count(*) > 0"
+        first = self.explain_and_fingerprint(sql)
+        assert "object at 0x" not in first[0]
+        assert first == self.explain_and_fingerprint(sql)

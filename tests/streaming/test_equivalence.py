@@ -17,7 +17,6 @@ from repro.core.api import sgb_all, sgb_any, sgb_stream
 from repro.core.sgb_any import SGBAnyOperator
 from repro.obs.metrics import MetricBag
 from repro.stats.chooser import ANY_STRATEGIES
-from repro.streaming import StreamingSGBAny
 
 METRICS = ["l2", "linf", "l1"]
 EPS_VALUES = [0.3, 0.9, 2.5]
@@ -99,8 +98,8 @@ class TestAnyEquivalence:
         bag = MetricBag()
         batch = SGBAnyOperator(2.5, metric, strategy=kind, metrics=bag)
         labels = batch.add_many(pts).finalize().labels
-        stream = StreamingSGBAny(2.5, metric, index=kind,
-                                 count_distances=True)
+        stream = sgb_stream("any", eps=2.5, metric=metric, strategy=kind,
+                            count_distance_computations=True, batch_size=1)
         stream.extend(pts)
         assert stream.snapshot().labels == labels
         for counter in ("index_probes", "candidates",

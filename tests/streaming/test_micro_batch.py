@@ -19,7 +19,8 @@ from repro.errors import (
 )
 from repro.obs.metrics import SGB_COUNTER_FIELDS
 from repro.obs.trace import Tracer
-from repro.streaming import MicroBatcher, StreamingSGBAny
+from repro.streaming import MicroBatcher
+from repro.streaming.any_engine import StreamingSGBAny
 
 
 def random_points(n, seed=0):
@@ -29,8 +30,10 @@ def random_points(n, seed=0):
 
 def traced_batcher(batch_size, **engine_options):
     tracer = Tracer()
-    engine = StreamingSGBAny(**{"eps": 1.0, **engine_options})
-    return MicroBatcher(engine, batch_size=batch_size, tracer=tracer), tracer
+    stream = sgb_stream("any", batch_size=batch_size,
+                        **{"eps": 1.0, **engine_options})
+    stream.tracer = tracer
+    return stream, tracer
 
 
 def batch_spans(tracer):
@@ -53,7 +56,7 @@ class TestBatching:
         assert span["size"] == span["points"] == 3
 
     def test_snapshot_flushes_pending(self):
-        mb = MicroBatcher(StreamingSGBAny(eps=1.0), batch_size=100)
+        mb = sgb_stream("any", eps=1.0, batch_size=100)
         mb.extend([(0, 0), (0.5, 0), (9, 9)])
         assert mb.n_pending == 3
         snap = mb.snapshot()
@@ -62,25 +65,25 @@ class TestBatching:
         assert mb.n_pending == 0
 
     def test_result_flushes_and_closes(self):
-        mb = MicroBatcher(StreamingSGBAny(eps=1.0), batch_size=100)
+        mb = sgb_stream("any", eps=1.0, batch_size=100)
         mb.extend([(0, 0), (0.5, 0)])
         res = mb.result()
         assert res.n_points == 2
-        assert mb.engine.closed
+        assert mb.closed
 
     def test_flush_on_empty_buffer_is_noop(self):
-        mb = MicroBatcher(StreamingSGBAny(eps=1.0), batch_size=2)
+        mb = sgb_stream("any", eps=1.0, batch_size=2)
         mb.flush()
         assert mb.n_batches == 0
 
     def test_rejects_bad_batch_size(self):
         with pytest.raises(InvalidParameterError):
-            MicroBatcher(StreamingSGBAny(eps=1.0), batch_size=0)
+            sgb_stream("any", eps=1.0, batch_size=0)
 
     def test_validation_is_eager_not_deferred_to_flush(self):
         """A bad row must fail the insert() that supplied it — buffering
         it would blow up a later snapshot()/result() instead."""
-        mb = MicroBatcher(StreamingSGBAny(eps=1.0), batch_size=100)
+        mb = sgb_stream("any", eps=1.0, batch_size=100)
         mb.insert((0, 0))
         with pytest.raises(InvalidCoordinateError):
             mb.insert((1, float("nan")))
@@ -93,7 +96,7 @@ class TestBatching:
         """A finite row only the engine can refuse (1e308 has no grid
         cell at ε = 0.5) fails the flush that reaches it; the rows before
         it are ingested and reported, the rows behind it stay pending."""
-        mb, tracer = traced_batcher(100, eps=0.5, index="grid")
+        mb, tracer = traced_batcher(100, eps=0.5, strategy="grid")
         mb.extend([(0, 0), (1e308, 0), (0.1, 0), (7, 7)])
         with pytest.raises(InvalidCoordinateError):
             mb.flush()
@@ -119,7 +122,7 @@ class TestBatching:
     def test_extend_keeps_rows_behind_a_failed_flush(self):
         """The engine refusing a row mid-extend loses that row only: the
         rest of the call's rows stay buffered for the next flush."""
-        mb, tracer = traced_batcher(2, eps=0.5, index="grid")
+        mb, tracer = traced_batcher(2, eps=0.5, strategy="grid")
         with pytest.raises(InvalidCoordinateError):
             mb.extend([(0, 0), (1e308, 0), (0.1, 0), (7, 7), (7.2, 7)])
         assert mb.engine.n_points == 1 and mb.n_pending == 3
@@ -127,7 +130,7 @@ class TestBatching:
                                         (7.2, 7.0)]
 
     def test_insert_after_result_fails_immediately(self):
-        mb = MicroBatcher(StreamingSGBAny(eps=1.0), batch_size=100)
+        mb = sgb_stream("any", eps=1.0, batch_size=100)
         mb.extend([(0, 0), (9, 9)])
         mb.result()
         with pytest.raises(StreamStateError):
@@ -172,7 +175,7 @@ class TestPerBatchStats:
     def test_flushing_forever_keeps_the_batcher_the_same_size(self):
         """A view behind the service flushes at least once per INSERT;
         nothing the batcher holds may grow with the number of flushes."""
-        mb = MicroBatcher(StreamingSGBAny(eps=1.0), batch_size=1)
+        mb = sgb_stream("any", eps=1.0, batch_size=1)
 
         def attribute_sizes():
             return {name: sys.getsizeof(value)
@@ -211,7 +214,7 @@ class TestBatchSpanTags:
         assert mb.rows_skipped_null == 4    # lifetime total still kept
 
     def test_untraced_batcher_still_counts_skips(self):
-        mb = MicroBatcher(StreamingSGBAny(eps=1.0), batch_size=2)
+        mb = sgb_stream("any", eps=1.0, batch_size=2)
         mb.note_skipped_null(5)
         mb.extend([(0, 0), (1, 1)])
         assert mb.rows_skipped_null == 5
@@ -253,3 +256,7 @@ class TestSgbStreamEntryPoint:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(InvalidParameterError):
             sgb_stream("any", eps=0.0)
+
+    def test_all_engine_takes_no_handle_options(self):
+        with pytest.raises(TypeError):
+            sgb_stream("all", eps=1.0, tracer=Tracer())

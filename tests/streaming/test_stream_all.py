@@ -1,4 +1,4 @@
-"""Unit tests for the incremental SGB-All engine."""
+"""Unit tests for the incremental SGB-All stream (``sgb_stream("all")``)."""
 
 import random
 
@@ -10,7 +10,6 @@ from repro.core.api import sgb_all, sgb_stream
 from repro.core.sgb_all import INCREMENTAL_STRATEGIES, SGBAllOperator
 from repro.errors import InvalidParameterError, StreamStateError
 from repro.obs.metrics import SGB_COUNTER_FIELDS, MetricBag
-from repro.streaming import StreamingSGBAll
 from tests.conftest import decimal_lattices
 
 
@@ -30,7 +29,8 @@ class TestSnapshotEqualsBatchPrefix:
     @pytest.mark.parametrize("clause", CLAUSES)
     def test_snapshot_matches_batch_at_checkpoints(self, clause):
         pts = random_points(120)
-        eng = StreamingSGBAll(eps=0.9, on_overlap=clause, seed=5)
+        eng = sgb_stream("all", eps=0.9, on_overlap=clause, seed=5,
+                         batch_size=1)
         for i, p in enumerate(pts):
             eng.insert(p)
             if i in (0, 13, 59, 119):
@@ -46,8 +46,10 @@ class TestSnapshotEqualsBatchPrefix:
         set there) must leave the live state identical to an unsnapshotted
         run."""
         pts = random_points(80, seed=23)
-        plain = StreamingSGBAll(eps=0.9, on_overlap=clause, seed=1)
-        probed = StreamingSGBAll(eps=0.9, on_overlap=clause, seed=1)
+        plain = sgb_stream("all", eps=0.9, on_overlap=clause, seed=1,
+                           batch_size=1)
+        probed = sgb_stream("all", eps=0.9, on_overlap=clause, seed=1,
+                            batch_size=1)
         for i, p in enumerate(pts):
             plain.insert(p)
             probed.insert(p)
@@ -58,7 +60,8 @@ class TestSnapshotEqualsBatchPrefix:
     @pytest.mark.parametrize("tiebreak", ["first", "random"])
     def test_join_any_tiebreaks(self, tiebreak):
         pts = random_points(100, seed=4)
-        eng = StreamingSGBAll(eps=0.8, tiebreak=tiebreak, seed=9)
+        eng = sgb_stream("all", eps=0.8, tiebreak=tiebreak, seed=9,
+                         batch_size=1)
         eng.extend(pts)
         batch = sgb_all(pts, 0.8, tiebreak=tiebreak, seed=9)
         assert eng.snapshot().partition() == batch.partition()
@@ -67,8 +70,8 @@ class TestSnapshotEqualsBatchPrefix:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_strategies_and_metrics(self, strategy, metric):
         pts = random_points(90, seed=8)
-        eng = StreamingSGBAll(eps=0.8, metric=metric, strategy=strategy,
-                              tiebreak="first")
+        eng = sgb_stream("all", eps=0.8, metric=metric, strategy=strategy,
+                         tiebreak="first", batch_size=1)
         eng.extend(pts)
         batch = sgb_all(pts, 0.8, metric=metric, strategy=strategy,
                         tiebreak="first")
@@ -76,7 +79,8 @@ class TestSnapshotEqualsBatchPrefix:
 
     def test_result_equals_batch_finalize(self):
         pts = random_points(100, seed=2)
-        eng = StreamingSGBAll(eps=0.9, on_overlap="form-new-group")
+        eng = sgb_stream("all", eps=0.9, on_overlap="form-new-group",
+                         batch_size=1)
         eng.extend(pts)
         batch = sgb_all(pts, 0.9, on_overlap="form-new-group")
         assert eng.result() == batch
@@ -84,7 +88,7 @@ class TestSnapshotEqualsBatchPrefix:
 
 class TestLifecycleAndStats:
     def test_result_closes_the_stream(self):
-        eng = StreamingSGBAll(eps=1.0)
+        eng = sgb_stream("all", eps=1.0, batch_size=1)
         eng.extend([(0, 0), (0.5, 0)])
         eng.result()
         with pytest.raises(StreamStateError):
@@ -93,18 +97,18 @@ class TestLifecycleAndStats:
             eng.result()
 
     def test_counters(self):
-        eng = StreamingSGBAll(eps=1.0, tiebreak="first")
+        eng = sgb_stream("all", eps=1.0, tiebreak="first", batch_size=1)
         eng.extend([(0, 0), (0.5, 0), (9, 9)])
         st = eng.stats
         assert st.points == 3
         assert st.index_probes == 3
         assert st.groups_created == 2
-        assert eng.n_groups == 2
+        assert eng.engine.n_groups == 2
 
     def test_eliminate_counters(self):
         # (1, 0) qualifies for both singleton cliques -> eliminated.
-        eng = StreamingSGBAll(eps=1.0, on_overlap="eliminate",
-                              metric="linf")
+        eng = sgb_stream("all", eps=1.0, on_overlap="eliminate",
+                         metric="linf", batch_size=1)
         eng.extend([(0, 0), (2, 0), (1, 0)])
         assert eng.stats.eliminated == 1
         snap = eng.snapshot()
@@ -123,8 +127,9 @@ class TestLifecycleAndStats:
         FORM-NEW-GROUP's regroup passes included, which the stream used
         not to see (``index_probes`` 1500 vs 1609 on brightkite(1500))."""
         pts = random_points(300, seed=3, span=5.0)
-        eng = StreamingSGBAll(eps=0.3, on_overlap=clause, strategy=strategy,
-                              seed=2, count_distances=True)
+        eng = sgb_stream("all", eps=0.3, on_overlap=clause, strategy=strategy,
+                         seed=2, count_distance_computations=True,
+                         batch_size=1)
         bag = MetricBag()
         op = SGBAllOperator(eps=0.3, on_overlap=clause, strategy=strategy,
                             seed=2, metrics=bag)
@@ -161,17 +166,17 @@ class TestLifecycleAndStats:
 
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(InvalidParameterError):
-            StreamingSGBAll(eps=0)
+            sgb_stream("all", eps=0, batch_size=1)
 
     def test_rejects_the_batch_only_graph_strategy(self):
         named = "all-pairs, bounds-checking, index"
         with pytest.raises(InvalidParameterError, match=named):
-            StreamingSGBAll(eps=1.0, strategy="graph")
+            sgb_stream("all", eps=1.0, strategy="graph", batch_size=1)
         with pytest.raises(InvalidParameterError, match=named):
             sgb_stream("all", eps=1.0, strategy=" Graph ")
 
     def test_empty_snapshot(self):
-        eng = StreamingSGBAll(eps=1.0)
+        eng = sgb_stream("all", eps=1.0, batch_size=1)
         snap = eng.snapshot()
         assert snap.n_points == 0 and snap.n_groups == 0
 
@@ -190,16 +195,17 @@ class TestOperatorSnapshot:
         pts = random_points(250, seed=6, span=5.0)
         with kernels.use_backend(backend):
             twin, probed = (
-                StreamingSGBAll(eps=0.3, on_overlap=clause, seed=4,
-                                strategy=strategy, count_distances=True)
+                sgb_stream("all", eps=0.3, on_overlap=clause, seed=4,
+                           strategy=strategy,
+                           count_distance_computations=True, batch_size=1)
                 for _ in range(2))
             twin.extend(pts[:200])
             probed.extend(pts[:200])
             snaps = [probed.snapshot() for _ in range(3)]
             assert snaps[0] == snaps[1] == snaps[2]
             assert probed.stats == twin.stats
-            assert (probed.n_groups, probed.n_deferred) \
-                == (twin.n_groups, twin.n_deferred)
+            assert (probed.engine.n_groups, probed.engine.n_deferred) \
+                == (twin.engine.n_groups, twin.engine.n_deferred)
             twin.extend(pts[200:])
             probed.extend(pts[200:])
             assert probed.stats == twin.stats

@@ -15,10 +15,10 @@ from decimal import Decimal
 import pytest
 
 from repro import Database
+from repro.core.api import sgb_stream
 from repro.engine.executor.sgb import grouping_point
 from repro.errors import InvalidCoordinateError, InvalidParameterError
 from repro.obs.metrics import SGB_COUNTER_FIELDS
-from repro.streaming import MicroBatcher, StreamingSGBAll, StreamingSGBAny
 
 #: name -> (grouping columns, mode, engine options)
 VIEWS = {
@@ -33,9 +33,7 @@ class RowByRow:
     """The per-row ingestion the batch listener replaced."""
 
     def __init__(self, table, columns, mode, batch_size, **options):
-        engine_cls = StreamingSGBAny if mode == "any" else StreamingSGBAll
-        self.batcher = MicroBatcher(engine_cls(**options),
-                                    batch_size=batch_size)
+        self.batcher = sgb_stream(mode, batch_size=batch_size, **options)
         self.col_idx = [table.schema.resolve(c) for c in columns]
         self.row_ids = []
         self.skipped = 0

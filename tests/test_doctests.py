@@ -1,30 +1,40 @@
 """Run the executable examples embedded in docstrings.
 
-Several public modules carry doctest examples (the quickstart snippets of
-the README mirror them); this keeps them honest.
+Every ``repro`` module with at least one example that is not marked
+``+SKIP`` is collected (the quickstart snippets of the README mirror some
+of them); this keeps them honest.
 """
 
 import doctest
+import importlib
+import pkgutil
 
 import pytest
 
-import repro.bench.quality
-import repro.core.api
-import repro.core.around
-import repro.core.distance
-import repro.core.predicate
-import repro.core.sgb_1d
-import repro.engine.database
+import repro
 
-MODULES = [
-    repro.core.api,
-    repro.core.around,
-    repro.core.distance,
-    repro.core.predicate,
-    repro.core.sgb_1d,
-    repro.engine.database,
-    repro.bench.quality,
-]
+
+def doctest_modules():
+    """The ``repro`` modules carrying a runnable example, by name."""
+    finder = doctest.DocTestFinder()
+    modules = []
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith(".__main__"):
+            continue  # importing it runs the command line
+        try:
+            module = importlib.import_module(info.name)
+        except ModuleNotFoundError as exc:
+            if (exc.name or "").split(".")[0] == "repro":
+                raise
+            continue  # an optional dependency (numpy) is absent
+        if any(not example.options.get(doctest.SKIP)
+               for test in finder.find(module)
+               for example in test.examples):
+            modules.append(module)
+    return modules
+
+
+MODULES = doctest_modules()
 
 
 @pytest.mark.parametrize(
