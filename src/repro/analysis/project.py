@@ -1,18 +1,17 @@
 """Whole-program analysis container.
 
-A :class:`Project` owns the cross-file state the SGB007–SGB009 rules
-share: parsed :class:`FileContext` objects, the
+A :class:`Project` owns the cross-file state the rules share: parsed :class:`FileContext` objects, the
 :class:`~repro.analysis.symbols.SymbolTable`, the
 :class:`~repro.analysis.callgraph.CallGraph`, and the
 :class:`~repro.analysis.flow.FlowAnalyzer` results.  All three layers
 are built lazily on first access and exactly once per run — the runner
 constructs one ``Project`` per invocation and hands it to every
-project rule.
+rule.
 
 Only files whose dotted module identity is inside the ``repro`` package
 participate (fixtures opt in by impersonating a repro module with a
 ``# sgblint: module=repro...`` pragma); everything else — tests,
-benchmarks, scripts — is noise for whole-program rules and costs graph
+benchmarks, scripts — is out of every rule's scope and costs graph
 build time.
 """
 

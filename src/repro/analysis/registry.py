@@ -3,10 +3,10 @@
 A rule is a class with an ``id`` (``SGBnnn``), a one-line ``title``, a
 ``caught`` string naming the defect it found in this repo (PR number
 and the code fix — a rule without one is not admitted), a docstring
-(both rendered by ``--explain``), and a ``check(ctx)`` generator
-yielding :class:`~repro.analysis.findings.Finding` objects.  Importing
-:mod:`repro.analysis.rules` registers the built-in rules via the
-:func:`register` decorator.
+(both rendered by ``--explain``), and a ``check_project(project)``
+generator yielding :class:`~repro.analysis.findings.Finding` objects.
+Importing :mod:`repro.analysis.rules` registers the built-in rules via
+the :func:`register` decorator.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import inspect
 import re
 from typing import Dict, Iterable, Iterator, List, Type
 
-from repro.analysis.context import FileContext
 from repro.analysis.findings import Finding
 
 _RULE_ID_RE = re.compile(r"SGB[0-9]{3}\Z")
@@ -24,8 +23,14 @@ _RULE_ID_RE = re.compile(r"SGB[0-9]{3}\Z")
 
 class Rule:
     """Base class for sgblint rules.  Subclass, set ``id``/``title``/
-    ``caught``, implement :meth:`check`, and decorate with
-    :func:`register`."""
+    ``caught``, implement :meth:`check_project`, and decorate with
+    :func:`register`.
+
+    Every rule is a whole-program rule: :meth:`check_project` runs once
+    per invocation against a :class:`~repro.analysis.project.Project`,
+    and the runner applies pragma suppression using the context of each
+    finding's file.
+    """
 
     id: str = "SGB000"
     title: str = ""
@@ -33,15 +38,15 @@ class Rule:
     #: code was fixed because of its finding.  A pragma is not one.
     caught: str = ""
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
+    def check_project(self, project) -> Iterator[Finding]:
         raise NotImplementedError
         yield  # pragma: no cover - makes every override a generator
 
     # -- helpers for subclasses -------------------------------------------
-    def finding(self, ctx: FileContext, node: ast.AST,
-                message: str) -> Finding:
+    def finding_at(self, path: str, node: ast.AST,
+                   message: str) -> Finding:
         return Finding(
-            self.id, ctx.path,
+            self.id, path,
             getattr(node, "lineno", 0), getattr(node, "col_offset", 0),
             message,
         )
@@ -54,33 +59,6 @@ class Rule:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.id}: {self.title}>"
-
-
-class ProjectRule(Rule):
-    """Base class for whole-program rules (SGB007+).
-
-    Project rules implement :meth:`check_project` against a
-    :class:`~repro.analysis.project.Project` instead of a single file
-    context; their per-file :meth:`check` is a no-op so the per-file
-    driver can run a mixed rule list without special-casing.  The runner
-    calls :meth:`check_project` once per invocation and applies pragma
-    suppression using the context of each finding's file.
-    """
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, project) -> Iterator[Finding]:
-        raise NotImplementedError
-        yield  # pragma: no cover - makes every override a generator
-
-    def finding_at(self, path: str, node: ast.AST,
-                   message: str) -> Finding:
-        return Finding(
-            self.id, path,
-            getattr(node, "lineno", 0), getattr(node, "col_offset", 0),
-            message,
-        )
 
 
 _REGISTRY: Dict[str, Rule] = {}
@@ -125,33 +103,12 @@ def _ensure_loaded() -> None:
         from repro.analysis import rules  # noqa: F401
 
 
-def run_rules(ctx: FileContext,
-              rules: Iterable[Rule] = ()) -> List[Finding]:
-    """Run ``rules`` (default: all registered) over one file context,
-    honouring per-line pragma suppression."""
-    chosen = list(rules) or all_rules()
+def run_project_rules(project, rules: Iterable[Rule] = ()) -> List[Finding]:
+    """Run ``rules`` (default: all registered) once over a built Project,
+    honouring the per-line pragmas of whichever file each finding lands
+    in."""
     out: List[Finding] = []
-    for rule in chosen:
-        for f in rule.check(ctx):
-            if not ctx.is_disabled(f.line, f.rule):
-                out.append(f)
-    return out
-
-
-def split_rules(rules: Iterable[Rule] = ()):
-    """Partition a rule list into (file_rules, project_rules)."""
-    chosen = list(rules) or all_rules()
-    file_rules = [r for r in chosen if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in chosen if isinstance(r, ProjectRule)]
-    return file_rules, project_rules
-
-
-def run_project_rules(project,
-                      rules: Iterable[ProjectRule]) -> List[Finding]:
-    """Run whole-program rules once over a built Project, honouring the
-    per-line pragmas of whichever file each finding lands in."""
-    out: List[Finding] = []
-    for rule in rules:
+    for rule in list(rules) or all_rules():
         for f in rule.check_project(project):
             if not project.is_disabled(f.path, f.line, f.rule):
                 out.append(f)

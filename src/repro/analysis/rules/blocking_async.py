@@ -16,7 +16,7 @@ from typing import Iterator
 
 from repro.analysis.callgraph import CallSite, format_chain
 from repro.analysis.findings import Finding
-from repro.analysis.registry import ProjectRule, register
+from repro.analysis.registry import Rule, register
 
 #: Fully-qualified callables that block the calling thread.  Matched
 #: against resolved callee names (suffix match on the dotted tail so
@@ -77,7 +77,7 @@ def _is_blocking(callee: str) -> bool:
 
 
 @register
-class BlockingInAsyncRule(ProjectRule):
+class BlockingInAsyncRule(Rule):
     """``async def`` bodies must not reach blocking calls synchronously.
 
     From every coroutine in the analyzed package, SGB008 walks resolved

@@ -26,7 +26,7 @@ import ast
 from typing import Iterator, List, Optional, Set
 
 from repro.analysis.findings import Finding
-from repro.analysis.registry import ProjectRule, register
+from repro.analysis.registry import Rule, register
 
 #: Base class gating which classes this rule examines.
 _OPERATOR_BASE = "PhysicalOperator"
@@ -72,7 +72,7 @@ def _loop_body_nodes(loop: ast.AST) -> Iterator[ast.AST]:
 
 
 @register
-class CancelCheckpointRule(ProjectRule):
+class CancelCheckpointRule(Rule):
     """Buffering loops in operator ``_execute`` paths need a reachable
     ``CancelToken.check``.
 

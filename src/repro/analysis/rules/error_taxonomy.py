@@ -60,9 +60,12 @@ class ErrorTaxonomyRule(Rule):
         "tests/engine/test_error_taxonomy.py)"
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_package(*SCOPE):
-            return
+    def check_project(self, project) -> Iterator[Finding]:
+        for ctx in project.package_contexts.values():
+            if ctx.in_package(*SCOPE):
+                yield from self._check_file(ctx)
+
+    def _check_file(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
@@ -73,8 +76,8 @@ class ErrorTaxonomyRule(Rule):
             elif isinstance(exc, ast.Name):
                 name = exc.id
             if name in SUGGESTIONS:
-                yield self.finding(
-                    ctx, node,
+                yield self.finding_at(
+                    ctx.path, node,
                     f"raise {name} in {self._layer(ctx)} code escapes "
                     f"the ReproError taxonomy; use "
                     f"{SUGGESTIONS[name]} (see repro.errors)",

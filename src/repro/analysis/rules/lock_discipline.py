@@ -25,7 +25,7 @@ from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
 
 from repro.analysis.findings import Finding
 from repro.analysis.flow import FunctionFlow, shared_marker
-from repro.analysis.registry import ProjectRule, register
+from repro.analysis.registry import Rule, register
 
 #: A guard is inferred when at least this many accesses are guarded ...
 _MIN_GUARDED_SITES = 2
@@ -37,7 +37,7 @@ _CONSTRUCTION_METHODS = frozenset({"__init__", "__new__", "__post_init__"})
 
 
 @register
-class LockDisciplineRule(ProjectRule):
+class LockDisciplineRule(Rule):
     """Classes that guard an attribute with a lock must do so at every
     access, and every thread must take multiple locks in one global
     order.

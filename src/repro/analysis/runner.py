@@ -8,12 +8,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 from repro.analysis.context import FileContext
 from repro.analysis.findings import Finding, syntax_error_finding
 from repro.analysis.project import Project
-from repro.analysis.registry import (
-    Rule,
-    run_project_rules,
-    run_rules,
-    split_rules,
-)
+from repro.analysis.registry import Rule, run_project_rules
 
 #: Directory basenames never descended into.
 EXCLUDED_DIR_NAMES = frozenset({
@@ -73,17 +68,14 @@ def lint_source(source: str, path: str = "<string>",
 
     ``module`` overrides the dotted module identity used for rule
     scoping; fixtures alternatively embed ``# sgblint: module=...``.
-    Whole-program rules see a single-file project, which is exactly what
-    the TP/TN fixtures want.
+    The rules see a single-file project, which is exactly what the TP/TN
+    fixtures want.
     """
     try:
         ctx = FileContext(path, source, module=module)
     except SyntaxError as exc:
         return [syntax_error_finding(path, exc)]
-    file_rules, project_rules = split_rules(rules)
-    findings = run_rules(ctx, file_rules) if file_rules else []
-    if project_rules:
-        findings.extend(run_project_rules(Project([ctx]), project_rules))
+    findings = run_project_rules(Project([ctx]), rules)
     findings.sort(key=Finding.sort_key)
     return findings
 
@@ -118,16 +110,10 @@ def lint_paths(paths: Sequence[str],
     """Lint every Python file under ``paths``; findings sorted by
     location.
 
-    Per-file rules run file by file; whole-program rules run once over a
-    project built from every parsed context.
+    The rules run once over a project built from every parsed context.
     """
     contexts, findings = load_contexts(
         paths, include_fixtures=include_fixtures)
-    file_rules, project_rules = split_rules(rules)
-    if file_rules:
-        for ctx in contexts:
-            findings.extend(run_rules(ctx, file_rules))
-    if project_rules:
-        findings.extend(run_project_rules(Project(contexts), project_rules))
+    findings.extend(run_project_rules(Project(contexts), rules))
     findings.sort(key=Finding.sort_key)
     return findings

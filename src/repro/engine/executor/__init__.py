@@ -11,14 +11,13 @@ from repro.engine.executor.relational import (
     Project,
     Sort,
 )
-from repro.engine.executor.scans import DualScan, SeqScan, SubqueryScan, ValuesScan
+from repro.engine.executor.scans import SeqScan, SubqueryScan, ValuesScan
 from repro.engine.executor.sgb import SGB1DAggregate, SGBAggregate, SGBConfig
 
 __all__ = [
     "PhysicalOperator",
     "SeqScan",
     "SubqueryScan",
-    "DualScan",
     "ValuesScan",
     "Filter",
     "Project",

@@ -83,16 +83,20 @@ def _projected_type(expr: Expr, child_schema: Schema) -> str:
 
 
 class NestedLoopJoin(PhysicalOperator):
-    """Inner join with an arbitrary (or absent -> cross) condition.
+    """Join with an arbitrary (or absent -> cross) condition.
 
-    The right side is materialized once.
+    The right side is materialized once.  With ``outer`` set it is a LEFT
+    OUTER join: a left row no right row matches is emitted once, its
+    right columns null-extended.
     """
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator,
                  condition: Optional[Expr],
-                 ctx_factory: Callable[[Schema], BindContext]):
+                 ctx_factory: Callable[[Schema], BindContext],
+                 outer: bool = False):
         self.left = left
         self.right = right
+        self.outer = outer
         self.schema = left.schema.concat(right.schema)
         self._condition_expr = condition
         self._fn = (
@@ -102,36 +106,48 @@ class NestedLoopJoin(PhysicalOperator):
 
     def _execute(self) -> Iterator[tuple]:
         right_rows = self.right.rows()
+        nulls = (None,) * len(self.right.schema)
         fn = self._fn
+        outer = self.outer
         for lrow in self.left:
+            matched = False
             for rrow in right_rows:
                 combined = lrow + rrow
                 if fn is None or fn(combined) is True:
+                    matched = True
                     yield combined
+            if outer and not matched:
+                yield lrow + nulls
 
     def children(self) -> Tuple[PhysicalOperator, ...]:
         return (self.left, self.right)
 
     def describe(self) -> str:
+        name = "NestedLoopLeftJoin" if self.outer else "NestedLoopJoin"
         cond = f" on {self._condition_expr!r}" if self._condition_expr else ""
-        return f"NestedLoopJoin{cond}"
+        return f"{name}{cond}"
 
 
 class HashJoin(PhysicalOperator):
     """Equi-join: builds a hash table on the right side, probes with the left.
 
-    ``residual`` holds non-equi conjuncts evaluated on the combined row.
-    NULL keys never match (SQL semantics).
+    ``residual`` holds non-equi conjuncts evaluated on the combined row;
+    they are part of the match condition.  NULL keys never match (SQL
+    semantics).  With ``outer`` set it is a LEFT OUTER join: a left row
+    with no match — a NULL key, no equal key, or every equal key failing
+    the residual — is emitted once, its right columns null-extended.
     """
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator,
                  left_keys: Sequence[Expr], right_keys: Sequence[Expr],
                  residual: Optional[Expr],
-                 ctx_factory: Callable[[Schema], BindContext]):
+                 ctx_factory: Callable[[Schema], BindContext],
+                 outer: bool = False):
         if len(left_keys) != len(right_keys) or not left_keys:
             raise PlanningError("hash join needs matching non-empty key lists")
         self.left = left
         self.right = right
+        self.outer = outer
         self.schema = left.schema.concat(right.schema)
         left_ctx = ctx_factory(left.schema)
         right_ctx = ctx_factory(right.schema)
@@ -154,100 +170,12 @@ class HashJoin(PhysicalOperator):
             if any(k is None for k in key):
                 continue
             table.setdefault(key, []).append(rrow)
+        nulls = (None,) * len(self.right.schema)
         lkey_fns = self._lkey_fns
         residual = self._residual
+        outer = self.outer
         for lrow in self.left:
             key = tuple(f(lrow) for f in lkey_fns)
-            if any(k is None for k in key):
-                continue
-            for rrow in table.get(key, ()):
-                combined = lrow + rrow
-                if residual is None or residual(combined) is True:
-                    yield combined
-
-    def children(self) -> Tuple[PhysicalOperator, ...]:
-        return (self.left, self.right)
-
-    def describe(self) -> str:
-        return f"HashJoin ({self._n_keys} key(s))"
-
-
-class NestedLoopLeftJoin(PhysicalOperator):
-    """LEFT OUTER join with an arbitrary ON condition.
-
-    Unmatched left rows are emitted once, right columns null-extended.
-    """
-
-    def __init__(self, left: PhysicalOperator, right: PhysicalOperator,
-                 condition: Optional[Expr],
-                 ctx_factory: Callable[[Schema], BindContext]):
-        self.left = left
-        self.right = right
-        self.schema = left.schema.concat(right.schema)
-        self._condition_expr = condition
-        self._fn = (
-            condition.bind(ctx_factory(self.schema))
-            if condition is not None else None
-        )
-
-    def _execute(self) -> Iterator[tuple]:
-        right_rows = self.right.rows()
-        nulls = (None,) * len(self.right.schema)
-        fn = self._fn
-        for lrow in self.left:
-            matched = False
-            for rrow in right_rows:
-                combined = lrow + rrow
-                if fn is None or fn(combined) is True:
-                    matched = True
-                    yield combined
-            if not matched:
-                yield lrow + nulls
-
-    def children(self) -> Tuple[PhysicalOperator, ...]:
-        return (self.left, self.right)
-
-    def describe(self) -> str:
-        return "NestedLoopLeftJoin"
-
-
-class HashLeftJoin(PhysicalOperator):
-    """LEFT OUTER equi-join; residual conjuncts are part of the match
-    condition (a left row with key matches that all fail the residual is
-    still null-extended)."""
-
-    def __init__(self, left: PhysicalOperator, right: PhysicalOperator,
-                 left_keys: Sequence[Expr], right_keys: Sequence[Expr],
-                 residual: Optional[Expr],
-                 ctx_factory: Callable[[Schema], BindContext]):
-        if len(left_keys) != len(right_keys) or not left_keys:
-            raise PlanningError("hash join needs matching non-empty key lists")
-        self.left = left
-        self.right = right
-        self.schema = left.schema.concat(right.schema)
-        left_ctx = ctx_factory(left.schema)
-        right_ctx = ctx_factory(right.schema)
-        self._left_key_exprs = list(left_keys)
-        self._right_key_exprs = list(right_keys)
-        self._lkey_fns = [e.bind(left_ctx) for e in left_keys]
-        self._rkey_fns = [e.bind(right_ctx) for e in right_keys]
-        self._residual_expr = residual
-        self._residual = (
-            residual.bind(ctx_factory(self.schema))
-            if residual is not None else None
-        )
-
-    def _execute(self) -> Iterator[tuple]:
-        table: dict = {}
-        for rrow in self.right:
-            key = tuple(f(rrow) for f in self._rkey_fns)
-            if any(k is None for k in key):
-                continue
-            table.setdefault(key, []).append(rrow)
-        nulls = (None,) * len(self.right.schema)
-        residual = self._residual
-        for lrow in self.left:
-            key = tuple(f(lrow) for f in self._lkey_fns)
             matched = False
             if not any(k is None for k in key):
                 for rrow in table.get(key, ()):
@@ -255,14 +183,15 @@ class HashLeftJoin(PhysicalOperator):
                     if residual is None or residual(combined) is True:
                         matched = True
                         yield combined
-            if not matched:
+            if outer and not matched:
                 yield lrow + nulls
 
     def children(self) -> Tuple[PhysicalOperator, ...]:
         return (self.left, self.right)
 
     def describe(self) -> str:
-        return "HashLeftJoin"
+        name = "HashLeftJoin" if self.outer else "HashJoin"
+        return f"{name} ({self._n_keys} key(s))"
 
 
 class SimilarityJoin(PhysicalOperator):
@@ -393,55 +322,6 @@ def _null_key(value: Any) -> tuple:
     return (value is not None, value)
 
 
-class TopN(PhysicalOperator):
-    """Fused ORDER BY + LIMIT: a bounded heap instead of a full sort.
-
-    Keeps at most ``n`` rows in memory (``heapq.nsmallest`` over the input
-    stream) — the classic top-N optimization.  Key semantics match
-    :class:`Sort` exactly, including NULL placement, via a comparator.
-    """
-
-    def __init__(self, child: PhysicalOperator,
-                 key_exprs: Sequence[Expr], ascending: Sequence[bool],
-                 limit: int,
-                 ctx_factory: Callable[[Schema], BindContext]):
-        self.child = child
-        self.schema = child.schema
-        self.limit = limit
-        ctx = ctx_factory(child.schema)
-        self._key_fns = [e.bind(ctx) for e in key_exprs]
-        self._ascending = list(ascending)
-
-    def _execute(self) -> Iterator[tuple]:
-        import functools
-        import heapq
-
-        key_fns = self._key_fns
-        ascending = self._ascending
-
-        def compare(a: tuple, b: tuple) -> int:
-            for fn, asc in zip(key_fns, ascending):
-                ka = _null_key(fn(a))
-                kb = _null_key(fn(b))
-                if ka == kb:
-                    continue
-                less = ka < kb
-                if asc:
-                    return -1 if less else 1
-                return 1 if less else -1
-            return 0
-
-        yield from heapq.nsmallest(
-            self.limit, self.child, key=functools.cmp_to_key(compare)
-        )
-
-    def children(self) -> Tuple[PhysicalOperator, ...]:
-        return (self.child,)
-
-    def describe(self) -> str:
-        return f"TopN (limit {self.limit}, {len(self._key_fns)} key(s))"
-
-
 class Limit(PhysicalOperator):
     def __init__(self, child: PhysicalOperator, limit: int):
         self.child = child
@@ -449,12 +329,14 @@ class Limit(PhysicalOperator):
         self.limit = limit
 
     def _execute(self) -> Iterator[tuple]:
-        n = 0
-        for row in self.child:
-            if n >= self.limit:
-                return
+        # Stop right after the n-th row, so the child produces exactly n
+        # rows; LIMIT 0 never starts it.
+        if self.limit <= 0:
+            return
+        for n, row in enumerate(self.child, 1):
             yield row
-            n += 1
+            if n == self.limit:
+                return
 
     def children(self) -> Tuple[PhysicalOperator, ...]:
         return (self.child,)

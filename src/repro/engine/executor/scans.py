@@ -1,4 +1,4 @@
-"""Leaf operators: table scans, index scans, subquery scans, dual."""
+"""Leaf operators: table scans, index scans, subquery scans, literal rows."""
 
 from __future__ import annotations
 
@@ -87,21 +87,11 @@ class SubqueryScan(PhysicalOperator):
         return f"SubqueryScan as {self.alias}"
 
 
-class DualScan(PhysicalOperator):
-    """Single empty row — the source for FROM-less SELECTs."""
-
-    def __init__(self) -> None:
-        self.schema = Schema([])
-
-    def _execute(self) -> Iterator[tuple]:
-        yield ()
-
-    def describe(self) -> str:
-        return "Result (dual)"
-
-
 class ValuesScan(PhysicalOperator):
-    """In-memory literal rows with a given schema (used by tests/tools)."""
+    """In-memory literal rows with a given schema.
+
+    A FROM-less SELECT scans one empty row: ``ValuesScan([()], Schema([]))``.
+    """
 
     def __init__(self, rows: List[tuple], schema: Schema):
         self._rows = rows

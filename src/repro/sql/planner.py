@@ -24,20 +24,17 @@ from repro.engine.executor.relational import (
     Distinct,
     Filter,
     HashJoin,
-    HashLeftJoin,
     Limit,
     NestedLoopJoin,
-    NestedLoopLeftJoin,
     Project,
     SimilarityJoin,
     Sort,
-    TopN,
 )
 from repro.engine.executor.scans import (
-    DualScan,
     IndexScan,
     SeqScan,
     SubqueryScan,
+    ValuesScan,
 )
 from repro.engine.executor.sgb import SGBAggregate, SGBConfig
 from repro.engine.schema import Schema
@@ -136,13 +133,6 @@ class Planner:
             plan = Filter(plan, rewriter(select.having), self._ctx_factory)
 
         # ORDER BY (pre-projection; aliases and positions are substituted).
-        # With a LIMIT and no DISTINCT in between, fuse into a bounded-heap
-        # TopN instead of a full sort.
-        use_topn = (
-            bool(select.order_by)
-            and select.limit is not None
-            and not select.distinct
-        )
         if select.order_by:
             key_exprs = []
             ascending = []
@@ -152,11 +142,7 @@ class Planner:
                     expr = rewriter(expr)
                 key_exprs.append(expr)
                 ascending.append(item.ascending)
-            if use_topn:
-                plan = TopN(plan, key_exprs, ascending, select.limit,
-                            self._ctx_factory)
-            else:
-                plan = Sort(plan, key_exprs, ascending, self._ctx_factory)
+            plan = Sort(plan, key_exprs, ascending, self._ctx_factory)
 
         # projection
         exprs: List[ast.Expr] = []
@@ -176,7 +162,7 @@ class Planner:
 
         if select.distinct:
             plan = Distinct(plan)
-        if select.limit is not None and not use_topn:
+        if select.limit is not None:
             plan = Limit(plan, select.limit)
         return plan
 
@@ -194,7 +180,7 @@ class Planner:
         self, from_items: Sequence[ast.FromItem], where: Optional[ast.Expr]
     ) -> PhysicalOperator:
         if not from_items:
-            plan: PhysicalOperator = DualScan()
+            plan: PhysicalOperator = ValuesScan([()], Schema([]))
             if where is not None:
                 plan = Filter(plan, where, self._ctx_factory)
             return plan
@@ -239,13 +225,14 @@ class Planner:
                     on_conjuncts, current.schema, right.schema
                 )
                 if left_keys:
-                    current = HashLeftJoin(
+                    current = HashJoin(
                         current, right, left_keys, right_keys,
-                        _and_all(residual), self._ctx_factory,
+                        _and_all(residual), self._ctx_factory, outer=True,
                     )
                 else:
-                    current = NestedLoopLeftJoin(
-                        current, right, item.condition, self._ctx_factory
+                    current = NestedLoopJoin(
+                        current, right, item.condition, self._ctx_factory,
+                        outer=True,
                     )
                 continue
             combined = current.schema.concat(right.schema)

@@ -29,17 +29,13 @@ from repro.engine.executor.relational import (
     Distinct,
     Filter,
     HashJoin,
-    HashLeftJoin,
     Limit,
     NestedLoopJoin,
-    NestedLoopLeftJoin,
     Project,
     SimilarityJoin,
     Sort,
-    TopN,
 )
 from repro.engine.executor.scans import (
-    DualScan,
     IndexScan,
     SeqScan,
     SubqueryScan,
@@ -71,7 +67,7 @@ from repro.stats.model import (
 
 #: Wrappers that pass their child's columns through unchanged, so a
 #: column reference above them resolves against statistics below them.
-_TRANSPARENT = (Filter, Sort, TopN, Limit, Distinct)
+_TRANSPARENT = (Filter, Sort, Limit, Distinct)
 
 
 # ----------------------------------------------------------------------
@@ -109,8 +105,7 @@ def column_stats_for(plan: PhysicalOperator,
             return None
         stats = plan.table.active_stats()
         return stats.column(ref.name) if stats is not None else None
-    if isinstance(plan, (HashJoin, HashLeftJoin, NestedLoopJoin,
-                         NestedLoopLeftJoin, SimilarityJoin)):
+    if isinstance(plan, (HashJoin, NestedLoopJoin, SimilarityJoin)):
         left, right = plan.left, plan.right
         if left.schema.maybe_resolve(ref.name, ref.qualifier) is not None:
             return column_stats_for(left, ref)
@@ -299,11 +294,7 @@ def _estimate_node(plan: PhysicalOperator) -> PlanEstimate:
 
     if isinstance(plan, HashJoin):
         left, right = child_ests
-        return _estimate_hash_join(plan, left, right, outer=False)
-
-    if isinstance(plan, HashLeftJoin):
-        left, right = child_ests
-        return _estimate_hash_join(plan, left, right, outer=True)
+        return _estimate_hash_join(plan, left, right)
 
     if isinstance(plan, NestedLoopJoin):
         left, right = child_ests
@@ -313,25 +304,11 @@ def _estimate_node(plan: PhysicalOperator) -> PlanEstimate:
         )
         cross = left.rows * right.rows
         rows = clamp_rows(cross * sel, cross)
+        if plan.outer:
+            rows = max(rows, left.rows)
         startup = left.startup_cost + right.total_cost
         # Every pair materializes a combined tuple before the condition
         # runs — the constant that makes hash probing worth it.
-        total = (
-            left.total_cost + right.total_cost
-            + cross * (CPU_TUPLE_COST + CPU_OPERATOR_COST)
-            + rows * CPU_TUPLE_COST
-        )
-        return PlanEstimate(rows, startup, total)
-
-    if isinstance(plan, NestedLoopLeftJoin):
-        left, right = child_ests
-        sel = (
-            predicate_selectivity(plan, plan._condition_expr)
-            if plan._condition_expr is not None else 1.0
-        )
-        cross = left.rows * right.rows
-        rows = max(left.rows, clamp_rows(cross * sel, cross))
-        startup = left.startup_cost + right.total_cost
         total = (
             left.total_cost + right.total_cost
             + cross * (CPU_TUPLE_COST + CPU_OPERATOR_COST)
@@ -356,13 +333,6 @@ def _estimate_node(plan: PhysicalOperator) -> PlanEstimate:
         )
         return PlanEstimate(child.rows, startup,
                             startup + child.rows * CPU_TUPLE_COST)
-
-    if isinstance(plan, TopN):
-        (child,) = child_ests
-        rows = min(float(plan.limit), child.rows)
-        heap = child.rows * math.log2(plan.limit + 1.0) * CPU_OPERATOR_COST
-        startup = child.total_cost + heap * max(1, len(plan._key_fns))
-        return PlanEstimate(rows, startup, startup + rows * CPU_TUPLE_COST)
 
     if isinstance(plan, Limit):
         (child,) = child_ests
@@ -423,9 +393,6 @@ def _estimate_node(plan: PhysicalOperator) -> PlanEstimate:
         (child,) = child_ests
         return PlanEstimate(child.rows, child.startup_cost, child.total_cost)
 
-    if isinstance(plan, DualScan):
-        return PlanEstimate(1.0, 0.0, CPU_TUPLE_COST)
-
     if isinstance(plan, ValuesScan):
         n = float(len(plan._rows))
         return PlanEstimate(n, 0.0, n * CPU_TUPLE_COST)
@@ -467,8 +434,8 @@ def _estimate_index_scan(plan: IndexScan) -> PlanEstimate:
     return PlanEstimate(rows, 0.0, total)
 
 
-def _estimate_hash_join(plan, left: PlanEstimate, right: PlanEstimate,
-                        outer: bool) -> PlanEstimate:
+def _estimate_hash_join(plan: HashJoin, left: PlanEstimate,
+                        right: PlanEstimate) -> PlanEstimate:
     sel = 1.0
     for lkey, rkey in zip(plan._left_key_exprs, plan._right_key_exprs):
         lstats = _expr_column_stats(plan.left, lkey)
@@ -478,11 +445,11 @@ def _estimate_hash_join(plan, left: PlanEstimate, right: PlanEstimate,
             rstats.ndv if rstats is not None else 0,
         )
         sel *= (1.0 / ndv) if ndv > 0 else DEFAULT_EQ_SELECTIVITY
-    if getattr(plan, "_residual_expr", None) is not None:
+    if plan._residual_expr is not None:
         sel *= predicate_selectivity(plan, plan._residual_expr)
     cross = left.rows * right.rows
     rows = clamp_rows(cross * sel, cross)
-    if outer:
+    if plan.outer:
         rows = max(rows, left.rows)
     startup = left.startup_cost + right.total_cost + (
         right.rows * HASH_ENTRY_COST

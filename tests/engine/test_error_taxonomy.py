@@ -12,7 +12,6 @@ import pytest
 from repro.engine.executor.relational import (
     Concat,
     HashJoin,
-    HashLeftJoin,
     SimilarityJoin,
 )
 from repro.engine.database import Database
@@ -53,8 +52,8 @@ class TestRelationalPlanInvariants:
 
     def test_hash_left_join_empty_keys(self):
         with pytest.raises(PlanningError):
-            HashLeftJoin(values([], "a"), values([], "b"), [], [], None,
-                         ctx_factory)
+            HashJoin(values([], "a"), values([], "b"), [], [], None,
+                     ctx_factory, outer=True)
 
     def test_similarity_join_needs_2d(self):
         with pytest.raises(PlanningError):

@@ -12,7 +12,7 @@ from repro.engine.executor.relational import (
     Project,
     Sort,
 )
-from repro.engine.executor.scans import DualScan, SeqScan, ValuesScan
+from repro.engine.executor.scans import SeqScan, ValuesScan
 from repro.engine.schema import Column, Schema
 from repro.engine.table import Table
 from repro.errors import PlanningError
@@ -36,7 +36,7 @@ class TestScans:
         assert scan.schema.resolve("a", "x") == 0
 
     def test_dual(self):
-        assert DualScan().rows() == [()]
+        assert ValuesScan([()], Schema([])).rows() == [()]
 
 
 class TestFilterProject:

@@ -177,6 +177,8 @@ JOINS = [
     "SELECT t.i, t.s, u.i, u.x FROM t LEFT JOIN u ON t.i = u.i",
     "SELECT t.i, u.x FROM t LEFT OUTER JOIN u ON t.i = u.i AND u.x > 0",
     "SELECT t.x, u.s FROM t LEFT JOIN u ON t.x = u.x WHERE u.s IS NULL",
+    "SELECT t.i, t.s, u.x FROM t LEFT JOIN u "
+    "ON t.i = u.i AND t.s = u.s AND t.x < u.x",
     # non-equi conditions (nested loops)
     "SELECT t.i, u.i FROM t JOIN u ON t.i < u.i",
     "SELECT t.i, u.i FROM t LEFT JOIN u ON t.x <= u.x",
@@ -208,6 +210,7 @@ ORDERS = [
     ("SELECT i, x, s FROM t ORDER BY 3, 2 DESC", [2, 1]),
     ("SELECT i, x FROM t ORDER BY i DESC LIMIT 4", [0]),
     ("SELECT s, i FROM t ORDER BY s LIMIT 3", [0]),
+    ("SELECT i, s FROM t ORDER BY s DESC, i LIMIT 4", [1, 0]),
     ("SELECT t.i, u.x FROM t LEFT JOIN u ON t.i = u.i ORDER BY u.x, t.i",
      [1, 0]),
 ]

@@ -329,3 +329,23 @@ class TestFingerprintStability:
         first = self.explain_and_fingerprint(sql)
         assert "object at 0x" not in first[0]
         assert first == self.explain_and_fingerprint(sql)
+
+
+class TestLeftJoinFingerprints:
+    """LEFT JOINs that differ in their ON condition or key count print
+    different plan lines, so the query log keeps them apart."""
+
+    PAIRS = [
+        ("SELECT t.a FROM t LEFT JOIN u ON t.a < u.k",
+         "SELECT t.a FROM t LEFT JOIN u ON t.a > u.k"),
+        ("SELECT t.a FROM t LEFT JOIN u ON t.a = u.k",
+         "SELECT t.a FROM t LEFT JOIN u ON t.a = u.k AND t.b = u.k"),
+    ]
+
+    @pytest.mark.parametrize("first,second", PAIRS)
+    def test_distinct_plans_distinct_fingerprints(self, first, second):
+        plan_a, fp_a = TestFingerprintStability.explain_and_fingerprint(first)
+        plan_b, fp_b = TestFingerprintStability.explain_and_fingerprint(
+            second)
+        assert plan_a.splitlines()[1] != plan_b.splitlines()[1]
+        assert fp_a != fp_b

@@ -45,19 +45,21 @@ class TestPlanShapes:
         plan = db.explain("SELECT a.x FROM a JOIN b ON a.x = b.x")
         assert "HashJoin" in plan
 
-    def test_order_limit_fuses_into_topn(self, db):
+    def test_order_limit_is_sort_below_project_below_limit(self, db):
         plan = db.explain("SELECT x FROM a ORDER BY x LIMIT 1")
-        assert "TopN (limit 1" in plan
-        assert "Sort" not in plan and "Limit" not in plan
+        nodes = [line.split("->")[1].split("  (")[0].strip()
+                 for line in plan.splitlines()]
+        assert nodes == ["Limit 1", "Project [x]", "Sort (1 key(s))",
+                         "SeqScan on a as a"]
         assert db.query("SELECT x FROM a ORDER BY x LIMIT 1").rows == [(1,)]
 
     def test_order_without_limit_uses_sort(self, db):
         plan = db.explain("SELECT x FROM a ORDER BY x")
-        assert "Sort" in plan and "TopN" not in plan
+        assert "Sort" in plan
 
     def test_distinct_disables_topn(self, db):
         plan = db.explain("SELECT DISTINCT x FROM a ORDER BY x LIMIT 1")
-        assert "Sort" in plan and "Limit" in plan and "TopN" not in plan
+        assert "Sort" in plan and "Limit" in plan
 
     def test_distinct_node(self, db):
         assert "Distinct" in db.explain("SELECT DISTINCT x FROM a")
