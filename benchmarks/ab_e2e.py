@@ -18,7 +18,8 @@ per-pair values, median, quartiles, pairs won/lost and a verdict (see
 :func:`verdict`); stderr carries progress and one summary line per
 metric.  ``--record`` also writes the change side's medians and
 quartiles, the calibrator's spin, commit, backend and ``cpu_count`` to
-``BENCH_e2e.json`` at the repo root.
+``BENCH_e2e.json`` at the repo root; it refuses a tree with uncommitted
+changes before any pair runs.
 """
 
 from __future__ import annotations
@@ -174,6 +175,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    dirty = bool(git("status", "--porcelain", "--", ".",
+                     f":!{RECORD_PATH.name}"))
+    if args.record and dirty:
+        parser.error("--record needs a clean tree: the record is stamped "
+                     "with HEAD, so commit or stash first")
     if args.workload:
         names = [args.workload]
     parent = git("rev-parse", "--verify", args.parent + "^{commit}")
@@ -181,8 +187,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     seconds = spec["run_seconds"]
     result: Dict[str, Any] = {
         "parent": {"ref": args.parent, "commit": parent},
-        "change": {"commit": git("rev-parse", "HEAD"), "dirty": bool(
-            git("status", "--porcelain", "--", ".", f":!{RECORD_PATH.name}"))},
+        "change": {"commit": git("rev-parse", "HEAD"), "dirty": dirty},
         "pairs": args.pairs, "run_seconds": seconds,
         "seeds": list(range(seed0, seed0 + args.pairs)), "workloads": {},
     }

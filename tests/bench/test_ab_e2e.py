@@ -77,3 +77,19 @@ def test_fewer_than_ten_pairs_decide_no_timing(pairs):
     change = [p * 0.5 for p in PARENT[:pairs]]
     assert verdict("p50_ms", change, PARENT[:pairs])["verdict"] == "unresolved"
     assert verdict("p50_ms", PARENT[:pairs], change)["verdict"] == "unresolved"
+
+
+def test_record_refuses_a_dirty_tree_before_any_run(monkeypatch, capsys):
+    def git(*args):
+        return " M src/repro/sql/ast_nodes.py" if args[0] == "status" else "0" * 40
+
+    def no_run(*args, **kwargs):
+        pytest.fail("a pair ran on a dirty tree")
+
+    monkeypatch.setattr(ab_e2e, "git", git)
+    monkeypatch.setattr(ab_e2e, "export_tree", no_run)
+    monkeypatch.setattr(ab_e2e, "run_once", no_run)
+    with pytest.raises(SystemExit) as exit_:
+        ab_e2e.main(["--record", "--pairs", "1"])
+    assert exit_.value.code == 2
+    assert "--record needs a clean tree" in capsys.readouterr().err

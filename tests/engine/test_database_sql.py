@@ -5,7 +5,7 @@ import datetime as dt
 import pytest
 
 from repro.engine.database import Database, QueryResult, StatementResult
-from repro.errors import CatalogError, PlanningError
+from repro.errors import CatalogError, ExecutionError, PlanningError
 
 
 @pytest.fixture
@@ -116,6 +116,36 @@ class TestBasicSelect:
             "SELECT hired - date '2020-01-01' FROM emp WHERE id = 1"
         )
         assert res.scalar() == 14
+
+    @pytest.mark.parametrize("expr", ["id / 0", "id % 0", "salary % 0",
+                                      "salary % 0.0", "mod(id, 0)"])
+    def test_division_by_zero_is_an_execution_error(self, db, expr):
+        with pytest.raises(ExecutionError, match="division by zero"):
+            db.query(f"SELECT {expr} FROM emp")
+
+    def test_a_failing_constant_fails_per_row(self, db):
+        # Folding ``1 / 0`` at bind time raises; the node then binds
+        # unfolded, so only a row reaching it fails.
+        assert db.query("SELECT 1 / 0 FROM emp WHERE salary > 1000").rows == []
+        with pytest.raises(ExecutionError, match="division by zero"):
+            db.query("SELECT 1 / 0 FROM emp")
+
+    def test_constant_date_arithmetic_folds_to_the_row_value(self, db):
+        db.execute("CREATE TABLE d (day date)")
+        db.execute("INSERT INTO d VALUES ('1998-01-31')")
+        folded = "date '1998-01-31' + interval '1' month"
+        assert db.query(f"SELECT {folded} FROM d").rows == db.query(
+            "SELECT day + interval '1' month FROM d").rows == [
+            (dt.date(1998, 2, 28),)]
+        assert db.query("SELECT NULL + interval '1' month, "
+                        "-(NULL + 1) FROM d").rows == [(None, None)]
+
+    def test_function_calls_are_evaluated_per_row(self, db, monkeypatch):
+        slept = []
+        monkeypatch.setattr("time.sleep", slept.append)
+        rows = db.query("SELECT sleep(0) + 1, -sleep(0) FROM emp").rows
+        assert rows == [(1.0, -0.0)] * 5
+        assert len(slept) == 10
 
     def test_scalar_functions(self, db):
         res = db.query("SELECT year(hired), upper(name) FROM emp "

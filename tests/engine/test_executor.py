@@ -16,7 +16,14 @@ from repro.engine.executor.scans import SeqScan, ValuesScan
 from repro.engine.schema import Column, Schema
 from repro.engine.table import Table
 from repro.errors import PlanningError
-from repro.sql.ast_nodes import AggCall, BindContext, BinaryOp, ColumnRef, Literal
+from repro.sql.ast_nodes import (
+    AggCall,
+    BindContext,
+    BinaryOp,
+    ColumnRef,
+    Literal,
+    bind_tuple,
+)
 
 
 def ctx_factory(schema):
@@ -58,6 +65,35 @@ class TestFilterProject:
         )
         assert plan.rows() == [(6,)]
         assert plan.schema.names() == ["prod"]
+
+
+NAN = float("nan")
+
+
+def typed(values):
+    """``values`` with types and reprs: ``1`` / ``1.0`` and two NaNs
+    compare by what they are."""
+    return [(type(v), repr(v)) for v in values]
+
+
+@pytest.mark.parametrize("exprs", [
+    [ColumnRef("b")],
+    [ColumnRef("a"), ColumnRef("c")],
+    [ColumnRef("c"), ColumnRef("a"), ColumnRef("c")],
+    [BinaryOp("+", ColumnRef("a"), Literal(1)), ColumnRef("b")],
+    [BinaryOp("*", Literal(2), Literal(3.0))],
+    [Literal(None), ColumnRef("c"), BinaryOp("=", ColumnRef("a"),
+                                             ColumnRef("b"))],
+    [],
+])
+@pytest.mark.parametrize("row", [
+    (1, 2.0, None), (None, NAN, 3), (1.0, 1, NAN), (NAN, None, -0.0),
+])
+def test_bind_tuple_equals_binding_each_expression(exprs, row):
+    ctx = BindContext(Schema([Column(c, "any", "v") for c in "abc"]))
+    got = bind_tuple(exprs, ctx)(row)
+    assert type(got) is tuple
+    assert typed(got) == typed(tuple(e.bind(ctx)(row) for e in exprs))
 
 
 class TestJoins:

@@ -184,6 +184,8 @@ JOINS = [
     "SELECT t.i, u.i FROM t LEFT JOIN u ON t.x <= u.x",
     # an equality between an int and a float column
     "SELECT t.i, u.x FROM t JOIN u ON t.i = u.x",
+    # ... probed by the float side, NULL keys on both, left rows kept
+    "SELECT t.x, t.s, u.i FROM t LEFT JOIN u ON t.x = u.i",
 ]
 
 UNIONS = [
