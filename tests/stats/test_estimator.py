@@ -1,8 +1,11 @@
 """Plan-estimate tests: cardinality and cost attached to physical plans."""
 
+import random
+
 import pytest
 
 from repro.engine.database import Database
+from repro.engine.executor.relational import SimilarityJoin
 from repro.stats.estimator import estimate_plan
 
 
@@ -82,6 +85,26 @@ class TestCardinality:
         plan = _plan(db, "SELECT t.x FROM t, u WHERE t.x = u.x")
         # 1000 * 100 / ndv(50) = 2000
         assert estimate_plan(plan).rows == pytest.approx(2000, rel=0.5)
+
+    def test_similarity_join_rows_follow_right_histograms(self, db):
+        rng = random.Random(3)
+        db.execute("CREATE TABLE p (px float, py float)")
+        db.execute("CREATE TABLE q (qx float, qy float)")
+        db.table("p").insert_many(
+            [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(200)])
+        db.table("q").insert_many(
+            [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(100)])
+        db.update_statistics("p")
+        db.update_statistics("q")
+        plan = _plan(db, "SELECT px FROM p, q "
+                         "WHERE dist_l2(px, py, qx, qy) <= 20")
+        join, = [n for n in _walk(plan) if isinstance(n, SimilarityJoin)]
+        stats = join.right.table.active_stats()
+        fraction = (stats.column("qx").histogram.eps_fraction(20.0)
+                    * stats.column("qy").histogram.eps_fraction(20.0))
+        # ~0.36 per axis, far from the 0.01 used without histograms
+        assert fraction > 0.05
+        assert join._estimate.rows == pytest.approx(200 * 100 * fraction)
 
 
 class TestCostOrdering:
