@@ -1,29 +1,38 @@
-"""SGB009: operator hot loops must reach a cancel checkpoint.
+"""SGB009: rows enter the plan, and multiply, at a cancel checkpoint.
 
-``PhysicalOperator.__iter__`` hands each pass to the statement's
-``QueryContext``, which checks the :class:`CancelToken` as each row
-crosses a node edge, so any loop that *yields* per iteration is
-covered for free.  The gap is loops that buffer: spool-then-aggregate
-passes that evaluate thousands of key and argument expressions and fold
-them without a single row leaving the operator.  A cancel or timeout
-fired mid-aggregation is only observed after the whole partition is
-ground through — on a large group that is seconds of dead burn past the
-deadline.
+Nothing checks the :class:`CancelToken` as a row crosses a node edge:
+the nodes check it where rows enter the plan and where they multiply,
+as PostgreSQL checks for interrupts inside scan and build loops.  A row
+a node draws from a child operator has passed a checkpoint already; any
+other row has not.  So a node must check wherever it produces rows or
+work from data it holds — a table, literal rows, a spool, a hash table,
+an index — and a cancel or timeout fired there is otherwise only
+observed after the whole input is ground through: seconds of dead burn
+past the deadline on a large table, a skewed join or a large group.
 
 This rule walks ``_execute`` (and the private helpers it calls that the
 class defines or inherits) of every ``PhysicalOperator`` subclass, and
-flags outermost loops that do per-row work (contain calls), never
-yield, do not iterate a child operator (the child's own iterator
-checks) or a ``self`` attribute (sized by the query), and reach no
-cancel check — neither a direct ``*.check()`` on a cancel/token chain
-nor a call into a function that reaches ``CancelToken.check`` via the
-call graph (``self._checkpoint(i)`` counts).
+flags
+
+* loops that yield rows or do per-row work (contain calls), do not
+  iterate a child operator or a ``self`` attribute (sized by the
+  query), and reach no cancel check in their own body — a check in an
+  enclosing loop runs once per outer iteration and bounds nothing of
+  the inner loop's fan-out;
+* rows an ``_execute`` hands out (``return`` / ``yield from``) that are
+  neither drawn from a child operator nor passed through a call that
+  reaches a check (``self._checked(rows)``).
+
+A check is a direct ``*.check()`` on a cancel/token chain or a call
+into a function that reaches ``CancelToken.check`` via the call graph
+(``self._ctx.check()``, ``self._checkpoint(i)``, ``self._stride`` and
+``self._checked`` count).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set
+from typing import Iterable, Iterator, List, Optional, Set
 
 from repro.analysis.findings import Finding
 from repro.analysis.registry import Rule, register
@@ -59,9 +68,10 @@ def _is_self_attribute(node: ast.AST) -> bool:
             and node.value.id == "self")
 
 
-def _loop_body_nodes(loop: ast.AST) -> Iterator[ast.AST]:
-    """Walk a loop body, skipping nested function/class scopes."""
-    stack: List[ast.AST] = list(loop.body)  # type: ignore[attr-defined]
+def _body_nodes(scope: ast.AST) -> Iterator[ast.AST]:
+    """Walk a loop's or function's body, skipping nested function/class
+    scopes."""
+    stack: List[ast.AST] = list(scope.body)  # type: ignore[attr-defined]
     while stack:
         node = stack.pop()
         yield node
@@ -73,18 +83,21 @@ def _loop_body_nodes(loop: ast.AST) -> Iterator[ast.AST]:
 
 @register
 class CancelCheckpointRule(Rule):
-    """Buffering loops in operator ``_execute`` paths need a reachable
-    ``CancelToken.check``.
+    """Rows that enter an operator's output, and per-row work, on data
+    the operator holds need a reachable ``CancelToken.check``.
 
-    Loops that yield every iteration are exempt — ``__iter__`` checks
-    the token per emitted row.  Loops that iterate the child operator
-    are exempt — the child's iterator checks.  What remains is per-row
-    work on spooled data (aggregation passes, distance sweeps) where a
-    cancel or deadline fired mid-loop goes unobserved until the loop
-    ends.  Add ``self._checkpoint(i)`` (checks every N iterations, from
-    ``PhysicalOperator``) or a direct ``self._ctx.cancel.check()`` at a
-    sensible stride; deliberate tight loops too cheap to matter take a
-    justified pragma.
+    Nothing checks at node edges, so a loop is not covered by yielding.
+    Loops that iterate a child operator are exempt — the rows entered
+    the plan through a check below.  What remains is loops over held
+    data (a spool, a hash bucket, index hits) that yield rows or do
+    per-row work: they must reach a check in their own body — count
+    candidates in line and call ``self._stride()`` at the end of each
+    stride, or draw the data through ``self._checked(rows)``.  Likewise
+    the rows an ``_execute`` returns or yields from — a table's, literal
+    rows, a sorted or aggregated buffer — must come from a child
+    operator or through ``self._checked(rows)``, which checks before
+    each chunk.
+    Deliberate tight loops too cheap to matter take a justified pragma.
     """
 
     id = "SGB009"
@@ -137,8 +150,8 @@ class CancelCheckpointRule(Rule):
         loops = self._all_loops(sym.node)
         uncovered = [
             loop for loop in loops
-            if self._check_loop(project, cls_sym, sym, loop,
-                                child_attrs) is not None
+            if self._needs_check(loop, child_attrs)
+            and not self._reaches_check(project, sym, _body_nodes(loop))
         ]
         # Flag innermost offenders only: a checkpoint inserted in the
         # per-row loop also covers every enclosing loop that was only
@@ -147,10 +160,43 @@ class CancelCheckpointRule(Rule):
             if any(other is not loop and self._contains(loop, other)
                    for other in uncovered):
                 continue
-            finding = self._check_loop(project, cls_sym, sym, loop,
-                                       child_attrs)
-            if finding is not None:
-                yield finding
+            does = ("yields rows from" if any(
+                isinstance(node, (ast.Yield, ast.YieldFrom))
+                for node in _body_nodes(loop))
+                else "does per-row work on")
+            yield self.finding_at(
+                sym.path, loop,
+                f"{sym.cls}.{sym.name}() loop {does} data the node "
+                f"holds with no reachable CancelToken.check in it — "
+                f"count in line and call self._stride() at the end of "
+                f"each stride, or draw the data through "
+                f"self._checked(rows)",
+            )
+        if sym.name == "_execute":
+            yield from self._check_emits(project, sym, child_attrs)
+
+    def _check_emits(self, project, sym,
+                     child_attrs: Set[str]) -> Iterator[Finding]:
+        """``return`` / ``yield from`` values of ``_execute``: rows drawn
+        from a child, or through a call that reaches a check."""
+        for node in _body_nodes(sym.node):
+            if isinstance(node, (ast.Return, ast.YieldFrom)):
+                value = node.value
+                if value is None or self._iterates_child(value, child_attrs):
+                    continue
+                inner = list(ast.walk(value))
+                if not any(isinstance(n, (ast.Name, ast.Attribute))
+                           for n in inner):
+                    continue  # a constant: nothing held
+                if self._reaches_check(project, sym, inner):
+                    continue
+                yield self.finding_at(
+                    sym.path, node,
+                    f"{sym.cls}._execute() hands out rows that are not "
+                    f"drawn from a child operator with no cancel check "
+                    f"— return them through self._checked(rows), which "
+                    f"checks before each chunk",
+                )
 
     @staticmethod
     def _contains(outer: ast.AST, inner: ast.AST) -> bool:
@@ -158,17 +204,8 @@ class CancelCheckpointRule(Rule):
                    if node is not outer)
 
     def _all_loops(self, func_node: ast.AST) -> List[ast.AST]:
-        loops: List[ast.AST] = []
-        stack: List[ast.AST] = list(
-            func_node.body)  # type: ignore[attr-defined]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.For, ast.While)):
-                loops.append(node)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                   ast.ClassDef)):
-                continue
-            stack.extend(ast.iter_child_nodes(node))
+        loops = [node for node in _body_nodes(func_node)
+                 if isinstance(node, (ast.For, ast.While))]
         return sorted(loops, key=lambda n: n.lineno)
 
     def _child_operator_attrs(self, project, cls_sym) -> Set[str]:
@@ -184,49 +221,40 @@ class CancelCheckpointRule(Rule):
                     attrs.add(attr)
         return attrs
 
-    def _check_loop(self, project, cls_sym, sym, loop,
-                    child_attrs: Set[str]) -> Optional[Finding]:
-        # Exempt: iterating the child operator (its iterator checks).
+    def _needs_check(self, loop, child_attrs: Set[str]) -> bool:
+        """Does ``loop`` draw rows or work from data the node holds?"""
+        # Exempt: iterating the child operator (its rows entered the
+        # plan through a check below).
         if isinstance(loop, ast.For) and self._iterates_child(
                 loop.iter, child_attrs):
-            return None
+            return False
         # Exempt: trip count bounded by the query shape — iterating a
         # ``self`` attribute itself (spec lists, sort keys, centres).  A
         # local that aliases one is not enough: the name may be rebound
         # to spooled data.
         if isinstance(loop, ast.For) and _is_self_attribute(loop.iter):
-            return None
-        calls: List[ast.Call] = []
-        yields = False
-        for node in _loop_body_nodes(loop):
-            if isinstance(node, (ast.Yield, ast.YieldFrom)):
-                yields = True
-            elif isinstance(node, ast.Call):
-                if _is_cancel_check_call(node):
-                    return None
-                calls.append(node)
-        if yields or not calls:
-            return None
-        # Indirect checkpoint: any call whose resolved callee reaches
-        # CancelToken.check through the call graph.
+            return False
+        return any(isinstance(node, (ast.Yield, ast.YieldFrom, ast.Call))
+                   for node in _body_nodes(loop))
+
+    def _reaches_check(self, project, sym, nodes: Iterable[ast.AST]) -> bool:
+        """Is one of ``nodes`` a cancel check, directly or through the
+        call graph?"""
+        calls = [node for node in nodes if isinstance(node, ast.Call)]
+        if any(_is_cancel_check_call(call) for call in calls):
+            return True
         for call in calls:
             callee = self._callee_of(project, sym, call)
             if callee is None:
                 continue
             if callee.endswith(_CHECK_TAIL):
-                return None
+                return True
             if callee in project.graph.calls and \
                     project.graph.reachable_path(
                         callee,
                         lambda c, s: c.endswith(_CHECK_TAIL)) is not None:
-                return None
-        return self.finding_at(
-            sym.path, loop,
-            f"{sym.cls}.{sym.name}() loop does per-row work with no "
-            f"reachable CancelToken.check and no yield per iteration — "
-            f"insert self._checkpoint(i) so cancellation and deadlines "
-            f"are observed mid-loop",
-        )
+                return True
+        return False
 
     def _iterates_child(self, iter_expr: ast.expr,
                         child_attrs: Set[str]) -> bool:

@@ -3,11 +3,18 @@
 The engine's execution model is a synchronous iterator tree, so a query
 cannot be interrupted preemptively — instead, a :class:`CancelToken`
 rides in the statement's :class:`~repro.obs.explain.QueryContext`, which
-is bound to every plan node, and :meth:`CancelToken.check` is called at
-operator-iteration boundaries:
-each row crossing a plan-node edge re-checks the token, so a spooling
-aggregate is interruptible while it consumes its child even though it
-yields nothing until finalize.
+is bound to every plan node, and the nodes call :meth:`CancelToken.check`
+where rows enter the plan and where they multiply, as PostgreSQL checks
+for interrupts inside scan and build loops: leaf scans, and nodes that
+emit rows they hold, check before each chunk of rows (chunks double
+from 1 up to ``PhysicalOperator.CHECKPOINT_EVERY`` and halve after a
+chunk slower than ``PhysicalOperator.CHUNK_BUDGET_S``); join probes
+count candidates in strides that grow and shrink the same way; the
+aggregation nodes
+check between chunks of each column they evaluate.  A row crossing a
+node edge is not checked, so a query stops within one stride of rows or
+candidates, never more rows than had passed before the cancel, and —
+when each row is slow — within a few milliseconds or one slow row.
 
 Two trip conditions, two typed errors:
 
@@ -37,7 +44,7 @@ from repro.errors import QueryCancelledError, QueryTimeoutError
 
 
 class CancelToken:
-    """Cooperative cancel/deadline flag checked at iteration boundaries.
+    """Cooperative cancel/deadline flag the executing nodes check.
 
     >>> token = CancelToken()
     >>> token.check()  # no deadline, not cancelled: no-op
@@ -60,9 +67,8 @@ class CancelToken:
                      label: str = "") -> "CancelToken":
         """A token whose deadline is ``timeout_s`` seconds from now.
 
-        ``None`` (or a non-positive infinite budget is not a thing —
-        any ``timeout_s <= 0`` trips on the first check) means no
-        deadline.
+        ``None`` means no deadline.  A ``timeout_s <= 0`` is already
+        expired, so the first check trips.
         """
         if timeout_s is None:
             return cls(label=label)
@@ -71,7 +77,7 @@ class CancelToken:
     # -- tripping ----------------------------------------------------------
     def cancel(self) -> None:
         """Request cancellation; the running query notices at its next
-        iteration-boundary :meth:`check`."""
+        :meth:`check`."""
         self._cancelled.set()
 
     @property

@@ -404,10 +404,13 @@ class Database:
         before the lock is released, so nothing lazy escapes it.
         ``cancel`` is an optional
         :class:`~repro.core.cancel.CancelToken`: it is re-checked before
-        each statement, while *waiting* for the statement lock, and at
-        every plan-node iteration boundary during SELECT execution, so a
-        deadline or client cancel surfaces as a typed error even when the
-        query is queued behind a slow writer.
+        each statement, while *waiting* for the statement lock, and
+        during SELECT execution where rows enter the plan and where they
+        multiply (leaf scans and buffers per chunk of rows, join probes
+        per stride of candidates, aggregation per column chunk; see
+        :mod:`repro.core.cancel`), so a deadline or client cancel
+        surfaces as a typed error even when the query is queued behind a
+        slow writer.
         """
         result: Any = None
         for stmt in parse(sql):

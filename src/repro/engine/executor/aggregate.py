@@ -64,7 +64,8 @@ def key_runs(keys: Sequence[tuple]) -> List[List[int]]:
 class Aggregate(PhysicalOperator):
     """Bound key and aggregate expressions, their column evaluation and
     the fold.  No row leaves the node before the fold is over, so
-    :meth:`_column` checks the cancel token between chunks of rows."""
+    :meth:`_column` checks the cancel token between chunks of rows, and
+    the groups leave through :meth:`_checked` like a scan's rows."""
 
     def __init__(self, child: PhysicalOperator, key_exprs: Sequence[Expr],
                  agg_calls: Sequence[AggCall], ctx: BindContext):
@@ -75,18 +76,10 @@ class Aggregate(PhysicalOperator):
 
     def _column(self, fn: Callable[[tuple], object],
                 rows: List[tuple]) -> list:
-        """``fn`` over ``rows`` as one list.  Chunks grow 1, 2, 4, … up to
-        :attr:`CHECKPOINT_EVERY` rows, so a cancel is seen within a
-        stride, or, when each value is slow (``sleep(s)``), within as
-        many rows again as were evaluated before it."""
-        column: list = []
-        start, stride = 0, 1
-        while start < len(rows):
-            self._ctx.check()
-            column += map(fn, rows[start:start + stride])
-            start += stride
-            stride = min(2 * stride, self.CHECKPOINT_EVERY)
-        return column
+        """``fn`` over ``rows`` as one list, the rows drawn through
+        :meth:`_checked`: a cancel is seen within one chunk, a stride of
+        values at most, or one value when each is slow (``sleep(s)``)."""
+        return list(map(fn, self._checked(rows)))
 
     def _fold(self, rows: List[tuple],
               runs: Sequence[Sequence[int]]) -> List[tuple]:
@@ -135,8 +128,8 @@ class HashAggregate(Aggregate):
             return
         keys = list(zip(*[self._column(f, rows) for f in self._key_fns]))
         runs = key_runs(keys)
-        for run, results in zip(runs, self._fold(rows, runs)):
-            yield keys[run[0]] + results
+        yield from self._checked([keys[run[0]] + results for run, results
+                                  in zip(runs, self._fold(rows, runs))])
 
     def describe(self) -> str:
         return f"HashAggregate (keys={self._n_keys}, aggs={len(self._specs)})"

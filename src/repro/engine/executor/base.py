@@ -5,15 +5,24 @@ iterator of row tuples.  Plans are trees of operators; ``explain()`` renders
 the tree for tests and debugging.
 
 Subclasses implement :meth:`_execute`; iteration always goes through the
-base ``__iter__``, which hands the raw iterator straight through when the
-node's :class:`~repro.obs.explain.QueryContext` has nothing to check or
-record (the unbound default — one attribute check per pass per node) and
-through the context's recorder otherwise.
+base ``__iter__``, which hands the raw iterator straight through unless
+the node's :class:`~repro.obs.explain.QueryContext` collects per-node
+accounting, and through the context's recorder then.
+
+Cancellation is checked where rows enter the plan and where they
+multiply, as PostgreSQL checks for interrupts inside scan and build
+loops rather than between nodes: a leaf scan (and every node that emits
+rows it holds) hands them out through :meth:`PhysicalOperator._checked`,
+and the join probe loops count candidates in line and check at the end
+of each stride (:meth:`PhysicalOperator._stride`).  A row that crosses a
+node edge costs no Python call.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+import time
+from itertools import chain, islice
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.engine.schema import Schema
 from repro.obs.explain import UNBOUND, QueryContext
@@ -21,6 +30,8 @@ from repro.obs.explain import UNBOUND, QueryContext
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.core.cancel import CancelToken
     from repro.stats.model import PlanEstimate
+
+T = TypeVar("T")
 
 
 class PhysicalOperator:
@@ -40,29 +51,75 @@ class PhysicalOperator:
     #: were never estimated.
     _estimate: "Optional[PlanEstimate]" = None
 
-    #: Stride for :meth:`_checkpoint` — coarse enough that the modulo is
-    #: noise next to per-row work, fine enough that a cancelled query
-    #: stops within a few thousand rows.
+    #: The cancel stride: the most rows :meth:`_checked` hands out, and
+    #: the most candidates a join probe tries, between two token checks.
+    #: Coarse enough that the check is noise next to per-row work, fine
+    #: enough that a cancelled query stops within a few thousand rows.
     CHECKPOINT_EVERY = 1024
+
+    #: A stride doubles while it takes less than this, rows above it
+    #: included, and halves when it takes longer, so a slow per-row
+    #: expression is checked about this often.
+    CHUNK_BUDGET_S = 0.002
 
     def _execute(self) -> Iterator[tuple]:
         raise NotImplementedError
 
     def _checkpoint(self, i: int) -> None:
-        """Cancel checkpoint for buffering loops inside ``_execute``.
-
-        The context's per-row check only fires when a row crosses a
-        node edge; loops that spool-then-aggregate run thousands of
-        steps without yielding, so they call ``self._checkpoint(i)`` with
-        their loop index to re-check the token every
-        :attr:`CHECKPOINT_EVERY` iterations (a no-op without a token).
-        """
+        """Cancel checkpoint for a loop inside ``_execute`` that is not
+        a pass over rows (``Sort``'s key passes): re-checks the token
+        when ``i`` is a multiple of :attr:`CHECKPOINT_EVERY` (a no-op
+        without a token)."""
         if i % self.CHECKPOINT_EVERY == 0:
             self._ctx.check()
 
+    def _stride(self, stride: int, mark: float) -> Tuple[int, float]:
+        """Check the token at the end of a stride that began at ``mark``;
+        return the next stride and its start.
+
+        The next stride is twice ``stride``, up to
+        :attr:`CHECKPOINT_EVERY`, if this one took less than
+        :attr:`CHUNK_BUDGET_S`, and half of it, down to one, otherwise.
+        :meth:`_checked` and the join probe loops call it once per
+        stride, never per row.
+        """
+        self._ctx.check()
+        now = time.perf_counter()
+        if now - mark < self.CHUNK_BUDGET_S:
+            return min(2 * stride, self.CHECKPOINT_EVERY), now
+        return max(stride // 2, 1), now
+
+    def _checked(self, rows: Iterable[T]) -> Iterator[T]:
+        """``rows`` with the cancel token checked before each chunk.
+
+        The one way rows enter the plan: leaf scans and nodes that emit
+        rows they hold return their rows through it, and the
+        aggregation nodes evaluate columns through it.  Chunk lengths
+        follow :meth:`_stride` from one row: a cancel is seen within one
+        chunk, at most a stride of rows, never more rows than had passed
+        before it fired, and about one budget's time or one slow row's
+        (``sleep(s)``).  Inside a chunk each row costs C only.  Without
+        a token the rows come back as they are.
+        """
+        if self._ctx.cancel is None:
+            return iter(rows)
+        return chain.from_iterable(self._chunks(iter(rows)))
+
+    def _chunks(self, it: Iterator[T]) -> Iterator[List[T]]:
+        self._ctx.check()
+        stride, mark = 1, time.perf_counter()
+        while True:
+            chunk = list(islice(it, stride))
+            if not chunk:
+                return
+            yield chunk  # resumed once the consumer has taken every row
+            stride, mark = self._stride(stride, mark)
+
     def __iter__(self) -> Iterator[tuple]:
+        """``_execute``'s own iterator, or the context's recorder around
+        it when the context collects.  No cancel check sits here."""
         ctx = self._ctx
-        if not ctx.wraps:
+        if not ctx.collect:
             return iter(self._execute())
         return ctx.record(self, self._execute())
 

@@ -1,7 +1,18 @@
-"""Row-at-a-time relational operators: filter, project, joins, sort, limit."""
+"""Row-at-a-time relational operators: filter, project, joins, sort, limit.
+
+A join probe loop turns one input row into many candidates, so it counts
+them in line and checks the cancel token at the end of each stride of
+candidates (``PhysicalOperator._stride``): the stride starts at one,
+doubles up to ``CHECKPOINT_EVERY`` while a stride takes less than
+``CHUNK_BUDGET_S``, rows above the join included, and halves otherwise.
+However skewed the join, at most a stride of candidates, and about one
+budget's time, run past a cancel.
+"""
 
 from __future__ import annotations
 
+import time
+from itertools import chain
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.executor.base import PhysicalOperator
@@ -83,9 +94,9 @@ def _projected_type(expr: Expr, child_schema: Schema) -> str:
 class NestedLoopJoin(PhysicalOperator):
     """Join with an arbitrary (or absent -> cross) condition.
 
-    The right side is materialized once.  With ``outer`` set it is a LEFT
-    OUTER join: a left row no right row matches is emitted once, its
-    right columns null-extended.
+    The right side is materialized once; each left row tries every right
+    row.  With ``outer`` set it is a LEFT OUTER join: a left row no right
+    row matches is emitted once, its right columns null-extended.
     """
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator,
@@ -107,9 +118,15 @@ class NestedLoopJoin(PhysicalOperator):
         nulls = (None,) * len(self.right.schema)
         fn = self._fn
         outer = self.outer
+        todo = every = 1
+        mark = time.perf_counter()
         for lrow in self.left:
             matched = False
             for rrow in right_rows:
+                todo -= 1
+                if not todo:
+                    every, mark = self._stride(every, mark)
+                    todo = every
                 combined = lrow + rrow
                 if fn is None or fn(combined) is True:
                     matched = True
@@ -171,10 +188,16 @@ class HashJoin(PhysicalOperator):
         left_key = self._left_key
         residual = self._residual
         outer = self.outer
+        todo = every = 1
+        mark = time.perf_counter()
         for lrow in self.left:
             matched = False
             # A key holding NULL finds nothing: the table holds none.
             for rrow in table.get(left_key(lrow), ()):
+                todo -= 1
+                if not todo:
+                    every, mark = self._stride(every, mark)
+                    todo = every
                 combined = lrow + rrow
                 if residual is None or residual(combined) is True:
                     matched = True
@@ -234,12 +257,18 @@ class SimilarityJoin(PhysicalOperator):
                          len(right_rows))
             right_rows.append(rrow)
         condition = self._condition
+        todo = every = 1
+        mark = time.perf_counter()
         for lrow in self.left:
             xy = self._left_xy(lrow)
             if None in xy:
                 continue
             window = probe_window(tuple(map(float, xy)), eps)
             for rid in index.search(window):
+                todo -= 1
+                if not todo:
+                    every, mark = self._stride(every, mark)
+                    todo = every
                 combined = lrow + right_rows[rid]
                 if condition(combined) is True:
                     yield combined
@@ -268,8 +297,7 @@ class Concat(PhysicalOperator):
         self.schema = inputs[0].schema
 
     def _execute(self) -> Iterator[tuple]:
-        for child in self.inputs:
-            yield from child
+        return chain.from_iterable(self.inputs)
 
     def children(self) -> Tuple[PhysicalOperator, ...]:
         return tuple(self.inputs)
@@ -294,14 +322,14 @@ class Sort(PhysicalOperator):
         rows = self.child.rows()
         # Stable multi-key sort: apply keys right-to-left.
         for fn, asc in reversed(list(zip(self._key_fns, self._ascending))):
-            # Each pass is O(n log n) with no iteration boundary; check
+            # Each pass is O(n log n) with no checkpoint inside; check
             # the cancel token between key passes at least.
             self._checkpoint(0)
             rows.sort(
                 key=lambda row, f=fn: _null_key(f(row)),
                 reverse=not asc,
             )
-        return iter(rows)
+        yield from self._checked(rows)
 
     def children(self) -> Tuple[PhysicalOperator, ...]:
         return (self.child,)

@@ -18,7 +18,7 @@ class SeqScan(PhysicalOperator):
         self.schema = table.schema.requalified(alias)
 
     def _execute(self) -> Iterator[tuple]:
-        return iter(self.table.rows)
+        return self._checked(self.table.rows)
 
     def describe(self) -> str:
         return f"SeqScan on {self.table.name} as {self.alias}"
@@ -45,11 +45,10 @@ class IndexScan(PhysicalOperator):
         self.schema = table.schema.requalified(alias)
 
     def _execute(self) -> Iterator[tuple]:
-        rows = self.table.rows
-        for row_id in self.index.row_ids(
-            self.low, self.high, self.include_low, self.include_high
-        ):
-            yield rows[row_id]
+        return self._checked(map(self.table.rows.__getitem__,
+                                 self.index.row_ids(
+                                     self.low, self.high,
+                                     self.include_low, self.include_high)))
 
     def describe(self) -> str:
         if self.low == self.high and self.low is not None:
@@ -98,7 +97,7 @@ class ValuesScan(PhysicalOperator):
         self.schema = schema
 
     def _execute(self) -> Iterator[tuple]:
-        return iter(self._rows)
+        return self._checked(self._rows)
 
     def describe(self) -> str:
         return f"ValuesScan ({len(self._rows)} rows)"

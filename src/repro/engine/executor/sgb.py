@@ -243,7 +243,7 @@ class SimilarityAggregate(Aggregate):
                 out = [pkey + results
                        for results in self._fold(rows, runs)]
                 sp.set(groups=len(out))
-            yield from out
+            yield from self._checked(out)
 
 
 class SGBAggregate(SimilarityAggregate):

@@ -84,8 +84,9 @@ _FUNCTIONS: Dict[Tuple[str, Optional[int]], Callable[..., Any]] = {
     ("least", None): _null_prop(min),
     # Deliberately slow scalar: sleeps per evaluation (per input row) and
     # returns its argument.  Exists so deadline / cancellation behaviour
-    # is testable and benchable from plain SQL — each row is an operator-
-    # iteration boundary, so a cancel token trips within one row's sleep.
+    # is testable and benchable from plain SQL — rows reach it in chunks
+    # that shrink to one row when rows are this slow, so a cancel token
+    # trips within a sleep or two.
     # Capped so a typo cannot wedge a worker for minutes.
     ("sleep", 1): _null_prop(_sleep),
 }

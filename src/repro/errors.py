@@ -76,8 +76,9 @@ class ServiceOverloadedError(ServiceError):
 class QueryCancelledError(ServiceError):
     """A query was cancelled by the client before it finished.
 
-    Raised from :meth:`repro.core.cancel.CancelToken.check` at the next
-    operator-iteration boundary after :meth:`~repro.core.cancel.CancelToken.cancel`.
+    Raised from :meth:`repro.core.cancel.CancelToken.check` at the
+    executor's next checkpoint after
+    :meth:`~repro.core.cancel.CancelToken.cancel`.
     """
 
 
@@ -85,6 +86,6 @@ class QueryTimeoutError(ServiceError):
     """A query exceeded its deadline.
 
     Raised cooperatively from :meth:`repro.core.cancel.CancelToken.check`
-    — the executing thread notices at an operator-iteration boundary, so
+    — the executing thread notices at the executor's next checkpoint, so
     partially produced state is unwound through the normal exception path.
     """

@@ -3,13 +3,13 @@
 Every SELECT-shaped statement runs the same way: the Database builds one
 :class:`QueryContext` — cancel token, tracer, and whether to keep
 per-node accounting and sample memory — and binds it to the freshly
-planned tree.  Every
-:class:`~repro.engine.executor.base.PhysicalOperator` funnels its
-iteration through ``__iter__``, which hands its raw iterator to
-:meth:`QueryContext.record`: one generator per node per pass that checks
-the token, charges rows / inclusive wall time / memory to the node's
-:class:`NodeMetrics` and covers the pass with a lazily opened span.  A
-plan nobody bound carries :data:`UNBOUND` and iterates bare.
+planned tree.  When the context collects, every
+:class:`~repro.engine.executor.base.PhysicalOperator` hands its raw
+iterator to :meth:`QueryContext.record`: one generator per node per pass
+that charges rows / inclusive wall time / memory to the node's
+:class:`NodeMetrics` and covers the pass with a lazily opened span.
+Otherwise, and for a plan nobody bound (:data:`UNBOUND`), nodes iterate
+bare; the nodes themselves check the token where rows enter the plan.
 
 After the single pass over the root, :func:`plan_metrics` folds plan and
 context into one plan-shaped, JSON-ready record — estimate and actuals
@@ -121,8 +121,9 @@ class QueryContext:
     """What one statement's execution carries down its plan.
 
     ``cancel``
-        :class:`~repro.core.cancel.CancelToken` or None; re-checked as
-        each row crosses a node edge and at operator checkpoints.
+        :class:`~repro.core.cancel.CancelToken` or None; checked by the
+        nodes through :meth:`check` where rows enter the plan (leaf
+        scans, buffers) and in join probe loops, not at node edges.
     ``tracer``
         :class:`~repro.obs.trace.Tracer` or None; every node pass, SGB
         phase and worker partition emits a span into it.
@@ -139,7 +140,7 @@ class QueryContext:
     so nothing is ever unbound.
     """
 
-    __slots__ = ("cancel", "tracer", "collect", "memory", "nodes", "wraps")
+    __slots__ = ("cancel", "tracer", "collect", "memory", "nodes")
 
     def __init__(self, cancel: "Optional[CancelToken]" = None,
                  tracer: Optional[Tracer] = None,
@@ -149,9 +150,6 @@ class QueryContext:
         self.collect = collect or tracer is not None
         self.memory = memory
         self.nodes: Dict[Any, NodeMetrics] = {}
-        #: False when a node pass has nothing to check or record, so
-        #: ``PhysicalOperator.__iter__`` hands back the raw iterator.
-        self.wraps = cancel is not None or self.collect
 
     def bind(self, plan) -> None:
         """Point every node of ``plan`` at this context (pre-order)."""
@@ -173,34 +171,25 @@ class QueryContext:
         return nm.bag if nm is not None else None
 
     def record(self, node, it: Iterator[tuple]) -> Iterator[tuple]:
-        """The one recorder: wrap one pass over ``node``'s output.
+        """The one recorder: wrap one pass over a collecting ``node``'s
+        output.
 
-        Per row: cancel check, then — when collecting — rows out and
-        time-to-next-row (and traced bytes with ``memory``); around the
-        pass, a span that opens at the first ``next()`` and closes on
-        exhaustion, error or abandonment (LIMIT closing the generator).
+        Per row: rows out and time-to-next-row (and traced bytes with
+        ``memory``); around the pass, a span that opens at the first
+        ``next()`` and closes on exhaustion, error or abandonment (LIMIT
+        closing the generator).  It checks no token: the nodes do.
 
-        The check sits at the node edge so a spooling parent (the SGB
-        aggregate's §8.2 tuple store) that consumes its child row by row
-        is interrupted long before it yields anything.  Accumulated time
-        is *inclusive* of the node's children (they run inside its
-        ``next()``), mirroring PostgreSQL; time the consumer spends
-        between rows is not charged.  If the producer raises mid-
-        ``next()`` or the consumer stops early, the ``finally`` still
-        charges the in-flight ``next()`` instead of dropping it.  Memory
-        is sampled at the same row boundaries the clock reads at: a
-        blocking node's spool is still alive when its first row emerges,
-        so boundary sampling observes materialization peaks without
-        per-allocation hooks.
+        Accumulated time is *inclusive* of the node's children (they
+        run inside its ``next()``), mirroring PostgreSQL; time the
+        consumer spends between rows is not charged.  If the producer
+        raises mid-``next()`` or the consumer stops early, the
+        ``finally`` still charges the in-flight ``next()`` instead of
+        dropping it.  Memory is sampled at the same row boundaries the
+        clock reads at: a blocking node's spool is still alive when its
+        first row emerges, so boundary sampling observes
+        materialization peaks without per-allocation hooks.
         """
-        check = self.check if self.cancel is None else self.cancel.check
-        nm = self.nodes.get(node)
-        if nm is None:
-            # Token only — what the service runs every statement with.
-            for row in it:
-                check()
-                yield row
-            return
+        nm = self.nodes[node]
         clock = time.perf_counter
         track_mem = self.memory and tracemalloc.is_tracing()
         if self.tracer is None:
@@ -222,7 +211,6 @@ class QueryContext:
             charged = False  # is the segment since t0 already in time_s?
             try:
                 for row in it:
-                    check()
                     nm.time_s += clock() - t0
                     charged = True
                     nm.rows_out += 1

@@ -13,8 +13,9 @@ DBMS; this package is the serving layer in front of
   queue that sheds load as typed
   :class:`~repro.errors.ServiceOverloadedError` responses;
 * per-query deadlines and client cancellation via
-  :class:`~repro.core.cancel.CancelToken`, checked cooperatively at
-  operator-iteration boundaries inside the engine;
+  :class:`~repro.core.cancel.CancelToken`, checked cooperatively by the
+  engine where rows enter the plan and where they multiply (see
+  :mod:`repro.core.cancel`);
 * an HTTP ``GET /metrics`` endpoint unifying the engine's Prometheus
   snapshot with service-level counters, gauges, and latency histograms;
 * :class:`~repro.service.client.ServiceClient` — the synchronous client

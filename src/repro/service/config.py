@@ -2,9 +2,22 @@
 
 from __future__ import annotations
 
-from typing import Optional
+import math
+from typing import Any, Optional
 
 from repro.errors import InvalidParameterError
+
+
+def finite_seconds(value: Any) -> Optional[float]:
+    """``value`` as seconds if it is a finite, non-bool real number, else
+    None: a NaN deadline never expires, and ``True`` is not a second."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        seconds = float(value)
+    except OverflowError:  # an integer past float range
+        return None
+    return seconds if math.isfinite(seconds) else None
 
 
 class ServiceConfig:
@@ -29,8 +42,8 @@ class ServiceConfig:
         Concurrent session cap; connections beyond it are greeted with a
         typed error event and closed.
     ``default_timeout_s``
-        Deadline applied to requests that do not carry ``timeout_s``;
-        ``None`` means no default deadline.
+        Deadline applied to requests that do not carry ``timeout_s``: a
+        finite number of seconds, or ``None`` for no default deadline.
     """
 
     def __init__(
@@ -52,6 +65,12 @@ class ServiceConfig:
         if max_connections < 1:
             raise InvalidParameterError(
                 f"max_connections must be >= 1, got {max_connections}"
+            )
+        if default_timeout_s is not None \
+                and finite_seconds(default_timeout_s) is None:
+            raise InvalidParameterError(
+                f"default_timeout_s must be a finite number of seconds "
+                f"or None, got {default_timeout_s!r}"
             )
         self.host = host
         self.port = port

@@ -13,8 +13,9 @@ multi-user DBMS; load shedding is what keeps the multi-user part true).
 Deadlines are enforced cooperatively: each queued item carries its
 :class:`~repro.core.cancel.CancelToken`, the worker re-checks it after
 the queue wait (a request that spent its whole deadline queued fails
-*before* touching the engine), and the engine checks it at every
-operator-iteration boundary while executing.
+*before* touching the engine), and the engine checks it where rows
+enter the plan and where they multiply while executing (see
+:mod:`repro.core.cancel`).
 """
 
 from __future__ import annotations

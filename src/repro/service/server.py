@@ -52,7 +52,7 @@ from repro.engine.database import Database
 from repro.errors import ReproError, ServiceError, ServiceOverloadedError
 from repro.core.cancel import CancelToken
 from repro.service import wire
-from repro.service.config import ServiceConfig
+from repro.service.config import ServiceConfig, finite_seconds
 from repro.service.metrics import service_prometheus_text
 from repro.service.scheduler import QueryScheduler
 from repro.service.session import Session
@@ -219,7 +219,7 @@ class SGBService:
             await self._read_loop(session, reader)
         finally:
             # Disconnect cleanup: trip every in-flight token (engine work
-            # stops at its next iteration boundary), let the response
+            # stops at its next cancel checkpoint), let the response
             # tasks finish (their writes no-op once closed), then retire
             # the session.
             session.cancel_all()
@@ -275,10 +275,21 @@ class SGBService:
     # request dispatch
     # ------------------------------------------------------------------
     def _token_for(self, msg: Dict[str, Any], rid: str) -> CancelToken:
+        """The request's token: a deadline ``timeout_s`` seconds from
+        now (the server default when the field is absent), none when it
+        is null.  Any other value than a finite, non-bool real number is
+        a :class:`ServiceError` here, on the event loop, before a worker
+        slot is taken: a NaN deadline would never expire."""
         timeout_s = msg.get("timeout_s", self.config.default_timeout_s)
         if timeout_s is None:
             return CancelToken(label=rid)
-        return CancelToken.with_timeout(float(timeout_s), label=rid)
+        seconds = finite_seconds(timeout_s)
+        if seconds is None:
+            raise ServiceError(
+                f"'timeout_s' must be a finite number of seconds or null, "
+                f"got {timeout_s!r}"
+            )
+        return CancelToken.with_timeout(seconds, label=rid)
 
     def _work_fn(self, op: str, msg: Dict[str, Any], token: CancelToken,
                  timing: Dict[str, float]) -> Callable[[], Any]:

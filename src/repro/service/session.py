@@ -50,7 +50,7 @@ class Session:
 
     def cancel_all(self) -> int:
         """Disconnect cleanup: trip every in-flight token so worker-held
-        engine work stops at its next iteration boundary."""
+        engine work stops at its next cancel checkpoint."""
         for token in self.inflight.values():
             token.cancel()
         return len(self.inflight)

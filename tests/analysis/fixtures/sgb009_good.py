@@ -1,6 +1,7 @@
 # sgblint: module=repro.engine.executor.fixture_cancel_good
 """SGB009 true negatives: checkpointed (also in an inherited helper),
-yielding, and shape-bounded loops."""
+child-drawing and shape-bounded loops, and rows handed out through the
+checked-chunk helper."""
 
 
 class CancelToken:
@@ -31,6 +32,19 @@ class PhysicalOperator:
     def _checkpoint(self, i):
         if i % self.CHECKPOINT_EVERY == 0:
             self._ctx.check()
+
+    def _stride(self, stride, mark):
+        self._ctx.check()
+        return min(2 * stride, self.CHECKPOINT_EVERY), mark
+
+    def _checked(self, rows):
+        it = iter(rows)
+        while True:
+            self._ctx.check()
+            chunk = [row for _, row in zip(range(64), it)]
+            if not chunk:
+                return
+            yield from chunk
 
 
 class CheckpointedAggregate(PhysicalOperator):
@@ -78,5 +92,36 @@ class InheritingAggregate(ColumnBase):
 
 class StreamingProject(PhysicalOperator):
     def _execute(self):
-        for row in self.child:  # yields per row: __iter__ checks
+        for row in self.child:  # exempt: iterates a child operator
             yield row + 1
+
+
+class CheckedScan(PhysicalOperator):
+    def __init__(self, table):
+        super().__init__()
+        self.table = table
+
+    def _execute(self):
+        return self._checked(self.table.rows)  # checks before each chunk
+
+
+class CountingProbeJoin(PhysicalOperator):
+    def __init__(self, left, right):
+        super().__init__()
+        self.left = left
+        self.right = right
+
+    def _execute(self):
+        table = {}
+        for rrow in self.right:
+            table.setdefault(rrow[0], []).append(rrow)
+        todo = every = 1
+        mark = 0.0
+        for lrow in self.left:
+            for rrow in table.get(lrow[0], ()):
+                todo -= 1
+                if not todo:  # in-line count, a check per stride
+                    every, mark = self._stride(every, mark)
+                    todo = every
+                yield lrow + rrow
+

@@ -84,6 +84,39 @@ class TestCancelCheckpointCone:
         assert "KeyedAggregate._execute() loop" in alias.message
 
 
+class TestCancelCheckpointAtRowEntry:
+    """Nothing checks the token at node edges, so yielding covers no
+    loop: rows must enter the plan, and multiply, through a check."""
+
+    def test_leaf_handing_out_table_rows_is_flagged(self):
+        findings = lint_file(fixture("sgb009_leaf_bad.py"))
+        assert [f.rule for f in findings] == ["SGB009"]
+        assert "TableScan._execute() hands out rows" in findings[0].message
+        assert "self._checked(rows)" in findings[0].message
+
+    def test_unchecked_yielding_fanout_loop_is_flagged(self):
+        findings = lint_file(fixture("sgb009_fanout_bad.py"))
+        assert [f.rule for f in findings] == ["SGB009"]
+        assert "ProbeJoin._execute() loop yields rows from data" in \
+            findings[0].message
+        # The inner probe loop, not the outer loop over the child.
+        with open(fixture("sgb009_fanout_bad.py"), encoding="utf-8") as fh:
+            flagged = fh.read().splitlines()[findings[0].line - 1]
+        assert "unchecked fan-out" in flagged
+
+    def test_check_outside_the_loop_covers_nothing(self):
+        """A check in an enclosing or a sibling loop runs once per outer
+        row at most: the per-row-work loop needs its own."""
+        path = fixture("sgb009_outer_check_bad.py")
+        findings = lint_file(path)
+        assert [f.rule for f in findings] == ["SGB009", "SGB009"]
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        for f in findings:
+            assert "does per-row work on data" in f.message
+            assert lines[f.line - 1].endswith(": flagged")
+
+
 class TestSharedLockMode:
     """SGB007 on a shared/exclusive lock (``RWLock``): either mode guards
     a read, only the exclusive one a write."""

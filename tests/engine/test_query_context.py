@@ -160,7 +160,10 @@ class TestUnboundPlanRunsBare:
         leaf = Leaf()
         QueryContext().bind(leaf)
         assert not goes_through_recorder(leaf)
+        # A token alone wraps nothing either: the nodes check it.
         QueryContext(cancel=CancelToken()).bind(leaf)
+        assert not goes_through_recorder(leaf)
+        QueryContext(collect=True).bind(leaf)
         assert goes_through_recorder(leaf)
 
 
@@ -175,14 +178,14 @@ class TestObservabilityOffLeavesNothingOnThePlan:
         plan = db._planner().plan_query(parse(PARTITIONED_SQL)[0])
         ctx = db._context(None)
         ctx.bind(plan)
-        assert ctx.nodes == {} and not ctx.wraps
+        assert ctx.nodes == {} and not ctx.collect
         assert ctx.tracer is None
         assert all(ctx.bag_of(node) is None for node in nodes_of(plan))
         assert not any(goes_through_recorder(n) for n in nodes_of(plan))
 
-    def test_context_carries_six_things(self):
+    def test_context_carries_five_things(self):
         assert QueryContext.__slots__ == (
-            "cancel", "tracer", "collect", "memory", "nodes", "wraps")
+            "cancel", "tracer", "collect", "memory", "nodes")
 
 
 #: 120 rows x 10 ms under the SGB node: ~1.2 s of spooling if left alone.
@@ -242,3 +245,28 @@ def test_explain_analyze_text_is_a_rendering_of_the_record():
         assert re.search(rf"actual rows={rec['rows']} loops={rec['loops']},",
                          header)
     assert result.node_counters()["rows_spooled"] == 120
+
+
+def test_sort_pass_covers_its_child():
+    """``Sort`` drains and sorts inside its own pass: its time includes
+    its child's and its span is the child's parent.  It used to sort
+    when its parent asked for an iterator, before its own recorder
+    started, so EXPLAIN ANALYZE read ~0 ms for the sort and the child's
+    span hung off the node above it."""
+    db = make_db(trace=True)
+    db.tracer.clear()
+    result = db.analyze("SELECT x FROM pts WHERE part < 3 ORDER BY x DESC")
+    (sort,) = [rec for rec in _records(result.metrics)
+               if rec["node"].startswith("Sort")]
+    (child,) = sort["children"]
+    assert child["rows"] == 90
+    assert sort["time_ms"] >= child["time_ms"]
+    spans = {r.span_id: r for r in db.tracer.records()}
+    (filt,) = [r for r in spans.values() if r.name.startswith("Filter")]
+    assert spans[filt.parent_id].name.startswith("Sort")
+
+
+def _records(rec):
+    yield rec
+    for child in rec.get("children", ()):
+        yield from _records(child)

@@ -190,8 +190,15 @@ class TestNodeMetricsCloseSafety:
         from repro.obs import Tracer
 
         tracer, token = Tracer(), CancelToken()
-        node, nm = recorded(lambda: iter([(1,), (2,), (3,)]),
-                            tracer=tracer, cancel=token)
+
+        def checked_rows():
+            # The recorder checks no token; a leaf checks as it hands
+            # out rows, and its error unwinds through the recorder.
+            for row in [(1,), (2,), (3,)]:
+                token.check()
+                yield row
+
+        node, nm = recorded(checked_rows, tracer=tracer, cancel=token)
         it = iter(node)
         next(it)
         token.cancel()
