@@ -29,7 +29,6 @@ from repro.errors import CatalogError, InvalidParameterError, PlanningError
 from repro.obs.explain import (
     AnalyzeResult,
     QueryContext,
-    memory_tracking,
     plan_metrics,
     render_analyze,
 )
@@ -119,14 +118,13 @@ class Database:
         is flagged (see :meth:`set_query_log`).
 
     Concurrent callers share one statement lock (:class:`RWLock`).
-    SELECT/UNION, plain EXPLAIN, :meth:`explain`, :meth:`table`,
-    :meth:`stream_view` and :meth:`stream_view_names` hold it shared and
-    run beside each other; every write — INSERT, DDL, ANALYZE, stream
-    snapshots, :meth:`set_trace` — and :meth:`analyze` / EXPLAIN ANALYZE
-    (whose ``mem_peak`` needs the process-global ``tracemalloc`` to
-    itself) hold it exclusive.  A reader arriving while a writer waits
-    queues behind it.  Public methods take the lock; private helpers
-    assume it is held, and the lock refuses re-entry.
+    SELECT/UNION, EXPLAIN [ANALYZE], :meth:`explain`, :meth:`analyze`,
+    :meth:`table`, :meth:`stream_view` and :meth:`stream_view_names`
+    hold it shared and run beside each other; every write — INSERT,
+    DDL, ANALYZE, stream snapshots, :meth:`set_trace` — holds it
+    exclusive.  A reader arriving while a writer waits queues behind it.
+    Public methods take the lock; private helpers assume it is held, and
+    the lock refuses re-entry.
     """
 
     def __init__(
@@ -397,8 +395,8 @@ class Database:
         for SELECT, a :class:`StatementResult` otherwise.
 
         Safe under concurrent callers: each statement holds the
-        database's statement lock — shared for SELECT/UNION and plain
-        EXPLAIN, so reads from different threads run side by side;
+        database's statement lock — shared for SELECT/UNION and EXPLAIN
+        [ANALYZE], so reads from different threads run side by side;
         exclusive for everything else, so a write runs alone and a
         SELECT sees all of it or none.  Results are fully materialized
         before the lock is released, so nothing lazy escapes it.
@@ -474,21 +472,20 @@ class Database:
         """Run a SELECT collecting per-node metrics and return an
         :class:`~repro.obs.explain.AnalyzeResult` (rows + plan text +
         per-node metrics tree for ``metrics_json()``).  ``cancel`` works
-        as in :meth:`execute`.  Holds the statement lock exclusive: the
-        run samples the process-global ``tracemalloc`` for ``mem_peak``,
-        which a concurrent run would restart or pollute."""
+        as in :meth:`execute`.  Holds the statement lock shared, like a
+        SELECT."""
         stmts = parse(sql)
         if len(stmts) != 1 or not isinstance(stmts[0], (ast.Select, ast.Union)):
             raise PlanningError("explain_analyze() expects a single SELECT")
         if cancel is not None:
             cancel.check()
-        self._acquire_statement_lock(cancel)
+        self._acquire_statement_lock(cancel, shared=True)
         try:
             plan = self._planner().plan_query(stmts[0])
             ctx = self._context(cancel, analyze=True)
             rows = self._run_select(plan, ctx, sql)
         finally:
-            self._lock.release()
+            self._lock.release_shared()
         return AnalyzeResult(plan.schema.names(), rows,
                              plan_metrics(plan, ctx))
 
@@ -503,14 +500,12 @@ class Database:
         Every entry point carries the caller's token and the tracer while
         tracing is on; ``analyze`` (the ``analyze()`` /
         ``explain_analyze()`` methods and the EXPLAIN ANALYZE statement)
-        additionally keeps per-node metrics and samples memory even when
-        tracing is off.
+        additionally keeps per-node metrics even when tracing is off.
         """
         return QueryContext(
             cancel=cancel,
             tracer=self._live_tracer(),
             collect=analyze,
-            memory=analyze,
         )
 
     def _run_select(self, plan, ctx: QueryContext, sql: str) -> List[tuple]:
@@ -529,9 +524,7 @@ class Database:
         ctx.bind(plan)
         t0 = time.perf_counter()
         try:
-            with memory_tracking(ctx.memory), \
-                    maybe_span(ctx.tracer, "query",
-                               root=plan.describe()) as sp:
+            with maybe_span(ctx.tracer, "query", root=plan.describe()) as sp:
                 rows = list(plan)
                 sp.set(rows=len(rows))
             latency_s = time.perf_counter() - t0
@@ -642,11 +635,5 @@ class Database:
 
 
 def _reads_only(stmt: Any) -> bool:
-    """Whether ``stmt`` may run under the shared statement lock.
-
-    EXPLAIN ANALYZE is a write for the lock's purposes: its run owns the
-    process-global ``tracemalloc`` for the ``mem_peak`` it reports.
-    """
-    if isinstance(stmt, ast.Explain):
-        return not stmt.analyze
-    return isinstance(stmt, (ast.Select, ast.Union))
+    """Whether ``stmt`` may run under the shared statement lock."""
+    return isinstance(stmt, (ast.Select, ast.Union, ast.Explain))

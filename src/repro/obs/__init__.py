@@ -21,7 +21,6 @@ from repro.obs.explain import (
     AnalyzeResult,
     NodeMetrics,
     QueryContext,
-    memory_tracking,
     plan_metrics,
     render_analyze,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "Tracer",
     "chrome_trace_payload",
     "maybe_span",
-    "memory_tracking",
     "parse_prometheus_text",
     "plan_fingerprint",
     "plan_metrics",

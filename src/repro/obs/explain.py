@@ -2,11 +2,11 @@
 
 Every SELECT-shaped statement runs the same way: the Database builds one
 :class:`QueryContext` — cancel token, tracer, and whether to keep
-per-node accounting and sample memory — and binds it to the freshly
-planned tree.  When the context collects, every
+per-node accounting — and binds it to the freshly planned tree.  When
+the context collects, every
 :class:`~repro.engine.executor.base.PhysicalOperator` hands its raw
 iterator to :meth:`QueryContext.record`: one generator per node per pass
-that charges rows / inclusive wall time / memory to the node's
+that charges rows and inclusive wall time to the node's
 :class:`NodeMetrics` and covers the pass with a lazily opened span.
 Otherwise, and for a plan nobody bound (:data:`UNBOUND`), nodes iterate
 bare; the nodes themselves check the token where rows enter the plan.
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import time
-import tracemalloc
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
 from repro.obs.metrics import MetricBag
@@ -30,33 +29,6 @@ from repro.obs.trace import NULL_TRACE_SPAN, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; obs imports no engine code
     from repro.core.cancel import CancelToken
-
-
-class memory_tracking:
-    """Ensure tracemalloc is tracing within the block (unless disabled).
-
-    Starts tracemalloc on entry if (and only if) it was not already
-    running, and stops it again on exit in that case — so nesting, or a
-    caller that traces allocations themselves, is safe.  A
-    :class:`QueryContext` with ``memory=True`` samples peaks only while
-    tracing is active, so wrapping the execution in this context is what
-    turns the ``mem_peak`` column on.
-    """
-
-    __slots__ = ("_enabled", "_started")
-
-    def __init__(self, enabled: bool = True) -> None:
-        self._enabled = enabled
-
-    def __enter__(self) -> "memory_tracking":
-        self._started = self._enabled and not tracemalloc.is_tracing()
-        if self._started:
-            tracemalloc.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._started:
-            tracemalloc.stop()
 
 
 def _derived_ratios(counters: Dict[str, float]) -> Dict[str, float]:
@@ -83,19 +55,15 @@ class NodeMetrics:
 
     Filled by :meth:`QueryContext.record`; ``bag`` is where the node's
     own operators count (the SGB counters, ``rows_spooled``).
-    ``mem_peak_bytes`` is the peak traced-memory growth over the node's
-    start baseline (inclusive of children, like the times); ``None`` =
-    never measured.
     """
 
-    __slots__ = ("rows_out", "loops", "time_s", "bag", "mem_peak_bytes")
+    __slots__ = ("rows_out", "loops", "time_s", "bag")
 
     def __init__(self) -> None:
         self.rows_out = 0
         self.loops = 0
         self.time_s = 0.0
         self.bag = MetricBag()
-        self.mem_peak_bytes: Optional[int] = None
 
     def as_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {
@@ -103,8 +71,6 @@ class NodeMetrics:
             "loops": self.loops,
             "time_ms": self.time_s * 1000.0,
         }
-        if self.mem_peak_bytes is not None:
-            out["mem_peak_bytes"] = self.mem_peak_bytes
         counters = self.bag.as_dict()
         if counters:
             out["counters"] = counters
@@ -130,9 +96,6 @@ class QueryContext:
     ``collect``
         Keep a :class:`NodeMetrics` per node (always on when tracing, so
         traced queries feed the cumulative counters).
-    ``memory``
-        Sample tracemalloc at row boundaries (inert unless the pass runs
-        inside :class:`memory_tracking`).
 
     ``nodes`` maps each bound plan node to its :class:`NodeMetrics`, in
     pre-order; it stays empty unless ``collect``.  A context serves one
@@ -140,15 +103,14 @@ class QueryContext:
     so nothing is ever unbound.
     """
 
-    __slots__ = ("cancel", "tracer", "collect", "memory", "nodes")
+    __slots__ = ("cancel", "tracer", "collect", "nodes")
 
     def __init__(self, cancel: "Optional[CancelToken]" = None,
                  tracer: Optional[Tracer] = None,
-                 collect: bool = False, memory: bool = False) -> None:
+                 collect: bool = False) -> None:
         self.cancel: "Optional[CancelToken]" = cancel
         self.tracer = tracer
         self.collect = collect or tracer is not None
-        self.memory = memory
         self.nodes: Dict[Any, NodeMetrics] = {}
 
     def bind(self, plan) -> None:
@@ -174,24 +136,20 @@ class QueryContext:
         """The one recorder: wrap one pass over a collecting ``node``'s
         output.
 
-        Per row: rows out and time-to-next-row (and traced bytes with
-        ``memory``); around the pass, a span that opens at the first
-        ``next()`` and closes on exhaustion, error or abandonment (LIMIT
-        closing the generator).  It checks no token: the nodes do.
+        Per row: rows out and time-to-next-row; around the pass, a span
+        that opens at the first ``next()`` and closes on exhaustion,
+        error or abandonment (LIMIT closing the generator).  It checks no
+        token: the nodes do.
 
         Accumulated time is *inclusive* of the node's children (they
         run inside its ``next()``), mirroring PostgreSQL; time the
         consumer spends between rows is not charged.  If the producer
         raises mid-``next()`` or the consumer stops early, the
         ``finally`` still charges the in-flight ``next()`` instead of
-        dropping it.  Memory is sampled at the same row boundaries the
-        clock reads at: a blocking node's spool is still alive when its
-        first row emerges, so boundary sampling observes
-        materialization peaks without per-allocation hooks.
+        dropping it.
         """
         nm = self.nodes[node]
         clock = time.perf_counter
-        track_mem = self.memory and tracemalloc.is_tracing()
         if self.tracer is None:
             span = NULL_TRACE_SPAN
         else:
@@ -203,10 +161,6 @@ class QueryContext:
         with span as sp:
             nm.loops += 1
             rows_before = nm.rows_out
-            if track_mem:
-                mem_base = tracemalloc.get_traced_memory()[0]
-                if nm.mem_peak_bytes is None:
-                    nm.mem_peak_bytes = 0
             t0 = clock()
             charged = False  # is the segment since t0 already in time_s?
             try:
@@ -214,10 +168,6 @@ class QueryContext:
                     nm.time_s += clock() - t0
                     charged = True
                     nm.rows_out += 1
-                    if track_mem:
-                        grown = tracemalloc.get_traced_memory()[0] - mem_base
-                        if grown > nm.mem_peak_bytes:
-                            nm.mem_peak_bytes = grown
                     yield row
                     t0 = clock()
                     charged = False
@@ -227,10 +177,6 @@ class QueryContext:
             finally:
                 if not charged:
                     nm.time_s += clock() - t0
-                if track_mem:
-                    grown = tracemalloc.get_traced_memory()[0] - mem_base
-                    if grown > nm.mem_peak_bytes:
-                        nm.mem_peak_bytes = grown
                 sp.set(rows=nm.rows_out - rows_before)
 
 
@@ -282,13 +228,10 @@ def render_analyze(record: Dict[str, Any]) -> str:
     def walk(rec: Dict[str, Any], indent: int) -> None:
         pad = "  " * indent
         est_part = f"({rec['estimate']})  " if "estimate" in rec else ""
-        mem_part = ""
-        if "mem_peak_bytes" in rec:
-            mem_part = f", mem_peak={_fmt_bytes(rec['mem_peak_bytes'])}"
         lines.append(
             f"{pad}-> {rec['node']}  {est_part}"
             f"(actual rows={rec['rows']} loops={rec['loops']}, "
-            f"time={rec['time_ms']:.2f} ms{mem_part})"
+            f"time={rec['time_ms']:.2f} ms)"
         )
         counters = rec.get("counters")
         if counters:
@@ -313,18 +256,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)
-
-
-def _fmt_bytes(n: int) -> str:
-    """Human-readable byte count (binary units, one decimal)."""
-    value = float(n)
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if abs(value) < 1024.0 or unit == "GiB":
-            if unit == "B":
-                return f"{int(value)} B"
-            return f"{value:.1f} {unit}"
-        value /= 1024.0
-    return f"{int(value)} B"  # pragma: no cover - unreachable
 
 
 class AnalyzeResult:

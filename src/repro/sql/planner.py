@@ -239,7 +239,7 @@ class Planner:
             applicable = [c for c in remaining if _resolvable(c, combined)]
             remaining = [c for c in remaining if c not in applicable]
             if item.condition is not None:
-                applicable.append(item.condition)
+                applicable.extend(_split_conjuncts(item.condition))
             left_keys, right_keys, residual = _split_equi(
                 applicable, current.schema, right.schema
             )

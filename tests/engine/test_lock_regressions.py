@@ -76,12 +76,17 @@ class TestStatementLockCoverage:
         db.explain("SELECT count(*) FROM pts")
         assert (rec.shared_entries, rec.exclusive_entries) == (1, 0)
 
+    def test_analyze_takes_the_statement_lock(self, db):
+        rec = record(db)
+        db.analyze("SELECT count(*) FROM pts")
+        assert (rec.shared_entries, rec.exclusive_entries) == (1, 0)
+
 
 @pytest.mark.parametrize("sql,shared", [
     ("SELECT count(*) FROM pts", True),
     ("SELECT x FROM pts UNION SELECT y FROM pts", True),
     ("EXPLAIN SELECT count(*) FROM pts", True),
-    ("EXPLAIN ANALYZE SELECT count(*) FROM pts", False),
+    ("EXPLAIN ANALYZE SELECT count(*) FROM pts", True),
     ("INSERT INTO pts VALUES (5, 6)", False),
     ("ANALYZE pts", False),
     ("CREATE INDEX ix ON pts (x)", False),
@@ -94,8 +99,10 @@ def test_execute_takes_the_mode_of_its_statement(db, sql, shared):
     assert (rec.shared_entries, rec.exclusive_entries) == expected
 
 
+# "analyze" here is the statistics statement ``ANALYZE pts``, which writes
+# the catalog; ``db.analyze()`` (EXPLAIN ANALYZE) is a read, pinned above.
 @pytest.mark.parametrize("call", [
-    lambda d: d.analyze("SELECT count(*) FROM pts"),
+    lambda d: d.execute("ANALYZE pts"),
     lambda d: d.update_statistics("pts"),
     lambda d: d.insert("pts", [(7.0, 8.0)]),
 ], ids=["analyze", "update_statistics", "insert"])

@@ -183,9 +183,9 @@ class TestObservabilityOffLeavesNothingOnThePlan:
         assert all(ctx.bag_of(node) is None for node in nodes_of(plan))
         assert not any(goes_through_recorder(n) for n in nodes_of(plan))
 
-    def test_context_carries_five_things(self):
+    def test_context_carries_four_things(self):
         assert QueryContext.__slots__ == (
-            "cancel", "tracer", "collect", "memory", "nodes")
+            "cancel", "tracer", "collect", "nodes")
 
 
 #: 120 rows x 10 ms under the SGB node: ~1.2 s of spooling if left alone.

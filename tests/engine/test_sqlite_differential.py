@@ -173,6 +173,7 @@ JOINS = [
     "SELECT t.s, u.x FROM t INNER JOIN u ON t.x = u.x",
     "SELECT t.i, u.i, u.x FROM t JOIN u ON t.i = u.i AND t.s = u.s",
     "SELECT t.i, u.s FROM t, u WHERE t.i = u.i AND u.x > 0",
+    "SELECT t.i, t.x, u.x FROM t JOIN u ON t.i = u.i AND t.x > u.x",
     # LEFT joins: unmatched and NULL-keyed left rows pad with NULLs
     "SELECT t.i, t.s, u.i, u.x FROM t LEFT JOIN u ON t.i = u.i",
     "SELECT t.i, u.x FROM t LEFT OUTER JOIN u ON t.i = u.i AND u.x > 0",

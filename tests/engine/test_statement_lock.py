@@ -1,11 +1,11 @@
 """Reader/writer behaviour of the statement lock.
 
-SELECTs hold the lock shared and run beside each other; writes (INSERT,
-DDL, ANALYZE) and ``analyze()`` hold it exclusive.  A SELECT is kept
-open with the ``sleep(s)`` scalar, which sleeps once per row, so the
-interleavings below are forced rather than hoped for: each test waits
-until the lock itself reports the state it needs (a reader in, a writer
-queued) before issuing the next statement.
+SELECTs, ``analyze()`` and EXPLAIN [ANALYZE] hold the lock shared and
+run beside each other; writes (INSERT, DDL, ANALYZE) hold it exclusive.
+A SELECT is kept open with the ``sleep(s)`` scalar, which sleeps once
+per row, so the interleavings below are forced rather than hoped for:
+each test waits until the lock itself reports the state it needs (a
+reader in, a writer queued) before issuing the next statement.
 """
 
 import threading
@@ -153,18 +153,34 @@ class TestDeadlinesWhileWaiting:
         assert db.query("SELECT count(*) FROM pts").scalar() == 3
 
 
-class TestAnalyzeIsExclusive:
-    def test_two_concurrent_analyze_calls_both_report_mem_peak(self, db):
+class TestAnalyzeIsShared:
+    def test_two_concurrent_analyze_calls_overlap(self, db):
         sql = "SELECT x, sleep(0.1) FROM pts"
         barrier = threading.Barrier(2)
 
         def run():
             barrier.wait(timeout=10.0)
-            return db.analyze(sql).metrics["mem_peak_bytes"]
+            return db.analyze(sql)
 
         runs = [Background(run) for _ in range(2)]
-        peaks = [r.join() for r in runs]
-        assert all(isinstance(p, int) for p in peaks), peaks
+        # An exclusive hold would never let the second reader in.
+        wait_until(lambda: db._lock.readers == 2)
+        for result in (r.join() for r in runs):
+            assert sorted(result.rows) == [(1.0, 0.1), (2.0, 0.1)]
+            assert result.metrics["rows"] == 2
+        assert lock_is_free(db._lock)
+
+    def test_select_completes_while_explain_analyze_holds_the_lock(
+            self, db):
+        slow = Background(
+            lambda: db.execute("EXPLAIN ANALYZE " + SLOW_SELECT).rows)
+        wait_until(lambda: db._lock.readers == 1)
+        assert db.query("SELECT count(*) FROM pts").scalar() == 2
+        assert slow.alive()
+        plan = slow.join()
+        assert plan[0][0].startswith("-> Project")
+        assert "(actual rows=2 " in plan[0][0]
+        assert lock_is_free(db._lock)
 
 
 class TestNoReentry:

@@ -108,36 +108,22 @@ class TestAnalyzeCounters:
 
 
 class TestResourceAccounting:
-    def test_analyze_reports_per_node_peak_memory(self, db):
-        text = "\n".join(
-            row[0] for row in db.execute("EXPLAIN ANALYZE " + ANY_SQL).rows
-        )
-        assert "mem_peak=" in text
-        # Every node line carries a human unit, not raw byte counts.
-        for line in text.splitlines():
-            if "mem_peak=" in line:
-                part = line.split("mem_peak=")[1].split(")")[0]
-                assert part.endswith(("B", "KiB", "MiB", "GiB"))
-
-    def test_peak_memory_inclusive_of_children(self, db):
-        analyzed = db.analyze(ANY_SQL)
-        tree = json.loads(analyzed.metrics_json())
-
-        def walk(node):
-            yield node
-            for child in node.get("children", []):
-                yield from walk(child)
-
-        peaks = [n.get("mem_peak_bytes") for n in walk(tree)]
-        assert all(isinstance(p, int) and p >= 0 for p in peaks)
-        # The root's peak covers everything produced beneath it.
-        assert tree["mem_peak_bytes"] == max(peaks)
-
     def test_plain_query_does_no_memory_tracking(self, db):
         import tracemalloc
 
         db.query(ANY_SQL)
         assert not tracemalloc.is_tracing()
+        # Neither does an analysed run, by method or by statement.
+        db.analyze(ANY_SQL)
+        db.execute("EXPLAIN ANALYZE " + ANY_SQL)
+        assert not tracemalloc.is_tracing()
+        # A caller's own tracemalloc session survives an analysed run.
+        tracemalloc.start()
+        try:
+            db.analyze(ANY_SQL)
+            assert tracemalloc.is_tracing()
+        finally:
+            tracemalloc.stop()
 
     def test_rows_spooled_counted_for_partitioned_query(self, db):
         totals = db.analyze(

@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine.database import Database
 from repro.errors import PlanningError
+from repro.sql.parser import parse
 
 
 @pytest.fixture
@@ -44,6 +45,18 @@ class TestPlanShapes:
     def test_join_on_condition_used(self, db):
         plan = db.explain("SELECT a.x FROM a JOIN b ON a.x = b.x")
         assert "HashJoin" in plan
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT a.x FROM a JOIN b ON a.x = b.x AND a.y < b.z",
+        "SELECT a.x FROM a, b WHERE a.x = b.x AND a.y < b.z",
+    ], ids=["on", "where"])
+    def test_equality_inside_conjunctive_on_is_a_hash_key(self, db, sql):
+        plan = db._planner().plan_query(parse(sql)[0])
+        join = plan.children()[0]
+        assert join.describe() == "HashJoin (1 key(s))"
+        assert repr(join._residual_expr) == (
+            "BinaryOp('<', ColumnRef(a.y), ColumnRef(b.z))")
+        assert db.query(sql).rows == [(1,)]
 
     def test_order_limit_is_sort_below_project_below_limit(self, db):
         plan = db.explain("SELECT x FROM a ORDER BY x LIMIT 1")
