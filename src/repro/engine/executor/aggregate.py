@@ -4,29 +4,36 @@ GROUP BY, whose output rows are ``(key values…, aggregate results…)``.
 Every node drains its child, labels each row with its group and folds
 each group's argument columns (paper §8.2: one aggregate with a tuple
 store); only the labelling differs.  Working a column at a time saves
-per-row Python calls, not arithmetic: a group's values reach
-``Accumulator.step_many`` in row order, so float sums are a row fold's.
+per-row Python calls, not arithmetic: keys and arguments are evaluated
+by their expressions' column forms (``Expr.bind_column``), and a group's
+values reach ``Accumulator.step_many`` in row order, so float sums are
+a row fold's.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import accumulate, groupby
+from operator import iadd
 from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
 from repro.engine.aggregates import Accumulator, accumulator_factory
 from repro.engine.executor.base import PhysicalOperator
 from repro.engine.schema import Column, Schema
 from repro.engine.types import ANY
-from repro.sql.ast_nodes import AggCall, BindContext, Expr
+from repro.sql.ast_nodes import AggCall, BindContext, ColumnFn, Expr
 
 
 class AggSpec:
     """A planned aggregate call with bound argument evaluators (its name
-    and arity checked now rather than mid-execution)."""
+    and arity checked now rather than mid-execution): ``arg_columns``
+    evaluate the arguments, ``arg_fns`` are their row forms."""
 
-    def __init__(self, call: AggCall, arg_fns: Sequence[Callable[[tuple], Any]]):
+    def __init__(self, call: AggCall, arg_fns: Sequence[Callable[[tuple], Any]],
+                 arg_columns: Sequence[ColumnFn]):
         self.call = call
         self.arg_fns = list(arg_fns)
+        self.arg_columns = list(arg_columns)
         self.new_accumulator: Callable[[], Accumulator] = accumulator_factory(
             call.name, len(self.arg_fns), call.distinct)
 
@@ -40,8 +47,12 @@ class AggSpec:
 def build_agg_specs(
     calls: Sequence[AggCall], ctx: BindContext
 ) -> List[AggSpec]:
-    return [AggSpec(call, [a.bind(ctx) for a in call.args])
-            for call in calls]
+    specs = []
+    for call in calls:
+        fns = [a.bind(ctx) for a in call.args]
+        specs.append(AggSpec(call, fns, [a.bind_column(ctx, f)
+                                         for a, f in zip(call.args, fns)]))
+    return specs
 
 
 def label_runs(labels: Sequence[int]) -> List[Tuple[int, List[int]]]:
@@ -65,21 +76,25 @@ class Aggregate(PhysicalOperator):
     """Bound key and aggregate expressions, their column evaluation and
     the fold.  No row leaves the node before the fold is over, so
     :meth:`_column` checks the cancel token between chunks of rows, and
-    the groups leave through :meth:`_checked` like a scan's rows."""
+    the groups leave through :meth:`_checked` like a scan's rows.
+    ``_key_fns`` are the keys' row forms, ``_key_columns`` what runs."""
 
     def __init__(self, child: PhysicalOperator, key_exprs: Sequence[Expr],
                  agg_calls: Sequence[AggCall], ctx: BindContext):
         self.child = child
         self._key_exprs = list(key_exprs)
         self._key_fns = [e.bind(ctx) for e in key_exprs]
+        self._key_columns = [e.bind_column(ctx, f)
+                             for e, f in zip(key_exprs, self._key_fns)]
         self._specs: List[AggSpec] = build_agg_specs(agg_calls, ctx)
 
-    def _column(self, fn: Callable[[tuple], object],
-                rows: List[tuple]) -> list:
-        """``fn`` over ``rows`` as one list, the rows drawn through
-        :meth:`_checked`: a cancel is seen within one chunk, a stride of
-        values at most, or one value when each is slow (``sleep(s)``)."""
-        return list(map(fn, self._checked(rows)))
+    def _column(self, fn: ColumnFn, rows: List[tuple]) -> list:
+        """The column ``fn`` over ``rows``, chunk by chunk through
+        :meth:`_chunks`: a cancel is seen within one chunk, a stride of
+        values at most, or one value when each is slow (``sleep(s)``),
+        and no subterm's column is longer than a chunk."""
+        # One list extended by each chunk's column, in C.
+        return reduce(iadd, map(fn, self._chunks(iter(rows))), [])
 
     def _fold(self, rows: List[tuple],
               runs: Sequence[Sequence[int]]) -> List[tuple]:
@@ -95,7 +110,7 @@ class Aggregate(PhysicalOperator):
         spans = list(zip(bounds, bounds[1:]))
         results = []
         for spec in self._specs:
-            cols = [self._column(f, grouped) for f in spec.arg_fns]
+            cols = [self._column(f, grouped) for f in spec.arg_columns]
             results.append([spec.fold(end - start,
                                       [col[start:end] for col in cols])
                             for start, end in spans])
@@ -122,11 +137,11 @@ class HashAggregate(Aggregate):
 
     def _execute(self) -> Iterator[tuple]:
         rows = list(self.child)
-        if not self._key_fns:
+        if not self._key_columns:
             # SQL scalar aggregate: one row of finals, even for no input.
             yield from self._fold(rows, [range(len(rows))])
             return
-        keys = list(zip(*[self._column(f, rows) for f in self._key_fns]))
+        keys = list(zip(*[self._column(f, rows) for f in self._key_columns]))
         runs = key_runs(keys)
         yield from self._checked([keys[run[0]] + results for run, results
                                   in zip(runs, self._fold(rows, runs))])

@@ -94,7 +94,8 @@ class PhysicalOperator:
 
         The one way rows enter the plan: leaf scans and nodes that emit
         rows they hold return their rows through it, and the
-        aggregation nodes evaluate columns through it.  Chunk lengths
+        aggregation nodes evaluate columns over its chunks
+        (:meth:`_chunks`).  Chunk lengths
         follow :meth:`_stride` from one row: a cancel is seen within one
         chunk, at most a stride of rows, never more rows than had passed
         before it fired, and about one budget's time or one slow row's

@@ -179,7 +179,8 @@ class SimilarityAggregate(Aggregate):
         ctx = ctx_factory(child.schema)
         super().__init__(child, key_exprs, agg_calls, ctx)
         self._partition_exprs = list(partition_exprs)
-        self._partition_fns = [e.bind(ctx) for e in partition_exprs]
+        self._partition_columns = [e.bind_column(ctx)
+                                   for e in partition_exprs]
         columns = [Column(f"__part{i}", ANY)
                    for i in range(len(partition_exprs))]
         columns += [Column(f"__agg{i}", ANY) for i in range(len(agg_calls))]
@@ -205,7 +206,7 @@ class SimilarityAggregate(Aggregate):
         """
         rows = list(self.child)
         points = grouping_points([self._column(f, rows)
-                                  for f in self._key_fns])
+                                  for f in self._key_columns])
         skipped = 0
         if None in points:
             rows = [row for row, p in zip(rows, points) if p is not None]
@@ -213,11 +214,11 @@ class SimilarityAggregate(Aggregate):
             points = [p for p in points if p is not None]
         if not rows:
             spooled: List[Partition] = []
-        elif not self._partition_fns:
+        elif not self._partition_columns:
             spooled = [((), points, rows)]
         else:
             pkeys = list(zip(*[self._column(f, rows)
-                               for f in self._partition_fns]))
+                               for f in self._partition_columns]))
             spooled = [(pkeys[run[0]], [points[j] for j in run],
                         [rows[j] for j in run])
                        for run in key_runs(pkeys)]

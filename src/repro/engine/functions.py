@@ -16,7 +16,7 @@ from repro.errors import ExecutionError, PlanningError
 
 def _null_prop(fn: Callable[..., Any]) -> Callable[..., Any]:
     def wrapped(*args: Any) -> Any:
-        if any(a is None for a in args):
+        if None in args:
             return None
         return fn(*args)
 

@@ -2,18 +2,22 @@
 
 Expression nodes double as the executable form: ``bind(ctx)`` compiles a
 node against a schema into a plain ``row -> value`` callable, resolving
-column references to row indices once at plan time.  Nodes implement
+column references to row indices once at plan time, and
+``bind_column(ctx)`` into a ``rows -> list`` callable that evaluates the
+same expression over a whole column of rows.  Nodes implement
 structural equality via :meth:`Expr.key` so the planner can match aggregate
 calls and GROUP BY expressions appearing in several clauses.
 
 SQL three-valued logic is honoured: comparisons and arithmetic propagate
-NULL (``None``); AND/OR/NOT follow Kleene logic; filters accept a row only
-when the predicate is exactly ``True``.
+NULL (``None``); AND/OR/NOT follow Kleene logic; ``x [NOT] IN (…)`` is
+NULL when nothing matches and a candidate is NULL; filters accept a row
+only when the predicate is exactly ``True``.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+import decimal as _decimal
 import operator
 import re
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -24,6 +28,7 @@ from repro.engine.types import Interval
 from repro.errors import ExecutionError, ParseError, PlanningError
 
 RowFn = Callable[[tuple], Any]
+ColumnFn = Callable[[List[tuple]], list]
 
 
 class BindContext:
@@ -41,6 +46,18 @@ class BindContext:
     ):
         self.schema = schema
         self.subquery_runner = subquery_runner
+        self._subquery_rows: Dict["Select", List[tuple]] = {}
+
+    def subquery_rows(self, select: "Select") -> List[tuple]:
+        """The rows of the uncorrelated sub-select ``select``, run once
+        per context however often an expression holding it is bound (a
+        column form that maps its row form binds that form again)."""
+        if self.subquery_runner is None:
+            raise PlanningError("IN (SELECT …) is not allowed in this clause")
+        rows = self._subquery_rows.get(select)
+        if rows is None:
+            rows = self._subquery_rows[select] = self.subquery_runner(select)
+        return rows
 
 
 # ----------------------------------------------------------------------
@@ -51,6 +68,36 @@ class Expr:
 
     def bind(self, ctx: BindContext) -> RowFn:
         raise NotImplementedError(type(self).__name__)
+
+    def bind_column(self, ctx: BindContext,
+                    row: Optional[RowFn] = None) -> ColumnFn:
+        """A ``rows -> list`` callable equal to ``list(map(self.bind(ctx),
+        rows))`` element for element, by value and by type.
+
+        A column is evaluated subterm by subterm, so when it raises, the
+        error may belong to a later row than the row form's would: the
+        row form then reruns over the same rows and raises the first
+        offending row's error.  ``row`` is that row form when the caller
+        has bound it already.
+        """
+        if row is None:
+            row = self.bind(ctx)
+        column = self._column_form(ctx)
+
+        def evaluate(rows: List[tuple]) -> list:
+            try:
+                return column(rows)
+            except Exception:  # the row form raises the first row's error
+                return list(map(row, rows))
+
+        return evaluate
+
+    def _column_form(self, ctx: BindContext) -> ColumnFn:
+        """The column evaluation :meth:`bind_column` wraps, for parents
+        to compose: the row form mapped over the rows, unless a node's
+        column pays for an override."""
+        fn = self.bind(ctx)
+        return lambda rows: list(map(fn, rows))
 
     def key(self) -> tuple:
         """Structural identity used for GROUP BY / aggregate matching."""
@@ -83,6 +130,9 @@ class Literal(Expr):
         value = self.value
         return lambda row: value
 
+    def _column_form(self, ctx: BindContext) -> ColumnFn:
+        return _constant_column(self.value)
+
     def key(self) -> tuple:
         return ("lit", self.value)
 
@@ -99,6 +149,9 @@ class IntervalLiteral(Expr):
     def bind(self, ctx: BindContext) -> RowFn:
         interval = self.interval
         return lambda row: interval
+
+    def _column_form(self, ctx: BindContext) -> ColumnFn:
+        return _constant_column(self.interval)
 
     def key(self) -> tuple:
         return ("interval", self.interval.months, self.interval.days)
@@ -195,17 +248,71 @@ def _is_constant(expr: Expr) -> bool:
             and all(map(_is_constant, expr.children())))
 
 
-def _folded(expr: Expr, fn: RowFn) -> RowFn:
-    """``expr``'s bound ``fn``, evaluated once now if every operand is
+#: :func:`_fold_value`'s answer when an expression is not folded.
+_UNFOLDED = object()
+
+
+def _fold_value(expr: Expr, fn: RowFn) -> Any:
+    """``expr``'s bound ``fn`` evaluated once now if every operand is
     constant (``date '1998-12-01' - interval '90' day``) and that
-    evaluation does not raise: ``SELECT 1 / 0 FROM t`` still fails per row."""
+    evaluation does not raise; :data:`_UNFOLDED` otherwise."""
     if not all(map(_is_constant, expr.children())):
-        return fn
+        return _UNFOLDED
     try:
-        value = fn(())
+        return fn(())
     except Exception:  # raised again by ``fn`` at the first row
+        return _UNFOLDED
+
+
+def _folded(expr: Expr, fn: RowFn) -> RowFn:
+    """``fn``, or a constant when :func:`_fold_value` folds it:
+    ``SELECT 1 / 0 FROM t`` still fails per row."""
+    value = _fold_value(expr, fn)
+    if value is _UNFOLDED:
         return fn
     return lambda row: value
+
+
+def _constant_column(value: Any) -> ColumnFn:
+    return lambda rows: [value] * len(rows)
+
+
+def _constant_form(expr: Expr, ctx: BindContext) -> ColumnFn:
+    """The column form of an operator over constants: its folded value
+    repeated, or the row form mapped when folding raised."""
+    fn = expr.bind(ctx)
+    value = _fold_value(expr, fn)
+    if value is _UNFOLDED:
+        return lambda rows: list(map(fn, rows))
+    return _constant_column(value)
+
+
+#: Operand types (NULL included) on which ``_add`` / ``_sub`` are the
+#: plain ``+`` / ``-``.
+_NULL = type(None)
+_PLAIN_NUMBERS = frozenset({int, float, bool, _decimal.Decimal, _NULL})
+_DAYS = operator.attrgetter("days")
+
+
+def _binary_column(op: str, fn: Callable[[Any, Any], Any],
+                   a: list, b: list) -> list:
+    """``fn`` over the operand columns ``a`` and ``b``, NULL in, NULL
+    out, mapped in C.  Where the C operator gives ``fn``'s answer on
+    every operand here, it replaces ``fn``: ``+`` / ``-`` on plain
+    numbers, and ``-`` on two date columns takes ``.days`` of C ``-``."""
+    if op in ("+", "-"):  # the operand types tell NULLs apart too
+        a_types, b_types = set(map(type, a)), set(map(type, b))
+        nulls = _NULL in a_types or _NULL in b_types
+        if a_types | b_types <= _PLAIN_NUMBERS:
+            fn = operator.add if op == "+" else operator.sub
+        elif op == "-" and a_types == b_types == {_dt.date}:
+            return list(map(_DAYS, map(operator.sub, a, b)))
+    else:
+        nulls = None in a or None in b
+    if nulls:
+        return [None if x is None or y is None else fn(x, y)
+                for x, y in zip(a, b)]
+    return list(map(fn, a, b))
 
 
 class BinaryOp(Expr):
@@ -234,6 +341,18 @@ class BinaryOp(Expr):
             kleene = _and3 if op == "and" else _or3
             return _folded(self, lambda row: kleene(lf(row), rf(row)))
         raise PlanningError(f"unknown binary operator {self.op!r}")
+
+    def _column_form(self, ctx: BindContext) -> ColumnFn:
+        if _is_constant(self):
+            return _constant_form(self, ctx)
+        lc = self.left._column_form(ctx)
+        rc = self.right._column_form(ctx)
+        op = self.op
+        fn = _ARITH.get(op) or _COMPARE.get(op)
+        if fn is None:  # AND / OR: both sides evaluated, as per row
+            kleene = _and3 if op == "and" else _or3
+            return lambda rows: list(map(kleene, lc(rows), rc(rows)))
+        return lambda rows: _binary_column(op, fn, lc(rows), rc(rows))
 
     def key(self) -> tuple:
         return ("bin", self.op, self.left.key(), self.right.key())
@@ -388,8 +507,15 @@ class InList(Expr):
             v = f(row)
             if v is None:
                 return None
-            result = any(g(row) == v for g in item_fns)
-            return not result if negated else result
+            saw_null = False
+            for g in item_fns:
+                item = g(row)
+                if item is None:
+                    saw_null = True
+                elif item == v:
+                    return not negated
+            # No match: NULL if some item is NULL (it might have been v).
+            return None if saw_null else negated
 
         return fn
 
@@ -410,7 +536,8 @@ class InSubquery(Expr):
     """Uncorrelated ``expr IN (SELECT …)``.
 
     Bound by materializing the subquery once into a set (the planner passes
-    a ``subquery_runner`` in the context); correlated subqueries are not
+    a ``subquery_runner`` in the context, and the context runs it once
+    however often it is bound); correlated subqueries are not
     supported and fail at bind time with a clear message.  ``sql`` is the
     subquery's source text: ``key()`` identifies the subquery by it, and
     ``repr`` shows it on one line.
@@ -427,21 +554,23 @@ class InSubquery(Expr):
         return (self.operand,)
 
     def bind(self, ctx: BindContext) -> RowFn:
-        if ctx.subquery_runner is None:
-            raise PlanningError("IN (SELECT …) is not allowed in this clause")
-        rows = ctx.subquery_runner(self.subquery)
+        rows = ctx.subquery_rows(self.subquery)
         if rows and len(rows[0]) != 1:
             raise PlanningError("IN subquery must return exactly one column")
         values = {r[0] for r in rows}
+        found = not self.negated
+        # No match is NULL when the subquery returned a NULL; a NULL
+        # operand is NULL too, unless the subquery returned no row.
+        missing = None if None in values else self.negated
+        null_operand = None if values else self.negated
+        values.discard(None)
         f = self.operand.bind(ctx)
-        negated = self.negated
 
         def fn(row: tuple) -> Any:
             v = f(row)
             if v is None:
-                return None
-            result = v in values
-            return not result if negated else result
+                return null_operand
+            return found if v in values else missing
 
         return fn
 
@@ -467,6 +596,13 @@ class FuncCall(Expr):
         impl = resolve_function(self.name, len(self.args))
         arg_fns = [a.bind(ctx) for a in self.args]
         return lambda row: impl(*[f(row) for f in arg_fns])
+
+    def _column_form(self, ctx: BindContext) -> ColumnFn:
+        if not self.args:
+            return Expr._column_form(self, ctx)
+        impl = resolve_function(self.name, len(self.args))
+        arg_cols = [a._column_form(ctx) for a in self.args]
+        return lambda rows: list(map(impl, *[c(rows) for c in arg_cols]))
 
     def key(self) -> tuple:
         return ("func", self.name, tuple(a.key() for a in self.args))

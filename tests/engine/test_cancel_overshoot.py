@@ -16,7 +16,8 @@ tests trip the token from inside the query, on the ``k``-th call of
   candidate ever matches (no row would leave the join to be checked).
 
 Past a deadline, a join whose candidates (or the rows above it) are slow
-stops within a few ms, not a full stride of slow candidates.
+stops within a few ms, not a full stride of slow candidates; so does an
+aggregation node whose argument column is slow to evaluate.
 """
 
 import time
@@ -222,4 +223,46 @@ class TestJoinProbePastDeadline:
     def test_slow_projection_above_the_join(self, skewed):
         sql = "SELECT sleep(0.002) FROM a JOIN b ON a.k = b.k"
         assert self.overshoot_ms(skewed, sql, "HashJoin (1 key(s))") \
+            <= self.BOUND_MS
+
+
+class TestColumnarFoldPastDeadline:
+    """The aggregation nodes evaluate an argument as a column, chunk by
+    chunk through ``_chunks``: a chunk of slow values (``sleep(s) + 0``,
+    a column of ``sleep`` calls and then a column ``+``) slower than
+    ``CHUNK_BUDGET_S`` halves the next, so the fold stops within a
+    value or two of a deadline, in ``HashAggregate`` and in the SGB
+    node alike."""
+
+    DEADLINE_S = 0.05
+    BOUND_MS = 20.0
+
+    @pytest.fixture(scope="class")
+    def slow(self):
+        db = Database()
+        db.execute("CREATE TABLE s (k int, x float, y float, z float)")
+        # 100 groups of 4 points, 3 apart: the grouping checks the token
+        # only between partitions, and on the python backend denser
+        # points (400 over 187 spots) take about 40 ms of the 50 ms
+        # deadline before the fold starts.
+        db.insert("s", [(i % 3, 0.002, float(3 * (i // 4)), float(i % 2))
+                        for i in range(400)])
+        return db
+
+    def overshoot_ms(self, db, sql, node):
+        assert node in db.explain(sql)
+        token = CancelToken.with_timeout(self.DEADLINE_S)
+        with pytest.raises(QueryTimeoutError):
+            db.execute(sql, cancel=token)
+        return (time.monotonic() - token.deadline) * 1000.0
+
+    def test_hash_aggregate_argument(self, slow):
+        sql = "SELECT sum(sleep(x) + 0) FROM s GROUP BY k"
+        assert self.overshoot_ms(slow, sql, "HashAggregate (keys=1") \
+            <= self.BOUND_MS
+
+    def test_similarity_aggregate_argument(self, slow):
+        sql = ("SELECT sum(sleep(x) + 0) FROM s "
+               "GROUP BY y, z DISTANCE-TO-ANY L2 WITHIN 2")
+        assert self.overshoot_ms(slow, sql, "SimilarityGroupBy") \
             <= self.BOUND_MS

@@ -10,9 +10,10 @@ their sort keys).  The inputs:
   and 2 keys (plain columns and expressions), with every aggregate plain
   and DISTINCT, with HAVING, and over empty input;
 * two such tables joined (inner, LEFT, hash and nested-loop, NULL join
-  keys), chained by ``UNION`` / ``UNION ALL`` (mixed chains too), and
+  keys), chained by ``UNION`` / ``UNION ALL`` (mixed chains too),
   sorted by ORDER BY over NULLs, ascending and descending, with and
-  without LIMIT;
+  without LIMIT, and filtered by ``IN`` / ``NOT IN`` over a list or a
+  subquery that holds a NULL;
 * the Table 2 statements without a similarity clause (Q1, GB1–GB3) on a
   small TPC-H scale.
 
@@ -219,6 +220,20 @@ ORDERS = [
 ]
 
 
+#: IN / NOT IN with a NULL among the candidates: no match is NULL, so
+#: NOT IN keeps no row; a NULL operand is NULL, unless the subquery
+#: returns no row (``u.i`` never exceeds 20), when IN is false.
+IN_NULL = [
+    "SELECT i, s FROM t WHERE i IN (1, -2, NULL)",
+    "SELECT i, s FROM t WHERE i NOT IN (1, -2, NULL)",
+    "SELECT i, s FROM t WHERE i IN (SELECT i FROM u)",
+    "SELECT i, s FROM t WHERE i NOT IN (SELECT i FROM u)",
+    "SELECT i, s FROM t WHERE (i NOT IN (1, NULL)) IS NULL",
+    "SELECT i, s FROM t WHERE (x IN (SELECT x FROM u)) IS NULL",
+    "SELECT i, s FROM t WHERE i NOT IN (SELECT i FROM u WHERE i > 100)",
+]
+
+
 def assert_same_order(got, want, keys, sql):
     """Both results list their sort keys in the same sequence."""
     assert len(got) == len(want), (sql, got, want)
@@ -241,6 +256,15 @@ class TestJoinsUnionsOrder:
     def test_unions_agree(self, t_rows, u_rows):
         db, lite = _two_tables(t_rows, u_rows)
         for sql in UNIONS:
+            assert_same_multiset(db.query(sql).rows,
+                                 lite.execute(sql).fetchall(), sql)
+        lite.close()
+
+    @given(t_rows=ROWS, u_rows=ROWS)
+    @settings(max_examples=40, deadline=None)
+    def test_in_with_a_null_candidate_agrees(self, t_rows, u_rows):
+        db, lite = _two_tables(t_rows, u_rows + [(None, None, None)])
+        for sql in IN_NULL:
             assert_same_multiset(db.query(sql).rows,
                                  lite.execute(sql).fetchall(), sql)
         lite.close()
