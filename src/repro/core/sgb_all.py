@@ -51,9 +51,9 @@ from typing import (
 from repro import kernels
 from repro.core.distance import CountingMetric, Metric, resolve_metric
 from repro.core.groups import Group, GroupRegistry, eps_all_reach
-from repro.core.sgb_any import timed_blocks
+from repro.core.sgb_any import checked_dim, intake, timed_blocks
 from repro.core.result import ELIMINATED, GroupingResult
-from repro.errors import DimensionMismatchError, InvalidParameterError
+from repro.errors import InvalidParameterError
 from repro.geometry.rectangle import Rect, probe_window
 from repro.index.rtree import RTree
 from repro.obs.metrics import MetricBag, StreamStats
@@ -295,9 +295,9 @@ class _Clique:
 
     __slots__ = ("gid", "member_ids")
 
-    def __init__(self, gid: int) -> None:
+    def __init__(self, gid: int, member_ids: List[int]) -> None:
         self.gid = gid
-        self.member_ids: List[int] = []
+        self.member_ids = member_ids
 
 
 _gid = attrgetter("gid")
@@ -313,7 +313,8 @@ class GraphStrategy(_StrategyBase):
     members are neighbours (``hits == |g|``), an overlap group iff some
     but not all are, and no other group can be either.  That is the
     similarity predicate itself, decided once per pair by the join, so a
-    probe costs O(deg p) and needs no rectangle, hull or refinement.
+    probe costs O(deg p) and needs no rectangle, hull or refinement.  A
+    point of degree 0 needs no probe at all (:meth:`isolated`).
     """
 
     name = "graph"
@@ -329,6 +330,11 @@ class GraphStrategy(_StrategyBase):
 
     def _neighbours(self, pid: int) -> List[int]:
         return self._indices[self._indptr[pid]:self._indptr[pid + 1]]
+
+    def isolated(self, pid: int) -> bool:
+        """Whether point ``pid`` has no ε-neighbour: then it is no group's
+        candidate or overlap, and no other point's either."""
+        return self._indptr[pid] == self._indptr[pid + 1]
 
     def find_close_groups(
         self, pid: int, point: Point, need_overlap: bool
@@ -357,8 +363,8 @@ class GraphStrategy(_StrategyBase):
         return [m for m in group.member_ids if m in near]
 
     def create_group(self, point_id: int, point: Point) -> Any:
-        g = self.registry.new_group()
-        self.add_member(g, point_id, point)
+        g = self.registry.new_group([point_id])
+        self._group_of[point_id] = g
         return g
 
     def add_member(self, group: Any, point_id: int, point: Point) -> None:
@@ -560,16 +566,10 @@ class SGBAllOperator:
         if self._finalized:
             raise RuntimeError("operator already finalized")
         pt = tuple(float(v) for v in point)
-        if self._dim is None:
-            self._dim = len(pt)
-            if self._dim < 1:
-                raise InvalidParameterError("points must have >= 1 dimension")
-            if self._strategy_cls is not GraphStrategy:
-                self._strategy = self._make_strategy(self.metric)
-        elif len(pt) != self._dim:
-            raise DimensionMismatchError(
-                f"point dimension {len(pt)} != {self._dim}"
-            )
+        first = self._dim is None
+        self._dim = checked_dim((len(pt),), self._dim)
+        if first and self._strategy_cls is not GraphStrategy:
+            self._strategy = self._make_strategy(self.metric)
         pid = len(self._points)
         self._points.append(pt)
         stats = self.stats
@@ -582,12 +582,22 @@ class SGBAllOperator:
         stats.distance_computations = getattr(self.metric, "calls", 0)
 
     def add_many(self, points: Iterable[Sequence[float]]) -> "SGBAllOperator":
+        """:meth:`add` every point; under ``graph``, which places nothing
+        before the walk, the batch is spooled whole by
+        :func:`~repro.core.sgb_any.intake`, as SGB-Any's is."""
+        if self._finalized:
+            raise RuntimeError("operator already finalized")
         with maybe_span(self.tracer, "ingest",
                         strategy=self.strategy_name,
                         on_overlap=self.on_overlap) as sp:
             n0 = len(self._points)
-            for p in points:
-                self.add(p)
+            if self._strategy_cls is GraphStrategy:
+                pts, self._dim = intake(points, self._dim)
+                self._points.extend(pts)
+                self.stats.points += len(pts)
+            else:
+                for p in points:
+                    self.add(p)
             sp.set(points=len(self._points) - n0)
         return self
 
@@ -731,10 +741,32 @@ class SGBAllOperator:
 
     def _pass(self, strat: _StrategyBase, pids: Iterable[int],
               stats: StreamStats, rng: random.Random) -> List[int]:
-        """Procedure 1 over ``pids`` into ``strat``; returns its ``S'``."""
+        """Procedure 1 over ``pids`` into ``strat``; returns its ``S'``.
+
+        Under ``graph`` a point with no ε-neighbour has a fixed answer: no
+        candidate, no overlap, no JOIN-ANY draw, so it opens a group of
+        its own in arrival order without FindCloseGroups.  Its probe and
+        its group are still counted, in bulk: the counters read as if it
+        had been probed.
+        """
         deferred: List[int] = []
+        process = self._process_point
+        if not isinstance(strat, GraphStrategy):
+            for pid in pids:
+                process(strat, pid, deferred, stats, rng)
+            return deferred
+        isolated = strat.isolated
+        create = strat.create_group
+        points = self._points
+        n_isolated = 0
         for pid in pids:
-            self._process_point(strat, pid, deferred, stats, rng)
+            if isolated(pid):
+                create(pid, points[pid])
+                n_isolated += 1
+            else:
+                process(strat, pid, deferred, stats, rng)
+        stats.index_probes += n_isolated
+        stats.groups_created += n_isolated
         return deferred
 
     def _adjacency(self, metric: Metric,

@@ -219,6 +219,37 @@ class GridAnyStrategy(_AnyStrategyBase):
         return timed_blocks(blocks, bag)
 
 
+def checked_dim(dims: Iterable[int], dim: Optional[int]) -> int:
+    """An operator's point dimension once points of dimensions ``dims``
+    arrive: ``dim``, or the first of ``dims`` when ``dim`` is None (no
+    point yet).  A point of another dimension, or of none, raises."""
+    for d in dims:
+        if dim is None:
+            if d < 1:
+                raise InvalidParameterError("points must have >= 1 dimension")
+            dim = d
+        elif d != dim:
+            raise DimensionMismatchError(f"point dimension {d} != {dim}")
+    assert dim is not None
+    return dim
+
+
+def intake(points: Iterable[Sequence[float]],
+           dim: Optional[int]) -> Tuple[List[Point], Optional[int]]:
+    """A batch operator's bulk spool: ``points`` as float tuples and the
+    dimension they share with ``dim`` (:func:`checked_dim`; unchanged
+    for an empty batch).  A list of float tuples (what the SQL spool and
+    the array API hand over) is taken as it is; anything else is
+    coerced."""
+    pts: List[Any] = points if isinstance(points, list) else list(points)
+    if not pts:
+        return pts, dim
+    if not (set(map(type, pts)) <= {tuple}
+            and set(map(type, chain.from_iterable(pts))) <= {float}):
+        pts = [tuple(float(v) for v in p) for p in pts]
+    return pts, checked_dim(set(map(len, pts)), dim)
+
+
 def timed_blocks(blocks: Iterator[EdgeBlock],
                  bag: MetricBag) -> Iterator[EdgeBlock]:
     """Pass join blocks through, timing each (pair expansion and its one
@@ -334,24 +365,11 @@ class SGBAnyOperator:
             )
         return calls
 
-    def _check_dims(self, dims: Iterable[int]) -> None:
-        for dim in dims:
-            if self._dim is None:
-                if dim < 1:
-                    raise InvalidParameterError(
-                        "points must have >= 1 dimension"
-                    )
-                self._dim = dim
-            elif dim != self._dim:
-                raise DimensionMismatchError(
-                    f"point dimension {dim} != {self._dim}"
-                )
-
     def add(self, point: Sequence[float]) -> None:
         if self._finalized:
             raise RuntimeError("operator already finalized")
         pt = tuple(float(v) for v in point)
-        self._check_dims((len(pt),))
+        self._dim = checked_dim((len(pt),), self._dim)
         self._points.append(pt)
 
     def add_many(self, points: Iterable[Sequence[float]]) -> "SGBAnyOperator":
@@ -359,13 +377,7 @@ class SGBAnyOperator:
             raise RuntimeError("operator already finalized")
         with maybe_span(self.tracer, "ingest",
                         strategy=self.strategy_name) as sp:
-            pts = points if isinstance(points, list) else list(points)
-            # A list of float tuples (what the SQL spool and the array API
-            # hand over) is taken as it is; anything else is coerced.
-            if not (set(map(type, pts)) <= {tuple}
-                    and set(map(type, chain.from_iterable(pts))) <= {float}):
-                pts = [tuple(float(v) for v in p) for p in pts]
-            self._check_dims(set(map(len, pts)))
+            pts, self._dim = intake(points, self._dim)
             self._points.extend(pts)
             sp.set(points=len(pts))
         return self

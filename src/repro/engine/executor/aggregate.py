@@ -8,14 +8,31 @@ per-row Python calls, not arithmetic: keys and arguments are evaluated
 by their expressions' column forms (``Expr.bind_column``), and a group's
 values reach ``Accumulator.step_many`` in row order, so float sums are
 a row fold's.
+
+A group is a *run*: its row positions in row order.  :func:`label_runs`
+(an SGB node's labels) and :func:`key_runs` (equality keys) build every
+run in one dict pass over the rows, keyed by label or key tuple.
+``count(*)`` needs no column and no accumulator: it folds to the
+lengths of the runs.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import accumulate, groupby
+from itertools import accumulate
 from operator import iadd
-from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.engine.aggregates import Accumulator, accumulator_factory
 from repro.engine.executor.base import PhysicalOperator
@@ -36,6 +53,9 @@ class AggSpec:
         self.arg_columns = list(arg_columns)
         self.new_accumulator: Callable[[], Accumulator] = accumulator_factory(
             call.name, len(self.arg_fns), call.distinct)
+        #: ``count(*)``: each group's result is its row count.
+        self.counts_rows = (call.name == "count" and not self.arg_fns
+                            and not call.distinct)
 
     def fold(self, n: int, columns: Sequence[Sequence[Any]]) -> Any:
         """The aggregate of ``n`` rows given as one column per argument."""
@@ -55,21 +75,25 @@ def build_agg_specs(
     return specs
 
 
+def _runs(keys: Iterable[Hashable]) -> Dict[Any, List[int]]:
+    """Row positions per distinct key, in first-seen order and each in
+    row order: one dict pass.  A dict tells keys apart: NULL is a key of
+    its own, ``1``/``1.0``/``True`` share one."""
+    runs: Dict[Any, List[int]] = {}
+    for j, key in enumerate(keys):
+        runs.setdefault(key, []).append(j)
+    return runs
+
+
 def label_runs(labels: Sequence[int]) -> List[Tuple[int, List[int]]]:
     """``(label, row positions)`` per distinct label, labels ascending and
-    positions in row order (the sort is stable)."""
-    by_label = sorted(range(len(labels)), key=labels.__getitem__)
-    return [(label, list(run))
-            for label, run in groupby(by_label, labels.__getitem__)]
+    positions in row order (only the distinct labels are sorted)."""
+    return sorted(_runs(labels).items())
 
 
 def key_runs(keys: Sequence[tuple]) -> List[List[int]]:
-    """Row positions per distinct key tuple, in first-seen order.  A dict
-    tells keys apart: NULL is a key of its own, ``1``/``1.0``/``True``
-    share one."""
-    first_seen: Dict[tuple, int] = {}
-    labels = [first_seen.setdefault(k, len(first_seen)) for k in keys]
-    return [run for _label, run in label_runs(labels)]
+    """Row positions per distinct key tuple, in first-seen order."""
+    return list(_runs(keys).values())
 
 
 class Aggregate(PhysicalOperator):
@@ -98,23 +122,31 @@ class Aggregate(PhysicalOperator):
 
     def _fold(self, rows: List[tuple],
               runs: Sequence[Sequence[int]]) -> List[tuple]:
-        """The aggregate results of each run of row positions.  Rows are
-        reordered run by run; one aggregate at a time (so one aggregate's
-        columns are held at once), each argument is evaluated as a column
-        and each run's slice goes to one ``step_many``."""
-        if len(runs) == 1 and len(runs[0]) == len(rows):
-            grouped = rows  # one group of every row, already in order
-        else:
-            grouped = [rows[j] for run in runs for j in run]
-        bounds = list(accumulate(map(len, runs), initial=0))
-        spans = list(zip(bounds, bounds[1:]))
+        """The aggregate results of each run of row positions.
+        ``count(*)`` is the runs' lengths.  For any other aggregate the
+        rows are reordered run by run, once; one aggregate at a time (so
+        one aggregate's columns are held at once), each argument is
+        evaluated as a column and each run's slice goes to one
+        ``step_many``."""
+        sizes = list(map(len, runs))
+        grouped: Optional[List[tuple]] = None
         results = []
         for spec in self._specs:
+            if spec.counts_rows:
+                results.append(sizes)
+                continue
+            if grouped is None:
+                if len(runs) == 1 and sizes[0] == len(rows):
+                    grouped = rows  # one group of every row, in order
+                else:
+                    grouped = [rows[j] for run in runs for j in run]
+                bounds = list(accumulate(sizes, initial=0))
+                spans = list(zip(bounds, bounds[1:]))
             cols = [self._column(f, grouped) for f in spec.arg_columns]
             results.append([spec.fold(end - start,
                                       [col[start:end] for col in cols])
                             for start, end in spans])
-        return list(zip(*results)) if results else [()] * len(spans)
+        return list(zip(*results)) if results else [()] * len(runs)
 
     def children(self) -> Tuple[PhysicalOperator, ...]:
         return (self.child,)

@@ -1,11 +1,15 @@
 """SGB-All unit tests: semantics of the three ON-OVERLAP clauses."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
+from repro import kernels
 from repro.core.api import sgb_all
+from repro.core.distance import resolve_metric
 from repro.core.result import ELIMINATED
-from repro.core.sgb_all import SGBAllOperator, normalize_overlap
+from repro.core.sgb_all import GraphStrategy, SGBAllOperator, normalize_overlap
 from repro.errors import InvalidParameterError
 from repro.obs.trace import Tracer
 from repro.stats.chooser import ALL_STRATEGIES as STRATEGIES
@@ -267,3 +271,113 @@ class TestGraphStrategy:
         assert stats.candidates == 6
         assert stats.groups_created == 3
         assert stats.distance_computations == op.distance_computations > 0
+
+
+def sparse_shapes(seed):
+    """87 points at seeded cells of a 10-apart lattice (ε = 1): 48
+    isolated points, then 4 pairs, 3 triangles, 3 four-point paths and
+    2 five-point stars, shuffled so the shapes interleave in arrival
+    order.  A path's middle points and a star's centre can meet two or
+    more groups, so each overlap clause has something to arbitrate."""
+    rng = random.Random(seed)
+    cells = [(10.0 * (k % 10), 10.0 * (k // 10))
+             for k in rng.sample(range(100), 48 + 4 + 3 + 3 + 2)]
+    cells.reverse()
+    shapes = []
+    for _ in range(48):
+        x, y = cells.pop()
+        shapes.append([(x + rng.uniform(-0.02, 0.02),
+                        y + rng.uniform(-0.02, 0.02))])
+    for _ in range(4):
+        x, y = cells.pop()
+        shapes.append([(x, y), (x + 0.6 + rng.uniform(-0.02, 0.02), y)])
+    for _ in range(3):
+        x, y = cells.pop()
+        shapes.append([(x, y), (x + 0.8, y), (x + 0.4, y + 0.69)])
+    for _ in range(3):
+        x, y = cells.pop()
+        shapes.append([(x + 0.7 * i, y + rng.uniform(-0.02, 0.02))
+                       for i in range(4)])
+    for _ in range(2):
+        x, y = cells.pop()
+        shapes.append([(x, y), (x + 0.9, y), (x - 0.9, y), (x, y + 0.9),
+                       (x, y - 0.9)])
+    points = [p for shape in shapes for p in shape]
+    rng.shuffle(points)
+    return points
+
+
+CLAUSES = ["join-any", "eliminate", "form-new-group"]
+STAT_FIELDS = ("points", "index_probes", "candidates", "groups_created",
+               "eliminated", "deferred", "groups_dropped")
+#: ``STAT_FIELDS`` of a ``graph`` run over ``sparse_shapes(3)`` with
+#: ε = 1, ``tiebreak="random"``, per (clause, seed), as recorded while
+#: every point still went through FindCloseGroups.
+SPARSE_GOLDEN = {
+    ("join-any", 0): (87, 87, 30, 70, 0, 0, 0),
+    ("join-any", 1): (87, 87, 30, 71, 0, 0, 0),
+    ("join-any", 2): (87, 87, 30, 71, 0, 0, 0),
+    ("eliminate", 0): (87, 87, 27, 69, 5, 0, 0),
+    ("eliminate", 1): (87, 87, 27, 69, 5, 0, 0),
+    ("eliminate", 2): (87, 87, 27, 69, 5, 0, 0),
+    ("form-new-group", 0): (87, 92, 27, 74, 0, 5, 0),
+    ("form-new-group", 1): (87, 92, 27, 74, 0, 5, 0),
+    ("form-new-group", 2): (87, 92, 27, 74, 0, 5, 0),
+}
+
+
+class TestGraphIsolatedPoints:
+    """Under ``graph`` a point with no ε-neighbour opens its own group
+    without FindCloseGroups; labels and counters must not notice."""
+
+    POINTS = sparse_shapes(3)
+
+    def test_input_is_mostly_isolated(self):
+        adjacency = kernels.csr_adjacency(
+            len(self.POINTS),
+            kernels.eps_self_join(self.POINTS, 1.0, resolve_metric("l2"),
+                                  False))
+        indptr = adjacency[0]
+        degrees = [indptr[i + 1] - indptr[i] for i in range(len(indptr) - 1)]
+        assert degrees.count(0) == 48 >= len(self.POINTS) / 2
+        assert max(degrees) == 4  # a star's centre
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("clause", CLAUSES)
+    def test_labels_equal_all_pairs(self, clause, seed):
+        kwargs = dict(eps=1.0, on_overlap=clause, tiebreak="random",
+                      seed=seed)
+        assert (sgb_all(self.POINTS, strategy="graph", **kwargs)
+                == sgb_all(self.POINTS, strategy="all-pairs", **kwargs))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("clause", CLAUSES)
+    def test_counters_equal_golden(self, clause, seed, monkeypatch):
+        probed = []
+        find = GraphStrategy.find_close_groups
+
+        def counting_find(strat, pid, point, need_overlap):
+            probed.append(pid)
+            return find(strat, pid, point, need_overlap)
+
+        monkeypatch.setattr(GraphStrategy, "find_close_groups",
+                            counting_find)
+        op = SGBAllOperator(eps=1.0, on_overlap=clause, strategy="graph",
+                            tiebreak="random", seed=seed)
+        op.add_many(self.POINTS).finalize()
+        got = tuple(getattr(op.stats, f) for f in STAT_FIELDS)
+        assert got == SPARSE_GOLDEN[clause, seed]
+        # The 48 isolated points were counted but never probed.
+        assert len(probed) == op.stats.index_probes - 48
+
+    @pytest.mark.parametrize("clause", CLAUSES)
+    def test_snapshot_equals_batch_at_every_prefix(self, clause):
+        kwargs = dict(eps=1.0, on_overlap=clause, tiebreak="random",
+                      seed=1)
+        op = SGBAllOperator(strategy="graph", **kwargs)
+        for n, point in enumerate(self.POINTS, 1):
+            op.add(point)
+            assert op.snapshot() == sgb_all(self.POINTS[:n],
+                                            strategy="graph", **kwargs), n
+        assert op.finalize() == sgb_all(self.POINTS, strategy="all-pairs",
+                                        **kwargs)

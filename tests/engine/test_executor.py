@@ -1,5 +1,7 @@
 """Direct physical-operator tests (bypassing the parser)."""
 
+import operator
+
 import pytest
 
 from repro.engine.executor.aggregate import HashAggregate
@@ -96,6 +98,19 @@ def test_bind_tuple_equals_binding_each_expression(exprs, row):
     assert typed(got) == typed(tuple(e.bind(ctx)(row) for e in exprs))
 
 
+@pytest.mark.parametrize("row", [(1, None, 3), (None, 2, None), (4, 5, 6)])
+@pytest.mark.parametrize("column", ["a", "b", "c"])
+def test_bind_tuple_one_bare_column_is_a_c_slice(column, row):
+    """One bare column binds to a one-column slice, built in C; it equals
+    the closure it replaced, NULL included."""
+    ctx = BindContext(Schema([Column(c, "any", "v") for c in "abc"]))
+    key = bind_tuple([ColumnRef(column)], ctx)
+    fn = ColumnRef(column).bind(ctx)
+    assert type(key) is operator.itemgetter
+    assert key(row) == (lambda r: (fn(r),))(row)
+    assert type(key(row)) is tuple
+
+
 class TestJoins:
     def test_nested_loop_cross(self):
         plan = NestedLoopJoin(
@@ -125,6 +140,21 @@ class TestJoins:
         plan = HashJoin(left, right, [ColumnRef("id")], [ColumnRef("rid")],
                         None, ctx_factory)
         assert plan.rows() == [(1, 1)]
+
+    @pytest.mark.parametrize("outer", [False, True])
+    def test_one_key_hash_join_drops_null_keys_on_both_sides(self, outer):
+        # The key is the second column on both sides.
+        left = values([("l0", None), ("l1", 1), ("l2", 2), ("l3", None)],
+                      "tag", "id")
+        right = values([("r0", None), ("r1", 1), ("r2", None), ("r3", 2)],
+                       "rtag", "rid")
+        plan = HashJoin(left, right, [ColumnRef("id")], [ColumnRef("rid")],
+                        None, ctx_factory, outer=outer)
+        matched = [("l1", 1, "r1", 1), ("l2", 2, "r3", 2)]
+        if outer:
+            matched = [("l0", None, None, None)] + matched + [
+                ("l3", None, None, None)]
+        assert plan.rows() == matched
 
     def test_hash_join_duplicates_multiply(self):
         left = values([(1,), (1,)], "id")
