@@ -286,14 +286,14 @@ def sgb_stream(
     from repro.streaming.any_engine import StreamingSGBAny
     from repro.streaming.micro_batch import MicroBatcher
 
+    if "tracer" in engine_options:
+        raise TypeError("a stream's tracer belongs to the returned handle, "
+                        "not to sgb_stream()")
     eps = check_eps(eps, require_positive=True)
     key = mode.strip().lower()
     if key == "any":
         engine = StreamingSGBAny(eps=eps, metric=metric, **engine_options)
     elif key == "all":
-        if not engine_options.keys().isdisjoint(("metrics", "tracer")):
-            raise TypeError("a stream's metrics and tracer belong to the "
-                            "returned handle, not to sgb_stream()")
         strategy = engine_options.get("strategy", "index")
         if all_strategy_class(strategy).name not in INCREMENTAL_STRATEGIES:
             raise InvalidParameterError(

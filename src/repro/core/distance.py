@@ -148,8 +148,8 @@ class CountingMetric(Metric):
     tests), and wall-clock numbers in Python carry interpreter noise; the
     ``distance``/``within`` call count is the machine-independent way to
     verify the claimed savings.  The SGB operators wrap their metric in
-    one under ``count_distance_computations=True`` (or a ``metrics=`` bag)
-    and expose the tally as ``distance_computations``.
+    one under ``count_distance_computations=True`` and expose the tally
+    as ``distance_computations``.
     """
 
     def __init__(self, inner: Metric):

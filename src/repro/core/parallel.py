@@ -72,10 +72,11 @@ def group_partition(index: int, mode: str, points: Sequence[Point],
                     op_kwargs: dict, bag=None, tracer=None) -> List[int]:
     """Group one partition and return its labels.
 
-    ``bag`` / ``tracer`` are the caller's collectors (a
-    :class:`~repro.obs.metrics.MetricBag` and a
-    :class:`~repro.obs.trace.Tracer`), written to directly; either may be
-    None.
+    ``bag`` / ``tracer`` are the caller's collectors (the node's counter
+    bag and a :class:`~repro.obs.trace.Tracer`); either may be None.  A
+    bag switches distance counting on and receives the operator's
+    ``stats`` once it has finalized; the tracer gets the operator's
+    spans.
     """
     if mode == "all":
         operator_cls = SGBAllOperator
@@ -85,9 +86,13 @@ def group_partition(index: int, mode: str, points: Sequence[Point],
         raise ValueError(f"unknown SGB mode {mode!r}")
     with maybe_span(tracer, "partition", partition=index, points=len(points),
                     mode=mode):
-        operator = operator_cls(metrics=bag, tracer=tracer, **op_kwargs)
+        operator = operator_cls(count_distance_computations=bag is not None,
+                                tracer=tracer, **op_kwargs)
         operator.add_many(points)
-        return operator.finalize().labels
+        labels = operator.finalize().labels
+        if bag is not None:
+            bag.add_stats(operator.stats)
+        return labels
 
 
 def label_partitions(

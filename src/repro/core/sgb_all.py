@@ -34,7 +34,6 @@ deterministic), which the property-based tests exploit.
 from __future__ import annotations
 
 import random
-import time
 from operator import attrgetter
 from typing import (
     Any,
@@ -51,12 +50,12 @@ from typing import (
 from repro import kernels
 from repro.core.distance import CountingMetric, Metric, resolve_metric
 from repro.core.groups import Group, GroupRegistry, eps_all_reach
-from repro.core.sgb_any import checked_dim, intake, timed_blocks
+from repro.core.sgb_any import checked_dim, intake
 from repro.core.result import ELIMINATED, GroupingResult
 from repro.errors import InvalidParameterError
 from repro.geometry.rectangle import Rect, probe_window
 from repro.index.rtree import RTree
-from repro.obs.metrics import MetricBag, StreamStats
+from repro.obs.metrics import StreamStats
 from repro.obs.trace import Tracer, maybe_span
 
 Point = Tuple[float, ...]
@@ -88,9 +87,6 @@ class _StrategyBase:
     """Owns the live groups and keeps auxiliary structures in sync."""
 
     name = "abstract"
-    #: Whether the operator times each FindCloseGroups into
-    #: ``probe_latency`` (:class:`GraphStrategy`'s probe work is the join).
-    probe_timed = True
 
     def __init__(self, eps: float, metric: Metric, use_hull: bool):
         self.eps = eps
@@ -318,7 +314,6 @@ class GraphStrategy(_StrategyBase):
     """
 
     name = "graph"
-    probe_timed = False
 
     def __init__(self, eps: float, metric: Metric, use_hull: bool,
                  adjacency: Tuple[List[int], List[int]]):
@@ -454,13 +449,6 @@ class SGBAllOperator:
         Enable the §6.4 convex-hull refinement for 2-D L2 (ignored for L∞).
         Disabling it falls back to exact member scans after the rectangle
         filter — still correct, benchmarked as an ablation.
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricBag`.  When given, the
-        metric is wrapped in a CountingMetric if needed (so
-        ``distance_computations`` is populated), every FindCloseGroups
-        probe (every join block, for ``graph``) is timed into
-        ``probe_latency``, and ``finalize`` folds
-        :attr:`stats` into the bag.  Default None: timing only with a bag.
     """
 
     def __init__(
@@ -474,18 +462,15 @@ class SGBAllOperator:
         rtree_max_entries: int = 8,
         use_hull: bool = True,
         count_distance_computations: bool = False,
-        metrics: Optional[MetricBag] = None,
         tracer: Optional[Tracer] = None,
     ):
         if eps < 0:
             raise InvalidParameterError(f"eps must be non-negative, got {eps}")
         self.eps = float(eps)
         self.metric = resolve_metric(metric)
-        self.metrics = metrics
         self.tracer = tracer
-        if count_distance_computations or metrics is not None:
-            if not hasattr(self.metric, "calls"):
-                self.metric = CountingMetric(self.metric)
+        if count_distance_computations and not hasattr(self.metric, "calls"):
+            self.metric = CountingMetric(self.metric)
         self.on_overlap = normalize_overlap(on_overlap)
         if tiebreak not in ("random", "first"):
             raise InvalidParameterError(
@@ -606,18 +591,11 @@ class SGBAllOperator:
                        deferred_out: List[int], stats: StreamStats,
                        rng: random.Random) -> None:
         """One iteration of Procedure 1 for point ``pid``, counted into
-        ``stats``: the live struct, or a snapshot's scratch one, whose
-        probes are not timed into the bag either."""
+        ``stats``: the live struct, or a snapshot's scratch one."""
         point = self._points[pid]
         need_overlap = self.on_overlap != JOIN_ANY
-        bag = (self.metrics if stats is self.stats and strat.probe_timed
-               else None)
-        if bag is not None:
-            t0 = time.perf_counter()
         examined, candidates, overlaps = strat.find_close_groups(
             pid, point, need_overlap)
-        if bag is not None:
-            bag.observe("probe_latency", time.perf_counter() - t0)
         stats.index_probes += 1
         stats.candidates += examined
 
@@ -674,8 +652,7 @@ class SGBAllOperator:
 
     def finalize(self) -> GroupingResult:
         """Close the input stream and return the grouping: the
-        :meth:`snapshot` walk, counted into :attr:`stats`, which a
-        ``metrics=`` bag then receives."""
+        :meth:`snapshot` walk, counted into :attr:`stats`."""
         if self._finalized:
             raise RuntimeError("operator already finalized")
         self._finalized = True
@@ -686,8 +663,6 @@ class SGBAllOperator:
                                               self._rng)
             fin.set(regroup_passes=passes)
         stats.distance_computations = getattr(self.metric, "calls", 0)
-        if self.metrics is not None:
-            self.metrics.add_stats(stats)
         return result
 
     def _label_walk(self, stats: StreamStats, metric: Metric,
@@ -713,7 +688,7 @@ class SGBAllOperator:
         if self._strategy is not None:
             registries.append(self._strategy.registry)
         elif self._strategy_cls is GraphStrategy:
-            adjacency = self._adjacency(metric, stats is self.stats)
+            adjacency = self._adjacency(metric)
             strat = self._make_strategy(metric, adjacency)
             pending = self._pass(strat, range(len(self._points)), stats,
                                  rng)
@@ -769,15 +744,11 @@ class SGBAllOperator:
         stats.groups_created += n_isolated
         return deferred
 
-    def _adjacency(self, metric: Metric,
-                   timed: bool) -> Tuple[List[int], List[int]]:
+    def _adjacency(self, metric: Metric) -> Tuple[List[int], List[int]]:
         """The ε-graph of the spooled points as CSR lists, from one
-        self-join; a counting ``metric`` is charged by the join, and its
-        blocks are timed into the bag when ``timed``."""
+        self-join; a counting ``metric`` is charged by the join."""
         blocks = kernels.eps_self_join(self._points, self.eps, metric,
                                        hasattr(metric, "calls"))
-        if timed and self.metrics is not None:
-            blocks = timed_blocks(blocks, self.metrics)
         with maybe_span(self.tracer, "join",
                         points=len(self._points)) as sp:
             adjacency = kernels.csr_adjacency(len(self._points), blocks)

@@ -31,11 +31,9 @@ three produce bit-identical group memberships in both forms.
 
 from __future__ import annotations
 
-import time
 from itertools import chain
 from typing import (
     Any,
-    Callable,
     Iterable,
     Iterator,
     List,
@@ -54,7 +52,7 @@ from repro.errors import DimensionMismatchError, InvalidParameterError
 from repro.geometry.rectangle import Rect, probe_window
 from repro.index.grid import GridIndex
 from repro.index.rtree import RTree
-from repro.obs.metrics import MetricBag, StreamStats
+from repro.obs.metrics import StreamStats
 from repro.obs.trace import Tracer, maybe_span
 
 Point = Tuple[float, ...]
@@ -87,11 +85,6 @@ class _AnyStrategyBase:
         self.eps = eps
         self.metric = metric
         self._store = kernels.make_point_store()
-        #: Set by an owner that collects metrics: every probe (every
-        #: verification block, for a join) is timed into ``probe_latency``
-        #: and every bulk verification pass into
-        #: ``distance_batch_latency``.
-        self.metrics: Optional[MetricBag] = None
         #: Cleared by an owner that never reads the candidate tally (the
         #: numpy grid then skips the extra box-count pass).
         self.count_candidates = True
@@ -106,17 +99,11 @@ class _AnyStrategyBase:
 
     def edge_blocks(self, points: Sequence[Point]) -> Iterator[EdgeBlock]:
         """Every ε-edge among ``points`` (ids are positions)."""
-        bag = self.metrics
         us: List[int] = []
         vs: List[int] = []
         candidates = 0
         for pid, point in enumerate(points):
-            if bag is None:
-                hits, neighbors = self.probe(point)
-            else:
-                t0 = time.perf_counter()
-                hits, neighbors = self.probe(point)
-                bag.observe("probe_latency", time.perf_counter() - t0)
+            hits, neighbors = self.probe(point)
             candidates += hits
             us.extend([pid] * len(neighbors))
             vs.extend(neighbors)
@@ -127,20 +114,12 @@ class _AnyStrategyBase:
         if us or candidates:
             yield us, vs, candidates
 
-    def _verify(self, query: Callable[..., Any], *args: Any) -> Any:
-        """Run one bulk distance-verification pass of the point store."""
-        if self.metrics is None:
-            return query(*args)
-        with self.metrics.hist_timer("distance_batch_latency"):
-            return query(*args)
-
     def _window_probe(self, gathered: List[int],
                       point: Point) -> Tuple[int, List[int]]:
         """The verify half of a window probe: keep the gathered ids whose
         point passes ``|p_i - q_i| <= eps`` on every axis (the candidates),
         then the metric (one bulk pass)."""
-        neighbors, n_window = self._verify(
-            self._store.query_gathered,
+        neighbors, n_window = self._store.query_gathered(
             gathered, point, self.eps, self.metric, self.count_candidates,
         )
         return n_window, neighbors
@@ -153,8 +132,8 @@ class NaiveAnyStrategy(_AnyStrategyBase):
     name = "all-pairs"
 
     def probe(self, point: Point) -> Tuple[int, List[int]]:
-        return len(self._store), self._verify(
-            self._store.query_all, point, self.eps, self.metric
+        return len(self._store), self._store.query_all(
+            point, self.eps, self.metric
         )
 
 
@@ -210,13 +189,9 @@ class GridAnyStrategy(_AnyStrategyBase):
         self._store.append(point)
 
     def edge_blocks(self, points: Sequence[Point]) -> Iterator[EdgeBlock]:
-        blocks = kernels.eps_self_join(
+        return kernels.eps_self_join(
             points, self.eps, self.metric, self.count_candidates
         )
-        bag = self.metrics
-        if bag is None:
-            return blocks
-        return timed_blocks(blocks, bag)
 
 
 def checked_dim(dims: Iterable[int], dim: Optional[int]) -> int:
@@ -248,21 +223,6 @@ def intake(points: Iterable[Sequence[float]],
             and set(map(type, chain.from_iterable(pts))) <= {float}):
         pts = [tuple(float(v) for v in p) for p in pts]
     return pts, checked_dim(set(map(len, pts)), dim)
-
-
-def timed_blocks(blocks: Iterator[EdgeBlock],
-                 bag: MetricBag) -> Iterator[EdgeBlock]:
-    """Pass join blocks through, timing each (pair expansion and its one
-    verification pass) into both latency histograms."""
-    while True:
-        t0 = time.perf_counter()
-        block = next(blocks, None)
-        if block is None:
-            return
-        elapsed = time.perf_counter() - t0
-        bag.observe("probe_latency", elapsed)
-        bag.observe("distance_batch_latency", elapsed)
-        yield block
 
 
 #: The one alias table: SQL, batch-API and stream ``strategy=`` names
@@ -323,27 +283,22 @@ class SGBAnyOperator:
         strategy: str = "index",
         rtree_max_entries: int = 16,
         count_distance_computations: bool = False,
-        metrics: Optional[MetricBag] = None,
         tracer: Optional[Tracer] = None,
     ):
         if eps < 0:
             raise InvalidParameterError(f"eps must be non-negative, got {eps}")
         self.eps = float(eps)
         self.metric = resolve_metric(metric)
-        self.metrics = metrics
         self.tracer = tracer
-        if count_distance_computations or metrics is not None:
-            if not hasattr(self.metric, "calls"):
-                self.metric = CountingMetric(self.metric)
+        if count_distance_computations and not hasattr(self.metric, "calls"):
+            self.metric = CountingMetric(self.metric)
         self._strategy = make_any_strategy(
             strategy, self.eps, self.metric, rtree_max_entries
         )
-        self._strategy.metrics = metrics
         # The candidate tally feeds the ``candidates`` counter and the
         # CountingMetric charge; both imply a counting metric here.
         self._strategy.count_candidates = hasattr(self.metric, "calls")
-        #: Filled in by ``finalize`` (nothing is grouped before it); a
-        #: ``metrics=`` bag receives it there.
+        #: Filled in by ``finalize`` (nothing is grouped before it).
         self.stats = StreamStats()
         self._points: List[Point] = []
         self._dim: Optional[int] = None
@@ -401,6 +356,4 @@ class SGBAnyOperator:
         stats.points = stats.groups_created = stats.index_probes = n
         stats.groups_merged = n - groups
         stats.distance_computations = getattr(self.metric, "calls", 0)
-        if self.metrics is not None:
-            self.metrics.add_stats(stats)
         return GroupingResult(labels, points)

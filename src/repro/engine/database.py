@@ -108,7 +108,7 @@ class Database:
         :meth:`set_trace`).  Traced SELECTs carry the tracer in their
         query context — every plan node, SGB strategy phase, and
         partition emits a span into :attr:`tracer`, and per-node
-        counters/histograms fold into the cumulative bag behind
+        counters fold into the cumulative bag behind
         :meth:`metrics_snapshot`.
     ``query_log``
         ``True`` (in-memory ring only), a path (append JSONL there too),
@@ -154,10 +154,9 @@ class Database:
         #: holding the statement lock.  Lock order: ``_lock`` may be held
         #: when taking ``_metrics_lock``, never the reverse.
         self._metrics_lock = threading.Lock()
-        #: Cumulative engine metrics (counters / histograms)
-        #: collected from every collecting execution — traced SELECTs,
-        #: ``analyze()`` / EXPLAIN ANALYZE runs, and streaming micro-batch
-        #: flushes.
+        #: Cumulative engine counters collected from every collecting
+        #: execution — traced SELECTs and ``analyze()`` / EXPLAIN ANALYZE
+        #: runs.  Stream views report their own ``stats``.
         self._metrics = MetricBag()
         self._queries = 0
         #: The database's tracer; ``None`` until tracing is first enabled,
@@ -253,11 +252,11 @@ class Database:
     def metrics_snapshot(self) -> str:
         """One Prometheus text-format snapshot of the engine's metrics.
 
-        Unifies the cumulative SGB/executor counters and latency
-        histograms with per-stream-view counters
-        (labelled ``source="stream:<view>"``) and process-level extras
-        (queries executed, trace-buffer occupancy).  The full counter and
-        histogram vocabulary is always present, zero-valued when unused.
+        Unifies the cumulative SGB/executor counters with
+        per-stream-view counters (labelled ``source="stream:<view>"``) and
+        process-level extras (queries executed, trace-buffer occupancy).
+        The full counter vocabulary is always present, zero-valued when
+        unused.
         """
         from repro.obs.export import prometheus_text
 
@@ -332,7 +331,6 @@ class Database:
                 eps=eps,
                 metric=metric,
                 batch_size=batch_size,
-                metrics=self._metrics,
                 tracer=self._live_tracer(),
                 **engine_options,
             )

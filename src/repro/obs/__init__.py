@@ -5,8 +5,9 @@ Three layers, cheapest first:
 * :mod:`repro.obs.metrics` — the counter struct the SGB operators write
   (``StreamStats``) and the flat-counter bag that receives it
   (``MetricBag``);
-* :mod:`repro.obs.hist` — fixed log-bucketed latency histograms
-  (per-probe / per-distance-batch / per-micro-batch distributions);
+* :mod:`repro.obs.hist` — fixed log-bucketed latency histograms (the
+  service's request, queue-wait and execution latencies; the SGB
+  operators record none);
 * :mod:`repro.obs.trace` — hierarchical span tracing with ring-buffer
   retention and JSONL / Chrome ``trace_event`` export.
 
@@ -26,12 +27,7 @@ from repro.obs.explain import (
 )
 from repro.obs.export import parse_prometheus_text, prometheus_text
 from repro.obs.querylog import QueryLog, QueryRecord, plan_fingerprint
-from repro.obs.hist import (
-    BUCKET_BOUNDS_S,
-    HISTOGRAM_FIELDS,
-    HistogramTimer,
-    LatencyHistogram,
-)
+from repro.obs.hist import BUCKET_BOUNDS_S, LatencyHistogram
 from repro.obs.metrics import (
     EXEC_COUNTER_FIELDS,
     SGB_COUNTER_FIELDS,
@@ -50,8 +46,6 @@ __all__ = [
     "AnalyzeResult",
     "BUCKET_BOUNDS_S",
     "EXEC_COUNTER_FIELDS",
-    "HISTOGRAM_FIELDS",
-    "HistogramTimer",
     "LatencyHistogram",
     "MetricBag",
     "NodeMetrics",

@@ -77,9 +77,6 @@ class NodeMetrics:
         derived = _derived_ratios(counters)
         if derived:
             out["derived"] = {k: round(v, 4) for k, v in derived.items()}
-        histograms = self.bag.histogram_summaries()
-        if histograms:
-            out["histograms"] = histograms
         return out
 
 

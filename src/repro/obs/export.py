@@ -18,7 +18,9 @@ series under ``source="stream:<view>"``, because they deliberately share
 one counter vocabulary) and the unlabelled process extras; the service's
 ``/metrics`` section (:func:`prometheus_text_for_bag`) is one more.
 Every name in a section's vocabulary is emitted even at zero, so a scrape
-target exposes a stable series set from the first scrape.
+target exposes a stable series set from the first scrape.  The engine's
+vocabulary is counters only; the histogram families of ``/metrics`` are
+the service's.
 
 :func:`parse_prometheus_text` is a minimal exposition-format parser used
 by the round-trip tests and the CI smoke check — not a full Prometheus
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.obs.hist import HISTOGRAM_FIELDS, LatencyHistogram
+from repro.obs.hist import LatencyHistogram
 from repro.obs.metrics import (
     EXEC_COUNTER_FIELDS,
     SGB_COUNTER_FIELDS,
@@ -177,7 +179,7 @@ def prometheus_text(
     w.section(bag.counters, bag.histograms,
               labels={"source": _BATCH_SOURCE},
               counter_names=SGB_COUNTER_FIELDS + EXEC_COUNTER_FIELDS,
-              histogram_names=HISTOGRAM_FIELDS, kind="Engine counter")
+              kind="Engine counter")
     w.section(extra_counters or {}, kind="Process counter")
     for view_name, stats in sorted((streams or {}).items()):
         source = {"source": f"stream:{view_name}"}

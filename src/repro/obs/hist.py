@@ -1,21 +1,19 @@
-"""Fixed log-bucketed latency histograms (the ``HistogramTimer`` layer).
+"""Fixed log-bucketed latency histograms.
 
-EXPLAIN ANALYZE's per-node times only report *totals* — good enough for
-"where did the time go", useless for "how is it distributed".  The
-paper's evaluation cares about per-probe behaviour (a single slow
-FindCloseGroups probe against a degenerate MBR forest looks identical to
-a thousand fast ones in a total), so this module provides the
-distribution-preserving counterpart:
+EXPLAIN ANALYZE's per-node times only report *totals*; a histogram keeps
+the distribution.  The service records its request, queue-wait and
+execution latencies into them (:mod:`repro.service.metrics`), and the
+benchmark reads those back from ``/metrics``.  The SGB operators record
+none: their work is counted in :class:`~repro.obs.metrics.StreamStats`
+and timed by spans.
 
-* :class:`LatencyHistogram` — a fixed set of base-2 log buckets from 1 µs
-  to ~9.5 h plus an overflow bucket.  Observations are O(log n_buckets)
-  (a bisect over the precomputed bounds), merging two histograms is exact
-  (bucket-wise addition, which is how per-node bags fold into the
-  cumulative one), and quantiles are upper-bound estimates in the
-  Prometheus style (the reported p99 is the smallest bucket boundary with
-  at least 99 % of the mass at or below it, clamped to the observed max).
-* :class:`HistogramTimer` — the ``with`` adapter that records one elapsed
-  wall-time observation into a histogram.
+:class:`LatencyHistogram` is a fixed set of base-2 log buckets from 1 µs
+to ~9.5 h plus an overflow bucket.  Observations are O(log n_buckets)
+(a bisect over the precomputed bounds), merging two histograms is exact
+(bucket-wise addition, which is how one bag folds into another), and
+quantiles are upper-bound estimates in the Prometheus style (the
+reported p99 is the smallest bucket boundary with at least 99 % of the
+mass at or below it, clamped to the observed max).
 
 The bucket scheme is *fixed* (not per-histogram) so that any two
 histograms anywhere in the system can be merged and so the Prometheus
@@ -25,10 +23,8 @@ histograms anywhere in the system can be merged and so the Prometheus
 from __future__ import annotations
 
 import math
-import time
 from bisect import bisect_left
-from types import TracebackType
-from typing import Dict, Iterator, List, Optional, Tuple, Type
+from typing import Dict, Iterator, List, Tuple
 
 #: First finite bucket boundary, in seconds (1 µs).
 BUCKET_START_S = 1e-6
@@ -45,16 +41,6 @@ N_BUCKETS = 36
 BUCKET_BOUNDS_S: Tuple[float, ...] = tuple(
     BUCKET_START_S * BUCKET_GROWTH ** i for i in range(N_BUCKETS)
 )
-
-#: Histogram names the engine records when instrumentation is attached;
-#: the Prometheus exporter emits these even at zero count so scrape
-#: targets have a stable series set.
-HISTOGRAM_FIELDS = (
-    "probe_latency",
-    "distance_batch_latency",
-    "micro_batch_latency",
-)
-
 
 def bucket_index(seconds: float) -> int:
     """The bucket an observation falls into.
@@ -99,9 +85,6 @@ class LatencyHistogram:
             self.max_s = seconds
         if seconds < self.min_s:
             self.min_s = seconds
-
-    def timer(self) -> "HistogramTimer":
-        return HistogramTimer(self)
 
     # -- queries -----------------------------------------------------------
     def quantile(self, q: float) -> float:
@@ -180,32 +163,3 @@ class LatencyHistogram:
             f"p50={p['p50_s']:.6f}s, p99={p['p99_s']:.6f}s, "
             f"max={self.max_s:.6f}s)"
         )
-
-
-class HistogramTimer:
-    """Context manager recording one elapsed-time observation.
-
-    Single-use at a time, and guards against exiting unentered.
-    """
-
-    __slots__ = ("_hist", "_t0")
-
-    def __init__(self, hist: LatencyHistogram):
-        self._hist = hist
-        self._t0: Optional[float] = None
-
-    def __enter__(self) -> "HistogramTimer":
-        if self._t0 is not None:
-            raise RuntimeError(
-                "HistogramTimer is not re-entrant; create a new timer"
-            )
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type: Optional[Type[BaseException]],
-                 exc: Optional[BaseException],
-                 tb: Optional[TracebackType]) -> None:
-        if self._t0 is None:
-            raise RuntimeError("HistogramTimer exited without being entered")
-        self._hist.observe(time.perf_counter() - self._t0)
-        self._t0 = None

@@ -13,21 +13,22 @@ numbers.  Two containers, one vocabulary (:data:`SGB_COUNTER_FIELDS`):
   :class:`~repro.streaming.any_engine.StreamingSGBAny`; an SGB-All
   stream's engine *is* ``SGBAllOperator``.  A stream handle's ``stats``
   is its engine's.
-* :class:`MetricBag` — a per-plan-node bag of monotonic counters and
-  latency histograms.  An operator given ``metrics=`` hands the bag its
-  struct once, at ``finalize()`` (:meth:`MetricBag.add_stats`); only
-  latency timing is guarded by ``if bag is not None``.  So EXPLAIN
-  ANALYZE rows, ``/metrics`` and per-batch stream deltas report the same
-  names for the same things.  Wall time per plan node is
+* :class:`MetricBag` — a bag of monotonic counters and named latency
+  histograms.  A plan node's bag receives each SGB operator's struct
+  once it has finalized (:meth:`MetricBag.add_stats`, called by
+  :func:`~repro.core.parallel.group_partition`); the service keeps its
+  own bag for its request latencies.  So EXPLAIN ANALYZE rows,
+  ``/metrics`` and per-batch stream deltas report the same names for
+  the same things.  Wall time per plan node is
   :class:`~repro.obs.explain.NodeMetrics`'s business, per phase the
-  tracer's.
+  tracer's; the SGB operators record no histogram.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-from repro.obs.hist import HistogramTimer, LatencyHistogram
+from repro.obs.hist import LatencyHistogram
 
 
 #: Canonical SGB counter names, in reporting order — the fields of
@@ -53,8 +54,8 @@ from repro.obs.hist import HistogramTimer, LatencyHistogram
 #:     scanned, for the linear strategies).
 #: distance_computations
 #:     Similarity-predicate evaluations, read off the operator's
-#:     CountingMetric (attaching a MetricBag wraps the metric in one
-#:     automatically; 0 when the metric is not counted).
+#:     CountingMetric (``count_distance_computations=True`` wraps the
+#:     metric in one; 0 when the metric is not counted).
 SGB_COUNTER_FIELDS = (
     "points",
     "groups_created",
@@ -82,7 +83,7 @@ class StreamStats:
 
     Written by the code that does the work — the batch operators own one
     as ``.stats`` and the streaming engines expose theirs under the same
-    name — and read by everything else (a ``metrics=`` bag at
+    name — and read by everything else (a plan node's bag after
     ``finalize()``, the micro-batcher's per-flush delta, ``/metrics``).
     Counters are plain ints so diffing two snapshots is exact and cheap.
     ``wall_time_s`` is the ingest wall time the micro-batcher attributes;
@@ -148,10 +149,10 @@ class MetricBag:
     >>> bag.get("candidates")
     4
 
-    Latency *distributions* (per-probe, per-micro-batch, ...) go into
+    Latency *distributions* (the service's per-request ones) go into
     log-bucketed :class:`~repro.obs.hist.LatencyHistogram` entries via
-    :meth:`observe` / :meth:`hist_timer`; they merge across bags (and
-    worker processes) exactly like the flat counters.
+    :meth:`observe`; they merge across bags exactly like the flat
+    counters.
     """
 
     __slots__ = ("counters", "histograms")
@@ -187,10 +188,6 @@ class MetricBag:
         """Record one latency observation into the named histogram."""
         self.histogram(name).observe(seconds)
 
-    def hist_timer(self, name: str) -> HistogramTimer:
-        """``with bag.hist_timer("probe_latency"):`` — one observation."""
-        return self.histogram(name).timer()
-
     # -- aggregation -------------------------------------------------------
     def add_stats(self, stats: StreamStats) -> None:
         """Fold an operator's counter struct in (the fields that moved)."""
@@ -206,15 +203,9 @@ class MetricBag:
         return self
 
     def as_dict(self) -> Dict[str, int]:
-        """The counters.  Histograms are *not* flattened here — see
-        :meth:`histogram_summaries` and the Prometheus exporter."""
+        """The counters.  Histograms are *not* flattened here — see the
+        Prometheus exporter."""
         return dict(self.counters)
-
-    def histogram_summaries(self) -> Dict[str, Dict[str, float]]:
-        """Per-histogram ``{count, sum_s, p50_s, p95_s, p99_s, max_s}``."""
-        return {
-            name: hist.as_dict() for name, hist in self.histograms.items()
-        }
 
     def __bool__(self) -> bool:
         return bool(self.counters or self.histograms)

@@ -707,10 +707,12 @@ def bind_tuple(exprs: Sequence[Expr],
                ctx: BindContext) -> Callable[[tuple], tuple]:
     """``exprs`` bound as one ``row -> tuple`` callable, equal to
     ``tuple(e.bind(ctx)(row) for e in exprs)``: one C call for bare
-    columns (a one-column slice for one, rows being tuples), else one
-    tuple built over the bound closures."""
-    if exprs and all(isinstance(e, ColumnRef) for e in exprs):
-        idx = [ctx.schema.resolve(e.name, e.qualifier) for e in exprs]
+    references — columns and aggregate outputs — (a one-item slice for
+    one, rows being tuples), else one tuple built over the bound
+    closures."""
+    if exprs and all(isinstance(e, (ColumnRef, PostAggRef)) for e in exprs):
+        idx = [e.index if isinstance(e, PostAggRef)
+               else ctx.schema.resolve(e.name, e.qualifier) for e in exprs]
         if len(idx) == 1:
             return operator.itemgetter(slice(idx[0], idx[0] + 1))
         return operator.itemgetter(*idx)

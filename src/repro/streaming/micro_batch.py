@@ -8,9 +8,9 @@ A stream is a :class:`MicroBatcher` over an incremental operator —
 closed state; the engine trusts it.
 
 Rows are buffered and flushed into the wrapped engine in configurable
-batches; each flush is timed, and its counter delta goes where something
-reads it — onto the ``micro_batch`` span and the ``micro_batch_latency``
-histogram.  The batcher itself keeps a flush count, not a history, so its
+batches; each flush is timed into the engine's ``wall_time_s``, and its
+counter delta goes where something reads it — onto the ``micro_batch``
+span.  The batcher itself keeps a flush count, not a history, so its
 size does not grow with the stream.  Batching changes *when* work happens,
 never *what* the result is: ``snapshot()`` and ``result()`` flush the
 buffer first, so they always reflect every row handed to the batcher.
@@ -29,7 +29,7 @@ from repro.errors import (
     InvalidParameterError,
     StreamStateError,
 )
-from repro.obs.metrics import MetricBag, StreamStats
+from repro.obs.metrics import StreamStats
 from repro.obs.trace import Tracer, maybe_span
 
 
@@ -45,9 +45,6 @@ class MicroBatcher:
     batch_size:
         Rows per flush; ``1`` degenerates to point-at-a-time ingestion and
         a value >= the stream length to one giant batch.
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricBag`; each flush records
-        its wall time into the ``micro_batch_latency`` histogram.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`; each flush emits one
         ``micro_batch`` span tagged with the batch's StreamStats delta.
@@ -56,7 +53,6 @@ class MicroBatcher:
     """
 
     def __init__(self, engine, batch_size: int = 64,
-                 metrics: Optional[MetricBag] = None,
                  tracer: Optional[Tracer] = None):
         if batch_size < 1:
             raise InvalidParameterError(
@@ -64,7 +60,6 @@ class MicroBatcher:
             )
         self.engine = engine
         self.batch_size = int(batch_size)
-        self.metrics = metrics
         self.tracer = tracer
         self._pending: List[Point] = []
         self._dim: Optional[int] = None
@@ -177,8 +172,6 @@ class MicroBatcher:
                 self.engine.stats.wall_time_s += elapsed
                 self.n_batches += 1
                 sp.set(**(self.engine.stats - before).span_attrs())
-                if self.metrics is not None:
-                    self.metrics.observe("micro_batch_latency", elapsed)
 
     # ------------------------------------------------------------------
     def snapshot(self) -> GroupingResult:

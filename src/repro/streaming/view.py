@@ -43,9 +43,10 @@ class StreamingGroupView:
         ``"any"`` or ``"all"`` — which SGB semantics to maintain.
     eps / metric / batch_size / engine_options:
         Forwarded to :func:`repro.sgb_stream`.
-    metrics / tracer:
-        Observability collectors handed to the micro-batcher (the owning
-        Database passes its cumulative bag and, when tracing, its tracer).
+    tracer:
+        Span collector handed to the micro-batcher (the owning Database
+        passes its tracer when tracing).  The view's counters are its
+        :attr:`stats`.
     """
 
     def __init__(
@@ -58,7 +59,6 @@ class StreamingGroupView:
         eps: float,
         metric: str = "l2",
         batch_size: int = 32,
-        metrics=None,
         tracer=None,
         **engine_options,
     ):
@@ -73,7 +73,6 @@ class StreamingGroupView:
         self._col_idx = [table.schema.resolve(c) for c in self.columns]
         self.batcher = sgb_stream(mode, eps=eps, metric=metric,
                                   batch_size=batch_size, **engine_options)
-        self.batcher.metrics = metrics
         self.batcher.tracer = tracer
         self.eps = self.batcher.engine.eps
         self._row_ids: List[int] = []  # table positions of ingested rows

@@ -12,7 +12,6 @@ from repro.bench.experiments import uniform_points
 from repro.bench.harness import fit_loglog_slope
 from repro.core.sgb_all import SGBAllOperator
 from repro.errors import InvalidParameterError
-from repro.obs import MetricBag
 
 
 class TestModelBasics:
@@ -112,11 +111,11 @@ class TestAgainstMeasurement:
             for clause in ("join-any", "eliminate", "form-new-group"):
                 work = []
                 for points in inputs:
-                    bag = MetricBag()
                     op = SGBAllOperator(0.05, "linf", clause, strategy,
-                                        tiebreak="first", metrics=bag)
+                                        tiebreak="first",
+                                        count_distance_computations=True)
                     op.add_many(points).finalize()
-                    work.append(sum(bag.get(c) for c in counters))
+                    work.append(sum(getattr(op.stats, c) for c in counters))
                 assert fit_loglog_slope(sizes, work) == pytest.approx(
                     predicted_growth_exponent(strategy), abs=0.05
                 ), (strategy, clause, work)

@@ -22,7 +22,6 @@ from repro.core.distance import LINF
 from repro.core.groups import Group
 from repro.core.sgb_all import SGBAllOperator
 from repro.engine.database import Database
-from repro.obs import MetricBag
 from repro.stats.chooser import ALL_STRATEGIES, ANY_STRATEGIES
 from tests.conftest import decimal_lattice, decimal_lattices
 
@@ -242,12 +241,11 @@ class TestPruningReducesDistanceComputations:
         return pts
 
     def _distance_count(self, strategy):
-        bag = MetricBag()
         op = SGBAllOperator(eps=1.0, strategy=strategy, tiebreak="first",
-                            metrics=bag)
+                            count_distance_computations=True)
         op.add_many(self._clustered_points())
         op.finalize()
-        return bag.get("distance_computations")
+        return op.stats.distance_computations
 
     @pytest.mark.parametrize("strategy", ["bounds-checking", "index"])
     def test_pruning_strictly_below_all_pairs(self, strategy):
@@ -256,12 +254,12 @@ class TestPruningReducesDistanceComputations:
 
     def test_counters_distinguish_index_from_linear_scan(self):
         def candidates(strategy):
-            bag = MetricBag()
             op = SGBAllOperator(eps=1.0, strategy=strategy,
-                                tiebreak="first", metrics=bag)
+                                tiebreak="first",
+                                count_distance_computations=True)
             op.add_many(self._clustered_points())
             op.finalize()
-            return bag.get("candidates")
+            return op.stats.candidates
 
         # The R-tree window query examines far fewer group candidates than
         # a linear registry scan on a clustered workload.

@@ -24,6 +24,7 @@ from repro.sql.ast_nodes import (
     BinaryOp,
     ColumnRef,
     Literal,
+    PostAggRef,
     bind_tuple,
 )
 
@@ -109,6 +110,46 @@ def test_bind_tuple_one_bare_column_is_a_c_slice(column, row):
     assert type(key) is operator.itemgetter
     assert key(row) == (lambda r: (fn(r),))(row)
     assert type(key(row)) is tuple
+
+
+@pytest.mark.parametrize("exprs", [
+    [PostAggRef(1)],
+    [PostAggRef(0), PostAggRef(2)],
+    [PostAggRef(2), ColumnRef("a"), PostAggRef(2)],
+])
+@pytest.mark.parametrize("row", [(1, None, 3), (None, 2, None), (4, 5.0, NAN)])
+def test_bind_tuple_bare_post_agg_refs_are_one_c_call(exprs, row):
+    """References into an aggregate's output row, alone or beside bare
+    columns, bind to one itemgetter equal to the closure form."""
+    ctx = BindContext(Schema([Column(c, "any", "v") for c in "abc"]))
+    key = bind_tuple(exprs, ctx)
+    assert type(key) is operator.itemgetter
+    assert type(key(row)) is tuple
+    assert typed(key(row)) == typed(tuple(e.bind(ctx)(row) for e in exprs))
+
+
+@pytest.mark.parametrize("refs", [[1], [0, 1, 2], [2, 0, 3, 1]])
+def test_project_over_aggregate_equals_closure_form(refs):
+    """A Project of bare references into an aggregation node's output
+    rows binds in C and yields what the per-expression closures yield,
+    NULL aggregate results and a one-column select list included."""
+    agg = HashAggregate(
+        values([(1, None), (1, None), (2, 3.0), (2, 5.0), (3, -1.0)],
+               "k", "v"),
+        [ColumnRef("k")],
+        [AggCall("max", [ColumnRef("v")]), AggCall("count", [], star=True),
+         AggCall("sum", [ColumnRef("v")])],
+        ctx_factory,
+    )
+    exprs = [PostAggRef(i) for i in refs]
+    plan = Project(agg, exprs, [f"c{i}" for i in range(len(refs))],
+                   ctx_factory)
+    assert type(plan._row) is operator.itemgetter
+    fns = [e.bind(ctx_factory(agg.schema)) for e in exprs]
+    expected = [tuple(f(r) for f in fns) for r in agg.rows()]
+    assert typed(plan.rows()) == typed(expected)
+    if refs == [1]:
+        assert (None,) in plan.rows()  # the all-NULL group's max
 
 
 class TestJoins:

@@ -1,12 +1,17 @@
 """PARTITION BY extension: similarity grouping within equality partitions."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.core.api import sgb_any
+from repro.core.parallel import partition_seed
+from repro.core.sgb_all import SGBAllOperator
+from repro.core.sgb_any import SGBAnyOperator
 from repro.engine.database import Database
 from repro.errors import PlanningError
+from repro.obs.metrics import SGB_COUNTER_FIELDS
 
 
 @pytest.fixture
@@ -105,10 +110,15 @@ class TestPartitionedSGB:
         assert (None, 1) in res.rows
 
 
+def partition_rows():
+    """240 rows in 3 interleaved partitions ``k`` of points in [0, 4]²."""
+    rng = random.Random(5)
+    return [(i % 3, rng.uniform(0, 4), rng.uniform(0, 4)) for i in range(240)]
+
+
 def partition_counters(clause, **db_kwargs):
     """EXPLAIN ANALYZE counters of one 240-row, 3-partition query."""
-    rng = random.Random(5)
-    rows = [(i % 3, rng.uniform(0, 4), rng.uniform(0, 4)) for i in range(240)]
+    rows = partition_rows()
     db = Database(**db_kwargs)
     db.execute("CREATE TABLE p (k int, x float, y float)")
     db.insert("p", rows)
@@ -152,3 +162,50 @@ class TestPartitionCounters:
             assert counters["index_probes"] > 240
         else:
             assert counters["index_probes"] == 240
+
+
+SGB_CASES = [
+    *[("all", clause, strategy)
+      for clause in ("join-any", "eliminate", "form-new-group")
+      for strategy in ("graph", "index")],
+    ("any", None, "grid"),
+    ("any", None, "index"),
+]
+
+
+class TestNodeCountersAreTheOperators:
+    """The SGB node's counters are its operators' own ``stats``, summed
+    over partitions: a collecting node switches distance counting on and
+    folds each finalized operator's struct into its bag, nothing more."""
+
+    @pytest.mark.parametrize("mode,clause,strategy", SGB_CASES)
+    def test_node_counters_equal_the_direct_operators(self, mode, clause,
+                                                      strategy):
+        seed = 7
+        if mode == "all":
+            sql_clause = (f"DISTANCE-TO-ALL L2 WITHIN 0.4 "
+                          f"ON-OVERLAP {clause.upper()}")
+            db_kwargs = dict(sgb_all_strategy=strategy, seed=seed)
+        else:
+            sql_clause = "DISTANCE-TO-ANY L2 WITHIN 0.4"
+            db_kwargs = dict(sgb_any_strategy=strategy, seed=seed)
+        got = partition_counters(sql_clause, **db_kwargs)
+
+        rows = partition_rows()
+        expected = Counter()
+        for k in dict.fromkeys(row[0] for row in rows):  # first-seen order
+            points = [(x, y) for key, x, y in rows if key == k]
+            if mode == "all":
+                op = SGBAllOperator(0.4, "l2", clause, strategy,
+                                    seed=partition_seed(seed, (k,)),
+                                    count_distance_computations=True)
+            else:
+                op = SGBAnyOperator(0.4, "l2", strategy,
+                                    count_distance_computations=True)
+            op.add_many(points).finalize()
+            expected.update(op.stats.nonzero())
+
+        assert expected["distance_computations"] > 0
+        assert {c: got.get(c, 0) for c in SGB_COUNTER_FIELDS} == \
+            {c: expected[c] for c in SGB_COUNTER_FIELDS}
+        assert got["rows_spooled"] == 240

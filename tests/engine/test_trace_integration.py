@@ -119,7 +119,6 @@ class TestMetricsSnapshot:
         names = {name for name, _ in parsed}
         for counter in SGB_COUNTER_FIELDS:
             assert f"repro_sgb_{counter}_total" in names
-        assert any(name.endswith("_bucket") for name in names)
 
     def test_traced_query_populates_counters_and_histograms(self):
         db = make_db()
@@ -128,7 +127,6 @@ class TestMetricsSnapshot:
         batch = (("source", "batch"),)
         assert parsed[("repro_sgb_points_total", batch)] == 120
         assert parsed[("repro_sgb_index_probes_total", batch)] > 0
-        assert parsed[("repro_probe_latency_seconds_count", batch)] == 120
         assert parsed[("repro_queries_total", ())] == 1
 
     def test_analyze_folds_into_cumulative_metrics(self):
@@ -148,9 +146,6 @@ class TestStreamingSpans:
         assert all(sp.attrs["size"] == 32 for sp in spans)
         assert all(sp.attrs["points"] == 32 for sp in spans)
         parsed = parse_prometheus_text(db.metrics_snapshot())
-        batch = (("source", "batch"),)
-        assert parsed[("repro_micro_batch_latency_seconds_count", batch)] \
-            == len(spans)
         stream = (("source", "stream:sv"),)
         assert parsed[("repro_sgb_points_total", stream)] == 96
 
@@ -163,6 +158,51 @@ class TestStreamingSpans:
         assert view.batcher.tracer is db.tracer
         db.insert("pts", [(0, 50.0, 50.0)] * 16)
         assert any(r.name == "micro_batch" for r in db.tracer.records())
+
+
+class TestNoEngineHistograms:
+    def test_sgb_work_reports_through_counters_and_spans_only(self):
+        """A traced PARTITION BY SGB-Any SELECT, an EXPLAIN ANALYZE of an
+        SGB-All query and stream-view flushes record no histogram: no
+        analysed node carries one, the cumulative bag holds none, and the
+        only histogram families of a ``/metrics`` body are the
+        service's."""
+        from repro.obs.metrics import MetricBag
+        from repro.service.metrics import service_prometheus_text
+
+        db = make_db()
+        db.query(PARTITIONED_SQL)
+        record = db.analyze(
+            "SELECT part, count(*) FROM pts GROUP BY x, y "
+            "DISTANCE-TO-ALL L2 WITHIN 0.2 ON-OVERLAP FORM-NEW-GROUP "
+            "PARTITION BY part").metrics
+        db.create_stream_view("sv", "pts", ["x", "y"], "any", eps=1.0,
+                              batch_size=16)
+        db.insert("pts", [(0, 50.0, 50.0)] * 40)
+        assert sum(r.name == "micro_batch" for r in db.tracer.records()) > 2
+
+        def nodes(rec):
+            yield rec
+            for child in rec.get("children", ()):
+                yield from nodes(child)
+
+        analysed = list(nodes(record))
+        assert any("counters" in node for node in analysed)
+        assert not [node for node in analysed if "histograms" in node]
+        assert db._metrics.histograms == {}
+        body = db.metrics_snapshot() + service_prometheus_text(MetricBag(),
+                                                               {})
+        families = {line.split()[2] for line in body.splitlines()
+                    if line.startswith("# TYPE ")
+                    and line.endswith(" histogram")}
+        assert families == {
+            "repro_service_queue_wait_latency_seconds",
+            "repro_service_exec_latency_seconds",
+            "repro_service_request_latency_seconds",
+        }
+        parsed = parse_prometheus_text(body)
+        assert parsed[("repro_sgb_points_total",
+                       (("source", "stream:sv"),))] == 160
 
 
 class TestShellTrace:

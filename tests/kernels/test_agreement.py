@@ -75,16 +75,15 @@ class TestBackendAgreement:
         # SGB-Any has no inter-pair early exit, so even the
         # distance_computations counter agrees exactly across backends.
         from repro.core.sgb_any import SGBAnyOperator
-        from repro.obs.metrics import MetricBag
 
         counters = {}
         for backend in ("python", "numpy"):
             with kernels.use_backend(backend):
-                bag = MetricBag()
-                op = SGBAnyOperator(self.EPS, strategy="grid", metrics=bag)
+                op = SGBAnyOperator(self.EPS, strategy="grid",
+                                    count_distance_computations=True)
                 op.add_many(_points(self.N, seed=13))
                 op.finalize()
-            counters[backend] = dict(bag.counters)
+            counters[backend] = op.stats.nonzero()
         assert counters["numpy"] == counters["python"]
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
@@ -94,18 +93,16 @@ class TestBackendAgreement:
         # Groups of 24+ members among 16+ live groups: every member and
         # rectangle scan runs the same loops, distance_computations included.
         from repro.core.sgb_all import SGBAllOperator
-        from repro.obs.metrics import MetricBag
 
         counters = {}
         for backend in ("python", "numpy"):
             with kernels.use_backend(backend):
-                bag = MetricBag()
                 op = SGBAllOperator(0.5, strategy=strategy,
                                     on_overlap=on_overlap, tiebreak="random",
-                                    seed=3, metrics=bag)
+                                    seed=3, count_distance_computations=True)
                 op.add_many(_clusters())
                 op.finalize()
-            counters[backend] = dict(bag.counters)
+            counters[backend] = op.stats.nonzero()
         assert counters["numpy"] == counters["python"]
 
 

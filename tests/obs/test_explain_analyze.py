@@ -153,11 +153,10 @@ class TestInstrumentationOffByDefault:
     def test_uninstrumented_operator_does_not_wrap_metric(self):
         from repro.core.sgb_all import SGBAllOperator
         from repro.core.sgb_any import SGBAnyOperator
-        from repro.obs import MetricBag
 
         assert not hasattr(SGBAllOperator(eps=1).metric, "calls")
         assert not hasattr(SGBAnyOperator(eps=1).metric, "calls")
-        assert hasattr(SGBAllOperator(eps=1, metrics=MetricBag()).metric,
-                       "calls")
-        assert hasattr(SGBAnyOperator(eps=1, metrics=MetricBag()).metric,
-                       "calls")
+        assert hasattr(SGBAllOperator(
+            eps=1, count_distance_computations=True).metric, "calls")
+        assert hasattr(SGBAnyOperator(
+            eps=1, count_distance_computations=True).metric, "calls")

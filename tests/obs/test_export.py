@@ -12,7 +12,6 @@ from repro.obs.export import (
     prometheus_text,
     prometheus_text_for_bag,
 )
-from repro.obs.hist import HISTOGRAM_FIELDS
 from repro.obs.metrics import (
     EXEC_COUNTER_FIELDS,
     SGB_COUNTER_FIELDS,
@@ -32,8 +31,8 @@ class TestNaming:
         text = prometheus_text(MetricBag(), streams={"sv": StreamStats()})
         assert 'repro_ingest_wall_seconds_total{source="stream:sv"} 0' \
             in text.splitlines()
-        assert histogram_metric_name("probe_latency") == \
-            "repro_probe_latency_seconds"
+        assert histogram_metric_name("service_exec_latency") == \
+            "repro_service_exec_latency_seconds"
 
 
 class TestGoldenBody:
@@ -48,8 +47,6 @@ class TestGoldenBody:
         bag.incr("candidates", 40)
         bag.incr("rows_spooled", 12)
         bag.incr("zz_other", 2)
-        bag.observe("probe_latency", 0.0005)
-        bag.observe("probe_latency", 0.004)
         bag.observe("custom_time", 0.25)
         stats = StreamStats()
         stats.points = stats.index_probes = 7
@@ -82,18 +79,15 @@ class TestSnapshot:
             assert counter_metric_name(counter) in names
         for counter in EXEC_COUNTER_FIELDS:
             assert counter_metric_name(counter) in names
-        for hist in HISTOGRAM_FIELDS:
-            base = histogram_metric_name(hist)
-            assert f"{base}_bucket" in names
-            assert f"{base}_sum" in names
-            assert f"{base}_count" in names
+        # The engine's vocabulary is counters only.
+        assert not [n for n in names if n.endswith("_seconds_count")]
 
     def test_round_trip_counters_timings_histograms(self):
         bag = MetricBag()
         bag.incr("points", 7)
         bag.incr("index_probes", 3)
-        bag.observe("probe_latency", 1.5e-6)
-        bag.observe("probe_latency", 3e-6)
+        bag.observe("demo_latency", 1.5e-6)
+        bag.observe("demo_latency", 3e-6)
         stats = StreamStats()
         stats.wall_time_s = 0.25
         parsed = parse_prometheus_text(
@@ -103,28 +97,28 @@ class TestSnapshot:
         assert parsed[("repro_sgb_index_probes_total", batch)] == 3
         assert parsed[("repro_ingest_wall_seconds_total",
                        (("source", "stream:sv"),))] == 0.25
-        assert parsed[("repro_probe_latency_seconds_count", batch)] == 2
-        assert parsed[("repro_probe_latency_seconds_sum", batch)] == \
+        assert parsed[("repro_demo_latency_seconds_count", batch)] == 2
+        assert parsed[("repro_demo_latency_seconds_sum", batch)] == \
             pytest.approx(4.5e-6)
         # Cumulative bucket semantics: the 2 µs `le` holds one observation,
         # the 4 µs one both, and +Inf always equals the count.
-        assert parsed[("repro_probe_latency_seconds_bucket",
+        assert parsed[("repro_demo_latency_seconds_bucket",
                        (("le", "2e-06"), ("source", "batch")))] == 1
-        assert parsed[("repro_probe_latency_seconds_bucket",
+        assert parsed[("repro_demo_latency_seconds_bucket",
                        (("le", "4e-06"), ("source", "batch")))] == 2
-        assert parsed[("repro_probe_latency_seconds_bucket",
+        assert parsed[("repro_demo_latency_seconds_bucket",
                        (("le", "+Inf"), ("source", "batch")))] == 2
 
     def test_bucket_series_cumulative_monotone(self):
         bag = MetricBag()
         for i in range(40):
-            bag.observe("micro_batch_latency", (i + 1) * 1e-5)
+            bag.observe("demo_latency", (i + 1) * 1e-5)
         parsed = parse_prometheus_text(prometheus_text(bag))
         buckets = sorted(
             [
                 (dict(labels)["le"], value)
                 for (name, labels), value in parsed.items()
-                if name == "repro_micro_batch_latency_seconds_bucket"
+                if name == "repro_demo_latency_seconds_bucket"
             ],
             key=lambda kv: math.inf if kv[0] == "+Inf" else float(kv[0]),
         )
@@ -153,7 +147,7 @@ class TestSnapshot:
 
     def test_help_and_type_lines_unique_per_metric(self):
         bag = MetricBag()
-        bag.observe("probe_latency", 1e-6)
+        bag.observe("demo_latency", 1e-6)
         lines = prometheus_text(bag).splitlines()
         type_lines = [line for line in lines if line.startswith("# TYPE")]
         assert len(type_lines) == len(set(type_lines))

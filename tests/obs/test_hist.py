@@ -8,12 +8,11 @@ from repro.obs.hist import (
     BUCKET_BOUNDS_S,
     BUCKET_GROWTH,
     BUCKET_START_S,
-    HISTOGRAM_FIELDS,
     N_BUCKETS,
-    HistogramTimer,
     LatencyHistogram,
     bucket_index,
 )
+from repro.service.metrics import SERVICE_HISTOGRAM_FIELDS
 
 
 class TestBucketMath:
@@ -118,33 +117,9 @@ class TestLatencyHistogram:
         assert h
 
 
-class TestHistogramTimer:
-    def test_records_one_observation(self):
-        h = LatencyHistogram()
-        with h.timer():
-            pass
-        assert h.count == 1
-        assert h.sum_s >= 0.0
-
-    def test_not_reentrant(self):
-        h = LatencyHistogram()
-        t = HistogramTimer(h)
-        with t:
-            with pytest.raises(RuntimeError):
-                t.__enter__()
-        # reusable sequentially after a clean exit
-        with t:
-            pass
-        assert h.count == 2
-
-    def test_exit_without_enter_raises(self):
-        t = HistogramTimer(LatencyHistogram())
-        with pytest.raises(RuntimeError):
-            t.__exit__(None, None, None)
-
-
 def test_histogram_fields_are_well_formed():
-    # The exporter and MetricBag treat these as the always-present set.
-    assert len(set(HISTOGRAM_FIELDS)) == len(HISTOGRAM_FIELDS)
-    for name in HISTOGRAM_FIELDS:
+    # The histogram vocabulary /metrics emits even at zero count: since the
+    # engine records no histograms, that is the service's set.
+    assert len(set(SERVICE_HISTOGRAM_FIELDS)) == len(SERVICE_HISTOGRAM_FIELDS)
+    for name in SERVICE_HISTOGRAM_FIELDS:
         assert not name.endswith("_s")

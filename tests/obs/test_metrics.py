@@ -112,27 +112,21 @@ class TestTimingNamespace:
 class TestBagHistograms:
     def test_observe_and_summaries(self):
         bag = MetricBag()
-        bag.observe("probe_latency", 1e-5)
-        bag.observe("probe_latency", 2e-5)
-        summaries = bag.histogram_summaries()
-        assert summaries["probe_latency"]["count"] == 2
+        bag.observe("service_exec_latency", 1e-5)
+        bag.observe("service_exec_latency", 2e-5)
+        summary = bag.histogram("service_exec_latency").as_dict()
+        assert summary["count"] == 2
         assert bag  # non-empty with only histogram content
-
-    def test_hist_timer_records(self):
-        bag = MetricBag()
-        with bag.hist_timer("micro_batch_latency"):
-            pass
-        assert bag.histogram("micro_batch_latency").count == 1
 
     def test_merge_folds_histograms(self):
         a, b = MetricBag(), MetricBag()
-        a.observe("probe_latency", 1e-6)
-        b.observe("probe_latency", 1e-3)
-        b.observe("distance_batch_latency", 1e-4)
+        a.observe("service_exec_latency", 1e-6)
+        b.observe("service_exec_latency", 1e-3)
+        b.observe("service_queue_wait_latency", 1e-4)
         a.merge(b)
-        assert a.histogram("probe_latency").count == 2
-        assert a.histogram("distance_batch_latency").count == 1
-        assert b.histogram("probe_latency").count == 1  # source untouched
+        assert a.histogram("service_exec_latency").count == 2
+        assert a.histogram("service_queue_wait_latency").count == 1
+        assert b.histogram("service_exec_latency").count == 1  # untouched
 
 
 class TestNodeMetricsCloseSafety:

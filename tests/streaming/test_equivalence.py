@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.api import sgb_all, sgb_any, sgb_stream
 from repro.core.sgb_any import SGBAnyOperator
-from repro.obs.metrics import MetricBag
 from repro.stats.chooser import ANY_STRATEGIES
 
 METRICS = ["l2", "linf", "l1"]
@@ -95,8 +94,8 @@ class TestAnyEquivalence:
         eps 2.5 fills the probes past the kernels' vectorization
         thresholds as the stream grows, so both code paths count."""
         pts = random_points(400, seed=stable_seed(kind, metric))
-        bag = MetricBag()
-        batch = SGBAnyOperator(2.5, metric, strategy=kind, metrics=bag)
+        batch = SGBAnyOperator(2.5, metric, strategy=kind,
+                               count_distance_computations=True)
         labels = batch.add_many(pts).finalize().labels
         stream = sgb_stream("any", eps=2.5, metric=metric, strategy=kind,
                             count_distance_computations=True, batch_size=1)
@@ -104,7 +103,8 @@ class TestAnyEquivalence:
         assert stream.snapshot().labels == labels
         for counter in ("index_probes", "candidates",
                         "distance_computations"):
-            assert getattr(stream.stats, counter) == bag.get(counter), counter
+            assert getattr(stream.stats, counter) == \
+                getattr(batch.stats, counter), counter
 
 
 class TestAllEquivalence:

@@ -17,7 +17,7 @@ from repro.errors import (
     InvalidParameterError,
     StreamStateError,
 )
-from repro.obs.metrics import SGB_COUNTER_FIELDS
+from repro.obs.metrics import SGB_COUNTER_FIELDS, MetricBag
 from repro.obs.trace import Tracer
 from repro.streaming import MicroBatcher
 from repro.streaming.any_engine import StreamingSGBAny
@@ -260,3 +260,14 @@ class TestSgbStreamEntryPoint:
     def test_all_engine_takes_no_handle_options(self):
         with pytest.raises(TypeError):
             sgb_stream("all", eps=1.0, tracer=Tracer())
+
+    @pytest.mark.parametrize("mode", ["any", "all"])
+    def test_observer_options_refused_in_both_modes(self, mode):
+        # The tracer belongs to the handle, refused by name before an
+        # engine is built; no engine takes a metric bag.
+        with pytest.raises(TypeError, match="handle"):
+            sgb_stream(mode, eps=1.0, tracer=Tracer())
+        with pytest.raises(TypeError, match="'metrics'"):
+            sgb_stream(mode, eps=1.0, metrics=MetricBag())
+        with pytest.raises(TypeError, match="'metrics'"):
+            MicroBatcher(StreamingSGBAny(eps=1.0), metrics=MetricBag())

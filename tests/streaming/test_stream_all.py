@@ -9,7 +9,7 @@ from repro import kernels
 from repro.core.api import sgb_all, sgb_stream
 from repro.core.sgb_all import INCREMENTAL_STRATEGIES, SGBAllOperator
 from repro.errors import InvalidParameterError, StreamStateError
-from repro.obs.metrics import SGB_COUNTER_FIELDS, MetricBag
+from repro.obs.metrics import SGB_COUNTER_FIELDS
 from tests.conftest import decimal_lattices
 
 
@@ -123,46 +123,47 @@ class TestLifecycleAndStats:
     def test_counters_equal_the_batch_operators_bag(self, clause, strategy):
         """One place counts.  At every prefix the stream's nine counters
         are those of a batch operator fed that prefix, and after
-        ``result()`` they are the ``MetricBag`` the batch run publishes —
+        ``result()`` they are the ``stats`` the batch run finalizes with —
         FORM-NEW-GROUP's regroup passes included, which the stream used
         not to see (``index_probes`` 1500 vs 1609 on brightkite(1500))."""
         pts = random_points(300, seed=3, span=5.0)
         eng = sgb_stream("all", eps=0.3, on_overlap=clause, strategy=strategy,
                          seed=2, count_distance_computations=True,
                          batch_size=1)
-        bag = MetricBag()
         op = SGBAllOperator(eps=0.3, on_overlap=clause, strategy=strategy,
-                            seed=2, metrics=bag)
+                            seed=2, count_distance_computations=True)
         for i, p in enumerate(pts):
             eng.insert(p)
             op.add(p)
             if i in (0, 149, 299):
                 eng.snapshot()  # a snapshot's regroup is not counted
                 assert eng.stats == op.stats, i
-                assert not bag.counters  # the bag sees the struct at finalize
         assert eng.stats.candidates > 0
         assert eng.result() == op.finalize()
         for counter in SGB_COUNTER_FIELDS:
-            assert getattr(eng.stats, counter) == bag.get(counter), counter
+            assert getattr(eng.stats, counter) == \
+                getattr(op.stats, counter), counter
         if clause == "form-new-group":
             assert eng.stats.index_probes > eng.stats.points
 
     @pytest.mark.parametrize("clause", CLAUSES)
     def test_same_work_with_a_bag_or_without(self, clause):
         """Always-on counting cannot drift from EXPLAIN ANALYZE's totals:
-        the struct is field-for-field the same with ``metrics=None`` and
-        with a bag (``distance_computations`` needs the counting metric a
-        bag brings)."""
+        the struct is field-for-field the same with and without
+        ``count_distance_computations=True``, which a plan node's bag
+        switches on (``distance_computations`` needs the counting
+        metric)."""
         pts = random_points(300, seed=3, span=5.0)
         bare = SGBAllOperator(eps=0.3, on_overlap=clause, seed=2)
-        bagged = SGBAllOperator(eps=0.3, on_overlap=clause, seed=2,
-                                metrics=MetricBag())
-        assert bare.add_many(pts).finalize() == bagged.add_many(pts).finalize()
+        counted = SGBAllOperator(eps=0.3, on_overlap=clause, seed=2,
+                                 count_distance_computations=True)
+        assert bare.add_many(pts).finalize() == \
+            counted.add_many(pts).finalize()
         assert bare.stats.distance_computations == 0
-        assert bagged.stats.distance_computations > 0
-        bagged.stats.distance_computations = 0
-        assert bare.stats == bagged.stats
-        assert bagged.metrics.get("points") == bare.stats.points == 300
+        assert counted.stats.distance_computations > 0
+        counted.stats.distance_computations = 0
+        assert bare.stats == counted.stats
+        assert counted.stats.points == bare.stats.points == 300
 
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(InvalidParameterError):
