@@ -597,16 +597,14 @@ def distance_counts(
                                 ("all: bounds", "bounds-checking"),
                                 ("all: index", "index")):
             op = SGBAllOperator(eps, "l2", "eliminate", strategy,
-                                tiebreak="first",
-                                count_distance_computations=True)
+                                tiebreak="first")
             op.add_many(points).finalize()
-            row[label] = op.distance_computations
+            row[label] = op.stats.distance_computations
         for label, strategy in (("any: all-pairs", "all-pairs"),
                                 ("any: index", "index")):
-            op = SGBAnyOperator(eps, "l2", strategy,
-                                count_distance_computations=True)
+            op = SGBAnyOperator(eps, "l2", strategy)
             op.add_many(points).finalize()
-            row[label] = op.distance_computations
+            row[label] = op.stats.distance_computations
         report.add_row(**row)
     return report
 
@@ -647,13 +645,12 @@ def cost_model_validation(
     }
     for strategy, predicted in predictions.items():
         op = SGBAllOperator(eps, "l2", "eliminate", strategy,
-                            tiebreak="first",
-                            count_distance_computations=True)
+                            tiebreak="first")
         op.add_many(points).finalize()
         report.add_row(**{
             "strategy": strategy,
             "predicted (dominant op)": predicted,
-            "measured distance evals": op.distance_computations,
+            "measured distance evals": op.stats.distance_computations,
         })
     return report
 

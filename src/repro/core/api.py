@@ -270,8 +270,9 @@ def sgb_stream(
     ``eps`` must be strictly positive.
 
     Extra keyword arguments are the operators' own (``strategy=``,
-    ``count_distance_computations=``, ``rtree_max_entries=``,
-    ``on_overlap=``, ``tiebreak=``, ``seed=``, ...).  When ``points`` is
+    ``rtree_max_entries=``, ``on_overlap=``, ``tiebreak=``, ``seed=``,
+    ...).  The engine counts its work into ``stats``, similarity-predicate
+    evaluations (``distance_computations``) included.  When ``points`` is
     given the rows are ingested immediately.
 
     >>> stream = sgb_stream("any", eps=1.0, batch_size=2)

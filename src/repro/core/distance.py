@@ -147,9 +147,11 @@ class CountingMetric(Metric):
     filter-refine structures replace member scans with O(1) rectangle
     tests), and wall-clock numbers in Python carry interpreter noise; the
     ``distance``/``within`` call count is the machine-independent way to
-    verify the claimed savings.  The SGB operators wrap their metric in
-    one under ``count_distance_computations=True`` and expose the tally
-    as ``distance_computations``.
+    verify the claimed savings.  Every SGB operator counts through one
+    (:func:`counting_metric`) and mirrors the tally into its
+    ``stats.distance_computations``.  The vectorized kernels charge
+    ``calls`` in bulk; ``Group``'s python member scans go through
+    ``within`` here.
     """
 
     def __init__(self, inner: Metric):
@@ -203,3 +205,19 @@ def resolve_metric(metric: Union[str, Metric]) -> Metric:
         raise InvalidParameterError(
             f"unknown metric {metric!r}; expected one of {sorted(_METRICS)}"
         ) from None
+
+
+def counting_metric(metric: Union[str, Metric]) -> CountingMetric:
+    """An operator's metric: ``metric`` resolved and wrapped in a
+    :class:`CountingMetric`, or a ``CountingMetric`` passed in, as it is.
+
+    >>> counting_metric("l2").inner is L2
+    True
+    >>> counted = CountingMetric(LINF)
+    >>> counting_metric(counted) is counted
+    True
+    """
+    metric = resolve_metric(metric)
+    if isinstance(metric, CountingMetric):
+        return metric
+    return CountingMetric(metric)

@@ -74,9 +74,8 @@ def group_partition(index: int, mode: str, points: Sequence[Point],
 
     ``bag`` / ``tracer`` are the caller's collectors (the node's counter
     bag and a :class:`~repro.obs.trace.Tracer`); either may be None.  A
-    bag switches distance counting on and receives the operator's
-    ``stats`` once it has finalized; the tracer gets the operator's
-    spans.
+    bag receives the operator's ``stats`` once it has finalized; the
+    tracer gets the operator's spans.
     """
     if mode == "all":
         operator_cls = SGBAllOperator
@@ -86,8 +85,7 @@ def group_partition(index: int, mode: str, points: Sequence[Point],
         raise ValueError(f"unknown SGB mode {mode!r}")
     with maybe_span(tracer, "partition", partition=index, points=len(points),
                     mode=mode):
-        operator = operator_cls(count_distance_computations=bag is not None,
-                                tracer=tracer, **op_kwargs)
+        operator = operator_cls(tracer=tracer, **op_kwargs)
         operator.add_many(points)
         labels = operator.finalize().labels
         if bag is not None:

@@ -48,7 +48,7 @@ from typing import (
 )
 
 from repro import kernels
-from repro.core.distance import CountingMetric, Metric, resolve_metric
+from repro.core.distance import Metric, counting_metric
 from repro.core.groups import Group, GroupRegistry, eps_all_reach
 from repro.core.sgb_any import checked_dim, intake
 from repro.core.result import ELIMINATED, GroupingResult
@@ -461,16 +461,13 @@ class SGBAllOperator:
         seed: int = 0,
         rtree_max_entries: int = 8,
         use_hull: bool = True,
-        count_distance_computations: bool = False,
         tracer: Optional[Tracer] = None,
     ):
         if eps < 0:
             raise InvalidParameterError(f"eps must be non-negative, got {eps}")
         self.eps = float(eps)
-        self.metric = resolve_metric(metric)
+        self.metric = counting_metric(metric)
         self.tracer = tracer
-        if count_distance_computations and not hasattr(self.metric, "calls"):
-            self.metric = CountingMetric(self.metric)
         self.on_overlap = normalize_overlap(on_overlap)
         if tiebreak not in ("random", "first"):
             raise InvalidParameterError(
@@ -515,18 +512,6 @@ class SGBAllOperator:
         """Points waiting in ``S'`` for FORM-NEW-GROUP's regroup."""
         return len(self._deferred)
 
-    @property
-    def distance_computations(self) -> int:
-        """Similarity-predicate evaluations so far (requires
-        ``count_distance_computations=True``)."""
-        calls = getattr(self.metric, "calls", None)
-        if calls is None:
-            raise RuntimeError(
-                "construct the operator with count_distance_computations="
-                "True to collect this statistic"
-            )
-        return calls
-
     def _make_strategy(
         self, metric: Metric,
         adjacency: Optional[Tuple[List[int], List[int]]] = None,
@@ -564,7 +549,7 @@ class SGBAllOperator:
         self._process_point(self._strategy, pid, self._deferred, stats,
                             self._rng)
         # The CountingMetric tally is cumulative; the struct mirrors it.
-        stats.distance_computations = getattr(self.metric, "calls", 0)
+        stats.distance_computations = self.metric.calls
 
     def add_many(self, points: Iterable[Sequence[float]]) -> "SGBAllOperator":
         """:meth:`add` every point; under ``graph``, which places nothing
@@ -640,15 +625,15 @@ class SGBAllOperator:
         Equals ``sgb_all(prefix, ...)`` with the same parameters, seed and
         order.  JOIN-ANY / ELIMINATE resolve every point on arrival, so
         this is an O(n) label read; FORM-NEW-GROUP regroups the deferred
-        set on fresh registries with the uncounted metric and a scratch
+        set on fresh registries with the unwrapped metric
+        (``self.metric.inner``, which charges no call) and a scratch
         counter struct, so the live groups, the RNG and :attr:`stats` are
         as they were.  Under ``graph`` the whole walk runs here, its
         JOIN-ANY draws on a copy of the RNG.
         """
-        metric = getattr(self.metric, "inner", self.metric)
         rng = random.Random()
         rng.setstate(self._rng.getstate())
-        return self._label_walk(StreamStats(), metric, rng)[0]
+        return self._label_walk(StreamStats(), self.metric.inner, rng)[0]
 
     def finalize(self) -> GroupingResult:
         """Close the input stream and return the grouping: the
@@ -662,7 +647,7 @@ class SGBAllOperator:
             result, passes = self._label_walk(stats, self.metric,
                                               self._rng)
             fin.set(regroup_passes=passes)
-        stats.distance_computations = getattr(self.metric, "calls", 0)
+        stats.distance_computations = self.metric.calls
         return result
 
     def _label_walk(self, stats: StreamStats, metric: Metric,
@@ -746,9 +731,9 @@ class SGBAllOperator:
 
     def _adjacency(self, metric: Metric) -> Tuple[List[int], List[int]]:
         """The ε-graph of the spooled points as CSR lists, from one
-        self-join; a counting ``metric`` is charged by the join."""
-        blocks = kernels.eps_self_join(self._points, self.eps, metric,
-                                       hasattr(metric, "calls"))
+        self-join, which charges ``metric`` when it counts (finalize's,
+        not a snapshot's)."""
+        blocks = kernels.eps_self_join(self._points, self.eps, metric)
         with maybe_span(self.tracer, "join",
                         points=len(self._points)) as sp:
             adjacency = kernels.csr_adjacency(len(self._points), blocks)

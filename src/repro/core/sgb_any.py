@@ -46,7 +46,7 @@ from typing import (
 
 from repro import kernels
 from repro.kernels import EdgeBlock
-from repro.core.distance import CountingMetric, Metric, resolve_metric
+from repro.core.distance import Metric, counting_metric
 from repro.core.result import GroupingResult
 from repro.errors import DimensionMismatchError, InvalidParameterError
 from repro.geometry.rectangle import Rect, probe_window
@@ -85,9 +85,6 @@ class _AnyStrategyBase:
         self.eps = eps
         self.metric = metric
         self._store = kernels.make_point_store()
-        #: Cleared by an owner that never reads the candidate tally (the
-        #: numpy grid then skips the extra box-count pass).
-        self.count_candidates = True
 
     def probe(self, point: Point) -> Tuple[int, List[int]]:
         raise NotImplementedError
@@ -120,7 +117,7 @@ class _AnyStrategyBase:
         point passes ``|p_i - q_i| <= eps`` on every axis (the candidates),
         then the metric (one bulk pass)."""
         neighbors, n_window = self._store.query_gathered(
-            gathered, point, self.eps, self.metric, self.count_candidates,
+            gathered, point, self.eps, self.metric
         )
         return n_window, neighbors
 
@@ -189,9 +186,7 @@ class GridAnyStrategy(_AnyStrategyBase):
         self._store.append(point)
 
     def edge_blocks(self, points: Sequence[Point]) -> Iterator[EdgeBlock]:
-        return kernels.eps_self_join(
-            points, self.eps, self.metric, self.count_candidates
-        )
+        return kernels.eps_self_join(points, self.eps, self.metric)
 
 
 def checked_dim(dims: Iterable[int], dim: Optional[int]) -> int:
@@ -282,22 +277,16 @@ class SGBAnyOperator:
         metric: Union[str, Metric] = "l2",
         strategy: str = "index",
         rtree_max_entries: int = 16,
-        count_distance_computations: bool = False,
         tracer: Optional[Tracer] = None,
     ):
         if eps < 0:
             raise InvalidParameterError(f"eps must be non-negative, got {eps}")
         self.eps = float(eps)
-        self.metric = resolve_metric(metric)
+        self.metric = counting_metric(metric)
         self.tracer = tracer
-        if count_distance_computations and not hasattr(self.metric, "calls"):
-            self.metric = CountingMetric(self.metric)
         self._strategy = make_any_strategy(
             strategy, self.eps, self.metric, rtree_max_entries
         )
-        # The candidate tally feeds the ``candidates`` counter and the
-        # CountingMetric charge; both imply a counting metric here.
-        self._strategy.count_candidates = hasattr(self.metric, "calls")
         #: Filled in by ``finalize`` (nothing is grouped before it).
         self.stats = StreamStats()
         self._points: List[Point] = []
@@ -307,18 +296,6 @@ class SGBAnyOperator:
     @property
     def strategy_name(self) -> str:
         return self._strategy.name
-
-    @property
-    def distance_computations(self) -> int:
-        """Similarity-predicate evaluations so far (requires
-        ``count_distance_computations=True``)."""
-        calls = getattr(self.metric, "calls", None)
-        if calls is None:
-            raise RuntimeError(
-                "construct the operator with count_distance_computations="
-                "True to collect this statistic"
-            )
-        return calls
 
     def add(self, point: Sequence[float]) -> None:
         if self._finalized:
@@ -355,5 +332,5 @@ class SGBAnyOperator:
         # One probe per point, each opening a group that edges merge.
         stats.points = stats.groups_created = stats.index_probes = n
         stats.groups_merged = n - groups
-        stats.distance_computations = getattr(self.metric, "calls", 0)
+        stats.distance_computations = self.metric.calls
         return GroupingResult(labels, points)

@@ -129,11 +129,11 @@ def batch_eps_neighbors(points: Sequence[Coords], probes: Sequence[Coords],
     return _impl.batch_eps_neighbors(points, probes, eps, metric)
 
 
-def eps_self_join(points: Sequence[Coords], eps: float, metric: MetricLike,
-                  count: bool = True) -> Iterator[EdgeBlock]:
+def eps_self_join(points: Sequence[Coords], eps: float,
+                  metric: MetricLike) -> Iterator[EdgeBlock]:
     """ε-self-join of a whole point set: every unordered pair within
     ``eps`` once, in bounded ``(us, vs, n_box)`` edge blocks."""
-    return _impl.eps_self_join(points, eps, metric, count)
+    return _impl.eps_self_join(points, eps, metric)
 
 
 def csr_adjacency(n: int, blocks: Iterable[EdgeBlock],

@@ -22,8 +22,10 @@ Coords = Sequence[float]
 
 class MetricLike(Protocol):
     """What a kernel needs from a metric: a name (for exact-box special
-    cases like L∞) and the ε-predicate.  ``CountingMetric`` proxies match
-    too; backends that batch-charge them probe ``calls`` dynamically."""
+    cases like L∞) and the ε-predicate.  The SGB operators always pass a
+    ``CountingMetric``; both backends charge its ``calls`` in bulk where
+    they find them, so a bare metric (a snapshot's, or a direct kernel
+    call's) is served too and charges nothing."""
 
     @property
     def name(self) -> str: ...

@@ -8,12 +8,14 @@ turns each block into one vectorized expression over a contiguous
 SGB-All group scans have no array form: ``Group`` runs the python loops
 under both backends.
 
-Counting contract: the SGB operators observe predicate work through a
-:class:`~repro.core.distance.CountingMetric` (``metric.calls``).  Vectorized
-kernels cannot route every pair through ``within``, so they *charge* the
-wrapped metric with the number of pairs the python backend's loops would
-have evaluated, which those loops do without early exits between pairs.
-Every counter therefore agrees across the two backends.
+Counting contract: every SGB operator counts predicate work through a
+:class:`~repro.core.distance.CountingMetric` (``metric.calls``).  Each
+kernel *charges* the proxy with the number of pairs the python backend's
+loops evaluate (they have no early exits between pairs, and charge the
+same numbers), so every counter agrees across the two backends.  The
+ε-box tally behind the join's and the window verify's charges (and the
+``candidates`` counter) is one column-wise L∞ reduction of the
+differences the metric mask already takes.
 
 The point store grows by capacity doubling so per-append cost stays
 amortized O(d) with no list→array conversion on the query path.
@@ -74,25 +76,30 @@ def _metric_kind(metric: MetricLike) -> Tuple[str, float]:
     return "other", 0.0
 
 
-def _charge(metric: MetricLike, n: int) -> None:
-    """Record ``n`` predicate evaluations on a counting metric proxy."""
-    if hasattr(metric, "calls"):
-        metric.calls += n  # type: ignore[attr-defined]
-
-
 def _diff_mask(diff: "np.ndarray", eps: float, kind: str,
                p: float) -> "np.ndarray":
     """``δ <= eps`` over the last axis of a block of coordinate
     differences, in the arithmetic of the reference ``Metric.within``
     loops: the per-axis terms are accumulated left to right, so the two
-    backends round alike in every dimension (``einsum`` does not)."""
+    backends round alike in every dimension (``einsum`` does not).  The
+    L∞ form, one running ``np.maximum`` over the columns, is also the
+    ε-box test (``|p_i - q_i| <= eps`` on every axis)."""
     if kind == "linf":
-        return np.abs(diff).max(axis=-1) <= eps
+        top = np.abs(diff[..., 0])
+        for k in range(1, diff.shape[-1]):
+            np.maximum(top, np.abs(diff[..., k]), out=top)
+        return top <= eps
     terms = diff * diff if kind == "l2" else np.abs(diff) ** p
     total = terms[..., 0]
     for k in range(1, terms.shape[-1]):
         total += terms[..., k]
     return total <= (eps * eps if kind == "l2" else eps**p)
+
+
+def _box_count(diff: "np.ndarray", eps: float) -> int:
+    """Rows of ``diff`` with ``|d_k| <= eps`` on every axis (the L∞
+    mask)."""
+    return int(np.count_nonzero(_diff_mask(diff, eps, "linf", 0.0)))
 
 
 def _within_mask(coords: "np.ndarray", q: Any, eps: float,
@@ -117,7 +124,7 @@ def pairwise_within(points: Sequence[Coords], q: Coords, eps: float,
     mask = _within_mask(coords, q, eps, metric)
     if mask is None:
         return _python.pairwise_within(points, q, eps, metric)
-    _charge(metric, len(coords))
+    _python.charge(metric, len(coords))
     return mask.tolist()
 
 
@@ -138,15 +145,15 @@ def batch_eps_neighbors(points: Sequence[Coords], probes: Sequence[Coords],
     coords = np.asarray(points, dtype=np.float64)
     qs = np.asarray(probes, dtype=np.float64)
     mask = _diff_mask(qs[:, None, :] - coords[None, :, :], eps, kind, p)
-    _charge(metric, m * n)
+    _python.charge(metric, m * n)
     return [np.flatnonzero(mask[j]).tolist() for j in range(m)]
 
 
 # ----------------------------------------------------------------------
 # whole-input ε-self-join and its component structure
 # ----------------------------------------------------------------------
-def eps_self_join(points: Sequence[Coords], eps: float, metric: MetricLike,
-                  count: bool = True) -> Iterator[EdgeBlock]:
+def eps_self_join(points: Sequence[Coords], eps: float,
+                  metric: MetricLike) -> Iterator[EdgeBlock]:
     """Every unordered pair of ``points`` within ``eps``, as edge blocks.
 
     The points are binned by ``v // eps`` (the grid index's cell
@@ -155,16 +162,16 @@ def eps_self_join(points: Sequence[Coords], eps: float, metric: MetricLike,
     lexicographically greater row, inside the cell range of its ε-box
     corners: per half-space cell offset one ``searchsorted`` over the
     whole input, then ``repeat``/``cumsum`` pair expansion and one
-    ``_within_mask`` per block of at most :data:`JOIN_BLOCK` pairs.
+    metric mask per block of at most :data:`JOIN_BLOCK` pairs.
 
     Yields ``(us, vs, n_box)``: edge endpoint ids (input positions) and
     the number of the block's pairs with ``|p_i - q_i| <= eps`` on every
-    axis (0 unless ``count``).  A counting metric is charged ``n_box``
-    for the non-L∞ metrics — the python backend's ``within`` calls.
+    axis.  A counting metric is charged ``n_box`` for the non-L∞
+    metrics — the python backend's ``within`` calls.
     """
-    kind, _ = _metric_kind(metric)
+    kind, p = _metric_kind(metric)
     if kind == "other":
-        yield from _python.eps_self_join(points, eps, metric, count)
+        yield from _python.eps_self_join(points, eps, metric)
         return
     coords = np.asarray(points, dtype=np.float64)
     if coords.size == 0:
@@ -233,17 +240,13 @@ def eps_self_join(points: Sequence[Coords], eps: float, metric: MetricLike,
         if not any(offset):  # own row: only the points sorted after us
             start = np.maximum(start, after)
         for i, j in _pair_blocks(start, stop):
-            a, b = scoords[i], scoords[j]
-            mask = _within_mask(a, b, eps, metric)
-            assert mask is not None
-            n_box = 0
-            if count:
-                if kind == "linf":
-                    n_box = int(np.count_nonzero(mask))
-                else:
-                    n_box = int(np.count_nonzero(
-                        (np.abs(a - b) <= eps).all(axis=1)))
-                    _charge(metric, n_box)
+            diff = scoords[i] - scoords[j]
+            mask = _diff_mask(diff, eps, kind, p)
+            if kind == "linf":
+                n_box = int(np.count_nonzero(mask))
+            else:
+                n_box = _box_count(diff, eps)
+                _python.charge(metric, n_box)
             yield order[i[mask]], order[j[mask]], n_box
 
 
@@ -395,38 +398,36 @@ class PointStore(_python.PointStore):
         if n >= SMALL_BLOCK:
             mask = _within_mask(self._view(), q, eps, metric)
             if mask is not None:
-                _charge(metric, n)
+                _python.charge(metric, n)
                 return np.flatnonzero(mask).tolist()
         return super().query_all(q, eps, metric)
 
     def query_gathered(
         self, ids: Sequence[int], q: Coords, eps: float,
-        metric: MetricLike, count: bool = True,
+        metric: MetricLike,
     ) -> Tuple[List[int], int]:
         """Verify the ``ids`` a window gathered around ``q``.
 
-        Every Minkowski ε-ball is contained in the ε-box, so the
-        vectorized path needs only the metric mask; the box tally (the
-        strategies' ``candidates`` counter, and the charge matching the
-        python backend's per-window-hit ``within`` calls) is computed
-        only when ``count`` is requested.
+        Every Minkowski ε-ball is contained in the ε-box, so the ids
+        need only the metric mask; the box tally (the strategies'
+        ``candidates`` counter, and the charge matching the python
+        backend's per-window-hit ``within`` calls) is the L∞ mask of
+        the same differences.
         """
         k = len(ids)
         if k < _EPS_BOX_FALLBACK:
-            return super().query_gathered(ids, q, eps, metric, count)
+            return super().query_gathered(ids, q, eps, metric)
         kind, p = _metric_kind(metric)
         if kind == "other":
-            return super().query_gathered(ids, q, eps, metric, count)
+            return super().query_gathered(ids, q, eps, metric)
         ids_a = np.fromiter(ids, dtype=np.intp, count=k)
         diff = self._view()[ids_a] - np.asarray(q, dtype=np.float64)
         mask = _diff_mask(diff, eps, kind, p)
         if kind == "linf":
-            return ids_a[mask].tolist(), int(mask.sum()) if count else 0
-        if count:
-            n_window = int((np.abs(diff) <= eps).all(axis=1).sum())
-            _charge(metric, n_window)
-            return ids_a[mask].tolist(), n_window
-        return ids_a[mask].tolist(), 0
+            return ids_a[mask].tolist(), int(np.count_nonzero(mask))
+        n_window = _box_count(diff, eps)
+        _python.charge(metric, n_window)
+        return ids_a[mask].tolist(), n_window
 
 
 def make_point_store() -> PointStore:

@@ -3,9 +3,14 @@
 Every primitive here is semantically the ground truth the numpy backend
 must agree with — the hot-path strategies used exactly these loops inline
 before the kernel layer existed, so keeping them verbatim preserves the
-seed behaviour (including which ``Metric.within`` calls a
-:class:`~repro.core.distance.CountingMetric` observes) when numpy is absent
-or ``REPRO_BACKEND=python`` forces this backend.
+seed behaviour when numpy is absent or ``REPRO_BACKEND=python`` forces
+this backend.
+
+Counting: no loop here exits early between pairs, so the number of
+``within`` calls a :class:`~repro.core.distance.CountingMetric` would
+observe is known up front.  The loops call the wrapped metric's own
+``within`` and charge the proxy's ``calls`` in bulk (:func:`charge`), as
+the numpy backend does.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.dsu.union_find import UnionFind, component_labels
 from repro.errors import InvalidCoordinateError
@@ -31,14 +36,29 @@ name = "python"
 JOIN_BLOCK = 1 << 16
 
 
+def charge(metric: MetricLike, n: int) -> None:
+    """Record ``n`` predicate evaluations on a counting metric proxy."""
+    if hasattr(metric, "calls"):
+        metric.calls += n  # type: ignore[attr-defined]
+
+
+def _within(metric: MetricLike) -> Callable[[Coords, Coords, float], bool]:
+    """The predicate a counting proxy wraps (``metric``'s own otherwise):
+    the loops charge the proxy in bulk instead of per call."""
+    inner: MetricLike = getattr(metric, "inner", metric)
+    return inner.within
+
+
 # ----------------------------------------------------------------------
 # stateless batch primitives
 # ----------------------------------------------------------------------
 def pairwise_within(points: Sequence[Coords], q: Coords, eps: float,
                     metric: MetricLike) -> List[bool]:
     """Per-point similarity predicate results against probe ``q``."""
-    within = metric.within
-    return [within(p, q, eps) for p in points]
+    within = _within(metric)
+    out = [within(p, q, eps) for p in points]
+    charge(metric, len(out))
+    return out
 
 
 def batch_eps_neighbors(points: Sequence[Coords], probes: Sequence[Coords],
@@ -53,11 +73,13 @@ def batch_eps_neighbors(points: Sequence[Coords], probes: Sequence[Coords],
     """
     if not points or not probes:
         return [[] for _ in probes]
-    within = metric.within
-    return [
+    within = _within(metric)
+    out = [
         [i for i, p in enumerate(points) if within(p, q, eps)]
         for q in probes
     ]
+    charge(metric, len(probes) * len(points))
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -85,8 +107,8 @@ def _corner_cell(v: float, eps: float) -> int:
     return int(max(-top, min(cell, top)))
 
 
-def eps_self_join(points: Sequence[Coords], eps: float, metric: MetricLike,
-                  count: bool = True) -> Iterator[EdgeBlock]:
+def eps_self_join(points: Sequence[Coords], eps: float,
+                  metric: MetricLike) -> Iterator[EdgeBlock]:
     """Every unordered pair of ``points`` within ``eps``, as edge blocks.
 
     The loop form of the numpy backend's join over one cell table: each
@@ -97,8 +119,7 @@ def eps_self_join(points: Sequence[Coords], eps: float, metric: MetricLike,
     ``metric.within`` holds.
 
     Yields ``(us, vs, n_box)``: edge endpoint ids and the number of pairs
-    that passed the box test since the last block (``count`` is a hint
-    for backends whose tally costs extra; here it is a free byproduct).
+    that passed the box test since the last block.
     """
     table: Dict[_Cell, List[int]] = {}
     for pid, point in enumerate(points):
@@ -106,7 +127,7 @@ def eps_self_join(points: Sequence[Coords], eps: float, metric: MetricLike,
     occupied = sorted(table)
     wide = eps * EPS_WIDEN  # a partner's cell always lies in the range
     linf = metric.name == "linf"  # the per-axis test is the predicate
-    within = metric.within
+    within = _within(metric)
     us: List[int] = []
     vs: List[int] = []
     n_box = 0
@@ -144,9 +165,13 @@ def eps_self_join(points: Sequence[Coords], eps: float, metric: MetricLike,
                             us.append(i)
                             vs.append(j)
                 if len(us) >= JOIN_BLOCK:
+                    if not linf:
+                        charge(metric, n_box)
                     yield us, vs, n_box
                     us, vs, n_box = [], [], 0
     if us or n_box:
+        if not linf:
+            charge(metric, n_box)
         yield us, vs, n_box
 
 
@@ -217,14 +242,14 @@ class PointStore:
     def query_all(self, q: Coords, eps: float,
                   metric: MetricLike) -> List[int]:
         """Ids of all stored points within ``eps`` of ``q``."""
-        within = metric.within
-        return [
-            i for i, p in enumerate(self._points) if within(p, q, eps)
-        ]
+        within = _within(metric)
+        hits = [i for i, p in enumerate(self._points) if within(p, q, eps)]
+        charge(metric, len(self._points))
+        return hits
 
     def query_gathered(
         self, ids: Sequence[int], q: Coords, eps: float,
-        metric: MetricLike, count: bool = True,
+        metric: MetricLike,
     ) -> Tuple[List[int], int]:
         """Verify the ``ids`` a window gathered around ``q``: keep those
         with ``|p_i - q_i| <= eps`` on every axis, then the metric.
@@ -232,9 +257,7 @@ class PointStore:
         Returns ``(matching ids, number that passed the per-axis test)``.
         The per-axis test *is* the L∞ predicate, so no further metric
         evaluation — hence no ``CountingMetric`` charge — happens in that
-        case, mirroring the pre-kernel grid strategy.  ``count`` is a
-        hint for backends whose counting costs extra; here the tally is a
-        free byproduct.
+        case, mirroring the pre-kernel grid strategy.
         """
         points = self._points
         # The symmetric form of the window test: ``q - eps <= v`` rounds
@@ -253,11 +276,10 @@ class PointStore:
                 in_window.append(i)
         if metric.name == "linf":
             return in_window, len(in_window)
-        within = metric.within
-        return (
-            [i for i in in_window if within(points[i], q, eps)],
-            len(in_window),
-        )
+        within = _within(metric)
+        hits = [i for i in in_window if within(points[i], q, eps)]
+        charge(metric, len(in_window))
+        return hits, len(in_window)
 
 
 def make_point_store() -> PointStore:

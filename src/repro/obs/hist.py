@@ -9,11 +9,10 @@ and timed by spans.
 
 :class:`LatencyHistogram` is a fixed set of base-2 log buckets from 1 µs
 to ~9.5 h plus an overflow bucket.  Observations are O(log n_buckets)
-(a bisect over the precomputed bounds), merging two histograms is exact
-(bucket-wise addition, which is how one bag folds into another), and
-quantiles are upper-bound estimates in the Prometheus style (the
-reported p99 is the smallest bucket boundary with at least 99 % of the
-mass at or below it, clamped to the observed max).
+(a bisect over the precomputed bounds), and merging two histograms is
+exact (bucket-wise addition, which is how one bag folds into another).
+The exporter reads ``count``, ``sum_s`` and :meth:`bucket_items`;
+quantiles are the scraper's to estimate from the buckets.
 
 The bucket scheme is *fixed* (not per-histogram) so that any two
 histograms anywhere in the system can be merged and so the Prometheus
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 #: First finite bucket boundary, in seconds (1 µs).
 BUCKET_START_S = 1e-6
@@ -56,66 +55,32 @@ def bucket_index(seconds: float) -> int:
 
 
 class LatencyHistogram:
-    """Counts of observations per fixed log bucket, plus sum/min/max.
+    """Counts of observations per fixed log bucket, plus their sum.
 
     >>> h = LatencyHistogram()
     >>> for v in (1e-6, 2e-6, 3e-6, 1.0):
     ...     h.observe(v)
     >>> h.count
     4
-    >>> h.quantile(0.5) <= h.quantile(0.99) <= h.max_s
-    True
+    >>> items = list(h.bucket_items())
+    >>> items[:3], items[-1]
+    ([(1e-06, 1), (2e-06, 2), (4e-06, 3)], (inf, 4))
     """
 
-    __slots__ = ("counts", "count", "sum_s", "max_s", "min_s")
+    __slots__ = ("counts", "count", "sum_s")
 
     def __init__(self) -> None:
         self.counts: List[int] = [0] * (N_BUCKETS + 1)
         self.count = 0
         self.sum_s = 0.0
-        self.max_s = 0.0
-        self.min_s = math.inf
 
     # -- recording ---------------------------------------------------------
     def observe(self, seconds: float) -> None:
         self.counts[bucket_index(seconds)] += 1
         self.count += 1
         self.sum_s += seconds
-        if seconds > self.max_s:
-            self.max_s = seconds
-        if seconds < self.min_s:
-            self.min_s = seconds
 
     # -- queries -----------------------------------------------------------
-    def quantile(self, q: float) -> float:
-        """Upper-bound quantile estimate (Prometheus style).
-
-        Returns the smallest bucket boundary such that at least ``q`` of
-        the observations are at or below it, clamped to the observed
-        maximum (so ``quantile(1.0) == max_s``).  Zero when empty.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        rank = max(1, math.ceil(q * self.count))
-        seen = 0
-        for i, n in enumerate(self.counts):
-            seen += n
-            if seen >= rank:
-                if i >= N_BUCKETS:  # overflow bucket has no finite bound
-                    return self.max_s
-                return min(BUCKET_BOUNDS_S[i], self.max_s)
-        return self.max_s  # pragma: no cover - unreachable (seen == count)
-
-    def percentiles(self) -> Dict[str, float]:
-        return {
-            "p50_s": self.quantile(0.50),
-            "p95_s": self.quantile(0.95),
-            "p99_s": self.quantile(0.99),
-            "max_s": self.max_s,
-        }
-
     def bucket_items(self) -> Iterator[Tuple[float, int]]:
         """``(le_bound, cumulative_count)`` pairs, Prometheus-shaped.
 
@@ -137,29 +102,7 @@ class LatencyHistogram:
             self.counts[i] += n
         self.count += other.count
         self.sum_s += other.sum_s
-        if other.max_s > self.max_s:
-            self.max_s = other.max_s
-        if other.min_s < self.min_s:
-            self.min_s = other.min_s
         return self
-
-    def as_dict(self) -> Dict[str, float]:
-        out: Dict[str, float] = {
-            "count": self.count,
-            "sum_s": self.sum_s,
-        }
-        out.update(self.percentiles())
-        return out
 
     def __bool__(self) -> bool:
         return self.count > 0
-
-    def __repr__(self) -> str:
-        if not self.count:
-            return "LatencyHistogram(empty)"
-        p = self.percentiles()
-        return (
-            f"LatencyHistogram(count={self.count}, "
-            f"p50={p['p50_s']:.6f}s, p99={p['p99_s']:.6f}s, "
-            f"max={self.max_s:.6f}s)"
-        )

@@ -53,9 +53,8 @@ from repro.obs.hist import LatencyHistogram
 #:     Entries returned by those probes before exact verification (groups
 #:     scanned, for the linear strategies).
 #: distance_computations
-#:     Similarity-predicate evaluations, read off the operator's
-#:     CountingMetric (``count_distance_computations=True`` wraps the
-#:     metric in one; 0 when the metric is not counted).
+#:     Similarity-predicate evaluations, read off the CountingMetric
+#:     every operator wraps its metric in.
 SGB_COUNTER_FIELDS = (
     "points",
     "groups_created",

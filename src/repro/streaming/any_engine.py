@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Tuple, Union
 
-from repro.core.distance import CountingMetric, Metric, resolve_metric
+from repro.core.distance import Metric, counting_metric
 from repro.core.result import GroupingResult
 from repro.core.sgb_any import make_any_strategy
 from repro.dsu.union_find import UnionFind, component_labels
@@ -56,9 +56,6 @@ class StreamingSGBAny:
         ``"grid"`` (default; constant-cell probes), ``"rtree"``, or
         ``"linear"`` (all-pairs baseline) — any SGB-Any strategy name or
         alias the batch operator accepts.
-    count_distance_computations:
-        Wrap the metric in a counting proxy so
-        ``stats.distance_computations`` is populated.
 
     >>> from repro import sgb_stream
     >>> stream = sgb_stream("any", eps=1.0, batch_size=1)
@@ -74,12 +71,9 @@ class StreamingSGBAny:
         metric: Union[str, Metric] = "l2",
         strategy: str = "grid",
         rtree_max_entries: int = 16,
-        count_distance_computations: bool = False,
     ):
         self.eps = float(eps)
-        self.metric = resolve_metric(metric)
-        if count_distance_computations:
-            self.metric = CountingMetric(self.metric)
+        self.metric = counting_metric(metric)
         self._index = make_any_strategy(
             strategy, self.eps, self.metric, rtree_max_entries
         )
@@ -124,8 +118,7 @@ class StreamingSGBAny:
                 stats.groups_merged += before - self._uf.n_components
                 self._index.insert(pid, pt)
         finally:
-            if hasattr(self.metric, "calls"):
-                stats.distance_computations = self.metric.calls
+            stats.distance_computations = self.metric.calls
         return self
 
     def snapshot(self) -> GroupingResult:

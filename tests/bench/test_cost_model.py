@@ -70,11 +70,11 @@ class TestAgainstMeasurement:
 
         pts = random_points(200, seed=11)
         op = SGBAllOperator(0.5, "l2", "eliminate", "all-pairs",
-                            tiebreak="first",
-                            count_distance_computations=True)
+                            tiebreak="first")
         op.add_many(pts).finalize()
         predicted = CostModel(len(pts), 1).all_pairs_distance_evaluations()
-        assert predicted / 3 <= op.distance_computations <= predicted * 1.01
+        measured = op.stats.distance_computations
+        assert predicted / 3 <= measured <= predicted * 1.01
 
     def test_expected_groups_tracks_measured(self):
         """The uniform |G| estimate must land within a small factor of the
@@ -112,8 +112,7 @@ class TestAgainstMeasurement:
                 work = []
                 for points in inputs:
                     op = SGBAllOperator(0.05, "linf", clause, strategy,
-                                        tiebreak="first",
-                                        count_distance_computations=True)
+                                        tiebreak="first")
                     op.add_many(points).finalize()
                     work.append(sum(getattr(op.stats, c) for c in counters))
                 assert fit_loglog_slope(sizes, work) == pytest.approx(

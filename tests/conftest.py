@@ -87,10 +87,11 @@ def decimal_lattice(seed: int, n: int = 150) -> Tuple[List[Point], float]:
 
 
 @st.composite
-def decimal_lattices(draw, max_points: int = 40):
-    """Hypothesis form of :func:`decimal_lattice`."""
+def decimal_lattices(draw, max_points: int = 40,
+                     dims: Sequence[int] = (2, 3)):
+    """Hypothesis form of :func:`decimal_lattice`, in any of ``dims``."""
     step = draw(st.sampled_from(LATTICE_STEPS))
-    dim = draw(st.sampled_from((2, 3)))
+    dim = draw(st.sampled_from(dims))
     coord = st.integers(0, draw(st.integers(2, 12))).map(lambda k: k * step)
     points = draw(st.lists(st.tuples(*[coord] * dim),
                            min_size=2, max_size=max_points))

@@ -241,8 +241,7 @@ class TestPruningReducesDistanceComputations:
         return pts
 
     def _distance_count(self, strategy):
-        op = SGBAllOperator(eps=1.0, strategy=strategy, tiebreak="first",
-                            count_distance_computations=True)
+        op = SGBAllOperator(eps=1.0, strategy=strategy, tiebreak="first")
         op.add_many(self._clustered_points())
         op.finalize()
         return op.stats.distance_computations
@@ -255,8 +254,7 @@ class TestPruningReducesDistanceComputations:
     def test_counters_distinguish_index_from_linear_scan(self):
         def candidates(strategy):
             op = SGBAllOperator(eps=1.0, strategy=strategy,
-                                tiebreak="first",
-                                count_distance_computations=True)
+                                tiebreak="first")
             op.add_many(self._clustered_points())
             op.finalize()
             return op.stats.candidates

@@ -262,15 +262,14 @@ class TestGraphStrategy:
 
     def test_counters(self):
         pts = [(0, 0), (1, 0), (4, 0), (5, 0), (2.5, 0), (30, 30)]
-        op = SGBAllOperator(eps=2.6, strategy="graph", tiebreak="first",
-                            count_distance_computations=True)
+        op = SGBAllOperator(eps=2.6, strategy="graph", tiebreak="first")
         op.add_many(pts).finalize()
         stats = op.stats
         assert stats.index_probes == len(pts)  # points placed
         # placed neighbours tallied per point: 0, 1, 0, 1, 4 (x), 0
         assert stats.candidates == 6
         assert stats.groups_created == 3
-        assert stats.distance_computations == op.distance_computations > 0
+        assert stats.distance_computations == op.metric.calls > 0
 
 
 def sparse_shapes(seed):
@@ -335,8 +334,7 @@ class TestGraphIsolatedPoints:
     def test_input_is_mostly_isolated(self):
         adjacency = kernels.csr_adjacency(
             len(self.POINTS),
-            kernels.eps_self_join(self.POINTS, 1.0, resolve_metric("l2"),
-                                  False))
+            kernels.eps_self_join(self.POINTS, 1.0, resolve_metric("l2")))
         indptr = adjacency[0]
         degrees = [indptr[i + 1] - indptr[i] for i in range(len(indptr) - 1)]
         assert degrees.count(0) == 48 >= len(self.POINTS) / 2

@@ -197,11 +197,9 @@ class TestNodeCountersAreTheOperators:
             points = [(x, y) for key, x, y in rows if key == k]
             if mode == "all":
                 op = SGBAllOperator(0.4, "l2", clause, strategy,
-                                    seed=partition_seed(seed, (k,)),
-                                    count_distance_computations=True)
+                                    seed=partition_seed(seed, (k,)))
             else:
-                op = SGBAnyOperator(0.4, "l2", strategy,
-                                    count_distance_computations=True)
+                op = SGBAnyOperator(0.4, "l2", strategy)
             op.add_many(points).finalize()
             expected.update(op.stats.nonzero())
 

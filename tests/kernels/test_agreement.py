@@ -12,12 +12,17 @@ The contract (docs/architecture.md, "Execution backends"):
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import kernels
 from repro.core.api import sgb_all, sgb_any
+from repro.core.distance import CountingMetric, resolve_metric
 from repro.core.parallel import partition_seed
+from repro.core.sgb_any import SGBAnyOperator
 from repro.errors import InvalidParameterError
 from repro.stats.chooser import ALL_STRATEGIES, ANY_STRATEGIES
+from tests.conftest import decimal_lattices, random_points
 
 HAS_NUMPY = "numpy" in kernels.available_backends()
 needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
@@ -39,6 +44,23 @@ def _clusters(n_clusters=40, size=30, seed=5):
                    for _ in range(size)]
     rng.shuffle(points)
     return points
+
+
+METRICS = ("l2", "linf", "l1")
+
+#: Side of the cube that 300 points fill so that ε 0.7 boxes hold
+#: neighbours in each dimension.
+_SPANS = {1: 10.0, 3: 5.0, 8: 2.5}
+
+
+def _spread_examples(test):
+    """300 uniform points at ε 0.7 in 1, 3 and 8 dimensions under every
+    metric, as explicit examples."""
+    for dim, span in _SPANS.items():
+        points = random_points(300, seed=dim, span=span, dim=dim)
+        for metric in METRICS:
+            test = example(case=(points, 0.7), metric=metric)(test)
+    return test
 
 
 @needs_numpy
@@ -71,20 +93,35 @@ class TestBackendAgreement:
         assert self._labels("numpy", sgb_any, **kwargs) == \
             self._labels("python", sgb_any, **kwargs)
 
-    def test_sgb_any_structural_counters_identical(self):
+    @settings(max_examples=30, deadline=None)
+    @given(case=decimal_lattices(dims=(1, 3, 8)),
+           metric=st.sampled_from(METRICS))
+    @example(case=(_points(N, seed=13), EPS), metric="l2")
+    @_spread_examples
+    def test_sgb_any_structural_counters_identical(self, case, metric):
         # SGB-Any has no inter-pair early exit, so even the
-        # distance_computations counter agrees exactly across backends.
-        from repro.core.sgb_any import SGBAnyOperator
-
-        counters = {}
+        # distance_computations counter agrees exactly across backends:
+        # the ε-self-join's edges, box tally (n_box) and charged calls,
+        # and every strategy's stats.  Lattices put pairs at exact-ε ties.
+        points, eps = case
+        seen = {}
         for backend in ("python", "numpy"):
             with kernels.use_backend(backend):
-                op = SGBAnyOperator(self.EPS, strategy="grid",
-                                    count_distance_computations=True)
-                op.add_many(_points(self.N, seed=13))
-                op.finalize()
-            counters[backend] = op.stats.nonzero()
-        assert counters["numpy"] == counters["python"]
+                counter = CountingMetric(resolve_metric(metric))
+                edges, n_box = set(), 0
+                for us, vs, hits in kernels.eps_self_join(points, eps,
+                                                          counter):
+                    edges.update(tuple(sorted(map(int, uv)))
+                                 for uv in zip(us, vs))
+                    n_box += hits
+                stats = []
+                for strategy in ANY_STRATEGIES:
+                    op = SGBAnyOperator(eps, metric, strategy)
+                    op.add_many(points)
+                    op.finalize()
+                    stats.append(op.stats.nonzero())
+            seen[backend] = edges, n_box, counter.calls, stats
+        assert seen["numpy"] == seen["python"]
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     @pytest.mark.parametrize("on_overlap",
@@ -99,7 +136,7 @@ class TestBackendAgreement:
             with kernels.use_backend(backend):
                 op = SGBAllOperator(0.5, strategy=strategy,
                                     on_overlap=on_overlap, tiebreak="random",
-                                    seed=3, count_distance_computations=True)
+                                    seed=3)
                 op.add_many(_clusters())
                 op.finalize()
             counters[backend] = op.stats.nonzero()

@@ -204,7 +204,7 @@ class TestPointStoreParity:
             for p in pts:
                 store.append(p)
             store.query_gathered(
-                list(range(len(pts))), (5.0, 5.0), 1.2, metric, count=True
+                list(range(len(pts))), (5.0, 5.0), 1.2, metric
             )
             calls[backend] = metric.calls
         assert len(set(calls.values())) == 1, calls
@@ -216,7 +216,7 @@ class TestPointStoreParity:
             for p in pts:
                 store.append(p)
             ids, n_window = store.query_gathered(
-                list(range(len(pts))), (5.0, 5.0), 1.0, metric, count=True
+                list(range(len(pts))), (5.0, 5.0), 1.0, metric
             )
             assert metric.calls == 0, backend
             assert len(ids) == n_window

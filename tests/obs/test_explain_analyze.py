@@ -149,14 +149,3 @@ class TestInstrumentationOffByDefault:
         # A later ordinary query is planned afresh, runs the cheap
         # unrecorded path and still produces the same rows.
         assert sorted(db.query(ANY_SQL).rows) == [(1,), (2,)]
-
-    def test_uninstrumented_operator_does_not_wrap_metric(self):
-        from repro.core.sgb_all import SGBAllOperator
-        from repro.core.sgb_any import SGBAnyOperator
-
-        assert not hasattr(SGBAllOperator(eps=1).metric, "calls")
-        assert not hasattr(SGBAnyOperator(eps=1).metric, "calls")
-        assert hasattr(SGBAllOperator(
-            eps=1, count_distance_computations=True).metric, "calls")
-        assert hasattr(SGBAnyOperator(
-            eps=1, count_distance_computations=True).metric, "calls")

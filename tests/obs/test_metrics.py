@@ -114,8 +114,9 @@ class TestBagHistograms:
         bag = MetricBag()
         bag.observe("service_exec_latency", 1e-5)
         bag.observe("service_exec_latency", 2e-5)
-        summary = bag.histogram("service_exec_latency").as_dict()
-        assert summary["count"] == 2
+        hist = bag.histogram("service_exec_latency")
+        assert hist.count == 2
+        assert hist.sum_s == pytest.approx(3e-5)
         assert bag  # non-empty with only histogram content
 
     def test_merge_folds_histograms(self):

@@ -94,11 +94,10 @@ class TestAnyEquivalence:
         eps 2.5 fills the probes past the kernels' vectorization
         thresholds as the stream grows, so both code paths count."""
         pts = random_points(400, seed=stable_seed(kind, metric))
-        batch = SGBAnyOperator(2.5, metric, strategy=kind,
-                               count_distance_computations=True)
+        batch = SGBAnyOperator(2.5, metric, strategy=kind)
         labels = batch.add_many(pts).finalize().labels
         stream = sgb_stream("any", eps=2.5, metric=metric, strategy=kind,
-                            count_distance_computations=True, batch_size=1)
+                            batch_size=1)
         stream.extend(pts)
         assert stream.snapshot().labels == labels
         for counter in ("index_probes", "candidates",

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 
 from repro import kernels
 from repro.core.api import sgb_all, sgb_stream
+from repro.core.parallel import group_partition
 from repro.core.sgb_all import INCREMENTAL_STRATEGIES, SGBAllOperator
 from repro.errors import InvalidParameterError, StreamStateError
-from repro.obs.metrics import SGB_COUNTER_FIELDS
+from repro.obs.metrics import SGB_COUNTER_FIELDS, MetricBag
 from tests.conftest import decimal_lattices
 
 
@@ -128,10 +129,9 @@ class TestLifecycleAndStats:
         not to see (``index_probes`` 1500 vs 1609 on brightkite(1500))."""
         pts = random_points(300, seed=3, span=5.0)
         eng = sgb_stream("all", eps=0.3, on_overlap=clause, strategy=strategy,
-                         seed=2, count_distance_computations=True,
-                         batch_size=1)
+                         seed=2, batch_size=1)
         op = SGBAllOperator(eps=0.3, on_overlap=clause, strategy=strategy,
-                            seed=2, count_distance_computations=True)
+                            seed=2)
         for i, p in enumerate(pts):
             eng.insert(p)
             op.add(p)
@@ -149,21 +149,18 @@ class TestLifecycleAndStats:
     @pytest.mark.parametrize("clause", CLAUSES)
     def test_same_work_with_a_bag_or_without(self, clause):
         """Always-on counting cannot drift from EXPLAIN ANALYZE's totals:
-        the struct is field-for-field the same with and without
-        ``count_distance_computations=True``, which a plan node's bag
-        switches on (``distance_computations`` needs the counting
-        metric)."""
+        the bag a plan node hands :func:`group_partition` only receives
+        the counts, so it holds the moved fields of the ``stats`` a bare
+        operator finalizes with, ``distance_computations`` included."""
         pts = random_points(300, seed=3, span=5.0)
-        bare = SGBAllOperator(eps=0.3, on_overlap=clause, seed=2)
-        counted = SGBAllOperator(eps=0.3, on_overlap=clause, seed=2,
-                                 count_distance_computations=True)
-        assert bare.add_many(pts).finalize() == \
-            counted.add_many(pts).finalize()
-        assert bare.stats.distance_computations == 0
-        assert counted.stats.distance_computations > 0
-        counted.stats.distance_computations = 0
-        assert bare.stats == counted.stats
-        assert counted.stats.points == bare.stats.points == 300
+        kwargs = dict(eps=0.3, on_overlap=clause, seed=2)
+        bare = SGBAllOperator(**kwargs)
+        labels = bare.add_many(pts).finalize().labels
+        bag = MetricBag()
+        assert group_partition(0, "all", pts, kwargs, bag) == labels
+        assert bag.counters == bare.stats.nonzero()
+        assert bare.stats.distance_computations > 0
+        assert bare.stats.points == 300
 
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(InvalidParameterError):
@@ -197,8 +194,7 @@ class TestOperatorSnapshot:
         with kernels.use_backend(backend):
             twin, probed = (
                 sgb_stream("all", eps=0.3, on_overlap=clause, seed=4,
-                           strategy=strategy,
-                           count_distance_computations=True, batch_size=1)
+                           strategy=strategy, batch_size=1)
                 for _ in range(2))
             twin.extend(pts[:200])
             probed.extend(pts[:200])

@@ -86,9 +86,8 @@ class TestStats:
         assert st.groups_merged == 3
         assert eng.engine.n_groups == 2
 
-    def test_distance_counting_opt_in(self):
-        eng = sgb_stream("any", eps=1.0, count_distance_computations=True,
-                         batch_size=1)
+    def test_distance_counting_always_on(self):
+        eng = sgb_stream("any", eps=1.0, batch_size=1)
         eng.extend(cluster_points())
         assert eng.stats.distance_computations > 0
 
