@@ -167,9 +167,6 @@ class CountingMetric(Metric):
         self.calls += 1
         return self.inner.within(p, q, eps)
 
-    def reset(self) -> None:
-        self.calls = 0
-
 
 #: Singleton instances; operators accept either these or the string names.
 L2 = EuclideanMetric()

@@ -481,7 +481,7 @@ class SGBAllOperator:
         if self._strategy_cls is GraphStrategy and self.eps == 0:
             raise InvalidParameterError(
                 "the graph strategy requires eps > 0 (its join bins "
-                "points by v // eps)"
+                "points by floor(v / eps))"
             )
 
         self.stats = StreamStats()

@@ -6,15 +6,18 @@ neighbouring cells.  ``grid`` is the planner's choice on every check-in
 statement; this incremental index serves it where points arrive one at a
 time (an SGB-Any stream's engine,
 :class:`~repro.streaming.any_engine.StreamingSGBAny`, behind
-:func:`repro.sgb_stream` and stream views: probe, then insert).  The batch operator sees its whole input at once and
-runs the same grid as a set-at-a-time ε-self-join instead
-(:func:`repro.kernels.eps_self_join`), binning by this module's cell
-function ``v // cell_size``.  ``python -m repro.bench ablation-indexes``
-compares the grid with the R-tree.
+:func:`repro.sgb_stream` and stream views: probe, then insert).  The
+batch operator sees its whole input at once and runs the same grid as a
+set-at-a-time ε-self-join instead (:func:`repro.kernels.eps_self_join`),
+binning by this module's cell function ``floor(v / cell_size)``: any
+monotone function of ``v`` finds every partner, and one division is
+cheaper than ``v // cell_size``'s remainder.  ``python -m repro.bench
+ablation-indexes`` compares the grid with the R-tree.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 from repro.errors import InvalidCoordinateError, InvalidParameterError
@@ -54,7 +57,7 @@ class GridIndex:
 
     def _cell_of(self, p: Sequence[float]) -> Tuple[int, ...]:
         try:
-            return tuple(int(v // self.cell_size) for v in p)
+            return tuple(math.floor(v / self.cell_size) for v in p)
         except (OverflowError, ValueError):
             # inf/NaN, or a finite value whose cell number overflows a
             # float (1e308 with cell side 0.5).

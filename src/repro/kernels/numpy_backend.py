@@ -3,10 +3,14 @@
 The SGB-Any strategies and the ε-self-join evaluate the similarity
 predicate against a *block* of points (every processed point, a grid
 neighbourhood, the R-tree window hits, the whole input).  This backend
-turns each block into one vectorized expression over a contiguous
-``float64`` buffer instead of a per-pair ``Metric.within`` call.  The
+turns each block into one vectorized expression over contiguous
+``float64`` buffers instead of a per-pair ``Metric.within`` call.  The
 SGB-All group scans have no array form: ``Group`` runs the python loops
 under both backends.
+
+One check serves every kernel: :func:`_diff_mask` over per-axis columns
+of coordinate differences, accumulated left to right as the reference
+loops do.  Its L∞ form is the ε-box test.
 
 Counting contract: every SGB operator counts predicate work through a
 :class:`~repro.core.distance.CountingMetric` (``metric.calls``).  Each
@@ -14,8 +18,8 @@ kernel *charges* the proxy with the number of pairs the python backend's
 loops evaluate (they have no early exits between pairs, and charge the
 same numbers), so every counter agrees across the two backends.  The
 ε-box tally behind the join's and the window verify's charges (and the
-``candidates`` counter) is one column-wise L∞ reduction of the
-differences the metric mask already takes.
+``candidates`` counter) is a running maximum of ``|d_k|`` over the same
+difference columns the metric mask reads.
 
 The point store grows by capacity doubling so per-append cost stays
 amortized O(d) with no list→array conversion on the query path.
@@ -24,11 +28,11 @@ amortized O(d) with no list→array conversion on the query path.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import InvalidCoordinateError
+from repro.errors import DimensionMismatchError, InvalidCoordinateError
 from repro.kernels import python_backend as _python
 from repro.kernels._protocols import (
     EPS_WIDEN,
@@ -76,41 +80,59 @@ def _metric_kind(metric: MetricLike) -> Tuple[str, float]:
     return "other", 0.0
 
 
-def _diff_mask(diff: "np.ndarray", eps: float, kind: str,
+def _diff_mask(diffs: Sequence["np.ndarray"], eps: float, kind: str,
                p: float) -> "np.ndarray":
-    """``δ <= eps`` over the last axis of a block of coordinate
-    differences, in the arithmetic of the reference ``Metric.within``
-    loops: the per-axis terms are accumulated left to right, so the two
-    backends round alike in every dimension (``einsum`` does not).  The
-    L∞ form, one running ``np.maximum`` over the columns, is also the
-    ε-box test (``|p_i - q_i| <= eps`` on every axis)."""
+    """``δ <= eps`` over per-axis columns of coordinate differences
+    (``diffs[k]`` holds ``d_k`` for every pair), in the arithmetic of the
+    reference ``Metric.within`` loops: the per-axis terms are accumulated
+    left to right, so the two backends round alike in every dimension
+    and a pair at exactly ε lands on the same side.  The L∞ form, one
+    running ``np.maximum`` of ``|d_k|``, is also the ε-box test
+    (``|p_i - q_i| <= eps`` on every axis)."""
     if kind == "linf":
-        top = np.abs(diff[..., 0])
-        for k in range(1, diff.shape[-1]):
-            np.maximum(top, np.abs(diff[..., k]), out=top)
+        top = np.abs(diffs[0])
+        for d in diffs[1:]:
+            np.maximum(top, np.abs(d), out=top)
         return top <= eps
-    terms = diff * diff if kind == "l2" else np.abs(diff) ** p
-    total = terms[..., 0]
-    for k in range(1, terms.shape[-1]):
-        total += terms[..., k]
-    return total <= (eps * eps if kind == "l2" else eps**p)
+    if kind == "l2":
+        total = diffs[0] * diffs[0]
+        for d in diffs[1:]:
+            total += d * d
+        return total <= eps * eps
+    total = np.abs(diffs[0]) ** p
+    for d in diffs[1:]:
+        total += np.abs(d) ** p
+    return total <= eps**p
 
 
-def _box_count(diff: "np.ndarray", eps: float) -> int:
-    """Rows of ``diff`` with ``|d_k| <= eps`` on every axis (the L∞
-    mask)."""
-    return int(np.count_nonzero(_diff_mask(diff, eps, "linf", 0.0)))
+def _box_count(diffs: Sequence["np.ndarray"], eps: float) -> int:
+    """Pairs with ``|d_k| <= eps`` on every axis (the L∞ mask)."""
+    return int(np.count_nonzero(_diff_mask(diffs, eps, "linf", 0.0)))
 
 
-def _within_mask(coords: "np.ndarray", q: Any, eps: float,
-                 metric: MetricLike) -> Optional["np.ndarray"]:
-    """Boolean mask of rows of ``coords`` within ``eps`` of ``q`` (one
-    point, or one row per row of ``coords``), or None when the metric
-    has no vectorized form."""
-    kind, p = _metric_kind(metric)
-    if kind == "other":
-        return None
-    return _diff_mask(coords - np.asarray(q, dtype=np.float64), eps, kind, p)
+def _as_block(points: Sequence[Coords]) -> "np.ndarray":
+    """``points`` as one C-contiguous ``float64`` (n, d) block, read from
+    the flattened coordinates: one ``np.fromiter`` pass, where
+    ``np.asarray`` probes every tuple as a nested sequence.  Points of
+    unequal dimension raise."""
+    n = len(points)
+    dims = set(map(len, points))
+    if len(dims) > 1:
+        raise DimensionMismatchError(
+            f"points have different dimensions: {sorted(dims)}"
+        )
+    dim = dims.pop() if n else 0
+    return np.fromiter(itertools.chain.from_iterable(points),
+                       dtype=np.float64, count=n * dim).reshape(n, dim)
+
+
+def _diffs_to(coords: "np.ndarray", q: Coords) -> List["np.ndarray"]:
+    """Per-axis difference columns of the rows of ``coords`` from ``q``."""
+    if len(q) != coords.shape[1]:
+        raise DimensionMismatchError(
+            f"point dimension {len(q)} != {coords.shape[1]}"
+        )
+    return [coords[:, k] - float(v) for k, v in enumerate(q)]
 
 
 # ----------------------------------------------------------------------
@@ -118,12 +140,13 @@ def _within_mask(coords: "np.ndarray", q: Any, eps: float,
 # ----------------------------------------------------------------------
 def pairwise_within(points: Sequence[Coords], q: Coords, eps: float,
                     metric: MetricLike) -> List[bool]:
-    coords = np.asarray(points, dtype=np.float64)
+    kind, p = _metric_kind(metric)
+    if kind == "other":
+        return _python.pairwise_within(points, q, eps, metric)
+    coords = _as_block(points)
     if coords.size == 0:
         return []
-    mask = _within_mask(coords, q, eps, metric)
-    if mask is None:
-        return _python.pairwise_within(points, q, eps, metric)
+    mask = _diff_mask(_diffs_to(coords, q), eps, kind, p)
     _python.charge(metric, len(coords))
     return mask.tolist()
 
@@ -132,7 +155,7 @@ def batch_eps_neighbors(points: Sequence[Coords], probes: Sequence[Coords],
                         eps: float, metric: MetricLike) -> List[List[int]]:
     """Per-probe ascending indices of ``points`` within ``eps``.
 
-    One broadcasted ``(m, n, d)`` distance expression per call, which
+    One broadcasted ``(m, n)`` difference column per axis per call, which
     beats m separate kernel launches while the block stays small enough
     for the full matrix.  Charges the counting metric ``m * n``
     pairs, matching the python backend's no-early-exit loops.
@@ -142,9 +165,14 @@ def batch_eps_neighbors(points: Sequence[Coords], probes: Sequence[Coords],
     kind, p = _metric_kind(metric)
     if kind == "other" or m * n < SMALL_BLOCK:
         return _python.batch_eps_neighbors(points, probes, eps, metric)
-    coords = np.asarray(points, dtype=np.float64)
-    qs = np.asarray(probes, dtype=np.float64)
-    mask = _diff_mask(qs[:, None, :] - coords[None, :, :], eps, kind, p)
+    coords = _as_block(points)
+    qs = _as_block(probes)
+    if qs.shape[1] != coords.shape[1]:
+        raise DimensionMismatchError(
+            f"point dimension {qs.shape[1]} != {coords.shape[1]}"
+        )
+    diffs = [qs[:, k, None] - coords[None, :, k] for k in range(qs.shape[1])]
+    mask = _diff_mask(diffs, eps, kind, p)
     _python.charge(metric, m * n)
     return [np.flatnonzero(mask[j]).tolist() for j in range(m)]
 
@@ -156,13 +184,16 @@ def eps_self_join(points: Sequence[Coords], eps: float,
                   metric: MetricLike) -> Iterator[EdgeBlock]:
     """Every unordered pair of ``points`` within ``eps``, as edge blocks.
 
-    The points are binned by ``v // eps`` (the grid index's cell
+    The points are binned by ``floor(v / eps)`` (the grid index's cell
     function), sorted by a row-major cell key, and each point is paired
     with the points after it in its own cell row and with those of every
     lexicographically greater row, inside the cell range of its ε-box
     corners: per half-space cell offset one ``searchsorted`` over the
-    whole input, then ``repeat``/``cumsum`` pair expansion and one
-    metric mask per block of at most :data:`JOIN_BLOCK` pairs.
+    whole input, then ``repeat``/``cumsum`` pair expansion in blocks of
+    at most :data:`JOIN_BLOCK` pairs.  After the sort each axis is one
+    contiguous column, so a block's check is d gathered differences
+    ``c_k[i] - c_k[j]``, the metric's left-to-right sum of their terms
+    and, for the ε-box tally, a running maximum of their magnitudes.
 
     Yields ``(us, vs, n_box)``: edge endpoint ids (input positions) and
     the number of the block's pairs with ``|p_i - q_i| <= eps`` on every
@@ -173,14 +204,15 @@ def eps_self_join(points: Sequence[Coords], eps: float,
     if kind == "other":
         yield from _python.eps_self_join(points, eps, metric)
         return
-    coords = np.asarray(points, dtype=np.float64)
+    coords = _as_block(points)
     if coords.size == 0:
         return
     n, dim = coords.shape
+    axes = np.ascontiguousarray(coords.T)  # one contiguous row per axis
     with np.errstate(over="ignore", invalid="ignore"):
-        cells = np.floor_divide(coords, eps)
-        finite = np.isfinite(cells).all(axis=1)
-        if not finite.all():
+        cells = np.floor(axes / eps)
+        if not np.isfinite(cells).all():
+            finite = np.isfinite(cells).all(axis=0)
             bad = tuple(coords[int(np.argmin(finite))].tolist())
             raise InvalidCoordinateError(
                 f"point {bad!r} has a coordinate the grid cannot index "
@@ -190,15 +222,15 @@ def eps_self_join(points: Sequence[Coords], eps: float,
         # monotone cell function: a partner's cell is in the range.
         big = np.finfo(np.float64).max
         wide = eps * EPS_WIDEN
-        lo = np.maximum(np.nextafter(coords - wide, -np.inf), -big)
-        hi = np.minimum(np.nextafter(coords + wide, np.inf), big)
-        base = cells.min(axis=0)
+        lo = np.maximum(np.nextafter(axes - wide, -np.inf), -big)
+        hi = np.minimum(np.nextafter(axes + wide, np.inf), big)
+        base = cells.min(axis=1, keepdims=True)
         cells -= base
-        lo_cells = np.floor_divide(lo, eps) - base
-        hi_cells = np.floor_divide(hi, eps) - base
-        reach = np.maximum((cells - lo_cells).max(axis=0),
-                           (hi_cells - cells).max(axis=0))
-        width = cells.max(axis=0) + 2.0 * reach + 1.0
+        lo_cells = np.floor(lo / eps) - base
+        hi_cells = np.floor(hi / eps) - base
+        reach = np.maximum((cells - lo_cells).max(axis=1),
+                           (hi_cells - cells).max(axis=1))
+        width = cells.max(axis=1) + 2.0 * reach + 1.0
     # Bin greedily by axis while the linear key fits an int64 and the
     # offset enumeration stays bounded; an axis left out is only verified.
     binned: List[int] = []
@@ -218,14 +250,14 @@ def eps_self_join(points: Sequence[Coords], eps: float,
     strides: List[int] = []
     for axis in binned:
         last, lo_last, hi_last = (
-            (c[:, axis] + reach[axis]).astype(np.int64)
+            (c[axis] + reach[axis]).astype(np.int64)
             for c in (cells, lo_cells, hi_cells)
         )
         key = key * int(width[axis]) + last
         strides = [s * int(width[axis]) for s in strides] + [1]
     order = np.argsort(key, kind="stable")
     skey = key[order]
-    scoords = coords[order]
+    columns = axes.take(order, axis=1)
     row = skey - last[order]
     lo_key = row + lo_last[order]
     hi_key = row + hi_last[order]
@@ -240,12 +272,12 @@ def eps_self_join(points: Sequence[Coords], eps: float,
         if not any(offset):  # own row: only the points sorted after us
             start = np.maximum(start, after)
         for i, j in _pair_blocks(start, stop):
-            diff = scoords[i] - scoords[j]
-            mask = _diff_mask(diff, eps, kind, p)
+            diffs = [c[i] - c[j] for c in columns]
+            mask = _diff_mask(diffs, eps, kind, p)
             if kind == "linf":
                 n_box = int(np.count_nonzero(mask))
             else:
-                n_box = _box_count(diff, eps)
+                n_box = _box_count(diffs, eps)
                 _python.charge(metric, n_box)
             yield order[i[mask]], order[j[mask]], n_box
 
@@ -385,9 +417,7 @@ class PointStore(_python.PointStore):
                 if buf is not None and self._synced:
                     grown[: self._synced] = buf[: self._synced]
                 self._buf = buf = grown
-            buf[self._synced : n] = np.asarray(
-                self._points[self._synced : n], dtype=np.float64
-            )
+            buf[self._synced : n] = _as_block(self._points[self._synced : n])
             self._synced = n
         assert buf is not None
         return buf[:n]
@@ -395,12 +425,12 @@ class PointStore(_python.PointStore):
     def query_all(self, q: Coords, eps: float,
                   metric: MetricLike) -> List[int]:
         n = len(self._points)
-        if n >= SMALL_BLOCK:
-            mask = _within_mask(self._view(), q, eps, metric)
-            if mask is not None:
-                _python.charge(metric, n)
-                return np.flatnonzero(mask).tolist()
-        return super().query_all(q, eps, metric)
+        kind, p = _metric_kind(metric)
+        if n < SMALL_BLOCK or kind == "other":
+            return super().query_all(q, eps, metric)
+        mask = _diff_mask(_diffs_to(self._view(), q), eps, kind, p)
+        _python.charge(metric, n)
+        return np.flatnonzero(mask).tolist()
 
     def query_gathered(
         self, ids: Sequence[int], q: Coords, eps: float,
@@ -421,11 +451,11 @@ class PointStore(_python.PointStore):
         if kind == "other":
             return super().query_gathered(ids, q, eps, metric)
         ids_a = np.fromiter(ids, dtype=np.intp, count=k)
-        diff = self._view()[ids_a] - np.asarray(q, dtype=np.float64)
-        mask = _diff_mask(diff, eps, kind, p)
+        diffs = _diffs_to(self._view()[ids_a], q)
+        mask = _diff_mask(diffs, eps, kind, p)
         if kind == "linf":
             return ids_a[mask].tolist(), int(np.count_nonzero(mask))
-        n_window = _box_count(diff, eps)
+        n_window = _box_count(diffs, eps)
         _python.charge(metric, n_window)
         return ids_a[mask].tolist(), n_window
 

@@ -89,9 +89,10 @@ _Cell = Tuple[int, ...]
 
 
 def _cell_of(point: Coords, eps: float) -> _Cell:
-    """``GridIndex._cell_of``: the monotone cell function ``v // eps``."""
+    """``GridIndex._cell_of``: the monotone cell function
+    ``floor(v / eps)``."""
     try:
-        return tuple(int(v // eps) for v in point)
+        return tuple(math.floor(v / eps) for v in point)
     except (OverflowError, ValueError):
         raise InvalidCoordinateError(
             f"point {tuple(point)!r} has a coordinate the grid cannot "
@@ -100,11 +101,12 @@ def _cell_of(point: Coords, eps: float) -> _Cell:
 
 
 def _corner_cell(v: float, eps: float) -> int:
-    """Cell of an ε-box corner; a corner that overflowed is clamped to
-    the edge of the float range, past every indexable point."""
+    """Cell of an ε-box corner; a corner (or its quotient by ``eps``)
+    that overflowed is clamped to the edge of the float range, past
+    every indexable point."""
     top = sys.float_info.max
-    cell = max(-top, min(v, top)) // eps
-    return int(max(-top, min(cell, top)))
+    cell = max(-top, min(v, top)) / eps
+    return math.floor(max(-top, min(cell, top)))
 
 
 def eps_self_join(points: Sequence[Coords], eps: float,

@@ -190,12 +190,15 @@ class TableStats:
 def _build_histogram(coords: Sequence[float],
                      buckets: int) -> DensityHistogram:
     lo, hi = min(coords), max(coords)
-    # A denormal spread overflows the scale to inf (then 0 * inf = NaN):
-    # such a column is one point as far as any ε is concerned.
-    if hi <= lo or math.isinf(buckets / (hi - lo)):
+    # A denormal spread overflows the scale to inf, and a spread past the
+    # float range (-1.7e308 to 1e308) overflows itself to inf and the
+    # scale to 0; either way ``(c - lo) * scale`` can be NaN.  Such a
+    # column is one bucket: the histogram gives up, not the statement.
+    spread = hi - lo
+    if not (0.0 < spread < math.inf) or math.isinf(buckets / spread):
         return DensityHistogram(lo, lo, [len(coords)])
     counts = [0] * buckets
-    scale = buckets / (hi - lo)
+    scale = buckets / spread
     top = buckets - 1
     for c in coords:
         i = int((c - lo) * scale)

@@ -13,7 +13,10 @@ Point = Tuple[float, ...]
 
 
 def l2(p: Sequence[float], q: Sequence[float]) -> float:
-    return math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
+    try:
+        return math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
+    except OverflowError:  # a square past the float range (``**`` raises)
+        return math.inf
 
 
 def linf(p: Sequence[float], q: Sequence[float]) -> float:

@@ -60,8 +60,9 @@ class TestExactEpsBoundary:
                                               order):
         # |-5e-324 - 0.1| rounds to exactly eps, but ``0.1 - 0.1`` rounds
         # the probe window of 0.1 to [0.0, 0.2] — which excludes the
-        # denormal — and ``v // eps`` puts the pair two cells apart.  The
-        # window test used to find the pair from one side only.
+        # denormal — and ``floor(v / eps)`` puts the pair two cells
+        # apart.  The window test used to find the pair from one side
+        # only.
         pts = [(-5e-324, 0.0), (0.1, 0.0)][::order]
         with kernels.use_backend(backend):
             assert sgb_any(pts, 0.1, strategy=strategy).labels == [0, 0]

@@ -82,7 +82,7 @@ class TestBasicGrouping:
 
     def test_eps_zero_is_equality_grouping(self, strategy):
         pts = [(1, 1), (2, 2), (1, 1), (3, 3), (2, 2), (1, 1)]
-        if strategy == "graph":  # its join bins by v // eps
+        if strategy == "graph":  # its join bins by floor(v / eps)
             with pytest.raises(InvalidParameterError, match="eps > 0"):
                 sgb_all(pts, eps=0, strategy=strategy)
             return

@@ -20,8 +20,6 @@ class TestCountingMetric:
         m.distance((0, 0), (1, 1))
         m.within((0, 0), (1, 1), 2)
         assert m.calls == 2
-        m.reset()
-        assert m.calls == 0
 
     def test_preserves_name_and_results(self):
         m = CountingMetric(LINF)

@@ -10,6 +10,7 @@ The contract (docs/architecture.md, "Execution backends"):
 """
 
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -63,6 +64,33 @@ def _spread_examples(test):
     return test
 
 
+_TOP = sys.float_info.max
+
+#: Inputs where the join's cell function ``floor(v / eps)`` bins apart
+#: from ``v // eps`` (1.0 // 0.1 is 9 but floor(1.0 / 0.1) is 10, and
+#: -1.1 // 0.1 is -12 but floor(-1.1 / 0.1) is -11), with lattice pairs
+#: one ε apart across those boundaries; and points at the edge of the
+#: float range, whose ε-box corners overflow and are clamped.
+_CELL_EDGE_CASES = (
+    ([(x, y) for x in (0.9, 1.0, 1.1, -1.0, -1.1, -1.2, -2.2, -2.1)
+      for y in (0.0, 0.1, 1.0)], 0.1),
+    ([(x, 1.0) for x in (1.8, 2.0, 2.2, -2.0, -2.2, -2.4, -4.4)]
+     + [(2.0, 1.8), (2.0, 2.2), (-2.2, 1.2)], 0.2),
+    ([(_TOP, 0.0), (_TOP - 1e306, 0.0), (_TOP - 5e305, 5e305),
+      (-_TOP, 0.0), (-_TOP + 1e306, 0.0), (-_TOP, 1e306),
+      (0.0, 0.0), (1e306, 0.0)], 1e306),
+)
+
+
+def _cell_edge_examples(test):
+    """Every :data:`_CELL_EDGE_CASES` input under every metric, as
+    explicit examples."""
+    for case in _CELL_EDGE_CASES:
+        for metric in METRICS:
+            test = example(case=case, metric=metric)(test)
+    return test
+
+
 @needs_numpy
 class TestBackendAgreement:
     N = 500
@@ -98,6 +126,7 @@ class TestBackendAgreement:
            metric=st.sampled_from(METRICS))
     @example(case=(_points(N, seed=13), EPS), metric="l2")
     @_spread_examples
+    @_cell_edge_examples
     def test_sgb_any_structural_counters_identical(self, case, metric):
         # SGB-Any has no inter-pair early exit, so even the
         # distance_computations counter agrees exactly across backends:

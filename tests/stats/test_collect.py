@@ -6,6 +6,7 @@ import pytest
 
 from repro.engine.database import Database
 from repro.stats.collect import DensityHistogram, analyze_table
+from tests.conftest import connected_components
 
 
 @pytest.fixture
@@ -54,6 +55,28 @@ class TestAnalyzeTable:
         t = _table(db, "CREATE TABLE t (x float)", "t", [(v,) for v in rows])
         hist = analyze_table(t).column("x").histogram
         assert hist.n == 2 and hist.lo == hist.hi == 0.0
+
+    @pytest.mark.parametrize("strategy", ["auto", "all-pairs", "index",
+                                          "grid"])
+    def test_overflowing_spread_plans_and_groups(self, strategy):
+        # hi - lo is inf, so the scale was 0 and (c - lo) * scale NaN:
+        # ANALYZE, a WHERE the planner estimates and an SGB query all
+        # raised a bare ValueError from int(NaN).
+        rows = [(-1.7e308, 0.0), (1e308, 0.5), (0.0, 0.0), (0.5, 0.5),
+                (2.0, 2.0), (1e308, 1.0)]
+        db = Database(sgb_any_strategy=strategy)
+        db.execute("CREATE TABLE t (x float, y float)")
+        db.insert("t", rows)
+        db.execute("ANALYZE t")
+        hist = db.table("t").stats.column("x").histogram
+        assert hist.n == len(rows) and hist.width == 0.0
+        assert db.query("SELECT count(*) FROM t WHERE x > 0").rows == [(4,)]
+        got = db.query("SELECT count(*), min(x), min(y) FROM t "
+                       "GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 1").rows
+        want = [(len(c), min(rows[i][0] for i in c),
+                 min(rows[i][1] for i in c))
+                for c in connected_components(rows, 1.0, "l2")]
+        assert sorted(got) == sorted(want)
 
     def test_date_column_uses_ordinal_coordinates(self, db):
         base = datetime.date(2020, 1, 1)

@@ -153,3 +153,26 @@ def test_refused_batch_leaves_table_and_views_as_they_were(k, bad):
         db.table("t").insert_many(batch)
     assert len(db.table("t")) == 5
     assert [view_state(view) for view in views] == before
+
+
+def test_cell_boundary_rows_equal_row_by_row_and_batch():
+    # Coordinates where the grid's cell function floor(v / eps) and
+    # v // eps bin apart (1.0 // 0.1 is 9, floor(1.0 / 0.1) is 10), one
+    # lattice step (an exact-ε tie) from each other.
+    coords = [(x, y) for x in (0.9, 1.0, 1.1, -1.0, -1.1, -1.2, -2.2)
+              for y in (0.0, 0.1, 1.0)]
+    rows = [(i, x, y, None) for i, (x, y) in enumerate(coords)]
+    db = Database(sgb_any_strategy="grid")
+    db.execute("CREATE TABLE t (id int, x float, y float, d date)")
+    view = db.create_stream_view("edge", "t", ["x", "y"], "any",
+                                 batch_size=7, eps=0.1)
+    oracle = RowByRow(db.table("t"), ["x", "y"], "any", 7, eps=0.1)
+    for start in range(0, len(rows), 8):
+        db.execute(insert_sql(rows[start:start + 8]))
+    for row_id, row in enumerate(db.table("t").rows):
+        oracle.feed(row, row_id)
+    assert_same(view, oracle)
+    batch = db.query("SELECT count(*), min(id) FROM t GROUP BY x, y "
+                     "DISTANCE-TO-ANY L2 WITHIN 0.1").rows
+    assert sorted(batch) == sorted((len(ids), min(ids))
+                                   for ids in view.group_rows())
