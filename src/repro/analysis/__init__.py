@@ -1,31 +1,25 @@
 """sgblint — AST-based invariant linter for the SGB reproduction.
 
-Four conventions of this codebase have each been broken once in a way
-only a mechanical check noticed, and ordinary linters cannot see them:
-library errors must belong to the :mod:`repro.errors` taxonomy, shared
-``Database`` state must be read under its lock, nothing reachable from an
-``async def`` may block the event loop, and operator loops that buffer
-rows must reach a cancel checkpoint.  A rule is admitted only with such
-a true positive (its ``caught`` string); rules that only ever produced
-pragmas were deleted.
+One convention of this codebase was broken in a way only a mechanical
+check noticed, and ordinary linters cannot see it: errors raised in
+``repro.engine`` and ``repro.sql`` must belong to the
+:mod:`repro.errors` taxonomy.  A rule is admitted only with such a true
+positive (its ``caught`` string); rules whose defects a tier-1 test now
+pins were deleted (see ``docs/static_analysis.md``).
 
 * a rule registry (:mod:`repro.analysis.registry`) with one visitor per
   rule (:mod:`repro.analysis.rules`), each carrying an ``--explain``-able
   docstring;
-* a whole-program layer (:mod:`repro.analysis.project`: symbol table,
-  call graph, lock-held flow) for the cross-module rules;
-* a runner (:mod:`repro.analysis.runner`) producing file/line
-  :class:`~repro.analysis.findings.Finding` records, honouring inline
-  ``# sgblint: disable=...`` pragmas — the one way to justify a finding;
+* a runner (:mod:`repro.analysis.runner`) checking one file at a time
+  and producing file/line :class:`~repro.analysis.findings.Finding`
+  records, honouring inline ``# sgblint: disable=...`` pragmas — the one
+  way to justify a finding;
 * a CLI: ``python -m repro.analysis paths...``.
 
-Rule catalog (see ``docs/static_analysis.md`` for the rationale):
+Rule catalog:
 
 ====== ==================================================================
 SGB006 error taxonomy — engine/sql raise repro.errors subclasses
-SGB007 lock discipline — guarded attributes accessed under their lock
-SGB008 blocking in async — no blocking call reachable from ``async def``
-SGB009 cancel checkpoints — buffering operator loops reach a cancel check
 ====== ==================================================================
 """
 

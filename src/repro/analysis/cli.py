@@ -10,7 +10,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.analysis.registry import all_rules, get_rule, rule_ids
+from repro.analysis.registry import all_rules, get_rule
 from repro.analysis.runner import lint_paths
 
 PROG = "python -m repro.analysis"
@@ -20,8 +20,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="sgblint — AST invariant linter for the SGB repo "
-                    "(error-taxonomy, lock, event-loop and "
-                    "cancel-checkpoint discipline)",
+                    "(engine/sql errors belong to the repro.errors "
+                    "taxonomy)",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src", "tests"],
@@ -34,10 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-rules", action="store_true",
         help="list registered rules and exit",
-    )
-    parser.add_argument(
-        "--select", metavar="SGBnnn[,SGBnnn...]", default=None,
-        help="run only the listed rules",
     )
     parser.add_argument(
         "--include-fixtures", action="store_true",
@@ -69,23 +65,8 @@ def main(argv: Optional[Sequence[str]] = None,
             print(f"{rule.id}  {rule.title}", file=out)
         return 0
 
-    rules = ()
-    if args.select:
-        try:
-            rules = tuple(
-                get_rule(rid.strip())
-                for rid in args.select.split(",") if rid.strip()
-            )
-        except KeyError as exc:
-            print(exc.args[0], file=out)
-            return 2
-        if not rules:
-            print(f"--select matched no rules of {rule_ids()}", file=out)
-            return 2
-
-    findings = lint_paths(
-        args.paths, rules=rules, include_fixtures=args.include_fixtures,
-    )
+    findings = lint_paths(args.paths,
+                          include_fixtures=args.include_fixtures)
     for f in findings:
         print(f.format_text(), file=out)
     print(f"{len(findings)} finding(s)", file=out)

@@ -7,7 +7,7 @@ the parse tree, the dotted module name (rules scope themselves with
 
 Pragmas (in comments, anywhere on the offending line):
 
-``# sgblint: disable=SGB006[,SGB007]``
+``# sgblint: disable=SGBnnn[,SGBnnn]``
     Suppress the listed rules on this line, with the justification in
     the same comment: ``# sgblint: disable=SGB006 -- converted by
     coerce()``.
@@ -69,7 +69,6 @@ class FileContext:
     def __init__(self, path: str, source: str,
                  module: Optional[str] = None):
         self.path = path
-        self.source = source
         self.lines: List[str] = source.splitlines()
         self.tree: ast.Module = ast.parse(source, filename=path)
         #: line -> the rule ids disabled there.

@@ -3,10 +3,11 @@
 A rule is a class with an ``id`` (``SGBnnn``), a one-line ``title``, a
 ``caught`` string naming the defect it found in this repo (PR number
 and the code fix — a rule without one is not admitted), a docstring
-(both rendered by ``--explain``), and a ``check_project(project)``
-generator yielding :class:`~repro.analysis.findings.Finding` objects.
-Importing :mod:`repro.analysis.rules` registers the built-in rules via
-the :func:`register` decorator.
+(both rendered by ``--explain``), and a ``check_file(ctx)`` generator
+yielding :class:`~repro.analysis.findings.Finding` objects for one
+:class:`~repro.analysis.context.FileContext`.  Importing
+:mod:`repro.analysis.rules` registers the built-in rules via the
+:func:`register` decorator.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from __future__ import annotations
 import ast
 import inspect
 import re
-from typing import Dict, Iterable, Iterator, List, Type
+from typing import Dict, Iterator, List, Type
 
+from repro.analysis.context import FileContext
 from repro.analysis.findings import Finding
 
 _RULE_ID_RE = re.compile(r"SGB[0-9]{3}\Z")
@@ -23,13 +25,11 @@ _RULE_ID_RE = re.compile(r"SGB[0-9]{3}\Z")
 
 class Rule:
     """Base class for sgblint rules.  Subclass, set ``id``/``title``/
-    ``caught``, implement :meth:`check_project`, and decorate with
+    ``caught``, implement :meth:`check_file`, and decorate with
     :func:`register`.
 
-    Every rule is a whole-program rule: :meth:`check_project` runs once
-    per invocation against a :class:`~repro.analysis.project.Project`,
-    and the runner applies pragma suppression using the context of each
-    finding's file.
+    :meth:`check_file` sees one file at a time; the runner drops the
+    findings its line pragmas disable.
     """
 
     id: str = "SGB000"
@@ -38,7 +38,7 @@ class Rule:
     #: code was fixed because of its finding.  A pragma is not one.
     caught: str = ""
 
-    def check_project(self, project) -> Iterator[Finding]:
+    def check_file(self, ctx: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
         yield  # pragma: no cover - makes every override a generator
 
@@ -91,25 +91,9 @@ def get_rule(rule_id: str) -> Rule:
         ) from None
 
 
-def rule_ids() -> List[str]:
-    _ensure_loaded()
-    return sorted(_REGISTRY)
-
-
 def _ensure_loaded() -> None:
     # Deferred so `import repro.analysis.registry` alone cannot recurse
     # through the rule modules (which import this module for @register).
     if not _REGISTRY:
         from repro.analysis import rules  # noqa: F401
 
-
-def run_project_rules(project, rules: Iterable[Rule] = ()) -> List[Finding]:
-    """Run ``rules`` (default: all registered) once over a built Project,
-    honouring the per-line pragmas of whichever file each finding lands
-    in."""
-    out: List[Finding] = []
-    for rule in list(rules) or all_rules():
-        for f in rule.check_project(project):
-            if not project.is_disabled(f.path, f.line, f.rule):
-                out.append(f)
-    return out

@@ -2,16 +2,6 @@
 
 from __future__ import annotations
 
-from repro.analysis.rules import (  # noqa: F401  (import = register)
-    blocking_async,
-    cancel_coverage,
-    error_taxonomy,
-    lock_discipline,
-)
+from repro.analysis.rules import error_taxonomy  # noqa: F401  (import = register)
 
-__all__ = [
-    "error_taxonomy",
-    "lock_discipline",
-    "blocking_async",
-    "cancel_coverage",
-]
+__all__ = ["error_taxonomy"]

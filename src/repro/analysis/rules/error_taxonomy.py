@@ -60,12 +60,9 @@ class ErrorTaxonomyRule(Rule):
         "tests/engine/test_error_taxonomy.py)"
     )
 
-    def check_project(self, project) -> Iterator[Finding]:
-        for ctx in project.package_contexts.values():
-            if ctx.in_package(*SCOPE):
-                yield from self._check_file(ctx)
-
-    def _check_file(self, ctx: FileContext) -> Iterator[Finding]:
+    def check_file(self, ctx: FileContext) -> Iterator[Finding]:
+        if not ctx.in_package(*SCOPE):
+            return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Raise) or node.exc is None:
                 continue

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import os
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from repro.analysis.context import FileContext
 from repro.analysis.findings import Finding, syntax_error_finding
-from repro.analysis.project import Project
-from repro.analysis.registry import Rule, run_project_rules
+from repro.analysis.registry import all_rules
 
 #: Directory basenames never descended into.
 EXCLUDED_DIR_NAMES = frozenset({
@@ -62,58 +61,34 @@ def iter_python_files(paths: Sequence[str],
 
 
 def lint_source(source: str, path: str = "<string>",
-                module: Optional[str] = None,
-                rules: Iterable[Rule] = ()) -> List[Finding]:
+                module: Optional[str] = None) -> List[Finding]:
     """Lint a source string (the unit-test entry point).
 
     ``module`` overrides the dotted module identity used for rule
     scoping; fixtures alternatively embed ``# sgblint: module=...``.
-    The rules see a single-file project, which is exactly what the TP/TN
-    fixtures want.
     """
     try:
         ctx = FileContext(path, source, module=module)
     except SyntaxError as exc:
         return [syntax_error_finding(path, exc)]
-    findings = run_project_rules(Project([ctx]), rules)
+    findings = [f for rule in all_rules() for f in rule.check_file(ctx)
+                if not ctx.is_disabled(f.line, f.rule)]
     findings.sort(key=Finding.sort_key)
     return findings
 
 
-def lint_file(path: str, module: Optional[str] = None,
-              rules: Iterable[Rule] = ()) -> List[Finding]:
+def lint_file(path: str, module: Optional[str] = None) -> List[Finding]:
     with open(path, "r", encoding="utf-8") as fh:
         source = fh.read()
-    return lint_source(source, _norm(path), module=module, rules=rules)
-
-
-def load_contexts(paths: Sequence[str],
-                  include_fixtures: bool = False,
-                  ) -> "tuple[List[FileContext], List[Finding]]":
-    """Parse every file under ``paths`` into contexts; syntax errors
-    become SGB000 findings instead of contexts."""
-    contexts: List[FileContext] = []
-    errors: List[Finding] = []
-    for path in iter_python_files(paths, include_fixtures=include_fixtures):
-        with open(path, "r", encoding="utf-8") as fh:
-            source = fh.read()
-        try:
-            contexts.append(FileContext(path, source))
-        except SyntaxError as exc:
-            errors.append(syntax_error_finding(path, exc))
-    return contexts, errors
+    return lint_source(source, _norm(path), module=module)
 
 
 def lint_paths(paths: Sequence[str],
-               rules: Iterable[Rule] = (),
                include_fixtures: bool = False) -> List[Finding]:
-    """Lint every Python file under ``paths``; findings sorted by
-    location.
-
-    The rules run once over a project built from every parsed context.
-    """
-    contexts, findings = load_contexts(
-        paths, include_fixtures=include_fixtures)
-    findings.extend(run_project_rules(Project(contexts), rules))
+    """Lint every Python file under ``paths``, one file at a time;
+    findings sorted by location."""
+    findings = [f for path in iter_python_files(
+                    paths, include_fixtures=include_fixtures)
+                for f in lint_file(path)]
     findings.sort(key=Finding.sort_key)
     return findings

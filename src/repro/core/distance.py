@@ -20,6 +20,8 @@ from repro.errors import DimensionMismatchError, InvalidParameterError
 Point = Tuple[float, ...]
 PointLike = Sequence[float]
 
+_INF = math.inf
+
 
 class Metric:
     """Base class for distance metrics.
@@ -69,6 +71,8 @@ class EuclideanMetric(Metric):
                 f"points have different dimensions: {len(p)} vs {len(q)}"
             )
         limit = eps * eps
+        if limit == _INF:  # eps > 1.34e154: the square overflows
+            return _within_scaled(p, q, eps, 2.0)
         total = 0.0
         for a, b in zip(p, q):
             d = a - b
@@ -131,13 +135,37 @@ class MinkowskiMetric(Metric):
                 f"points have different dimensions: {len(p)} vs {len(q)}"
             )
         order = self.p
-        limit = eps ** order
+        try:
+            limit = eps ** order
+        except OverflowError:  # ``**`` past the float range raises
+            return _within_scaled(p, q, eps, order)
         total = 0.0
-        for a, b in zip(p, q):
-            total += abs(a - b) ** order
-            if total > limit:
-                return False
+        try:
+            for a, b in zip(p, q):
+                total += abs(a - b) ** order
+                if total > limit:
+                    return False
+        except OverflowError:  # one term alone is past the finite limit
+            return False
         return True
+
+
+def _within_scaled(p: PointLike, q: PointLike, eps: float,
+                   order: float) -> bool:
+    """``Σ|a-b|^order <= eps^order`` for an ``eps`` whose power
+    overflows, compared as ``Σ(|a-b|/eps)^order <= 1``.  A term is
+    powered only once it is at most 1, so nothing overflows.  The numpy
+    kernels' ``_diff_mask`` scales, powers (``s * s`` for L2) and
+    accumulates the same way, so the backends agree here too."""
+    total = 0.0
+    for a, b in zip(p, q):
+        s = abs(a - b) / eps
+        if s > 1.0:
+            return False
+        total += s * s if order == 2.0 else s ** order
+        if total > 1.0:
+            return False
+    return True
 
 
 class CountingMetric(Metric):

@@ -265,12 +265,15 @@ class Database:
             if self.tracer is not None:
                 extra["trace_spans_retained"] = float(len(self.tracer))
                 extra["trace_spans_dropped"] = float(self.tracer.dropped)
-            # One atomic copy (dict -> list runs no Python code): without
-            # the statement lock another thread may CREATE/DROP a view
-            # mid-scrape, and iterating the live dict would then raise.
-            views = list(self._stream_views.items())  # sgblint: disable=SGB007 -- same snapshot-over-consistency tradeoff as below
+            # No statement lock here, deliberately: scrapes must not
+            # queue behind a long query holding it.  The bag is guarded
+            # by _metrics_lock alone.  The views are one atomic copy
+            # (dict -> list runs no Python code): another thread may
+            # CREATE/DROP a view mid-scrape, and iterating the live dict
+            # would then raise.
+            views = list(self._stream_views.items())
             return prometheus_text(
-                self._metrics,  # sgblint: disable=SGB007 -- deliberately under _metrics_lock only: scrapes must not queue behind a long query holding the statement lock
+                self._metrics,
                 streams={
                     name: view.stats  # stats reads are point-in-time
                     for name, view in views

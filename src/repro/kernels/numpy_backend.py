@@ -95,14 +95,35 @@ def _diff_mask(diffs: Sequence["np.ndarray"], eps: float, kind: str,
             np.maximum(top, np.abs(d), out=top)
         return top <= eps
     if kind == "l2":
+        limit = eps * eps
+        if limit == np.inf:
+            return _scaled_mask(diffs, eps, 2.0)
         total = diffs[0] * diffs[0]
         for d in diffs[1:]:
             total += d * d
-        return total <= eps * eps
+        return total <= limit
+    try:
+        limit = eps**p
+    except OverflowError:
+        return _scaled_mask(diffs, eps, p)
     total = np.abs(diffs[0]) ** p
     for d in diffs[1:]:
         total += np.abs(d) ** p
-    return total <= eps**p
+    return total <= limit
+
+
+def _scaled_mask(diffs: Sequence["np.ndarray"], eps: float,
+                 p: float) -> "np.ndarray":
+    """The L2 / Lp mask for an ``eps`` whose power overflows, in
+    ε-scaled units as ``Metric.within`` computes it there:
+    ``Σ(|d_k|/eps)^p <= 1``.  A scaled term above 1 may overflow when
+    powered; it fails the test either way."""
+    with np.errstate(over="ignore"):
+        total = np.zeros(diffs[0].shape)
+        for d in diffs:
+            s = np.abs(d) / eps
+            total += s * s if p == 2.0 else s**p
+    return total <= 1.0
 
 
 def _box_count(diffs: Sequence["np.ndarray"], eps: float) -> int:

@@ -169,15 +169,15 @@ def prometheus_text(
 ) -> str:
     """Render the engine's Prometheus text-format snapshot.
 
-    ``bag`` is the engine's cumulative metric bag; ``streams`` maps view
+    ``bag`` is the engine's cumulative metric bag, whose counters are
+    rendered (the engine observes no histograms); ``streams`` maps view
     names to their :class:`~repro.obs.metrics.StreamStats` (duck-typed:
     anything with the shared counter attributes plus ``wall_time_s``).
     ``extra_counters`` lets the caller add process-level counters (e.g.
     queries executed, trace spans dropped).
     """
     w = _Writer()
-    w.section(bag.counters, bag.histograms,
-              labels={"source": _BATCH_SOURCE},
+    w.section(bag.counters, labels={"source": _BATCH_SOURCE},
               counter_names=SGB_COUNTER_FIELDS + EXEC_COUNTER_FIELDS,
               kind="Engine counter")
     w.section(extra_counters or {}, kind="Process counter")

@@ -1,6 +1,8 @@
-"""Regression tests for SGB009 fixes: buffering operator loops must
-observe cancellation mid-loop, via ``PhysicalOperator._checkpoint`` or
-the aggregation nodes' chunked column evaluation.
+"""Regression tests for the cancel-checkpoint fixes a lint rule (since
+deleted; these tests and ``test_cancel_overshoot.py`` pin what it
+caught) found: buffering operator loops must observe cancellation
+mid-loop, via ``PhysicalOperator._checkpoint`` or the aggregation nodes'
+chunked column evaluation.
 
 Before the fix, the spool-then-aggregate passes in the SGB operators ran
 their whole fold loop before the next iteration-boundary token check —

@@ -20,6 +20,7 @@ stops within a few ms, not a full stride of slow candidates; so does an
 aggregation node whose argument column is slow to evaluate.
 """
 
+import importlib
 import time
 
 import pytest
@@ -108,6 +109,19 @@ class TestFilterOverLeafScan:
         QueryContext(cancel=poke.token).bind(plan)
         with pytest.raises(QueryCancelledError):
             plan.rows()
+        assert poke.after <= min(k + 1, EVERY)
+
+
+@pytest.mark.parametrize("k", TRIPS)
+class TestProjectOverSort:
+    """``Sort`` holds every row of its child and hands them out through
+    ``_checked`` like a leaf scan: a cancel in the projection above it
+    is seen within the chunk in flight."""
+
+    def test_sort(self, monkeypatch, db, k):
+        poke = Poke(monkeypatch, k)
+        run_sql(db, "SELECT cancel_poke(x) FROM t ORDER BY x",
+                "Sort (1 key(s))", poke)
         assert poke.after <= min(k + 1, EVERY)
 
 
@@ -266,3 +280,78 @@ class TestColumnarFoldPastDeadline:
                "GROUP BY y, z DISTANCE-TO-ANY L2 WITHIN 2")
         assert self.overshoot_ms(slow, sql, "SimilarityGroupBy") \
             <= self.BOUND_MS
+
+
+#: Executor node -> tests (``tests/engine`` file::qualname) that cancel a
+#: query while rows enter or multiply in it.
+CANCEL_TESTS = {
+    "SeqScan": ["test_cancel_overshoot.py::TestFilterOverLeafScan::"
+                "test_seq_scan"],
+    "IndexScan": ["test_cancel_overshoot.py::TestFilterOverLeafScan::"
+                  "test_index_scan"],
+    "ValuesScan": ["test_cancel_overshoot.py::TestFilterOverLeafScan::"
+                   "test_values_scan"],
+    "Sort": ["test_cancel_overshoot.py::TestProjectOverSort::test_sort"],
+    "NestedLoopJoin": ["test_cancel_overshoot.py::TestJoinProbe::"
+                       "test_non_equi_nested_loop_join"],
+    "HashJoin": ["test_cancel_overshoot.py::TestJoinProbe::"
+                 "test_skewed_hash_join_residual",
+                 "test_cancel_overshoot.py::TestJoinProbePastDeadline::"
+                 "test_slow_true_residual"],
+    "SimilarityJoin": ["test_cancel_overshoot.py::TestJoinProbe::"
+                       "test_similarity_join"],
+    "HashAggregate": ["test_cancel_overshoot.py::"
+                      "TestColumnarFoldPastDeadline::"
+                      "test_hash_aggregate_argument",
+                      "test_cancel_checkpoint.py::TestMidAggregationCancel::"
+                      "test_cancel_during_plain_group_by_fold"],
+    "SGBAggregate": ["test_cancel_overshoot.py::"
+                     "TestColumnarFoldPastDeadline::"
+                     "test_similarity_aggregate_argument",
+                     "test_similarity_contract.py::TestContract::"
+                     "test_cancel_mid_fold_aborts_within_a_stride"],
+    # The contract tests run once per clause form: ``around-nd`` here,
+    # ``segment`` and ``around-1d`` for the 1-D node.
+    "SGBAroundAggregate": ["test_similarity_contract.py::TestContract::"
+                           "test_cancel_mid_fold_aborts_within_a_stride"],
+    "SGB1DAggregate": ["test_similarity_contract.py::TestContract::"
+                       "test_cancel_mid_fold_aborts_within_a_stride"],
+}
+
+#: Nodes that hold no rows: they draw every row from a child (or run a
+#: subplan) whose own checks bound how far a cancel runs on.
+DRAWS_FROM_CHILD = {"Filter", "Project", "Limit", "Distinct", "Concat",
+                    "SubqueryScan"}
+
+
+def _executor_nodes():
+    """Every ``PhysicalOperator`` subclass the engine defines, by name."""
+    found, todo = {}, [PhysicalOperator]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("repro.engine.executor."):
+                found[sub.__name__] = sub
+                todo.append(sub)
+    return found
+
+
+def _resolve(test_id):
+    path, *names = test_id.split("::")
+    obj = importlib.import_module("tests.engine." + path[:-len(".py")])
+    for name in names:
+        obj = getattr(obj, name)
+    return obj
+
+
+def test_every_executor_node_has_a_cancel_test():
+    """A node added to the executor fails here until a test cancels a
+    query inside it, or it is listed as drawing its rows from a child."""
+    nodes = _executor_nodes()
+    concrete = {name for name, cls in nodes.items()
+                if not any(sub.__name__ in nodes
+                           for sub in cls.__subclasses__())}
+    assert concrete == set(CANCEL_TESTS) | DRAWS_FROM_CHILD
+    assert not set(CANCEL_TESTS) & DRAWS_FROM_CHILD
+    for tests in CANCEL_TESTS.values():
+        for test_id in tests:
+            assert callable(_resolve(test_id)), test_id

@@ -1,13 +1,16 @@
-"""Regression tests for statement-lock coverage on catalog reads.
+"""Statement-lock coverage of every public ``Database`` entry point.
 
-SGB007 (sgblint's lock-discipline analysis) found ``table()``,
-``stream_view_names()``, ``set_trace()``, and ``explain()`` reading
-lock-guarded state without the statement lock.  These tests pin the
-fix: each entry point must enter ``db._lock`` at least once, in the mode
-the ``Database`` docstring gives it, so a future refactor that drops the
-``with`` block (or takes the wrong mode) fails here as well as in the
-linter.
+A lock-discipline lint rule once found ``table()``,
+``stream_view_names()``, ``set_trace()`` and ``explain()`` reading
+lock-guarded state without the statement lock.  The first tests pin
+those fixes.  :data:`ENTRY_POINTS` then pins every public method to the
+mode the ``Database`` docstring gives it, and
+:func:`test_every_public_method_is_pinned` fails on a public method that
+is in neither that table nor :data:`NO_STATEMENT_LOCK`: a new entry
+point cannot land without its mode pinned here.
 """
+
+import inspect
 
 import pytest
 
@@ -110,3 +113,62 @@ def test_writes_and_analyze_take_the_statement_lock_exclusive(db, call):
     rec = record(db)
     call(db)
     assert (rec.shared_entries, rec.exclusive_entries) == (0, 1)
+
+
+def with_view():
+    d = Database()
+    d.execute("CREATE TABLE pts (x float, y float)")
+    d.insert("pts", [(1.0, 2.0), (3.0, 4.0)])
+    d.create_stream_view("v", "pts", ["x", "y"], eps=1.0)
+    return d
+
+
+SELECT = "SELECT count(*) FROM pts"
+
+#: Public method -> (a call of it, (shared, exclusive) lock entries).
+ENTRY_POINTS = {
+    "analyze": (lambda d: d.analyze(SELECT), (1, 0)),
+    "create_stream_view": (
+        lambda d: d.create_stream_view("w", "pts", ["x"], eps=1.0), (0, 1)),
+    "create_table": (
+        lambda d: d.create_table("q", [("a", "float")]), (0, 1)),
+    "drop_stream_view": (lambda d: d.drop_stream_view("v"), (0, 1)),
+    "execute": (lambda d: d.execute(SELECT), (1, 0)),
+    "explain": (lambda d: d.explain(SELECT), (1, 0)),
+    "explain_analyze": (lambda d: d.explain_analyze(SELECT), (1, 0)),
+    "insert": (lambda d: d.insert("pts", [(5.0, 6.0)]), (0, 1)),
+    # Scrapes must not queue behind a long query: the metric bag has its
+    # own lock.
+    "metrics_snapshot": (lambda d: d.metrics_snapshot(), (0, 0)),
+    "query": (lambda d: d.query(SELECT), (1, 0)),
+    "set_trace": (lambda d: d.set_trace(True), (0, 1)),
+    "stream_snapshot": (lambda d: d.stream_snapshot("v"), (0, 1)),
+    "stream_view": (lambda d: d.stream_view("v"), (1, 0)),
+    "stream_view_names": (lambda d: d.stream_view_names(), (1, 0)),
+    "table": (lambda d: d.table("pts"), (1, 0)),
+    "update_statistics": (lambda d: d.update_statistics("pts"), (0, 1)),
+}
+
+#: Public members that take no statement lock, and why.
+NO_STATEMENT_LOCK = {
+    "export_trace": "copies the tracer's ring, which guards its appends",
+    "set_query_log": "swaps the query log, which has its own lock",
+    "trace_enabled": "property: one attribute read",
+    "query_log_enabled": "property: two attribute reads",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_entry_point_takes_its_documented_mode(name):
+    call, expected = ENTRY_POINTS[name]
+    d = with_view()
+    rec = record(d)
+    call(d)
+    assert (rec.shared_entries, rec.exclusive_entries) == expected
+
+
+def test_every_public_method_is_pinned():
+    public = {name for name, _ in inspect.getmembers(Database)
+              if not name.startswith("_")}
+    assert not set(ENTRY_POINTS) & set(NO_STATEMENT_LOCK)
+    assert public == set(ENTRY_POINTS) | set(NO_STATEMENT_LOCK)

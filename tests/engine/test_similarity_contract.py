@@ -217,8 +217,8 @@ class TestContract:
 
         The key columns are evaluated in ``CHECKPOINT_EVERY``-row chunks
         after the child is drained, away from the per-row check at the
-        node edge.  SGB009 does not look inside comprehensions, so it
-        cannot see whether a chunk is checked; this test is the guard.
+        node edge.  No static check sees whether a chunk is checked;
+        this test is the guard.
         """
         n_rows = 4 * PhysicalOperator.CHECKPOINT_EVERY
         db = make_db([(float(i % 3), 0.0, i) for i in range(n_rows)])

@@ -11,6 +11,7 @@ The contract (docs/architecture.md, "Execution backends"):
 
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro import kernels
 from repro.core.api import sgb_all, sgb_any
-from repro.core.distance import CountingMetric, resolve_metric
+from repro.core.distance import CountingMetric, MinkowskiMetric, resolve_metric
 from repro.core.parallel import partition_seed
 from repro.core.sgb_any import SGBAnyOperator
 from repro.errors import InvalidParameterError
@@ -91,6 +92,55 @@ def _cell_edge_examples(test):
     return test
 
 
+L3 = MinkowskiMetric(3)
+
+#: ``(points, eps, metric)`` where a squared or cubed distance, or ε's
+#: power, is past the float range: the first two put pairs √2·1e308 and
+#: 1e200 apart in one group (ε 1e308 squared is inf) or raised
+#: ``OverflowError`` (1e200 cubed).  The rest hold pairs within ε.
+_FLOAT_RANGE_CASES = (
+    ([(0.0, 0.0), (1e308, 1e308)], 1e308, "l2"),
+    ([(0.0, 0.0), (1e200, 0.0)], 1.0, L3),
+    ([(0.0, 0.0), (1e308, 0.0), (1e308, 1e308), (-1e308, 0.0)], 1e308,
+     "l2"),
+    ([(0.0, 0.0), (6e299, 6e299), (1.4e300, 1.4e300)], 1e300, L3),
+    ([(0.0, 0.0), (1e200, 0.0), (0.0, 1e200)], 1e200, L3),
+)
+
+
+def _float_range_examples(test):
+    for points, eps, metric in _FLOAT_RANGE_CASES[:2]:
+        test = example(case=(points, eps), metric=metric)(test)
+    return test
+
+
+def _exact_labels(points, eps, metric):
+    """SGB-Any labels from exact rational distances: no power rounds or
+    overflows.  ``metric`` is ``"l2"`` or an integral ``MinkowskiMetric``."""
+    order = 2 if metric == "l2" else int(metric.p)
+    bound = Fraction(eps) ** order
+
+    def within(p, q):
+        return sum(abs(Fraction(a) - Fraction(b)) ** order
+                   for a, b in zip(p, q)) <= bound
+
+    labels = [-1] * len(points)
+    group = 0
+    for start in range(len(points)):
+        if labels[start] >= 0:
+            continue
+        labels[start] = group
+        frontier = [start]
+        while frontier:
+            u = frontier.pop()
+            for v, label in enumerate(labels):
+                if label < 0 and within(points[u], points[v]):
+                    labels[v] = group
+                    frontier.append(v)
+        group += 1
+    return labels
+
+
 @needs_numpy
 class TestBackendAgreement:
     N = 500
@@ -127,6 +177,7 @@ class TestBackendAgreement:
     @example(case=(_points(N, seed=13), EPS), metric="l2")
     @_spread_examples
     @_cell_edge_examples
+    @_float_range_examples
     def test_sgb_any_structural_counters_identical(self, case, metric):
         # SGB-Any has no inter-pair early exit, so even the
         # distance_computations counter agrees exactly across backends:
@@ -170,6 +221,17 @@ class TestBackendAgreement:
                 op.finalize()
             counters[backend] = op.stats.nonzero()
         assert counters["numpy"] == counters["python"]
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+@pytest.mark.parametrize("strategy", ANY_STRATEGIES)
+@pytest.mark.parametrize("points,eps,metric", _FLOAT_RANGE_CASES, ids=[
+    "l2-apart", "l3-apart", "l2-chain", "l3-diagonal", "l3-axes"])
+def test_within_is_exact_at_the_float_range_edge(points, eps, metric,
+                                                 strategy, backend):
+    with kernels.use_backend(backend):
+        labels = sgb_any(points, eps, metric, strategy=strategy).labels
+    assert labels == _exact_labels(points, eps, metric)
 
 
 class TestPartitionedAPI:

@@ -40,14 +40,15 @@ class TestGoldenBody:
         """A whole ``/metrics`` body — engine snapshot (batch bag, two
         stream views, process extras) plus the service section — against
         ``metrics_golden.txt``, written by the exporter as it stood when
-        it had two renderers.  ``benchmarks/e2e/layers.py`` parses this
-        text; line order and HELP wording are part of the contract."""
+        it had two renderers, less the engine section's histograms (the
+        engine bag never held one).  ``benchmarks/e2e/layers.py`` parses
+        this text; line order and HELP wording are part of the
+        contract."""
         bag = MetricBag()
         bag.incr("points", 12)
         bag.incr("candidates", 40)
         bag.incr("rows_spooled", 12)
         bag.incr("zz_other", 2)
-        bag.observe("custom_time", 0.25)
         stats = StreamStats()
         stats.points = stats.index_probes = 7
         stats.groups_created = 3
@@ -97,23 +98,27 @@ class TestSnapshot:
         assert parsed[("repro_sgb_index_probes_total", batch)] == 3
         assert parsed[("repro_ingest_wall_seconds_total",
                        (("source", "stream:sv"),))] == 0.25
-        assert parsed[("repro_demo_latency_seconds_count", batch)] == 2
-        assert parsed[("repro_demo_latency_seconds_sum", batch)] == \
+        # The engine section renders counters only; a bag's histograms
+        # render in the unlabelled (service) section.
+        assert not [name for name, _ in parsed if "demo" in name]
+        parsed = parse_prometheus_text(prometheus_text_for_bag(bag))
+        assert parsed[("repro_demo_latency_seconds_count", ())] == 2
+        assert parsed[("repro_demo_latency_seconds_sum", ())] == \
             pytest.approx(4.5e-6)
         # Cumulative bucket semantics: the 2 µs `le` holds one observation,
         # the 4 µs one both, and +Inf always equals the count.
         assert parsed[("repro_demo_latency_seconds_bucket",
-                       (("le", "2e-06"), ("source", "batch")))] == 1
+                       (("le", "2e-06"),))] == 1
         assert parsed[("repro_demo_latency_seconds_bucket",
-                       (("le", "4e-06"), ("source", "batch")))] == 2
+                       (("le", "4e-06"),))] == 2
         assert parsed[("repro_demo_latency_seconds_bucket",
-                       (("le", "+Inf"), ("source", "batch")))] == 2
+                       (("le", "+Inf"),))] == 2
 
     def test_bucket_series_cumulative_monotone(self):
         bag = MetricBag()
         for i in range(40):
             bag.observe("demo_latency", (i + 1) * 1e-5)
-        parsed = parse_prometheus_text(prometheus_text(bag))
+        parsed = parse_prometheus_text(prometheus_text_for_bag(bag))
         buckets = sorted(
             [
                 (dict(labels)["le"], value)
@@ -148,7 +153,8 @@ class TestSnapshot:
     def test_help_and_type_lines_unique_per_metric(self):
         bag = MetricBag()
         bag.observe("demo_latency", 1e-6)
-        lines = prometheus_text(bag).splitlines()
+        lines = prometheus_text_for_bag(
+            bag, histograms=("demo_latency",)).splitlines()
         type_lines = [line for line in lines if line.startswith("# TYPE")]
         assert len(type_lines) == len(set(type_lines))
         assert any(line.endswith("histogram") for line in type_lines)

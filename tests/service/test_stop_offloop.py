@@ -1,10 +1,10 @@
 """Regression test for the async ``stop()`` fix.
 
-SGB008 (sgblint's blocking-in-async analysis) found
-``SGBService.stop`` calling ``QueryScheduler.shutdown`` directly on the
-event loop thread.  ``shutdown`` enqueues one sentinel per worker on the
-*bounded* work queue, which can block when the queue is full — stalling
-every coroutine.  The fix hops to a worker thread via
+A blocking-in-async lint rule (since deleted; this test pins what it
+caught) found ``SGBService.stop`` calling ``QueryScheduler.shutdown``
+directly on the event loop thread.  ``shutdown`` enqueues one sentinel
+per worker on the *bounded* work queue, which can block when the queue
+is full — stalling every coroutine.  The fix hops to a worker thread via
 ``asyncio.to_thread``; this test pins that the shutdown call no longer
 runs on the loop thread.
 """
